@@ -422,6 +422,23 @@ impl RunAttrib {
         t.last_acct = now + 1;
     }
 
+    /// Account `ticks` consecutive executed core ticks starting at
+    /// `start`, each of which retired something; `head` is the head state
+    /// after the last. Exactly `ticks` calls of
+    /// [`on_tick`](Self::on_tick) with `progressed = true` (the head
+    /// states in between classify nothing: no cycle separates those
+    /// ticks).
+    pub fn on_progress_span(&mut self, app: usize, start: Cycle, ticks: Cycle, head: StallKind) {
+        if ticks == 0 {
+            return;
+        }
+        let t = &mut self.trackers[app];
+        Self::close_gap(t, &mut self.ledger, app, start);
+        self.ledger[app * COMPONENTS + Component::Compute.index()] += ticks;
+        t.gap = head;
+        t.last_acct = start + ticks;
+    }
+
     /// The completion unblocking `app`'s reorder-buffer head arrived at
     /// `now`: split the pending stall cycles by the episode's cause
     /// accounting. Returns the `(start, length)` of the resolved stall for
@@ -820,6 +837,38 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `on_progress_span` is `ticks` progressing `on_tick`s ending on
+        /// the real head class, whatever gap precedes and follows it.
+        #[test]
+        fn progress_span_equals_per_tick_accounting(
+            lead_gap in 0u64..50,
+            lead_head in 0u8..4,
+            ticks in 0u64..80,
+            head in 0u8..4,
+            mid_head in 0u8..4,
+            tail_gap in 1u64..50,
+        ) {
+            let kind = |b: u8| StallKind::decode(b).expect("0..4 are the stall kinds");
+            let mut span = RunAttrib::new(1);
+            span.on_tick(0, 0, false, kind(lead_head));
+            let mut each = span.clone();
+            let start = 1 + lead_gap;
+            span.on_progress_span(0, start, ticks, kind(head));
+            for j in 0..ticks {
+                let h = if j + 1 == ticks { head } else { mid_head };
+                each.on_tick(0, start + j, true, kind(h));
+            }
+            let end = start + ticks + tail_gap;
+            let ep = MemEpisode { service: 7, ..MemEpisode::default() };
+            prop_assert_eq!(
+                span.on_blocking_completion(0, end, &ep),
+                each.on_blocking_completion(0, end, &ep)
+            );
+            let (a, b) = (span.end_quantum(end, &[0; 3]).clone(), each.end_quantum(end, &[0; 3]).clone());
+            prop_assert_eq!(a.ledger, b.ledger);
+            prop_assert_eq!(a.blame, b.blame);
+        }
 
         #[test]
         fn split_always_sums_to_n(

@@ -43,7 +43,11 @@ pub const SNAPSHOT_FORMAT: &str = "asm-snapshot";
 /// Version of [`SNAPSHOT_FORMAT`].
 /// v2: appended the attribution presence flag (and ledger state when on)
 /// after the telemetry section.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// v3: cores store their in-window memory operations instead of one
+/// tagged slot per instruction, and the persisted per-core wake-ups mean
+/// "earliest cycle the core can issue" rather than "next cycle its state
+/// changes" — a v2 snapshot would be mis-read on both counts.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Format name of a binary per-run result manifest.
 pub const MANIFEST_FORMAT: &str = "asm-run-manifest";

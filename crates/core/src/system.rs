@@ -15,11 +15,19 @@
 //! 4. Tick each active core; demand accesses traverse L1 → LLC → memory,
 //!    updating the ATS/pollution filters and emitting
 //!    [`AccessEvent`]s along the way.
+//!
+//! With `skip_mode` on, step 4 ticks only the cores that may issue this
+//! cycle; the rest fall behind and are caught up (`Core::advance`) before
+//! anything reads or touches them, and cycles on which nothing can touch
+//! shared state are not executed at all (DESIGN.md §8, "Core-private
+//! advance").
 
 
 use asm_attrib::{Component, MemEpisode, QuantumLedger, RunAttrib, StallKind, COMPONENTS};
 use asm_cache::{AuxiliaryTagStore, PollutionFilter, SetAssocCache, WayPartition};
-use asm_cpu::{AppProfile, Core, HeadStall, MemIssueResult, ProgressLog, StridePrefetcher};
+use asm_cpu::{
+    AdvanceObserver, AppProfile, Core, HeadStall, MemIssueResult, ProgressLog, StridePrefetcher,
+};
 use asm_dram::{Completion, MemRequest, MemorySystem};
 use asm_simcore::{AppId, Cycle, DetHashMap, Histogram, LineAddr, SimRng};
 use asm_telemetry::{names, CounterId, JsonValue, Registry, SeriesId, SeriesSet, Tracer};
@@ -32,7 +40,8 @@ use crate::estimator::{
 use crate::mech;
 
 /// Sentinel for [`System::core_wake`]: the core is blocked on an external
-/// completion and has no self-scheduled wake-up.
+/// completion and has no self-scheduled wake-up. Also the `synced` cycle
+/// of a core that never runs and the epoch deadline when epochs are off.
 const NEVER: Cycle = Cycle::MAX;
 
 /// Per-application statistics accumulated over the current quantum; used
@@ -666,15 +675,30 @@ pub struct System {
     /// stalled. While the version is unchanged a re-attempt would stall
     /// identically with zero side effects, so the tick is elided.
     stall_memo: Vec<Option<u64>>,
-    /// Per core: cached `Core::next_event` from its last tick — a lower
-    /// bound on the next cycle its tick can do real (non-stall-retry)
-    /// work. `NEVER` means blocked on an external completion. Refreshed
-    /// after every tick, reset to "check now" on completion delivery and
-    /// at quantum boundaries (throttling can change the MLP cap). Skip
-    /// mode only: saves two cross-crate calls per core per executed cycle
-    /// in both the tick guard and the fast-forward fold.
+    /// Per core: `Core::next_issue` as of its last real tick — a lower
+    /// bound on the next cycle it can call `issue` (stall retries aside,
+    /// which `stall_memo` covers). `NEVER` means not before an external
+    /// completion. Every cycle before it is core-private and is replayed
+    /// lazily (`synced`). Refreshed after every real tick, reset to
+    /// "tick now" on completion delivery and at quantum boundaries
+    /// (throttling can change the MLP cap). Skip mode only.
     core_wake: Vec<Cycle>,
+    /// Per core: the first cycle whose tick has not been applied to the
+    /// core yet. A core is caught up to `now` (`Core::advance`) before
+    /// anything reads or touches it: its real tick, a completion
+    /// delivery, a quantum boundary, and the return of every public
+    /// entry point — so callers never see a stale core. `NEVER` for
+    /// cores that never fall behind: those an alone run leaves idle and,
+    /// with `skip_mode` off, all of them (the per-tick bookkeeping is
+    /// measurable on `--no-skip` runs). Not checkpointed: snapshots are
+    /// taken between public calls, where it equals `now`.
+    synced: Vec<Cycle>,
     last_quantum_end: Cycle,
+    /// The cycle the open quantum ends on (`last_quantum_end + quantum`)
+    /// and the next epoch boundary (`NEVER` with epochs off), so the hot
+    /// loop compares instead of dividing. Derived, not checkpointed.
+    next_quantum_at: Cycle,
+    next_epoch_at: Cycle,
     retired_at_quantum_start: Vec<u64>,
     dropped_writebacks: u64,
     completion_buf: Vec<Completion>,
@@ -854,7 +878,15 @@ impl System {
             hier_version: 0,
             stall_memo: vec![None; n],
             core_wake: vec![0; n],
+            synced: (0..n)
+                .map(|i| {
+                    let lazy = config.skip_mode && active_only.is_none_or(|a| a.index() == i);
+                    if lazy { 0 } else { NEVER }
+                })
+                .collect(),
             last_quantum_end: 0,
+            next_quantum_at: config.quantum,
+            next_epoch_at: if config.epochs_enabled { 0 } else { NEVER },
             retired_at_quantum_start: vec![0; n],
             dropped_writebacks: 0,
             completion_buf: Vec::new(),
@@ -1008,8 +1040,15 @@ impl System {
     }
 
     /// Enables per-cycle progress logging (used by alone runs).
+    /// Milestones the cores have already passed are stamped with the
+    /// current cycle.
     pub fn enable_progress_logging(&mut self) {
         self.record_progress = true;
+        for i in 0..self.cores.len() {
+            if self.is_active(i) {
+                self.progress[i].record(self.cores[i].retired(), self.now);
+            }
+        }
     }
 
     /// The progress log for `app` (meaningful when progress logging was
@@ -1100,21 +1139,9 @@ impl System {
     /// adjustment; the result is bitwise-identical to stepping every
     /// cycle (DESIGN.md §8 "Fast-forward without nondeterminism").
     pub fn run_for(&mut self, cycles: Cycle) {
-        let end = self.now + cycles;
-        while self.now < end {
-            self.step();
-            if self.config.skip_mode {
-                // `step` executed cycle `now - 1` and every component is
-                // now quiescent until its next event; jump straight there.
-                let next = self.next_event_cycle(self.now - 1);
-                if next > self.now {
-                    self.now = next.min(end);
-                }
-            }
-        }
-        let now = self.now;
-        if now > self.last_quantum_end && now.is_multiple_of(self.config.quantum) {
-            self.end_quantum(now);
+        self.run_until(self.now + cycles);
+        if self.now == self.next_quantum_at {
+            self.end_quantum(self.now);
         }
     }
 
@@ -1129,39 +1156,44 @@ impl System {
     /// boundary, configurations differing only in those share one prefix
     /// trajectory.
     pub fn run_prefix(&mut self, cycles: Cycle) {
-        let end = self.now + cycles;
+        self.run_until(self.now + cycles);
+    }
+
+    /// The loop behind [`run_for`](Self::run_for) and
+    /// [`run_prefix`](Self::run_prefix): executes the cycles on which
+    /// something touches the hierarchy, jumps the rest, and leaves every
+    /// core caught up to `end`.
+    fn run_until(&mut self, end: Cycle) {
         while self.now < end {
-            self.step();
+            self.step_lazy();
             if self.config.skip_mode {
+                // Cycle `now - 1` was executed and every component is now
+                // quiescent until its next event; jump straight there.
                 let next = self.next_event_cycle(self.now - 1);
                 if next > self.now {
                     self.now = next.min(end);
                 }
             }
         }
+        self.sync_cores(end);
     }
 
-    /// The earliest cycle after `executed` at which *anything* in the
-    /// system can change state: a core fetch/retire/unstall, a memory
+    /// The earliest cycle after `executed` at which anything can touch
+    /// *shared* state: a core issuing to the hierarchy, a memory
     /// completion / scheduler retry / refresh, or a quantum/epoch
     /// boundary (boundaries run estimator, mechanism and RNG work and
-    /// must fire on their exact cycle). Progress logging needs no entry
-    /// of its own: retired counts only move on executed core ticks, and
-    /// every executed tick records milestones.
+    /// must fire on their exact cycle). What cores do privately in
+    /// between (retire, fetch, progress milestones, ledger cycles) is
+    /// replayed when they are next caught up.
     fn next_event_cycle(&self, executed: Cycle) -> Cycle {
-        let q = self.config.quantum;
-        let mut next = (executed / q + 1) * q;
-        if self.config.epochs_enabled {
-            let e = self.config.epoch;
-            next = next.min((executed / e + 1) * e);
-        }
+        let mut next = self.next_quantum_at.min(self.next_epoch_at);
         if let Some(m) = self.mem.next_event(executed) {
             next = next.min(m);
         }
-        // `core_wake` mirrors each core's `next_event` as of its last tick
-        // (cores skipped since then are unchanged by construction, so the
-        // cached value still holds). `NEVER` = blocked on a completion,
-        // which is itself a memory event already folded above.
+        // `core_wake` holds each core's `next_issue` as of its last real
+        // tick (nothing has touched the core since, so it still holds).
+        // `NEVER` = waiting on a completion, which is itself a memory
+        // event already folded above.
         for (i, &w) in self.core_wake.iter().enumerate() {
             if w != NEVER && self.is_active(i) {
                 next = next.min(w);
@@ -1182,23 +1214,39 @@ impl System {
 
     /// Advances the simulation by one cycle.
     pub fn step(&mut self) {
+        self.step_lazy();
+        self.sync_cores(self.now);
+    }
+
+    /// Executes cycle `now`. In skip mode only the cores that may touch
+    /// the hierarchy are ticked; the others fall behind (`synced`) until
+    /// something needs them.
+    fn step_lazy(&mut self) {
         let now = self.now;
         self.executed_cycles += 1;
-        if now > self.last_quantum_end && now.is_multiple_of(self.config.quantum) {
+        if now == self.next_quantum_at {
             self.end_quantum(now);
         }
-        if self.config.epochs_enabled && now.is_multiple_of(self.config.epoch) {
+        if now == self.next_epoch_at {
             self.begin_epoch(now);
+            self.next_epoch_at = now + self.config.epoch;
         }
         self.tick_hierarchy(now);
-        if self.record_progress {
-            for i in 0..self.cores.len() {
-                if self.is_active(i) {
-                    self.progress[i].record(self.cores[i].retired(), now);
-                }
-            }
-        }
         self.now = now + 1;
+    }
+
+    /// Replays every core's private cycles up to (not including) `upto`.
+    fn sync_cores(&mut self, upto: Cycle) {
+        let mut lazy = LazyCores {
+            cores: &mut self.cores,
+            synced: &mut self.synced,
+            wake: &mut self.core_wake,
+            progress: self.record_progress.then_some(&mut self.progress[..]),
+        };
+        let mut attrib = self.attrib.as_deref_mut().map(|a| &mut a.run);
+        for idx in 0..lazy.cores.len() {
+            lazy.catch_up(idx, upto, attrib.as_deref_mut());
+        }
     }
 
     fn is_active(&self, idx: usize) -> bool {
@@ -1249,7 +1297,11 @@ impl System {
     // asm-lint: allow(R9): quantum boundary — runs once per quantum
     // (default 5M cycles); estimator/mechanism bookkeeping may allocate
     fn end_quantum(&mut self, now: Cycle) {
+        // The boundary reads retired counts, may move MLP caps and closes
+        // the ledger quantum: every core must have lived through `now - 1`.
+        self.sync_cores(now);
         self.last_quantum_end = now;
+        self.next_quantum_at = now + self.config.quantum;
         let n = self.cores.len();
         let q = self.config.quantum;
 
@@ -1707,7 +1759,16 @@ impl System {
         self.hier_version = hier_version;
         self.stall_memo = stall_memo;
         self.core_wake = core_wake;
+        for s in self.synced.iter_mut().filter(|s| **s != NEVER) {
+            *s = now;
+        }
         self.last_quantum_end = last_quantum_end;
+        self.next_quantum_at = last_quantum_end + self.config.quantum;
+        self.next_epoch_at = if self.config.epochs_enabled {
+            now.next_multiple_of(self.config.epoch)
+        } else {
+            NEVER
+        };
         self.retired_at_quantum_start = retired_at_quantum_start;
         self.dropped_writebacks = dropped_writebacks;
         self.quantum_interference = quantum_interference;
@@ -1737,6 +1798,9 @@ impl System {
             hier_version,
             stall_memo,
             core_wake,
+            synced,
+            progress,
+            record_progress,
             quantum_interference,
             telemetry,
             attrib,
@@ -1764,45 +1828,50 @@ impl System {
             attrib,
         };
 
+        let mut lazy = LazyCores {
+            cores,
+            synced,
+            wake: core_wake,
+            progress: record_progress.then_some(&mut progress[..]),
+        };
+
         // Memory tick + completions.
         completion_buf.clear();
         hier.mem.tick(now, completion_buf);
         for c in completion_buf.drain(..) {
-            hier.handle_completion(now, &c, cores, core_wake);
+            hier.handle_completion(now, &c, &mut lazy);
         }
 
-        // Core ticks. (Indexed loop: `hier` and `cores` must borrow
-        // disjointly, so iterators over `cores` cannot be used here.)
-        #[allow(clippy::needless_range_loop)]
-        for idx in 0..cores.len() {
+        // Core ticks.
+        for idx in 0..lazy.cores.len() {
             if let Some(a) = active_only {
                 if a.index() != idx {
                     continue;
                 }
             }
             let app = AppId::new(idx);
-            let core = &mut cores[idx];
-            if hier.config.skip_mode && core_wake[idx] > now {
-                // `core_wake` says no real (non-stall-retry) work is
-                // possible before that cycle, and no completion has been
-                // delivered since it was cached — so the tick is either a
-                // provable no-op (elided outright) or could only
-                // re-attempt a stalled issue, which is elided while the
-                // hierarchy version is unchanged (the re-attempt would
-                // return the same Stall with zero side effects). Both are
-                // exact no-ops, so the cycle-mode trajectory is preserved
-                // bit for bit.
-                match stall_memo[idx] {
-                    None => continue,
-                    Some(v) if v == *hier.version + hier.mem.mutation_count() => continue,
-                    Some(_) => {}
+            if hier.config.skip_mode {
+                if lazy.wake[idx] > now {
+                    // `core_wake` says the core cannot issue before that
+                    // cycle, and no completion has been delivered since
+                    // it was cached — so whatever this tick does is
+                    // core-private and is replayed when the core is next
+                    // caught up. The one exception is a core whose last
+                    // issue attempt stalled: its retry is elided only
+                    // while the hierarchy version is unchanged (it would
+                    // return the same Stall with zero side effects).
+                    // Either way the cycle-mode trajectory is preserved
+                    // bit for bit.
+                    match stall_memo[idx] {
+                        None => continue,
+                        Some(v) if v == *hier.version + hier.mem.mutation_count() => continue,
+                        Some(_) => {}
+                    }
                 }
+                lazy.catch_up(idx, now, hier.attrib.as_deref_mut().map(|a| &mut a.run));
             }
-            let retired_before = if hier.attrib.is_some() {
-                core.retired()
-            } else {
-                0
-            };
+            let core = &mut lazy.cores[idx];
+            let retired_before = core.retired();
             let mut stalled_at = None;
             core.tick(now, &mut |line, is_write| {
                 let r = hier.issue(now, app, line, is_write);
@@ -1812,14 +1881,93 @@ impl System {
                 r
             });
             stall_memo[idx] = stalled_at;
+            if let Some(p) = lazy.progress.as_deref_mut() {
+                p[idx].record(core.retired(), now);
+            }
             if let Some(att) = hier.attrib.as_deref_mut() {
                 let progressed = core.retired() > retired_before;
                 let head = stall_kind(core.head_stall(now));
                 att.run.on_tick(idx, now, progressed, head);
             }
             if hier.config.skip_mode {
-                core_wake[idx] = core.next_event(now).unwrap_or(NEVER);
+                lazy.synced[idx] = now + 1;
+                lazy.wake[idx] = core.next_issue(now).unwrap_or(NEVER);
             }
+        }
+    }
+}
+
+/// The cores with their lazy-advance bookkeeping, borrowed next to
+/// [`Hier`] for one cycle (see `System::synced`).
+struct LazyCores<'a> {
+    cores: &'a mut [Core],
+    synced: &'a mut [Cycle],
+    wake: &'a mut [Cycle],
+    /// The progress logs, when progress logging is on.
+    progress: Option<&'a mut [ProgressLog]>,
+}
+
+impl LazyCores<'_> {
+    /// Brings core `idx` up to `upto` if it has fallen behind.
+    #[inline]
+    fn catch_up(&mut self, idx: usize, upto: Cycle, attrib: Option<&mut RunAttrib>) {
+        if self.synced[idx] < upto {
+            self.replay(idx, upto, attrib);
+        }
+    }
+
+    /// Replays core `idx`'s private cycles `synced[idx]..upto`, feeding
+    /// the progress log and the attribution ledger what those ticks
+    /// would have fed them.
+    fn replay(&mut self, idx: usize, upto: Cycle, attrib: Option<&mut RunAttrib>) {
+        let from = self.synced[idx];
+        let core = &mut self.cores[idx];
+        let progress = self.progress.as_deref_mut().map(|p| &mut p[idx]);
+        if progress.is_none() && attrib.is_none() {
+            core.advance(from, upto, &mut ());
+        } else {
+            let mut obs = CoreObserver {
+                app: idx,
+                progress,
+                attrib,
+            };
+            core.advance(from, upto, &mut obs);
+        }
+        self.synced[idx] = upto;
+    }
+}
+
+/// Feeds one core's replayed ticks to whichever per-tick consumers are
+/// switched on.
+struct CoreObserver<'a> {
+    app: usize,
+    progress: Option<&'a mut ProgressLog>,
+    attrib: Option<&'a mut RunAttrib>,
+}
+
+impl AdvanceObserver for CoreObserver<'_> {
+    fn on_tick(&mut self, now: Cycle, retired: u64, progressed: bool, head: HeadStall) {
+        if let Some(p) = self.progress.as_deref_mut() {
+            p.record(retired, now);
+        }
+        if let Some(a) = self.attrib.as_deref_mut() {
+            a.on_tick(self.app, now, progressed, stall_kind(head));
+        }
+    }
+
+    fn on_progress_span(
+        &mut self,
+        start: Cycle,
+        ticks: u64,
+        retired_before: u64,
+        per_tick: u64,
+        head: HeadStall,
+    ) {
+        if let Some(p) = self.progress.as_deref_mut() {
+            p.record_ramp(retired_before, start, ticks, per_tick);
+        }
+        if let Some(a) = self.attrib.as_deref_mut() {
+            a.on_progress_span(self.app, start, ticks, stall_kind(head));
         }
     }
 }
@@ -1862,20 +2010,23 @@ impl Hier<'_> {
         &mut self,
         now: Cycle,
         c: &Completion,
-        cores: &mut [Core],
-        core_wake: &mut [Cycle],
+        lazy: &mut LazyCores<'_>,
     ) {
         let Some(entry) = self.mshr.remove(&c.line.raw()) else {
             return; // e.g. a dropped-writeback artefact; cannot happen for reads
         };
         *self.version += 1;
+        // The delivery reads and changes the core: bring it up to `now`.
+        let owner = entry.app.index();
+        lazy.catch_up(owner, now, self.attrib.as_deref_mut().map(|a| &mut a.run));
+        let core = &mut lazy.cores[owner];
         // Ground-truth attribution: if this completion unblocks the waiting
         // core's reorder-buffer head, close the pending memory-stall episode
         // with this request's cause accounting — before delivery below
         // retires the head and the blocking token disappears.
         let mut stall_span = None;
         if let Some(att) = self.attrib.as_deref_mut() {
-            if let Some(bt) = cores[entry.app.index()].blocking_token() {
+            if let Some(bt) = core.blocking_token() {
                 if entry.tokens.iter().any(|&t| t == bt) {
                     let pollution = if entry.prefetch {
                         entry.demand_merge.as_ref().is_some_and(|m| m.pollution_hit)
@@ -1889,7 +2040,7 @@ impl Hier<'_> {
                         induced_by: c.induced_by.map(|a| a.index()),
                         pollution,
                     };
-                    stall_span = att.run.on_blocking_completion(entry.app.index(), now, &ep);
+                    stall_span = att.run.on_blocking_completion(owner, now, &ep);
                 }
             }
         }
@@ -1897,11 +2048,11 @@ impl Hier<'_> {
             self.trace_stall(entry.app, c, start, len);
         }
         for token in entry.tokens.iter() {
-            cores[entry.app.index()].complete(*token, c.finish);
+            core.complete(*token, c.finish);
         }
-        // The delivery may retire the head or free MLP: re-examine the
-        // core this cycle instead of trusting its cached wake-up.
-        core_wake[entry.app.index()] = now;
+        // The delivery may retire the head or free MLP: tick the core
+        // this cycle instead of trusting its cached wake-up.
+        lazy.wake[owner] = now;
         if entry.prefetch {
             // Fill the prefetched line into the shared cache now, and
             // mirror the fill into the ATS (the alone run prefetches the
@@ -2632,6 +2783,49 @@ mod tests {
             system_bytes(&straight),
             "restored continuation diverged from the straight run"
         );
+    }
+
+    /// `step()` is public and every accessor reads the cores as they
+    /// are, so it must leave them caught up: a run driven one `step()` at
+    /// a time is, at every point a caller could look, the run `run_for`
+    /// produces — down to the checkpoint bytes. (The executed-cycle
+    /// diagnostic is the one field allowed to differ: `step()` executes
+    /// every cycle by definition.)
+    #[test]
+    fn step_driven_run_matches_run_for() {
+        let apps = vec![
+            suite::by_name("h264ref_like").expect("suite profile exists"),
+            suite::by_name("mcf_like").expect("suite profile exists"),
+        ];
+        let build = || {
+            let mut sys = System::new(&apps, small_config());
+            sys.enable_progress_logging();
+            sys.enable_attribution();
+            sys
+        };
+        let mut stepped = build();
+        // Neither horizon is a quantum boundary (which `run_for` would
+        // finalise on return and `step()` leaves to the next step).
+        for horizon in [30_001, 120_003] {
+            while stepped.now() < horizon {
+                stepped.step();
+            }
+            let mut whole = build();
+            whole.run_for(horizon);
+            assert!(whole.executed_cycles() < horizon, "nothing was skipped");
+            for i in 0..apps.len() {
+                let app = AppId::new(i);
+                assert_eq!(stepped.retired(app), whole.retired(app));
+                assert_eq!(stepped.progress_log(app), whole.progress_log(app));
+            }
+            assert_eq!(stepped.records().len(), whole.records().len());
+            whole.executed_cycles = stepped.executed_cycles;
+            assert_eq!(
+                system_bytes(&stepped),
+                system_bytes(&whole),
+                "step()-driven state diverged from run_for at {horizon}"
+            );
+        }
     }
 
     #[test]

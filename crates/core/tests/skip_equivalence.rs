@@ -208,3 +208,32 @@ fn skip_mode_actually_skips() {
         "skip mode executed {executed} of 500000 cycles — not skipping"
     );
 }
+
+/// Event-driven cores, as an exact work count: on a compute-bound mix the
+/// cores touch the hierarchy on a small minority of cycles, so skip mode
+/// must execute under a fifth of the horizon — while ending in exactly the
+/// state the cycle-by-cycle run reaches. Guards against `Core::next_issue`
+/// silently degenerating into `now + 1`.
+#[test]
+fn compute_mix_executes_a_fifth_of_the_horizon() {
+    const HORIZON: u64 = 400_000;
+    let apps: Vec<AppProfile> = ["h264ref_like", "povray_like", "h264ref_like", "povray_like"]
+        .iter()
+        .map(|n| suite::by_name(n).expect("suite profile exists"))
+        .collect();
+    let run = |skip: bool| {
+        let mut c = base_config();
+        c.skip_mode = skip;
+        let mut sys = System::new(&apps, c);
+        sys.run_for(HORIZON);
+        (digest(&sys), sys.executed_cycles())
+    };
+    let (skip, executed) = run(true);
+    let (cycle, every) = run(false);
+    assert_eq!(every, HORIZON);
+    assert_eq!(skip, cycle, "skip mode diverged from cycle mode");
+    assert!(
+        executed * 5 < HORIZON,
+        "skip mode executed {executed} of {HORIZON} cycles on a compute-bound mix"
+    );
+}

@@ -11,6 +11,37 @@
 //! Stores are modelled as non-blocking (retired through a store buffer):
 //! they generate cache/memory traffic but never stall retirement, matching
 //! the common simplification that load latency dominates stalls.
+//!
+//! # The implicit reorder buffer
+//!
+//! The window is the id range `[first_id, next_id)`; only its *memory
+//! operations* are stored (`mem`, in program order, each with its
+//! instruction id and a `WaitIssue`/`Outstanding`/`Done(c)` state).
+//! Non-memory instructions are the id gaps between them: one fetched at
+//! tick `t` completes at `t + 1`, so from the tick after its fetch it is
+//! always retire-ready and needs no slot. The single exception — "fetched
+//! this very tick", which [`Core::head_stall`] and the wake-up bound must
+//! see as not-yet-complete — is the `(fresh_from, fresh_cycle)` marker.
+//!
+//! Issue is in program order, so the un-issued memory operations are
+//! always the tail of `mem` and the issue queue is a count (`waiting`).
+//! Memory operations are addressed by fetch *sequence number*: the op
+//! with sequence `s` sits at deque index `s − mem_retired`, which is what
+//! outstanding tokens store — an O(1) lookup on completion with no search
+//! by id. A tick therefore costs O(memory operations touched), not
+//! O(instructions).
+//!
+//! # Private advance
+//!
+//! A core touches shared state only by calling `issue` (out) and being
+//! handed [`Core::complete`] (in); its address stream and its
+//! instruction-type RNG are its own. So over any span of cycles in which
+//! it cannot issue, *when* its ticks are replayed is unobservable:
+//! [`Core::advance`] replays such a span in one call, with an O(1) closed
+//! form for the steady run "retire `width`, fetch `width`" and a jump over
+//! ticks that provably change nothing. [`Core::next_issue`] is the bound a
+//! driver needs to know how far that is safe (DESIGN.md §8, "Core-private
+//! advance").
 
 use std::collections::VecDeque;
 
@@ -47,14 +78,55 @@ pub enum HeadStall {
     MemStall,
 }
 
+/// Receives what [`Core::advance`] replays, so per-tick consumers (the
+/// alone-run progress log, the cycle-attribution ledger) see exactly what
+/// they would have seen had every tick been executed — per span instead
+/// of per tick. Ticks that change nothing are not reported: the head state
+/// of the last reported tick holds until the next one. `()` observes
+/// nothing and monomorphises away.
+pub trait AdvanceObserver {
+    /// One replayed tick at `now`: `retired` is the lifetime retired count
+    /// after it, `progressed` whether it retired anything, `head` the
+    /// post-tick [`Core::head_stall`].
+    fn on_tick(&mut self, now: Cycle, retired: u64, progressed: bool, head: HeadStall);
+
+    /// `ticks` consecutive replayed ticks starting at `start`, each of
+    /// which retired exactly `per_tick` instructions on top of the
+    /// `retired_before` retired when the span began; `head` is the
+    /// [`Core::head_stall`] after the last of them.
+    fn on_progress_span(
+        &mut self,
+        start: Cycle,
+        ticks: u64,
+        retired_before: u64,
+        per_tick: u64,
+        head: HeadStall,
+    );
+}
+
+impl AdvanceObserver for () {
+    #[inline]
+    fn on_tick(&mut self, _: Cycle, _: u64, _: bool, _: HeadStall) {}
+    #[inline]
+    fn on_progress_span(&mut self, _: Cycle, _: u64, _: u64, _: u64, _: HeadStall) {}
+}
+
 #[derive(Debug, Clone, Copy)]
-enum SlotState {
-    /// Completes (and may retire) at the given cycle.
-    Done(Cycle),
-    /// A memory operation waiting to be issued to the hierarchy.
+enum MemState {
+    /// Waiting to be issued to the hierarchy.
     WaitIssue(MemOp),
-    /// A memory operation outstanding in the memory system.
+    /// Outstanding in the memory system.
     Outstanding,
+    /// Data arrives (and the op may retire) at the given cycle.
+    Done(Cycle),
+}
+
+/// One in-window memory operation.
+#[derive(Debug, Clone, Copy)]
+struct MemSlot {
+    /// Program-order instruction id.
+    id: u64,
+    state: MemState,
 }
 
 /// The out-of-order core for one application.
@@ -87,20 +159,34 @@ pub struct Core {
     /// denominator is constant per core, and `ln` shows up in profiles
     /// when recomputed on every fetch.
     gap_log1mp: f64,
-    window: usize,
-    width: usize,
+    window: u64,
+    width: u64,
     mlp_cap: u32,
 
     mlp_throttle: Option<u32>,
-    rob: VecDeque<SlotState>,
+    /// Id of the oldest in-window instruction (the head).
     first_id: u64,
+    /// Id the next fetched instruction gets; the window holds
+    /// `[first_id, next_id)`.
     next_id: u64,
-    waiting: VecDeque<u64>,
-    /// Outstanding (token, instruction id) pairs. At most `mlp` entries
-    /// (single digits), so a linear vector beats any map.
+    /// The in-window memory operations, in program order.
+    mem: VecDeque<MemSlot>,
+    /// Memory operations retired so far: the op with fetch sequence
+    /// number `s` is `mem[s - mem_retired]`.
+    mem_retired: u64,
+    /// How many ops at the tail of `mem` are still `WaitIssue`.
+    waiting: usize,
+    /// Outstanding (token, memory-op sequence number) pairs. At most
+    /// `mlp` entries (single digits), so a linear vector beats any map.
     tokens: Vec<(u64, u64)>,
-    outstanding: u32,
+    /// Non-memory instructions still to fetch before the next memory op.
     gap_left: u64,
+    /// Instructions with id `>= fresh_from` were fetched at tick
+    /// `fresh_cycle`, so non-memory ones among them complete at
+    /// `fresh_cycle + 1`. Transient (not checkpointed): it only matters
+    /// to queries made right after that tick.
+    fresh_from: u64,
+    fresh_cycle: Cycle,
 
     retired: u64,
     mem_ops_issued: u64,
@@ -195,17 +281,19 @@ impl Core {
             typ_rng,
             mem_prob,
             gap_log1mp,
-            window,
-            width,
+            window: window as u64,
+            width: width as u64,
             mlp_cap: mlp,
             mlp_throttle: None,
-            rob: VecDeque::with_capacity(window),
             first_id: 0,
             next_id: 0,
-            waiting: VecDeque::new(),
+            mem: VecDeque::new(),
+            mem_retired: 0,
+            waiting: 0,
             tokens: Vec::new(),
-            outstanding: 0,
             gap_left,
+            fresh_from: 0,
+            fresh_cycle: 0,
             retired: 0,
             mem_ops_issued: 0,
             stall_episodes: 0,
@@ -241,7 +329,7 @@ impl Core {
     /// Memory accesses currently outstanding in the memory system.
     #[must_use]
     pub fn outstanding(&self) -> u32 {
-        self.outstanding
+        self.tokens.len() as u32
     }
 
     /// The application's intrinsic MLP cap (ignoring any throttle).
@@ -262,6 +350,16 @@ impl Core {
             .map_or(self.mlp_cap, |t| t.min(self.mlp_cap))
     }
 
+    /// Instructions currently in the window.
+    fn occupancy(&self) -> u64 {
+        self.next_id - self.first_id
+    }
+
+    /// The head instruction's slot when the head is a memory operation.
+    fn head_mem(&self) -> Option<&MemSlot> {
+        self.mem.front().filter(|m| m.id == self.first_id)
+    }
+
     /// Geometric inter-memory-op gap (number of non-memory instructions
     /// before the next memory op).
     fn sample_gap(rng: &mut asm_simcore::SimRng, p: f64, log1mp: f64) -> u64 {
@@ -278,62 +376,32 @@ impl Core {
     /// Advances the core one cycle. `issue` is called for each memory
     /// operation ready to access the hierarchy this cycle.
     pub fn tick(&mut self, now: Cycle, issue: &mut dyn FnMut(LineAddr, bool) -> MemIssueResult) {
-        // 1) In-order retirement, up to `width` per cycle.
-        let mut retired_now = 0;
-        while retired_now < self.width {
-            match self.rob.front() {
-                Some(SlotState::Done(c)) if *c <= now => {
-                    self.rob.pop_front();
-                    self.first_id += 1;
-                    self.retired += 1;
-                    retired_now += 1;
-                }
-                _ => break,
-            }
-        }
+        self.retire_and_fetch(now);
 
-        // 2) Fetch up to `width` new instructions into the window.
-        let mut fetched = 0;
-        while fetched < self.width && self.rob.len() < self.window {
-            if self.gap_left == 0 {
-                let op = self.source.next_op();
-                self.rob.push_back(SlotState::WaitIssue(op));
-                self.waiting.push_back(self.next_id);
-                self.gap_left = Self::sample_gap(&mut self.typ_rng, self.mem_prob, self.gap_log1mp);
-            } else {
-                self.gap_left -= 1;
-                self.rob.push_back(SlotState::Done(now + 1));
-            }
-            self.next_id += 1;
-            fetched += 1;
-        }
-
-        // 3) Issue waiting memory operations (program order) while under
-        // the (possibly throttled) MLP cap.
-        while self.outstanding < self.effective_mlp() {
-            let Some(&id) = self.waiting.front() else {
-                break;
-            };
-            let idx = (id - self.first_id) as usize;
-            let SlotState::WaitIssue(op) = self.rob[idx] else {
-                unreachable!("waiting queue points at a non-waiting slot");
+        // Issue waiting memory operations (program order) while under the
+        // (possibly throttled) MLP cap.
+        let cap = self.effective_mlp() as usize;
+        while self.waiting > 0 && self.tokens.len() < cap {
+            let idx = self.mem.len() - self.waiting;
+            let slot = &mut self.mem[idx];
+            let MemState::WaitIssue(op) = slot.state else {
+                unreachable!("the un-issued tail holds a non-waiting op");
             };
             match issue(op.line, op.is_write) {
                 MemIssueResult::Completed(c) => {
-                    self.rob[idx] = SlotState::Done(c);
-                    self.waiting.pop_front();
+                    slot.state = MemState::Done(c);
+                    self.waiting -= 1;
                     self.mem_ops_issued += 1;
                 }
                 MemIssueResult::Pending(token) => {
-                    self.rob[idx] = SlotState::Outstanding;
-                    self.tokens.push((token, id));
-                    self.waiting.pop_front();
-                    self.outstanding += 1;
+                    slot.state = MemState::Outstanding;
+                    self.tokens.push((token, self.mem_retired + idx as u64));
+                    self.waiting -= 1;
                     self.mem_ops_issued += 1;
                 }
                 MemIssueResult::Stall => {
-                    if self.last_stall_id != Some(id) {
-                        self.last_stall_id = Some(id);
+                    if self.last_stall_id != Some(slot.id) {
+                        self.last_stall_id = Some(slot.id);
                         self.stall_episodes += 1;
                     }
                     break;
@@ -342,60 +410,168 @@ impl Core {
         }
     }
 
-    /// The next cycle at which [`tick`](Self::tick) could change this
-    /// core's state, assuming the memory hierarchy's answers stay frozen
-    /// until then. `None` means the core is blocked on an external event
-    /// (a [`complete`](Self::complete) call, or a stall clearing) — both
-    /// of which only happen on cycles the memory system itself reports as
-    /// events, so a driver folding this with the memory system's
-    /// `next_event` never misses a wake-up (see DESIGN.md §8).
+    /// The core-private half of a tick: in-order retirement of up to
+    /// `width` completed instructions, then fetch of up to `width` new
+    /// ones into the window. Touches nothing outside the core.
+    #[inline]
+    fn retire_and_fetch(&mut self, now: Cycle) {
+        let mut budget = self.width;
+        while budget > 0 {
+            match self.mem.front() {
+                Some(m) if m.id == self.first_id => match m.state {
+                    MemState::Done(c) if c <= now => {
+                        self.mem.pop_front();
+                        self.mem_retired += 1;
+                        self.first_id += 1;
+                        budget -= 1;
+                    }
+                    _ => break,
+                },
+                front => {
+                    // A run of non-memory instructions, up to the next
+                    // memory op or the fetch frontier; all complete
+                    // except those fetched on this very cycle.
+                    let mut run_end = front.map_or(self.next_id, |m| m.id);
+                    if now <= self.fresh_cycle {
+                        run_end = run_end.min(self.fresh_from);
+                    }
+                    let take = (run_end - self.first_id).min(budget);
+                    if take == 0 {
+                        break;
+                    }
+                    self.first_id += take;
+                    budget -= take;
+                }
+            }
+        }
+        self.retired += self.width - budget;
+
+        let mut room = self.width.min(self.window - self.occupancy());
+        if room > 0 {
+            self.fresh_from = self.next_id;
+            self.fresh_cycle = now;
+        }
+        while room > 0 {
+            if self.gap_left == 0 {
+                let op = self.source.next_op();
+                self.mem.push_back(MemSlot {
+                    id: self.next_id,
+                    state: MemState::WaitIssue(op),
+                });
+                self.waiting += 1;
+                self.gap_left = Self::sample_gap(&mut self.typ_rng, self.mem_prob, self.gap_log1mp);
+                self.next_id += 1;
+                room -= 1;
+            } else {
+                let take = self.gap_left.min(room);
+                self.gap_left -= take;
+                self.next_id += take;
+                room -= take;
+            }
+        }
+    }
+
+    /// Replays the ticks `from..upto` without a memory hierarchy: exactly
+    /// what [`tick`](Self::tick) would have done on each of those cycles,
+    /// reported to `obs` per span.
+    ///
+    /// The caller guarantees that on none of those ticks the issue stage
+    /// could have changed anything — nothing waits to issue, or the MLP
+    /// cap is reached, or the only candidate would stall exactly as its
+    /// last attempt did. [`next_issue`](Self::next_issue) bounds that
+    /// span; a [`complete`](Self::complete) or
+    /// [`set_mlp_throttle`](Self::set_mlp_throttle) ends it. `from` must
+    /// be later than every cycle already ticked.
+    pub fn advance<O: AdvanceObserver>(&mut self, from: Cycle, upto: Cycle, obs: &mut O) {
+        debug_assert!(self.next_id == 0 || from > self.fresh_cycle);
+        let w = self.width;
+        let mut s = from;
+        while s < upto {
+            // A full window behind a memory-op head that has not
+            // completed: nothing retires, nothing fits. Jump to the head's
+            // completion (or to the end, when only `complete` can move it).
+            if self.occupancy() == self.window {
+                match self.head_mem().map(|m| m.state) {
+                    Some(MemState::Done(c)) if c > s => {
+                        s = c.min(upto);
+                        continue;
+                    }
+                    Some(MemState::WaitIssue(_) | MemState::Outstanding) => return,
+                    _ => {}
+                }
+            }
+            // The steady run: every tick retires `w` completed non-memory
+            // instructions off the head and fetches `w` more before the
+            // next memory op is due. The head run lasts until the oldest
+            // in-window memory op — or indefinitely when there is none,
+            // as each tick's fetch replaces what it retired.
+            let head_run = match self.mem.front() {
+                Some(m) => (m.id - self.first_id) / w,
+                None if self.occupancy() >= w => u64::MAX,
+                None => 0,
+            };
+            let k = (upto - s).min(head_run).min(self.gap_left / w);
+            if k > 0 {
+                let n = k * w;
+                let before = self.retired;
+                self.first_id += n;
+                self.next_id += n;
+                self.retired += n;
+                self.gap_left -= n;
+                self.fresh_from = self.next_id - w;
+                self.fresh_cycle = s + k - 1;
+                obs.on_progress_span(s, k, before, w, self.head_stall(self.fresh_cycle));
+                s += k;
+                continue;
+            }
+            let before = self.retired;
+            self.retire_and_fetch(s);
+            obs.on_tick(s, self.retired, self.retired > before, self.head_stall(s));
+            s += 1;
+        }
+    }
+
+    /// A lower bound on the next cycle at which [`tick`](Self::tick) can
+    /// call `issue`, assuming no [`complete`](Self::complete) or throttle
+    /// change arrives first; `None` when only such an external event can
+    /// get the core issuing again. Every tick before the bound is
+    /// core-private and may be replayed later by
+    /// [`advance`](Self::advance). A lower bound is enough: a driver that
+    /// ticks the core for real at the bound and finds nothing to issue
+    /// merely asks again.
     ///
     /// Must be called *after* `tick(now, ..)`; the answer relies on the
     /// post-tick invariant that a non-empty issue queue under the MLP cap
     /// means the last issue attempt stalled.
     #[must_use]
     #[inline]
-    pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        // The window has room: fetch makes progress every cycle.
-        if self.rob.len() < self.window {
-            return Some(now + 1);
+    pub fn next_issue(&self, now: Cycle) -> Option<Cycle> {
+        // At the MLP cap: fetched memory ops queue up privately until a
+        // completion frees a slot.
+        if self.tokens.len() >= self.effective_mlp() as usize {
+            return None;
         }
-        // Window full. Retirement frees slots once the head completes;
-        // issue attempts are either exhausted (issue queue empty), capped
-        // (needs a completion), or stalled (needs the memory system to
-        // drain a queue) — all external events.
-        match self.rob.front() {
-            Some(SlotState::Done(c)) => Some((*c).max(now + 1)),
-            _ => None,
+        // The first tick that can fetch: the next one while the window
+        // has room, else the one on which the head completes.
+        let first_fetch = if self.occupancy() < self.window {
+            now + 1
+        } else {
+            match self.head_mem().map(|m| m.state) {
+                Some(MemState::Done(c)) => c.max(now + 1),
+                Some(_) => return None,
+                None => now + 1,
+            }
+        };
+        if self.waiting > 0 {
+            // The last attempt stalled. When the hierarchy will accept the
+            // retry is not the core's to know; report the next cycle the
+            // core itself changes and leave retries in between to the
+            // driver (they are side-effect-free while they keep stalling).
+            return Some(first_fetch);
         }
-    }
-
-    /// Whether `tick(now, ..)` would provably change nothing: the window
-    /// is full, the head has not completed, and no issue attempt can run
-    /// (issue queue empty, or the MLP cap is reached). A driver may skip
-    /// the call entirely — the tick would not touch any state, draw any
-    /// randomness, or invoke the issue callback.
-    #[must_use]
-    #[inline]
-    pub fn tick_is_noop(&self, now: Cycle) -> bool {
-        self.rob.len() == self.window
-            && !matches!(self.rob.front(), Some(SlotState::Done(c)) if *c <= now)
-            && (self.waiting.is_empty() || self.outstanding >= self.effective_mlp())
-    }
-
-    /// Whether the *only* thing `tick(now, ..)` could do is re-attempt a
-    /// previously stalled head issue: no retirement, no fetch, but the
-    /// issue queue is non-empty under the MLP cap. If the memory
-    /// hierarchy's stall answer is known to be unchanged since the last
-    /// attempt, a driver may skip the call — the re-attempt would stall
-    /// again without side effects (the stall path mutates nothing).
-    #[must_use]
-    #[inline]
-    pub fn only_stall_retry(&self, now: Cycle) -> bool {
-        self.rob.len() == self.window
-            && !matches!(self.rob.front(), Some(SlotState::Done(c)) if *c <= now)
-            && !self.waiting.is_empty()
-            && self.outstanding < self.effective_mlp()
+        // The next memory op is the `gap_left + 1`-th instruction still to
+        // fetch, at most `width` per tick.
+        Some(first_fetch.saturating_add(self.gap_left / self.width))
     }
 
     /// Delivers data for a pending access issued earlier; `finish` is the
@@ -404,30 +580,37 @@ impl Core {
     #[inline]
     pub fn complete(&mut self, token: u64, finish: Cycle) {
         if let Some(pos) = self.tokens.iter().position(|&(t, _)| t == token) {
-            let (_, id) = self.tokens.swap_remove(pos);
-            let idx = (id - self.first_id) as usize;
-            self.rob[idx] = SlotState::Done(finish);
-            self.outstanding -= 1;
+            let (_, seq) = self.tokens.swap_remove(pos);
+            self.mem[(seq - self.mem_retired) as usize].state = MemState::Done(finish);
         }
     }
 
     /// What the reorder-buffer head is blocked on at `now` (post-tick) —
     /// the per-cycle fact driving ground-truth cycle attribution. The
-    /// mapping is exhaustive: a `Done` head that is ready (or an empty /
-    /// non-full window) is progress; a future `Done` is hit latency; a
-    /// `WaitIssue` head is memory backpressure (a head waiting to issue
-    /// implies program-order issue already drained every older op, so the
-    /// core has zero outstanding requests and the only obstacle is the
-    /// memory system refusing the access); an `Outstanding` head is a
-    /// memory stall whose component is decided when its data returns.
+    /// mapping is exhaustive: a head that has completed (or an empty
+    /// window) is progress; one completing in the future — a memory op
+    /// with data on its way, or a non-memory instruction fetched on this
+    /// very cycle — is hit latency; a `WaitIssue` head is memory
+    /// backpressure (a head waiting to issue implies program-order issue
+    /// already drained every older op, so the core has zero outstanding
+    /// requests and the only obstacle is the memory system refusing the
+    /// access); an `Outstanding` head is a memory stall whose component
+    /// is decided when its data returns.
     #[must_use]
     #[inline]
     pub fn head_stall(&self, now: Cycle) -> HeadStall {
-        match self.rob.front() {
-            Some(SlotState::Done(c)) if *c > now => HeadStall::HitWait,
-            Some(SlotState::WaitIssue(_)) => HeadStall::Backpressure,
-            Some(SlotState::Outstanding) => HeadStall::MemStall,
-            _ => HeadStall::Progress,
+        match self.head_mem().map(|m| m.state) {
+            Some(MemState::Done(c)) if c > now => HeadStall::HitWait,
+            Some(MemState::Done(_)) => HeadStall::Progress,
+            Some(MemState::WaitIssue(_)) => HeadStall::Backpressure,
+            Some(MemState::Outstanding) => HeadStall::MemStall,
+            None if self.first_id < self.next_id
+                && self.first_id >= self.fresh_from
+                && self.fresh_cycle >= now =>
+            {
+                HeadStall::HitWait
+            }
+            None => HeadStall::Progress,
         }
     }
 
@@ -440,52 +623,51 @@ impl Core {
     #[must_use]
     #[inline]
     pub fn blocking_token(&self) -> Option<u64> {
-        if !matches!(self.rob.front(), Some(SlotState::Outstanding)) {
+        if !matches!(self.head_mem()?.state, MemState::Outstanding) {
             return None;
         }
         self.tokens
             .iter()
-            .find(|&&(_, id)| id == self.first_id)
+            .find(|&&(_, seq)| seq == self.mem_retired)
             .map(|&(t, _)| t)
     }
 
-    /// Serializes the core's dynamic state — ROB contents, issue/waiting
-    /// queues, outstanding tokens, RNG position, fetch gap, throttle, and
-    /// lifetime counters — for checkpointing. The profile-derived
-    /// parameters (window, width, MLP, memory probability) and the access
-    /// source's configuration are structural: the restore target must be
-    /// constructed from the same profile and seed.
+    /// Serializes the core's dynamic state — window bounds, in-window
+    /// memory operations, outstanding tokens, RNG position, fetch gap,
+    /// throttle, and lifetime counters — for checkpointing. The
+    /// profile-derived parameters (window, width, MLP, memory
+    /// probability) and the access source's configuration are structural:
+    /// the restore target must be constructed from the same profile and
+    /// seed.
     pub fn save_state(&self, w: &mut asm_simcore::persist::StateWriter) {
         self.source.save_state(w);
         self.typ_rng.save_state(w);
         w.opt_u64(self.mlp_throttle.map(u64::from));
-        w.usize(self.rob.len());
-        for slot in &self.rob {
-            match slot {
-                SlotState::Done(c) => {
+        w.u64(self.first_id);
+        w.u64(self.next_id);
+        w.u64(self.mem_retired);
+        w.usize(self.mem.len());
+        for m in &self.mem {
+            w.u64(m.id);
+            match m.state {
+                MemState::Done(c) => {
                     w.u8(0);
-                    w.u64(*c);
+                    w.u64(c);
                 }
-                SlotState::WaitIssue(op) => {
+                MemState::WaitIssue(op) => {
                     w.u8(1);
                     w.u64(op.line.raw());
                     w.bool(op.is_write);
                 }
-                SlotState::Outstanding => w.u8(2),
+                MemState::Outstanding => w.u8(2),
             }
         }
-        w.u64(self.first_id);
-        w.u64(self.next_id);
-        w.usize(self.waiting.len());
-        for &id in &self.waiting {
-            w.u64(id);
-        }
+        w.usize(self.waiting);
         w.usize(self.tokens.len());
-        for &(token, id) in &self.tokens {
+        for &(token, seq) in &self.tokens {
             w.u64(token);
-            w.u64(id);
+            w.u64(seq);
         }
-        w.u32(self.outstanding);
         w.u64(self.gap_left);
         w.u64(self.retired);
         w.u64(self.mem_ops_issued);
@@ -513,66 +695,81 @@ impl Core {
             Some(t) => Some(u32::try_from(t).map_err(|_| corrupt("throttle out of range"))?),
             None => None,
         };
-        let rob_len = r.checked_len(1)?;
-        if rob_len > self.window {
-            return Err(corrupt("ROB larger than window"));
+        let first_id = r.u64()?;
+        let next_id = r.u64()?;
+        if next_id
+            .checked_sub(first_id)
+            .is_none_or(|occ| occ > self.window)
+        {
+            return Err(corrupt("window bounds do not fit the window"));
         }
-        let mut rob = VecDeque::with_capacity(self.window);
-        for _ in 0..rob_len {
-            rob.push_back(match r.u8()? {
-                0 => SlotState::Done(r.u64()?),
+        let mem_retired = r.u64()?;
+        let mem_len = r.checked_len(9)?;
+        let mut mem = VecDeque::with_capacity(mem_len);
+        let mut min_id = first_id;
+        let mut outstanding = 0;
+        for _ in 0..mem_len {
+            let id = r.u64()?;
+            if id < min_id || id >= next_id {
+                return Err(corrupt("memory-op ids not increasing inside the window"));
+            }
+            min_id = id + 1;
+            let state = match r.u8()? {
+                0 => MemState::Done(r.u64()?),
                 1 => {
                     let line = LineAddr::new(r.u64()?);
                     let is_write = r.bool()?;
-                    SlotState::WaitIssue(MemOp { line, is_write })
+                    MemState::WaitIssue(MemOp { line, is_write })
                 }
-                2 => SlotState::Outstanding,
+                2 => {
+                    outstanding += 1;
+                    MemState::Outstanding
+                }
                 b => return Err(corrupt(&format!("slot tag {b}"))),
-            });
+            };
+            mem.push_back(MemSlot { id, state });
         }
-        let first_id = r.u64()?;
-        let next_id = r.u64()?;
-        if next_id - first_id != rob_len as u64 {
-            return Err(corrupt("id range does not match ROB"));
+        let waiting = r.usize()?;
+        if waiting > mem_len {
+            return Err(corrupt("more waiting ops than memory ops"));
         }
-        let waiting_len = r.checked_len(8)?;
-        let mut waiting = VecDeque::with_capacity(waiting_len);
-        for _ in 0..waiting_len {
-            waiting.push_back(r.u64()?);
+        let issued = mem_len - waiting;
+        if mem
+            .iter()
+            .enumerate()
+            .any(|(i, m)| matches!(m.state, MemState::WaitIssue(_)) != (i >= issued))
+        {
+            return Err(corrupt("waiting ops are not exactly the un-issued tail"));
         }
         let token_len = r.checked_len(16)?;
-        let mut tokens = Vec::with_capacity(token_len);
+        if token_len != outstanding {
+            return Err(corrupt("token count does not match outstanding ops"));
+        }
+        let mut tokens: Vec<(u64, u64)> = Vec::with_capacity(token_len);
         for _ in 0..token_len {
-            tokens.push((r.u64()?, r.u64()?));
-        }
-        let outstanding = r.u32()?;
-        if outstanding as usize != token_len {
-            return Err(corrupt("outstanding count does not match tokens"));
-        }
-        for &id in &waiting {
-            let idx = id
-                .checked_sub(first_id)
-                .filter(|&i| (i as usize) < rob_len)
-                .ok_or_else(|| corrupt("waiting id outside ROB"))?;
-            if !matches!(rob[idx as usize], SlotState::WaitIssue(_)) {
-                return Err(corrupt("waiting id points at non-waiting slot"));
+            let (token, seq) = (r.u64()?, r.u64()?);
+            let idx = seq
+                .checked_sub(mem_retired)
+                .filter(|&i| i < mem_len as u64)
+                .ok_or_else(|| corrupt("token outside the window"))?;
+            if !matches!(mem[idx as usize].state, MemState::Outstanding) {
+                return Err(corrupt("token points at a non-outstanding op"));
             }
-        }
-        for &(_, id) in &tokens {
-            let idx = id
-                .checked_sub(first_id)
-                .filter(|&i| (i as usize) < rob_len)
-                .ok_or_else(|| corrupt("token id outside ROB"))?;
-            if !matches!(rob[idx as usize], SlotState::Outstanding) {
-                return Err(corrupt("token id points at non-outstanding slot"));
+            if tokens.iter().any(|&(_, s)| s == seq) {
+                return Err(corrupt("two tokens for one op"));
             }
+            tokens.push((token, seq));
         }
-        self.rob = rob;
         self.first_id = first_id;
         self.next_id = next_id;
+        self.mem = mem;
+        self.mem_retired = mem_retired;
         self.waiting = waiting;
         self.tokens = tokens;
-        self.outstanding = outstanding;
+        // Nothing is fresh: the next tick is on a later cycle than the
+        // one that fetched the window's youngest instructions.
+        self.fresh_from = next_id;
+        self.fresh_cycle = 0;
         self.gap_left = r.u64()?;
         self.retired = r.u64()?;
         self.mem_ops_issued = r.u64()?;
@@ -720,7 +917,155 @@ mod tests {
                 MemIssueResult::Pending(token)
             });
         }
-        assert!(core.rob.len() <= 16);
+        assert!(core.occupancy() <= 16);
+    }
+
+    /// A core mid-flight, holding at least one memory op in each state.
+    fn busy_core() -> Core {
+        let p = AppProfile::builder("t").mem_per_kilo(400).mlp(2).build();
+        let mut core = Core::new(AppId::new(0), &p, 3);
+        let mut calls = 0u64;
+        for now in 0..12 {
+            core.tick(now, &mut |_, _| {
+                calls += 1;
+                if calls.is_multiple_of(2) {
+                    MemIssueResult::Pending(calls)
+                } else {
+                    MemIssueResult::Completed(now + 40)
+                }
+            });
+        }
+        let has = |want: fn(&MemState) -> bool| core.mem.iter().any(|m| want(&m.state));
+        assert!(has(|s| matches!(s, MemState::Done(_))));
+        assert!(has(|s| matches!(s, MemState::Outstanding)));
+        assert!(has(|s| matches!(s, MemState::WaitIssue(_))));
+        assert_eq!(core.tokens.len(), 2);
+        core
+    }
+
+    /// Checkpoints `core` and restores the bytes into a fresh twin.
+    fn restored(core: &Core) -> Result<Core, asm_simcore::persist::PersistError> {
+        use asm_simcore::persist::{StateReader, StateWriter};
+        let mut w = StateWriter::new("core-test", 1);
+        core.save_state(&mut w);
+        let bytes = w.finish();
+        let mut twin = busy_core();
+        let mut r = StateReader::new(&bytes, "core-test", 1)?;
+        twin.restore_state(&mut r)?;
+        r.finish()?;
+        Ok(twin)
+    }
+
+    fn assert_rejected(core: &Core, why: &str) {
+        match restored(core) {
+            Err(asm_simcore::persist::PersistError::Corrupt(msg)) => {
+                assert!(msg.contains(why), "rejected for {msg:?}, expected {why:?}");
+            }
+            other => panic!("expected Corrupt({why}), got {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
+    fn checkpoint_round_trips_and_continues_identically() {
+        let mut a = busy_core();
+        let mut b = restored(&a).expect("a consistent core restores");
+        for now in 12..400 {
+            a.tick(now, &mut |_, _| MemIssueResult::Completed(now + 9));
+            b.tick(now, &mut |_, _| MemIssueResult::Completed(now + 9));
+            assert_eq!(a.head_stall(now), b.head_stall(now));
+        }
+        assert_eq!(a.retired(), b.retired());
+        assert_eq!(a.mem_ops_issued(), b.mem_ops_issued());
+    }
+
+    #[test]
+    fn restore_rejects_window_larger_than_the_window() {
+        let mut core = busy_core();
+        core.next_id = core.first_id + DEFAULT_WINDOW as u64 + 1;
+        assert_rejected(&core, "window bounds");
+        core.next_id = core.first_id - 1;
+        assert_rejected(&core, "window bounds");
+    }
+
+    #[test]
+    fn restore_rejects_memory_op_ids_out_of_order() {
+        let mut core = busy_core();
+        core.mem[1].id = core.mem[0].id;
+        assert_rejected(&core, "ids not increasing");
+    }
+
+    #[test]
+    fn restore_rejects_memory_op_ids_outside_the_window() {
+        let mut core = busy_core();
+        let last = core.mem.len() - 1;
+        core.mem[last].id = core.next_id;
+        assert_rejected(&core, "ids not increasing inside the window");
+        let mut core = busy_core();
+        core.first_id = core.mem[0].id + 1;
+        assert_rejected(&core, "ids not increasing inside the window");
+    }
+
+    #[test]
+    fn restore_rejects_a_waiting_tail_that_is_not_all_waiting() {
+        let mut core = busy_core();
+        // One more op claimed un-issued than really is.
+        core.waiting += 1;
+        assert_rejected(&core, "un-issued tail");
+        core.waiting = core.mem.len() + 1;
+        assert_rejected(&core, "more waiting ops than memory ops");
+    }
+
+    #[test]
+    fn restore_rejects_a_waiting_op_before_the_tail() {
+        let mut core = busy_core();
+        core.waiting -= 1;
+        assert_rejected(&core, "un-issued tail");
+    }
+
+    #[test]
+    fn restore_rejects_tokens_that_do_not_match_outstanding_ops() {
+        let mut core = busy_core();
+        core.tokens.pop();
+        assert_rejected(&core, "token count");
+
+        let mut core = busy_core();
+        core.tokens[0].1 = core.mem_retired + core.mem.len() as u64;
+        assert_rejected(&core, "token outside the window");
+
+        let mut core = busy_core();
+        let done = core
+            .mem
+            .iter()
+            .position(|m| matches!(m.state, MemState::Done(_)))
+            .expect("busy_core holds a completed op");
+        core.tokens[0].1 = core.mem_retired + done as u64;
+        assert_rejected(&core, "non-outstanding");
+
+        let mut core = busy_core();
+        core.tokens[1].1 = core.tokens[0].1;
+        assert_rejected(&core, "two tokens for one op");
+    }
+
+    #[test]
+    fn restore_rejects_an_unknown_slot_tag() {
+        use asm_simcore::persist::{StateReader, StateWriter};
+        let core = busy_core();
+        // The payload's prefix by hand, with an unknown slot tag.
+        let mut bad = StateWriter::new("core-test", 1);
+        core.source.save_state(&mut bad);
+        core.typ_rng.save_state(&mut bad);
+        bad.opt_u64(None); // throttle
+        bad.u64(0); // first_id
+        bad.u64(1); // next_id
+        bad.u64(0); // mem_retired
+        bad.usize(1); // one memory op:
+        bad.u64(0); //   id
+        bad.u8(9); //   state tag
+        let bytes = bad.finish();
+        let mut twin = busy_core();
+        let mut r = StateReader::new(&bytes, "core-test", 1).expect("valid envelope");
+        let err = twin.restore_state(&mut r).expect_err("tag 9 is no slot state");
+        assert!(err.to_string().contains("slot tag 9"), "{err}");
     }
 
     #[test]
@@ -740,6 +1085,200 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+
+    /// A memory whose every answer is a pure function of (seed, cycle,
+    /// call index within the cycle), so two equivalent cores driving one
+    /// copy each see the same thing. A `Stall` sticks until a drawn
+    /// cycle, like a full queue that drains later.
+    struct RandomMemory {
+        seed: u64,
+        stall_until: Option<Cycle>,
+        /// (token, finish cycle) of accesses in flight.
+        pending: Vec<(u64, Cycle)>,
+    }
+
+    impl RandomMemory {
+        fn draw(&self, now: Cycle, salt: u64) -> asm_simcore::SimRng {
+            asm_simcore::SimRng::seed_from(
+                self.seed ^ now.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt.wrapping_mul(0xD1B5),
+            )
+        }
+
+        fn issue(&mut self, now: Cycle, nth: &mut u64) -> MemIssueResult {
+            *nth += 1;
+            if self.stall_until.is_some_and(|u| now < u) {
+                return MemIssueResult::Stall;
+            }
+            self.stall_until = None;
+            let mut rng = self.draw(now, *nth);
+            match rng.gen_range(4) {
+                0 | 1 => MemIssueResult::Completed(now + 1 + rng.gen_range(50)),
+                2 => {
+                    let token = now * 1024 + *nth;
+                    self.pending.push((token, now + 1 + rng.gen_range(300)));
+                    MemIssueResult::Pending(token)
+                }
+                _ => {
+                    self.stall_until = Some(now + 1 + rng.gen_range(20));
+                    MemIssueResult::Stall
+                }
+            }
+        }
+
+        /// Delivers every access that finishes at `now`; whether any did.
+        fn deliver(&mut self, now: Cycle, core: &mut Core) -> bool {
+            let before = self.pending.len();
+            self.pending.retain(|&(token, finish)| {
+                if finish == now {
+                    core.complete(token, finish);
+                }
+                finish != now
+            });
+            self.pending.len() < before
+        }
+
+        /// The throttle to apply at `now`, on roughly one cycle in 150.
+        fn throttle_change(&self, now: Cycle) -> Option<Option<u32>> {
+            let mut rng = self.draw(now, 0x7407);
+            (rng.gen_range(150) == 0).then(|| match rng.gen_range(3) {
+                0 => None,
+                _ => Some(1 + rng.gen_range(6) as u32),
+            })
+        }
+    }
+
+    /// What the per-tick consumers would have recorded: the progress log
+    /// and every cycle's stall class (a tick that retired is `Progress`,
+    /// otherwise its head state; unreported cycles inherit the last
+    /// reported head, as the attribution ledger's gap rule does).
+    struct Recorder {
+        log: crate::ProgressLog,
+        classes: Vec<HeadStall>,
+        gap: HeadStall,
+    }
+
+    impl Recorder {
+        fn fill_to(&mut self, upto: Cycle) {
+            while (self.classes.len() as u64) < upto {
+                self.classes.push(self.gap);
+            }
+        }
+    }
+
+    impl AdvanceObserver for Recorder {
+        fn on_tick(&mut self, now: Cycle, retired: u64, progressed: bool, head: HeadStall) {
+            self.fill_to(now);
+            self.classes
+                .push(if progressed { HeadStall::Progress } else { head });
+            self.gap = head;
+            self.log.record(retired, now);
+        }
+
+        fn on_progress_span(
+            &mut self,
+            start: Cycle,
+            ticks: u64,
+            retired_before: u64,
+            per_tick: u64,
+            head: HeadStall,
+        ) {
+            self.fill_to(start);
+            self.classes
+                .extend((0..ticks).map(|_| HeadStall::Progress));
+            self.gap = head;
+            self.log.record_ramp(retired_before, start, ticks, per_tick);
+        }
+    }
+
+    fn state_bytes(core: &Core) -> Vec<u8> {
+        let mut w = asm_simcore::persist::StateWriter::new("core-test", 1);
+        core.save_state(&mut w);
+        w.finish()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The event-driven contract: a core ticked for real only when it
+        /// may issue (its `next_issue` bound, a completion, a throttle
+        /// change) and caught up with `advance` in between is
+        /// indistinguishable from one ticked every cycle — checkpoint
+        /// bytes, head state, progress log and per-cycle stall classes
+        /// agree at every sync point.
+        #[test]
+        fn lazy_advance_equals_per_cycle_ticks(
+            seed in 0u64..100_000,
+            mpk in prop_oneof![0u32..40, 0u32..1000],
+            mlp in 1u32..12,
+            shape in 0usize..4,
+            sync_gap in 1u64..400,
+            interval in 1u64..50,
+        ) {
+            let (window, width) = [(128, 3), (32, 4), (8, 1), (128, 1)][shape];
+            let profile = AppProfile::builder("prop").mem_per_kilo(mpk).mlp(mlp).build();
+            let build = || Core::with_window(AppId::new(0), &profile, seed, window, width);
+            let memory = || RandomMemory { seed, stall_until: None, pending: Vec::new() };
+            let recorder = || Recorder {
+                log: crate::ProgressLog::new(interval),
+                classes: Vec::new(),
+                gap: HeadStall::Progress,
+            };
+            let (mut eager, mut eager_mem, mut eager_rec) = (build(), memory(), recorder());
+            let (mut lazy, mut lazy_mem, mut lazy_rec) = (build(), memory(), recorder());
+            // The lazy driver's bookkeeping, as `System` keeps it.
+            let (mut synced, mut wake) = (0u64, 0u64);
+
+            for now in 0..4_000u64 {
+                // Per-cycle reference.
+                eager_mem.deliver(now, &mut eager);
+                if let Some(t) = eager_mem.throttle_change(now) {
+                    eager.set_mlp_throttle(t);
+                }
+                let before = eager.retired();
+                let mut nth = 0;
+                eager.tick(now, &mut |_, _| eager_mem.issue(now, &mut nth));
+                eager_rec.on_tick(now, eager.retired(), eager.retired() > before, eager.head_stall(now));
+
+                // Event-driven twin: external events first catch it up.
+                let mut tick_now = wake <= now;
+                if lazy_mem.pending.iter().any(|&(_, finish)| finish == now) {
+                    lazy.advance(synced, now, &mut lazy_rec);
+                    synced = now;
+                    tick_now |= lazy_mem.deliver(now, &mut lazy);
+                }
+                if let Some(t) = lazy_mem.throttle_change(now) {
+                    lazy.advance(synced, now, &mut lazy_rec);
+                    synced = now;
+                    lazy.set_mlp_throttle(t);
+                    tick_now = true;
+                }
+                if tick_now {
+                    lazy.advance(synced, now, &mut lazy_rec);
+                    let before = lazy.retired();
+                    let mut nth = 0;
+                    lazy.tick(now, &mut |_, _| lazy_mem.issue(now, &mut nth));
+                    lazy_rec.on_tick(now, lazy.retired(), lazy.retired() > before, lazy.head_stall(now));
+                    synced = now + 1;
+                    // A stalled retry must run again once the memory
+                    // would answer differently.
+                    wake = lazy.next_issue(now).unwrap_or(Cycle::MAX);
+                    if let Some(u) = lazy_mem.stall_until {
+                        wake = wake.min(u);
+                    }
+                }
+
+                if now % sync_gap == sync_gap - 1 {
+                    lazy.advance(synced, now + 1, &mut lazy_rec);
+                    synced = now + 1;
+                    lazy_rec.fill_to(now + 1);
+                    prop_assert_eq!(state_bytes(&lazy), state_bytes(&eager), "state at {}", now);
+                    prop_assert_eq!(lazy.head_stall(now), eager.head_stall(now), "head at {}", now);
+                    prop_assert_eq!(&lazy_rec.log, &eager_rec.log, "progress at {}", now);
+                    prop_assert_eq!(&lazy_rec.classes, &eager_rec.classes, "classes at {}", now);
+                }
+            }
+        }
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
@@ -781,7 +1320,7 @@ mod proptests {
                     }
                     _ => MemIssueResult::Stall,
                 });
-                prop_assert!(core.rob.len() <= DEFAULT_WINDOW, "ROB overflow");
+                prop_assert!(core.occupancy() <= DEFAULT_WINDOW as u64, "ROB overflow");
                 prop_assert!(core.outstanding() <= mlp, "MLP cap violated");
                 prop_assert!(core.retired() >= last_retired, "retirement regressed");
                 prop_assert!(

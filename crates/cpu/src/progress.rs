@@ -85,6 +85,28 @@ impl ProgressLog {
         }
     }
 
+    /// Exactly `ticks` calls of [`record`](Self::record), one per cycle
+    /// from `start`, over a steady ramp: `retired` instructions had
+    /// retired before the first of those cycles and each cycle retires
+    /// `per_tick` more. O(milestones crossed), not O(`ticks`).
+    pub fn record_ramp(&mut self, retired: u64, start: Cycle, ticks: u64, per_tick: u64) {
+        if ticks == 0 {
+            return;
+        }
+        debug_assert!(per_tick > 0, "a ramp retires on every tick");
+        let last = retired + ticks * per_tick;
+        loop {
+            let milestone = (self.cycles.len() as u64 + 1) * self.interval;
+            if milestone > last {
+                return;
+            }
+            // The tick whose running count first reaches the milestone
+            // (the ramp's first tick for milestones already passed).
+            let nth = milestone.saturating_sub(retired).div_ceil(per_tick).max(1);
+            self.cycles.push(start + nth - 1);
+        }
+    }
+
     /// Number of milestones recorded.
     #[must_use]
     pub fn milestones(&self) -> usize {
@@ -187,6 +209,37 @@ impl ProgressLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `record_ramp` is `ticks` calls of `record`, whatever the log
+        /// already holds — including milestones the count had passed
+        /// before the ramp began and intervals narrower than one tick's
+        /// retirement.
+        #[test]
+        fn ramp_equals_per_tick_records(
+            interval in 1u64..40,
+            recorded_upto in 0u64..200,
+            extra in 0u64..100,
+            start in 0u64..1_000,
+            ticks in 0u64..60,
+            per_tick in 1u64..8,
+        ) {
+            let mut ramp = ProgressLog::new(interval);
+            ramp.record(recorded_upto, start.saturating_sub(1));
+            let mut each = ramp.clone();
+            // `extra` instructions retired since the last record call
+            // (logging switched on mid-run): milestones already passed.
+            let retired = recorded_upto + extra;
+            ramp.record_ramp(retired, start, ticks, per_tick);
+            for j in 0..ticks {
+                each.record(retired + (j + 1) * per_tick, start + j);
+            }
+            prop_assert_eq!(ramp, each);
+        }
+    }
 
     #[test]
     fn records_multiple_milestones_at_once() {
@@ -235,6 +288,14 @@ mod tests {
     fn empty_log_falls_back_to_unit_ipc() {
         let log = ProgressLog::new(10);
         assert_eq!(log.cycle_at(50), 50.0);
+    }
+
+    #[test]
+    fn ramp_stamps_each_milestone_with_its_own_tick() {
+        let mut log = ProgressLog::new(10);
+        // 4 retired before; ticks 100.. retire 3 each: 7, 10, 13, 16, 19, 22.
+        log.record_ramp(4, 100, 6, 3);
+        assert_eq!(log.milestone_cycles(), &[101, 105]);
     }
 
     #[test]

@@ -25,6 +25,14 @@
 #                                             the --attrib report + both
 #                                             artefacts are byte-identical
 #                                             across --jobs 1 and 4)
+#   7. benchmark leg                         (tier-1 never compiles
+#                                             benchmark/asm_perf, which is a
+#                                             workspace of its own linking
+#                                             the sim crates by path: its
+#                                             selftest, then one short
+#                                             `compute` run whose checks —
+#                                             skip≡no-skip digests among
+#                                             them — must all pass)
 #
 # Usage:
 #   scripts/ci.sh                 # tier-1 only (~minutes)
@@ -54,7 +62,7 @@ while [[ $# -gt 0 ]]; do
             shift 2
             ;;
         -h|--help)
-            sed -n '2,43p' "$0" | sed 's/^# \{0,1\}//'
+            sed -n '2,51p' "$0" | sed 's/^# \{0,1\}//'
             exit 0
             ;;
         *)
@@ -64,16 +72,16 @@ while [[ $# -gt 0 ]]; do
     esac
 done
 
-echo "ci: [1/6] cargo build --release --all-targets" >&2
+echo "ci: [1/7] cargo build --release --all-targets" >&2
 cargo build --release --all-targets
 
-echo "ci: [2/6] cargo test -q" >&2
+echo "ci: [2/7] cargo test -q" >&2
 cargo test -q
 
-echo "ci: [3/6] cargo run -p asm-lint --release" >&2
+echo "ci: [3/7] cargo run -p asm-lint --release" >&2
 cargo run -p asm-lint --release
 
-echo "ci: [4/6] asm-experiments xval --tiny (analytic-tier smoke)" >&2
+echo "ci: [4/7] asm-experiments xval --tiny (analytic-tier smoke)" >&2
 cargo run -q -p asm-experiments --release -- xval --tiny
 
 # CI_FULL=1 promotes the xval smoke to an enforced accuracy gate at a
@@ -82,7 +90,7 @@ cargo run -q -p asm-experiments --release -- xval --tiny
 # Opt-in because the cycle-accurate side of the sweep needs several
 # quiet minutes.
 if [[ "${CI_FULL:-0}" == "1" ]]; then
-    echo "ci: [4/6] CI_FULL=1 — enforced xval gate (--reduced)" >&2
+    echo "ci: [4/7] CI_FULL=1 — enforced xval gate (--reduced)" >&2
     XVAL_OUT="$(cargo run -q -p asm-experiments --release -- xval --reduced)"
     printf '%s\n' "$XVAL_OUT"
     if ! grep -q "PASS$" <<<"$XVAL_OUT"; then
@@ -91,7 +99,7 @@ if [[ "${CI_FULL:-0}" == "1" ]]; then
     fi
 fi
 
-echo "ci: [5/6] checkpoint resume smoke (kill mid-campaign, resume, byte-compare)" >&2
+echo "ci: [5/7] checkpoint resume smoke (kill mid-campaign, resume, byte-compare)" >&2
 EXP=target/release/asm-experiments
 SMOKE="$(mktemp -d)"
 trap 'rm -rf "$SMOKE"' EXIT
@@ -116,7 +124,7 @@ cmp "$SMOKE/cold.txt" "$SMOKE/replayed.txt" || {
     exit 1
 }
 
-echo "ci: [6/6] cycle-attribution leg (conservation, on-vs-off, --jobs differential)" >&2
+echo "ci: [6/7] cycle-attribution leg (conservation, on-vs-off, --jobs differential)" >&2
 # The conservation invariant, by name: randomized SystemConfigs where
 # every quantum's ledger rows and blame rows must sum — in integers —
 # to the quantum cycle count. Also part of step 2's suite; named here so
@@ -148,6 +156,16 @@ for f in fig11_attrib_j#.txt attrib_j#.csv blame_j#.json; do
         exit 1
     }
 done
+
+echo "ci: [7/7] benchmark leg (asm_perf selftest + short compute run, failed must be 0)" >&2
+benchmark/run.sh --selftest
+# The last stdout line of a workload is its JSON summary; run.sh already
+# exits non-zero on a failed check, the grep also catches a summary that
+# went missing.
+benchmark/run.sh --workload compute --seconds 2 | tail -n1 | grep -q '"failed": 0[,}]' || {
+    echo "ci: FAIL — benchmark compute run reported failed checks" >&2
+    exit 1
+}
 
 if [[ -n "$BENCH_TAG" ]]; then
     baseline="$(ls -1 BENCH_*.json 2>/dev/null | sort | tail -n1 || true)"
