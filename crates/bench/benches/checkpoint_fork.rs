@@ -13,7 +13,8 @@
 //!
 //! The alone-run cache is pre-populated outside the timed region: both
 //! variants pay zero alone-simulation cost, so the measured ratio
-//! isolates the shared-run savings the planner's phase A/B split buys.
+//! isolates what sharing the first quantum alone buys (the planner shares
+//! later quanta too; `benchmark/`'s `policy_sweep` measures that).
 //! `scripts/bench_snapshot.sh` parses this output into `BENCH_<tag>.json`
 //! and enforces the >=2x sweep-speedup gate; keep the benchmark ids
 //! stable.

@@ -6,17 +6,19 @@
 //! once and replayed into any number of continuations. Two campaign-level
 //! optimisations build on that:
 //!
-//! * **Fork-shared warmups.** The cache/memory/throttle policies act only
-//!   inside the quantum boundary (`end_quantum`); every cycle in between
-//!   is policy-blind. [`System::run_prefix`] exploits this by leaving a
-//!   quantum that completes exactly at the end of the run *unfinalised*,
-//!   so a first-quantum warmup simulated under the [`prefix_config`] —
-//!   the member configuration with all three policies neutralised — is
-//!   bitwise-identical to the first quantum of *every* member
-//!   configuration's own cold run. The sweep planner simulates that
-//!   prefix once, snapshots it, and forks the snapshot into each member;
-//!   the deferred boundary then fires as the first step of each
-//!   continuation, under the continuation's own policies.
+//! * **Shared trajectories.** The cache/memory/throttle policies act only
+//!   inside the quantum boundary (`end_quantum`, through
+//!   [`crate::mech::decide`]); every cycle in between is policy-blind.
+//!   [`System::run_prefix`] exploits this by leaving a quantum that
+//!   completes exactly at the end of the run *unfinalised*, so the first
+//!   quantum of any configuration is bitwise-identical to the first
+//!   quantum of every configuration with the same [`prefix_config`] —
+//!   the configuration with all three policies neutralised — and the
+//!   deferred boundary fires as the first step of whatever continues the
+//!   snapshot, under the continuation's own policies. The same holds at
+//!   every later boundary for continuations whose policies *decide* the
+//!   same there, which is how the sweep planner lets members share one
+//!   simulation until they diverge.
 //! * **Resumable sweeps.** Snapshots and per-run result manifests are
 //!   written atomically under a checkpoint directory, so a campaign
 //!   killed mid-flight resumes from completed work with byte-identical

@@ -548,9 +548,22 @@ impl Runner {
     ///
     /// Panics if `apps` is empty.
     pub fn run_with(&self, apps: &[AppProfile], cycles: Cycle, opts: RunOptions) -> RunResult {
-        assert!(!apps.is_empty(), "need at least one application");
+        let mut sys = self.start(apps, opts);
+        sys.run_for(cycles);
+        self.finish(apps, opts, sys)
+    }
 
-        // Shared run.
+    /// A fresh shared system for `apps` under this runner's
+    /// configuration, instrumented as `opts` asks: the first third of
+    /// [`run_with`](Self::run_with), for callers that drive the cycles
+    /// themselves and hand the system back to [`finish`](Self::finish).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `apps` is empty.
+    #[must_use]
+    pub fn start(&self, apps: &[AppProfile], opts: RunOptions) -> System {
+        assert!(!apps.is_empty(), "need at least one application");
         let mut sys = System::new(apps, self.config.clone());
         if opts.telemetry || opts.trace_sample.is_some() {
             sys.enable_telemetry(opts.trace_sample);
@@ -558,8 +571,7 @@ impl Runner {
         if opts.attrib {
             sys.enable_attribution();
         }
-        sys.run_for(cycles);
-        self.finish_run(apps, cycles, opts, sys)
+        sys
     }
 
     /// The key identifying warmup snapshots this runner can fork for
@@ -579,11 +591,12 @@ impl Runner {
         h.finish()
     }
 
-    /// Simulates the first quantum of `apps` under the prefix-neutral
-    /// configuration with the boundary deferred
+    /// Simulates the first quantum of `apps` with the boundary deferred
     /// ([`System::run_prefix`]) and returns it as a snapshot keyed by
-    /// [`warmup_key`](Self::warmup_key). Fork the result into any member
-    /// configuration with [`run_with_snapshot`](Self::run_with_snapshot).
+    /// [`warmup_key`](Self::warmup_key). No boundary fires, so this
+    /// runner's policies are never read: the snapshot forks into any
+    /// member configuration with
+    /// [`run_with_snapshot`](Self::run_with_snapshot).
     ///
     /// # Panics
     ///
@@ -591,37 +604,56 @@ impl Runner {
     /// sim-time tracer is deliberately outside snapshots).
     #[must_use]
     pub fn warm_snapshot(&self, apps: &[AppProfile], opts: RunOptions) -> Vec<u8> {
-        assert!(!apps.is_empty(), "need at least one application");
         assert!(
             opts.trace_sample.is_none(),
             "traced runs are not snapshot-eligible"
         );
         let warm = self.config.quantum;
-        let mut sys = System::new(apps, checkpoint::prefix_config(&self.config));
-        if opts.telemetry {
-            sys.enable_telemetry(None);
-        }
-        if opts.attrib {
-            sys.enable_attribution();
-        }
+        let mut sys = self.start(apps, opts);
         sys.run_prefix(warm);
         checkpoint::capture(&sys, self.warmup_key(apps, opts), warm)
     }
 
-    /// Like [`run_with`](Self::run_with), but seeds the shared system
-    /// from a warmup snapshot instead of simulating the first quantum:
-    /// the snapshot state is restored into a freshly constructed system
-    /// and the remaining `cycles - warm` cycles run under this runner's
-    /// own policies. The result is bitwise-identical to a cold
-    /// [`run_with`](Self::run_with) — the deferred first-quantum boundary
-    /// fires as the first step of the continuation.
+    /// [`start`](Self::start), then the state of `snapshot` restored into
+    /// the fresh system: it stands at the snapshot's cycle with that
+    /// cycle's quantum boundary (if one is due) still pending, to fire
+    /// under this runner's policies.
     ///
     /// # Errors
     ///
     /// Any [`PersistError`] from the snapshot: foreign or stale artefact,
     /// key mismatch (different prefix configuration, mix, or telemetry
-    /// switch), damage, or a warm prefix longer than `cycles`. On error
-    /// the caller falls back to a cold run.
+    /// switch), or damage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `apps` is empty or `opts` requests tracing.
+    pub fn restore(
+        &self,
+        apps: &[AppProfile],
+        opts: RunOptions,
+        snapshot: &[u8],
+    ) -> Result<System, PersistError> {
+        assert!(
+            opts.trace_sample.is_none(),
+            "traced runs are not snapshot-eligible"
+        );
+        let mut sys = self.start(apps, opts);
+        checkpoint::resume(snapshot, self.warmup_key(apps, opts), &mut sys)?;
+        Ok(sys)
+    }
+
+    /// Like [`run_with`](Self::run_with), but seeds the shared system
+    /// from a warmup snapshot instead of simulating the first quantum
+    /// ([`restore`](Self::restore)) and runs the remaining cycles under
+    /// this runner's own policies. The result is bitwise-identical to a
+    /// cold [`run_with`](Self::run_with) — the deferred first-quantum
+    /// boundary fires as the first step of the continuation.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`restore`](Self::restore), or a warm prefix longer than
+    /// `cycles`. On error the caller falls back to a cold run.
     ///
     /// # Panics
     ///
@@ -633,38 +665,26 @@ impl Runner {
         opts: RunOptions,
         snapshot: &[u8],
     ) -> Result<RunResult, PersistError> {
-        assert!(!apps.is_empty(), "need at least one application");
-        assert!(
-            opts.trace_sample.is_none(),
-            "traced runs are not snapshot-eligible"
-        );
-        let mut sys = System::new(apps, self.config.clone());
-        if opts.telemetry {
-            sys.enable_telemetry(None);
-        }
-        if opts.attrib {
-            sys.enable_attribution();
-        }
-        let warm = checkpoint::resume(snapshot, self.warmup_key(apps, opts), &mut sys)?;
+        let mut sys = self.restore(apps, opts, snapshot)?;
+        let warm = sys.now();
         if warm > cycles {
             return Err(PersistError::Corrupt(format!(
                 "snapshot covers {warm} cycles but the run is only {cycles}"
             )));
         }
         sys.run_for(cycles - warm);
-        Ok(self.finish_run(apps, cycles, opts, sys))
+        Ok(self.finish(apps, opts, sys))
     }
 
-    /// Turns a finished shared system into a [`RunResult`]: pairs it with
-    /// the (cached) alone runs for ground truth and attaches telemetry.
-    fn finish_run(
-        &self,
-        apps: &[AppProfile],
-        cycles: Cycle,
-        opts: RunOptions,
-        mut sys: System,
-    ) -> RunResult {
+    /// Turns a shared system that has run its cycles into a
+    /// [`RunResult`]: pairs it with the (cached) alone runs over the same
+    /// horizon for ground truth and attaches telemetry. The result is a
+    /// function of the system's state and records — of this runner's
+    /// configuration only through the alone runs, which the cache and
+    /// memory policies do not reach.
+    pub fn finish(&self, apps: &[AppProfile], opts: RunOptions, mut sys: System) -> RunResult {
         let n = apps.len();
+        let cycles = sys.now();
 
         // Alone runs (cached).
         let alone: Vec<AloneRecord> = (0..n)

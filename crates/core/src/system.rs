@@ -32,12 +32,12 @@ use asm_dram::{Completion, MemRequest, MemorySystem};
 use asm_simcore::{AppId, Cycle, DetHashMap, Histogram, LineAddr, SimRng};
 use asm_telemetry::{names, CounterId, JsonValue, Registry, SeriesId, SeriesSet, Tracer};
 
-use crate::config::SystemConfig;
+use crate::config::{SystemConfig, ThrottlePolicy};
 use crate::estimator::{
     AccessEvent, AsmEstimator, FstEstimator, MiseEstimator, MissEvent, PtcaEstimator, QuantumCtx,
     SlowdownEstimator, StfmEstimator, UnionTime,
 };
-use crate::mech;
+use crate::mech::{self, BoundaryDecision, BoundaryInputs, BoundaryPolicies};
 
 /// Sentinel for [`System::core_wake`]: the core is blocked on an external
 /// completion and has no self-scheduled wake-up. Also the `synced` cycle
@@ -709,6 +709,17 @@ pub struct System {
     /// Ground-truth cycle attribution; `None` (the default) keeps every
     /// probe site a single predictable branch.
     attrib: Option<Box<SysAttrib>>,
+    /// Where ASM and FST sit in `estimators`, resolved at construction:
+    /// the boundary feeds the mechanisms from these slots, never from a
+    /// name lookup that a renamed estimator would silently miss.
+    asm_idx: Option<usize>,
+    fst_idx: Option<usize>,
+    /// Policies of other configurations riding this trajectory, and what
+    /// each decided at the most recent boundary (see
+    /// [`System::set_sibling_policies`]). Observation only and transient:
+    /// neither configuration nor checkpointed state.
+    sibling_policies: Vec<BoundaryPolicies>,
+    sibling_decisions: Vec<BoundaryDecision>,
 }
 
 impl System {
@@ -816,12 +827,14 @@ impl System {
             .ats_sampled_sets
             .map_or(1.0, |s| config.llc_geometry.sets() as f64 / s as f64);
         let mut estimators: Vec<Box<dyn SlowdownEstimator>> = Vec::new();
-        if config.estimators.asm {
+        let asm_idx = config.estimators.asm.then_some(estimators.len());
+        if asm_idx.is_some() {
             let mut asm = AsmEstimator::new(n, config.llc_latency, config.latency_hist);
             asm.set_queueing_correction(config.asm_queueing_correction);
             estimators.push(Box::new(asm));
         }
-        if config.estimators.fst {
+        let fst_idx = config.estimators.fst.then_some(estimators.len());
+        if fst_idx.is_some() {
             estimators.push(Box::new(FstEstimator::new(
                 n,
                 config.llc_latency,
@@ -893,6 +906,10 @@ impl System {
             quantum_interference: vec![0; n],
             telemetry: SysTelemetry::new(n, false, None),
             attrib: None,
+            asm_idx,
+            fst_idx,
+            sibling_policies: Vec::new(),
+            sibling_decisions: Vec::new(),
             config,
         }
     }
@@ -1086,6 +1103,29 @@ impl System {
     #[must_use]
     pub fn current_partition(&self) -> Option<&WayPartition> {
         self.llc.partition()
+    }
+
+    /// Registers the boundary policies of *sibling* configurations: ones
+    /// that differ from this system's only in those policies and have
+    /// shared its trajectory so far. From now on every quantum boundary
+    /// also evaluates each sibling's policies on its own inputs
+    /// ([`sibling_decisions`](Self::sibling_decisions)); a sibling whose
+    /// decision equals this system's stays on the trajectory for another
+    /// quantum, the others diverge here (DESIGN.md §11). Evaluation is
+    /// pure, so siblings never change what is simulated. The list is not
+    /// checkpointed and survives a restore; decisions of an earlier
+    /// boundary are dropped.
+    pub fn set_sibling_policies(&mut self, siblings: Vec<BoundaryPolicies>) {
+        self.sibling_policies = siblings;
+        self.sibling_decisions.clear();
+    }
+
+    /// What each registered sibling decided at the most recent quantum
+    /// boundary, in registration order; empty until a boundary fires
+    /// after [`set_sibling_policies`](Self::set_sibling_policies).
+    #[must_use]
+    pub fn sibling_decisions(&self) -> &[BoundaryDecision] {
+        &self.sibling_decisions
     }
 
     /// Cumulative statistics for `app` over the whole run so far.
@@ -1321,45 +1361,53 @@ impl System {
             .map(|e| (e.name().to_owned(), e.on_quantum_end(&ctx)))
             .collect();
 
-        let asm = estimates
-            .iter()
-            .find(|(name, _)| name == "ASM")
-            .map(|(_, v)| v.clone());
-        let asm_est = self.estimators.iter().find(|e| e.name() == "ASM");
+        let asm = self.asm_idx.map(|i| estimates[i].1.clone());
+        let asm_est = self.asm_idx.map(|i| &self.estimators[i]);
         let car_alone = asm_est.and_then(|e| e.car_alone().map(<[f64]>::to_vec));
         let ats_samples: Vec<(u64, u64)> = asm_est
             .and_then(|e| e.ats_sample_counts().map(<[(u64, u64)]>::to_vec))
             .unwrap_or_default();
 
+        // The boundary policies: this system's own and, on the same
+        // inputs, those of any siblings a campaign planner registered.
+        let inputs = BoundaryInputs {
+            ats: &self.ats,
+            qstats: &self.qstats,
+            asm_estimates: asm.as_deref(),
+            car_alone: car_alone.as_deref(),
+            quantum: q,
+            llc_latency: self.config.llc_latency,
+            ways: self.llc.geometry().ways(),
+        };
+        let BoundaryDecision {
+            partition,
+            epoch_weights,
+            throttle,
+        } = mech::decide(BoundaryPolicies::of(&self.config), &inputs);
+        self.sibling_decisions = self
+            .sibling_policies
+            .iter()
+            .map(|&p| mech::decide(p, &inputs))
+            .collect();
+
         // Cache mechanism.
-        let partition = mech::apply_cache_policy(
-            self.config.cache_policy,
-            &self.ats,
-            &self.qstats,
-            car_alone.as_deref(),
-            q,
-            self.config.llc_latency,
-            self.llc.geometry().ways(),
-        );
         if let Some(p) = &partition {
             self.llc.set_partition(Some(p.clone()));
         }
 
         // Memory (epoch-weight) mechanism.
-        self.epoch_weights = mech::epoch_weights(self.config.mem_policy, asm.as_deref(), n);
+        self.epoch_weights = epoch_weights;
 
         // Source throttling (FST's actuator): prefers FST's own estimates,
         // falling back to ASM's when FST is not instantiated.
-        if let crate::config::ThrottlePolicy::Fst {
+        if let ThrottlePolicy::Fst {
             unfairness_threshold,
-        } = self.config.throttle_policy
+        } = throttle
         {
-            let slowdowns = estimates
-                .iter()
-                .find(|(name, _)| name == "FST")
-                .or_else(|| estimates.iter().find(|(name, _)| name == "ASM"))
-                .map(|(_, v)| v.clone())
-                .unwrap_or_else(|| vec![1.0; n]);
+            let slowdowns = self
+                .fst_idx
+                .or(self.asm_idx)
+                .map_or_else(|| vec![1.0; n], |i| estimates[i].1.clone());
             self.throttle.update(&slowdowns, unfairness_threshold);
             for (i, core) in self.cores.iter_mut().enumerate() {
                 let cap = self.throttle.mlp_cap(i, core.base_mlp());
@@ -2745,6 +2793,58 @@ mod tests {
         sys.run_for(120_000);
         // Weights must be valid probabilities-in-waiting (positive).
         assert!(sys.epoch_weights.iter().all(|&w| w > 0.0));
+    }
+
+    #[test]
+    fn estimator_handles_follow_the_estimator_set() {
+        // The mechanisms read ASM and FST through indices resolved at
+        // construction; whatever else is instantiated around them, the
+        // handles must land on those two estimators.
+        for bits in 0u8..32 {
+            let mut cfg = small_config();
+            cfg.estimators = crate::config::EstimatorSet {
+                asm: bits & 1 != 0,
+                fst: bits & 2 != 0,
+                ptca: bits & 4 != 0,
+                mise: bits & 8 != 0,
+                stfm: bits & 16 != 0,
+            };
+            let sys = System::new(&two_apps(), cfg.clone());
+            let name_at = |idx: Option<usize>| idx.map(|i| sys.estimators[i].name());
+            assert_eq!(name_at(sys.asm_idx), cfg.estimators.asm.then_some("ASM"));
+            assert_eq!(name_at(sys.fst_idx), cfg.estimators.fst.then_some("FST"));
+        }
+    }
+
+    #[test]
+    fn sibling_policies_are_evaluated_but_never_applied() {
+        let mut cfg = small_config();
+        cfg.cache_policy = CachePolicy::AsmCache;
+        let own = BoundaryPolicies::of(&cfg);
+        let other = BoundaryPolicies {
+            cache: CachePolicy::None,
+            mem: MemPolicy::SlowdownWeighted,
+            ..own
+        };
+        let mut plain = System::new(&two_apps(), cfg.clone());
+        plain.run_for(150_000);
+
+        let mut watched = System::new(&two_apps(), cfg);
+        watched.set_sibling_policies(vec![own, other]);
+        watched.run_prefix(50_000);
+        assert!(watched.sibling_decisions().is_empty(), "no boundary fired yet");
+        watched.run_for(100_000);
+        assert_eq!(system_bytes(&watched), system_bytes(&plain));
+
+        // The last boundary: the system's own policies installed what the
+        // first sibling decided, the second would have left the cache alone.
+        let [same, different] = watched.sibling_decisions() else {
+            panic!("one decision per sibling");
+        };
+        assert_eq!(same.partition.as_ref(), watched.current_partition());
+        assert_eq!(same.epoch_weights, watched.epoch_weights);
+        assert!(different.partition.is_none());
+        assert_ne!(same, different);
     }
 
     fn system_bytes(sys: &System) -> Vec<u8> {

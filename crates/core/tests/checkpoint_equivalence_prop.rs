@@ -2,9 +2,8 @@
 //! valid `SystemConfig`s and workload mixes, a run forked from a warmup
 //! snapshot (`Runner::warm_snapshot` + `Runner::run_with_snapshot`) must
 //! produce a `RunResult` bitwise identical to the straight cold run —
-//! including configurations whose quantum-boundary policies differ from
-//! the neutral prefix configuration the warmup simulated under. The
-//! hand-picked forks in `checkpoint.rs`'s unit tests cover the policy
+//! whatever quantum-boundary policies the deferred first boundary then
+//! fires under. The hand-picked forks in `checkpoint.rs`'s unit tests cover the policy
 //! matrix deliberately; this sweep covers the combinations nobody
 //! thought of. A second block pins the rejection paths: damaged,
 //! truncated, stale-version and wrong-key snapshots must error, never

@@ -15,10 +15,10 @@
 //! Sweeps fan out across `--jobs` worker threads (default: one per core)
 //! via [`pool::run_ordered`]; results merge in submission order, so every
 //! table and CSV is byte-identical for any `--jobs` value. Policy sweeps
-//! additionally route through [`plan::run_campaign`], which warms each
-//! shared configuration prefix once and forks it into every member
-//! (`--checkpoint-dir` / `--resume` persist the work across invocations;
-//! DESIGN.md §11).
+//! additionally route through [`plan::run_campaign`], which simulates
+//! every stretch of trajectory its members share once — until their
+//! boundary policies decide differently — (`--checkpoint-dir` /
+//! `--resume` persist the work across invocations; DESIGN.md §11).
 
 pub mod analytic;
 pub mod collect;

@@ -1,4 +1,4 @@
-//! The sweep planner: prefix-shared warmups and resumable campaigns.
+//! The sweep planner: trajectory-shared campaigns, resumable.
 //!
 //! A *campaign* is a flat list of [`PlannedRun`]s — full configurations,
 //! workload mixes and cycle counts — evaluated by [`run_campaign`] with
@@ -7,34 +7,47 @@
 //! [`crate::collect::run_parallel`]. On top of that contract the planner
 //! layers two optimisations, both invisible in the output:
 //!
-//! * **Fork-shared warmups.** Runs whose configurations agree on the
+//! * **Shared trajectories.** Runs whose configurations agree on the
 //!   prefix-relevant subset ([`asm_core::checkpoint::prefix_config`]) and
-//!   share a workload mix have bitwise-identical first quanta, because
-//!   the quantum-boundary policies they differ in never act before the
-//!   first boundary. The planner groups runs by [`Runner::warmup_key`],
-//!   simulates each multi-member group's first quantum once (phase A, in
-//!   parallel), and forks the snapshot into every member's continuation
-//!   (phase B). A fork that fails — stale artefact, damage — falls back
-//!   to a cold run with a stderr warning; results may never depend on it.
-//! * **Resumable campaigns.** With `--checkpoint-dir` the warmup
-//!   snapshots and each finished run's result manifest are persisted
-//!   (atomically — kill-safe at any instant). With `--resume` a later
-//!   invocation replays finished runs from their manifests instead of
-//!   simulating, byte-identically: manifests store every float as its
+//!   share a workload mix differ only in their quantum-boundary policies,
+//!   and those are read only inside the boundary. So such runs are one
+//!   simulation until a boundary at which their policies *decide*
+//!   differently ([`asm_core::mech::BoundaryDecision`]): equal
+//!   pre-boundary state plus equal decision is equal post-boundary state
+//!   (DESIGN.md §11). The planner simulates a tree of *segments*: a
+//!   segment is one live `System` plus the members still riding it. It
+//!   advances a quantum at a time; at each boundary the system evaluates
+//!   every member's policies on its own boundary inputs, members that
+//!   decided like the segment's leader stay, and each other group of
+//!   like-deciding members continues from the pre-boundary snapshot as a
+//!   segment of its own. A segment down to one member just runs to its
+//!   horizon; members that reach the end together get clones of one
+//!   result. Each round's segments fan out over the `--jobs` pool. A
+//!   snapshot that fails to restore — stale artefact, damage — sends its
+//!   members to cold runs with a stderr warning; results may never
+//!   depend on it.
+//! * **Resumable campaigns.** With `--checkpoint-dir` each group's
+//!   first-quantum snapshot and each finished run's result manifest are
+//!   persisted (atomically — kill-safe at any instant); snapshots of
+//!   later boundaries live in memory only, one per boundary that members
+//!   left at, until the segments they start have run. With `--resume` a
+//!   later invocation replays finished runs from their manifests instead
+//!   of simulating, byte-identically: manifests store every float as its
 //!   bit pattern.
 //!
-//! Telemetry-instrumented runs fork warmups like any others (counter and
-//! series state rides in the snapshot) but are never manifest-replayed —
-//! a [`asm_core::RunTelemetry`] is an introspection artefact, not a
-//! result, and serializing its tracer would dwarf the runs it describes.
-//! Traced runs (`--trace`) bypass checkpointing entirely.
+//! Telemetry-instrumented runs share trajectories like any others
+//! (counter and series state rides in the snapshot) but are never
+//! manifest-replayed — a [`asm_core::RunTelemetry`] is an introspection
+//! artefact, not a result, and serializing its tracer would dwarf the
+//! runs it describes. Traced runs (`--trace`) bypass sharing entirely.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
 use asm_core::checkpoint;
-use asm_core::{config_hash, RunResult, Runner, SystemConfig};
+use asm_core::mech::BoundaryPolicies;
+use asm_core::{config_hash, AloneCache, RunOptions, RunResult, Runner, SystemConfig};
 use asm_cpu::AppProfile;
 use asm_simcore::hash::DetHasher;
 use asm_simcore::persist;
@@ -111,132 +124,391 @@ fn manifest_path(cfg: &CheckpointCfg, key: u64) -> PathBuf {
     cfg.dir.join("runs").join(format!("{key:016x}.bin"))
 }
 
+/// What a campaign did, in counts: the harness event line printed after
+/// every [`run_campaign`] and the hook for exact work-count tests.
+/// Deterministic — a function of the runs and the checkpoint directory's
+/// contents, never of `jobs` or the host. A *quantum-run* is one
+/// quantum (or final partial quantum) of one shared `System` simulated.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CampaignStats {
+    /// Runs in the campaign.
+    pub members: usize,
+    /// Members replayed from `--resume` manifests instead of simulated.
+    pub replayed: usize,
+    /// Warm-up groups among the simulated members: distinct (prefix
+    /// configuration, mix, instrumentation) triples, plus one per run
+    /// that cannot share at all (shorter than a quantum, or traced).
+    pub groups: usize,
+    /// Quantum-runs simulated.
+    pub quantum_runs: u64,
+    /// Quantum-runs that sharing only the first quantum of each group
+    /// and forking every member for its whole tail would have simulated.
+    pub per_member_quantum_runs: u64,
+    /// Segments started from an in-memory snapshot because their members
+    /// left another segment's trajectory.
+    pub segments_forked: usize,
+    /// Members simulated cold because a snapshot failed to restore.
+    pub cold_fallbacks: usize,
+}
+
+impl std::fmt::Display for CampaignStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "campaign: groups={} members={} replayed={} quantum_runs={} \
+             per_member_quantum_runs={} segments_forked={} cold_fallbacks={}",
+            self.groups,
+            self.members,
+            self.replayed,
+            self.quantum_runs,
+            self.per_member_quantum_runs,
+            self.segments_forked,
+            self.cold_fallbacks
+        )
+    }
+}
+
 /// Evaluates every planned run and returns the results in submission
-/// order, warming each shared prefix exactly once (module docs). The
-/// output is byte-identical to `runs.iter().map(cold run)` for every
-/// `jobs` value, with or without a checkpoint directory, cold or
-/// resumed — pinned by tests and the `ci.sh` resume leg.
+/// order, simulating each shared stretch of trajectory exactly once
+/// (module docs). The output is byte-identical to
+/// `runs.iter().map(cold run)` for every `jobs` value, with or without a
+/// checkpoint directory, cold or resumed — pinned by tests and the
+/// `ci.sh` resume leg.
 ///
-/// Telemetry snapshots are recorded into [`crate::sink`] here,
-/// sequentially and in submission order, so sink artefacts stay
-/// jobs-independent — callers must not record them again.
+/// Runs are instrumented as the CLI's artefact flags ask
+/// ([`crate::sink::options`]); their telemetry snapshots are recorded
+/// into [`crate::sink`] here, sequentially and in submission order, so
+/// sink artefacts stay jobs-independent — callers must not record them
+/// again. The campaign's [`CampaignStats`] go to stderr as one line.
 #[must_use]
 pub fn run_campaign(runs: &[PlannedRun], jobs: usize) -> Vec<RunResult> {
-    let opts = crate::sink::options();
-    let cache = collect::campaign_cache();
-    let cfg = CHECKPOINT.get();
-
-    // Group snapshot-eligible runs by warmup key. Runs shorter than one
-    // quantum have no shareable prefix; traced runs are ineligible (the
-    // tracer is deliberately outside snapshots).
-    let mut key_of: Vec<Option<u64>> = vec![None; runs.len()];
-    let mut groups: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-    if opts.trace_sample.is_none() {
-        for (i, run) in runs.iter().enumerate() {
-            if run.cycles >= run.config.quantum {
-                let runner = Runner::with_cache(run.config.clone(), Arc::clone(&cache));
-                let key = runner.warmup_key(&run.apps, opts);
-                key_of[i] = Some(key);
-                groups.entry(key).or_default().push(i);
-            }
-        }
-    }
-
-    // Phase A: warm each group worth warming — more than one member, or
-    // a singleton whose snapshot already sits on disk from an earlier
-    // (possibly killed) invocation. Warming a fresh singleton would cost
-    // exactly what it saves.
-    let warm_reps: Vec<(u64, usize)> = groups
-        .iter()
-        .filter(|(key, members)| {
-            members.len() >= 2 || cfg.is_some_and(|c| warmup_path(c, **key).exists())
-        })
-        .map(|(key, members)| (*key, members[0]))
-        .collect();
-    let snapshots: BTreeMap<u64, Vec<u8>> = pool::run_ordered(jobs, &warm_reps, |_, &(key, rep)| {
-        let run = &runs[rep];
-        if let Some(path) = cfg.map(|c| warmup_path(c, key)) {
-            if let Ok(bytes) = std::fs::read(&path) {
-                match checkpoint::peek_key(&bytes) {
-                    Ok(found) if found == key => return (key, bytes),
-                    Ok(_) | Err(_) => {
-                        eprintln!("checkpoint: ignoring stale warmup {}", path.display());
-                    }
-                }
-            }
-        }
-        let runner = Runner::with_cache(run.config.clone(), Arc::clone(&cache));
-        let bytes = runner.warm_snapshot(&run.apps, opts);
-        if let Some(path) = cfg.map(|c| warmup_path(c, key)) {
-            if let Err(e) = persist::write_atomic(&path, &bytes) {
-                eprintln!("warning: checkpoint: could not save {}: {e}", path.display());
-            }
-        }
-        (key, bytes)
-    })
-    .into_iter()
-    .collect();
-
-    // Phase B: every run, in parallel, forking its group's snapshot when
-    // one exists. Manifests only make sense for uninstrumented runs
-    // (attribution artefacts, like telemetry, are not stored in them).
-    let manifests = opts.trace_sample.is_none() && !opts.telemetry && !opts.attrib;
-    let results = pool::run_ordered(jobs, runs, |i, run| {
-        let mkey = manifest_key(run);
-        if manifests {
-            if let Some(path) = cfg.filter(|c| c.resume).map(|c| manifest_path(c, mkey)) {
-                if let Ok(bytes) = std::fs::read(&path) {
-                    match checkpoint::load_manifest(&bytes, mkey) {
-                        Ok(r) => {
-                            eprint!(".");
-                            return r;
-                        }
-                        Err(e) => {
-                            eprintln!("checkpoint: ignoring manifest {}: {e}", path.display());
-                        }
-                    }
-                }
-            }
-        }
-        let runner = Runner::with_cache(run.config.clone(), Arc::clone(&cache));
-        let result = match key_of[i].and_then(|k| snapshots.get(&k)) {
-            Some(snap) => runner
-                .run_with_snapshot(&run.apps, run.cycles, opts, snap)
-                .unwrap_or_else(|e| {
-                    eprintln!("warning: checkpoint: fork failed ({e}); running cold");
-                    runner.run_with(&run.apps, run.cycles, opts)
-                }),
-            None => runner.run_with(&run.apps, run.cycles, opts),
-        };
-        if manifests {
-            if let Some(path) = cfg.map(|c| manifest_path(c, mkey)) {
-                match checkpoint::save_manifest(&result, mkey) {
-                    Ok(bytes) => {
-                        if let Err(e) = persist::write_atomic(&path, &bytes) {
-                            eprintln!(
-                                "warning: checkpoint: could not save {}: {e}",
-                                path.display()
-                            );
-                        }
-                    }
-                    Err(e) => eprintln!("warning: checkpoint: {e}"),
-                }
-            }
-        }
-        eprint!(".");
-        result
-    });
-    eprintln!();
+    let (results, stats) = run_campaign_counted(runs, jobs, crate::sink::options());
+    eprintln!("{stats}");
     for r in &results {
         crate::sink::record(r);
     }
     results
 }
 
+/// [`run_campaign`] without its side channels — explicit run options,
+/// nothing recorded into the sink, no event line — returning the
+/// campaign's counts beside the results.
+#[must_use]
+pub fn run_campaign_counted(
+    runs: &[PlannedRun],
+    jobs: usize,
+    opts: RunOptions,
+) -> (Vec<RunResult>, CampaignStats) {
+    let campaign = Campaign {
+        runs,
+        opts,
+        cache: collect::campaign_cache(),
+        cfg: CHECKPOINT.get(),
+        // Manifests only make sense for uninstrumented runs (attribution
+        // artefacts, like telemetry, are not stored in them).
+        manifests: opts.trace_sample.is_none() && !opts.telemetry && !opts.attrib,
+    };
+    let mut stats = CampaignStats {
+        members: runs.len(),
+        ..CampaignStats::default()
+    };
+    let mut results: Vec<Option<RunResult>> =
+        pool::run_ordered(jobs, runs, |_, run| campaign.replay(run));
+    stats.replayed = results.iter().flatten().count();
+
+    // Roots: the members still to simulate, grouped by warmup key. Runs
+    // shorter than one quantum have no shareable prefix and traced runs
+    // are ineligible (the tracer is deliberately outside snapshots):
+    // each is a group of its own.
+    let mut pending: Vec<Segment> = Vec::new();
+    let mut groups: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+    for (i, run) in runs.iter().enumerate() {
+        if results[i].is_some() {
+            continue;
+        }
+        if opts.trace_sample.is_none() && run.cycles >= run.config.quantum {
+            let key = campaign.runner(run).warmup_key(&run.apps, opts);
+            groups.entry(key).or_default().push(i);
+        } else {
+            stats.per_member_quantum_runs += run.cycles.div_ceil(run.config.quantum);
+            pending.push(Segment {
+                members: vec![i],
+                start: None,
+            });
+        }
+    }
+    for (key, members) in groups {
+        stats.per_member_quantum_runs += 1 + members
+            .iter()
+            .map(|&m| runs[m].cycles.div_ceil(runs[m].config.quantum) - 1)
+            .sum::<u64>();
+        pending.push(Segment {
+            start: campaign.saved_warmup(key).map(Arc::new),
+            members,
+        });
+    }
+    stats.groups = pending.len();
+
+    // Rounds: every pending segment runs (in parallel) as far as its
+    // last member goes; the segments its leavers formed run next round.
+    while !pending.is_empty() {
+        let outcomes = pool::run_ordered(jobs, &pending, |_, seg| campaign.run_segment(seg));
+        pending = Vec::new();
+        for outcome in outcomes {
+            stats.quantum_runs += outcome.quantum_runs;
+            stats.cold_fallbacks += outcome.cold_fallbacks;
+            stats.segments_forked += outcome.forks.len();
+            for (i, result) in outcome.finished {
+                results[i] = Some(result);
+            }
+            pending.extend(outcome.forks);
+        }
+    }
+    eprintln!();
+    let results = results
+        .into_iter()
+        .map(|r| r.expect("every member finishes in exactly one segment"))
+        .collect();
+    (results, stats)
+}
+
+/// A stretch of trajectory still to be simulated, and who rides it.
+struct Segment {
+    /// Indices into the campaign's runs, ascending. The first is the
+    /// *leader*: the segment's system is built from its configuration,
+    /// and members stay while they decide like it.
+    members: Vec<usize>,
+    /// The pre-boundary state to continue from, shared by every segment
+    /// that left the same boundary; `None` starts at cycle 0.
+    start: Option<Arc<Vec<u8>>>,
+}
+
+/// What running one segment produced.
+#[derive(Default)]
+struct Outcome {
+    finished: Vec<(usize, RunResult)>,
+    forks: Vec<Segment>,
+    quantum_runs: u64,
+    cold_fallbacks: usize,
+}
+
+/// Splits `members` into classes of equal `key(position)`; classes and
+/// their members keep first-occurrence order, so the first class is the
+/// one `members[0]` belongs to.
+fn classes<K: PartialEq>(members: &[usize], key: impl Fn(usize) -> K) -> Vec<Vec<usize>> {
+    let mut keys: Vec<K> = Vec::new();
+    let mut out: Vec<Vec<usize>> = Vec::new();
+    for (pos, &m) in members.iter().enumerate() {
+        let k = key(pos);
+        match keys.iter().position(|seen| *seen == k) {
+            Some(class) => out[class].push(m),
+            None => {
+                keys.push(k);
+                out.push(vec![m]);
+            }
+        }
+    }
+    out
+}
+
+/// The per-campaign context every segment runs against.
+struct Campaign<'a> {
+    runs: &'a [PlannedRun],
+    opts: RunOptions,
+    cache: Arc<AloneCache>,
+    cfg: Option<&'static CheckpointCfg>,
+    manifests: bool,
+}
+
+impl Campaign<'_> {
+    fn runner(&self, run: &PlannedRun) -> Runner {
+        Runner::with_cache(run.config.clone(), Arc::clone(&self.cache))
+    }
+
+    /// The finished result of `run` from its `--resume` manifest, if a
+    /// valid one is on disk.
+    fn replay(&self, run: &PlannedRun) -> Option<RunResult> {
+        let cfg = self.cfg.filter(|c| c.resume && self.manifests)?;
+        let mkey = manifest_key(run);
+        let path = manifest_path(cfg, mkey);
+        let bytes = std::fs::read(&path).ok()?;
+        match checkpoint::load_manifest(&bytes, mkey) {
+            Ok(r) => {
+                eprint!(".");
+                Some(r)
+            }
+            Err(e) => {
+                eprintln!("checkpoint: ignoring manifest {}: {e}", path.display());
+                None
+            }
+        }
+    }
+
+    /// The group's first-quantum snapshot from an earlier (possibly
+    /// killed) invocation, if an intact one is on disk.
+    fn saved_warmup(&self, key: u64) -> Option<Vec<u8>> {
+        let path = warmup_path(self.cfg?, key);
+        let bytes = std::fs::read(&path).ok()?;
+        match checkpoint::peek_key(&bytes) {
+            Ok(found) if found == key => Some(bytes),
+            Ok(_) | Err(_) => {
+                eprintln!("checkpoint: ignoring stale warmup {}", path.display());
+                None
+            }
+        }
+    }
+
+    fn save(path: &std::path::Path, bytes: &[u8]) {
+        if let Err(e) = persist::write_atomic(path, bytes) {
+            eprintln!("warning: checkpoint: could not save {}: {e}", path.display());
+        }
+    }
+
+    /// Member `i` is done: persist its manifest, tick the progress line.
+    fn finished(&self, i: usize, result: RunResult, out: &mut Outcome) {
+        if let Some(cfg) = self.cfg.filter(|_| self.manifests) {
+            let mkey = manifest_key(&self.runs[i]);
+            match checkpoint::save_manifest(&result, mkey) {
+                Ok(bytes) => Self::save(&manifest_path(cfg, mkey), &bytes),
+                Err(e) => eprintln!("warning: checkpoint: {e}"),
+            }
+        }
+        eprint!(".");
+        out.finished.push((i, result));
+    }
+
+    fn run_cold(&self, i: usize, out: &mut Outcome) {
+        let run = &self.runs[i];
+        let result = self.runner(run).run_with(&run.apps, run.cycles, self.opts);
+        out.quantum_runs += run.cycles.div_ceil(run.config.quantum);
+        self.finished(i, result, out);
+    }
+
+    /// Simulates `seg` until its last member finishes. Members that leave
+    /// on the way — a different step to take, or a different decision at
+    /// a boundary — come back as `forks`, grouped so that each fork's
+    /// members agree on what made them leave.
+    fn run_segment(&self, seg: &Segment) -> Outcome {
+        let mut out = Outcome::default();
+        let leader = &self.runs[seg.members[0]];
+        let (apps, opts, q) = (&leader.apps[..], self.opts, leader.config.quantum);
+        let runner = self.runner(leader);
+
+        let mut sys = match &seg.start {
+            // Nothing to share a first quantum with: a plain cold run.
+            None if seg.members.len() == 1 => {
+                self.run_cold(seg.members[0], &mut out);
+                return out;
+            }
+            None => {
+                let mut sys = runner.start(apps, opts);
+                sys.run_prefix(q);
+                out.quantum_runs += 1;
+                sys
+            }
+            Some(snapshot) => {
+                let restored = runner.restore(apps, opts, snapshot).and_then(|sys| {
+                    let shortest = seg.members.iter().map(|&m| self.runs[m].cycles).min();
+                    if shortest.is_some_and(|c| c < sys.now()) {
+                        return Err(persist::PersistError::Corrupt(format!(
+                            "snapshot covers {} cycles, more than a member runs",
+                            sys.now()
+                        )));
+                    }
+                    Ok(sys)
+                });
+                match restored {
+                    Ok(sys) => sys,
+                    Err(e) => {
+                        eprintln!("warning: checkpoint: fork failed ({e}); running cold");
+                        out.cold_fallbacks = seg.members.len();
+                        for &m in &seg.members {
+                            self.run_cold(m, &mut out);
+                        }
+                        return out;
+                    }
+                }
+            }
+        };
+        let key = runner.warmup_key(apps, opts);
+        // The first state a from-zero root captures is the group's
+        // first-quantum warm-up: the one snapshot worth persisting.
+        let mut persist_capture = seg.start.is_none();
+        let mut members = seg.members.clone();
+
+        // Invariant: `sys` stands at a quantum boundary that has not fired
+        // yet, in the state every member's own cold run is in there.
+        loop {
+            let now = sys.now();
+            if let [only] = members[..] {
+                let rest = self.runs[only].cycles - now;
+                sys.run_for(rest);
+                out.quantum_runs += rest.div_ceil(q);
+                self.finished(only, runner.finish(apps, opts, sys), &mut out);
+                return out;
+            }
+
+            // Anyone may leave at this boundary, and leavers continue
+            // from the state before it.
+            let snapshot = Arc::new(checkpoint::capture(&sys, key, now));
+            if std::mem::take(&mut persist_capture) {
+                if let Some(cfg) = self.cfg {
+                    Self::save(&warmup_path(cfg, key), &snapshot);
+                }
+            }
+            let mut fork = |classes: Vec<Vec<usize>>| {
+                out.forks.extend(classes.into_iter().map(|members| Segment {
+                    members,
+                    start: Some(Arc::clone(&snapshot)),
+                }));
+            };
+
+            // The next step is one quantum, or what is left of a member's
+            // horizon if that is less; members with another step to take
+            // than the leader's leave first.
+            let step_of = |m: usize| (self.runs[m].cycles - now).min(q);
+            let mut by_step = classes(&members, |pos| step_of(members[pos]));
+            let stay = by_step.remove(0);
+            fork(by_step);
+            let step = step_of(stay[0]);
+            let last = step < q;
+
+            sys.set_sibling_policies(
+                stay.iter()
+                    .map(|&m| BoundaryPolicies::of(&self.runs[m].config))
+                    .collect(),
+            );
+            if last {
+                sys.run_for(step);
+            } else {
+                sys.run_prefix(step);
+            }
+            out.quantum_runs += step.div_ceil(q);
+
+            // The pending boundary fired first thing in that step, under
+            // the leader's policies; whoever decided otherwise left there.
+            let decisions = sys.sibling_decisions();
+            assert_eq!(decisions.len(), stay.len(), "the pending boundary fired");
+            let mut by_decision = classes(&stay, |pos| &decisions[pos]);
+            members = by_decision.remove(0);
+            fork(by_decision);
+
+            if last {
+                let result = runner.finish(apps, opts, sys);
+                for &m in &members {
+                    self.finished(m, result.clone(), &mut out);
+                }
+                return out;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asm_core::{CachePolicy, RunOptions};
+    use asm_core::{CachePolicy, MemPolicy, QosConfig, ThrottlePolicy};
+    use asm_simcore::AppId;
     use asm_workloads::suite;
 
     fn base_config() -> SystemConfig {
@@ -273,24 +545,39 @@ mod tests {
         runs
     }
 
+    /// One run on the first mix under `edit`ed boundary policies.
+    fn member(cycles: Cycle, edit: impl FnOnce(&mut SystemConfig)) -> PlannedRun {
+        let mut c = base_config();
+        edit(&mut c);
+        PlannedRun::new(c, mixes().remove(0), cycles)
+    }
+
+    fn qos(bound: f64) -> CachePolicy {
+        CachePolicy::AsmQos(QosConfig {
+            target: AppId::new(0),
+            bound,
+        })
+    }
+
     fn assert_bitwise_equal(a: &[RunResult], b: &[RunResult]) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(b) {
             assert_eq!(x.app_names, y.app_names);
-            let xb: Vec<u64> = x.whole_run_slowdowns.iter().map(|v| v.to_bits()).collect();
-            let yb: Vec<u64> = y.whole_run_slowdowns.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(xb, yb, "whole-run slowdowns differ");
+            assert_eq!(
+                bits(&x.whole_run_slowdowns),
+                bits(&y.whole_run_slowdowns),
+                "whole-run slowdowns differ"
+            );
             assert_eq!(x.quanta.len(), y.quanta.len());
             for (qx, qy) in x.quanta.iter().zip(&y.quanta) {
-                let ax: Vec<u64> = qx.actual.iter().map(|v| v.to_bits()).collect();
-                let ay: Vec<u64> = qy.actual.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(ax, ay, "per-quantum ground truth differs");
+                assert_eq!(bits(&qx.actual), bits(&qy.actual), "ground truth differs");
+                assert_eq!(bits(&qx.car_shared), bits(&qy.car_shared));
+                assert_eq!(qx.partition, qy.partition, "recorded partition differs");
                 assert_eq!(qx.estimates.len(), qy.estimates.len());
                 for ((nx, ex), (ny, ey)) in qx.estimates.iter().zip(&qy.estimates) {
                     assert_eq!(nx, ny);
-                    let bx: Vec<u64> = ex.iter().map(|v| v.to_bits()).collect();
-                    let by: Vec<u64> = ey.iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(bx, by, "estimates differ for {nx}");
+                    assert_eq!(bits(ex), bits(ey), "estimates differ for {nx}");
                 }
             }
         }
@@ -311,8 +598,17 @@ mod tests {
             .collect()
     }
 
+    /// The campaign's counts, after checking it against cold runs.
+    fn checked(runs: &[PlannedRun], jobs: usize) -> CampaignStats {
+        let (got, stats) = run_campaign_counted(runs, jobs, RunOptions::default());
+        assert_bitwise_equal(&got, &cold(runs));
+        stats
+    }
+
     #[test]
     fn campaign_matches_cold_runs_bitwise_for_any_jobs() {
+        // 125k cycles of 50k quanta: two shared boundaries, then a final
+        // partial quantum that no boundary closes.
         let runs = policy_sweep(125_000);
         let reference = cold(&runs);
         for jobs in [1, 4] {
@@ -326,7 +622,108 @@ mod tests {
         // One quantum of 50k cycles never completes in 30k: no prefix to
         // share, every run goes cold through the same code path.
         let runs = policy_sweep(30_000);
-        assert_bitwise_equal(&run_campaign(&runs, 2), &cold(&runs));
+        let stats = checked(&runs, 2);
+        assert_eq!(stats.groups, runs.len());
+        assert_eq!(stats.quantum_runs, runs.len() as u64);
+        assert_eq!(stats.segments_forked, 0);
+    }
+
+    #[test]
+    fn identical_configs_are_one_simulation_with_two_results() {
+        let runs = vec![
+            member(150_000, |c| c.cache_policy = CachePolicy::AsmCache),
+            member(150_000, |c| c.cache_policy = CachePolicy::AsmCache),
+        ];
+        let stats = checked(&runs, 1);
+        assert_eq!((stats.groups, stats.segments_forked), (1, 0));
+        assert_eq!(stats.quantum_runs, 3);
+        assert_eq!(stats.per_member_quantum_runs, 5);
+    }
+
+    #[test]
+    fn horizon_of_one_quantum_records_each_members_own_partition() {
+        // Only the final boundary ever fires, and it is the one place the
+        // members differ: sharing the result of the leader's boundary
+        // would hand `None` members a partition (or the reverse).
+        let runs = vec![
+            member(50_000, |c| c.cache_policy = CachePolicy::None),
+            member(50_000, |c| c.cache_policy = CachePolicy::Ucp),
+            member(50_000, |c| c.cache_policy = CachePolicy::None),
+        ];
+        let (got, stats) = run_campaign_counted(&runs, 1, RunOptions::default());
+        assert_bitwise_equal(&got, &cold(&runs));
+        assert!(got[0].quanta[0].partition.is_none());
+        assert!(got[1].quanta[0].partition.is_some());
+        assert!(got[2].quanta[0].partition.is_none());
+        // The one quantum is simulated once; the boundary fires once per
+        // distinct decision, on no further cycles.
+        assert_eq!(stats.quantum_runs, 1);
+        assert_eq!(stats.segments_forked, 1);
+    }
+
+    #[test]
+    fn members_of_one_group_may_have_different_horizons() {
+        // 50k-cycle quanta. The 100k member ends exactly on the second
+        // boundary, the 120k one 20k cycles into the third quantum, the
+        // 150k ones on the third boundary: all four agree at every
+        // boundary they share, and each must still get its own ending.
+        let runs = vec![
+            member(150_000, |c| c.cache_policy = CachePolicy::AsmCache),
+            member(100_000, |c| c.cache_policy = CachePolicy::AsmCache),
+            member(120_000, |c| c.cache_policy = CachePolicy::AsmCache),
+            member(150_000, |c| c.cache_policy = CachePolicy::AsmCache),
+        ];
+        for jobs in [1, 3] {
+            let stats = checked(&runs, jobs);
+            assert_eq!(stats.groups, 1);
+            // Three shared full quanta, plus the 120k member's partial one.
+            assert_eq!(stats.quantum_runs, 4);
+            assert_eq!(stats.per_member_quantum_runs, 1 + 2 + 1 + 2 + 2);
+        }
+    }
+
+    #[test]
+    fn throttle_members_leave_unless_their_policy_is_the_same() {
+        let fst = |t: f64| {
+            move |c: &mut SystemConfig| {
+                c.throttle_policy = ThrottlePolicy::Fst {
+                    unfairness_threshold: t,
+                };
+            }
+        };
+        let runs = vec![
+            member(200_000, |_| {}),
+            member(200_000, fst(1.4)),
+            member(200_000, fst(1.1)),
+            member(200_000, fst(1.4)),
+        ];
+        let stats = checked(&runs, 2);
+        // The policy is compared verbatim: the two 1.4 members share all
+        // four quanta, every other pair only the first.
+        assert_eq!(stats.quantum_runs, 1 + 3 * 3);
+        assert_eq!(stats.segments_forked, 2);
+    }
+
+    #[test]
+    fn neighbouring_bounds_share_quanta_until_they_decide_differently() {
+        // A fine ASM-QoS scan plus the memory-policy axis: far fewer
+        // distinct decisions than members.
+        let mut runs = Vec::new();
+        for k in 0..6 {
+            for mem in [MemPolicy::Uniform, MemPolicy::SlowdownWeighted] {
+                runs.push(member(200_000, |c| {
+                    c.cache_policy = qos(2.0 + 0.05 * f64::from(k));
+                    c.mem_policy = mem;
+                }));
+            }
+        }
+        let stats = checked(&runs, 3);
+        assert_eq!(stats.per_member_quantum_runs, 1 + 12 * 3);
+        assert!(
+            stats.quantum_runs < stats.per_member_quantum_runs,
+            "no quantum was shared past the first: {stats}"
+        );
+        assert_eq!(checked(&runs, 1), stats, "counts depend on jobs");
     }
 
     #[test]

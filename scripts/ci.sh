@@ -32,7 +32,11 @@
 #                                             selftest, then one short
 #                                             `compute` run whose checks —
 #                                             skip≡no-skip digests among
-#                                             them — must all pass)
+#                                             them — must all pass, and one
+#                                             short `policy_sweep` run: the
+#                                             only leg that holds campaign
+#                                             members {0,17,37} against cold
+#                                             runs through that binary)
 #
 # Usage:
 #   scripts/ci.sh                 # tier-1 only (~minutes)
@@ -62,7 +66,7 @@ while [[ $# -gt 0 ]]; do
             shift 2
             ;;
         -h|--help)
-            sed -n '2,51p' "$0" | sed 's/^# \{0,1\}//'
+            sed -n '2,55p' "$0" | sed 's/^# \{0,1\}//'
             exit 0
             ;;
         *)
@@ -157,15 +161,17 @@ for f in fig11_attrib_j#.txt attrib_j#.csv blame_j#.json; do
     }
 done
 
-echo "ci: [7/7] benchmark leg (asm_perf selftest + short compute run, failed must be 0)" >&2
+echo "ci: [7/7] benchmark leg (asm_perf selftest + short compute and policy_sweep runs, failed must be 0)" >&2
 benchmark/run.sh --selftest
 # The last stdout line of a workload is its JSON summary; run.sh already
 # exits non-zero on a failed check, the grep also catches a summary that
 # went missing.
-benchmark/run.sh --workload compute --seconds 2 | tail -n1 | grep -q '"failed": 0[,}]' || {
-    echo "ci: FAIL — benchmark compute run reported failed checks" >&2
-    exit 1
-}
+for w in compute policy_sweep; do
+    benchmark/run.sh --workload "$w" --seconds 2 | tail -n1 | grep -q '"failed": 0[,}]' || {
+        echo "ci: FAIL — benchmark $w run reported failed checks" >&2
+        exit 1
+    }
+done
 
 if [[ -n "$BENCH_TAG" ]]; then
     baseline="$(ls -1 BENCH_*.json 2>/dev/null | sort | tail -n1 || true)"
