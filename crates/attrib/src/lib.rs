@@ -27,7 +27,7 @@
 //! Both are `debug_assert`ed at quantum finalization and pinned by property
 //! tests here and by a randomized-`SystemConfig` proptest in `asm-core`.
 
-use asm_simcore::persist::{PersistError, StateReader, StateWriter};
+use asm_simcore::persist::{Persist, PersistError, StateReader, StateWriter};
 use asm_simcore::Cycle;
 
 /// Number of ledger components ([`Component`] variants).
@@ -141,20 +141,6 @@ pub enum StallKind {
 }
 
 impl StallKind {
-    fn encode(self) -> u8 {
-        self as u8
-    }
-
-    fn decode(v: u8) -> Result<StallKind, PersistError> {
-        match v {
-            0 => Ok(StallKind::Progress),
-            1 => Ok(StallKind::HitWait),
-            2 => Ok(StallKind::Backpressure),
-            3 => Ok(StallKind::MemStall),
-            other => Err(PersistError::Corrupt(format!("stall kind byte {other}"))),
-        }
-    }
-
     /// Ledger component for gap/tick cycles of this kind (memory stalls are
     /// deferred to episode completion and have no immediate component).
     fn immediate_component(self) -> Option<Component> {
@@ -164,6 +150,22 @@ impl StallKind {
             StallKind::Backpressure => Some(Component::Backpressure),
             StallKind::MemStall => None,
         }
+    }
+}
+
+impl Persist for StallKind {
+    fn save(&self, w: &mut StateWriter) {
+        w.u8(*self as u8);
+    }
+    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), PersistError> {
+        *self = match r.u8()? {
+            0 => StallKind::Progress,
+            1 => StallKind::HitWait,
+            2 => StallKind::Backpressure,
+            3 => StallKind::MemStall,
+            other => return Err(PersistError::Corrupt(format!("stall kind byte {other}"))),
+        };
+        Ok(())
     }
 }
 
@@ -266,7 +268,7 @@ pub fn apportion(total: Cycle, weights: &[u64], out: &mut [Cycle]) {
 
 /// One finalized quantum's ground truth: the per-app component ledger and
 /// the app×app blame matrix. Both flattened row-major.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct QuantumLedger {
     /// First cycle of the quantum (inclusive).
     pub start: Cycle,
@@ -610,81 +612,30 @@ impl RunAttrib {
         }
         out
     }
+}
 
-    /// Serialize into `w` (field order is the wire format; see
-    /// `restore_state`).
-    pub fn save_state(&self, w: &mut StateWriter) {
-        w.usize(self.app_count);
-        for t in &self.trackers {
-            w.u64(t.last_acct);
-            w.u8(t.gap.encode());
-            w.u64(t.pending_mem);
-            w.u64(t.episode_start);
-        }
-        w.u64_slice(&self.ledger);
-        w.u64_slice(&self.induced_blame);
-        w.u64_slice(&self.evictions);
-        w.u64_slice(&self.prev_dram_blame);
-        w.u64(self.quantum_start);
-        w.usize(self.quanta.len());
-        for q in &self.quanta {
-            w.u64(q.start);
-            w.u64(q.end);
-            w.u64_slice(&q.ledger);
-            w.u64_slice(&q.blame);
-        }
-    }
-
-    /// Restore state saved by [`RunAttrib::save_state`] into a tracker of
-    /// the same shape.
-    pub fn restore_state(&mut self, r: &mut StateReader) -> Result<(), PersistError> {
-        let corrupt = |what: &str| PersistError::Corrupt(what.to_owned());
-        let n = r.usize()?;
-        if n != self.app_count {
-            return Err(corrupt("attrib app count mismatch"));
-        }
-        for t in self.trackers.iter_mut() {
-            t.last_acct = r.u64()?;
-            t.gap = StallKind::decode(r.u8()?)?;
-            t.pending_mem = r.u64()?;
-            t.episode_start = r.u64()?;
-        }
-        let ledger = r.u64_vec()?;
-        if ledger.len() != n * COMPONENTS {
-            return Err(corrupt("attrib ledger shape"));
-        }
-        let induced = r.u64_vec()?;
-        if induced.len() != n * n {
-            return Err(corrupt("attrib induced-blame shape"));
-        }
-        let evictions = r.u64_vec()?;
-        if evictions.len() != n * n {
-            return Err(corrupt("attrib eviction shape"));
-        }
-        let prev = r.u64_vec()?;
-        if prev.len() != n * n * 3 {
-            return Err(corrupt("attrib dram-blame shape"));
-        }
-        self.ledger = ledger;
-        self.induced_blame = induced;
-        self.evictions = evictions;
-        self.prev_dram_blame = prev;
-        self.quantum_start = r.u64()?;
-        let count = r.usize()?;
-        self.quanta.clear();
-        for _ in 0..count {
-            let start = r.u64()?;
-            let end = r.u64()?;
-            let ledger = r.u64_vec()?;
-            let blame = r.u64_vec()?;
-            if ledger.len() != n * COMPONENTS || blame.len() != n * n || end < start {
-                return Err(corrupt("attrib quantum shape"));
-            }
-            self.quanta.push(QuantumLedger { start, end, ledger, blame });
-        }
-        Ok(())
+impl RunAttrib {
+    fn check_restored(&self) -> Result<(), PersistError> {
+        let n = self.app_count;
+        let fits = self.quanta.iter().all(|q| {
+            q.ledger.len() == n * COMPONENTS && q.blame.len() == n * n && q.end >= q.start
+        });
+        asm_simcore::persist::ensure(fits, "quantum shape")
     }
 }
+
+asm_simcore::persist_fields!(CoreTracker { last_acct, gap, pending_mem, episode_start });
+asm_simcore::persist_fields!(QuantumLedger { start, end, ledger, blame });
+asm_simcore::persist_fields!(RunAttrib {
+    (= app_count),
+    [trackers],
+    [ledger],
+    [induced_blame],
+    [evictions],
+    [prev_dram_blame],
+    quantum_start,
+    quanta,
+} => RunAttrib::check_restored);
 
 #[cfg(test)]
 mod tests {
@@ -822,16 +773,16 @@ mod tests {
         run.end_quantum(10, &vec![0; 12]);
         run.on_tick(0, 10, false, StallKind::HitWait);
         let mut w = StateWriter::new("attrib-test", 1);
-        run.save_state(&mut w);
+        run.save(&mut w);
         let bytes = w.finish();
         let mut restored = RunAttrib::new(2);
         let mut r = StateReader::new(&bytes, "attrib-test", 1).expect("header");
-        restored.restore_state(&mut r).expect("restore");
+        restored.restore(&mut r).expect("restore");
         r.finish().expect("drained");
         let mut w1 = StateWriter::new("attrib-test", 1);
-        run.save_state(&mut w1);
+        run.save(&mut w1);
         let mut w2 = StateWriter::new("attrib-test", 1);
-        restored.save_state(&mut w2);
+        restored.save(&mut w2);
         assert_eq!(w1.finish(), w2.finish());
     }
 
@@ -849,7 +800,13 @@ mod tests {
             mid_head in 0u8..4,
             tail_gap in 1u64..50,
         ) {
-            let kind = |b: u8| StallKind::decode(b).expect("0..4 are the stall kinds");
+            const KINDS: [StallKind; 4] = [
+                StallKind::Progress,
+                StallKind::HitWait,
+                StallKind::Backpressure,
+                StallKind::MemStall,
+            ];
+            let kind = |b: u8| KINDS[usize::from(b)];
             let mut span = RunAttrib::new(1);
             span.on_tick(0, 0, false, kind(lead_head));
             let mut each = span.clone();

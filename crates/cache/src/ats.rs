@@ -281,51 +281,18 @@ impl AuxiliaryTagStore {
         self.misses = 0;
         self.sampled_accesses = 0;
     }
-
-    /// Serializes the dynamic state — hypothetical-alone tags, recency
-    /// ranks, set fills, and the sample counters — for checkpointing.
-    /// Geometry and sampling stride are structural.
-    pub fn save_state(&self, w: &mut asm_simcore::persist::StateWriter) {
-        w.u64_slice(&self.tags);
-        w.bytes(&self.rank);
-        w.bytes(&self.fill);
-        w.u64_slice(&self.position_hits);
-        w.u64(self.misses);
-        w.u64(self.sampled_accesses);
-    }
-
-    /// Restores state captured by [`save_state`](Self::save_state) into an
-    /// ATS of identical geometry and sampling configuration.
-    ///
-    /// # Errors
-    ///
-    /// [`asm_simcore::persist::PersistError::Corrupt`] when the stored
-    /// state does not fit this ATS's structure.
-    pub fn restore_state(
-        &mut self,
-        r: &mut asm_simcore::persist::StateReader<'_>,
-    ) -> Result<(), asm_simcore::persist::PersistError> {
-        use asm_simcore::persist::PersistError;
-        let tags = r.u64_vec()?;
-        let rank = r.bytes()?;
-        let fill = r.bytes()?;
-        let position_hits = r.u64_vec()?;
-        if tags.len() != self.tags.len()
-            || rank.len() != self.rank.len()
-            || fill.len() != self.fill.len()
-            || position_hits.len() != self.position_hits.len()
-        {
-            return Err(PersistError::Corrupt("ats arena size mismatch".to_owned()));
-        }
-        self.tags.copy_from_slice(&tags);
-        self.rank.copy_from_slice(rank);
-        self.fill.copy_from_slice(fill);
-        self.position_hits = position_hits;
-        self.misses = r.u64()?;
-        self.sampled_accesses = r.u64()?;
-        Ok(())
-    }
 }
+
+// Hypothetical-alone tags, recency ranks, set fills and the sample
+// counters; geometry and sampling stride are structural.
+asm_simcore::persist_fields!(AuxiliaryTagStore {
+    tags,
+    rank,
+    fill,
+    [position_hits],
+    misses,
+    sampled_accesses,
+});
 
 #[cfg(test)]
 mod tests {

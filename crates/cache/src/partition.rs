@@ -20,7 +20,7 @@ use asm_simcore::AppId;
 /// assert_eq!(p.total_ways(), 16);
 /// assert_eq!(p.ways_for(AppId::new(0)), 10);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct WayPartition {
     ways: Vec<usize>,
 }
@@ -272,6 +272,10 @@ pub fn lookahead_partition(
 
     WayPartition::new(alloc)
 }
+
+// `Default` (no applications covered) is only the blank a restore fills
+// in; whoever owns the partition checks its shape afterwards.
+asm_simcore::persist_fields!(WayPartition { ways });
 
 #[cfg(test)]
 mod tests {

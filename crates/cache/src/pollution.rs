@@ -97,35 +97,6 @@ impl PollutionFilter {
         })
     }
 
-    /// Serializes the filter bits and insertion counter for
-    /// checkpointing. Capacity is structural.
-    pub fn save_state(&self, w: &mut asm_simcore::persist::StateWriter) {
-        w.u64_slice(&self.bits);
-        w.u64(self.inserted);
-    }
-
-    /// Restores state captured by [`save_state`](Self::save_state) into a
-    /// filter of identical capacity.
-    ///
-    /// # Errors
-    ///
-    /// [`asm_simcore::persist::PersistError::Corrupt`] when the stored
-    /// bit array does not match this filter's capacity.
-    pub fn restore_state(
-        &mut self,
-        r: &mut asm_simcore::persist::StateReader<'_>,
-    ) -> Result<(), asm_simcore::persist::PersistError> {
-        let bits = r.u64_vec()?;
-        if bits.len() != self.bits.len() {
-            return Err(asm_simcore::persist::PersistError::Corrupt(
-                "pollution filter size mismatch".to_owned(),
-            ));
-        }
-        self.bits.copy_from_slice(&bits);
-        self.inserted = r.u64()?;
-        Ok(())
-    }
-
     /// Empties the filter (done periodically so stale evictions don't
     /// accumulate).
     pub fn clear(&mut self) {
@@ -133,6 +104,9 @@ impl PollutionFilter {
         self.inserted = 0;
     }
 }
+
+// Capacity is structural: the bit array restores in place.
+asm_simcore::persist_fields!(PollutionFilter { bits, inserted });
 
 #[cfg(test)]
 mod tests {

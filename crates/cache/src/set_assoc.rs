@@ -571,95 +571,29 @@ impl SetAssocCache {
     fn reconstruct(geometry: CacheGeometry, tag: u64, set_idx: usize) -> LineAddr {
         LineAddr::new((tag << geometry.sets().trailing_zeros()) | set_idx as u64)
     }
+}
 
-    /// Serializes the dynamic tag-store state — tags, metadata, recency
-    /// ranks, set fills, occupancy counters, and the active partition —
-    /// for checkpointing. Geometry and application count are structural:
-    /// the restore target must be constructed with the same ones.
-    pub fn save_state(&self, w: &mut asm_simcore::persist::StateWriter) {
-        w.u64_slice(&self.tags);
-        w.usize(self.meta.len());
-        for &m in self.meta.iter() {
-            w.u32(m);
-        }
-        w.bytes(&self.rank);
-        w.bytes(&self.fill);
-        w.usize(self.occupancy.len());
-        for &o in &self.occupancy {
-            w.usize(o);
-        }
-        match &self.partition {
-            Some(p) => {
-                w.bool(true);
-                w.usize(p.as_slice().len());
-                for &q in p.as_slice() {
-                    w.usize(q);
-                }
-            }
-            None => w.bool(false),
-        }
-    }
-
-    /// Restores state captured by [`save_state`](Self::save_state) into a
-    /// cache of identical geometry and application count.
-    ///
-    /// # Errors
-    ///
-    /// [`asm_simcore::persist::PersistError::Corrupt`] when the stored
-    /// state does not fit this cache's structure.
-    pub fn restore_state(
-        &mut self,
-        r: &mut asm_simcore::persist::StateReader<'_>,
-    ) -> Result<(), asm_simcore::persist::PersistError> {
-        use asm_simcore::persist::PersistError;
-        let tags = r.u64_vec()?;
-        if tags.len() != self.tags.len() {
-            return Err(PersistError::Corrupt("tag arena size mismatch".to_owned()));
-        }
-        let meta_len = r.checked_len(4)?;
-        if meta_len != self.meta.len() {
-            return Err(PersistError::Corrupt("meta arena size mismatch".to_owned()));
-        }
-        let mut meta = Vec::with_capacity(meta_len);
-        for _ in 0..meta_len {
-            meta.push(r.u32()?);
-        }
-        let rank = r.bytes()?;
-        let fill = r.bytes()?;
-        if rank.len() != self.rank.len() || fill.len() != self.fill.len() {
-            return Err(PersistError::Corrupt("rank/fill size mismatch".to_owned()));
-        }
-        let occ_len = r.checked_len(8)?;
-        if occ_len != self.occupancy.len() {
-            return Err(PersistError::Corrupt("occupancy size mismatch".to_owned()));
-        }
-        let mut occupancy = Vec::with_capacity(occ_len);
-        for _ in 0..occ_len {
-            occupancy.push(r.usize()?);
-        }
-        let partition = if r.bool()? {
-            let n = r.checked_len(8)?;
-            let mut quotas = Vec::with_capacity(n);
-            for _ in 0..n {
-                quotas.push(r.usize()?);
-            }
-            let p = WayPartition::new(quotas);
-            if p.total_ways() != self.geometry.ways() || p.app_count() != self.app_count {
-                return Err(PersistError::Corrupt("partition shape mismatch".to_owned()));
-            }
-            Some(p)
-        } else {
-            None
-        };
-        self.tags.copy_from_slice(&tags);
-        self.meta.copy_from_slice(&meta);
-        self.rank.copy_from_slice(rank);
-        self.fill.copy_from_slice(fill);
-        self.occupancy = occupancy;
-        self.partition = partition;
-        Ok(())
+impl SetAssocCache {
+    fn check_restored(&self) -> Result<(), asm_simcore::persist::PersistError> {
+        let fits = self.partition.as_ref().is_none_or(|p| {
+            p.app_count() == self.app_count
+                && p.as_slice().iter().try_fold(0usize, |a, &w| a.checked_add(w))
+                    == Some(self.geometry.ways())
+        });
+        asm_simcore::persist::ensure(fits, "partition shape mismatch")
     }
 }
+
+// Tags, metadata, recency ranks, set fills, occupancy counters and the
+// active partition; geometry and application count are structural.
+asm_simcore::persist_fields!(SetAssocCache {
+    tags,
+    meta,
+    rank,
+    fill,
+    [occupancy],
+    partition,
+} => SetAssocCache::check_restored);
 
 #[cfg(test)]
 mod tests {

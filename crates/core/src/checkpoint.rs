@@ -32,15 +32,16 @@
 //! [`Runner::warmup_key`]: crate::runner::Runner::warmup_key
 
 use asm_cpu::AppProfile;
-use asm_simcore::persist::{PersistError, StateReader, StateWriter};
-use asm_simcore::{Cycle, Histogram};
+use asm_simcore::persist::{ensure, Persist, PersistError, StateReader, StateWriter};
+use asm_simcore::Cycle;
 
 use crate::config::{CachePolicy, MemPolicy, SystemConfig, ThrottlePolicy};
 use crate::runner::{QuantumResult, RunResult};
 use crate::system::System;
 
 /// Format name of a binary warmup snapshot. Bump [`SNAPSHOT_VERSION`] on
-/// any change to [`System::save_state`]'s layout.
+/// any edit to a `persist_fields!` list (or hand-written [`Persist`] impl)
+/// reachable from [`System`]'s.
 pub const SNAPSHOT_FORMAT: &str = "asm-snapshot";
 /// Version of [`SNAPSHOT_FORMAT`].
 /// v2: appended the attribution presence flag (and ledger state when on)
@@ -49,12 +50,16 @@ pub const SNAPSHOT_FORMAT: &str = "asm-snapshot";
 /// tagged slot per instruction, and the persisted per-core wake-ups mean
 /// "earliest cycle the core can issue" rather than "next cycle its state
 /// changes" — a v2 snapshot would be mis-read on both counts.
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// v4: every component's state is written from its `persist_fields!` list
+/// — structural containers carry their length, application ids and
+/// optional flags use the shared encodings, several sections moved.
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Format name of a binary per-run result manifest.
 pub const MANIFEST_FORMAT: &str = "asm-run-manifest";
 /// Version of [`MANIFEST_FORMAT`].
-pub const MANIFEST_VERSION: u32 = 1;
+/// v2: written from [`RunResult`]'s `persist_fields!` list.
+pub const MANIFEST_VERSION: u32 = 2;
 
 /// The prefix-relevant configuration: `config` with the three
 /// quantum-boundary policies neutralised. Configurations that agree on
@@ -90,7 +95,7 @@ pub fn capture(sys: &System, key: u64, warm_cycles: Cycle) -> Vec<u8> {
     let mut w = StateWriter::new(SNAPSHOT_FORMAT, SNAPSHOT_VERSION);
     w.u64(key);
     w.u64(warm_cycles);
-    sys.save_state(&mut w);
+    sys.save(&mut w);
     w.finish()
 }
 
@@ -112,7 +117,7 @@ pub fn resume(bytes: &[u8], key: u64, sys: &mut System) -> Result<Cycle, Persist
         )));
     }
     let warm_cycles = r.u64()?;
-    sys.restore_state(&mut r)?;
+    sys.restore(&mut r)?;
     r.finish()?;
     Ok(warm_cycles)
 }
@@ -131,20 +136,32 @@ pub fn peek_key(bytes: &[u8]) -> Result<u64, PersistError> {
     r.u64()
 }
 
-fn save_hist(w: &mut StateWriter, h: Option<&Histogram>) {
-    w.bool(h.is_some());
-    if let Some(h) = h {
-        h.save_state(w);
+impl RunResult {
+    /// Every per-application vector of a reloaded manifest must cover
+    /// exactly the manifest's applications.
+    fn check_restored(&self) -> Result<(), PersistError> {
+        let n = self.app_names.len();
+        let fits = self.whole_run_slowdowns.len() == n
+            && self.quanta.iter().all(|q| {
+                q.actual.len() == n
+                    && q.car_shared.len() == n
+                    && q.estimates.iter().all(|(_, est)| est.len() == n)
+                    && q.partition.as_ref().is_none_or(|p| p.len() == n)
+            });
+        ensure(fits, "vector length does not match app count")
     }
 }
 
-fn read_hist(r: &mut StateReader<'_>) -> Result<Option<Histogram>, PersistError> {
-    Ok(if r.bool()? {
-        Some(Histogram::restore_from(r)?)
-    } else {
-        None
-    })
-}
+// What a manifest holds of a result: plain runs only, so the telemetry
+// and attribution artefacts are not in the list.
+asm_simcore::persist_fields!(QuantumResult { estimates, actual, car_shared, partition });
+asm_simcore::persist_fields!(RunResult {
+    app_names,
+    quanta,
+    whole_run_slowdowns,
+    alone_latency_hist,
+    estimator_latency_hists,
+} => RunResult::check_restored);
 
 /// Serializes a completed [`RunResult`] as a manifest tagged with `key`,
 /// for `--resume`. Floats travel as bit patterns (NaN ground truth
@@ -169,34 +186,7 @@ pub fn save_manifest(result: &RunResult, key: u64) -> Result<Vec<u8>, PersistErr
     }
     let mut w = StateWriter::new(MANIFEST_FORMAT, MANIFEST_VERSION);
     w.u64(key);
-    w.usize(result.app_names.len());
-    for name in &result.app_names {
-        w.str(name);
-    }
-    w.usize(result.quanta.len());
-    for q in &result.quanta {
-        w.usize(q.estimates.len());
-        for (name, est) in &q.estimates {
-            w.str(name);
-            w.f64_slice(est);
-        }
-        w.f64_slice(&q.actual);
-        w.f64_slice(&q.car_shared);
-        w.bool(q.partition.is_some());
-        if let Some(p) = &q.partition {
-            w.usize(p.len());
-            for &ways in p {
-                w.usize(ways);
-            }
-        }
-    }
-    w.f64_slice(&result.whole_run_slowdowns);
-    save_hist(&mut w, result.alone_latency_hist.as_ref());
-    w.usize(result.estimator_latency_hists.len());
-    for (name, h) in &result.estimator_latency_hists {
-        w.str(name);
-        h.save_state(&mut w);
-    }
+    result.save(&mut w);
     Ok(w.finish())
 }
 
@@ -207,7 +197,6 @@ pub fn save_manifest(result: &RunResult, key: u64) -> Result<Vec<u8>, PersistErr
 /// Header/version/checksum errors from the reader; `Corrupt` on a key
 /// mismatch or any structural inconsistency.
 pub fn load_manifest(bytes: &[u8], key: u64) -> Result<RunResult, PersistError> {
-    let corrupt = |what: &str| PersistError::Corrupt(what.to_owned());
     let mut r = StateReader::new(bytes, MANIFEST_FORMAT, MANIFEST_VERSION)?;
     let found = r.u64()?;
     if found != key {
@@ -215,60 +204,10 @@ pub fn load_manifest(bytes: &[u8], key: u64) -> Result<RunResult, PersistError> 
             "manifest key {found:016x} does not match expected {key:016x}"
         )));
     }
-    let n = r.checked_len(1)?;
-    let app_names: Vec<String> = (0..n)
-        .map(|_| r.str().map(str::to_owned))
-        .collect::<Result<_, _>>()?;
-    let quanta_len = r.checked_len(1)?;
-    let mut quanta = Vec::with_capacity(quanta_len);
-    for _ in 0..quanta_len {
-        let est_len = r.checked_len(1)?;
-        let mut estimates = Vec::with_capacity(est_len);
-        for _ in 0..est_len {
-            let name = r.str()?.to_owned();
-            let est = r.f64_vec()?;
-            if est.len() != n {
-                return Err(corrupt("estimate length does not match app count"));
-            }
-            estimates.push((name, est));
-        }
-        let actual = r.f64_vec()?;
-        let car_shared = r.f64_vec()?;
-        if actual.len() != n || car_shared.len() != n {
-            return Err(corrupt("quantum vector length does not match app count"));
-        }
-        let partition = if r.bool()? {
-            let ways = r.checked_len(8)?;
-            Some((0..ways).map(|_| r.usize()).collect::<Result<Vec<_>, _>>()?)
-        } else {
-            None
-        };
-        quanta.push(QuantumResult {
-            estimates,
-            actual,
-            car_shared,
-            partition,
-        });
-    }
-    let whole_run_slowdowns = r.f64_vec()?;
-    if whole_run_slowdowns.len() != n {
-        return Err(corrupt("whole-run vector length does not match app count"));
-    }
-    let alone_latency_hist = read_hist(&mut r)?;
-    let hists = r.checked_len(1)?;
-    let estimator_latency_hists = (0..hists)
-        .map(|_| Ok((r.str()?.to_owned(), Histogram::restore_from(&mut r)?)))
-        .collect::<Result<Vec<_>, PersistError>>()?;
+    let mut result = RunResult::default();
+    result.restore(&mut r)?;
     r.finish()?;
-    Ok(RunResult {
-        app_names,
-        quanta,
-        whole_run_slowdowns,
-        alone_latency_hist,
-        estimator_latency_hists,
-        telemetry: None,
-        attribution: None,
-    })
+    Ok(result)
 }
 
 #[cfg(test)]
@@ -493,6 +432,43 @@ mod tests {
             Err(PersistError::Corrupt(_))
         ));
         assert!(load_manifest(&bytes[..bytes.len() - 1], 7).is_err());
+    }
+
+    #[test]
+    fn manifest_rejects_a_partition_of_the_wrong_length() {
+        let mut c = config();
+        c.cache_policy = CachePolicy::AsmCache;
+        let mut result = Runner::new(c).run(&apps(), 150_000);
+        load_manifest(&save_manifest(&result, 7).expect("eligible"), 7).expect("valid as run");
+        let partition = result
+            .quanta
+            .iter_mut()
+            .find_map(|q| q.partition.as_mut())
+            .expect("ASM-Cache partitions at the first boundary");
+        partition.pop();
+        let short = save_manifest(&result, 7).expect("eligible");
+        match load_manifest(&short, 7) {
+            Err(PersistError::Corrupt(why)) => assert!(why.contains("app count"), "{why}"),
+            other => panic!("a one-way-short partition loaded: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn artefacts_of_the_previous_format_versions_are_stale() {
+        // A v3 snapshot and a v1 manifest predate the field lists; their
+        // bytes must never be read as if they were current.
+        let old_snapshot = StateWriter::new(SNAPSHOT_FORMAT, 3).finish();
+        let mut sys = System::new(&apps(), config());
+        assert!(matches!(
+            resume(&old_snapshot, 0, &mut sys),
+            Err(PersistError::StaleVersion { found: 3, expected: SNAPSHOT_VERSION, .. })
+        ));
+        assert!(matches!(peek_key(&old_snapshot), Err(PersistError::StaleVersion { .. })));
+        let old_manifest = StateWriter::new(MANIFEST_FORMAT, 1).finish();
+        assert!(matches!(
+            load_manifest(&old_manifest, 0),
+            Err(PersistError::StaleVersion { found: 1, expected: MANIFEST_VERSION, .. })
+        ));
     }
 
     #[test]

@@ -169,74 +169,6 @@ impl SlowdownEstimator for AsmEstimator {
     fn ats_sample_counts(&self) -> Option<&[(u64, u64)]> {
         Some(&self.last_ats)
     }
-
-    fn save_state(&self, w: &mut asm_simcore::persist::StateWriter) {
-        w.usize(self.apps.len());
-        for st in &self.apps {
-            w.u64(st.accesses);
-            w.u64(st.epoch_count);
-            w.u64(st.epoch_hits);
-            w.u64(st.epoch_misses);
-            st.epoch_hit_time.save_state(w);
-            st.epoch_miss_time.save_state(w);
-            w.u64(st.ats_hits_sampled);
-            w.u64(st.ats_misses_sampled);
-        }
-        w.bool(self.latency_hist.is_some());
-        if let Some(h) = &self.latency_hist {
-            h.save_state(w);
-        }
-        w.f64_slice(&self.last_car_alone);
-        for &(hits, misses) in &self.last_ats {
-            w.u64(hits);
-            w.u64(misses);
-        }
-    }
-
-    fn restore_state(
-        &mut self,
-        r: &mut asm_simcore::persist::StateReader<'_>,
-    ) -> Result<(), asm_simcore::persist::PersistError> {
-        use asm_simcore::persist::PersistError;
-        let corrupt = |what: &str| PersistError::Corrupt(what.to_owned());
-        if r.usize()? != self.apps.len() {
-            return Err(corrupt("estimator app count mismatch"));
-        }
-        let mut apps = Vec::with_capacity(self.apps.len());
-        for _ in 0..self.apps.len() {
-            apps.push(AppState {
-                accesses: r.u64()?,
-                epoch_count: r.u64()?,
-                epoch_hits: r.u64()?,
-                epoch_misses: r.u64()?,
-                epoch_hit_time: UnionTime::restore_from(r)?,
-                epoch_miss_time: UnionTime::restore_from(r)?,
-                ats_hits_sampled: r.u64()?,
-                ats_misses_sampled: r.u64()?,
-            });
-        }
-        if r.bool()? != self.latency_hist.is_some() {
-            return Err(corrupt("histogram presence mismatch"));
-        }
-        let latency_hist = if self.latency_hist.is_some() {
-            Some(asm_simcore::Histogram::restore_from(r)?)
-        } else {
-            None
-        };
-        let last_car_alone = r.f64_vec()?;
-        if last_car_alone.len() != self.apps.len() {
-            return Err(corrupt("car-alone length mismatch"));
-        }
-        let mut last_ats = Vec::with_capacity(self.apps.len());
-        for _ in 0..self.apps.len() {
-            last_ats.push((r.u64()?, r.u64()?));
-        }
-        self.apps = apps;
-        self.latency_hist = latency_hist;
-        self.last_car_alone = last_car_alone;
-        self.last_ats = last_ats;
-        Ok(())
-    }
 }
 
 /// Minimum accesses observed during owned epochs before the model trusts
@@ -337,6 +269,23 @@ fn estimate_slowdown(
         car_alone,
     }
 }
+
+asm_simcore::persist_fields!(AppState {
+    accesses,
+    epoch_count,
+    epoch_hits,
+    epoch_misses,
+    epoch_hit_time,
+    epoch_miss_time,
+    ats_hits_sampled,
+    ats_misses_sampled,
+});
+asm_simcore::persist_fields!(AsmEstimator {
+    [apps],
+    [latency_hist],
+    [last_car_alone],
+    [last_ats],
+});
 
 #[cfg(test)]
 mod tests {

@@ -102,38 +102,9 @@ impl SlowdownEstimator for FstEstimator {
     fn miss_latency_histogram(&self) -> Option<&Histogram> {
         self.latency_hist.as_ref()
     }
-
-    fn save_state(&self, w: &mut asm_simcore::persist::StateWriter) {
-        w.f64_slice(&self.excess);
-        w.bool(self.latency_hist.is_some());
-        if let Some(h) = &self.latency_hist {
-            h.save_state(w);
-        }
-    }
-
-    fn restore_state(
-        &mut self,
-        r: &mut asm_simcore::persist::StateReader<'_>,
-    ) -> Result<(), asm_simcore::persist::PersistError> {
-        use asm_simcore::persist::PersistError;
-        let corrupt = |what: &str| PersistError::Corrupt(what.to_owned());
-        let excess = r.f64_vec()?;
-        if excess.len() != self.excess.len() {
-            return Err(corrupt("estimator app count mismatch"));
-        }
-        if r.bool()? != self.latency_hist.is_some() {
-            return Err(corrupt("histogram presence mismatch"));
-        }
-        let latency_hist = if self.latency_hist.is_some() {
-            Some(Histogram::restore_from(r)?)
-        } else {
-            None
-        };
-        self.excess = excess;
-        self.latency_hist = latency_hist;
-        Ok(())
-    }
 }
+
+asm_simcore::persist_fields!(FstEstimator { [excess], [latency_hist] });
 
 #[cfg(test)]
 mod tests {

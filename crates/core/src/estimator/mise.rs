@@ -112,40 +112,10 @@ impl SlowdownEstimator for MiseEstimator {
         }
         out
     }
-
-    fn save_state(&self, w: &mut asm_simcore::persist::StateWriter) {
-        w.usize(self.apps.len());
-        for st in &self.apps {
-            w.u64(st.misses);
-            w.u64(st.epoch_misses);
-            w.u64(st.epoch_count);
-            st.stall_time.save_state(w);
-        }
-    }
-
-    fn restore_state(
-        &mut self,
-        r: &mut asm_simcore::persist::StateReader<'_>,
-    ) -> Result<(), asm_simcore::persist::PersistError> {
-        use asm_simcore::persist::PersistError;
-        if r.usize()? != self.apps.len() {
-            return Err(PersistError::Corrupt(
-                "estimator app count mismatch".to_owned(),
-            ));
-        }
-        let mut apps = Vec::with_capacity(self.apps.len());
-        for _ in 0..self.apps.len() {
-            apps.push(AppState {
-                misses: r.u64()?,
-                epoch_misses: r.u64()?,
-                epoch_count: r.u64()?,
-                stall_time: UnionTime::restore_from(r)?,
-            });
-        }
-        self.apps = apps;
-        Ok(())
-    }
 }
+
+asm_simcore::persist_fields!(AppState { misses, epoch_misses, epoch_count, stall_time });
+asm_simcore::persist_fields!(MiseEstimator { [apps] });
 
 #[cfg(test)]
 mod tests {

@@ -112,8 +112,10 @@ pub struct QuantumCtx<'a> {
 ///
 /// Implementations accumulate state over a quantum; `on_quantum_end`
 /// returns one slowdown estimate per application and resets for the next
-/// quantum.
-pub trait SlowdownEstimator: std::fmt::Debug + Send {
+/// quantum. Its [`Persist`](asm_simcore::persist::Persist) state is that
+/// accumulated quantum state, restored into an estimator constructed with
+/// the same configuration.
+pub trait SlowdownEstimator: std::fmt::Debug + Send + asm_simcore::persist::Persist {
     /// Short display name ("ASM", "FST", "PTCA", "MISE").
     fn name(&self) -> &'static str;
 
@@ -149,22 +151,6 @@ pub trait SlowdownEstimator: std::fmt::Debug + Send {
     fn ats_sample_counts(&self) -> Option<&[(u64, u64)]> {
         None
     }
-
-    /// Serializes the estimator's accumulated quantum state for
-    /// checkpointing.
-    fn save_state(&self, w: &mut asm_simcore::persist::StateWriter);
-
-    /// Restores state captured by [`save_state`](Self::save_state) into an
-    /// estimator constructed with the same configuration.
-    ///
-    /// # Errors
-    ///
-    /// Propagates reader errors; `Corrupt` when the stored shape disagrees
-    /// with this estimator's structure.
-    fn restore_state(
-        &mut self,
-        r: &mut asm_simcore::persist::StateReader<'_>,
-    ) -> Result<(), asm_simcore::persist::PersistError>;
 }
 
 /// Tracks the union length of possibly-overlapping service intervals —
@@ -194,29 +180,11 @@ impl UnionTime {
     pub fn reset(&mut self) {
         self.total = 0;
     }
-
-    /// Serializes both the accumulated total and the busy horizon (the
-    /// horizon survives [`reset`](Self::reset), so it is live state).
-    pub fn save_state(&self, w: &mut asm_simcore::persist::StateWriter) {
-        w.u64(self.busy_until);
-        w.u64(self.total);
-    }
-
-    /// Reads a tracker previously written by
-    /// [`save_state`](Self::save_state).
-    ///
-    /// # Errors
-    ///
-    /// Propagates reader errors.
-    pub fn restore_from(
-        r: &mut asm_simcore::persist::StateReader<'_>,
-    ) -> Result<Self, asm_simcore::persist::PersistError> {
-        Ok(UnionTime {
-            busy_until: r.u64()?,
-            total: r.u64()?,
-        })
-    }
 }
+
+// Both the accumulated total and the busy horizon: the horizon survives
+// `reset`, so it is live state.
+asm_simcore::persist_fields!(UnionTime { busy_until, total });
 
 #[cfg(test)]
 mod tests {

@@ -90,36 +90,10 @@ impl SlowdownEstimator for StfmEstimator {
         }
         out
     }
-
-    fn save_state(&self, w: &mut asm_simcore::persist::StateWriter) {
-        w.usize(self.apps.len());
-        for st in &self.apps {
-            st.stall_time.save_state(w);
-            w.f64(st.interference);
-        }
-    }
-
-    fn restore_state(
-        &mut self,
-        r: &mut asm_simcore::persist::StateReader<'_>,
-    ) -> Result<(), asm_simcore::persist::PersistError> {
-        use asm_simcore::persist::PersistError;
-        if r.usize()? != self.apps.len() {
-            return Err(PersistError::Corrupt(
-                "estimator app count mismatch".to_owned(),
-            ));
-        }
-        let mut apps = Vec::with_capacity(self.apps.len());
-        for _ in 0..self.apps.len() {
-            apps.push(AppState {
-                stall_time: UnionTime::restore_from(r)?,
-                interference: r.f64()?,
-            });
-        }
-        self.apps = apps;
-        Ok(())
-    }
 }
+
+asm_simcore::persist_fields!(AppState { stall_time, interference });
+asm_simcore::persist_fields!(StfmEstimator { [apps] });
 
 #[cfg(test)]
 mod tests {

@@ -88,42 +88,11 @@ impl ThrottleState {
             None
         }
     }
-
-    /// Serializes the per-application throttle levels for checkpointing.
-    pub fn save_state(&self, w: &mut asm_simcore::persist::StateWriter) {
-        w.usize(self.levels.len());
-        for &l in &self.levels {
-            w.usize(l);
-        }
-    }
-
-    /// Restores levels captured by [`save_state`](Self::save_state).
-    ///
-    /// # Errors
-    ///
-    /// Propagates reader errors; `Corrupt` when the application count or a
-    /// level index disagrees with this state's structure.
-    pub fn restore_state(
-        &mut self,
-        r: &mut asm_simcore::persist::StateReader<'_>,
-    ) -> Result<(), asm_simcore::persist::PersistError> {
-        use asm_simcore::persist::PersistError;
-        let corrupt = |what: &str| PersistError::Corrupt(what.to_owned());
-        if r.usize()? != self.levels.len() {
-            return Err(corrupt("throttle app count mismatch"));
-        }
-        let mut levels = Vec::with_capacity(self.levels.len());
-        for _ in 0..self.levels.len() {
-            let l = r.usize()?;
-            if l >= LEVELS.len() {
-                return Err(corrupt("throttle level out of range"));
-            }
-            levels.push(l);
-        }
-        self.levels = levels;
-        Ok(())
-    }
 }
+
+asm_simcore::persist_fields!(ThrottleState { [levels] } => |t: &ThrottleState| {
+    asm_simcore::persist::ensure(t.levels.iter().all(|&l| l < LEVELS.len()), "level out of range")
+});
 
 #[cfg(test)]
 mod tests {

@@ -32,7 +32,7 @@ use crate::config::{CachePolicy, EstimatorSet, MemPolicy, SystemConfig};
 use crate::system::{RunTelemetry, System};
 
 /// One quantum's estimates and ground truth.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct QuantumResult {
     /// Slowdown estimates per estimator `(name, per-app)`.
     pub estimates: Vec<(String, Vec<f64>)>,
@@ -46,7 +46,7 @@ pub struct QuantumResult {
 }
 
 /// The outcome of one workload run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunResult {
     /// Profile names per application slot.
     pub app_names: Vec<String>,

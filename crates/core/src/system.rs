@@ -29,6 +29,7 @@ use asm_cpu::{
     AdvanceObserver, AppProfile, Core, HeadStall, MemIssueResult, ProgressLog, StridePrefetcher,
 };
 use asm_dram::{Completion, MemRequest, MemorySystem};
+use asm_simcore::persist::{ensure, PersistError};
 use asm_simcore::{AppId, Cycle, DetHashMap, Histogram, LineAddr, SimRng};
 use asm_telemetry::{names, CounterId, JsonValue, Registry, SeriesId, SeriesSet, Tracer};
 
@@ -97,8 +98,18 @@ impl AppQuantumStats {
     }
 }
 
+asm_simcore::persist_fields!(AppQuantumStats {
+    accesses,
+    hits,
+    misses,
+    hit_time,
+    miss_time,
+    mlp_sum,
+    mlp_samples,
+});
+
 /// Everything the system learned in one quantum.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct QuantumRecord {
     /// First cycle of the quantum.
     pub start_cycle: Cycle,
@@ -146,115 +157,32 @@ impl QuantumRecord {
             .collect()
     }
 
-    fn save_state(&self, w: &mut asm_simcore::persist::StateWriter) {
-        w.u64(self.start_cycle);
-        w.u64(self.end_cycle);
-        w.u64_slice(&self.retired_start);
-        w.u64_slice(&self.retired_end);
-        w.f64_slice(&self.car_shared);
-        w.usize(self.estimates.len());
-        for (name, v) in &self.estimates {
-            w.str(name);
-            w.f64_slice(v);
-        }
-        match &self.partition {
-            Some(p) => {
-                w.bool(true);
-                w.usize(p.len());
-                for &q in p {
-                    w.usize(q);
-                }
-            }
-            None => w.bool(false),
-        }
-        match &self.car_alone {
-            Some(v) => {
-                w.bool(true);
-                w.f64_slice(v);
-            }
-            None => w.bool(false),
-        }
-        w.usize(self.ats_samples.len());
-        for &(h, m) in &self.ats_samples {
-            w.u64(h);
-            w.u64(m);
-        }
-        w.u64_slice(&self.interference_cycles);
-    }
-
-    fn restore_from(
-        r: &mut asm_simcore::persist::StateReader<'_>,
-        app_count: usize,
-    ) -> Result<Self, asm_simcore::persist::PersistError> {
-        use asm_simcore::persist::PersistError;
-        let corrupt = |what: &str| PersistError::Corrupt(what.to_owned());
-        let start_cycle = r.u64()?;
-        let end_cycle = r.u64()?;
-        let retired_start = r.u64_vec()?;
-        let retired_end = r.u64_vec()?;
-        let car_shared = r.f64_vec()?;
-        let est_count = r.checked_len(8)?;
-        let mut estimates = Vec::with_capacity(est_count);
-        for _ in 0..est_count {
-            let name = r.str()?.to_owned();
-            let v = r.f64_vec()?;
-            if v.len() != app_count {
-                return Err(corrupt("record estimate length mismatch"));
-            }
-            estimates.push((name, v));
-        }
-        let partition = if r.bool()? {
-            let n = r.checked_len(8)?;
-            if n != app_count {
-                return Err(corrupt("record partition length mismatch"));
-            }
-            let mut p = Vec::with_capacity(n);
-            for _ in 0..n {
-                p.push(r.usize()?);
-            }
-            Some(p)
-        } else {
-            None
-        };
-        let car_alone = if r.bool()? {
-            let v = r.f64_vec()?;
-            if v.len() != app_count {
-                return Err(corrupt("record car-alone length mismatch"));
-            }
-            Some(v)
-        } else {
-            None
-        };
-        let ats_count = r.checked_len(16)?;
-        if ats_count != 0 && ats_count != app_count {
-            return Err(corrupt("record ATS-sample length mismatch"));
-        }
-        let mut ats_samples = Vec::with_capacity(ats_count);
-        for _ in 0..ats_count {
-            ats_samples.push((r.u64()?, r.u64()?));
-        }
-        let interference_cycles = r.u64_vec()?;
-        if retired_start.len() != app_count
-            || retired_end.len() != app_count
-            || car_shared.len() != app_count
-            || interference_cycles.len() != app_count
-        {
-            return Err(corrupt("record per-app length mismatch"));
-        }
-        Ok(QuantumRecord {
-            start_cycle,
-            end_cycle,
-            retired_start,
-            retired_end,
-            car_shared,
-            estimates,
-            partition,
-            car_alone,
-            ats_samples,
-            interference_cycles,
-        })
+    /// Whether every per-application vector covers exactly `apps`
+    /// applications (ATS samples may also be absent altogether).
+    fn fits(&self, apps: usize) -> bool {
+        self.retired_start.len() == apps
+            && self.retired_end.len() == apps
+            && self.car_shared.len() == apps
+            && self.interference_cycles.len() == apps
+            && self.estimates.iter().all(|(_, v)| v.len() == apps)
+            && self.partition.as_ref().is_none_or(|p| p.len() == apps)
+            && self.car_alone.as_ref().is_none_or(|v| v.len() == apps)
+            && (self.ats_samples.is_empty() || self.ats_samples.len() == apps)
     }
 }
+
+asm_simcore::persist_fields!(QuantumRecord {
+    start_cycle,
+    end_cycle,
+    retired_start,
+    retired_end,
+    car_shared,
+    estimates,
+    partition,
+    car_alone,
+    ats_samples,
+    interference_cycles,
+});
 
 /// The completion tokens waiting on one in-flight miss. Nearly every miss
 /// has exactly one waiter (merges are rare), so the first two tokens live
@@ -289,51 +217,19 @@ impl TokenList {
         self.inline[..usize::from(self.len)].iter().chain(&self.spill)
     }
 
-    fn save_state(&self, w: &mut asm_simcore::persist::StateWriter) {
-        w.usize(usize::from(self.len) + self.spill.len());
-        for &t in self.iter() {
-            w.u64(t);
-        }
-    }
-
-    /// Re-pushing in saved order reproduces the original inline/spill
-    /// layout exactly (the original was built the same way).
-    fn restore_from(
-        r: &mut asm_simcore::persist::StateReader<'_>,
-    ) -> Result<Self, asm_simcore::persist::PersistError> {
-        let n = r.checked_len(8)?;
-        let mut tokens = TokenList::default();
-        for _ in 0..n {
-            tokens.push(r.u64()?);
-        }
-        Ok(tokens)
+    fn check_restored(&self) -> Result<(), PersistError> {
+        // The spill only ever holds what the inline slots had no room for.
+        let inline = usize::from(self.len);
+        ensure(
+            inline == self.inline.len() || (inline < self.inline.len() && self.spill.is_empty()),
+            "inline/spill layout",
+        )
     }
 }
 
-/// `Option<bool>` wire encoding shared by the MSHR entries: 0 = `None`,
-/// 1 = `Some(false)`, 2 = `Some(true)`.
-fn save_opt_bool(w: &mut asm_simcore::persist::StateWriter, v: Option<bool>) {
-    w.u8(match v {
-        None => 0,
-        Some(false) => 1,
-        Some(true) => 2,
-    });
-}
+asm_simcore::persist_fields!(TokenList { inline, len, spill } => TokenList::check_restored);
 
-fn read_opt_bool(
-    r: &mut asm_simcore::persist::StateReader<'_>,
-) -> Result<Option<bool>, asm_simcore::persist::PersistError> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(false)),
-        2 => Ok(Some(true)),
-        _ => Err(asm_simcore::persist::PersistError::Corrupt(
-            "bad optional-bool tag".to_owned(),
-        )),
-    }
-}
-
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct MissEntry {
     app: AppId,
     tokens: TokenList,
@@ -347,7 +243,7 @@ struct MissEntry {
     demand_merge: Option<DemandMerge>,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct DemandMerge {
     arrival: Cycle,
     epoch_owned: bool,
@@ -355,56 +251,16 @@ struct DemandMerge {
     pollution_hit: bool,
 }
 
-impl MissEntry {
-    fn save_state(&self, w: &mut asm_simcore::persist::StateWriter) {
-        w.u64(self.app.index() as u64);
-        self.tokens.save_state(w);
-        w.bool(self.prefetch);
-        w.bool(self.epoch_owned);
-        save_opt_bool(w, self.ats_hit);
-        w.bool(self.pollution_hit);
-        match &self.demand_merge {
-            Some(m) => {
-                w.bool(true);
-                w.u64(m.arrival);
-                w.bool(m.epoch_owned);
-                save_opt_bool(w, m.ats_hit);
-                w.bool(m.pollution_hit);
-            }
-            None => w.bool(false),
-        }
-    }
-
-    fn restore_from(
-        r: &mut asm_simcore::persist::StateReader<'_>,
-        app_count: usize,
-    ) -> Result<Self, asm_simcore::persist::PersistError> {
-        use asm_simcore::persist::PersistError;
-        let app = usize::try_from(r.u64()?)
-            .ok()
-            .filter(|&i| i < app_count)
-            .map(AppId::new)
-            .ok_or_else(|| PersistError::Corrupt("MSHR entry app out of range".to_owned()))?;
-        Ok(MissEntry {
-            app,
-            tokens: TokenList::restore_from(r)?,
-            prefetch: r.bool()?,
-            epoch_owned: r.bool()?,
-            ats_hit: read_opt_bool(r)?,
-            pollution_hit: r.bool()?,
-            demand_merge: if r.bool()? {
-                Some(DemandMerge {
-                    arrival: r.u64()?,
-                    epoch_owned: r.bool()?,
-                    ats_hit: read_opt_bool(r)?,
-                    pollution_hit: r.bool()?,
-                })
-            } else {
-                None
-            },
-        })
-    }
-}
+asm_simcore::persist_fields!(DemandMerge { arrival, epoch_owned, ats_hit, pollution_hit });
+asm_simcore::persist_fields!(MissEntry {
+    app,
+    tokens,
+    prefetch,
+    epoch_owned,
+    ats_hit,
+    pollution_hit,
+    demand_merge,
+});
 
 /// Cumulative per-application statistics over a whole run (see
 /// [`System::app_summary`]).
@@ -537,42 +393,18 @@ impl SysTelemetry {
             self.mem_lat_overflow += 1;
         }
     }
-
-    /// Serializes counters, series rings, and the memory-latency buckets.
-    /// The tracer is deliberately excluded: snapshots are only taken from
-    /// runs with tracing off (checkpoint eligibility), so there is never
-    /// trace state to carry.
-    fn save_state(&self, w: &mut asm_simcore::persist::StateWriter) {
-        w.bool(self.enabled);
-        self.registry.save_state(w);
-        self.series.save_state(w);
-        w.u64_slice(&self.mem_lat_counts);
-        w.u64(self.mem_lat_overflow);
-    }
-
-    fn restore_state(
-        &mut self,
-        r: &mut asm_simcore::persist::StateReader<'_>,
-    ) -> Result<(), asm_simcore::persist::PersistError> {
-        use asm_simcore::persist::PersistError;
-        if r.bool()? != self.enabled {
-            return Err(PersistError::Corrupt(
-                "telemetry enabled flag mismatch".to_owned(),
-            ));
-        }
-        self.registry.restore_state(r)?;
-        self.series.restore_state(r)?;
-        let counts = r.u64_vec()?;
-        if counts.len() != self.mem_lat_counts.len() {
-            return Err(PersistError::Corrupt(
-                "memory-latency bucket count mismatch".to_owned(),
-            ));
-        }
-        self.mem_lat_counts = counts;
-        self.mem_lat_overflow = r.u64()?;
-        Ok(())
-    }
 }
+
+// Counters, series rings and the memory-latency buckets. The tracer is
+// deliberately left out: snapshots are only taken from runs with tracing
+// off (checkpoint eligibility), so there is never trace state to carry.
+asm_simcore::persist_fields!(SysTelemetry {
+    (= enabled),
+    registry,
+    series,
+    [mem_lat_counts],
+    mem_lat_overflow,
+});
 
 /// Ground-truth cycle-attribution state: the [`RunAttrib`] ledger plus the
 /// telemetry handles its per-quantum results are published through.
@@ -592,6 +424,8 @@ struct SysAttrib {
     /// as `attrib.app{v}.blame.app{o}`.
     s_blame: Vec<SeriesId>,
 }
+
+asm_simcore::persist_fields!(SysAttrib { run });
 
 /// Maps the core's reported head state onto the ledger's stall taxonomy.
 fn stall_kind(h: HeadStall) -> StallKind {
@@ -1189,8 +1023,8 @@ impl System {
     /// leaves a quantum that completes exactly at the end *unfinalised*:
     /// the boundary work (estimates, mechanisms, record, reset) fires as
     /// the first step of whatever continues the run — under *that* run's
-    /// policies. `run_prefix(q)` + [`save_state`](Self::save_state), then
-    /// [`restore_state`](Self::restore_state) + `run_for(c - q)`, is
+    /// policies. `run_prefix(q)` + [`crate::checkpoint::capture`], then
+    /// [`crate::checkpoint::resume`] + `run_for(c - q)`, is
     /// bitwise-identical to a straight `run_for(c)`; and because the
     /// cache/memory/throttle policies act only inside the quantum
     /// boundary, configurations differing only in those share one prefix
@@ -1556,270 +1390,44 @@ impl System {
         self.core_wake.fill(0);
     }
 
-    /// Serializes the complete dynamic simulation state — cores, caches,
-    /// ATS/pollution filters, prefetchers, the memory system, the MSHR,
-    /// estimators, quantum machinery, RNG streams, and telemetry
-    /// counters/series — for checkpointing. Everything derivable from the
-    /// configuration (geometries, policies, counter registrations) is
-    /// structural: the restore target must be constructed from the same
-    /// configuration and workload, which [`restore_state`]
-    /// (Self::restore_state) cross-checks where it can.
-    pub fn save_state(&self, w: &mut asm_simcore::persist::StateWriter) {
-        let n = self.cores.len();
-        w.usize(n);
-        w.opt_u64(self.active_only.map(|a| a.index() as u64));
-        for c in &self.cores {
-            c.save_state(w);
-        }
-        for l1 in &self.l1s {
-            l1.save_state(w);
-        }
-        self.llc.save_state(w);
-        for a in &self.ats {
-            a.save_state(w);
-        }
-        for p in &self.pollution {
-            p.save_state(w);
-        }
-        w.usize(self.prefetchers.len());
-        for p in &self.prefetchers {
-            p.save_state(w);
-        }
-        self.mem.save_state(w);
-        // The MSHR map is never iterated on the simulation path, so its
-        // internal order is arbitrary; write entries sorted by line for
-        // canonical bytes.
-        let mut lines: Vec<u64> = self.mshr.keys().copied().collect();
-        lines.sort_unstable();
-        w.usize(lines.len());
-        for line in lines {
-            w.u64(line);
-            self.mshr[&line].save_state(w);
-        }
-        w.usize(self.estimators.len());
-        for e in &self.estimators {
-            w.str(e.name());
-            e.save_state(w);
-        }
-        for s in &self.qstats {
-            w.u64(s.accesses);
-            w.u64(s.hits);
-            w.u64(s.misses);
-            s.hit_time.save_state(w);
-            s.miss_time.save_state(w);
-            w.u64(s.mlp_sum);
-            w.u64(s.mlp_samples);
-        }
-        w.usize(self.records.len());
-        for rec in &self.records {
-            rec.save_state(w);
-        }
-        for &(accesses, hits, misses) in &self.lifetime {
-            w.u64(accesses);
-            w.u64(hits);
-            w.u64(misses);
-        }
-        for p in &self.progress {
-            p.save_state(w);
-        }
-        w.bool(self.alone_miss_hist.is_some());
-        if let Some(h) = &self.alone_miss_hist {
-            h.save_state(w);
-        }
-        w.opt_u64(self.epoch_owner.map(|a| a.index() as u64));
-        w.f64_slice(&self.epoch_weights);
-        w.u64(self.epoch_counter);
-        self.throttle.save_state(w);
-        self.rng.save_state(w);
-        w.u64(self.now);
-        w.u64(self.next_req);
-        w.u64(self.executed_cycles);
-        w.u64(self.hier_version);
-        for &m in &self.stall_memo {
-            w.opt_u64(m);
-        }
-        w.u64_slice(&self.core_wake);
-        w.u64(self.last_quantum_end);
-        w.u64_slice(&self.retired_at_quantum_start);
-        w.u64(self.dropped_writebacks);
-        w.u64_slice(&self.quantum_interference);
-        self.telemetry.save_state(w);
-        w.bool(self.attrib.is_some());
-        if let Some(att) = &self.attrib {
-            att.run.save_state(w);
-        }
+    /// The estimator set, as names: a snapshot restores only into a
+    /// system instantiating the same estimators in the same order.
+    fn estimator_names(&self) -> Vec<String> {
+        self.estimators.iter().map(|e| e.name().to_owned()).collect()
     }
 
-    /// Restores state captured by [`save_state`](Self::save_state) into a
-    /// freshly-constructed system with the same configuration and
-    /// workload. Continuing the restored system is bitwise-identical to
-    /// continuing the one that was saved.
-    ///
-    /// # Errors
-    ///
-    /// Propagates reader errors; `Corrupt` when the stored state does not
-    /// fit this system's structure (application count, estimator set,
-    /// cache geometries, telemetry registrations, index bounds).
-    pub fn restore_state(
-        &mut self,
-        r: &mut asm_simcore::persist::StateReader<'_>,
-    ) -> Result<(), asm_simcore::persist::PersistError> {
-        use asm_simcore::persist::PersistError;
-        let corrupt = |what: &str| PersistError::Corrupt(what.to_owned());
+    /// What the field list cannot see: application indices and per-app
+    /// shapes against this system's application count, and the state
+    /// derived from what was restored.
+    fn check_restored(&mut self) -> Result<(), PersistError> {
         let n = self.cores.len();
-        let read_opt_app =
-            |r: &mut asm_simcore::persist::StateReader<'_>| -> Result<Option<AppId>, PersistError> {
-                match r.opt_u64()? {
-                    None => Ok(None),
-                    Some(i) => usize::try_from(i)
-                        .ok()
-                        .filter(|&i| i < n)
-                        .map(|i| Some(AppId::new(i)))
-                        .ok_or_else(|| corrupt("app index out of range")),
-                }
-            };
-        if r.usize()? != n {
-            return Err(corrupt("application count mismatch"));
-        }
-        if read_opt_app(r)? != self.active_only {
-            return Err(corrupt("active-only application mismatch"));
-        }
-        for c in &mut self.cores {
-            c.restore_state(r)?;
-        }
-        for l1 in &mut self.l1s {
-            l1.restore_state(r)?;
-        }
-        self.llc.restore_state(r)?;
-        for a in &mut self.ats {
-            a.restore_state(r)?;
-        }
-        for p in &mut self.pollution {
-            p.restore_state(r)?;
-        }
-        if r.usize()? != self.prefetchers.len() {
-            return Err(corrupt("prefetcher count mismatch"));
-        }
-        for p in &mut self.prefetchers {
-            p.restore_state(r)?;
-        }
-        self.mem.restore_state(r)?;
-        let mshr_count = r.checked_len(16)?;
-        let mut mshr = DetHashMap::default();
-        for _ in 0..mshr_count {
-            let line = r.u64()?;
-            let entry = MissEntry::restore_from(r, n)?;
-            if mshr.insert(line, entry).is_some() {
-                return Err(corrupt("duplicate MSHR line"));
-            }
-        }
-        if r.usize()? != self.estimators.len() {
-            return Err(corrupt("estimator count mismatch"));
-        }
-        for e in &mut self.estimators {
-            if r.str()? != e.name() {
-                return Err(corrupt("estimator name mismatch"));
-            }
-            e.restore_state(r)?;
-        }
-        let mut qstats = Vec::with_capacity(n);
-        for _ in 0..n {
-            qstats.push(AppQuantumStats {
-                accesses: r.u64()?,
-                hits: r.u64()?,
-                misses: r.u64()?,
-                hit_time: UnionTime::restore_from(r)?,
-                miss_time: UnionTime::restore_from(r)?,
-                mlp_sum: r.u64()?,
-                mlp_samples: r.u64()?,
-            });
-        }
-        let record_count = r.checked_len(8)?;
-        let mut records = Vec::with_capacity(record_count);
-        for _ in 0..record_count {
-            records.push(QuantumRecord::restore_from(r, n)?);
-        }
-        let mut lifetime = Vec::with_capacity(n);
-        for _ in 0..n {
-            lifetime.push((r.u64()?, r.u64()?, r.u64()?));
-        }
-        let mut progress = Vec::with_capacity(n);
-        for _ in 0..n {
-            progress.push(ProgressLog::restore_from(r)?);
-        }
-        if r.bool()? != self.alone_miss_hist.is_some() {
-            return Err(corrupt("measured-histogram presence mismatch"));
-        }
-        let alone_miss_hist = if self.alone_miss_hist.is_some() {
-            Some(Histogram::restore_from(r)?)
-        } else {
-            None
-        };
-        let epoch_owner = read_opt_app(r)?;
-        let epoch_weights = r.f64_vec()?;
-        if epoch_weights.len() != n {
-            return Err(corrupt("epoch weight length mismatch"));
-        }
-        let epoch_counter = r.u64()?;
-        self.throttle.restore_state(r)?;
-        self.rng.restore_state(r)?;
-        let now = r.u64()?;
-        let next_req = r.u64()?;
-        let executed_cycles = r.u64()?;
-        let hier_version = r.u64()?;
-        let mut stall_memo = Vec::with_capacity(n);
-        for _ in 0..n {
-            stall_memo.push(r.opt_u64()?);
-        }
-        let core_wake = r.u64_vec()?;
-        if core_wake.len() != n {
-            return Err(corrupt("core wake length mismatch"));
-        }
-        let last_quantum_end = r.u64()?;
-        let retired_at_quantum_start = r.u64_vec()?;
-        if retired_at_quantum_start.len() != n {
-            return Err(corrupt("retired-at-start length mismatch"));
-        }
-        let dropped_writebacks = r.u64()?;
-        let quantum_interference = r.u64_vec()?;
-        if quantum_interference.len() != n {
-            return Err(corrupt("interference length mismatch"));
-        }
-        self.telemetry.restore_state(r)?;
-        if r.bool()? != self.attrib.is_some() {
-            return Err(corrupt("attribution enabled flag mismatch"));
-        }
-        if let Some(att) = self.attrib.as_deref_mut() {
-            att.run.restore_state(r)?;
-        }
-        self.mshr = mshr;
-        self.qstats = qstats;
-        self.records = records;
-        self.lifetime = lifetime;
-        self.progress = progress;
-        self.alone_miss_hist = alone_miss_hist;
-        self.epoch_owner = epoch_owner;
-        self.epoch_weights = epoch_weights;
-        self.epoch_counter = epoch_counter;
-        self.now = now;
-        self.next_req = next_req;
-        self.executed_cycles = executed_cycles;
-        self.hier_version = hier_version;
-        self.stall_memo = stall_memo;
-        self.core_wake = core_wake;
+        ensure(
+            self.epoch_owner.is_none_or(|a| a.index() < n)
+                && self.mshr.values().all(|e| e.app.index() < n),
+            "app index out of range",
+        )?;
+        ensure(
+            self.records.iter().all(|rec| rec.fits(n)),
+            "record per-app length mismatch",
+        )?;
+        // Snapshots are taken between public calls, where every core that
+        // can fall behind is caught up to `now`.
         for s in self.synced.iter_mut().filter(|s| **s != NEVER) {
-            *s = now;
+            *s = self.now;
         }
-        self.last_quantum_end = last_quantum_end;
-        self.next_quantum_at = last_quantum_end + self.config.quantum;
-        self.next_epoch_at = if self.config.epochs_enabled {
-            now.next_multiple_of(self.config.epoch)
+        let next_epoch_at = if self.config.epochs_enabled {
+            self.now.checked_next_multiple_of(self.config.epoch)
         } else {
-            NEVER
+            Some(NEVER)
         };
-        self.retired_at_quantum_start = retired_at_quantum_start;
-        self.dropped_writebacks = dropped_writebacks;
-        self.quantum_interference = quantum_interference;
+        let (Some(next_quantum_at), Some(next_epoch_at)) = (
+            self.last_quantum_end.checked_add(self.config.quantum),
+            next_epoch_at,
+        ) else {
+            return Err(PersistError::Corrupt("cycle out of range".to_owned()));
+        };
+        self.next_quantum_at = next_quantum_at;
+        self.next_epoch_at = next_epoch_at;
         Ok(())
     }
 
@@ -1944,6 +1552,48 @@ impl System {
         }
     }
 }
+
+// The complete dynamic simulation state. Everything derivable from the
+// configuration (geometries, policies, counter registrations) is
+// structural: the restore target is constructed from the same
+// configuration and workload, and continuing it is bitwise-identical to
+// continuing the system that was saved. `synced`, the boundary deadlines
+// and the sibling observers are derived or transient and stay out.
+asm_simcore::persist_fields!(System {
+    [cores],
+    (= active_only),
+    [l1s],
+    llc,
+    [ats],
+    [pollution],
+    [prefetchers],
+    mem,
+    mshr,
+    (= estimator_names()),
+    [estimators],
+    [qstats],
+    records,
+    [lifetime],
+    [progress],
+    [alone_miss_hist],
+    epoch_owner,
+    [epoch_weights],
+    epoch_counter,
+    throttle,
+    rng,
+    now,
+    next_req,
+    executed_cycles,
+    hier_version,
+    [stall_memo],
+    [core_wake],
+    last_quantum_end,
+    [retired_at_quantum_start],
+    dropped_writebacks,
+    [quantum_interference],
+    telemetry,
+    [attrib],
+} => System::check_restored);
 
 /// The cores with their lazy-advance bookkeeping, borrowed next to
 /// [`Hier`] for one cycle (see `System::synced`).
@@ -2444,6 +2094,7 @@ impl Hier<'_> {
 mod tests {
     use super::*;
     use crate::config::{CachePolicy, EstimatorSet, MemPolicy};
+    use asm_simcore::persist::Persist as _;
     use asm_workloads::suite;
 
     fn small_config() -> SystemConfig {
@@ -2849,13 +2500,13 @@ mod tests {
 
     fn system_bytes(sys: &System) -> Vec<u8> {
         let mut w = asm_simcore::persist::StateWriter::new("test-system", 1);
-        sys.save_state(&mut w);
+        sys.save(&mut w);
         w.finish()
     }
 
     fn restore_into(sys: &mut System, bytes: &[u8]) {
         let mut r = asm_simcore::persist::StateReader::new(bytes, "test-system", 1).unwrap();
-        sys.restore_state(&mut r).unwrap();
+        sys.restore(&mut r).unwrap();
         r.finish().unwrap();
     }
 
@@ -2976,7 +2627,17 @@ mod tests {
         other_cfg.estimators = EstimatorSet::asm_only();
         let mut other = System::new(&two_apps(), other_cfg);
         let mut r = asm_simcore::persist::StateReader::new(&snap, "test-system", 1).unwrap();
-        assert!(other.restore_state(&mut r).is_err());
+        let err = other.restore(&mut r).expect_err("two estimators are not six");
+        assert!(
+            err.to_string().starts_with("corrupt: System.estimator_names: stored [\"ASM\", \"FST\""),
+            "{err}"
+        );
+
+        // Wrong application count: the first structural field says so.
+        let mut wide = System::new(&[two_apps(), two_apps()].concat(), small_config());
+        let mut r = asm_simcore::persist::StateReader::new(&snap, "test-system", 1).unwrap();
+        let err = wide.restore(&mut r).expect_err("two cores are not four");
+        assert_eq!(err.to_string(), "corrupt: System.cores: stored length 2, target 4");
 
         // Truncated payload.
         let cut = &snap[..snap.len() - 9];

@@ -45,6 +45,7 @@
 
 use std::collections::VecDeque;
 
+use asm_simcore::persist::{ensure, Persist, PersistError, StateReader, StateWriter};
 use asm_simcore::{AppId, Cycle, LineAddr};
 
 use crate::appmodel::AppProfile;
@@ -111,18 +112,19 @@ impl AdvanceObserver for () {
     fn on_progress_span(&mut self, _: Cycle, _: u64, _: u64, _: u64, _: HeadStall) {}
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 enum MemState {
     /// Waiting to be issued to the hierarchy.
     WaitIssue(MemOp),
     /// Outstanding in the memory system.
+    #[default]
     Outstanding,
     /// Data arrives (and the op may retire) at the given cycle.
     Done(Cycle),
 }
 
 /// One in-window memory operation.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct MemSlot {
     /// Program-order instruction id.
     id: u64,
@@ -632,152 +634,108 @@ impl Core {
             .map(|&(t, _)| t)
     }
 
-    /// Serializes the core's dynamic state — window bounds, in-window
-    /// memory operations, outstanding tokens, RNG position, fetch gap,
-    /// throttle, and lifetime counters — for checkpointing. The
-    /// profile-derived parameters (window, width, MLP, memory
-    /// probability) and the access source's configuration are structural:
-    /// the restore target must be constructed from the same profile and
-    /// seed.
-    pub fn save_state(&self, w: &mut asm_simcore::persist::StateWriter) {
-        self.source.save_state(w);
-        self.typ_rng.save_state(w);
-        w.opt_u64(self.mlp_throttle.map(u64::from));
-        w.u64(self.first_id);
-        w.u64(self.next_id);
-        w.u64(self.mem_retired);
-        w.usize(self.mem.len());
+    /// What the field list cannot see: that the restored window, memory
+    /// operations, waiting tail and tokens describe one consistent
+    /// reorder buffer that fits this core.
+    fn check_restored(&mut self) -> Result<(), PersistError> {
+        let occupancy = self.next_id.checked_sub(self.first_id);
+        ensure(
+            occupancy.is_some_and(|occ| occ <= self.window),
+            "window bounds do not fit the window",
+        )?;
+        let mut min_id = self.first_id;
         for m in &self.mem {
-            w.u64(m.id);
-            match m.state {
-                MemState::Done(c) => {
-                    w.u8(0);
-                    w.u64(c);
-                }
-                MemState::WaitIssue(op) => {
-                    w.u8(1);
-                    w.u64(op.line.raw());
-                    w.bool(op.is_write);
-                }
-                MemState::Outstanding => w.u8(2),
-            }
+            ensure(
+                m.id >= min_id && m.id < self.next_id,
+                "memory-op ids not increasing inside the window",
+            )?;
+            min_id = m.id + 1;
         }
-        w.usize(self.waiting);
-        w.usize(self.tokens.len());
-        for &(token, seq) in &self.tokens {
-            w.u64(token);
-            w.u64(seq);
+        ensure(self.waiting <= self.mem.len(), "more waiting ops than memory ops")?;
+        let issued = self.mem.len() - self.waiting;
+        ensure(
+            self.mem
+                .iter()
+                .enumerate()
+                .all(|(i, m)| matches!(m.state, MemState::WaitIssue(_)) == (i >= issued)),
+            "waiting ops are not exactly the un-issued tail",
+        )?;
+        let outstanding = |m: &&MemSlot| matches!(m.state, MemState::Outstanding);
+        ensure(
+            self.tokens.len() == self.mem.iter().filter(outstanding).count(),
+            "token count does not match outstanding ops",
+        )?;
+        for (i, &(_, seq)) in self.tokens.iter().enumerate() {
+            let slot = seq
+                .checked_sub(self.mem_retired)
+                .and_then(|idx| self.mem.get(usize::try_from(idx).ok()?));
+            ensure(slot.is_some(), "token outside the window")?;
+            ensure(slot.as_ref().is_some_and(outstanding), "token points at a non-outstanding op")?;
+            ensure(
+                self.tokens[..i].iter().all(|&(_, s)| s != seq),
+                "two tokens for one op",
+            )?;
         }
-        w.u64(self.gap_left);
-        w.u64(self.retired);
-        w.u64(self.mem_ops_issued);
-        w.u64(self.stall_episodes);
-        w.opt_u64(self.last_stall_id);
-    }
-
-    /// Restores state captured by [`save_state`](Self::save_state) into a
-    /// core built from the same profile, seed, window, and width.
-    ///
-    /// # Errors
-    ///
-    /// [`asm_simcore::persist::PersistError::Corrupt`] when the stored
-    /// state is internally inconsistent or does not fit this core.
-    pub fn restore_state(
-        &mut self,
-        r: &mut asm_simcore::persist::StateReader<'_>,
-    ) -> Result<(), asm_simcore::persist::PersistError> {
-        use asm_simcore::persist::PersistError;
-        let corrupt = |what: &str| PersistError::Corrupt(format!("core state: {what}"));
-        self.source.restore_state(r)?;
-        self.typ_rng.restore_state(r)?;
-        let throttle = r.opt_u64()?;
-        self.mlp_throttle = match throttle {
-            Some(t) => Some(u32::try_from(t).map_err(|_| corrupt("throttle out of range"))?),
-            None => None,
-        };
-        let first_id = r.u64()?;
-        let next_id = r.u64()?;
-        if next_id
-            .checked_sub(first_id)
-            .is_none_or(|occ| occ > self.window)
-        {
-            return Err(corrupt("window bounds do not fit the window"));
-        }
-        let mem_retired = r.u64()?;
-        let mem_len = r.checked_len(9)?;
-        let mut mem = VecDeque::with_capacity(mem_len);
-        let mut min_id = first_id;
-        let mut outstanding = 0;
-        for _ in 0..mem_len {
-            let id = r.u64()?;
-            if id < min_id || id >= next_id {
-                return Err(corrupt("memory-op ids not increasing inside the window"));
-            }
-            min_id = id + 1;
-            let state = match r.u8()? {
-                0 => MemState::Done(r.u64()?),
-                1 => {
-                    let line = LineAddr::new(r.u64()?);
-                    let is_write = r.bool()?;
-                    MemState::WaitIssue(MemOp { line, is_write })
-                }
-                2 => {
-                    outstanding += 1;
-                    MemState::Outstanding
-                }
-                b => return Err(corrupt(&format!("slot tag {b}"))),
-            };
-            mem.push_back(MemSlot { id, state });
-        }
-        let waiting = r.usize()?;
-        if waiting > mem_len {
-            return Err(corrupt("more waiting ops than memory ops"));
-        }
-        let issued = mem_len - waiting;
-        if mem
-            .iter()
-            .enumerate()
-            .any(|(i, m)| matches!(m.state, MemState::WaitIssue(_)) != (i >= issued))
-        {
-            return Err(corrupt("waiting ops are not exactly the un-issued tail"));
-        }
-        let token_len = r.checked_len(16)?;
-        if token_len != outstanding {
-            return Err(corrupt("token count does not match outstanding ops"));
-        }
-        let mut tokens: Vec<(u64, u64)> = Vec::with_capacity(token_len);
-        for _ in 0..token_len {
-            let (token, seq) = (r.u64()?, r.u64()?);
-            let idx = seq
-                .checked_sub(mem_retired)
-                .filter(|&i| i < mem_len as u64)
-                .ok_or_else(|| corrupt("token outside the window"))?;
-            if !matches!(mem[idx as usize].state, MemState::Outstanding) {
-                return Err(corrupt("token points at a non-outstanding op"));
-            }
-            if tokens.iter().any(|&(_, s)| s == seq) {
-                return Err(corrupt("two tokens for one op"));
-            }
-            tokens.push((token, seq));
-        }
-        self.first_id = first_id;
-        self.next_id = next_id;
-        self.mem = mem;
-        self.mem_retired = mem_retired;
-        self.waiting = waiting;
-        self.tokens = tokens;
         // Nothing is fresh: the next tick is on a later cycle than the
         // one that fetched the window's youngest instructions.
-        self.fresh_from = next_id;
+        self.fresh_from = self.next_id;
         self.fresh_cycle = 0;
-        self.gap_left = r.u64()?;
-        self.retired = r.u64()?;
-        self.mem_ops_issued = r.u64()?;
-        self.stall_episodes = r.u64()?;
-        self.last_stall_id = r.opt_u64()?;
         Ok(())
     }
 }
+
+impl Persist for MemState {
+    fn save(&self, w: &mut StateWriter) {
+        match *self {
+            MemState::Done(c) => {
+                w.u8(0);
+                w.u64(c);
+            }
+            MemState::WaitIssue(op) => {
+                w.u8(1);
+                w.u64(op.line.raw());
+                w.bool(op.is_write);
+            }
+            MemState::Outstanding => w.u8(2),
+        }
+    }
+    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), PersistError> {
+        *self = match r.u8()? {
+            0 => MemState::Done(r.u64()?),
+            1 => MemState::WaitIssue(MemOp {
+                line: LineAddr::new(r.u64()?),
+                is_write: r.bool()?,
+            }),
+            2 => MemState::Outstanding,
+            b => return Err(PersistError::Corrupt(format!("slot tag {b}"))),
+        };
+        Ok(())
+    }
+}
+
+asm_simcore::persist_fields!(MemSlot { id, state });
+
+// The core's dynamic state: window bounds, in-window memory operations,
+// outstanding tokens, RNG position, fetch gap, throttle and lifetime
+// counters. The profile-derived parameters (window, width, MLP, memory
+// probability) and the access source's configuration are structural: the
+// restore target is built from the same profile and seed.
+asm_simcore::persist_fields!(Core {
+    source,
+    typ_rng,
+    mlp_throttle,
+    first_id,
+    next_id,
+    mem_retired,
+    mem,
+    waiting,
+    tokens,
+    gap_left,
+    retired,
+    mem_ops_issued,
+    stall_episodes,
+    last_stall_id,
+} => Core::check_restored);
 
 #[cfg(test)]
 mod tests {
@@ -944,21 +902,20 @@ mod tests {
     }
 
     /// Checkpoints `core` and restores the bytes into a fresh twin.
-    fn restored(core: &Core) -> Result<Core, asm_simcore::persist::PersistError> {
-        use asm_simcore::persist::{StateReader, StateWriter};
+    fn restored(core: &Core) -> Result<Core, PersistError> {
         let mut w = StateWriter::new("core-test", 1);
-        core.save_state(&mut w);
+        core.save(&mut w);
         let bytes = w.finish();
         let mut twin = busy_core();
         let mut r = StateReader::new(&bytes, "core-test", 1)?;
-        twin.restore_state(&mut r)?;
+        twin.restore(&mut r)?;
         r.finish()?;
         Ok(twin)
     }
 
     fn assert_rejected(core: &Core, why: &str) {
         match restored(core) {
-            Err(asm_simcore::persist::PersistError::Corrupt(msg)) => {
+            Err(PersistError::Corrupt(msg)) => {
                 assert!(msg.contains(why), "rejected for {msg:?}, expected {why:?}");
             }
             other => panic!("expected Corrupt({why}), got {:?}", other.map(|_| ())),
@@ -1048,13 +1005,12 @@ mod tests {
 
     #[test]
     fn restore_rejects_an_unknown_slot_tag() {
-        use asm_simcore::persist::{StateReader, StateWriter};
         let core = busy_core();
         // The payload's prefix by hand, with an unknown slot tag.
         let mut bad = StateWriter::new("core-test", 1);
-        core.source.save_state(&mut bad);
-        core.typ_rng.save_state(&mut bad);
-        bad.opt_u64(None); // throttle
+        core.source.save(&mut bad);
+        core.typ_rng.save(&mut bad);
+        bad.bool(false); // throttle: none
         bad.u64(0); // first_id
         bad.u64(1); // next_id
         bad.u64(0); // mem_retired
@@ -1064,8 +1020,8 @@ mod tests {
         let bytes = bad.finish();
         let mut twin = busy_core();
         let mut r = StateReader::new(&bytes, "core-test", 1).expect("valid envelope");
-        let err = twin.restore_state(&mut r).expect_err("tag 9 is no slot state");
-        assert!(err.to_string().contains("slot tag 9"), "{err}");
+        let err = twin.restore(&mut r).expect_err("tag 9 is no slot state");
+        assert_eq!(err.to_string(), "corrupt: Core.mem: MemSlot.state: slot tag 9");
     }
 
     #[test]
@@ -1191,8 +1147,8 @@ mod proptests {
     }
 
     fn state_bytes(core: &Core) -> Vec<u8> {
-        let mut w = asm_simcore::persist::StateWriter::new("core-test", 1);
-        core.save_state(&mut w);
+        let mut w = StateWriter::new("core-test", 1);
+        core.save(&mut w);
         w.finish()
     }
 

@@ -96,30 +96,10 @@ impl StridePrefetcher {
         self.last_stride = 0;
         self.confidence = 0;
     }
-
-    /// Serializes the stride-detection state for checkpointing; degree
-    /// and distance are structural.
-    pub fn save_state(&self, w: &mut asm_simcore::persist::StateWriter) {
-        w.opt_u64(self.last_line);
-        w.i64(self.last_stride);
-        w.u32(self.confidence);
-    }
-
-    /// Restores state captured by [`save_state`](Self::save_state).
-    ///
-    /// # Errors
-    ///
-    /// Propagates reader errors.
-    pub fn restore_state(
-        &mut self,
-        r: &mut asm_simcore::persist::StateReader<'_>,
-    ) -> Result<(), asm_simcore::persist::PersistError> {
-        self.last_line = r.opt_u64()?;
-        self.last_stride = r.i64()?;
-        self.confidence = r.u32()?;
-        Ok(())
-    }
 }
+
+// The stride-detection state; degree and distance are structural.
+asm_simcore::persist_fields!(StridePrefetcher { last_line, last_stride, confidence });
 
 #[cfg(test)]
 mod tests {

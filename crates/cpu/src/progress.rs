@@ -177,34 +177,17 @@ impl ProgressLog {
         let cycles = self.cycles_between(from, to);
         (cycles > 0.0).then(|| (to - from) as f64 / cycles)
     }
+}
 
-    /// Serializes the milestone interval and timestamps for checkpointing.
-    pub fn save_state(&self, w: &mut asm_simcore::persist::StateWriter) {
-        w.u64(self.interval);
-        w.u64_slice(&self.cycles);
-    }
-
-    /// Reads a log previously written by [`save_state`](Self::save_state).
-    ///
-    /// # Errors
-    ///
-    /// [`asm_simcore::persist::PersistError::Corrupt`] when the stored
-    /// interval is zero or the milestones are not monotonic.
-    pub fn restore_from(
-        r: &mut asm_simcore::persist::StateReader<'_>,
-    ) -> Result<Self, asm_simcore::persist::PersistError> {
-        use asm_simcore::persist::PersistError;
-        let interval = r.u64()?;
-        let cycles = r.u64_vec()?;
-        if interval == 0 {
-            return Err(PersistError::Corrupt("zero milestone interval".to_owned()));
-        }
-        if !cycles.windows(2).all(|w| w[0] <= w[1]) {
-            return Err(PersistError::Corrupt("milestones not monotonic".to_owned()));
-        }
-        Ok(ProgressLog { interval, cycles })
+impl ProgressLog {
+    fn check_restored(&self) -> Result<(), asm_simcore::persist::PersistError> {
+        use asm_simcore::persist::ensure;
+        ensure(self.interval != 0, "zero milestone interval")?;
+        ensure(self.cycles.is_sorted(), "milestones not monotonic")
     }
 }
+
+asm_simcore::persist_fields!(ProgressLog { interval, cycles } => ProgressLog::check_restored);
 
 #[cfg(test)]
 mod tests {

@@ -26,43 +26,19 @@ use asm_simcore::LineAddr;
 
 use crate::stream::{AddressStream, MemOp};
 
-/// A supplier of memory operations for a core.
-pub trait AccessSource: fmt::Debug + Send {
+/// A supplier of memory operations for a core. Its
+/// [`Persist`](asm_simcore::persist::Persist) state is its dynamic
+/// position, not its configuration: the restore target is rebuilt from
+/// the same profile or trace first, and the op stream continues bitwise
+/// identically from the restored position.
+pub trait AccessSource: fmt::Debug + Send + asm_simcore::persist::Persist {
     /// Produces the next memory operation.
     fn next_op(&mut self) -> MemOp;
-
-    /// Serializes the source's dynamic position (not its configuration —
-    /// the restore target is rebuilt from the same profile/trace first)
-    /// for checkpointing.
-    fn save_state(&self, w: &mut asm_simcore::persist::StateWriter);
-
-    /// Restores a position captured by [`save_state`](Self::save_state);
-    /// the op stream continues bitwise identically from there.
-    ///
-    /// # Errors
-    ///
-    /// Propagates reader errors; `Corrupt` when the stored position does
-    /// not fit this source.
-    fn restore_state(
-        &mut self,
-        r: &mut asm_simcore::persist::StateReader<'_>,
-    ) -> Result<(), asm_simcore::persist::PersistError>;
 }
 
 impl AccessSource for AddressStream {
     fn next_op(&mut self) -> MemOp {
         AddressStream::next_op(self)
-    }
-
-    fn save_state(&self, w: &mut asm_simcore::persist::StateWriter) {
-        AddressStream::save_state(self, w);
-    }
-
-    fn restore_state(
-        &mut self,
-        r: &mut asm_simcore::persist::StateReader<'_>,
-    ) -> Result<(), asm_simcore::persist::PersistError> {
-        AddressStream::restore_state(self, r)
     }
 }
 
@@ -218,25 +194,11 @@ impl AccessSource for TraceSource {
         self.pos = (self.pos + 1) % self.ops.len();
         op
     }
-
-    fn save_state(&self, w: &mut asm_simcore::persist::StateWriter) {
-        w.usize(self.pos);
-    }
-
-    fn restore_state(
-        &mut self,
-        r: &mut asm_simcore::persist::StateReader<'_>,
-    ) -> Result<(), asm_simcore::persist::PersistError> {
-        let pos = r.usize()?;
-        if pos >= self.ops.len() {
-            return Err(asm_simcore::persist::PersistError::Corrupt(
-                "trace position out of range".to_owned(),
-            ));
-        }
-        self.pos = pos;
-        Ok(())
-    }
 }
+
+asm_simcore::persist_fields!(TraceSource { pos } => |t: &TraceSource| {
+    asm_simcore::persist::ensure(t.pos < t.ops.len(), "position out of range")
+});
 
 #[cfg(test)]
 mod tests {

@@ -97,40 +97,13 @@ impl AddressStream {
     pub fn region_base(&self) -> LineAddr {
         LineAddr::new(self.base)
     }
-
-    /// Serializes the stream's dynamic position (RNG, cursor, remaining
-    /// burst) for checkpointing; the profile-derived parameters are
-    /// structural.
-    pub fn save_state(&self, w: &mut asm_simcore::persist::StateWriter) {
-        self.rng.save_state(w);
-        w.u64(self.cursor);
-        w.u64(u64::from(self.remaining_run));
-    }
-
-    /// Restores a position captured by [`save_state`](Self::save_state)
-    /// into a stream built from the same profile and seed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates reader errors; `Corrupt` when the cursor is outside the
-    /// working set.
-    pub fn restore_state(
-        &mut self,
-        r: &mut asm_simcore::persist::StateReader<'_>,
-    ) -> Result<(), asm_simcore::persist::PersistError> {
-        use asm_simcore::persist::PersistError;
-        self.rng.restore_state(r)?;
-        let cursor = r.u64()?;
-        if cursor >= self.working_set {
-            return Err(PersistError::Corrupt("stream cursor out of range".to_owned()));
-        }
-        self.cursor = cursor;
-        let run = r.u64()?;
-        self.remaining_run = u32::try_from(run)
-            .map_err(|_| PersistError::Corrupt("burst length out of range".to_owned()))?;
-        Ok(())
-    }
 }
+
+// The stream's dynamic position; the profile-derived parameters are
+// structural.
+asm_simcore::persist_fields!(AddressStream { rng, cursor, remaining_run } => |s: &AddressStream| {
+    asm_simcore::persist::ensure(s.cursor < s.working_set, "cursor out of range")
+});
 
 #[cfg(test)]
 mod tests {

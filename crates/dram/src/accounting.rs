@@ -50,39 +50,7 @@ pub struct InterferenceSnapshot {
     cause_own: [Cycle; 3],
 }
 
-impl InterferenceSnapshot {
-    /// Serializes the snapshot's counters for checkpointing.
-    pub fn save_state(&self, w: &mut asm_simcore::persist::StateWriter) {
-        w.u64(self.total);
-        w.u64(self.own);
-        for k in 0..3 {
-            w.u64(self.cause_total[k]);
-            w.u64(self.cause_own[k]);
-        }
-    }
-
-    /// Reads a snapshot previously written by
-    /// [`save_state`](Self::save_state).
-    ///
-    /// # Errors
-    ///
-    /// Propagates reader errors.
-    pub fn restore_from(
-        r: &mut asm_simcore::persist::StateReader<'_>,
-    ) -> Result<Self, asm_simcore::persist::PersistError> {
-        let mut snap = InterferenceSnapshot {
-            total: r.u64()?,
-            own: r.u64()?,
-            cause_total: [0; 3],
-            cause_own: [0; 3],
-        };
-        for k in 0..3 {
-            snap.cause_total[k] = r.u64()?;
-            snap.cause_own[k] = r.u64()?;
-        }
-        Ok(snap)
-    }
-}
+asm_simcore::persist_fields!(InterferenceSnapshot { total, own, cause_total, cause_own });
 
 /// Lazy per-channel accounting state.
 #[derive(Debug, Clone)]
@@ -434,102 +402,53 @@ impl ChannelAccounting {
         &self.materialized
     }
 
-    /// Serializes the accounting counters for checkpointing. `app_count`
-    /// is structural; the lazily-sized per-bank charge vectors keep
-    /// whatever length they have grown to.
-    pub fn save_state(&self, w: &mut asm_simcore::persist::StateWriter) {
-        w.u64(self.last_event);
-        w.u64_slice(&self.bank_charge);
-        w.u64_slice(&self.bank_charge_by_app);
-        w.u64_slice(&self.outstanding_reads);
-        w.u64_slice(&self.waiting_reads);
-        w.f64_slice(&self.queueing_cycles);
-        // asm-lint: allow(R5): AppId slot indices widen losslessly to u64
-        w.opt_u64(self.priority_app.map(|a| a.index() as u64));
-        // asm-lint: allow(R5): AppId slot indices widen losslessly to u64
-        w.opt_u64(self.last_issued_app.map(|a| a.index() as u64));
-        w.bool(self.attrib);
-        w.u64_slice(&self.cause_total);
-        w.u64_slice(&self.cause_own);
-        w.u64_slice(&self.bank_waiting);
-        w.u64_slice(&self.blame);
-        w.u64_slice(&self.materialized);
+    /// The application count this state was built for.
+    pub(crate) fn app_count(&self) -> usize {
+        self.app_count
     }
 
-    /// Restores counters captured by [`save_state`](Self::save_state) into
-    /// accounting state built for the same application count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates reader errors; `Corrupt` when any vector length or
-    /// application index disagrees with this state's structure.
-    pub fn restore_state(
-        &mut self,
-        r: &mut asm_simcore::persist::StateReader<'_>,
-    ) -> Result<(), asm_simcore::persist::PersistError> {
-        use asm_simcore::persist::PersistError;
-        let corrupt = |what: &str| PersistError::Corrupt(what.to_owned());
-        let last_event = r.u64()?;
-        let bank_charge = r.u64_vec()?;
-        let bank_charge_by_app = r.u64_vec()?;
-        if bank_charge_by_app.len() != bank_charge.len() * self.app_count {
-            return Err(corrupt("bank-charge vector shape mismatch"));
-        }
-        let outstanding_reads = r.u64_vec()?;
-        let waiting_reads = r.u64_vec()?;
-        let queueing_cycles = r.f64_vec()?;
-        if outstanding_reads.len() != self.app_count
-            || waiting_reads.len() != self.app_count
-            || queueing_cycles.len() != self.app_count
-        {
-            return Err(corrupt("per-application counter length mismatch"));
-        }
-        let app_count = self.app_count;
-        let read_app = |r: &mut asm_simcore::persist::StateReader<'_>| {
-            let idx = r.opt_u64()?;
-            idx.map(|i| {
-                usize::try_from(i)
-                    .ok()
-                    .filter(|&i| i < app_count)
-                    .map(AppId::new)
-                    .ok_or_else(|| corrupt("application index out of range"))
-            })
-            .transpose()
-        };
-        let priority_app = read_app(r)?;
-        let last_issued_app = read_app(r)?;
-        if r.bool()? != self.attrib {
-            return Err(corrupt("attribution flag mismatch"));
-        }
-        let cause_total = r.u64_vec()?;
-        let cause_own = r.u64_vec()?;
-        let bank_waiting = r.u64_vec()?;
-        let blame = r.u64_vec()?;
-        let materialized = r.u64_vec()?;
-        if cause_total.len() % 3 != 0
-            || cause_own.len() != cause_total.len() * app_count
-            || bank_waiting.len() * 3 != cause_total.len() * app_count
-            || !(blame.len() == app_count * app_count * 3 || blame.is_empty())
-            || !(materialized.len() == app_count || materialized.is_empty())
-        {
-            return Err(corrupt("attribution counter shape mismatch"));
-        }
-        self.cause_total = cause_total;
-        self.cause_own = cause_own;
-        self.bank_waiting = bank_waiting;
-        self.blame = blame;
-        self.materialized = materialized;
-        self.last_event = last_event;
-        self.bank_charge = bank_charge;
-        self.bank_charge_by_app = bank_charge_by_app;
-        self.outstanding_reads = outstanding_reads;
-        self.waiting_reads = waiting_reads;
-        self.queueing_cycles = queueing_cycles;
-        self.priority_app = priority_app;
-        self.last_issued_app = last_issued_app;
-        Ok(())
+    /// What the field list cannot see: the lazily-sized per-bank vectors
+    /// keep whatever length they have grown to, but their shapes must
+    /// agree with one another and with the application count.
+    fn check_restored(&self) -> Result<(), asm_simcore::persist::PersistError> {
+        use asm_simcore::persist::ensure;
+        let apps = self.app_count;
+        ensure(
+            self.bank_charge_by_app.len() == self.bank_charge.len() * apps,
+            "bank-charge vector shape mismatch",
+        )?;
+        let named = [self.priority_app, self.last_issued_app];
+        ensure(
+            named.iter().flatten().all(|a| a.index() < apps),
+            "application index out of range",
+        )?;
+        ensure(
+            self.cause_total.len().is_multiple_of(3)
+                && self.cause_own.len() == self.cause_total.len() * apps
+                && self.bank_waiting.len() * 3 == self.cause_total.len() * apps
+                && (self.blame.len() == apps * apps * 3 || self.blame.is_empty())
+                && (self.materialized.len() == apps || self.materialized.is_empty()),
+            "attribution counter shape mismatch",
+        )
     }
 }
+
+asm_simcore::persist_fields!(ChannelAccounting {
+    last_event,
+    bank_charge,
+    bank_charge_by_app,
+    [outstanding_reads],
+    [waiting_reads],
+    [queueing_cycles],
+    priority_app,
+    last_issued_app,
+    (= attrib),
+    cause_total,
+    cause_own,
+    bank_waiting,
+    blame,
+    materialized,
+} => ChannelAccounting::check_restored);
 
 #[cfg(test)]
 mod tests {

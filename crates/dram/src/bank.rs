@@ -209,66 +209,19 @@ impl Bank {
         self.row_opener = None;
     }
 
-    /// Serializes the bank's timing state for checkpointing.
-    pub fn save_state(&self, w: &mut asm_simcore::persist::StateWriter) {
-        w.opt_u64(self.open_row);
-        w.u64(self.ready_at);
-        w.opt_u64(self.owner.map(|a| a.index() as u64));
-        w.u8(self.busy_kind);
-        w.opt_u64(self.row_opener.map(|a| a.index() as u64));
-    }
-
-    /// Restores state captured by [`save_state`](Self::save_state).
-    ///
-    /// # Errors
-    ///
-    /// Propagates reader errors; `Corrupt` when the owner index does not
-    /// fit `app_count`.
-    pub fn restore_state(
-        &mut self,
-        r: &mut asm_simcore::persist::StateReader<'_>,
-        app_count: usize,
-    ) -> Result<(), asm_simcore::persist::PersistError> {
-        self.open_row = r.opt_u64()?;
-        self.ready_at = r.u64()?;
-        self.owner = r
-            .opt_u64()?
-            .map(|i| {
-                usize::try_from(i)
-                    .ok()
-                    .filter(|&i| i < app_count)
-                    .map(AppId::new)
-                    .ok_or_else(|| {
-                        asm_simcore::persist::PersistError::Corrupt(
-                            "bank owner index out of range".to_owned(),
-                        )
-                    })
-            })
-            .transpose()?;
-        let kind = r.u8()?;
-        if kind > 2 {
-            return Err(asm_simcore::persist::PersistError::Corrupt(
-                "bank busy-kind out of range".to_owned(),
-            ));
-        }
-        self.busy_kind = kind;
-        self.row_opener = r
-            .opt_u64()?
-            .map(|i| {
-                usize::try_from(i)
-                    .ok()
-                    .filter(|&i| i < app_count)
-                    .map(AppId::new)
-                    .ok_or_else(|| {
-                        asm_simcore::persist::PersistError::Corrupt(
-                            "bank row-opener index out of range".to_owned(),
-                        )
-                    })
-            })
-            .transpose()?;
-        Ok(())
+    /// Whether the bank names an application outside `0..app_count` — for
+    /// the restored channel to ask, since a bank does not know the count.
+    pub(crate) fn names_app_beyond(&self, app_count: usize) -> bool {
+        [self.owner, self.row_opener]
+            .iter()
+            .flatten()
+            .any(|a| a.index() >= app_count)
     }
 }
+
+asm_simcore::persist_fields!(Bank { open_row, ready_at, owner, busy_kind, row_opener } => |b: &Bank| {
+    asm_simcore::persist::ensure(b.busy_kind <= 2, "busy-kind out of range")
+});
 
 impl Default for Bank {
     fn default() -> Self {

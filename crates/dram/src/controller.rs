@@ -123,7 +123,7 @@ pub struct AppServiceStats {
     pub total_read_latency: Cycle,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct InFlight {
     finish: Cycle,
     seq: u64,
@@ -149,6 +149,9 @@ impl Ord for InFlight {
         (other.finish, other.seq).cmp(&(self.finish, self.seq))
     }
 }
+
+asm_simcore::persist_fields!(InFlight { finish, seq, completion, is_write, is_demand });
+asm_simcore::persist_fields!(AppServiceStats { reads, row_hits, total_read_latency });
 
 /// The cycle value used for "nothing to schedule until an event arrives".
 const IDLE: Cycle = Cycle::MAX;
@@ -304,209 +307,67 @@ impl Channel {
         self.accounting.advance(now, &self.banks);
     }
 
-    /// Serializes the channel's dynamic state. The in-flight heap is
-    /// written sorted by `(finish, seq)`: iteration order over a
-    /// `BinaryHeap` is arbitrary, pop order is total on that key, so the
-    /// sorted form is canonical and the rebuilt heap pops identically.
-    /// `bank_members` is saved explicitly — its list order encodes
-    /// enqueue history that `swap_remove` makes unrecoverable from the
-    /// queue alone — while `bank_row_hits` and the scratch buffers are
-    /// derived and rebuilt on restore.
-    fn save_state(&self, w: &mut asm_simcore::persist::StateWriter) {
-        w.usize(self.banks.len());
-        for b in &self.banks {
-            b.save_state(w);
-        }
-        w.usize(self.read_queue.len());
-        for q in &self.read_queue {
-            q.save_state(w);
-        }
-        w.usize(self.write_queue.len());
-        for q in &self.write_queue {
-            q.save_state(w);
-        }
-        self.policy.save_state(w);
-        w.u64(self.bus_free_at);
-        w.usize(self.activates.len());
-        for &c in &self.activates {
-            w.u64(c);
-        }
-        w.opt_u64(self.last_activate);
-        w.bool(self.draining_writes);
-        let mut flights: Vec<&InFlight> = self.in_flight.iter().collect();
-        flights.sort_by_key(|f| (f.finish, f.seq));
-        w.usize(flights.len());
-        for f in flights {
-            w.u64(f.finish);
-            w.u64(f.seq);
-            w.u64(f.completion.id);
-            w.u64(f.completion.line.raw());
-            w.u64(f.completion.app.index() as u64);
-            w.u64(f.completion.arrival);
-            w.u64(f.completion.service_start);
-            w.u64(f.completion.finish);
-            w.u64(f.completion.interference_cycles);
-            w.bool(f.completion.row_hit);
-            for k in 0..3 {
-                w.u64(f.completion.cause[k]);
-            }
-            w.u64(f.completion.induced);
-            // asm-lint: allow(R5): AppId slot indices widen losslessly to u64
-            w.opt_u64(f.completion.induced_by.map(|a| a.index() as u64));
-            w.bool(f.is_write);
-            w.bool(f.is_demand);
-        }
-        self.accounting.save_state(w);
-        w.u64(self.next_try);
-        w.u64(self.next_refresh_at);
-        for members in &self.bank_members {
-            w.usize(members.len());
-            for &i in members {
-                w.usize(i);
-            }
-        }
-        w.u64_slice(&self.row_hit_total);
-        w.u64_slice(&self.row_miss_total);
-    }
-
-    /// Restores state captured by [`save_state`](Self::save_state) into a
-    /// channel built from the same configuration. Validates every index
-    /// and length against the channel's structure before committing.
-    fn restore_state(
-        &mut self,
-        r: &mut asm_simcore::persist::StateReader<'_>,
-        app_count: usize,
-    ) -> Result<(), asm_simcore::persist::PersistError> {
-        use asm_simcore::persist::PersistError;
-        let corrupt = |what: &str| PersistError::Corrupt(what.to_owned());
-        let read_app = |i: u64| {
-            usize::try_from(i)
-                .ok()
-                .filter(|&i| i < app_count)
-                .map(AppId::new)
-                .ok_or_else(|| corrupt("application index out of range"))
-        };
+    /// What the field list cannot see: every index against the channel's
+    /// structure, and the derived row-hit counts.
+    fn check_restored(&mut self) -> Result<(), asm_simcore::persist::PersistError> {
+        use asm_simcore::persist::ensure;
         let banks = self.banks.len();
-        if r.usize()? != banks {
-            return Err(corrupt("bank count mismatch"));
+        let apps = self.accounting.app_count();
+        ensure(
+            !self.banks.iter().any(|b| b.names_app_beyond(apps)),
+            "bank owner index out of range",
+        )?;
+        for q in self.read_queue.iter().chain(&self.write_queue) {
+            ensure(q.loc.bank < banks, "queued request bank out of range")?;
+            ensure(q.req.app.index() < apps, "queued request app out of range")?;
         }
-        for b in &mut self.banks {
-            b.restore_state(r, app_count)?;
+        ensure(self.activates.len() <= 4, "too many recorded activations")?;
+        for f in &self.in_flight {
+            let named = [Some(f.completion.app), f.completion.induced_by];
+            ensure(
+                named.iter().flatten().all(|a| a.index() < apps),
+                "application index out of range",
+            )?;
+            ensure(f.completion.finish == f.finish, "in-flight completion finish mismatch")?;
         }
-        let check_entry = |q: &QueuedRequest| {
-            if q.loc.bank >= banks {
-                return Err(corrupt("queued request bank out of range"));
-            }
-            if q.req.app.index() >= app_count {
-                return Err(corrupt("queued request app out of range"));
-            }
-            Ok(())
-        };
-        let n_read = r.checked_len(8)?;
-        let mut read_queue = Vec::with_capacity(n_read);
-        for _ in 0..n_read {
-            let q = QueuedRequest::restore_from(r)?;
-            check_entry(&q)?;
-            read_queue.push(q);
-        }
-        let n_write = r.checked_len(8)?;
-        let mut write_queue = VecDeque::with_capacity(n_write);
-        for _ in 0..n_write {
-            let q = QueuedRequest::restore_from(r)?;
-            check_entry(&q)?;
-            write_queue.push_back(q);
-        }
-        self.policy.restore_state(r)?;
-        let bus_free_at = r.u64()?;
-        let n_act = r.checked_len(8)?;
-        if n_act > 4 {
-            return Err(corrupt("too many recorded activations"));
-        }
-        let mut activates = VecDeque::with_capacity(4);
-        for _ in 0..n_act {
-            activates.push_back(r.u64()?);
-        }
-        let last_activate = r.opt_u64()?;
-        let draining_writes = r.bool()?;
-        let n_flight = r.checked_len(8)?;
-        let mut in_flight = BinaryHeap::with_capacity(n_flight);
-        for _ in 0..n_flight {
-            let finish = r.u64()?;
-            let seq = r.u64()?;
-            let mut completion = Completion {
-                id: r.u64()?,
-                line: asm_simcore::LineAddr::new(r.u64()?),
-                app: read_app(r.u64()?)?,
-                arrival: r.u64()?,
-                service_start: r.u64()?,
-                finish: r.u64()?,
-                interference_cycles: r.u64()?,
-                row_hit: r.bool()?,
-                cause: [0; 3],
-                induced: 0,
-                induced_by: None,
-            };
-            for k in 0..3 {
-                completion.cause[k] = r.u64()?;
-            }
-            completion.induced = r.u64()?;
-            completion.induced_by = r.opt_u64()?.map(|i| read_app(i)).transpose()?;
-            if completion.finish != finish {
-                return Err(corrupt("in-flight completion finish mismatch"));
-            }
-            let is_write = r.bool()?;
-            let is_demand = r.bool()?;
-            in_flight.push(InFlight {
-                finish,
-                seq,
-                completion,
-                is_write,
-                is_demand,
-            });
-        }
-        self.accounting.restore_state(r)?;
-        let next_try = r.u64()?;
-        let next_refresh_at = r.u64()?;
-        let mut bank_members = vec![Vec::new(); banks];
-        let mut seen = vec![false; read_queue.len()];
-        for (b, members) in bank_members.iter_mut().enumerate() {
-            let n = r.checked_len(8)?;
-            members.reserve(n);
-            for _ in 0..n {
-                let i = r.usize()?;
-                if i >= read_queue.len() || seen[i] || read_queue[i].loc.bank != b {
-                    return Err(corrupt("bank member lists are not a partition"));
-                }
+        let mut seen = vec![false; self.read_queue.len()];
+        for (b, members) in self.bank_members.iter().enumerate() {
+            for &i in members {
+                ensure(
+                    i < seen.len() && !seen[i] && self.read_queue[i].loc.bank == b,
+                    "bank member lists are not a partition",
+                )?;
                 seen[i] = true;
-                members.push(i);
             }
         }
-        if !seen.iter().all(|&s| s) {
-            return Err(corrupt("queued read missing from bank lists"));
-        }
-        let row_hit_total = r.u64_vec()?;
-        let row_miss_total = r.u64_vec()?;
-        if row_hit_total.len() != banks || row_miss_total.len() != banks {
-            return Err(corrupt("row-outcome counter length mismatch"));
-        }
-        self.read_queue = read_queue;
-        self.write_queue = write_queue;
-        self.bus_free_at = bus_free_at;
-        self.activates = activates;
-        self.last_activate = last_activate;
-        self.draining_writes = draining_writes;
-        self.in_flight = in_flight;
-        self.next_try = next_try;
-        self.next_refresh_at = next_refresh_at;
-        self.bank_members = bank_members;
-        self.row_hit_total = row_hit_total;
-        self.row_miss_total = row_miss_total;
+        ensure(seen.iter().all(|&s| s), "queued read missing from bank lists")?;
         for b in 0..banks {
             self.recompute_row_hits(b);
         }
         Ok(())
     }
 }
+
+// `bank_members` travels explicitly — its list order encodes enqueue
+// history that `swap_remove` makes unrecoverable from the queue alone —
+// while `bank_row_hits` and the scratch buffers are derived.
+asm_simcore::persist_fields!(Channel {
+    [banks],
+    read_queue,
+    write_queue,
+    policy,
+    bus_free_at,
+    activates,
+    last_activate,
+    draining_writes,
+    in_flight,
+    accounting,
+    next_try,
+    next_refresh_at,
+    [bank_members],
+    [row_hit_total],
+    [row_miss_total],
+} => Channel::check_restored);
 
 /// The main-memory system: one controller per channel, a pluggable
 /// scheduling policy, and the epoch-priority hook ASM relies on.
@@ -806,74 +667,6 @@ impl MemorySystem {
     #[must_use]
     pub fn app_stats(&self, app: AppId) -> AppServiceStats {
         self.app_stats.get(app.index()).copied().unwrap_or_default()
-    }
-
-    /// Serializes all dynamic controller state (queues, banks, in-flight
-    /// commands, policy state, accounting) for checkpointing. The
-    /// configuration, address mapping and audit log are excluded: restore
-    /// targets are built from the same configuration, and auditing is a
-    /// test-only diagnostic.
-    pub fn save_state(&self, w: &mut asm_simcore::persist::StateWriter) {
-        w.usize(self.channels.len());
-        for ch in &self.channels {
-            ch.save_state(w);
-        }
-        w.opt_u64(self.priority_app.map(|a| a.index() as u64));
-        w.usize(self.app_stats.len());
-        for s in &self.app_stats {
-            w.u64(s.reads);
-            w.u64(s.row_hits);
-            w.u64(s.total_read_latency);
-        }
-        w.u64(self.seq);
-        w.opt_u64(self.last_tick);
-        w.u64(self.mutations);
-    }
-
-    /// Restores state captured by [`save_state`](Self::save_state) into a
-    /// memory system built with the same configuration, scheduler and
-    /// application count. Subsequent [`tick`](Self::tick)s reproduce the
-    /// original run bit for bit.
-    ///
-    /// # Errors
-    ///
-    /// Propagates reader errors; `Corrupt` when the stored state does not
-    /// fit this system's structure.
-    pub fn restore_state(
-        &mut self,
-        r: &mut asm_simcore::persist::StateReader<'_>,
-    ) -> Result<(), asm_simcore::persist::PersistError> {
-        use asm_simcore::persist::PersistError;
-        let corrupt = |what: &str| PersistError::Corrupt(what.to_owned());
-        let app_count = self.app_stats.len();
-        if r.usize()? != self.channels.len() {
-            return Err(corrupt("channel count mismatch"));
-        }
-        for ch in &mut self.channels {
-            ch.restore_state(r, app_count)?;
-        }
-        self.priority_app = r
-            .opt_u64()?
-            .map(|i| {
-                usize::try_from(i)
-                    .ok()
-                    .filter(|&i| i < app_count)
-                    .map(AppId::new)
-                    .ok_or_else(|| corrupt("priority app index out of range"))
-            })
-            .transpose()?;
-        if r.usize()? != app_count {
-            return Err(corrupt("app stats length mismatch"));
-        }
-        for s in &mut self.app_stats {
-            s.reads = r.u64()?;
-            s.row_hits = r.u64()?;
-            s.total_read_latency = r.u64()?;
-        }
-        self.seq = r.u64()?;
-        self.last_tick = r.opt_u64()?;
-        self.mutations = r.u64()?;
-        Ok(())
     }
 
     /// Total reads currently outstanding (queued or in flight) for `app`.
@@ -1326,6 +1119,24 @@ impl MemorySystem {
         });
     }
 }
+
+// All dynamic controller state. The configuration, address mapping and
+// audit log stay out: the restore target is built with the same
+// configuration, scheduler and application count, and auditing is a
+// test-only diagnostic.
+asm_simcore::persist_fields!(MemorySystem {
+    [channels],
+    priority_app,
+    [app_stats],
+    seq,
+    last_tick,
+    mutations,
+} => |m: &MemorySystem| {
+    asm_simcore::persist::ensure(
+        m.priority_app.is_none_or(|a| a.index() < m.app_stats.len()),
+        "priority app index out of range",
+    )
+});
 
 #[cfg(test)]
 impl MemorySystem {
@@ -1825,7 +1636,7 @@ mod tests {
     }
 
     fn checkpoint_roundtrip(scheduler: SchedulerKind) {
-        use asm_simcore::persist::{StateReader, StateWriter};
+        use asm_simcore::persist::{Persist, StateReader, StateWriter};
         let mut config = DramConfig {
             read_queue_capacity: 32,
             write_queue_capacity: 16,
@@ -1847,11 +1658,11 @@ mod tests {
             mem.tick(now, &mut out);
         }
         let mut w = StateWriter::new("test-dram", 1);
-        mem.save_state(&mut w);
+        mem.save(&mut w);
         let bytes = w.finish();
         let mut restored = MemorySystem::with_seed(config, scheduler, 3, 0xBEEF);
         let mut r = StateReader::new(&bytes, "test-dram", 1).expect("header valid");
-        restored.restore_state(&mut r).expect("state restores");
+        restored.restore(&mut r).expect("state restores");
         r.finish().expect("no trailing bytes");
         // Both copies must now evolve identically under the same stream.
         let mut out_a = Vec::new();

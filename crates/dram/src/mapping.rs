@@ -13,7 +13,7 @@
 use asm_simcore::LineAddr;
 
 /// Where a cache line lives in the DRAM system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Loc {
     /// Channel index.
     pub channel: usize,
@@ -116,6 +116,8 @@ impl Default for AddressMapping {
         AddressMapping::new(1, 8, 128)
     }
 }
+
+asm_simcore::persist_fields!(Loc { channel, bank, row, col });
 
 #[cfg(test)]
 mod tests {

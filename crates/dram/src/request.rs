@@ -4,7 +4,7 @@ use asm_simcore::{AppId, Cycle, LineAddr};
 
 /// A request to main memory (a last-level-cache miss, a prefetch, or a
 /// writeback).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemRequest {
     /// Caller-assigned identifier, echoed in the [`Completion`].
     pub id: u64,
@@ -72,7 +72,7 @@ impl MemRequest {
 
 /// A finished read request. (Writebacks complete silently; nothing waits on
 /// them.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Completion {
     /// The id passed in the request.
     pub id: u64,
@@ -117,6 +117,21 @@ impl Completion {
         self.finish - self.service_start
     }
 }
+
+asm_simcore::persist_fields!(MemRequest { id, line, app, is_write, is_prefetch, arrival });
+asm_simcore::persist_fields!(Completion {
+    id,
+    line,
+    app,
+    arrival,
+    service_start,
+    finish,
+    interference_cycles,
+    row_hit,
+    cause,
+    induced,
+    induced_by,
+});
 
 #[cfg(test)]
 mod tests {

@@ -111,27 +111,9 @@ impl SchedulerPolicy for Atlas {
             *a += self.config.service_per_request as f64;
         }
     }
-
-    fn save_state(&self, w: &mut asm_simcore::persist::StateWriter) {
-        w.f64_slice(&self.attained);
-        w.u64(self.next_quantum_at);
-    }
-
-    fn restore_state(
-        &mut self,
-        r: &mut asm_simcore::persist::StateReader<'_>,
-    ) -> Result<(), asm_simcore::persist::PersistError> {
-        let attained = r.f64_vec()?;
-        if attained.len() != self.attained.len() {
-            return Err(asm_simcore::persist::PersistError::Corrupt(
-                "attained-service length mismatch".to_owned(),
-            ));
-        }
-        self.attained = attained;
-        self.next_quantum_at = r.u64()?;
-        Ok(())
-    }
 }
+
+asm_simcore::persist_fields!(Atlas { [attained], next_quantum_at });
 
 #[cfg(test)]
 mod tests {

@@ -112,48 +112,19 @@ impl SchedulerPolicy for Bliss {
             self.streak = 1;
         }
     }
-
-    fn save_state(&self, w: &mut asm_simcore::persist::StateWriter) {
-        w.usize(self.blacklisted.len());
-        for &b in &self.blacklisted {
-            w.bool(b);
-        }
-        w.opt_u64(self.last_served.map(|a| a.index() as u64));
-        w.u32(self.streak);
-        w.u64(self.next_clear_at);
-    }
-
-    fn restore_state(
-        &mut self,
-        r: &mut asm_simcore::persist::StateReader<'_>,
-    ) -> Result<(), asm_simcore::persist::PersistError> {
-        use asm_simcore::persist::PersistError;
-        let corrupt = |what: &str| PersistError::Corrupt(what.to_owned());
-        let n = r.usize()?;
-        if n != self.blacklisted.len() {
-            return Err(corrupt("blacklist length mismatch"));
-        }
-        let mut blacklisted = Vec::with_capacity(n);
-        for _ in 0..n {
-            blacklisted.push(r.bool()?);
-        }
-        let last_served = r
-            .opt_u64()?
-            .map(|i| {
-                usize::try_from(i)
-                    .ok()
-                    .filter(|&i| i < n)
-                    .map(AppId::new)
-                    .ok_or_else(|| corrupt("last-served index out of range"))
-            })
-            .transpose()?;
-        self.blacklisted = blacklisted;
-        self.last_served = last_served;
-        self.streak = r.u32()?;
-        self.next_clear_at = r.u64()?;
-        Ok(())
-    }
 }
+
+asm_simcore::persist_fields!(Bliss {
+    [blacklisted],
+    last_served,
+    streak,
+    next_clear_at,
+} => |b: &Bliss| {
+    asm_simcore::persist::ensure(
+        b.last_served.is_none_or(|a| a.index() < b.blacklisted.len()),
+        "last-served index out of range",
+    )
+});
 
 #[cfg(test)]
 mod tests {

@@ -50,18 +50,10 @@ impl SchedulerPolicy for FrFcfs {
             .min_by_key(|(_, c)| (!c.row_hit, queue[c.queue_idx].req.arrival))
             .map(|(i, _)| i)
     }
-
-    fn save_state(&self, _w: &mut asm_simcore::persist::StateWriter) {
-        // Stateless: every decision derives from the queue contents.
-    }
-
-    fn restore_state(
-        &mut self,
-        _r: &mut asm_simcore::persist::StateReader<'_>,
-    ) -> Result<(), asm_simcore::persist::PersistError> {
-        Ok(())
-    }
 }
+
+// Stateless: every decision derives from the queue contents.
+asm_simcore::persist_fields!(FrFcfs {});
 
 #[cfg(test)]
 mod tests {

@@ -35,7 +35,7 @@ use crate::mapping::Loc;
 use crate::request::MemRequest;
 
 /// A request waiting in a channel's read queue.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct QueuedRequest {
     /// The underlying request.
     pub req: MemRequest,
@@ -50,68 +50,7 @@ pub struct QueuedRequest {
     pub interference_snap: InterferenceSnapshot,
 }
 
-impl QueuedRequest {
-    /// Serializes the queued request (request, location, batch flag,
-    /// interference snapshot) for checkpointing.
-    pub fn save_state(&self, w: &mut asm_simcore::persist::StateWriter) {
-        w.u64(self.req.id);
-        w.u64(self.req.line.raw());
-        w.u64(self.req.app.index() as u64);
-        w.bool(self.req.is_write);
-        w.bool(self.req.is_prefetch);
-        w.u64(self.req.arrival);
-        w.usize(self.loc.channel);
-        w.usize(self.loc.bank);
-        w.u64(self.loc.row);
-        w.u64(self.loc.col);
-        w.bool(self.marked);
-        self.interference_snap.save_state(w);
-    }
-
-    /// Reads a queued request previously written by
-    /// [`save_state`](Self::save_state). The caller validates location and
-    /// application bounds against the restore target's structure.
-    ///
-    /// # Errors
-    ///
-    /// Propagates reader errors.
-    pub fn restore_from(
-        r: &mut asm_simcore::persist::StateReader<'_>,
-    ) -> Result<Self, asm_simcore::persist::PersistError> {
-        use asm_simcore::LineAddr;
-        let id = r.u64()?;
-        let line = LineAddr::new(r.u64()?);
-        let app_idx = usize::try_from(r.u64()?).map_err(|_| {
-            asm_simcore::persist::PersistError::Corrupt(
-                "application index out of range".to_owned(),
-            )
-        })?;
-        let is_write = r.bool()?;
-        let is_prefetch = r.bool()?;
-        let arrival = r.u64()?;
-        let loc = Loc {
-            channel: r.usize()?,
-            bank: r.usize()?,
-            row: r.u64()?,
-            col: r.u64()?,
-        };
-        let marked = r.bool()?;
-        let interference_snap = InterferenceSnapshot::restore_from(r)?;
-        Ok(QueuedRequest {
-            req: MemRequest {
-                id,
-                line,
-                app: AppId::new(app_idx),
-                is_write,
-                is_prefetch,
-                arrival,
-            },
-            loc,
-            marked,
-            interference_snap,
-        })
-    }
-}
+asm_simcore::persist_fields!(QueuedRequest { req, loc, marked, interference_snap });
 
 /// A schedulable request this cycle: its queue position plus precomputed
 /// row-buffer information.
@@ -130,7 +69,12 @@ pub struct Candidate {
 /// before each scheduling attempt and
 /// [`on_completion`](SchedulerPolicy::on_completion) when a read finishes,
 /// giving policies the bookkeeping hooks they need.
-pub trait SchedulerPolicy: std::fmt::Debug + Send {
+///
+/// A policy's [`Persist`](asm_simcore::persist::Persist) state is its
+/// dynamic state only (batch marks live on the queue entries and travel
+/// with them); it restores into a policy built with the same
+/// configuration and application count.
+pub trait SchedulerPolicy: std::fmt::Debug + Send + asm_simcore::persist::Persist {
     /// A short human-readable policy name ("FRFCFS", "PARBS", "TCM").
     fn name(&self) -> &'static str;
 
@@ -152,23 +96,11 @@ pub trait SchedulerPolicy: std::fmt::Debug + Send {
     fn on_completion(&mut self, app: AppId) {
         let _ = app;
     }
+}
 
-    /// Serializes the policy's dynamic state (batch marks live on the
-    /// queue entries and are saved with them) for checkpointing.
-    fn save_state(&self, w: &mut asm_simcore::persist::StateWriter);
-
-    /// Restores state captured by
-    /// [`save_state`](SchedulerPolicy::save_state) into a policy built
-    /// with the same configuration and application count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates reader errors; `Corrupt` when the stored state does not
-    /// fit this policy's structure.
-    fn restore_state(
-        &mut self,
-        r: &mut asm_simcore::persist::StateReader<'_>,
-    ) -> Result<(), asm_simcore::persist::PersistError>;
+/// A restored per-application rank table may only hold ranks `0..apps`.
+fn check_ranks(rank: &[usize]) -> Result<(), asm_simcore::persist::PersistError> {
+    asm_simcore::persist::ensure(rank.iter().all(|&v| v < rank.len()), "rank value out of range")
 }
 
 /// Which scheduling policy a [`crate::MemorySystem`] uses.

@@ -124,36 +124,9 @@ impl SchedulerPolicy for Parbs {
             })
             .map(|(i, _)| i)
     }
-
-    fn save_state(&self, w: &mut asm_simcore::persist::StateWriter) {
-        w.usize(self.rank.len());
-        for &r in &self.rank {
-            w.usize(r);
-        }
-    }
-
-    fn restore_state(
-        &mut self,
-        r: &mut asm_simcore::persist::StateReader<'_>,
-    ) -> Result<(), asm_simcore::persist::PersistError> {
-        use asm_simcore::persist::PersistError;
-        let corrupt = |what: &str| PersistError::Corrupt(what.to_owned());
-        let n = r.usize()?;
-        if n != self.rank.len() {
-            return Err(corrupt("rank length mismatch"));
-        }
-        let mut rank = Vec::with_capacity(n);
-        for _ in 0..n {
-            let v = r.usize()?;
-            if v >= n {
-                return Err(corrupt("rank value out of range"));
-            }
-            rank.push(v);
-        }
-        self.rank = rank;
-        Ok(())
-    }
 }
+
+asm_simcore::persist_fields!(Parbs { [rank] } => |p: &Parbs| super::check_ranks(&p.rank));
 
 #[cfg(test)]
 mod tests {

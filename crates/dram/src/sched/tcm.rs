@@ -163,62 +163,16 @@ impl SchedulerPolicy for Tcm {
             *s += 1;
         }
     }
-
-    fn save_state(&self, w: &mut asm_simcore::persist::StateWriter) {
-        self.rng.save_state(w);
-        w.u64_slice(&self.window_served);
-        w.usize(self.latency_sensitive.len());
-        for &b in &self.latency_sensitive {
-            w.bool(b);
-        }
-        w.usize(self.rank.len());
-        for &r in &self.rank {
-            w.usize(r);
-        }
-        w.u64(self.next_cluster_at);
-        w.u64(self.next_shuffle_at);
-    }
-
-    fn restore_state(
-        &mut self,
-        r: &mut asm_simcore::persist::StateReader<'_>,
-    ) -> Result<(), asm_simcore::persist::PersistError> {
-        use asm_simcore::persist::PersistError;
-        let corrupt = |what: &str| PersistError::Corrupt(what.to_owned());
-        let apps = self.rank.len();
-        self.rng.restore_state(r)?;
-        let window_served = r.u64_vec()?;
-        if window_served.len() != apps {
-            return Err(corrupt("window-served length mismatch"));
-        }
-        let n = r.usize()?;
-        if n != apps {
-            return Err(corrupt("cluster flag length mismatch"));
-        }
-        let mut latency_sensitive = Vec::with_capacity(n);
-        for _ in 0..n {
-            latency_sensitive.push(r.bool()?);
-        }
-        let n = r.usize()?;
-        if n != apps {
-            return Err(corrupt("rank length mismatch"));
-        }
-        let mut rank = Vec::with_capacity(n);
-        for _ in 0..n {
-            let v = r.usize()?;
-            if v >= apps {
-                return Err(corrupt("rank value out of range"));
-            }
-            rank.push(v);
-        }
-        self.window_served = window_served;
-        self.latency_sensitive = latency_sensitive;
-        self.rank = rank;
-        self.next_cluster_at = r.u64()?;
-        self.next_shuffle_at = r.u64()?;
-        Ok(())
-    }
 }
+
+asm_simcore::persist_fields!(Tcm {
+    rng,
+    [window_served],
+    [latency_sensitive],
+    [rank],
+    next_cluster_at,
+    next_shuffle_at,
+} => |p: &Tcm| super::check_ranks(&p.rank));
 
 #[cfg(test)]
 mod tests {

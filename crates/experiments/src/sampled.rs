@@ -50,18 +50,20 @@ use asm_cpu::ProgressLog;
 use asm_sampling::{estimate_slowdowns, fingerprint, measure_interval, Estimate, IntervalPlan};
 use asm_sampling::SampleSpec;
 use asm_simcore::hash::DetHasher;
-use asm_simcore::persist::{self, PersistError, StateReader, StateWriter};
+use asm_simcore::persist::{self, Persist, PersistError, StateReader, StateWriter};
 
 use crate::plan::PlannedRun;
 use crate::scale::Scale;
 use crate::{collect, pool};
 
 const MANIFEST_FORMAT: &str = "asm-sampled-manifest";
-const MANIFEST_VERSION: u32 = 1;
+/// v2: written from [`SampledResult`]'s `persist_fields!` list (names,
+/// then estimates, where v1 interleaved them).
+const MANIFEST_VERSION: u32 = 2;
 
 /// One run's sampled outcome: per-app whole-run slowdown estimates.
 /// Exact (fully-simulated) runs carry `ci = 0`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SampledResult {
     /// Benchmark names, in slot order.
     pub app_names: Vec<String>,
@@ -116,15 +118,17 @@ fn manifest_path(dir: &std::path::Path, key: u64) -> std::path::PathBuf {
     dir.join("sampled").join(format!("{key:016x}.bin"))
 }
 
+asm_simcore::persist_fields!(SampledResult { app_names, slowdowns } => |s: &SampledResult| {
+    persist::ensure(
+        s.slowdowns.len() == s.app_names.len(),
+        "estimate count does not match app count",
+    )
+});
+
 fn save_manifest(result: &SampledResult, key: u64) -> Vec<u8> {
     let mut w = StateWriter::new(MANIFEST_FORMAT, MANIFEST_VERSION);
     w.u64(key);
-    w.usize(result.app_names.len());
-    for (name, est) in result.app_names.iter().zip(&result.slowdowns) {
-        w.str(name);
-        w.f64(est.value);
-        w.f64(est.ci);
-    }
+    result.save(&mut w);
     w.finish()
 }
 
@@ -136,20 +140,10 @@ fn load_manifest(bytes: &[u8], key: u64) -> Result<SampledResult, PersistError> 
             "manifest key {found:016x}, expected {key:016x}"
         )));
     }
-    let n = r.checked_len(1)?;
-    let mut app_names = Vec::with_capacity(n);
-    let mut slowdowns = Vec::with_capacity(n);
-    for _ in 0..n {
-        app_names.push(r.str()?.to_owned());
-        let value = r.f64()?;
-        let ci = r.f64()?;
-        slowdowns.push(Estimate { value, ci });
-    }
+    let mut result = SampledResult::default();
+    result.restore(&mut r)?;
     r.finish()?;
-    Ok(SampledResult {
-        app_names,
-        slowdowns,
-    })
+    Ok(result)
 }
 
 /// A targeted-QoS member forks from the starved fingerprint when its

@@ -552,7 +552,8 @@ const FRAMING_METHODS: &[&str] = &[
 ];
 
 /// R12: state serialization in simulation crates goes through
-/// `asm_simcore::persist`'s `StateWriter`/`StateReader` (binary) or
+/// `asm_simcore::persist` — a `persist_fields!` list or a `Persist` impl
+/// over `StateWriter`/`StateReader` (binary), or
 /// `text_header`/`check_text_header` (text). Hand-rolled
 /// `to_le_bytes`/`from_le_bytes` framing skips the magic/version/
 /// checksum envelope that makes every on-disk artefact warn-and-rebuild
@@ -577,8 +578,8 @@ fn rule_r12_persist_framing(model: &FileModel, sink: &mut Sink) {
                 format!(
                     "`{name}` outside `simcore/src/persist.rs` — ad-hoc byte \
                      framing skips the versioned, checksummed envelope; \
-                     serialize state through `asm_simcore::persist`'s \
-                     StateWriter/StateReader instead"
+                     serialize state through `asm_simcore::persist` \
+                     (`persist_fields!` / `Persist`) instead"
                 ),
             );
         }

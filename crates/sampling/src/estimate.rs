@@ -10,13 +10,15 @@
 pub const Z95: f64 = 1.959_963_985_987;
 
 /// A metric value with a 95% confidence half-width.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Estimate {
     /// The point estimate.
     pub value: f64,
     /// Half-width of the 95% confidence interval (0 for exact values).
     pub ci: f64,
 }
+
+asm_simcore::persist_fields!(Estimate { value, ci });
 
 impl Estimate {
     /// An exact value (zero-width interval).

@@ -14,7 +14,7 @@ use std::fmt;
 /// assert_eq!(id.index(), 3);
 /// assert_eq!(format!("{id}"), "app3");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct AppId(u16);
 
 impl AppId {

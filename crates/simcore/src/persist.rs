@@ -22,29 +22,84 @@
 //!   *string* (sim crates cannot print — lint rule R7 — so surfacing
 //!   the warning is the harness's job, see [`load_or_rebuild`]).
 //!
+//! # Component state: [`Persist`] and [`persist_fields!`](crate::persist_fields)
+//!
+//! Everything that rides in a snapshot or manifest implements
+//! [`Persist`]: `save` appends the value to a [`StateWriter`], `restore`
+//! overwrites a target **in place** — the target is first built from the
+//! same configuration that built the saved value, so geometry, policies
+//! and registrations already exist and only dynamic state travels.
+//! Primitives, `Option`, arrays, tuples, `Box`, slices and the std
+//! containers have impls here; a component declares its own with one
+//! field list, each field named once:
+//!
+//! * `field` — restored through the field type's own impl (a `Vec` is
+//!   *dynamic*: cleared and refilled to the stored length);
+//! * `[field]` — *structural*: the container's shape is fixed by the
+//!   configuration, so the stored length (or `Option` presence) must equal
+//!   the target's and the elements restore in place;
+//! * `(= field)` — *must-equal*: written, and on restore compared with
+//!   the target's own value (application counts, enabled flags, names).
+//!   `(= method())` does the same with a value the component derives.
+//!
+//! A failing field is named in the error (`Bank.open_rows: stored length
+//! 8, target 16`). An optional `=> check` function runs after the fields
+//! for what one field cannot see: cross-field consistency, index ranges,
+//! rebuilding derived state.
+//!
+//! **Any edit to a field list is a format change**: bump the version of
+//! every artefact the type travels in.
+//!
 //! # Examples
 //!
 //! ```
-//! use asm_simcore::persist::{StateReader, StateWriter};
+//! use asm_simcore::persist::{Persist, PersistError, StateReader, StateWriter};
+//! use asm_simcore::persist_fields;
 //!
+//! struct Bank {
+//!     banks: usize,
+//!     open_rows: Vec<Option<u64>>,
+//!     queue: Vec<u64>,
+//! }
+//!
+//! impl Bank {
+//!     fn check_restored(&self) -> Result<(), PersistError> {
+//!         if self.queue.len() > 4 * self.banks {
+//!             return Err(PersistError::Corrupt("queue over capacity".to_owned()));
+//!         }
+//!         Ok(())
+//!     }
+//! }
+//!
+//! persist_fields!(Bank { (= banks), [open_rows], queue } => Bank::check_restored);
+//!
+//! let saved = Bank { banks: 2, open_rows: vec![Some(7), None], queue: vec![1, 2, 3] };
 //! let mut w = StateWriter::new("example-state", 1);
-//! w.u64(42);
-//! w.f64(2.5);
-//! w.str("hello");
+//! saved.save(&mut w);
 //! let bytes = w.finish();
 //!
+//! // The target is built from the same configuration, then overwritten.
+//! let mut target = Bank { banks: 2, open_rows: vec![None; 2], queue: Vec::new() };
 //! let mut r = StateReader::new(&bytes, "example-state", 1).unwrap();
-//! assert_eq!(r.u64().unwrap(), 42);
-//! assert_eq!(r.f64().unwrap(), 2.5);
-//! assert_eq!(r.str().unwrap(), "hello");
+//! target.restore(&mut r).unwrap();
 //! r.finish().unwrap();
+//! assert_eq!(target.open_rows, saved.open_rows);
+//! assert_eq!(target.queue, saved.queue);
+//!
+//! // A target of another shape is refused, and the error names the field.
+//! let mut wide = Bank { banks: 2, open_rows: vec![None; 4], queue: Vec::new() };
+//! let mut r = StateReader::new(&bytes, "example-state", 1).unwrap();
+//! let err = wide.restore(&mut r).unwrap_err();
+//! assert_eq!(err.to_string(), "corrupt: Bank.open_rows: stored length 2, target 4");
 //! ```
 
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
-use std::hash::Hasher;
+use std::hash::{Hash, Hasher};
 use std::path::Path;
 
 use crate::hash::DetHasher;
+use crate::{AppId, DetHashMap, LineAddr};
 
 /// Magic prefix identifying every binary artefact written by this module.
 pub const MAGIC: &[u8; 8] = b"ASMPRST\0";
@@ -96,6 +151,18 @@ impl fmt::Display for PersistError {
 }
 
 impl std::error::Error for PersistError {}
+
+impl PersistError {
+    /// Prefixes a [`Corrupt`](Self::Corrupt) reason with where it was
+    /// found (`Type.field`); other errors pass through unchanged.
+    #[must_use]
+    pub fn at(self, place: &str) -> Self {
+        match self {
+            PersistError::Corrupt(why) => PersistError::Corrupt(format!("{place}: {why}")),
+            other => other,
+        }
+    }
+}
 
 /// Little-endian binary state writer with a versioned header and a
 /// trailing payload checksum. See the module docs for an example.
@@ -178,17 +245,6 @@ impl StateWriter {
         self.usize(v.len());
         for &x in v {
             self.f64(x);
-        }
-    }
-
-    /// Writes an `Option<u64>` as a presence byte plus the value.
-    pub fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            Some(x) => {
-                self.bool(true);
-                self.u64(x);
-            }
-            None => self.bool(false),
         }
     }
 
@@ -400,15 +456,6 @@ impl<'a> StateReader<'a> {
         (0..n).map(|_| self.f64()).collect()
     }
 
-    /// Reads an `Option<u64>` written by [`StateWriter::opt_u64`].
-    ///
-    /// # Errors
-    ///
-    /// [`PersistError::Truncated`] / [`PersistError::Corrupt`].
-    pub fn opt_u64(&mut self) -> Result<Option<u64>, PersistError> {
-        Ok(if self.bool()? { Some(self.u64()?) } else { None })
-    }
-
     /// Reads a sequence length, rejecting lengths that could not possibly
     /// fit in the remaining payload (each element needs at least
     /// `min_elem_bytes`). Use before element loops so a corrupt length
@@ -430,12 +477,6 @@ impl<'a> StateReader<'a> {
         Ok(n)
     }
 
-    /// Returns the number of unread payload bytes.
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        self.data.len() - self.pos
-    }
-
     /// Declares the read complete; trailing payload bytes are an error.
     ///
     /// # Errors
@@ -450,6 +491,380 @@ impl<'a> StateReader<'a> {
         }
         Ok(())
     }
+}
+
+/// `Ok` when `holds`, otherwise [`PersistError::Corrupt`] with `why` — the
+/// shape of nearly every post-restore check.
+///
+/// # Errors
+///
+/// `Corrupt(why)` when `holds` is false.
+pub fn ensure(holds: bool, why: &str) -> Result<(), PersistError> {
+    if holds {
+        Ok(())
+    } else {
+        Err(PersistError::Corrupt(why.to_owned()))
+    }
+}
+
+/// State that travels in a persist envelope. See the module docs for the
+/// field-list macro that implements it for components.
+///
+/// `restore` overwrites `self` in place, and the target must have been
+/// built from the same configuration as the value that was saved. **On
+/// `Err` the target may be half-written**: the caller drops it (as
+/// `Runner::restore` does, before every harness falls back to a cold
+/// run) — no impl buys all-or-nothing with a second copy of its state.
+pub trait Persist {
+    /// Appends this value to `w`.
+    fn save(&self, w: &mut StateWriter);
+
+    /// Overwrites this value with the next one in `r`.
+    ///
+    /// # Errors
+    ///
+    /// Reader errors, and [`PersistError::Corrupt`] when the stored value
+    /// does not fit this target.
+    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), PersistError>;
+
+    /// Appends every value of `run`, unframed. One by one by default; the
+    /// primitives override both run methods so that the loop over a cache
+    /// arena compiles next to the writer it fills (and is one copy for
+    /// bytes) instead of calling across crates once per element.
+    fn save_run(run: &[Self], w: &mut StateWriter)
+    where
+        Self: Sized,
+    {
+        run.iter().for_each(|v| v.save(w));
+    }
+
+    /// Overwrites every value of `run` in place.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`restore`](Self::restore).
+    fn restore_run(run: &mut [Self], r: &mut StateReader<'_>) -> Result<(), PersistError>
+    where
+        Self: Sized,
+    {
+        run.iter_mut().try_for_each(|v| v.restore(r))
+    }
+}
+
+impl Persist for u8 {
+    #[inline]
+    fn save(&self, w: &mut StateWriter) {
+        w.u8(*self);
+    }
+    #[inline]
+    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), PersistError> {
+        *self = r.u8()?;
+        Ok(())
+    }
+    fn save_run(run: &[u8], w: &mut StateWriter) {
+        w.buf.extend_from_slice(run);
+    }
+    fn restore_run(run: &mut [u8], r: &mut StateReader<'_>) -> Result<(), PersistError> {
+        run.copy_from_slice(r.take(run.len())?);
+        Ok(())
+    }
+}
+
+macro_rules! persist_primitives {
+    ($($ty:ident),*) => {$(
+        impl Persist for $ty {
+            #[inline]
+            fn save(&self, w: &mut StateWriter) {
+                w.$ty(*self);
+            }
+            #[inline]
+            fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), PersistError> {
+                *self = r.$ty()?;
+                Ok(())
+            }
+            fn save_run(run: &[$ty], w: &mut StateWriter) {
+                run.iter().for_each(|&v| w.$ty(v));
+            }
+            fn restore_run(run: &mut [$ty], r: &mut StateReader<'_>) -> Result<(), PersistError> {
+                run.iter_mut().try_for_each(|v| v.restore(r))
+            }
+        }
+    )*};
+}
+persist_primitives!(bool, u32, u64, i64, usize, f64);
+
+impl Persist for AppId {
+    fn save(&self, w: &mut StateWriter) {
+        w.usize(self.index());
+    }
+    /// Any 16-bit index restores; whether it names one of the target's
+    /// applications is for the owner's post-restore check to say.
+    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), PersistError> {
+        let index = r.usize()?;
+        if index > usize::from(u16::MAX) {
+            return Err(PersistError::Corrupt(format!("application index {index}")));
+        }
+        *self = AppId::new(index);
+        Ok(())
+    }
+}
+
+impl Persist for LineAddr {
+    fn save(&self, w: &mut StateWriter) {
+        w.u64(self.raw());
+    }
+    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), PersistError> {
+        *self = LineAddr::new(r.u64()?);
+        Ok(())
+    }
+}
+
+impl Persist for String {
+    fn save(&self, w: &mut StateWriter) {
+        w.str(self);
+    }
+    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), PersistError> {
+        self.clear();
+        self.push_str(r.str()?);
+        Ok(())
+    }
+}
+
+impl<T: Persist + Default> Persist for Option<T> {
+    fn save(&self, w: &mut StateWriter) {
+        w.bool(self.is_some());
+        if let Some(v) = self {
+            v.save(w);
+        }
+    }
+    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), PersistError> {
+        if r.bool()? {
+            self.get_or_insert_with(T::default).restore(r)
+        } else {
+            *self = None;
+            Ok(())
+        }
+    }
+}
+
+impl<T: Persist, const N: usize> Persist for [T; N] {
+    fn save(&self, w: &mut StateWriter) {
+        T::save_run(self, w);
+    }
+    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), PersistError> {
+        T::restore_run(self, r)
+    }
+}
+
+macro_rules! persist_tuples {
+    ($(($($name:ident $idx:tt),+))*) => {$(
+        impl<$($name: Persist),+> Persist for ($($name,)+) {
+            fn save(&self, w: &mut StateWriter) {
+                $(self.$idx.save(w);)+
+            }
+            fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), PersistError> {
+                $(self.$idx.restore(r)?;)+
+                Ok(())
+            }
+        }
+    )*};
+}
+persist_tuples!((A 0, B 1) (A 0, B 1, C 2));
+
+impl<T: Persist + ?Sized> Persist for Box<T> {
+    fn save(&self, w: &mut StateWriter) {
+        (**self).save(w);
+    }
+    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), PersistError> {
+        (**self).restore(r)
+    }
+}
+
+/// Structural: a slice cannot grow, so the stored length must equal the
+/// target's, and the elements restore in place.
+impl<T: Persist> Persist for [T] {
+    fn save(&self, w: &mut StateWriter) {
+        w.usize(self.len());
+        T::save_run(self, w);
+    }
+    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), PersistError> {
+        let stored = r.usize()?;
+        if stored != self.len() {
+            return Err(PersistError::Corrupt(format!(
+                "stored length {stored}, target {}",
+                self.len()
+            )));
+        }
+        T::restore_run(self, r)
+    }
+}
+
+fn save_seq<'a, T: Persist + 'a>(
+    w: &mut StateWriter,
+    len: usize,
+    items: impl IntoIterator<Item = &'a T>,
+) {
+    w.usize(len);
+    items.into_iter().for_each(|v| v.save(w));
+}
+
+/// Reads a dynamic container's elements: the length prefix is bounded by
+/// the remaining payload and nothing is allocated ahead of the elements
+/// actually read, so a forged length costs nothing.
+fn restore_seq<T: Persist + Default>(
+    r: &mut StateReader<'_>,
+    mut push: impl FnMut(T) -> Result<(), PersistError>,
+) -> Result<(), PersistError> {
+    for _ in 0..r.checked_len(1)? {
+        let mut v = T::default();
+        v.restore(r)?;
+        push(v)?;
+    }
+    Ok(())
+}
+
+/// Dynamic: cleared and refilled to the stored length.
+impl<T: Persist + Default> Persist for Vec<T> {
+    fn save(&self, w: &mut StateWriter) {
+        self.as_slice().save(w);
+    }
+    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), PersistError> {
+        self.clear();
+        restore_seq(r, |v| {
+            self.push(v);
+            Ok(())
+        })
+    }
+}
+
+/// Dynamic, front to back.
+impl<T: Persist + Default> Persist for VecDeque<T> {
+    fn save(&self, w: &mut StateWriter) {
+        save_seq(w, self.len(), self);
+    }
+    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), PersistError> {
+        self.clear();
+        restore_seq(r, |v| {
+            self.push_back(v);
+            Ok(())
+        })
+    }
+}
+
+/// Dynamic, written in `Ord` order: a heap's iteration order is
+/// arbitrary, its pop order is not, so the sorted form is canonical and
+/// the rebuilt heap pops identically.
+impl<T: Persist + Default + Ord> Persist for BinaryHeap<T> {
+    fn save(&self, w: &mut StateWriter) {
+        let mut items: Vec<&T> = self.iter().collect();
+        items.sort();
+        save_seq(w, items.len(), items);
+    }
+    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), PersistError> {
+        self.clear();
+        restore_seq(r, |v| {
+            self.push(v);
+            Ok(())
+        })
+    }
+}
+
+/// Dynamic, written sorted by key for the same reason; a key stored twice
+/// is corrupt.
+impl<K, V> Persist for DetHashMap<K, V>
+where
+    K: Persist + Default + Ord + Hash,
+    V: Persist + Default,
+{
+    fn save(&self, w: &mut StateWriter) {
+        let mut entries: Vec<(&K, &V)> = self.iter().collect();
+        entries.sort_by_key(|&(k, _)| k);
+        w.usize(entries.len());
+        for (k, v) in entries {
+            k.save(w);
+            v.save(w);
+        }
+    }
+    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), PersistError> {
+        self.clear();
+        restore_seq(r, |(k, v): (K, V)| match self.insert(k, v) {
+            None => Ok(()),
+            Some(_) => Err(PersistError::Corrupt("key stored twice".to_owned())),
+        })
+    }
+}
+
+/// The `(= field)` kind of [`persist_fields!`](crate::persist_fields):
+/// reads a value of `target`'s type and requires it to equal `target`.
+///
+/// # Errors
+///
+/// Reader errors; [`PersistError::Corrupt`] naming both values when they
+/// differ.
+pub fn restore_equal<T: Persist + Clone + PartialEq + fmt::Debug>(
+    target: &T,
+    r: &mut StateReader<'_>,
+) -> Result<(), PersistError> {
+    let mut stored = target.clone();
+    stored.restore(r)?;
+    if stored == *target {
+        return Ok(());
+    }
+    // Long values (a registry's whole name list) are cut, not dumped.
+    let brief = |v: &T| format!("{v:?}").chars().take(80).collect::<String>();
+    Err(PersistError::Corrupt(format!(
+        "stored {}, target {}",
+        brief(&stored),
+        brief(target)
+    )))
+}
+
+/// Implements [`Persist`] for a struct from one list of its persisted
+/// fields, in wire order. See the module docs for the three field kinds
+/// and an example. `=> check` is a function or closure taking `&mut Self`
+/// (or `&Self`) and returning `Result<(), PersistError>`, run after the
+/// fields are restored; [`ensure`](crate::persist::ensure) writes most.
+#[macro_export]
+macro_rules! persist_fields {
+    ($ty:ident { $($field:tt),* $(,)? } $(=> $check:expr)?) => {
+        impl $crate::persist::Persist for $ty {
+            fn save(&self, w: &mut $crate::persist::StateWriter) {
+                $($crate::persist_fields!(@save self w $field);)*
+                let _ = w;
+            }
+            fn restore(
+                &mut self,
+                r: &mut $crate::persist::StateReader<'_>,
+            ) -> Result<(), $crate::persist::PersistError> {
+                $($crate::persist_fields!(@restore self r $field)
+                    .map_err(|e| e.at(concat!(stringify!($ty), ".", $crate::persist_fields!(@name $field))))?;)*
+                $($check(self).map_err(|e| e.at(stringify!($ty)))?;)?
+                let _ = r;
+                Ok(())
+            }
+        }
+    };
+    (@name [$f:ident]) => { stringify!($f) };
+    (@name (= $f:ident $($call:tt)?)) => { stringify!($f) };
+    (@name $f:ident) => { stringify!($f) };
+    (@save $s:ident $w:ident [$f:ident]) => {
+        $crate::persist::Persist::save($s.$f.as_slice(), $w)
+    };
+    (@save $s:ident $w:ident (= $f:ident $($call:tt)?)) => {
+        $crate::persist::Persist::save(&$s.$f $($call)?, $w)
+    };
+    (@save $s:ident $w:ident $f:ident) => {
+        $crate::persist::Persist::save(&$s.$f, $w)
+    };
+    (@restore $s:ident $r:ident [$f:ident]) => {
+        $crate::persist::Persist::restore($s.$f.as_mut_slice(), $r)
+    };
+    (@restore $s:ident $r:ident (= $f:ident $($call:tt)?)) => {
+        $crate::persist::restore_equal(&$s.$f $($call)?, $r)
+    };
+    (@restore $s:ident $r:ident $f:ident) => {
+        $crate::persist::Persist::restore(&mut $s.$f, $r)
+    };
 }
 
 /// Renders the versioned first line of a text artefact:
@@ -582,8 +997,6 @@ mod tests {
         w.str("text");
         w.u64_slice(&[1, 2, 3]);
         w.f64_slice(&[0.5, 1.5]);
-        w.opt_u64(Some(9));
-        w.opt_u64(None);
         let bytes = w.finish();
 
         let mut r = StateReader::new(&bytes, "t", 3).unwrap();
@@ -600,8 +1013,6 @@ mod tests {
         assert_eq!(r.str().unwrap(), "text");
         assert_eq!(r.u64_vec().unwrap(), vec![1, 2, 3]);
         assert_eq!(r.f64_vec().unwrap(), vec![0.5, 1.5]);
-        assert_eq!(r.opt_u64().unwrap(), Some(9));
-        assert_eq!(r.opt_u64().unwrap(), None);
         r.finish().unwrap();
     }
 

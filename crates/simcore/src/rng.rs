@@ -129,32 +129,11 @@ impl SimRng {
             slice.swap(i, j);
         }
     }
-
-    /// Serializes the generator's exact position in its stream (the four
-    /// xoshiro256++ state words) for checkpointing.
-    pub fn save_state(&self, w: &mut crate::persist::StateWriter) {
-        for &word in &self.s {
-            w.u64(word);
-        }
-    }
-
-    /// Restores a position previously captured by
-    /// [`save_state`](Self::save_state); the stream continues bitwise
-    /// identically from there.
-    ///
-    /// # Errors
-    ///
-    /// Propagates reader errors (truncated payload).
-    pub fn restore_state(
-        &mut self,
-        r: &mut crate::persist::StateReader<'_>,
-    ) -> Result<(), crate::persist::PersistError> {
-        for word in &mut self.s {
-            *word = r.u64()?;
-        }
-        Ok(())
-    }
 }
+
+// The generator's exact position in its stream: the four xoshiro256++
+// state words. A restored generator continues bitwise identically.
+crate::persist_fields!(SimRng { s });
 
 #[cfg(test)]
 mod tests {

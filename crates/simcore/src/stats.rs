@@ -160,7 +160,7 @@ impl RunningStats {
 /// assert_eq!(h.overflow(), 1);
 /// assert_eq!(h.total(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Histogram {
     bucket_width: f64,
     counts: Vec<u64>,
@@ -356,44 +356,17 @@ impl Histogram {
 }
 
 impl Histogram {
-    /// Serializes geometry and counts for checkpointing (bitwise round
-    /// trip via [`restore_from`](Self::restore_from)).
-    pub fn save_state(&self, w: &mut crate::persist::StateWriter) {
-        w.f64(self.bucket_width);
-        w.u64_slice(&self.counts);
-        w.u64(self.overflow);
-        w.u64(self.total);
-    }
-
-    /// Reads a histogram previously written by
-    /// [`save_state`](Self::save_state).
-    ///
-    /// # Errors
-    ///
-    /// [`crate::persist::PersistError::Corrupt`] when the stored geometry
-    /// is invalid or the totals are inconsistent.
-    pub fn restore_from(
-        r: &mut crate::persist::StateReader<'_>,
-    ) -> Result<Self, crate::persist::PersistError> {
-        use crate::persist::PersistError;
-        let bucket_width = r.f64()?;
-        let counts = r.u64_vec()?;
-        let overflow = r.u64()?;
-        let total = r.u64()?;
-        if !(bucket_width > 0.0) || counts.is_empty() {
-            return Err(PersistError::Corrupt("bad histogram geometry".to_owned()));
-        }
-        if counts.iter().sum::<u64>() + overflow != total {
-            return Err(PersistError::Corrupt("histogram total mismatch".to_owned()));
-        }
-        Ok(Histogram {
-            bucket_width,
-            counts,
-            overflow,
-            total,
-        })
+    fn check_restored(&self) -> Result<(), crate::persist::PersistError> {
+        use crate::persist::ensure;
+        ensure(self.bucket_width > 0.0 && !self.counts.is_empty(), "bad geometry")?;
+        let in_buckets = self.counts.iter().try_fold(self.overflow, |a, &c| a.checked_add(c));
+        ensure(in_buckets == Some(self.total), "total mismatch")
     }
 }
+
+// Geometry travels with the counts: a manifest reloads a histogram with
+// no configuration at hand. `Default` is the blank such a load fills in.
+crate::persist_fields!(Histogram { bucket_width, counts, overflow, total } => Histogram::check_restored);
 
 impl fmt::Display for Histogram {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

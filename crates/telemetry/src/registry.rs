@@ -112,47 +112,6 @@ impl Registry {
         }
     }
 
-    /// Serializes the counter values for checkpointing. Names are written
-    /// too, as a structural cross-check: the restore target re-registers
-    /// the same counters during construction, so [`restore_state`]
-    /// (Self::restore_state) validates rather than rebuilds them.
-    pub fn save_state(&self, w: &mut asm_simcore::persist::StateWriter) {
-        w.bool(self.enabled);
-        w.usize(self.names.len());
-        for (name, &value) in self.names.iter().zip(&self.values) {
-            w.str(name);
-            w.u64(value);
-        }
-    }
-
-    /// Restores counter values captured by [`save_state`]
-    /// (Self::save_state) into a registry with the same registrations.
-    ///
-    /// # Errors
-    ///
-    /// Propagates reader errors; `Corrupt` when the enabled flag or the
-    /// registered names disagree.
-    pub fn restore_state(
-        &mut self,
-        r: &mut asm_simcore::persist::StateReader<'_>,
-    ) -> Result<(), asm_simcore::persist::PersistError> {
-        use asm_simcore::persist::PersistError;
-        let corrupt = |what: &str| PersistError::Corrupt(what.to_owned());
-        if r.bool()? != self.enabled {
-            return Err(corrupt("registry enabled flag mismatch"));
-        }
-        if r.usize()? != self.names.len() {
-            return Err(corrupt("registered counter count mismatch"));
-        }
-        for (name, value) in self.names.iter().zip(&mut self.values) {
-            if r.str()? != name {
-                return Err(corrupt("registered counter name mismatch"));
-            }
-            *value = r.u64()?;
-        }
-        Ok(())
-    }
-
     /// All `(name, value)` pairs, sorted by name. Empty when disabled.
     #[must_use]
     pub fn snapshot(&self) -> Vec<(String, u64)> {
@@ -169,6 +128,10 @@ impl Registry {
         out
     }
 }
+
+// The names travel as a cross-check: the restore target re-registered
+// the same counters during construction, so they are compared, not rebuilt.
+asm_simcore::persist_fields!(Registry { (= enabled), (= names), [values] });
 
 #[cfg(test)]
 mod tests {

@@ -168,63 +168,26 @@ impl SeriesSet {
             .map(|s| s.name.as_str())
             .collect()
     }
+}
 
-    /// Serializes every series' ring contents for checkpointing. As with
-    /// [`crate::Registry`], names are written as a structural cross-check
-    /// against the restore target's own registrations.
-    pub fn save_state(&self, w: &mut asm_simcore::persist::StateWriter) {
-        w.bool(self.enabled);
-        w.usize(self.series.len());
+impl SeriesSet {
+    fn check_restored(&self) -> Result<(), asm_simcore::persist::PersistError> {
+        use asm_simcore::persist::ensure;
         for s in &self.series {
-            w.str(&s.name);
-            w.u64_slice(&s.cycles);
-            w.f64_slice(&s.values);
-            w.usize(s.start);
-            w.u64(s.dropped);
-        }
-    }
-
-    /// Restores ring contents captured by [`save_state`]
-    /// (Self::save_state) into a set with the same registrations.
-    ///
-    /// # Errors
-    ///
-    /// Propagates reader errors; `Corrupt` when the enabled flag, the
-    /// registered names, or any ring shape disagrees.
-    pub fn restore_state(
-        &mut self,
-        r: &mut asm_simcore::persist::StateReader<'_>,
-    ) -> Result<(), asm_simcore::persist::PersistError> {
-        use asm_simcore::persist::PersistError;
-        let corrupt = |what: &str| PersistError::Corrupt(what.to_owned());
-        if r.bool()? != self.enabled {
-            return Err(corrupt("series enabled flag mismatch"));
-        }
-        if r.usize()? != self.series.len() {
-            return Err(corrupt("registered series count mismatch"));
-        }
-        for s in &mut self.series {
-            if r.str()? != s.name {
-                return Err(corrupt("registered series name mismatch"));
-            }
-            let cycles = r.u64_vec()?;
-            let values = r.f64_vec()?;
-            let start = r.usize()?;
-            let dropped = r.u64()?;
-            if cycles.len() != values.len() || cycles.len() > self.capacity {
-                return Err(corrupt("series ring shape mismatch"));
-            }
-            if start != 0 && start >= cycles.len() {
-                return Err(corrupt("series ring start out of range"));
-            }
-            s.cycles = cycles;
-            s.values = values;
-            s.start = start;
-            s.dropped = dropped;
+            ensure(
+                s.cycles.len() == s.values.len() && s.cycles.len() <= self.capacity,
+                "ring shape mismatch",
+            )?;
+            ensure(s.start == 0 || s.start < s.cycles.len(), "ring start out of range")?;
         }
         Ok(())
     }
 }
+
+// As with `Registry`, names travel as a cross-check against the restore
+// target's own registrations.
+asm_simcore::persist_fields!(Series { (= name), cycles, values, start, dropped });
+asm_simcore::persist_fields!(SeriesSet { (= enabled), [series] } => SeriesSet::check_restored);
 
 #[cfg(test)]
 mod tests {
@@ -269,20 +232,21 @@ mod tests {
 
     #[test]
     fn wrap_state_survives_save_restore() {
+        use asm_simcore::persist::Persist as _;
         let mut s = SeriesSet::enabled(2);
         let id = s.register("x");
         for k in 0..4u64 {
             s.push(id, k, k as f64);
         }
         let mut w = asm_simcore::persist::StateWriter::new("series-test", 1);
-        s.save_state(&mut w);
+        s.save(&mut w);
         let bytes = w.finish();
 
         let mut t = SeriesSet::enabled(2);
         let tid = t.register("x");
         let mut r = asm_simcore::persist::StateReader::new(&bytes, "series-test", 1)
             .expect("fresh artefact parses");
-        t.restore_state(&mut r).expect("same registrations restore");
+        t.restore(&mut r).expect("same registrations restore");
         assert_eq!(t.dropped(tid), 2);
         assert_eq!(t.wrapped_names(), vec!["x"]);
         assert_eq!(t.samples(tid), s.samples(id));

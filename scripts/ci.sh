@@ -2,8 +2,13 @@
 # The tier-1 verification chain, in one place instead of three shell
 # histories:
 #
-#   1. cargo build --release --all-targets   (every crate, bench, example)
-#   2. cargo test -q                         (unit + integration + doc)
+#   1. cargo build --release --all-targets   (every crate, bench, example:
+#                                             `default-members` is the
+#                                             whole workspace)
+#   2. cargo test -q                         (unit + integration + doc, of
+#                                             every package — all the
+#                                             equivalence proptests and CLI
+#                                             differentials included)
 #   3. cargo run -p asm-lint --release       (workspace determinism lint;
 #                                             exit 1 on any violation)
 #   4. asm-experiments xval --tiny           (analytic-tier smoke: both
@@ -17,7 +22,8 @@
 #                                             a cold run; then replay the
 #                                             finished campaign from its
 #                                             manifests and compare again)
-#   6. cycle-attribution leg                 (conservation proptest; the
+#   6. cycle-attribution leg                 (the conservation proptest
+#                                             runs in step 2; here: the
 #                                             ledger is observation-only —
 #                                             attribution artefacts on vs
 #                                             off leaves every experiment's
@@ -128,12 +134,7 @@ cmp "$SMOKE/cold.txt" "$SMOKE/replayed.txt" || {
     exit 1
 }
 
-echo "ci: [6/7] cycle-attribution leg (conservation, on-vs-off, --jobs differential)" >&2
-# The conservation invariant, by name: randomized SystemConfigs where
-# every quantum's ledger rows and blame rows must sum — in integers —
-# to the quantum cycle count. Also part of step 2's suite; named here so
-# a conservation break is called out as such, not as "a test failed".
-cargo test -q -p asm-core --test attrib_conservation_prop > /dev/null
+echo "ci: [6/7] cycle-attribution leg (on-vs-off, --jobs differential)" >&2
 # The ledger is observation-only: collecting attribution artefacts must
 # not change a single stdout byte, on any experiment.
 "$EXP" all --tiny > "$SMOKE/all_off.txt" 2>/dev/null
