@@ -24,6 +24,7 @@
 use asm_cache::SetAssocCache;
 use asm_cpu::{AddressStream, AppProfile};
 use asm_simcore::hash::DetHasher;
+use asm_simcore::persist::{ensure, PersistError};
 use asm_simcore::AppId;
 
 /// Version tag folded into every profile key: bump when the extraction
@@ -73,8 +74,8 @@ impl ProfileParams {
 }
 
 /// The quarter-octave gap-bucket boundaries: 1, 2, 3, 4, … then ×19/16
-/// per step. Identical for every profile (the disk format stores only
-/// boundary values, which are validated against this grid on load).
+/// per step. Identical for every profile (the disk format stores one
+/// count per boundary, validated against this grid on load).
 #[must_use]
 pub fn bucket_bounds() -> Vec<u64> {
     let mut bounds = Vec::with_capacity(192);
@@ -88,7 +89,8 @@ pub fn bucket_bounds() -> Vec<u64> {
 
 /// A workload's reuse-gap summary: everything the analytic tier needs to
 /// know about one application, extracted in one deterministic pass.
-#[derive(Debug, Clone, PartialEq)]
+/// `Default` is the blank a cache load fills in.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ReuseProfile {
     /// Workload name (the [`AppProfile`] name).
     name: String,
@@ -185,68 +187,28 @@ impl ReuseProfile {
         p
     }
 
-    /// Rebuilds a profile from raw (deserialised) integer parts.
-    ///
-    /// # Errors
-    ///
-    /// Rejects count vectors that do not match the canonical bucket grid
-    /// or counters that are internally inconsistent.
-    pub fn from_parts(parts: ProfileParts) -> Result<Self, String> {
-        let bounds = bucket_bounds();
-        if parts.counts.len() != bounds.len() {
-            return Err(format!(
-                "profile `{}`: {} buckets, expected {}",
-                parts.name,
-                parts.counts.len(),
-                bounds.len()
-            ));
-        }
-        let binned: u64 = parts.counts.iter().sum();
-        if binned + parts.cold != parts.llc
-            || parts.writes > parts.llc
-            || parts.seq > parts.llc
-            || parts.llc > parts.ops
-        {
-            return Err(format!("profile `{}`: inconsistent counters", parts.name));
-        }
-        let mut p = ReuseProfile {
-            name: parts.name,
-            key: parts.key,
-            ops: parts.ops,
-            llc: parts.llc,
-            writes: parts.writes,
-            seq: parts.seq,
-            cold: parts.cold,
-            lines_touched: parts.lines_touched,
-            mem_per_kilo: parts.mem_per_kilo,
-            mlp: parts.mlp,
-            working_set_lines: parts.working_set_lines,
-            bounds,
-            counts: parts.counts,
-            tail: Vec::new(),
-            fpt: Vec::new(),
-        };
-        p.finish();
-        Ok(p)
-    }
-
-    /// Decomposes the profile into its serialisable integer parts.
-    #[must_use]
-    pub fn to_parts(&self) -> ProfileParts {
-        ProfileParts {
-            name: self.name.clone(),
-            key: self.key,
-            ops: self.ops,
-            llc: self.llc,
-            writes: self.writes,
-            seq: self.seq,
-            cold: self.cold,
-            lines_touched: self.lines_touched,
-            mem_per_kilo: self.mem_per_kilo,
-            mlp: self.mlp,
-            working_set_lines: self.working_set_lines,
-            counts: self.counts.clone(),
-        }
+    /// What a loaded profile must satisfy before its curves are derived:
+    /// one count per bound of the canonical grid, and counters that are
+    /// consistent with each other.
+    fn check_restored(&mut self) -> Result<(), PersistError> {
+        self.bounds = bucket_bounds();
+        ensure(
+            self.counts.len() == self.bounds.len(),
+            "bucket counts off the canonical grid",
+        )?;
+        let accesses = self
+            .counts
+            .iter()
+            .try_fold(self.cold, |sum, &c| sum.checked_add(c));
+        ensure(
+            accesses == Some(self.llc)
+                && self.writes <= self.llc
+                && self.seq <= self.llc
+                && self.llc <= self.ops,
+            "inconsistent counters",
+        )?;
+        self.finish();
+        Ok(())
     }
 
     /// Recomputes the derived tail/footprint curves from the integer
@@ -395,36 +357,13 @@ impl ReuseProfile {
     }
 }
 
-/// The serialisable integer parts of a [`ReuseProfile`]. Floating-point
-/// curves are never part of this: they are recomputed from the integers on
-/// load, so a round-tripped profile is bitwise identical to a fresh one.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProfileParts {
-    /// Workload name.
-    pub name: String,
-    /// Staleness fingerprint.
-    pub key: u64,
-    /// Memory operations sampled.
-    pub ops: u64,
-    /// Post-L1 accesses.
-    pub llc: u64,
-    /// Writes among post-L1 accesses.
-    pub writes: u64,
-    /// Sequential post-L1 accesses.
-    pub seq: u64,
-    /// First-touch post-L1 accesses.
-    pub cold: u64,
-    /// Distinct lines touched.
-    pub lines_touched: u64,
-    /// Memory ops per kilo-instruction (source model).
-    pub mem_per_kilo: u32,
-    /// Maximum MLP (source model).
-    pub mlp: u32,
-    /// Working-set lines (source model).
-    pub working_set_lines: u64,
-    /// Per-bucket gap counts on the canonical grid.
-    pub counts: Vec<u64>,
-}
+// The integer counters only. The floating-point curves are never stored:
+// they are recomputed from the integers on load, so a round-tripped profile
+// is bitwise identical to a fresh one.
+asm_simcore::persist_fields!(ReuseProfile {
+    name, key, ops, llc, writes, seq, cold, lines_touched, mem_per_kilo, mlp, working_set_lines,
+    counts,
+} => ReuseProfile::check_restored);
 
 /// Deterministic fingerprint of (source profile, profiling parameters,
 /// extraction algorithm): any change to any of the three invalidates
@@ -536,24 +475,38 @@ mod tests {
         assert!(r.cold_frac() > 0.15, "cold {}", r.cold_frac());
     }
 
+    fn restored(p: &ReuseProfile) -> Result<ReuseProfile, PersistError> {
+        use asm_simcore::persist::{Persist as _, StateReader, StateWriter};
+        let mut w = StateWriter::new("profile-test", 1);
+        p.save(&mut w);
+        let bytes = w.finish();
+        let mut r = StateReader::new(&bytes, "profile-test", 1)?;
+        let mut back = ReuseProfile::default();
+        back.restore(&mut r)?;
+        r.finish()?;
+        Ok(back)
+    }
+
     #[test]
     fn round_trip_through_parts_is_identical() {
         let p = toy(1 << 14, 256, 0.5, 8, 50);
         let r = ReuseProfile::extract(&p, &ProfileParams::default());
-        let back = ReuseProfile::from_parts(r.to_parts()).expect("round trip");
-        assert_eq!(r, back);
+        assert_eq!(restored(&r).expect("round trip"), r);
     }
 
     #[test]
     fn inconsistent_parts_rejected() {
         let p = toy(1 << 12, 64, 0.5, 4, 50);
         let r = ReuseProfile::extract(&p, &ProfileParams::default());
-        let mut parts = r.to_parts();
-        parts.cold += 1;
-        assert!(ReuseProfile::from_parts(parts).is_err());
-        let mut parts = r.to_parts();
-        parts.counts.pop();
-        assert!(ReuseProfile::from_parts(parts).is_err());
+        let mut bad = r.clone();
+        bad.cold += 1;
+        assert!(restored(&bad).is_err());
+        // A sum that wraps must not pass for a small one.
+        bad.cold = u64::MAX;
+        assert!(restored(&bad).is_err());
+        let mut bad = r.clone();
+        bad.counts.pop();
+        assert!(restored(&bad).is_err());
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Disk cache of [`ReuseProfile`]s: the `AloneCache` pattern, analytic
 //! edition.
 //!
-//! Same discipline as the cycle tier's alone-run cache (PR 3): a versioned
-//! magic header, a strict parser that rejects anything malformed, and
-//! staleness detection by fingerprint — an entry whose key does not match
-//! the current (source profile, parameters, algorithm) fingerprint is
-//! simply re-extracted, so a cache file from an older binary can never
-//! change results, only fail to speed things up.
+//! Same discipline as the cycle tier's alone-run cache: one versioned,
+//! checksummed persist envelope, a restore that rejects anything
+//! malformed, and staleness detection by fingerprint — an entry whose key
+//! does not match the current (source profile, parameters, algorithm)
+//! fingerprint is simply re-extracted, so a cache file from an older
+//! binary can never change results, only fail to speed things up.
 //!
 //! The payload is **integers only** (counters and bucket counts). The
 //! floating-point tail/footprint curves are derived and recomputed on
@@ -18,16 +18,17 @@ use std::io;
 use std::path::Path;
 
 use asm_cpu::AppProfile;
-use asm_simcore::persist::{self, PersistError};
+use asm_simcore::persist::{self, ensure, Persist as _, PersistError, StateReader, StateWriter};
 
-use crate::profile::{bucket_bounds, profile_key, ProfileParams, ProfileParts, ReuseProfile};
+use crate::profile::{profile_key, ProfileParams, ReuseProfile};
 
 /// Format name of the profile cache; bump [`PROFILE_CACHE_VERSION`] on
 /// any format change.
 pub const PROFILE_CACHE_NAME: &str = "asm-reuse-profile";
 
-/// Version of [`PROFILE_CACHE_NAME`]'s text format.
-pub const PROFILE_CACHE_VERSION: u32 = 1;
+/// Version of [`PROFILE_CACHE_NAME`]. v1 was a line-oriented text file;
+/// v2 is a persist envelope written from `ReuseProfile`'s field list.
+pub const PROFILE_CACHE_VERSION: u32 = 2;
 
 /// A set of extracted profiles, keyed by workload name.
 ///
@@ -87,114 +88,27 @@ impl ProfileStore {
             .expect("entry inserted above")
     }
 
-    /// Renders the store in the versioned text format.
+    /// The store as one persist envelope.
     #[must_use]
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&persist::text_header(
-            PROFILE_CACHE_NAME,
-            PROFILE_CACHE_VERSION,
-        ));
-        out.push('\n');
-        out.push_str(&format!("profiles {}\n", self.entries.len()));
-        for entry in self.entries.values() {
-            let p = entry.to_parts();
-            out.push_str(&format!("profile {}\n", p.name));
-            out.push_str(&format!("key {:016x}\n", p.key));
-            out.push_str(&format!("ops {}\n", p.ops));
-            out.push_str(&format!("llc {}\n", p.llc));
-            out.push_str(&format!("writes {}\n", p.writes));
-            out.push_str(&format!("seq {}\n", p.seq));
-            out.push_str(&format!("cold {}\n", p.cold));
-            out.push_str(&format!("lines {}\n", p.lines_touched));
-            out.push_str(&format!("mpk {}\n", p.mem_per_kilo));
-            out.push_str(&format!("mlp {}\n", p.mlp));
-            out.push_str(&format!("ws {}\n", p.working_set_lines));
-            let nonzero = p.counts.iter().filter(|&&c| c > 0).count();
-            out.push_str(&format!("buckets {nonzero}\n"));
-            let bounds = bucket_bounds();
-            for (k, &c) in p.counts.iter().enumerate() {
-                if c > 0 {
-                    out.push_str(&format!("{} {}\n", bounds[k], c));
-                }
-            }
-            out.push_str("end\n");
-        }
-        out
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut w = StateWriter::new(PROFILE_CACHE_NAME, PROFILE_CACHE_VERSION);
+        self.save(&mut w);
+        w.finish()
     }
 
-    /// Parses a store from the text format. The versioned header goes
-    /// through [`persist::check_text_header`], so a stale file reports as
-    /// [`PersistError::StaleVersion`] rather than generic corruption.
+    /// Reads what [`to_bytes`](Self::to_bytes) wrote.
     ///
     /// # Errors
     ///
-    /// Returns the first problem found: wrong or stale header, malformed
-    /// field, inconsistent counters, unknown bucket bound, missing
-    /// terminator, or trailing garbage.
-    pub fn parse(text: &str) -> Result<Self, PersistError> {
-        let body = persist::check_text_header(text, PROFILE_CACHE_NAME, PROFILE_CACHE_VERSION)?;
-        Self::parse_body(body).map_err(PersistError::Corrupt)
-    }
-
-    fn parse_body(body: &str) -> Result<Self, String> {
-        let mut lines = body.lines();
-        let count: usize = parse_field(lines.next(), "profiles")?;
-        let bounds = bucket_bounds();
+    /// Returns the first problem found: a foreign or stale artefact (the
+    /// text format of earlier builds included), damage, counts off the
+    /// canonical bucket grid, inconsistent counters, or a profile filed
+    /// under another name.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, PersistError> {
+        let mut r = StateReader::new(bytes, PROFILE_CACHE_NAME, PROFILE_CACHE_VERSION)?;
         let mut store = ProfileStore::new();
-        for _ in 0..count {
-            let name: String = parse_field(lines.next(), "profile")?;
-            let key = u64::from_str_radix(&parse_field::<String>(lines.next(), "key")?, 16)
-                .map_err(|e| format!("profile `{name}`: bad key: {e}"))?;
-            let ops = parse_field(lines.next(), "ops")?;
-            let llc = parse_field(lines.next(), "llc")?;
-            let writes = parse_field(lines.next(), "writes")?;
-            let seq = parse_field(lines.next(), "seq")?;
-            let cold = parse_field(lines.next(), "cold")?;
-            let lines_touched = parse_field(lines.next(), "lines")?;
-            let mem_per_kilo = parse_field(lines.next(), "mpk")?;
-            let mlp = parse_field(lines.next(), "mlp")?;
-            let working_set_lines = parse_field(lines.next(), "ws")?;
-            let buckets: usize = parse_field(lines.next(), "buckets")?;
-            let mut counts = vec![0u64; bounds.len()];
-            for _ in 0..buckets {
-                let line = lines.next().ok_or("truncated bucket list")?;
-                let (b, c) = line
-                    .split_once(' ')
-                    .ok_or_else(|| format!("malformed bucket line `{line}`"))?;
-                let bound: u64 = b.parse().map_err(|e| format!("bad bucket bound: {e}"))?;
-                let k = bounds
-                    .binary_search(&bound)
-                    .map_err(|_| format!("bound {bound} is not on the canonical grid"))?;
-                counts[k] = c.parse().map_err(|e| format!("bad bucket count: {e}"))?;
-            }
-            if lines.next() != Some("end") {
-                return Err(format!("profile `{name}`: missing `end` terminator"));
-            }
-            store.put(ReuseProfile::from_parts(ProfileParts {
-                name,
-                key,
-                ops,
-                llc,
-                writes,
-                seq,
-                cold,
-                lines_touched,
-                mem_per_kilo,
-                mlp,
-                working_set_lines,
-                counts,
-            })?);
-        }
-        if let Some(extra) = lines.next() {
-            return Err(format!("trailing content after last profile: `{extra}`"));
-        }
-        if store.len() != count {
-            return Err(format!(
-                "duplicate profile names: header said {count}, parsed {}",
-                store.len()
-            ));
-        }
+        store.restore(&mut r)?;
+        r.finish()?;
         Ok(store)
     }
 
@@ -206,7 +120,7 @@ impl ProfileStore {
     ///
     /// Propagates filesystem errors.
     pub fn save_to(&self, path: &Path) -> io::Result<()> {
-        persist::write_atomic(path, self.to_text().as_bytes())
+        persist::write_atomic(path, &self.to_bytes())
     }
 
     /// Reads a store previously written by [`Self::save_to`] under the
@@ -217,31 +131,15 @@ impl ProfileStore {
     /// change results, only fail to speed things up.
     #[must_use]
     pub fn load_or_warn(path: &Path) -> (Self, Option<String>) {
-        let (store, warning) = persist::load_or_rebuild(path, |bytes| {
-            let text = std::str::from_utf8(bytes)
-                .map_err(|_| PersistError::Corrupt("cache file is not UTF-8".to_owned()))?;
-            Self::parse(text)
-        });
+        let (store, warning) = persist::load_or_rebuild(path, Self::from_bytes);
         (store.unwrap_or_default(), warning)
     }
 }
 
-/// Parses one `label value` line, naming the field in errors.
-fn parse_field<T: std::str::FromStr>(line: Option<&str>, label: &str) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    let line = line.ok_or_else(|| format!("missing `{label}` line"))?;
-    let (head, value) = line
-        .split_once(' ')
-        .ok_or_else(|| format!("malformed `{label}` line: `{line}`"))?;
-    if head != label {
-        return Err(format!("expected `{label}` line, found `{line}`"));
-    }
-    value
-        .parse()
-        .map_err(|e| format!("bad `{label}` value `{value}`: {e}"))
-}
+asm_simcore::persist_fields!(ProfileStore { entries } => |s: &ProfileStore| {
+    let filed_by_name = s.entries.iter().all(|(name, p)| name == p.name());
+    ensure(filed_by_name, "profile filed under another name")
+});
 
 #[cfg(test)]
 mod tests {
@@ -266,11 +164,11 @@ mod tests {
     #[test]
     fn round_trip_is_bitwise_identical() {
         let store = sample_store();
-        let text = store.to_text();
-        let back = ProfileStore::parse(&text).expect("parse own output");
+        let bytes = store.to_bytes();
+        let back = ProfileStore::from_bytes(&bytes).expect("parse own output");
         assert_eq!(store, back);
-        // And the re-rendered text is byte-identical.
-        assert_eq!(text, back.to_text());
+        // And the re-rendered artefact is byte-identical.
+        assert_eq!(bytes, back.to_bytes());
     }
 
     #[test]
@@ -296,35 +194,53 @@ mod tests {
 
     #[test]
     fn wrong_header_is_rejected() {
-        assert!(ProfileStore::parse("asm-reuse-profile v0\nprofiles 0\n").is_err());
-        assert!(ProfileStore::parse("").is_err());
-        assert!(ProfileStore::parse("garbage\n").is_err());
+        // The text format of earlier builds, an empty file, garbage.
+        for foreign in ["asm-reuse-profile v1\nprofiles 0\n", "", "garbage\n"] {
+            assert!(matches!(
+                ProfileStore::from_bytes(foreign.as_bytes()),
+                Err(PersistError::BadHeader(_) | PersistError::Truncated { .. })
+            ));
+        }
+        let v1 = StateWriter::new(PROFILE_CACHE_NAME, 1).finish();
+        assert!(matches!(
+            ProfileStore::from_bytes(&v1),
+            Err(PersistError::StaleVersion { found: 1, .. })
+        ));
+    }
+
+    /// A validly-signed artefact around `payload`.
+    fn signed(payload: &[u8]) -> Vec<u8> {
+        let mut w = StateWriter::new(PROFILE_CACHE_NAME, PROFILE_CACHE_VERSION);
+        payload.iter().for_each(|&b| w.u8(b));
+        w.finish()
     }
 
     #[test]
     fn corrupt_or_truncated_files_are_rejected() {
-        let text = sample_store().to_text();
-        // Truncate mid-profile.
-        let cut = text.len() / 2;
-        assert!(ProfileStore::parse(&text[..cut]).is_err());
-        // Flip a field label.
-        let bad = text.replacen("ops ", "oops ", 1);
-        assert!(ProfileStore::parse(&bad).is_err());
-        // Off-grid bucket bound.
-        let bad = text.replacen("\n1 ", "\n5 ", 1);
-        if bad != text {
-            assert!(ProfileStore::parse(&bad).is_err());
-        }
-        // Trailing garbage.
-        let bad = format!("{text}junk\n");
-        assert!(ProfileStore::parse(&bad).is_err());
+        let bytes = sample_store().to_bytes();
+        let payload = &bytes[8 + 4 + PROFILE_CACHE_NAME.len() + 4..bytes.len() - 8];
+        assert_eq!(signed(payload), bytes, "re-signing is faithful");
+        // Damage the checksum catches.
+        assert!(ProfileStore::from_bytes(&bytes[..bytes.len() / 2]).is_err());
+        // Truncated mid-profile, re-signed.
+        assert!(ProfileStore::from_bytes(&signed(&payload[..payload.len() / 2])).is_err());
+        // Trailing garbage, re-signed.
+        assert!(ProfileStore::from_bytes(&signed(&[payload, b"junk"].concat())).is_err());
+        // A profile filed under another name: the first entry's key
+        // ("alpha", after the entry count and its length) edited.
+        let mut renamed = payload.to_vec();
+        assert_eq!(&renamed[16..21], b"alpha");
+        renamed[16] = b'b';
+        let err = ProfileStore::from_bytes(&signed(&renamed)).expect_err("misfiled profile");
+        assert!(err.to_string().contains("another name"), "{err}");
+        // (Off-grid counts and inconsistent counters: `profile.rs`.)
     }
 
     #[test]
     fn save_and_load_round_trip_on_disk() {
         let store = sample_store();
         let dir = std::env::temp_dir();
-        let path = dir.join("asm_reuse_profile_store_test.txt");
+        let path = dir.join("asm_reuse_profile_store_test.bin");
         store.save_to(&path).expect("save");
         let (back, warning) = ProfileStore::load_or_warn(&path);
         assert_eq!(warning, None);

@@ -27,8 +27,8 @@
 //! Both are `debug_assert`ed at quantum finalization and pinned by property
 //! tests here and by a randomized-`SystemConfig` proptest in `asm-core`.
 
-use asm_simcore::persist::{Persist, PersistError, StateReader, StateWriter};
-use asm_simcore::Cycle;
+use asm_simcore::persist::PersistError;
+use asm_simcore::{Cycle, HeadStall};
 
 /// Number of ledger components ([`Component`] variants).
 pub const COMPONENTS: usize = 11;
@@ -124,48 +124,14 @@ impl Component {
     }
 }
 
-/// What the core's reorder-buffer head was blocked on after a tick — the
-/// per-cycle fact `asm-cpu` reports and the only input the per-tick
-/// classifier needs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u8)]
-pub enum StallKind {
-    /// Retiring/fetching/issuing normally (also: source drained).
-    Progress = 0,
-    /// Head completed in the future: cache-hit latency.
-    HitWait = 1,
-    /// Head wants to issue but memory would not accept it.
-    Backpressure = 2,
-    /// Head is an outstanding memory request; classified when it returns.
-    MemStall = 3,
-}
-
-impl StallKind {
-    /// Ledger component for gap/tick cycles of this kind (memory stalls are
-    /// deferred to episode completion and have no immediate component).
-    fn immediate_component(self) -> Option<Component> {
-        match self {
-            StallKind::Progress => Some(Component::Compute),
-            StallKind::HitWait => Some(Component::HitWait),
-            StallKind::Backpressure => Some(Component::Backpressure),
-            StallKind::MemStall => None,
-        }
-    }
-}
-
-impl Persist for StallKind {
-    fn save(&self, w: &mut StateWriter) {
-        w.u8(*self as u8);
-    }
-    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), PersistError> {
-        *self = match r.u8()? {
-            0 => StallKind::Progress,
-            1 => StallKind::HitWait,
-            2 => StallKind::Backpressure,
-            3 => StallKind::MemStall,
-            other => return Err(PersistError::Corrupt(format!("stall kind byte {other}"))),
-        };
-        Ok(())
+/// Ledger component for gap/tick cycles of this head state (memory stalls
+/// are deferred to episode completion and have no immediate component).
+fn immediate_component(head: HeadStall) -> Option<Component> {
+    match head {
+        HeadStall::Progress => Some(Component::Compute),
+        HeadStall::HitWait => Some(Component::HitWait),
+        HeadStall::Backpressure => Some(Component::Backpressure),
+        HeadStall::MemStall => None,
     }
 }
 
@@ -325,7 +291,7 @@ struct CoreTracker {
     last_acct: Cycle,
     /// Classification of cycles between the last tick and the next event
     /// (skipped fast-forward cycles inherit the post-tick head state).
-    gap: StallKind,
+    gap: HeadStall,
     /// Memory-stall cycles awaiting their episode's completion.
     pending_mem: Cycle,
     /// Cycle the pending memory stall began (for starvation trace spans).
@@ -362,7 +328,7 @@ impl RunAttrib {
             trackers: vec![
                 CoreTracker {
                     last_acct: 0,
-                    gap: StallKind::Progress,
+                    gap: HeadStall::Progress,
                     pending_mem: 0,
                     episode_start: 0,
                 };
@@ -390,7 +356,7 @@ impl RunAttrib {
     ) {
         let span = now.saturating_sub(tracker.last_acct);
         if span > 0 {
-            match tracker.gap.immediate_component() {
+            match immediate_component(tracker.gap) {
                 Some(c) => ledger[app * COMPONENTS + c.index()] += span,
                 None => {
                     if tracker.pending_mem == 0 {
@@ -407,11 +373,11 @@ impl RunAttrib {
     /// core retired at least one instruction this tick; `head` is the
     /// post-tick head state, which also classifies any fast-forwarded
     /// cycles until the core's next tick.
-    pub fn on_tick(&mut self, app: usize, now: Cycle, progressed: bool, head: StallKind) {
+    pub fn on_tick(&mut self, app: usize, now: Cycle, progressed: bool, head: HeadStall) {
         let t = &mut self.trackers[app];
         Self::close_gap(t, &mut self.ledger, app, now);
-        let class = if progressed { StallKind::Progress } else { head };
-        match class.immediate_component() {
+        let class = if progressed { HeadStall::Progress } else { head };
+        match immediate_component(class) {
             Some(c) => self.ledger[app * COMPONENTS + c.index()] += 1,
             None => {
                 if t.pending_mem == 0 {
@@ -430,7 +396,7 @@ impl RunAttrib {
     /// [`on_tick`](Self::on_tick) with `progressed = true` (the head
     /// states in between classify nothing: no cycle separates those
     /// ticks).
-    pub fn on_progress_span(&mut self, app: usize, start: Cycle, ticks: Cycle, head: StallKind) {
+    pub fn on_progress_span(&mut self, app: usize, start: Cycle, ticks: Cycle, head: HeadStall) {
         if ticks == 0 {
             return;
         }
@@ -640,6 +606,7 @@ asm_simcore::persist_fields!(RunAttrib {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asm_simcore::persist::{Persist as _, StateReader, StateWriter};
     use proptest::prelude::*;
 
     #[test]
@@ -723,9 +690,9 @@ mod tests {
         // Core 0: compute 0..10, mem stall 10..60 resolved by a completion
         // whose episode is all FR-FCFS interference from core 1.
         for now in 0..10 {
-            run.on_tick(0, now, true, StallKind::Progress);
+            run.on_tick(0, now, true, HeadStall::Progress);
         }
-        run.on_tick(0, 10, false, StallKind::MemStall);
+        run.on_tick(0, 10, false, HeadStall::MemStall);
         let span = run.on_blocking_completion(
             0,
             60,
@@ -738,9 +705,9 @@ mod tests {
             },
         );
         assert_eq!(span, Some((10, 50)));
-        run.on_tick(0, 60, true, StallKind::Progress);
+        run.on_tick(0, 60, true, HeadStall::Progress);
         // Core 1 computes the whole quantum (gap classification).
-        run.on_tick(1, 0, true, StallKind::Progress);
+        run.on_tick(1, 0, true, HeadStall::Progress);
         let mut blame = vec![0; 2 * 2 * 3];
         blame[(0 * 2 + 1) * 3 + 1] = 999; // victim 0, offender 1, row-hit kind
         let q = run.end_quantum(100, &blame);
@@ -758,7 +725,7 @@ mod tests {
     #[test]
     fn boundary_truncation_lands_in_unresolved() {
         let mut run = RunAttrib::new(1);
-        run.on_tick(0, 0, false, StallKind::MemStall);
+        run.on_tick(0, 0, false, HeadStall::MemStall);
         let q = run.end_quantum(50, &[0, 0, 0]);
         assert_eq!(q.component(0, Component::Unresolved), 50);
         assert!(q.conserved());
@@ -767,11 +734,11 @@ mod tests {
     #[test]
     fn save_restore_roundtrip() {
         let mut run = RunAttrib::new(2);
-        run.on_tick(0, 0, true, StallKind::Progress);
-        run.on_tick(1, 0, false, StallKind::MemStall);
+        run.on_tick(0, 0, true, HeadStall::Progress);
+        run.on_tick(1, 0, false, HeadStall::MemStall);
         run.on_eviction(0, 1);
         run.end_quantum(10, &vec![0; 12]);
-        run.on_tick(0, 10, false, StallKind::HitWait);
+        run.on_tick(0, 10, false, HeadStall::HitWait);
         let mut w = StateWriter::new("attrib-test", 1);
         run.save(&mut w);
         let bytes = w.finish();
@@ -800,11 +767,11 @@ mod tests {
             mid_head in 0u8..4,
             tail_gap in 1u64..50,
         ) {
-            const KINDS: [StallKind; 4] = [
-                StallKind::Progress,
-                StallKind::HitWait,
-                StallKind::Backpressure,
-                StallKind::MemStall,
+            const KINDS: [HeadStall; 4] = [
+                HeadStall::Progress,
+                HeadStall::HitWait,
+                HeadStall::Backpressure,
+                HeadStall::MemStall,
             ];
             let kind = |b: u8| KINDS[usize::from(b)];
             let mut span = RunAttrib::new(1);

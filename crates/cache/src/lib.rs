@@ -37,7 +37,6 @@ pub mod ats;
 pub mod geometry;
 pub mod partition;
 pub mod pollution;
-pub mod reference;
 pub(crate) mod scan;
 pub mod set_assoc;
 
@@ -45,5 +44,4 @@ pub use ats::{AtsOutcome, AuxiliaryTagStore};
 pub use geometry::CacheGeometry;
 pub use partition::{lookahead_partition, BenefitCurves, WayPartition};
 pub use pollution::PollutionFilter;
-pub use reference::{RefAts, RefLruCache};
 pub use set_assoc::{AccessOutcome, EvictedLine, LineRef, ResidentLine, SetAssocCache};

@@ -22,8 +22,8 @@
 //! and never moves tag or metadata payloads. Rank order is exactly the
 //! LRU-stack order of the previous `Vec<Vec<Way>>` representation, so
 //! every hit/miss outcome, recency position and victim choice is
-//! bit-identical (pinned against [`crate::reference::RefLruCache`] by the
-//! model-based differential tests).
+//! bit-identical (pinned against the retained stack model,
+//! `tests/reference/`, by the model-based differential tests).
 
 use asm_simcore::{AppId, LineAddr};
 

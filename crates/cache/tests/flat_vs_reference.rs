@@ -9,11 +9,12 @@
 //! invalidations, and the split `find`/`promote` hit path — and require
 //! the outcomes and the complete final cache contents to agree.
 
-use asm_cache::{
-    AuxiliaryTagStore, CacheGeometry, RefAts, RefLruCache, SetAssocCache, WayPartition,
-};
+mod reference;
+
+use asm_cache::{AuxiliaryTagStore, CacheGeometry, SetAssocCache, WayPartition};
 use asm_simcore::{AppId, LineAddr};
 use proptest::prelude::*;
+use reference::{RefAts, RefLruCache};
 
 fn contents_of(cache: &SetAssocCache) -> Vec<(u64, usize, bool, usize, usize)> {
     let mut v: Vec<_> = cache

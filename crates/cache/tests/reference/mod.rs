@@ -3,21 +3,19 @@
 //! These are the *previous* representations — per-set LRU stacks held as
 //! `Vec`s, index 0 = MRU, promotions done by physically reordering the
 //! stack — retained verbatim in behaviour so the structure-of-arrays
-//! rewrite of [`crate::SetAssocCache`] and [`crate::AuxiliaryTagStore`]
-//! can be pinned against them: the model-based differential tests
-//! (`crates/cache/tests/flat_vs_reference.rs`) drive both implementations
-//! with identical operation streams and require identical outcomes,
-//! recencies, victims and final contents.
+//! rewrite of [`asm_cache::SetAssocCache`] and
+//! [`asm_cache::AuxiliaryTagStore`] can be pinned against them: the
+//! model-based differential tests (`flat_vs_reference.rs`, which this
+//! module belongs to) drive both implementations with identical operation
+//! streams and require identical outcomes, recencies, victims and final
+//! contents.
 //!
-//! They are deliberately simple rather than fast; nothing on a simulation
-//! hot path should use them.
+//! They are deliberately simple rather than fast, and are test code only:
+//! the shipping crate does not export them.
 
 use asm_simcore::{AppId, LineAddr};
 
-use crate::geometry::CacheGeometry;
-use crate::partition::WayPartition;
-use crate::set_assoc::{AccessOutcome, EvictedLine};
-use crate::AtsOutcome;
+use asm_cache::{AccessOutcome, AtsOutcome, CacheGeometry, EvictedLine, WayPartition};
 
 #[derive(Debug, Clone, Copy)]
 struct Way {
@@ -27,7 +25,7 @@ struct Way {
 }
 
 /// The reference LRU-stack cache: each set is a `Vec<Way>` ordered MRU
-/// first, exactly the representation [`crate::SetAssocCache`] used before
+/// first, exactly the representation [`asm_cache::SetAssocCache`] used before
 /// the flat rewrite.
 #[derive(Debug, Clone)]
 pub struct RefLruCache {
@@ -51,7 +49,7 @@ impl RefLruCache {
     }
 
     /// Installs (or clears) a way partition; same contract as
-    /// [`crate::SetAssocCache::set_partition`].
+    /// [`asm_cache::SetAssocCache::set_partition`].
     ///
     /// # Panics
     ///
@@ -74,7 +72,7 @@ impl RefLruCache {
     }
 
     /// Reference access: identical semantics to
-    /// [`crate::SetAssocCache::access`].
+    /// [`asm_cache::SetAssocCache::access`].
     pub fn access(&mut self, line: LineAddr, app: AppId, is_write: bool) -> AccessOutcome {
         if let Some(pos) = self.touch(line, is_write) {
             return AccessOutcome {
@@ -163,7 +161,7 @@ impl RefLruCache {
     /// Every resident line as `(line, owner, dirty, set, recency)`, in
     /// set order then stack order — the comparison surface for the
     /// differential tests (sorted before comparison against
-    /// [`crate::SetAssocCache::lines`], whose way order differs).
+    /// [`asm_cache::SetAssocCache::lines`], whose way order differs).
     #[must_use]
     pub fn contents(&self) -> Vec<(LineAddr, AppId, bool, usize, usize)> {
         let mut out = Vec::new();
@@ -214,7 +212,7 @@ impl RefLruCache {
 }
 
 /// The reference auxiliary tag store: per sampled set a `Vec<u64>` tag
-/// stack, MRU first — the representation [`crate::AuxiliaryTagStore`]
+/// stack, MRU first — the representation [`asm_cache::AuxiliaryTagStore`]
 /// used before the flat rewrite, with the same counters.
 #[derive(Debug, Clone)]
 pub struct RefAts {
@@ -228,7 +226,7 @@ pub struct RefAts {
 
 impl RefAts {
     /// Creates a reference ATS; same contract as
-    /// [`crate::AuxiliaryTagStore::new`].
+    /// [`asm_cache::AuxiliaryTagStore::new`].
     ///
     /// # Panics
     ///
@@ -300,7 +298,7 @@ impl RefAts {
         })
     }
 
-    /// Hits at each recency position since construction/reset.
+    /// Hits at each recency position since construction.
     #[must_use]
     pub fn position_hits(&self) -> &[u64] {
         &self.position_hits
@@ -318,16 +316,4 @@ impl RefAts {
         self.sampled_accesses
     }
 
-    /// Clears counters, preserving tag state.
-    pub fn reset_counters(&mut self) {
-        self.position_hits.fill(0);
-        self.misses = 0;
-        self.sampled_accesses = 0;
-    }
-
-    /// Tag stacks (MRU first) per sampled set, for content comparison.
-    #[must_use]
-    pub fn contents(&self) -> &[Vec<u64>] {
-        &self.sets
-    }
 }

@@ -53,7 +53,10 @@ pub const SNAPSHOT_FORMAT: &str = "asm-snapshot";
 /// v4: every component's state is written from its `persist_fields!` list
 /// — structural containers carry their length, application ids and
 /// optional flags use the shared encodings, several sections moved.
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// v5: `System`'s list nests those of its owners (`LazyCores`,
+/// `Hierarchy`, `Probes`), and an in-flight miss stores its demand context
+/// once.
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Format name of a binary per-run result manifest.
 pub const MANIFEST_FORMAT: &str = "asm-run-manifest";
@@ -455,13 +458,14 @@ mod tests {
 
     #[test]
     fn artefacts_of_the_previous_format_versions_are_stale() {
-        // A v3 snapshot and a v1 manifest predate the field lists; their
-        // bytes must never be read as if they were current.
-        let old_snapshot = StateWriter::new(SNAPSHOT_FORMAT, 3).finish();
+        // A v4 snapshot predates the nested field lists and a v1 manifest
+        // the lists altogether; their bytes must never be read as if they
+        // were current.
+        let old_snapshot = StateWriter::new(SNAPSHOT_FORMAT, 4).finish();
         let mut sys = System::new(&apps(), config());
         assert!(matches!(
             resume(&old_snapshot, 0, &mut sys),
-            Err(PersistError::StaleVersion { found: 3, expected: SNAPSHOT_VERSION, .. })
+            Err(PersistError::StaleVersion { found: 4, expected: SNAPSHOT_VERSION, .. })
         ));
         assert!(matches!(peek_key(&old_snapshot), Err(PersistError::StaleVersion { .. })));
         let old_manifest = StateWriter::new(MANIFEST_FORMAT, 1).finish();

@@ -23,7 +23,7 @@ use asm_attrib::QuantumLedger;
 use asm_cpu::{AppProfile, ProgressLog};
 use asm_metrics::SlowdownSample;
 use asm_simcore::hash::DetHasher;
-use asm_simcore::persist::{self, PersistError};
+use asm_simcore::persist::{self, Persist as _, PersistError, StateReader, StateWriter};
 use asm_simcore::{AppId, Cycle, Histogram};
 use asm_telemetry::names;
 
@@ -130,6 +130,21 @@ struct AloneRecord {
     latency_hist: Option<Histogram>,
 }
 
+impl Default for AloneRecord {
+    /// The blank a cache load fills in.
+    fn default() -> Self {
+        AloneRecord {
+            cycles: 0,
+            progress: Arc::new(ProgressLog::new(1)),
+            latency_hist: None,
+        }
+    }
+}
+
+// The progress log and the histogram validate themselves on restore
+// (positive interval, monotonic milestones, positive bucket width).
+asm_simcore::persist_fields!(AloneRecord { cycles, progress, latency_hist });
+
 /// Cache key: `(profile name, slot, alone-config hash)`. The hash is
 /// [`config_hash`] of the full alone [`SystemConfig`], so entries for
 /// different hardware (or different seeds) never collide, and a persisted
@@ -216,16 +231,15 @@ impl AloneCache {
         }
     }
 
-    /// Writes the cache to `path` in the versioned text format of
-    /// [`Self::load_or_warn`], atomically (temp file + rename): a reader
-    /// racing the write sees either the old cache or the new one, never a
-    /// torn file.
+    /// Writes the cache to `path` ([`to_bytes`](Self::to_bytes)),
+    /// atomically (temp file + rename): a reader racing the write sees
+    /// either the old cache or the new one, never a torn file.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
     pub fn save_to(&self, path: &std::path::Path) -> std::io::Result<()> {
-        persist::write_atomic(path, self.to_text().as_bytes())
+        persist::write_atomic(path, &self.to_bytes())
     }
 
     /// Reads a cache previously written by [`Self::save_to`] under the
@@ -240,129 +254,32 @@ impl AloneCache {
     /// hardware parameters loads fine but never satisfies a lookup.
     #[must_use]
     pub fn load_or_warn(path: &std::path::Path) -> (AloneCache, Option<String>) {
-        let (cache, warning) = persist::load_or_rebuild(path, |bytes| {
-            let text = std::str::from_utf8(bytes)
-                .map_err(|_| PersistError::Corrupt("cache file is not UTF-8".to_owned()))?;
-            Self::parse(text)
-        });
+        let (cache, warning) = persist::load_or_rebuild(path, Self::from_bytes);
         (cache.unwrap_or_default(), warning)
     }
 
-    /// Serializes to the on-disk text format. One `entry` line per record
-    /// followed by its progress log and optional latency histogram; floats
-    /// travel as IEEE-754 bit patterns so the roundtrip is bitwise exact.
-    fn to_text(&self) -> String {
-        use std::fmt::Write as _;
-        let map = self.lock();
-        let mut out = String::new();
-        out.push_str(&persist::text_header(ALONE_CACHE_NAME, ALONE_CACHE_VERSION));
-        out.push('\n');
-        for ((name, slot, cfg), rec) in map.iter() {
-            // asm-lint: allow(R2): writing to a String cannot fail
-            writeln!(out, "entry {name} {slot} {cfg:016x} {}", rec.cycles).expect("string write");
-            write!(out, "progress {}", rec.progress.interval()).expect("string write");
-            for c in rec.progress.milestone_cycles() {
-                write!(out, " {c}").expect("string write");
-            }
-            out.push('\n');
-            match &rec.latency_hist {
-                Some(h) => {
-                    write!(
-                        out,
-                        "hist {:016x} {}",
-                        h.bucket_width().to_bits(),
-                        h.overflow()
-                    )
-                    .expect("string write");
-                    for i in 0..h.buckets() {
-                        write!(out, " {}", h.bucket_count(i)).expect("string write");
-                    }
-                    out.push('\n');
-                }
-                None => out.push_str("hist none\n"),
-            }
-        }
-        out
+    /// The cache as one persist envelope: every record with its progress
+    /// log and optional latency histogram, floats as bit patterns so the
+    /// round trip is bitwise exact.
+    #[must_use]
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut w = StateWriter::new(ALONE_CACHE_FORMAT, ALONE_CACHE_VERSION);
+        self.lock().save(&mut w);
+        w.finish()
     }
 
-    /// Strict parser for [`Self::to_text`]: the versioned header goes
-    /// through [`persist::check_text_header`] (so a stale file reports as
-    /// [`PersistError::StaleVersion`], not generic corruption) and any
-    /// deviation in the body is an error so a truncated or hand-edited
-    /// file cannot half-load.
-    fn parse(text: &str) -> Result<AloneCache, PersistError> {
-        let body = persist::check_text_header(text, ALONE_CACHE_NAME, ALONE_CACHE_VERSION)?;
-        Self::parse_body(body).map_err(PersistError::Corrupt)
-    }
-
-    fn parse_body(body: &str) -> Result<AloneCache, String> {
-        let mut lines = body.lines();
+    /// Reads what [`to_bytes`](Self::to_bytes) wrote.
+    ///
+    /// # Errors
+    ///
+    /// Any [`PersistError`]: a foreign or stale artefact (the text format
+    /// of earlier builds included), damage, or a record that fails its
+    /// own checks — nothing half-loads.
+    pub fn from_bytes(bytes: &[u8]) -> Result<AloneCache, PersistError> {
+        let mut r = StateReader::new(bytes, ALONE_CACHE_FORMAT, ALONE_CACHE_VERSION)?;
         let cache = AloneCache::new();
-        let mut map = cache.lock();
-        while let Some(line) = lines.next() {
-            let mut f = line.split_ascii_whitespace();
-            if f.next() != Some("entry") {
-                return Err(format!("expected entry line, got {line:?}"));
-            }
-            let name = f.next().ok_or("entry missing profile name")?.to_owned();
-            let slot: usize = parse_field(f.next(), "slot")?;
-            let cfg = u64::from_str_radix(f.next().ok_or("entry missing config hash")?, 16)
-                .map_err(|e| format!("bad config hash: {e}"))?;
-            let cycles: Cycle = parse_field(f.next(), "cycles")?;
-
-            let progress_line = lines.next().ok_or("truncated entry: no progress line")?;
-            let mut p = progress_line.split_ascii_whitespace();
-            if p.next() != Some("progress") {
-                return Err(format!("expected progress line, got {progress_line:?}"));
-            }
-            let interval: u64 = parse_field(p.next(), "progress interval")?;
-            if interval == 0 {
-                return Err("zero progress interval".to_owned());
-            }
-            let milestones = p
-                .map(|w| w.parse::<Cycle>().map_err(|e| format!("bad milestone: {e}")))
-                .collect::<Result<Vec<Cycle>, String>>()?;
-            if milestones.windows(2).any(|w| w[0] > w[1]) {
-                return Err("milestone cycles not monotonic".to_owned());
-            }
-
-            let hist_line = lines.next().ok_or("truncated entry: no hist line")?;
-            let mut h = hist_line.split_ascii_whitespace();
-            if h.next() != Some("hist") {
-                return Err(format!("expected hist line, got {hist_line:?}"));
-            }
-            let latency_hist = match h.next() {
-                Some("none") => None,
-                Some(bits) => {
-                    let width = f64::from_bits(
-                        u64::from_str_radix(bits, 16)
-                            .map_err(|e| format!("bad bucket width: {e}"))?,
-                    );
-                    if !(width.is_finite() && width > 0.0) {
-                        return Err("non-positive histogram bucket width".to_owned());
-                    }
-                    let overflow: u64 = parse_field(h.next(), "hist overflow")?;
-                    let counts = h
-                        .map(|w| w.parse::<u64>().map_err(|e| format!("bad count: {e}")))
-                        .collect::<Result<Vec<u64>, String>>()?;
-                    if counts.is_empty() {
-                        return Err("histogram with no buckets".to_owned());
-                    }
-                    Some(Histogram::from_parts(width, counts, overflow))
-                }
-                None => return Err("truncated hist line".to_owned()),
-            };
-
-            map.insert(
-                (name, slot, cfg),
-                AloneRecord {
-                    cycles,
-                    progress: Arc::new(ProgressLog::from_parts(interval, milestones)),
-                    latency_hist,
-                },
-            );
-        }
-        drop(map);
+        cache.lock().restore(&mut r)?;
+        r.finish()?;
         Ok(cache)
     }
 }
@@ -371,21 +288,11 @@ impl AloneCache {
 /// [`ALONE_CACHE_VERSION`] whenever the record layout changes *or* a
 /// simulator change alters what alone runs compute without touching
 /// `SystemConfig` — an old file must never be read as if it were current.
-const ALONE_CACHE_NAME: &str = "asm-alone-cache";
+pub const ALONE_CACHE_FORMAT: &str = "asm-alone-cache";
 
-/// Version of [`ALONE_CACHE_NAME`]'s text format.
-const ALONE_CACHE_VERSION: u32 = 1;
-
-/// Parses one whitespace-separated field, naming it in the error.
-fn parse_field<T: std::str::FromStr>(field: Option<&str>, what: &str) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    field
-        .ok_or_else(|| format!("missing {what}"))?
-        .parse::<T>()
-        .map_err(|e| format!("bad {what}: {e}"))
-}
+/// Version of [`ALONE_CACHE_FORMAT`]. v1 was a line-oriented text file;
+/// v2 is a persist envelope written from `AloneRecord`'s field list.
+pub const ALONE_CACHE_VERSION: u32 = 2;
 
 /// Per-run observability switches for [`Runner::run_with`]. The default
 /// (all off) makes [`Runner::run`] behave exactly as before telemetry
@@ -933,8 +840,8 @@ mod tests {
         let cache = runner.alone_cache();
         assert_eq!(cache.len(), 2);
 
-        let text = cache.to_text();
-        let reloaded = AloneCache::parse(&text).expect("roundtrip parse");
+        let bytes = cache.to_bytes();
+        let reloaded = AloneCache::from_bytes(&bytes).expect("roundtrip parse");
         assert_eq!(reloaded.len(), cache.len());
         let (a, b) = (cache.lock(), reloaded.lock());
         for ((ka, ra), (kb, rb)) in a.iter().zip(b.iter()) {
@@ -943,6 +850,8 @@ mod tests {
             assert_eq!(*ra.progress, *rb.progress);
             assert_eq!(ra.latency_hist, rb.latency_hist);
         }
+        drop((a, b));
+        assert_eq!(reloaded.to_bytes(), bytes);
     }
 
     #[test]
@@ -950,8 +859,8 @@ mod tests {
         let runner = Runner::new(config());
         let fresh = runner.run(&apps(), 100_000);
 
-        let text = runner.alone_cache().to_text();
-        let reloaded = Arc::new(AloneCache::parse(&text).expect("parse"));
+        let bytes = runner.alone_cache().to_bytes();
+        let reloaded = Arc::new(AloneCache::from_bytes(&bytes).expect("parse"));
         let warm = Runner::with_cache(config(), reloaded.clone());
         let before = reloaded.len();
         let from_cache = warm.run(&apps(), 100_000);
@@ -972,21 +881,64 @@ mod tests {
         }
     }
 
+    /// One record, written field by field in `AloneRecord`'s wire order,
+    /// so that values the checked constructors refuse can be stored.
+    fn forged(interval: u64, milestones: &[u64], bucket_width: Option<f64>) -> Vec<u8> {
+        let mut w = StateWriter::new(ALONE_CACHE_FORMAT, ALONE_CACHE_VERSION);
+        w.usize(1);
+        w.str("mcf_like");
+        w.usize(0);
+        w.u64(0x0123);
+        w.u64(500);
+        w.u64(interval);
+        w.u64_slice(milestones);
+        w.bool(bucket_width.is_some());
+        if let Some(width) = bucket_width {
+            // Two buckets holding one sample, nothing in overflow.
+            w.f64(width);
+            w.u64_slice(&[1, 0]);
+            w.u64(0);
+            w.u64(1);
+        }
+        w.finish()
+    }
+
     #[test]
     fn corrupt_or_stale_cache_text_is_rejected() {
-        // Wrong version header (a stale file from another binary).
-        assert!(AloneCache::parse("asm-alone-cache v0\n").is_err());
-        // Truncated entry.
-        assert!(AloneCache::parse("asm-alone-cache v1\nentry mcf_like 0 0123 500\n").is_err());
-        // Garbage numerics.
-        let bad = "asm-alone-cache v1\nentry mcf_like zero 0123 500\nprogress 100 5\nhist none\n";
-        assert!(AloneCache::parse(bad).is_err());
-        // Non-monotonic milestones.
-        let nonmono =
-            "asm-alone-cache v1\nentry mcf_like 0 0123 500\nprogress 100 90 50\nhist none\n";
-        assert!(AloneCache::parse(nonmono).is_err());
+        // The text format of earlier builds is a foreign artefact now,
+        // whatever it holds; so is another version of this one.
+        let old_text = b"asm-alone-cache v1\nentry mcf_like 0 0123 500\nprogress 100 5\nhist none\n";
+        assert!(matches!(
+            AloneCache::from_bytes(old_text),
+            Err(PersistError::BadHeader(_))
+        ));
+        let path = std::env::temp_dir().join(format!("asm_alone_cache_v1_{}", std::process::id()));
+        std::fs::write(&path, old_text).expect("write");
+        let (cache, warning) = AloneCache::load_or_warn(&path);
+        std::fs::remove_file(&path).ok();
+        assert!(cache.is_empty());
+        assert!(warning.expect("warned").contains("ignoring"));
+        let v1 = StateWriter::new(ALONE_CACHE_FORMAT, 1).finish();
+        assert!(matches!(
+            AloneCache::from_bytes(&v1),
+            Err(PersistError::StaleVersion { found: 1, .. })
+        ));
+        // A well-formed record loads; cut short, it does not.
+        let good = forged(100, &[5, 9], Some(50.0));
+        assert_eq!(AloneCache::from_bytes(&good).expect("well-formed").len(), 1);
+        assert!(AloneCache::from_bytes(&good[..good.len() - 12]).is_err());
+        // Records that fail their own checks.
+        for (bad, culprit) in [
+            (forged(0, &[5, 9], None), "ProgressLog"),
+            (forged(100, &[90, 50], None), "ProgressLog"),
+            (forged(100, &[5, 9], Some(-1.0)), "Histogram"),
+            (forged(100, &[5, 9], Some(f64::INFINITY)), "Histogram"),
+        ] {
+            let err = AloneCache::from_bytes(&bad).expect_err("refused");
+            assert!(err.to_string().contains(culprit), "{err}");
+        }
         // The empty cache is fine.
-        let empty = AloneCache::parse("asm-alone-cache v1\n").expect("header-only file");
+        let empty = AloneCache::from_bytes(&AloneCache::new().to_bytes()).expect("empty cache");
         assert!(empty.is_empty());
     }
 

@@ -1,20 +1,26 @@
-//! Re-signed mutation fuzz of the two parsers that read untrusted
-//! persisted bytes: snapshot restore and manifest load.
+//! Re-signed mutation fuzz of the four parsers that read untrusted
+//! persisted bytes: snapshot restore, manifest load, and the alone-run
+//! and reuse-profile cache loaders.
 //!
 //! The envelope's whole-payload checksum turns every *accidental* damage
 //! into an early `Corrupt`, which also hides the restore path from every
 //! damage test — and the checksum is no secret, so a crafted artefact with
 //! a valid trailer reaches it. Here real artefacts get random payload
 //! words overwritten (huge lengths, out-of-range indices, bool bytes above
-//! one), the trailer is recomputed, and `resume` / `load_manifest` must
-//! return `Ok` or `Err`: never panic, never size an allocation from a
-//! length the payload cannot back.
+//! one), the trailer is recomputed, and `resume` / `load_manifest` /
+//! `from_bytes` must return `Ok` or `Err`: never panic, never size an
+//! allocation from a length the payload cannot back.
 
 use std::sync::OnceLock;
 
+use asm_analytic::store::{PROFILE_CACHE_NAME, PROFILE_CACHE_VERSION};
+use asm_analytic::{ProfileParams, ProfileStore};
 use asm_cache::CacheGeometry;
 use asm_core::checkpoint::{self, MANIFEST_FORMAT, MANIFEST_VERSION, SNAPSHOT_FORMAT, SNAPSHOT_VERSION};
-use asm_core::{CachePolicy, EstimatorSet, RunOptions, Runner, SystemConfig, ThrottlePolicy};
+use asm_core::runner::{ALONE_CACHE_FORMAT, ALONE_CACHE_VERSION};
+use asm_core::{
+    AloneCache, CachePolicy, EstimatorSet, RunOptions, Runner, SystemConfig, ThrottlePolicy,
+};
 use asm_cpu::AppProfile;
 use asm_dram::SchedulerKind;
 use asm_simcore::persist::StateWriter;
@@ -96,6 +102,21 @@ struct Fixture {
     snapshot: Vec<u8>,
 }
 
+/// The two cache files: the alone runs of one shared run (progress logs
+/// and latency histograms) and the reuse profiles of the same mix.
+fn caches() -> &'static (Vec<u8>, Vec<u8>) {
+    static CACHES: OnceLock<(Vec<u8>, Vec<u8>)> = OnceLock::new();
+    CACHES.get_or_init(|| {
+        let runner = Runner::new(config(SchedulerKind::FrFcfs));
+        let _ = runner.run(&apps(), 40_000);
+        let mut profiles = ProfileStore::new();
+        for app in apps() {
+            profiles.ensure(&app, &ProfileParams::default());
+        }
+        (runner.alone_cache().to_bytes(), profiles.to_bytes())
+    })
+}
+
 /// Snapshots two and a half quanta in — records, a partition, throttle
 /// levels and a ledger exist, and a quantum is under way — over the
 /// scheduler × observer matrix, and one manifest.
@@ -151,6 +172,18 @@ proptest! {
         let forged = signed(MANIFEST_FORMAT, MANIFEST_VERSION, &body);
         let _ = checkpoint::load_manifest(&forged, 7);
     }
+
+    #[test]
+    fn mutated_caches_never_panic(seed in 0u64..u64::MAX) {
+        let mut rng = SimRng::seed_from(seed);
+        let (alone, profiles) = caches();
+        let mut body = payload(alone, ALONE_CACHE_FORMAT).to_vec();
+        mutate(&mut body, 0, &mut rng);
+        let _ = AloneCache::from_bytes(&signed(ALONE_CACHE_FORMAT, ALONE_CACHE_VERSION, &body));
+        let mut body = payload(profiles, PROFILE_CACHE_NAME).to_vec();
+        mutate(&mut body, 0, &mut rng);
+        let _ = ProfileStore::from_bytes(&signed(PROFILE_CACHE_NAME, PROFILE_CACHE_VERSION, &body));
+    }
 }
 
 /// The fuzz is only worth its name if untouched artefacts restore, and if
@@ -167,6 +200,9 @@ fn the_fixtures_restore_and_forgeries_reach_the_parsers() {
             .expect("an unmutated snapshot restores");
     }
     checkpoint::load_manifest(manifest, 7).expect("an unmutated manifest loads");
+    let (alone, profiles) = caches();
+    assert_eq!(AloneCache::from_bytes(alone).expect("an unmutated cache loads").len(), 3);
+    assert_eq!(ProfileStore::from_bytes(profiles).expect("unmutated profiles load").len(), 3);
 
     let f = &snapshots[0];
     let mut named = 0;

@@ -46,7 +46,7 @@
 use std::collections::VecDeque;
 
 use asm_simcore::persist::{ensure, Persist, PersistError, StateReader, StateWriter};
-use asm_simcore::{AppId, Cycle, LineAddr};
+use asm_simcore::{AppId, Cycle, HeadStall, LineAddr};
 
 use crate::appmodel::AppProfile;
 use crate::source::AccessSource;
@@ -63,20 +63,6 @@ pub enum MemIssueResult {
     /// The memory system cannot accept the access now; the core retries
     /// next cycle.
     Stall,
-}
-
-/// What the reorder-buffer head is blocked on (see [`Core::head_stall`]).
-/// Mirrors `asm-attrib`'s stall taxonomy without depending on it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HeadStall {
-    /// Retiring/fetching/issuing normally.
-    Progress,
-    /// Head completes in the future: cache-hit latency.
-    HitWait,
-    /// Head wants to issue but the memory system refused the access.
-    Backpressure,
-    /// Head is an outstanding memory request.
-    MemStall,
 }
 
 /// Receives what [`Core::advance`] replays, so per-tick consumers (the

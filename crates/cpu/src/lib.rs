@@ -43,7 +43,7 @@ pub mod source;
 pub mod stream;
 
 pub use appmodel::{AppProfile, AppProfileBuilder};
-pub use core::{AdvanceObserver, Core, HeadStall, MemIssueResult};
+pub use core::{AdvanceObserver, Core, MemIssueResult};
 pub use prefetch::StridePrefetcher;
 pub use progress::ProgressLog;
 pub use source::{AccessSource, TraceSource};

@@ -46,36 +46,6 @@ impl ProgressLog {
         }
     }
 
-    /// Reassembles a log from its parts (see [`milestone_cycles`]
-    /// (Self::milestone_cycles)) — the persistence path of the alone-run
-    /// cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval` is zero or `cycles` is not sorted.
-    #[must_use]
-    pub fn from_parts(interval: u64, cycles: Vec<Cycle>) -> Self {
-        assert!(interval > 0, "interval must be positive");
-        assert!(
-            cycles.windows(2).all(|w| w[0] <= w[1]),
-            "milestone cycles must be monotonic"
-        );
-        ProgressLog { interval, cycles }
-    }
-
-    /// The milestone interval in instructions.
-    #[must_use]
-    pub fn interval(&self) -> u64 {
-        self.interval
-    }
-
-    /// The raw milestone timestamps: element `k` is the cycle at which
-    /// `(k + 1) * interval` instructions had retired.
-    #[must_use]
-    pub fn milestone_cycles(&self) -> &[Cycle] {
-        &self.cycles
-    }
-
     /// Records that `retired` instructions had been retired by cycle `now`;
     /// call after every simulation step (or periodically) with monotonic
     /// arguments.
@@ -278,7 +248,7 @@ mod tests {
         let mut log = ProgressLog::new(10);
         // 4 retired before; ticks 100.. retire 3 each: 7, 10, 13, 16, 19, 22.
         log.record_ramp(4, 100, 6, 3);
-        assert_eq!(log.milestone_cycles(), &[101, 105]);
+        assert_eq!(log.cycles, [101, 105]);
     }
 
     #[test]

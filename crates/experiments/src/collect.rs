@@ -7,10 +7,12 @@ use std::sync::{Arc, OnceLock};
 
 use asm_core::{AloneCache, RunResult, Runner, SystemConfig};
 use asm_cpu::AppProfile;
-use asm_metrics::{ErrorAggregate, ErrorDistribution};
+use asm_metrics::{ErrorAggregate, ErrorDistribution, Table};
 use asm_simcore::Cycle;
 
+use crate::plan::PlannedRun;
 use crate::pool;
+use crate::scale::{Scale, Tier};
 
 /// The process-wide alone-run cache, shared by every runner the
 /// experiments construct once set: `--alone-cache <path>` installs a
@@ -307,6 +309,60 @@ pub fn mech_outcome(results: &[RunResult]) -> MechOutcome {
         unfairness: m,
         unfairness_std: std,
         harmonic_speedup: mean(&hspeeds),
+    }
+}
+
+/// The table Figures 9 and 10 and the combined study fill: one row per
+/// `(core count, scheme)`.
+#[must_use]
+pub fn scheme_table() -> Table {
+    Table::new(vec![
+        "cores".into(),
+        "scheme".into(),
+        "unfairness (max slowdown)".into(),
+        "harmonic speedup".into(),
+    ])
+}
+
+/// Runs every scheme on every workload as one campaign, on the tier
+/// `scale` selects, and appends one row per scheme to a
+/// [`scheme_table`]: plain cells on the cycle tier, `value ± CI` cells on
+/// the sampled tier. The scheme tables branch on the tier nowhere else.
+pub fn push_scheme_rows(
+    table: &mut Table,
+    cores: usize,
+    schemes: &[(&str, SystemConfig)],
+    workloads: &[Vec<AppProfile>],
+    scale: &Scale,
+) {
+    let runs: Vec<PlannedRun> = schemes
+        .iter()
+        .flat_map(|(_, config)| {
+            workloads
+                .iter()
+                .map(|w| PlannedRun::new(config.clone(), w.clone(), scale.cycles))
+        })
+        .collect();
+    let cells: Vec<(String, String)> = if scale.tier == Tier::Sampled {
+        crate::sampled::run_campaign(&runs, scale)
+            .chunks(workloads.len())
+            .map(crate::sampled::sampled_outcome)
+            .map(|out| (out.unfairness.cell(2), out.harmonic_speedup.cell(3)))
+            .collect()
+    } else {
+        crate::plan::run_campaign(&runs, scale.jobs)
+            .chunks(workloads.len())
+            .map(mech_outcome)
+            .map(|out| {
+                (
+                    format!("{:.2}", out.unfairness),
+                    format!("{:.3}", out.harmonic_speedup),
+                )
+            })
+            .collect()
+    };
+    for ((name, _), (unfairness, speedup)) in schemes.iter().zip(cells) {
+        table.row(vec![cores.to_string(), (*name).into(), unfairness, speedup]);
     }
 }
 

@@ -3,11 +3,9 @@
 
 use asm_core::{CachePolicy, EstimatorSet, MemPolicy, SystemConfig};
 use asm_dram::SchedulerKind;
-use asm_metrics::Table;
 use asm_workloads::mix;
 
-use crate::collect::mech_outcome;
-use crate::plan::PlannedRun;
+use crate::collect::{push_scheme_rows, scheme_table};
 use crate::scale::Scale;
 
 fn asm_cache_mem(scale: Scale) -> SystemConfig {
@@ -38,54 +36,19 @@ fn baseline(scale: Scale) -> SystemConfig {
 /// Runs the combined-scheme comparison (16-core, plus 8-core for context).
 pub fn run(scale: Scale) {
     println!("\n=== ASM-Cache-Mem vs PARBS+UCP (combined cache + memory management) ===");
-    let mut table = Table::new(vec![
-        "cores".into(),
-        "scheme".into(),
-        "unfairness (max slowdown)".into(),
-        "harmonic speedup".into(),
-    ]);
+    let schemes = [
+        ("FRFCFS+NoPart", baseline(scale)),
+        ("PARBS+UCP", parbs_ucp(scale)),
+        ("ASM-Cache-Mem", asm_cache_mem(scale)),
+    ];
+    let mut table = scheme_table();
     for cores in [8usize, 16] {
         let workloads = mix::binned_mixes(
             (scale.workloads * 4 / cores).max(2),
             cores,
             scale.seed ^ 0xC0DE ^ cores as u64,
         );
-        let schemes = [
-            ("FRFCFS+NoPart", baseline(scale)),
-            ("PARBS+UCP", parbs_ucp(scale)),
-            ("ASM-Cache-Mem", asm_cache_mem(scale)),
-        ];
-        let runs: Vec<PlannedRun> = schemes
-            .iter()
-            .flat_map(|(_, config)| {
-                workloads
-                    .iter()
-                    .map(|w| PlannedRun::new(config.clone(), w.clone(), scale.cycles))
-            })
-            .collect();
-        if scale.tier == crate::scale::Tier::Sampled {
-            let results = crate::sampled::run_campaign(&runs, &scale);
-            for ((name, _), per_scheme) in schemes.iter().zip(results.chunks(workloads.len())) {
-                let out = crate::sampled::sampled_outcome(per_scheme);
-                table.row(vec![
-                    cores.to_string(),
-                    (*name).into(),
-                    out.unfairness.cell(2),
-                    out.harmonic_speedup.cell(3),
-                ]);
-            }
-            continue;
-        }
-        let results = crate::plan::run_campaign(&runs, scale.jobs);
-        for ((name, _), per_scheme) in schemes.iter().zip(results.chunks(workloads.len())) {
-            let out = mech_outcome(per_scheme);
-            table.row(vec![
-                cores.to_string(),
-                (*name).into(),
-                format!("{:.2}", out.unfairness),
-                format!("{:.3}", out.harmonic_speedup),
-            ]);
-        }
+        push_scheme_rows(&mut table, cores, &schemes, &workloads, &scale);
     }
     crate::output::emit("combined", &table);
     println!("Paper: ASM-Cache-Mem improves fairness by 14.6% over PARBS+UCP on 16-core");

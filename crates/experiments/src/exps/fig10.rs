@@ -3,11 +3,9 @@
 
 use asm_core::{EstimatorSet, MemPolicy, SystemConfig, ThrottlePolicy};
 use asm_dram::SchedulerKind;
-use asm_metrics::Table;
 use asm_workloads::mix;
 
-use crate::collect::mech_outcome;
-use crate::plan::PlannedRun;
+use crate::collect::{push_scheme_rows, scheme_table};
 use crate::scale::Scale;
 
 /// Core counts evaluated.
@@ -103,12 +101,11 @@ fn workloads_for(scale: Scale, cores: usize) -> usize {
 /// Runs the Figure 10 comparison.
 pub fn run(scale: Scale) {
     println!("\n=== Figure 10: ASM-Mem vs FRFCFS / PARBS / TCM ===");
-    let mut table = Table::new(vec![
-        "cores".into(),
-        "scheme".into(),
-        "unfairness (max slowdown)".into(),
-        "harmonic speedup".into(),
-    ]);
+    let schemes: Vec<(&str, SystemConfig)> = SCHEMES
+        .iter()
+        .map(|&scheme| (scheme.name, scheme_config(scale, scheme)))
+        .collect();
+    let mut table = scheme_table();
     for &cores in CORE_COUNTS {
         let workloads = mix::binned_mixes(
             workloads_for(scale, cores),
@@ -119,38 +116,7 @@ pub fn run(scale: Scale) {
         // the trajectory from cycle 0, so their warmup keys differ and
         // nothing is fork-shared — the campaign still buys `--resume`
         // across every run of an interrupted sweep.
-        let runs: Vec<PlannedRun> = SCHEMES
-            .iter()
-            .flat_map(|&scheme| {
-                let config = scheme_config(scale, scheme);
-                workloads
-                    .iter()
-                    .map(move |w| PlannedRun::new(config.clone(), w.clone(), scale.cycles))
-            })
-            .collect();
-        if scale.tier == crate::scale::Tier::Sampled {
-            let results = crate::sampled::run_campaign(&runs, &scale);
-            for (scheme, per_scheme) in SCHEMES.iter().zip(results.chunks(workloads.len())) {
-                let out = crate::sampled::sampled_outcome(per_scheme);
-                table.row(vec![
-                    cores.to_string(),
-                    scheme.name.into(),
-                    out.unfairness.cell(2),
-                    out.harmonic_speedup.cell(3),
-                ]);
-            }
-            continue;
-        }
-        let results = crate::plan::run_campaign(&runs, scale.jobs);
-        for (scheme, per_scheme) in SCHEMES.iter().zip(results.chunks(workloads.len())) {
-            let out = mech_outcome(per_scheme);
-            table.row(vec![
-                cores.to_string(),
-                scheme.name.into(),
-                format!("{:.2}", out.unfairness),
-                format!("{:.3}", out.harmonic_speedup),
-            ]);
-        }
+        push_scheme_rows(&mut table, cores, &schemes, &workloads, &scale);
     }
     crate::output::emit("fig10", &table);
     println!("Expected shape: ASM-Mem achieves the lowest unfairness with comparable");

@@ -3,11 +3,9 @@
 //! counts.
 
 use asm_core::{CachePolicy, EstimatorSet, SystemConfig};
-use asm_metrics::Table;
 use asm_workloads::mix;
 
-use crate::collect::mech_outcome;
-use crate::plan::PlannedRun;
+use crate::collect::{push_scheme_rows, scheme_table};
 use crate::scale::Scale;
 
 /// Core counts evaluated (the paper uses 4/8/16).
@@ -39,18 +37,14 @@ fn workloads_for(scale: Scale, cores: usize) -> usize {
 /// Runs the Figure 9 comparison.
 pub fn run(scale: Scale) {
     println!("\n=== Figure 9: ASM-Cache vs NoPart / UCP / MCFQ ===");
-    let policies: [(&str, CachePolicy); 4] = [
+    let schemes = [
         ("NoPart", CachePolicy::None),
         ("UCP", CachePolicy::Ucp),
         ("MCFQ", CachePolicy::Mcfq),
         ("ASM-Cache", CachePolicy::AsmCache),
-    ];
-    let mut table = Table::new(vec![
-        "cores".into(),
-        "scheme".into(),
-        "unfairness (max slowdown)".into(),
-        "harmonic speedup".into(),
-    ]);
+    ]
+    .map(|(name, policy)| (name, policy_config(scale, policy)));
+    let mut table = scheme_table();
     for &cores in CORE_COUNTS {
         let workloads = mix::binned_mixes(
             workloads_for(scale, cores),
@@ -60,38 +54,7 @@ pub fn run(scale: Scale) {
         // All four policies agree on the prefix-relevant configuration,
         // so the campaign warms each workload once and forks it into
         // every policy — the planner's showcase (DESIGN.md §11).
-        let runs: Vec<PlannedRun> = policies
-            .iter()
-            .flat_map(|&(_, policy)| {
-                let config = policy_config(scale, policy);
-                workloads
-                    .iter()
-                    .map(move |w| PlannedRun::new(config.clone(), w.clone(), scale.cycles))
-            })
-            .collect();
-        if scale.tier == crate::scale::Tier::Sampled {
-            let results = crate::sampled::run_campaign(&runs, &scale);
-            for ((name, _), per_policy) in policies.iter().zip(results.chunks(workloads.len())) {
-                let out = crate::sampled::sampled_outcome(per_policy);
-                table.row(vec![
-                    cores.to_string(),
-                    (*name).into(),
-                    out.unfairness.cell(2),
-                    out.harmonic_speedup.cell(3),
-                ]);
-            }
-            continue;
-        }
-        let results = crate::plan::run_campaign(&runs, scale.jobs);
-        for ((name, _), per_policy) in policies.iter().zip(results.chunks(workloads.len())) {
-            let out = mech_outcome(per_policy);
-            table.row(vec![
-                cores.to_string(),
-                (*name).into(),
-                format!("{:.2}", out.unfairness),
-                format!("{:.3}", out.harmonic_speedup),
-            ]);
-        }
+        push_scheme_rows(&mut table, cores, &schemes, &workloads, &scale);
     }
     crate::output::emit("fig9", &table);
     println!("Expected shape: ASM-Cache has the lowest unfairness at every core count");

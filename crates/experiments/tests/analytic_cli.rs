@@ -76,8 +76,9 @@ fn corrupt_profile_cache_warns_and_falls_back() {
     assert_ok(&cold, "cold run");
     assert!(cache_path.exists(), "cache file written on exit");
 
-    // Corrupt it: wrong header simulates a stale format version.
-    std::fs::write(&cache_path, "asm-profile-cache v999\nprofiles 0\n").expect("overwrite");
+    // Replace it with a cache in the text format of earlier builds: a
+    // foreign artefact now, ignored rather than read.
+    std::fs::write(&cache_path, "asm-reuse-profile v1\nprofiles 0\n").expect("overwrite");
     let warm = run(&args);
     assert_ok(&warm, "run with corrupt cache");
     let stderr = String::from_utf8_lossy(&warm.stderr);

@@ -1,13 +1,16 @@
 //! Workspace call graph: the R9 hot-path hygiene pass.
 //!
 //! Builds a conservative intra-workspace call graph over the simulation
-//! crates and walks it from the hot-path roots — the per-cycle loop
-//! (`System::step`, `System::step_until`, `System::run_for`) and the
-//! analytic tier's per-mix solve (`MixSolver::solve`) — to find every
-//! function that can execute inside those loops. Reachable
-//! functions must not allocate, perform I/O, or invoke panic macros;
-//! the reachability set itself is exported (see `--json`) so the hot
-//! path is auditable.
+//! crates and walks it from the hot-path roots — the per-cycle loop's
+//! public entries (`System::step`, `System::run_for`,
+//! `System::run_prefix`) and the analytic tier's per-mix solve
+//! (`MixSolver::solve`) — to find every function that can execute inside
+//! those loops. Reachable functions must not allocate, perform I/O, or
+//! invoke panic macros; the reachability set itself is exported (see
+//! `--json`) so the hot path is auditable. A root that resolves to no
+//! definition although its `impl` type is linted is reported too
+//! ([`GraphResult::unresolved_roots`]): a rename or a file split must not
+//! silently un-root the analysis.
 //!
 //! Conservatism and escape hatch:
 //!
@@ -31,13 +34,14 @@ use crate::tokens::{Delim, TokKind};
 use crate::{HotFn, Options, RuleId};
 
 /// Root methods of the analysed hot paths as `(impl type, fn)` pairs: the
-/// per-cycle loop on `impl System`, plus the analytic tier's per-mix solve
-/// on `impl MixSolver` — a campaign calls it millions of times, so it gets
-/// the same no-alloc/no-I/O discipline as the cycle loop.
+/// public entries of the per-cycle loop on `impl System`, plus the analytic
+/// tier's per-mix solve on `impl MixSolver` — a campaign calls it millions
+/// of times, so it gets the same no-alloc/no-I/O discipline as the cycle
+/// loop.
 const ROOTS: &[(&str, &str)] = &[
     ("System", "step"),
-    ("System", "step_until"),
     ("System", "run_for"),
+    ("System", "run_prefix"),
     ("MixSolver", "solve"),
 ];
 
@@ -50,6 +54,12 @@ pub struct GraphResult {
     pub suppressed: Vec<Diagnostic>,
     /// Every reachable fn, sorted by (path, line).
     pub reachable: Vec<HotFn>,
+    /// One diagnostic per root whose `impl` type has fns among the linted
+    /// files but whose method is defined nowhere. Kept apart from
+    /// `active`: a whole tree must resolve every such root
+    /// ([`crate::run_workspace_with`] fails on these), a fixture may
+    /// define only the roots it exercises.
+    pub unresolved_roots: Vec<Diagnostic>,
 }
 
 /// One fn node in the graph.
@@ -85,6 +95,26 @@ pub fn analyze(models: &[&FileModel], opts: &Options) -> GraphResult {
         }
     }
 
+    let mut result = GraphResult::default();
+    for &(ty, f) in ROOTS {
+        let mut of_type = nodes.iter().filter(|n| n.impl_type.as_deref() == Some(ty));
+        let Some(first) = of_type.next() else { continue };
+        if first.name != f && !of_type.any(|n| n.name == f) {
+            result.unresolved_roots.push(Diagnostic {
+                path: models[first.file].path.clone(),
+                line: models[first.file].fns[first.fn_idx].sig_line + 1,
+                col: 1,
+                rule: RuleId::R9,
+                message: format!(
+                    "hot-path root `{ty}::{f}` resolves to no definition although `impl {ty}` \
+                     is linted — R9 would silently analyse nothing from it; restore the method \
+                     or update `ROOTS` in crates/lint/src/callgraph.rs"
+                ),
+                allowed: false,
+            });
+        }
+    }
+
     // BFS from the roots; boundary fns are listed but not expanded.
     let mut visited: BTreeSet<usize> = BTreeSet::new();
     let mut queue: VecDeque<usize> = VecDeque::new();
@@ -97,7 +127,6 @@ pub fn analyze(models: &[&FileModel], opts: &Options) -> GraphResult {
             queue.push_back(id);
         }
     }
-    let mut result = GraphResult::default();
     while let Some(id) = queue.pop_front() {
         let node = &nodes[id];
         if node.boundary {
@@ -519,6 +548,28 @@ impl Suite {
         ]);
         assert!(g.active.is_empty(), "{:#?}", g.active);
         assert_eq!(g.reachable.len(), 1, "{:#?}", g.reachable);
+    }
+
+    #[test]
+    fn a_root_missing_from_a_linted_impl_is_reported() {
+        // `SYSTEM` defines `step` only: the two other `System` roots are
+        // unresolved, `MixSolver::solve` is not (no `impl MixSolver`).
+        let g = run(&[("crates/core/src/system/mod.rs", SYSTEM)]);
+        let got: Vec<(usize, &str)> = g
+            .unresolved_roots
+            .iter()
+            .map(|d| (d.line, d.message.split('`').nth(1).unwrap_or_default()))
+            .collect();
+        assert_eq!(got, vec![(3, "System::run_for"), (3, "System::run_prefix")]);
+        assert!(g.active.is_empty(), "fixtures stay legal: {:#?}", g.active);
+
+        // The roots may live in different files of a split module.
+        let rest = "impl System {\n    pub fn run_for(&mut self) { }\n    pub fn run_prefix(&mut self) { }\n}\n";
+        let g = run(&[
+            ("crates/core/src/system/mod.rs", SYSTEM),
+            ("crates/core/src/system/boundary.rs", rest),
+        ]);
+        assert!(g.unresolved_roots.is_empty(), "{:#?}", g.unresolved_roots);
     }
 
     #[test]

@@ -165,12 +165,13 @@ mod tests {
                 has_safety: true,
             }],
             hot_reachable: vec![HotFn {
-                path: "crates/core/src/system.rs".into(),
+                path: "crates/core/src/system/mod.rs".into(),
                 line: 834,
                 name: "step".into(),
                 impl_type: Some("System".into()),
                 boundary: false,
             }],
+            unresolved_roots: Vec::new(),
             files: 2,
         };
         let json = render(&a);

@@ -50,9 +50,10 @@
 //!   lexical rules provably cannot see.
 //! - **R9** — hot-path hygiene: no heap allocation, I/O, or panicking
 //!   macros in any function reachable from `System::step` /
-//!   `System::step_until` / `System::run_for`. A fn-level
-//!   `// asm-lint: allow(R9): reason` both suppresses and marks the fn
-//!   as a justified quantum boundary (traversal stops there).
+//!   `System::run_for` / `System::run_prefix` (or `MixSolver::solve`). A
+//!   fn-level `// asm-lint: allow(R9): reason` both suppresses and marks
+//!   the fn as a justified quantum boundary (traversal stops there). A
+//!   root that a linted tree no longer defines is itself a violation.
 //!
 //! Every diagnostic carries `path:line`. Intentional violations are
 //! suppressed with an allow directive stating a reason:
@@ -298,6 +299,11 @@ pub struct Analysis {
     pub unsafe_inventory: Vec<UnsafeRecord>,
     /// Functions reachable from the `System::step` family.
     pub hot_reachable: Vec<HotFn>,
+    /// R9 roots whose `impl` type is among the analysed files but whose
+    /// method is defined nowhere (see [`callgraph::GraphResult`]).
+    /// [`run_workspace_with`] moves them into `diagnostics`; fixture-sized
+    /// inputs to [`analyze_sources`] may leave roots undefined.
+    pub unresolved_roots: Vec<Diagnostic>,
     /// Number of files analysed.
     pub files: usize,
 }
@@ -373,6 +379,7 @@ pub fn analyze_sources(files: &[(String, String)], opts: &Options) -> Analysis {
         suppressed,
         unsafe_inventory: inventory,
         hot_reachable: graph.reachable,
+        unresolved_roots: graph.unresolved_roots,
         files: files.len(),
     }
 }
@@ -388,7 +395,12 @@ pub fn run_workspace(root: &Path) -> std::io::Result<Analysis> {
 /// [`run_workspace`] with explicit [`Options`].
 pub fn run_workspace_with(root: &Path, opts: &Options) -> std::io::Result<Analysis> {
     let sources = read_workspace_sources(root)?;
-    Ok(analyze_sources(&sources, opts))
+    let mut analysis = analyze_sources(&sources, opts);
+    // A whole tree must define every hot-path root of the types it has.
+    let mut found = std::mem::take(&mut analysis.diagnostics);
+    found.append(&mut analysis.unresolved_roots);
+    (analysis.diagnostics, _) = rules::finish(found, Vec::new());
+    Ok(analysis)
 }
 
 /// Reads every lintable `(display_path, content)` pair under
@@ -464,7 +476,7 @@ mod tests {
     fn harness_paths_get_the_harness_role() {
         assert_eq!(role_of("crates/experiments/src/pool.rs"), FileRole::Harness);
         assert_eq!(role_of("crates/bench/benches/figures.rs"), FileRole::Harness);
-        assert_eq!(role_of("crates/core/src/system.rs"), FileRole::Sim);
+        assert_eq!(role_of("crates/core/src/system/mod.rs"), FileRole::Sim);
     }
 
     #[test]

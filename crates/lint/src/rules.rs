@@ -553,8 +553,7 @@ const FRAMING_METHODS: &[&str] = &[
 
 /// R12: state serialization in simulation crates goes through
 /// `asm_simcore::persist` — a `persist_fields!` list or a `Persist` impl
-/// over `StateWriter`/`StateReader` (binary), or
-/// `text_header`/`check_text_header` (text). Hand-rolled
+/// over `StateWriter`/`StateReader`. Hand-rolled
 /// `to_le_bytes`/`from_le_bytes` framing skips the magic/version/
 /// checksum envelope that makes every on-disk artefact warn-and-rebuild
 /// safe, and `ne`-variants additionally bake in host endianness. The

@@ -226,3 +226,27 @@ fn workspace_is_clean() {
         analysis.hot_reachable
     );
 }
+
+#[test]
+fn a_tree_that_lost_a_hot_path_root_fails() {
+    // A checkout whose `impl System` no longer defines `run_prefix` (a
+    // rename, or a file split that dropped it): R9 must not quietly
+    // analyse less — linting the tree fails.
+    let root = std::env::temp_dir().join(format!("asm_lint_lost_root_{}", std::process::id()));
+    let dir = root.join("crates/core/src/system");
+    std::fs::create_dir_all(&dir).expect("temp tree");
+    let src = "pub struct System;\nimpl System {\n    pub fn step(&mut self) { }\n    \
+               pub fn run_for(&mut self) { self.step(); }\n}\n";
+    std::fs::write(dir.join("mod.rs"), src).expect("fixture file");
+    let analysis = asm_lint::run_workspace(&root).expect("temp tree is readable");
+    std::fs::remove_dir_all(&root).ok();
+    let got: Vec<String> = analysis.diagnostics.iter().map(ToString::to_string).collect();
+    assert_eq!(got.len(), 1, "{got:#?}");
+    assert!(
+        got[0].starts_with(
+            "crates/core/src/system/mod.rs:3: [R9] hot-path root `System::run_prefix` \
+             resolves to no definition"
+        ),
+        "{got:#?}"
+    );
+}

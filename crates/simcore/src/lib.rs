@@ -39,3 +39,20 @@ pub use stats::{Histogram, MeanAccumulator, RunningStats};
 /// DRAM device's slower clock is expressed by scaling its timing parameters
 /// into core cycles (see `asm-dram`).
 pub type Cycle = u64;
+
+/// What a core's reorder-buffer head is blocked on after a tick — the
+/// per-cycle fact `asm-cpu` reports (`Core::head_stall`) and the only
+/// input `asm-attrib`'s per-tick classifier needs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[repr(u8)]
+pub enum HeadStall {
+    /// Retiring/fetching/issuing normally (also: source drained).
+    #[default]
+    Progress = 0,
+    /// Head completes in the future: cache-hit latency.
+    HitWait = 1,
+    /// Head wants to issue but the memory system refused the access.
+    Backpressure = 2,
+    /// Head is an outstanding memory request; classified when it returns.
+    MemStall = 3,
+}

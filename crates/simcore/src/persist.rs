@@ -7,14 +7,13 @@
 //! checkpoint layer). They all follow the same policy, implemented once
 //! here:
 //!
-//! * **Versioned headers.** Binary artefacts start with a magic string,
-//!   a format name, and a `u32` version; text artefacts start with a
-//!   `"<name> v<version>"` line. Readers reject anything else — a stale
-//!   or foreign file is never silently misinterpreted.
+//! * **Versioned headers.** Every artefact starts with a magic string, a
+//!   format name, and a `u32` version. Readers reject anything else — a
+//!   stale or foreign file is never silently misinterpreted.
 //! * **Little-endian binary framing.** All multi-byte values are
 //!   little-endian; floats travel as IEEE-754 bit patterns so a
 //!   save/load round trip is bitwise-exact.
-//! * **Checksummed payloads.** Binary artefacts end with a [`DetHasher`]
+//! * **Checksummed payloads.** Artefacts end with a [`DetHasher`]
 //!   digest of the payload; truncation and bit rot surface as
 //!   [`PersistError::Corrupt`], not as garbage state.
 //! * **Warn-and-rebuild.** A missing artefact is simply absent; an
@@ -93,13 +92,14 @@
 //! assert_eq!(err.to_string(), "corrupt: Bank.open_rows: stored length 2, target 4");
 //! ```
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::path::Path;
+use std::sync::Arc;
 
 use crate::hash::DetHasher;
-use crate::{AppId, DetHashMap, LineAddr};
+use crate::{AppId, DetHashMap, HeadStall, LineAddr};
 
 /// Magic prefix identifying every binary artefact written by this module.
 pub const MAGIC: &[u8; 8] = b"ASMPRST\0";
@@ -619,6 +619,22 @@ impl Persist for LineAddr {
     }
 }
 
+impl Persist for HeadStall {
+    fn save(&self, w: &mut StateWriter) {
+        w.u8(*self as u8);
+    }
+    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), PersistError> {
+        *self = match r.u8()? {
+            0 => HeadStall::Progress,
+            1 => HeadStall::HitWait,
+            2 => HeadStall::Backpressure,
+            3 => HeadStall::MemStall,
+            other => return Err(PersistError::Corrupt(format!("stall kind byte {other}"))),
+        };
+        Ok(())
+    }
+}
+
 impl Persist for String {
     fn save(&self, w: &mut StateWriter) {
         w.str(self);
@@ -677,6 +693,17 @@ impl<T: Persist + ?Sized> Persist for Box<T> {
     }
     fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), PersistError> {
         (**self).restore(r)
+    }
+}
+
+/// Restored through [`Arc::make_mut`]: a target shared at restore time is
+/// cloned first, never written under its other holders.
+impl<T: Persist + Clone> Persist for Arc<T> {
+    fn save(&self, w: &mut StateWriter) {
+        (**self).save(w);
+    }
+    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), PersistError> {
+        Arc::make_mut(self).restore(r)
     }
 }
 
@@ -769,8 +796,30 @@ impl<T: Persist + Default + Ord> Persist for BinaryHeap<T> {
     }
 }
 
-/// Dynamic, written sorted by key for the same reason; a key stored twice
-/// is corrupt.
+fn save_entries<'a, K: Persist + 'a, V: Persist + 'a>(
+    w: &mut StateWriter,
+    len: usize,
+    entries: impl IntoIterator<Item = (&'a K, &'a V)>,
+) {
+    w.usize(len);
+    for (k, v) in entries {
+        k.save(w);
+        v.save(w);
+    }
+}
+
+/// Reads a map's entries; a key stored twice is corrupt.
+fn restore_entries<K: Persist + Default, V: Persist + Default>(
+    r: &mut StateReader<'_>,
+    mut insert: impl FnMut(K, V) -> Option<V>,
+) -> Result<(), PersistError> {
+    restore_seq(r, |(k, v): (K, V)| match insert(k, v) {
+        None => Ok(()),
+        Some(_) => Err(PersistError::Corrupt("key stored twice".to_owned())),
+    })
+}
+
+/// Dynamic, written sorted by key for the same reason as a heap.
 impl<K, V> Persist for DetHashMap<K, V>
 where
     K: Persist + Default + Ord + Hash,
@@ -779,18 +828,22 @@ where
     fn save(&self, w: &mut StateWriter) {
         let mut entries: Vec<(&K, &V)> = self.iter().collect();
         entries.sort_by_key(|&(k, _)| k);
-        w.usize(entries.len());
-        for (k, v) in entries {
-            k.save(w);
-            v.save(w);
-        }
+        save_entries(w, entries.len(), entries);
     }
     fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), PersistError> {
         self.clear();
-        restore_seq(r, |(k, v): (K, V)| match self.insert(k, v) {
-            None => Ok(()),
-            Some(_) => Err(PersistError::Corrupt("key stored twice".to_owned())),
-        })
+        restore_entries(r, |k, v| self.insert(k, v))
+    }
+}
+
+/// Dynamic, in key order.
+impl<K: Persist + Default + Ord, V: Persist + Default> Persist for BTreeMap<K, V> {
+    fn save(&self, w: &mut StateWriter) {
+        save_entries(w, self.len(), self);
+    }
+    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), PersistError> {
+        self.clear();
+        restore_entries(r, |k, v| self.insert(k, v))
     }
 }
 
@@ -865,48 +918,6 @@ macro_rules! persist_fields {
     (@restore $s:ident $r:ident $f:ident) => {
         $crate::persist::Persist::restore(&mut $s.$f, $r)
     };
-}
-
-/// Renders the versioned first line of a text artefact:
-/// `"<name> v<version>"`.
-#[must_use]
-pub fn text_header(name: &str, version: u32) -> String {
-    format!("{name} v{version}")
-}
-
-/// Validates the versioned first line of a text artefact and returns the
-/// remainder (without the header line).
-///
-/// # Errors
-///
-/// [`PersistError::StaleVersion`] when the name matches but the version
-/// differs, [`PersistError::BadHeader`] otherwise.
-pub fn check_text_header<'a>(
-    text: &'a str,
-    name: &str,
-    version: u32,
-) -> Result<&'a str, PersistError> {
-    let (first, rest) = match text.split_once('\n') {
-        Some((f, r)) => (f, r),
-        None => (text, ""),
-    };
-    let first = first.trim_end_matches('\r');
-    if first == text_header(name, version) {
-        return Ok(rest);
-    }
-    if let Some(v) = first.strip_prefix(&format!("{name} v")) {
-        if let Ok(found) = v.trim().parse::<u32>() {
-            return Err(PersistError::StaleVersion {
-                format: name.to_owned(),
-                found,
-                expected: version,
-            });
-        }
-    }
-    Err(PersistError::BadHeader(format!(
-        "'{first}', expected '{}'",
-        text_header(name, version)
-    )))
 }
 
 /// The workspace-wide warn-and-rebuild load policy, in one place.
@@ -1100,30 +1111,6 @@ mod tests {
         assert!(matches!(
             r.u64_vec(),
             Err(PersistError::Truncated { .. })
-        ));
-    }
-
-    #[test]
-    fn text_header_round_trip() {
-        let text = format!("{}\nbody line\n", text_header("asm-alone-cache", 1));
-        let rest = check_text_header(&text, "asm-alone-cache", 1).unwrap();
-        assert_eq!(rest, "body line\n");
-
-        assert!(matches!(
-            check_text_header("asm-alone-cache v2\n", "asm-alone-cache", 1),
-            Err(PersistError::StaleVersion {
-                found: 2,
-                expected: 1,
-                ..
-            })
-        ));
-        assert!(matches!(
-            check_text_header("something else\n", "asm-alone-cache", 1),
-            Err(PersistError::BadHeader(_))
-        ));
-        assert!(matches!(
-            check_text_header("", "asm-alone-cache", 1),
-            Err(PersistError::BadHeader(_))
         ));
     }
 

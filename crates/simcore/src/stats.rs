@@ -358,7 +358,8 @@ impl Histogram {
 impl Histogram {
     fn check_restored(&self) -> Result<(), crate::persist::PersistError> {
         use crate::persist::ensure;
-        ensure(self.bucket_width > 0.0 && !self.counts.is_empty(), "bad geometry")?;
+        let width = self.bucket_width;
+        ensure(width.is_finite() && width > 0.0 && !self.counts.is_empty(), "bad geometry")?;
         let in_buckets = self.counts.iter().try_fold(self.overflow, |a, &c| a.checked_add(c));
         ensure(in_buckets == Some(self.total), "total mismatch")
     }

@@ -2,10 +2,11 @@
 //! of every impl round-trip bitwise, and no truncation of a payload
 //! restores.
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::sync::Arc;
 
 use asm_simcore::persist::{Persist, StateReader, StateWriter};
-use asm_simcore::{persist_fields, AppId, DetHashMap, LineAddr, SimRng};
+use asm_simcore::{persist_fields, AppId, DetHashMap, HeadStall, LineAddr, SimRng};
 use proptest::prelude::*;
 
 /// One field per blanket impl, nested where the impls compose.
@@ -32,6 +33,8 @@ struct Everything {
     deque: VecDeque<Option<AppId>>,
     heap: BinaryHeap<u64>,
     map: DetHashMap<u64, String>,
+    ordered: BTreeMap<String, Arc<Vec<u64>>>,
+    stalls: Vec<HeadStall>,
     shape: usize,
 }
 
@@ -58,6 +61,8 @@ persist_fields!(Everything {
     deque,
     heap,
     map,
+    ordered,
+    stalls,
 });
 
 /// A value whose structural parts (`arena`, `fixed`, `present`, `shape`)
@@ -99,6 +104,15 @@ fn random(shape: usize, rng: &mut SimRng) -> Everything {
             .collect(),
         heap: (0..len(rng)).map(|_| rng.next_u64()).collect(),
         map: (0..len(rng)).map(|_| (rng.next_u64(), text(rng))).collect(),
+        ordered: (0..len(rng))
+            .map(|_| (text(rng), Arc::new(vec![rng.next_u64(); len(rng)])))
+            .collect(),
+        stalls: (0..len(rng))
+            .map(|_| {
+                use HeadStall::{Backpressure, HitWait, MemStall, Progress};
+                [Progress, HitWait, Backpressure, MemStall][rng.gen_range(4) as usize]
+            })
+            .collect(),
         shape,
     }
 }
