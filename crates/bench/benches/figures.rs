@@ -193,6 +193,7 @@ fn bench_figures(c: &mut Criterion) {
 /// for >=2x on four cores at real scales).
 fn bench_parallel_sweep(c: &mut Criterion) {
     use asm_experiments::collect::collect_accuracy;
+    use asm_experiments::plan::{cross, run_campaign};
     use asm_experiments::pool::default_jobs;
     use asm_workloads::mix;
 
@@ -208,8 +209,8 @@ fn bench_parallel_sweep(c: &mut Criterion) {
                 let mut cfg = micro_config();
                 cfg.estimators = EstimatorSet::all();
                 let workloads = mix::random_mixes(8, 4, 42);
-                let stats =
-                    collect_accuracy(&cfg, &workloads, micro_cycles(), 0, jobs);
+                let runs = cross(&[cfg], &workloads, micro_cycles());
+                let stats = collect_accuracy(&run_campaign(&runs, jobs), 0);
                 stats.mean_error("ASM").unwrap_or(f64::NAN)
             });
         });

@@ -78,15 +78,27 @@ pub fn prefix_config(config: &SystemConfig) -> SystemConfig {
     c
 }
 
-/// Canonical signature of a workload mix: profile names joined by `+`
+/// Readable signature of a workload mix: profile names joined by `+`
 /// (slot order matters — the same profiles in different slots are a
-/// different simulation).
+/// different simulation). Names only: keys use [`mix_fingerprint`].
 #[must_use]
 pub fn mix_signature(apps: &[AppProfile]) -> String {
     apps.iter()
         .map(AppProfile::name)
         .collect::<Vec<_>>()
         .join("+")
+}
+
+/// Deterministic fingerprint of a workload mix, for cache and artefact
+/// keys: every profile's complete parameter set in slot order, so two
+/// profiles that share a name but not their parameters never share an
+/// alone run, a warm-up snapshot or a result manifest.
+#[must_use]
+pub fn mix_fingerprint(apps: &[AppProfile]) -> u64 {
+    use std::hash::Hasher as _;
+    let mut h = asm_simcore::hash::DetHasher::default();
+    h.write(format!("{apps:?}").as_bytes());
+    h.finish()
 }
 
 /// Serializes a warmed system into a snapshot artefact tagged with `key`
@@ -350,6 +362,11 @@ mod tests {
         let mut rev = apps.clone();
         rev.reverse();
         assert_ne!(Runner::new(config()).warmup_key(&rev, opts), base);
+        // A profile is more than its name: same names, another working set.
+        let mut renamed = apps.clone();
+        renamed[0] = AppProfile::builder(apps[0].name()).working_set_lines(1 << 10).build();
+        assert_eq!(mix_signature(&renamed), mix_signature(&apps));
+        assert_ne!(Runner::new(config()).warmup_key(&renamed, opts), base);
         let telem = RunOptions {
             telemetry: true,
             trace_sample: None,

@@ -145,11 +145,12 @@ impl Default for AloneRecord {
 // (positive interval, monotonic milestones, positive bucket width).
 asm_simcore::persist_fields!(AloneRecord { cycles, progress, latency_hist });
 
-/// Cache key: `(profile name, slot, alone-config hash)`. The hash is
-/// [`config_hash`] of the full alone [`SystemConfig`], so entries for
-/// different hardware (or different seeds) never collide, and a persisted
-/// cache from a different configuration is silently — and correctly —
-/// never hit.
+/// Cache key: `(profile name, slot, fingerprint)`. The fingerprint folds
+/// [`config_hash`] of the full alone [`SystemConfig`] with the profile's
+/// parameters ([`checkpoint::mix_fingerprint`]), so entries for different
+/// hardware, seeds, or profiles that merely share a name never collide,
+/// and a persisted cache from a different configuration is silently —
+/// and correctly — never hit.
 type AloneKey = (String, usize, u64);
 
 /// Deterministic 64-bit fingerprint of a [`SystemConfig`], derived from
@@ -326,8 +327,7 @@ pub struct RunOptions {
 pub struct Runner {
     config: SystemConfig,
     alone_cache: Arc<AloneCache>,
-    /// [`config_hash`] of [`Self::alone_config`], precomputed because
-    /// policy switches ([`Self::set_policies`]) never change it.
+    /// [`config_hash`] of [`Self::alone_config`], computed once.
     alone_fingerprint: u64,
 }
 
@@ -380,16 +380,6 @@ impl Runner {
         &self.alone_cache
     }
 
-    /// Switches the cache/memory mechanisms for subsequent runs while
-    /// keeping the cached alone runs — valid because alone runs strip all
-    /// mechanisms anyway (see [`Self::config`]'s alone derivation). Use
-    /// this when comparing mechanisms on identical hardware so each scheme
-    /// does not repeat the alone simulations.
-    pub fn set_policies(&mut self, cache: CachePolicy, mem: MemPolicy) {
-        self.config.cache_policy = cache;
-        self.config.mem_policy = mem;
-    }
-
     /// The configuration used for alone runs: same hardware, but no
     /// estimators or allocation mechanisms (they would be no-ops or noise
     /// for a single application).
@@ -402,7 +392,8 @@ impl Runner {
     }
 
     fn alone_record(&self, apps: &[AppProfile], slot: usize, cycles: Cycle) -> AloneRecord {
-        let key = (apps[slot].name().to_owned(), slot, self.alone_fingerprint);
+        let profile = checkpoint::mix_fingerprint(&apps[slot..=slot]);
+        let key = (apps[slot].name().to_owned(), slot, self.alone_fingerprint ^ profile);
         if let Some(rec) = self.alone_cache.get_at_least(&key, cycles) {
             return rec;
         }
@@ -492,7 +483,7 @@ impl Runner {
         use std::hash::Hasher as _;
         let mut h = DetHasher::default();
         h.write_u64(config_hash(&checkpoint::prefix_config(&self.config)));
-        h.write(checkpoint::mix_signature(apps).as_bytes());
+        h.write_u64(checkpoint::mix_fingerprint(apps));
         h.write_u8(u8::from(opts.telemetry));
         h.write_u8(u8::from(opts.attrib));
         h.finish()
@@ -767,6 +758,25 @@ mod tests {
         let c = Runner::with_cache(other, cache.clone());
         let _ = c.run(&apps(), 100_000);
         assert_eq!(cache.len(), 4);
+    }
+
+    #[test]
+    fn same_name_different_profile_does_not_share_alone_runs() {
+        // Two profiles called "x", a light and a memory-bound one: on one
+        // runner the second must not be measured against the first's
+        // alone run (which inflates its slowdown many times over).
+        let x = |mpk: u32, lines: u64| {
+            let x = AppProfile::builder("x").mem_per_kilo(mpk).working_set_lines(lines).build();
+            [x, suite::by_name("h264ref_like").unwrap()]
+        };
+        let (light, heavy) = (x(2, 1 << 10), x(60, 1 << 18));
+        let shared = Runner::new(config());
+        let _ = shared.run(&light, 200_000);
+        let after_light = shared.run(&heavy, 200_000).whole_run_slowdowns[0];
+        let fresh = Runner::new(config()).run(&heavy, 200_000).whole_run_slowdowns[0];
+        assert_eq!(after_light.to_bits(), fresh.to_bits());
+        // x-light, x-heavy, and the partner once.
+        assert_eq!(shared.alone_cache().len(), 3);
     }
 
     #[test]

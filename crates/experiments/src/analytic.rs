@@ -73,7 +73,7 @@ pub fn save_profile_cache() {
 
 /// Solves every mix analytically, fanning solves across `jobs` worker
 /// threads, and returns the solutions **in workload order** — the
-/// analytic twin of [`crate::collect::run_parallel`].
+/// analytic arm of [`crate::collect::tier_slowdowns`].
 ///
 /// Profiles are extracted (or fetched from the cache) sequentially
 /// up front; the fan-out then reads an immutable snapshot, so the result

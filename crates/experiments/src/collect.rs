@@ -1,28 +1,31 @@
-//! Shared accuracy-collection machinery for the estimation-error
-//! experiments (Figures 2-8, Table 3, §6.4 and the database study).
+//! What the experiments share on either side of a campaign: the
+//! process-wide alone-run cache, the tier switch, and the folds that turn
+//! per-run results into table cells — estimation-error statistics
+//! (Figures 2-8, Table 3, §6.4, the database study) and the averaged
+//! fairness/performance outcome (Figures 9-11).
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
-use asm_core::{AloneCache, RunResult, Runner, SystemConfig};
+use asm_core::{AloneCache, RunResult, SystemConfig};
 use asm_cpu::AppProfile;
 use asm_metrics::{ErrorAggregate, ErrorDistribution, Table};
+use asm_sampling::Estimate;
 use asm_simcore::Cycle;
 
-use crate::plan::PlannedRun;
-use crate::pool;
+use crate::plan::{self, PlannedRun};
 use crate::scale::{Scale, Tier};
 
-/// The process-wide alone-run cache, shared by every runner the
-/// experiments construct once set: `--alone-cache <path>` installs a
-/// file-backed one, [`install_alone_cache`] an in-memory one.
+/// The process-wide alone-run cache, shared by every campaign once set:
+/// `--alone-cache <path>` installs a file-backed one,
+/// [`install_alone_cache`] an in-memory one.
 static ALONE_CACHE: OnceLock<(Option<PathBuf>, Arc<AloneCache>)> = OnceLock::new();
 
 /// Loads (or initializes) the persistent alone-run cache at `path` and
-/// routes all subsequent [`make_runner`] calls through it. A missing file
-/// starts empty; a corrupt or stale file is ignored with a warning (the
-/// run then recomputes and overwrites it on [`save_alone_cache`]).
+/// routes all subsequent campaigns through it. A missing file starts
+/// empty; a corrupt or stale file is ignored with a warning (the run
+/// then recomputes and overwrites it on [`save_alone_cache`]).
 /// Progress chatter goes to stderr: stdout must stay byte-identical with
 /// and without a cache.
 pub fn set_alone_cache_path(path: PathBuf) {
@@ -39,8 +42,8 @@ pub fn set_alone_cache_path(path: PathBuf) {
     let _ = ALONE_CACHE.set((Some(path), Arc::new(cache)));
 }
 
-/// Routes all subsequent runners and campaigns through an in-memory
-/// cache with no backing file ([`save_alone_cache`] becomes a no-op).
+/// Routes all subsequent campaigns through an in-memory cache with no
+/// backing file ([`save_alone_cache`] becomes a no-op).
 /// Harnesses that compare tiers (the sampled-accuracy gate, the
 /// `sampled_sweep` bench) pre-warm one cache and install it so both
 /// tiers amortize the same alone runs — exactly what `--alone-cache`
@@ -48,17 +51,6 @@ pub fn set_alone_cache_path(path: PathBuf) {
 /// CLI flag.
 pub fn install_alone_cache(cache: Arc<AloneCache>) {
     let _ = ALONE_CACHE.set((None, cache));
-}
-
-/// A runner for `config` backed by the persistent alone-run cache when
-/// one is configured, else by a fresh private cache. All experiment code
-/// constructs runners through here.
-#[must_use]
-pub fn make_runner(config: SystemConfig) -> Runner {
-    match ALONE_CACHE.get() {
-        Some((_, cache)) => Runner::with_cache(config, Arc::clone(cache)),
-        None => Runner::new(config),
-    }
 }
 
 /// Writes the persistent alone-run cache back to its file, if one was
@@ -74,52 +66,6 @@ pub fn save_alone_cache() {
             Err(e) => eprintln!("warning: alone-cache: could not save {}: {e}", path.display()),
         }
     }
-}
-
-/// Simulates every workload under `config`, fanning runs across `jobs`
-/// worker threads, and returns the results **in workload order**.
-///
-/// This is the deterministic parallel driver every sweep goes through:
-/// workloads are independent, the shared [`asm_core::AloneCache`] dedupes
-/// alone runs across threads, and because the returned `Vec` preserves
-/// submission order, any sequential fold over it is byte-identical for
-/// every `jobs` value (including `jobs = 1`, which runs inline).
-///
-/// Prints one progress dot per completed workload to stderr.
-#[must_use]
-pub fn run_parallel(
-    config: &SystemConfig,
-    workloads: &[Vec<AppProfile>],
-    cycles: Cycle,
-    jobs: usize,
-) -> Vec<RunResult> {
-    let runner = make_runner(config.clone());
-    run_parallel_with(&runner, workloads, cycles, jobs)
-}
-
-/// Like [`run_parallel`], reusing an existing runner — and therefore its
-/// alone-run cache. Use with [`Runner::set_policies`] when sweeping
-/// mechanisms on identical hardware.
-#[must_use]
-pub fn run_parallel_with(
-    runner: &Runner,
-    workloads: &[Vec<AppProfile>],
-    cycles: Cycle,
-    jobs: usize,
-) -> Vec<RunResult> {
-    let opts = crate::sink::options();
-    let results = pool::run_ordered(jobs, workloads, |_, w| {
-        let r = runner.run_with(w, cycles, opts);
-        eprint!(".");
-        r
-    });
-    eprintln!();
-    // Telemetry snapshots are recorded here, sequentially and in
-    // submission order, so the sink's artefacts stay jobs-independent.
-    for r in &results {
-        crate::sink::record(r);
-    }
-    results
 }
 
 /// Accumulated accuracy statistics across a set of workloads.
@@ -163,24 +109,14 @@ impl AccuracyStats {
     }
 }
 
-/// Runs `workloads` under `config` on `jobs` worker threads and
-/// accumulates estimation-error statistics, skipping `warmup_quanta`
-/// leading quanta of every run.
-///
-/// Simulations run via [`run_parallel`]; the statistics fold happens
-/// sequentially on the caller's thread in workload order, so the result
-/// is bitwise identical for every `jobs` value.
+/// Accumulates estimation-error statistics over `results`, skipping
+/// `warmup_quanta` leading quanta of every run. A sequential fold in
+/// slice order: over a campaign's results it is bitwise identical for
+/// every `--jobs` value.
 #[must_use]
-pub fn collect_accuracy(
-    config: &SystemConfig,
-    workloads: &[Vec<AppProfile>],
-    cycles: Cycle,
-    warmup_quanta: usize,
-    jobs: usize,
-) -> AccuracyStats {
-    let results = run_parallel(config, workloads, cycles, jobs);
+pub fn collect_accuracy(results: &[RunResult], warmup_quanta: usize) -> AccuracyStats {
     let mut stats = AccuracyStats::default();
-    for result in &results {
+    for result in results {
         let mut workload_err: BTreeMap<String, ErrorAggregate> = BTreeMap::new();
         for q in result.quanta.iter().skip(warmup_quanta) {
             for (name, est) in &q.estimates {
@@ -216,20 +152,23 @@ pub fn collect_accuracy(
                 stats.per_workload.entry(name).or_default().push(m);
             }
         }
-        if std::env::var_os("ASM_DEBUG_SIGNED").is_some() {
-            for q in result.quanta.iter().skip(warmup_quanta).take(1) {
-                for (name, est) in &q.estimates {
-                    let pairs: Vec<String> = est
-                        .iter()
-                        .zip(&q.actual)
-                        .map(|(e, a)| format!("{e:.2}/{a:.2}"))
-                        .collect();
-                    eprintln!("[signed] {name}: est/actual {}", pairs.join(" "));
-                }
-            }
-        }
     }
     stats
+}
+
+/// Runs every configuration on every workload as one campaign
+/// ([`plan::cross`]) and folds one [`AccuracyStats`] per configuration.
+#[must_use]
+pub fn accuracy_sweep(
+    configs: &[SystemConfig],
+    workloads: &[Vec<AppProfile>],
+    cycles: Cycle,
+    scale: &Scale,
+) -> Vec<AccuracyStats> {
+    plan::run_campaign(&plan::cross(configs, workloads, cycles), scale.jobs)
+        .chunks(workloads.len())
+        .map(|results| collect_accuracy(results, scale.warmup_quanta))
+        .collect()
 }
 
 /// Formats an optional percentage for table cells.
@@ -241,74 +180,69 @@ pub fn pct(v: Option<f64>) -> String {
     }
 }
 
-/// Averaged fairness/performance outcome of a resource-management
-/// mechanism across workloads (Figures 9-11).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MechOutcome {
-    /// Mean of per-workload maximum slowdown (unfairness; lower is better).
-    pub unfairness: f64,
-    /// Standard deviation of per-workload maximum slowdown.
-    pub unfairness_std: f64,
-    /// Mean harmonic speedup (system performance; higher is better).
-    pub harmonic_speedup: f64,
+/// Slowdowns an exact tier computed, as estimates with `ci = 0`.
+#[must_use]
+pub fn exact(slowdowns: &[f64]) -> Vec<Estimate> {
+    slowdowns.iter().map(|&s| Estimate::exact(s)).collect()
 }
 
-/// Runs `workloads` under `config` on `jobs` worker threads and averages
-/// whole-run unfairness and harmonic speedup.
-#[must_use]
-pub fn eval_mechanism(
-    config: &SystemConfig,
-    workloads: &[Vec<AppProfile>],
-    cycles: Cycle,
-    jobs: usize,
-) -> MechOutcome {
-    let runner = make_runner(config.clone());
-    eval_mechanism_with(&runner, workloads, cycles, jobs)
-}
+/// A tier's table cell: an estimate rendered to some decimals.
+pub type CellFormat = fn(&Estimate, usize) -> String;
 
-/// Like [`eval_mechanism`], reusing an existing runner (and its cached
-/// alone runs — use with [`Runner::set_policies`] when sweeping
-/// mechanisms on identical hardware).
+/// Per-app whole-run slowdowns of every run, on the tier `scale`
+/// selects, with the cell format that tier's tables use: plain values,
+/// or `value ±CI` on the sampled tier. The one place the harness
+/// branches on `--tier`. The analytic tier reads only cache geometry,
+/// latencies and DRAM timing from a configuration (and nothing from
+/// `cycles`), so an experiment hands every tier the same runs.
 #[must_use]
-pub fn eval_mechanism_with(
-    runner: &Runner,
-    workloads: &[Vec<AppProfile>],
-    cycles: Cycle,
-    jobs: usize,
-) -> MechOutcome {
-    mech_outcome(&run_parallel_with(runner, workloads, cycles, jobs))
-}
-
-/// Folds per-workload results into the averaged fairness/performance
-/// outcome. Sequential and order-dependent only on the slice order, so a
-/// caller that slices a [`crate::plan::run_campaign`] result by scheme
-/// gets output byte-identical to the per-scheme sweeps it replaces.
-#[must_use]
-pub fn mech_outcome(results: &[RunResult]) -> MechOutcome {
-    let mut maxes = Vec::new();
-    let mut hspeeds = Vec::new();
-    for r in results {
-        let slowdowns: Vec<f64> = r
-            .whole_run_slowdowns
-            .iter()
-            .copied()
-            .filter(|s| s.is_finite())
-            .collect();
-        if let Some(m) = asm_metrics::max_slowdown(&slowdowns) {
-            maxes.push(m);
+pub fn tier_slowdowns(runs: &[PlannedRun], scale: &Scale) -> (Vec<Vec<Estimate>>, CellFormat) {
+    let plain: CellFormat = |e, decimals| format!("{:.decimals$}", e.value);
+    match scale.tier {
+        Tier::Cycle => {
+            let results = plan::run_campaign(runs, scale.jobs);
+            (results.iter().map(|r| exact(&r.whole_run_slowdowns)).collect(), plain)
         }
-        if let Some(h) = asm_metrics::harmonic_speedup(&slowdowns) {
-            hspeeds.push(h);
+        Tier::Sampled => {
+            let results = crate::sampled::run_campaign(runs, scale);
+            (results.into_iter().map(|r| r.slowdowns).collect(), Estimate::cell)
+        }
+        Tier::Analytic => {
+            let solved = runs.chunk_by(|a, b| a.config == b.config).flat_map(|same| {
+                let mixes: Vec<_> = same.iter().map(|r| r.apps.clone()).collect();
+                crate::analytic::solve_mixes(&same[0].config, &mixes, scale.jobs)
+            });
+            (solved.map(|s| exact(&s.slowdowns)).collect(), plain)
         }
     }
-    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
-    let m = mean(&maxes);
-    let std =
-        (maxes.iter().map(|x| (x - m).powi(2)).sum::<f64>() / maxes.len().max(1) as f64).sqrt();
+}
+
+/// Averaged fairness/performance outcome of a resource-management
+/// mechanism across workloads (Figures 9-11).
+#[derive(Debug, Clone, Copy)]
+pub struct MechOutcome {
+    /// Mean of per-workload maximum slowdown (unfairness; lower is better).
+    pub unfairness: Estimate,
+    /// Mean harmonic speedup (system performance; higher is better).
+    pub harmonic_speedup: Estimate,
+}
+
+/// Folds per-workload slowdowns ([`tier_slowdowns`]) into the averaged
+/// outcome. Sequential and dependent only on the slice order, so a caller
+/// that slices a campaign by scheme gets the same bits for every
+/// `--jobs` value; at `ci = 0` the arithmetic is that of
+/// `asm_metrics::{max_slowdown, harmonic_speedup}` and a plain mean.
+#[must_use]
+pub fn mech_outcome(slowdowns: &[Vec<Estimate>]) -> MechOutcome {
+    let nan = Estimate::exact(f64::NAN);
+    let maxes: Vec<Estimate> = slowdowns.iter().filter_map(|s| Estimate::max_of(s)).collect();
+    let hspeeds: Vec<Estimate> = slowdowns
+        .iter()
+        .filter_map(|s| Estimate::harmonic_speedup_of(s))
+        .collect();
     MechOutcome {
-        unfairness: m,
-        unfairness_std: std,
-        harmonic_speedup: mean(&hspeeds),
+        unfairness: Estimate::mean_of(&maxes).unwrap_or(nan),
+        harmonic_speedup: Estimate::mean_of(&hspeeds).unwrap_or(nan),
     }
 }
 
@@ -325,9 +259,7 @@ pub fn scheme_table() -> Table {
 }
 
 /// Runs every scheme on every workload as one campaign, on the tier
-/// `scale` selects, and appends one row per scheme to a
-/// [`scheme_table`]: plain cells on the cycle tier, `value ± CI` cells on
-/// the sampled tier. The scheme tables branch on the tier nowhere else.
+/// `scale` selects, and appends one row per scheme to a [`scheme_table`].
 pub fn push_scheme_rows(
     table: &mut Table,
     cores: usize,
@@ -335,34 +267,16 @@ pub fn push_scheme_rows(
     workloads: &[Vec<AppProfile>],
     scale: &Scale,
 ) {
-    let runs: Vec<PlannedRun> = schemes
-        .iter()
-        .flat_map(|(_, config)| {
-            workloads
-                .iter()
-                .map(|w| PlannedRun::new(config.clone(), w.clone(), scale.cycles))
-        })
-        .collect();
-    let cells: Vec<(String, String)> = if scale.tier == Tier::Sampled {
-        crate::sampled::run_campaign(&runs, scale)
-            .chunks(workloads.len())
-            .map(crate::sampled::sampled_outcome)
-            .map(|out| (out.unfairness.cell(2), out.harmonic_speedup.cell(3)))
-            .collect()
-    } else {
-        crate::plan::run_campaign(&runs, scale.jobs)
-            .chunks(workloads.len())
-            .map(mech_outcome)
-            .map(|out| {
-                (
-                    format!("{:.2}", out.unfairness),
-                    format!("{:.3}", out.harmonic_speedup),
-                )
-            })
-            .collect()
-    };
-    for ((name, _), (unfairness, speedup)) in schemes.iter().zip(cells) {
-        table.row(vec![cores.to_string(), (*name).into(), unfairness, speedup]);
+    let configs: Vec<SystemConfig> = schemes.iter().map(|(_, c)| c.clone()).collect();
+    let (slowdowns, cell) = tier_slowdowns(&plan::cross(&configs, workloads, scale.cycles), scale);
+    for ((name, _), per_workload) in schemes.iter().zip(slowdowns.chunks(workloads.len())) {
+        let out = mech_outcome(per_workload);
+        table.row(vec![
+            cores.to_string(),
+            (*name).into(),
+            cell(&out.unfairness, 2),
+            cell(&out.harmonic_speedup, 3),
+        ]);
     }
 }
 
@@ -381,7 +295,6 @@ pub fn campaign_cache() -> Arc<AloneCache> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scale::Scale;
     use asm_core::EstimatorSet;
     use asm_workloads::mix;
 
@@ -391,7 +304,7 @@ mod tests {
         let mut config = scale.base_config();
         config.estimators = EstimatorSet::all();
         let workloads = mix::random_mixes(1, 2, 7);
-        let stats = collect_accuracy(&config, &workloads, scale.cycles, scale.warmup_quanta, 1);
+        let stats = accuracy_sweep(&[config], &workloads, scale.cycles, &scale).remove(0);
         for name in ["ASM", "FST", "PTCA", "MISE"] {
             assert!(stats.mean_error(name).is_some(), "missing stats for {name}");
         }
@@ -399,15 +312,17 @@ mod tests {
     }
 
     #[test]
-    fn run_parallel_preserves_workload_order() {
-        let scale = Scale::tiny();
-        let config = scale.base_config();
-        let workloads = mix::random_mixes(3, 2, 11);
-        let results = run_parallel(&config, &workloads, scale.cycles, 3);
-        assert_eq!(results.len(), workloads.len());
-        for (r, w) in results.iter().zip(&workloads) {
-            let expected: Vec<String> = w.iter().map(|a| a.name().to_owned()).collect();
-            assert_eq!(r.app_names, expected);
+    fn exact_outcome_is_the_metrics_crate_fold_bitwise() {
+        // The cycle tier's former fold: max and harmonic speedup per
+        // workload from `asm_metrics`, then plain means.
+        let workloads = [vec![1.25, 3.5, 2.0], vec![4.75, 1.0, 1.5, 2.25]];
+        let mean_of = |f: fn(&[f64]) -> Option<f64>| {
+            workloads.iter().map(|w| f(w).unwrap()).sum::<f64>() / workloads.len() as f64
+        };
+        let out = mech_outcome(&workloads.iter().map(|w| exact(w)).collect::<Vec<_>>());
+        let expected = [mean_of(asm_metrics::max_slowdown), mean_of(asm_metrics::harmonic_speedup)];
+        for (got, want) in [out.unfairness, out.harmonic_speedup].iter().zip(expected) {
+            assert_eq!((got.value.to_bits(), got.ci), (want.to_bits(), 0.0));
         }
     }
 

@@ -6,64 +6,36 @@
 
 use asm_core::{EpochAssignment, EstimatorSet, SystemConfig};
 use asm_metrics::Table;
-use asm_simcore::Cycle;
 use asm_workloads::mix;
 
-use crate::collect::{collect_accuracy, pct};
+use crate::collect::{accuracy_sweep, pct};
 use crate::scale::Scale;
-
-fn asm_error(config: &SystemConfig, scale: Scale, cycles: Cycle) -> Option<f64> {
-    let workloads = mix::random_mixes((scale.workloads / 2).max(3), 4, scale.seed ^ 0xAB);
-    collect_accuracy(config, &workloads, cycles, scale.warmup_quanta, scale.jobs).mean_error("ASM")
-}
 
 /// Runs the ablation table.
 pub fn run(scale: Scale) {
     println!("\n=== Ablations: what each modelling ingredient buys ===");
-    let base = {
-        let mut c = scale.base_config();
-        c.estimators = EstimatorSet::asm_only();
+    let mut base = scale.base_config();
+    base.estimators = EstimatorSet::asm_only();
+    let with = |edit: fn(&mut SystemConfig)| {
+        let mut c = base.clone();
+        edit(&mut c);
         c
     };
+    let variants = [
+        ("default (sampled ATS 64 sets, probabilistic epochs, queueing corr.)", base.clone()),
+        ("ATS sampled to 8 sets", with(|c| c.ats_sampled_sets = Some(8))),
+        ("ATS sampled to 256 sets", with(|c| c.ats_sampled_sets = Some(256))),
+        ("full (unsampled) ATS", with(|c| c.ats_sampled_sets = None)),
+        ("round-robin epoch assignment", with(|c| c.epoch_assignment = EpochAssignment::RoundRobin)),
+        ("queueing-delay correction off", with(|c| c.asm_queueing_correction = false)),
+    ];
 
+    let workloads = mix::random_mixes((scale.workloads / 2).max(3), 4, scale.seed ^ 0xAB);
+    let configs: Vec<SystemConfig> = variants.iter().map(|(_, c)| c.clone()).collect();
+    let stats = accuracy_sweep(&configs, &workloads, scale.cycles, &scale);
     let mut table = Table::new(vec!["configuration".into(), "ASM mean error".into()]);
-
-    table.row(vec![
-        "default (sampled ATS 64 sets, probabilistic epochs, queueing corr.)".into(),
-        pct(asm_error(&base, scale, scale.cycles)),
-    ]);
-
-    for sets in [8usize, 256] {
-        let mut c = base.clone();
-        c.ats_sampled_sets = Some(sets);
-        table.row(vec![
-            format!("ATS sampled to {sets} sets"),
-            pct(asm_error(&c, scale, scale.cycles)),
-        ]);
-    }
-    {
-        let mut c = base.clone();
-        c.ats_sampled_sets = None;
-        table.row(vec![
-            "full (unsampled) ATS".into(),
-            pct(asm_error(&c, scale, scale.cycles)),
-        ]);
-    }
-    {
-        let mut c = base.clone();
-        c.epoch_assignment = EpochAssignment::RoundRobin;
-        table.row(vec![
-            "round-robin epoch assignment".into(),
-            pct(asm_error(&c, scale, scale.cycles)),
-        ]);
-    }
-    {
-        let mut c = base.clone();
-        c.asm_queueing_correction = false;
-        table.row(vec![
-            "queueing-delay correction off".into(),
-            pct(asm_error(&c, scale, scale.cycles)),
-        ]);
+    for ((label, _), stats) in variants.iter().zip(&stats) {
+        table.row(vec![(*label).into(), pct(stats.mean_error("ASM"))]);
     }
 
     crate::output::emit("ablation", &table);

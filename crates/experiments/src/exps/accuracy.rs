@@ -25,21 +25,21 @@
 //! is converted to victim cycles and covered against the component's
 //! measured interference cycles, gated at ≥ 80%.
 //!
-//! Everything folds sequentially in sweep order over `pool::run_ordered`
-//! results, so stdout is byte-identical for every `--jobs` value.
+//! Everything folds sequentially in sweep order over campaign results,
+//! so stdout is byte-identical for every `--jobs` value.
 
 use std::sync::Arc;
 
 use asm_core::{
-    AloneCache, CachePolicy, Component, EstimatorSet, QuantumLedger, RunAttribution, RunResult,
-    COMPONENTS,
+    AloneCache, CachePolicy, Component, EstimatorSet, QuantumLedger, RunAttribution, RunOptions,
+    RunResult, COMPONENTS,
 };
 use asm_cpu::AppProfile;
 use asm_metrics::Table;
 
-use crate::plan::PlannedRun;
+use crate::collect;
+use crate::plan::{self, PlannedRun};
 use crate::scale::Scale;
-use crate::{collect, pool};
 
 /// The starvation-cliff cell of DESIGN.md §10: cg (row-conflict victim,
 /// slot 0) under libquantum (streaming aggressor, slot 1).
@@ -143,13 +143,9 @@ pub fn run(scale: Scale) {
     // observes every run so those flags keep working here).
     let mut opts = crate::sink::options();
     opts.attrib = true;
-    let runner = collect::make_runner(config.clone());
-    let truth = pool::run_ordered(scale.jobs, &mixes, |_, w| {
-        let r = runner.run_with(w, scale.cycles, opts);
-        eprint!(".");
-        r
-    });
-    eprintln!();
+    let runs = plan::cross(&[config.clone()], &mixes, scale.cycles);
+    let (truth, stats) = plan::run_campaign_counted(&runs, scale.jobs, opts);
+    eprintln!("{stats}");
     for r in &truth {
         crate::sink::record(r);
     }
@@ -176,13 +172,10 @@ pub fn run(scale: Scale) {
         })
         .collect();
     let sampled = crate::sampled::run_campaign(&planned, &scale);
-    let asmc_runner = collect::make_runner(asmc);
-    let asmc_truth = pool::run_ordered(scale.jobs, &mixes, |_, w| {
-        let r = asmc_runner.run_with(w, scale.cycles, asm_core::RunOptions::default());
-        eprint!(".");
-        r
-    });
-    eprintln!();
+    // Uninstrumented and unrecorded: a reference, not a subject.
+    let runs = plan::cross(&[asmc], &mixes, scale.cycles);
+    let (asmc_truth, stats) = plan::run_campaign_counted(&runs, scale.jobs, RunOptions::default());
+    eprintln!("{stats}");
 
     let mut table = Table::new(
         [

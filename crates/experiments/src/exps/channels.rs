@@ -6,11 +6,12 @@
 //! ASM-Mem's fairness against FR-FCFS — more channels mean less bandwidth
 //! contention, so both the error and the fairness gap should shrink.
 
-use asm_core::{EstimatorSet, MemPolicy, SystemConfig};
+use asm_core::{EstimatorSet, MemPolicy, RunResult, SystemConfig};
 use asm_metrics::Table;
 use asm_workloads::mix;
 
-use crate::collect::{collect_accuracy, eval_mechanism, pct};
+use crate::collect::{collect_accuracy, exact, mech_outcome, pct};
+use crate::plan;
 use crate::scale::Scale;
 
 /// Channel counts evaluated.
@@ -34,27 +35,37 @@ pub fn run(scale: Scale) {
         "ASM-Mem unfairness".into(),
         "ASM-Mem harmonic speedup".into(),
     ]);
-    for &channels in CHANNELS {
-        let mut accuracy_cfg = config_with_channels(scale, channels);
-        accuracy_cfg.estimators = EstimatorSet::asm_only();
-        let stats = collect_accuracy(&accuracy_cfg, &workloads, scale.cycles, scale.warmup_quanta, scale.jobs);
+    // Per channel count: the accuracy leg, FR-FCFS, ASM-Mem.
+    let configs: Vec<SystemConfig> = CHANNELS
+        .iter()
+        .flat_map(|&channels| {
+            let mut accuracy_cfg = config_with_channels(scale, channels);
+            accuracy_cfg.estimators = EstimatorSet::asm_only();
 
-        let mut frfcfs_cfg = config_with_channels(scale, channels);
-        frfcfs_cfg.estimators = EstimatorSet::none();
-        frfcfs_cfg.epochs_enabled = false;
-        let frfcfs = eval_mechanism(&frfcfs_cfg, &workloads, scale.cycles, scale.jobs);
+            let mut frfcfs_cfg = config_with_channels(scale, channels);
+            frfcfs_cfg.estimators = EstimatorSet::none();
+            frfcfs_cfg.epochs_enabled = false;
 
-        let mut asm_mem_cfg = config_with_channels(scale, channels);
-        asm_mem_cfg.estimators = EstimatorSet::asm_only();
-        asm_mem_cfg.mem_policy = MemPolicy::SlowdownWeighted;
-        let asm_mem = eval_mechanism(&asm_mem_cfg, &workloads, scale.cycles, scale.jobs);
-
+            let mut asm_mem_cfg = config_with_channels(scale, channels);
+            asm_mem_cfg.estimators = EstimatorSet::asm_only();
+            asm_mem_cfg.mem_policy = MemPolicy::SlowdownWeighted;
+            [accuracy_cfg, frfcfs_cfg, asm_mem_cfg]
+        })
+        .collect();
+    let results = plan::run_campaign(&plan::cross(&configs, &workloads, scale.cycles), scale.jobs);
+    let outcome = |leg: &[RunResult]| {
+        mech_outcome(&leg.iter().map(|r| exact(&r.whole_run_slowdowns)).collect::<Vec<_>>())
+    };
+    let legs: Vec<&[RunResult]> = results.chunks(workloads.len()).collect();
+    for (&channels, leg) in CHANNELS.iter().zip(legs.chunks(3)) {
+        let stats = collect_accuracy(leg[0], scale.warmup_quanta);
+        let (frfcfs, asm_mem) = (outcome(leg[1]), outcome(leg[2]));
         table.row(vec![
             channels.to_string(),
             pct(stats.mean_error("ASM")),
-            format!("{:.2}", frfcfs.unfairness),
-            format!("{:.2}", asm_mem.unfairness),
-            format!("{:.3}", asm_mem.harmonic_speedup),
+            format!("{:.2}", frfcfs.unfairness.value),
+            format!("{:.2}", asm_mem.unfairness.value),
+            format!("{:.3}", asm_mem.harmonic_speedup.value),
         ]);
     }
     crate::output::emit("channels", &table);

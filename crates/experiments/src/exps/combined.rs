@@ -44,7 +44,7 @@ pub fn run(scale: Scale) {
     let mut table = scheme_table();
     for cores in [8usize, 16] {
         let workloads = mix::binned_mixes(
-            (scale.workloads * 4 / cores).max(2),
+            scale.workloads_for(cores),
             cores,
             scale.seed ^ 0xC0DE ^ cores as u64,
         );

@@ -3,11 +3,10 @@
 //! The paper reports FST (unsampled) 27%, PTCA (unsampled) 12%, ASM
 //! (sampled) 4%.
 
-use asm_core::EstimatorSet;
 use asm_metrics::Table;
 use asm_workloads::{mix, suite};
 
-use crate::collect::{collect_accuracy, pct};
+use crate::collect::{accuracy_sweep, pct};
 use crate::scale::Scale;
 
 /// Runs the database-workload accuracy study.
@@ -17,16 +16,9 @@ pub fn run(scale: Scale) {
     let workloads = mix::mixes_from_pool(&pool, scale.workloads, 4, scale.seed ^ 0xDB);
 
     // FST/PTCA at their best (unsampled) vs ASM deployed (sampled).
-    let mut unsampled = scale.base_config();
-    unsampled.estimators = EstimatorSet::all();
-    unsampled.ats_sampled_sets = None;
-    unsampled.pollution_filter_bits = 1 << 20;
-    let stats_u = collect_accuracy(&unsampled, &workloads, scale.cycles, scale.warmup_quanta, scale.jobs);
-
-    let mut sampled = scale.base_config();
-    sampled.estimators = EstimatorSet::all();
-    sampled.ats_sampled_sets = Some(64);
-    let stats_s = collect_accuracy(&sampled, &workloads, scale.cycles, scale.warmup_quanta, scale.jobs);
+    let configs = [scale.unsampled_config(), scale.deployed_config()];
+    let stats = accuracy_sweep(&configs, &workloads, scale.cycles, &scale);
+    let (stats_u, stats_s) = (&stats[0], &stats[1]);
 
     let mut table = Table::new(vec!["model".into(), "mean error".into(), "paper".into()]);
     table.row(vec![

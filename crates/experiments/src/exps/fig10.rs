@@ -94,10 +94,6 @@ pub fn scheme_config(scale: Scale, scheme: MemScheme) -> SystemConfig {
     c
 }
 
-fn workloads_for(scale: Scale, cores: usize) -> usize {
-    (scale.workloads * 4 / cores).max(2)
-}
-
 /// Runs the Figure 10 comparison.
 pub fn run(scale: Scale) {
     println!("\n=== Figure 10: ASM-Mem vs FRFCFS / PARBS / TCM ===");
@@ -108,7 +104,7 @@ pub fn run(scale: Scale) {
     let mut table = scheme_table();
     for &cores in CORE_COUNTS {
         let workloads = mix::binned_mixes(
-            workloads_for(scale, cores),
+            scale.workloads_for(cores),
             cores,
             scale.seed ^ (0x10 << 8) ^ cores as u64,
         );

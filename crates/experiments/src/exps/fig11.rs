@@ -3,10 +3,12 @@
 //! application's slowdown and overall performance per scheme.
 
 use asm_core::{CachePolicy, QosConfig};
-use asm_metrics::{harmonic_speedup, Table};
+use asm_metrics::Table;
+use asm_sampling::Estimate;
 use asm_simcore::AppId;
 use asm_workloads::suite;
 
+use crate::collect::tier_slowdowns;
 use crate::exps::fig9::policy_config;
 use crate::plan::PlannedRun;
 use crate::scale::Scale;
@@ -51,35 +53,13 @@ pub fn run(scale: Scale) {
         .iter()
         .map(|&(_, policy)| PlannedRun::new(policy_config(scale, policy), apps.clone(), scale.cycles))
         .collect();
-    if scale.tier == crate::scale::Tier::Sampled {
-        let results = crate::sampled::run_campaign(&runs, &scale);
-        for ((name, _), r) in schemes.into_iter().zip(&results) {
-            let s = &r.slowdowns;
-            let hs = asm_sampling::Estimate::harmonic_speedup_of(s)
-                .unwrap_or(asm_sampling::Estimate::exact(f64::NAN));
-            table.row(vec![
-                name,
-                s[0].cell(2),
-                s[1].cell(2),
-                s[2].cell(2),
-                s[3].cell(2),
-                hs.cell(3),
-            ]);
-        }
-    } else {
-        let results = crate::plan::run_campaign(&runs, scale.jobs);
-        for ((name, _), r) in schemes.into_iter().zip(&results) {
-            let s = &r.whole_run_slowdowns;
-            let hs = harmonic_speedup(s).unwrap_or(f64::NAN);
-            table.row(vec![
-                name,
-                format!("{:.2}", s[0]),
-                format!("{:.2}", s[1]),
-                format!("{:.2}", s[2]),
-                format!("{:.2}", s[3]),
-                format!("{hs:.3}"),
-            ]);
-        }
+    let (slowdowns, cell) = tier_slowdowns(&runs, &scale);
+    for ((name, _), s) in schemes.into_iter().zip(&slowdowns) {
+        let hs = Estimate::harmonic_speedup_of(s).unwrap_or(Estimate::exact(f64::NAN));
+        let mut row = vec![name];
+        row.extend(s.iter().map(|e| cell(e, 2)));
+        row.push(cell(&hs, 3));
+        table.row(row);
     }
     crate::output::emit("fig11", &table);
     println!("Expected shape: Naive-QoS minimises the target's slowdown but punishes the");

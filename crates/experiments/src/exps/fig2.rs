@@ -3,12 +3,22 @@
 //! pollution filter for FST), Figure 3 with the 64-set sampled ATS (and an
 //! equal-size pollution filter).
 
-use asm_core::EstimatorSet;
+use asm_core::SystemConfig;
 use asm_metrics::Table;
 use asm_workloads::{mix, suite};
 
-use crate::collect::{collect_accuracy, pct};
+use crate::collect::{accuracy_sweep, pct};
 use crate::scale::Scale;
+
+/// The sampled-ATS configuration of Figures 3, 4 and 6b: ASM as deployed,
+/// FST with a pollution filter the size of the sampled ATS (64 sets x 16
+/// ways x 4 B = 4 KB).
+#[must_use]
+pub fn small_filter_config(scale: Scale) -> SystemConfig {
+    let mut c = scale.deployed_config();
+    c.pollution_filter_bits = 1 << 15;
+    c
+}
 
 /// Runs Figure 2 (`sampled = false`) or Figure 3 (`sampled = true`).
 pub fn run(scale: Scale, sampled: bool) {
@@ -19,20 +29,9 @@ pub fn run(scale: Scale, sampled: bool) {
     };
     println!("\n=== {fig}: slowdown estimation accuracy — {title} ===");
 
-    let mut config = scale.base_config();
-    config.estimators = EstimatorSet::all();
-    if sampled {
-        config.ats_sampled_sets = Some(64);
-        // Equal size to the sampled ATS: 64 sets x 16 ways x 4 B = 4 KB.
-        config.pollution_filter_bits = 1 << 15;
-    } else {
-        config.ats_sampled_sets = None;
-        // Equal overhead to the full ATS (2048 sets x 16 ways x 4 B).
-        config.pollution_filter_bits = 1 << 20;
-    }
-
+    let config = if sampled { small_filter_config(scale) } else { scale.unsampled_config() };
     let workloads = mix::random_mixes(scale.workloads, 4, scale.seed);
-    let stats = collect_accuracy(&config, &workloads, scale.cycles, scale.warmup_quanta, scale.jobs);
+    let stats = accuracy_sweep(&[config], &workloads, scale.cycles, &scale).remove(0);
 
     let mut table = Table::new(vec![
         "benchmark".into(),

@@ -1,11 +1,10 @@
 //! Figure 4: distribution of slowdown-estimation error — FST and PTCA
 //! unsampled, ASM sampled (the paper's deployment configurations).
 
-use asm_core::EstimatorSet;
 use asm_metrics::Table;
 use asm_workloads::mix;
 
-use crate::collect::collect_accuracy;
+use crate::collect::accuracy_sweep;
 use crate::scale::Scale;
 
 /// Runs the Figure 4 experiment.
@@ -13,23 +12,12 @@ pub fn run(scale: Scale) {
     println!("\n=== Figure 4: error distribution (FST/PTCA unsampled, ASM sampled) ===");
     let workloads = mix::random_mixes(scale.workloads, 4, scale.seed);
 
-    // Run 1: unsampled (for FST and PTCA).
-    let mut unsampled = scale.base_config();
-    unsampled.estimators = EstimatorSet::all();
-    unsampled.ats_sampled_sets = None;
-    unsampled.pollution_filter_bits = 1 << 20;
-    let stats_u = collect_accuracy(&unsampled, &workloads, scale.cycles, scale.warmup_quanta, scale.jobs);
-
-    // Run 2: sampled (for ASM).
-    let mut sampled = scale.base_config();
-    sampled.estimators = EstimatorSet::all();
-    sampled.ats_sampled_sets = Some(64);
-    sampled.pollution_filter_bits = 1 << 15;
-    let stats_s = collect_accuracy(&sampled, &workloads, scale.cycles, scale.warmup_quanta, scale.jobs);
-
-    let fst = stats_u.dist.get("FST");
-    let ptca = stats_u.dist.get("PTCA");
-    let asm = stats_s.dist.get("ASM");
+    // Unsampled for FST and PTCA, sampled for ASM: Figures 2 and 3's runs.
+    let configs = [scale.unsampled_config(), super::fig2::small_filter_config(scale)];
+    let stats = accuracy_sweep(&configs, &workloads, scale.cycles, &scale);
+    let fst = stats[0].dist.get("FST");
+    let ptca = stats[0].dist.get("PTCA");
+    let asm = stats[1].dist.get("ASM");
 
     let mut table = Table::new(vec![
         "error range".into(),

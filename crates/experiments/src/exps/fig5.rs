@@ -1,11 +1,11 @@
 //! Figure 5: slowdown-estimation error with a stride prefetcher (degree 4,
 //! distance 24), unsampled, with standard deviation across workloads.
 
-use asm_core::{EstimatorSet, PrefetchConfig};
+use asm_core::PrefetchConfig;
 use asm_metrics::Table;
 use asm_workloads::mix;
 
-use crate::collect::{collect_accuracy, pct};
+use crate::collect::{accuracy_sweep, pct};
 use crate::scale::Scale;
 
 /// Runs the Figure 5 experiment.
@@ -13,16 +13,10 @@ pub fn run(scale: Scale) {
     println!("\n=== Figure 5: estimation error with a stride prefetcher (deg 4, dist 24) ===");
     let workloads = mix::random_mixes(scale.workloads, 4, scale.seed);
 
-    let mut base = scale.base_config();
-    base.estimators = EstimatorSet::all();
-    base.ats_sampled_sets = None;
-    base.pollution_filter_bits = 1 << 20;
-
-    let mut with_pf = base.clone();
+    let mut with_pf = scale.unsampled_config();
     with_pf.prefetcher = Some(PrefetchConfig::default());
-
-    let stats_off = collect_accuracy(&base, &workloads, scale.cycles, scale.warmup_quanta, scale.jobs);
-    let stats_on = collect_accuracy(&with_pf, &workloads, scale.cycles, scale.warmup_quanta, scale.jobs);
+    let stats = accuracy_sweep(&[scale.unsampled_config(), with_pf], &workloads, scale.cycles, &scale);
+    let (stats_off, stats_on) = (&stats[0], &stats[1]);
 
     let mut table = Table::new(vec![
         "estimator".into(),

@@ -6,12 +6,12 @@
 //! estimated distribution tracks the measured one, while per-request
 //! subtraction (FST/PTCA) distorts it, especially under sampling.
 
-use asm_core::{EstimatorSet, SystemConfig};
 use asm_cpu::AppProfile;
 use asm_metrics::Table;
 use asm_simcore::Histogram;
 use asm_workloads::{mix, suite};
 
+use crate::plan;
 use crate::scale::Scale;
 
 /// Histogram geometry: 40-cycle (~7.5 ns at 5.3 GHz) buckets up to 1,200
@@ -42,20 +42,21 @@ fn run_one(scale: Scale, sampled: bool) {
         "6a (no sampling)"
     };
     println!("\n--- Figure {label} ---");
-    let mut config: SystemConfig = scale.base_config();
-    config.estimators = EstimatorSet::all();
-    config.ats_sampled_sets = if sampled { Some(64) } else { None };
-    config.pollution_filter_bits = if sampled { 1 << 15 } else { 1 << 20 };
+    let mut config = if sampled {
+        super::fig2::small_filter_config(scale)
+    } else {
+        scale.unsampled_config()
+    };
     config.latency_hist = Some((BUCKET_CYCLES, BUCKETS));
 
     let pool = intensive_pool();
     let workloads = mix::mixes_from_pool(&pool, scale.workloads.min(10), 4, scale.seed ^ 0x66);
 
-    let runner = crate::collect::make_runner(config);
     let mut actual = Vec::new();
     let mut per_estimator: Vec<(String, Vec<Histogram>)> = Vec::new();
     // Simulate in parallel, merge histograms sequentially in workload order.
-    for r in crate::collect::run_parallel_with(&runner, &workloads, scale.cycles, scale.jobs) {
+    let runs = plan::cross(&[config], &workloads, scale.cycles);
+    for r in plan::run_campaign(&runs, scale.jobs) {
         if let Some(h) = r.alone_latency_hist {
             actual.push(h);
         }

@@ -1,40 +1,14 @@
 //! Figure 7: estimation error vs core count (4 / 8 / 16), FST and PTCA
 //! unsampled, ASM with the sampled ATS.
 
-use asm_core::EstimatorSet;
 use asm_metrics::Table;
 use asm_workloads::mix;
 
-use crate::collect::{collect_accuracy, pct, AccuracyStats};
+use crate::collect::{accuracy_sweep, pct};
 use crate::scale::Scale;
 
 /// Core counts evaluated.
 pub const CORE_COUNTS: &[usize] = &[4, 8, 16];
-
-/// Keeps total simulation work roughly constant across core counts (alone
-/// runs scale linearly with cores).
-fn workloads_for(scale: Scale, cores: usize) -> usize {
-    (scale.workloads * 4 / cores).max(2)
-}
-
-fn run_count(scale: Scale, cores: usize) -> (AccuracyStats, AccuracyStats) {
-    let workloads = mix::random_mixes(
-        workloads_for(scale, cores),
-        cores,
-        scale.seed ^ cores as u64,
-    );
-    let mut unsampled = scale.base_config();
-    unsampled.estimators = EstimatorSet::all();
-    unsampled.ats_sampled_sets = None;
-    unsampled.pollution_filter_bits = 1 << 20;
-    let stats_u = collect_accuracy(&unsampled, &workloads, scale.cycles, scale.warmup_quanta, scale.jobs);
-
-    let mut sampled = scale.base_config();
-    sampled.estimators = EstimatorSet::all();
-    sampled.ats_sampled_sets = Some(64);
-    let stats_s = collect_accuracy(&sampled, &workloads, scale.cycles, scale.warmup_quanta, scale.jobs);
-    (stats_u, stats_s)
-}
 
 /// Runs the Figure 7 sweep.
 pub fn run(scale: Scale) {
@@ -48,8 +22,15 @@ pub fn run(scale: Scale) {
         "ASM".into(),
         "ASM sd".into(),
     ]);
+    let configs = [scale.unsampled_config(), scale.deployed_config()];
     for &cores in CORE_COUNTS {
-        let (u, s) = run_count(scale, cores);
+        let workloads = mix::random_mixes(
+            scale.workloads_for(cores),
+            cores,
+            scale.seed ^ cores as u64,
+        );
+        let stats = accuracy_sweep(&configs, &workloads, scale.cycles, &scale);
+        let (u, s) = (&stats[0], &stats[1]);
         table.row(vec![
             cores.to_string(),
             pct(u.mean_error("FST")),

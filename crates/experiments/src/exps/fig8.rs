@@ -2,11 +2,10 @@
 //! 4-core workloads.
 
 use asm_cache::CacheGeometry;
-use asm_core::EstimatorSet;
 use asm_metrics::Table;
 use asm_workloads::mix;
 
-use crate::collect::{collect_accuracy, pct};
+use crate::collect::{accuracy_sweep, pct};
 use crate::scale::Scale;
 
 /// Cache capacities evaluated (bytes).
@@ -22,25 +21,21 @@ pub fn run(scale: Scale) {
         "PTCA".into(),
         "ASM".into(),
     ]);
-    for &cap in CAPACITIES {
-        let mut unsampled = scale.base_config();
-        unsampled.llc_geometry = CacheGeometry::from_capacity(cap, 16);
-        unsampled.estimators = EstimatorSet::all();
-        unsampled.ats_sampled_sets = None;
-        unsampled.pollution_filter_bits = 1 << 20;
-        let stats_u = collect_accuracy(&unsampled, &workloads, scale.cycles, scale.warmup_quanta, scale.jobs);
-
-        let mut sampled = scale.base_config();
-        sampled.llc_geometry = CacheGeometry::from_capacity(cap, 16);
-        sampled.estimators = EstimatorSet::all();
-        sampled.ats_sampled_sets = Some(64);
-        let stats_s = collect_accuracy(&sampled, &workloads, scale.cycles, scale.warmup_quanta, scale.jobs);
-
+    // Per capacity: FST/PTCA unsampled, then ASM deployed.
+    let configs: Vec<_> = CAPACITIES
+        .iter()
+        .flat_map(|&cap| [scale.unsampled_config(), scale.deployed_config()].map(|mut c| {
+            c.llc_geometry = CacheGeometry::from_capacity(cap, 16);
+            c
+        }))
+        .collect();
+    let stats = accuracy_sweep(&configs, &workloads, scale.cycles, &scale);
+    for (&cap, point) in CAPACITIES.iter().zip(stats.chunks(2)) {
         table.row(vec![
             format!("{} MB", cap >> 20),
-            pct(stats_u.mean_error("FST")),
-            pct(stats_u.mean_error("PTCA")),
-            pct(stats_s.mean_error("ASM")),
+            pct(point[0].mean_error("FST")),
+            pct(point[0].mean_error("PTCA")),
+            pct(point[1].mean_error("ASM")),
         ]);
     }
     crate::output::emit("fig8", &table);

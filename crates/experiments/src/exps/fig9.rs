@@ -30,10 +30,6 @@ pub fn policy_config(scale: Scale, policy: CachePolicy) -> SystemConfig {
     c
 }
 
-fn workloads_for(scale: Scale, cores: usize) -> usize {
-    (scale.workloads * 4 / cores).max(2)
-}
-
 /// Runs the Figure 9 comparison.
 pub fn run(scale: Scale) {
     println!("\n=== Figure 9: ASM-Cache vs NoPart / UCP / MCFQ ===");
@@ -47,7 +43,7 @@ pub fn run(scale: Scale) {
     let mut table = scheme_table();
     for &cores in CORE_COUNTS {
         let workloads = mix::binned_mixes(
-            workloads_for(scale, cores),
+            scale.workloads_for(cores),
             cores,
             scale.seed ^ (0x9 << 8) ^ cores as u64,
         );

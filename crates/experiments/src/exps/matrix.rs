@@ -11,7 +11,9 @@ use asm_core::EstimatorSet;
 use asm_metrics::Table;
 use asm_workloads::suite;
 
-use crate::scale::{Scale, Tier};
+use crate::collect::tier_slowdowns;
+use crate::plan;
+use crate::scale::Scale;
 
 /// Representative applications spanning the behaviour space.
 pub const APPS: &[&str] = &[
@@ -45,29 +47,11 @@ pub fn ordered_pairs() -> Vec<Vec<asm_cpu::AppProfile>> {
 /// Runs the pairwise interference matrix.
 pub fn run(scale: Scale) {
     println!("\n=== Pairwise interference matrix (victim slowdown under one aggressor) ===");
-    let pairs = ordered_pairs();
-    let slowdowns: Vec<f64> = match scale.tier {
-        // The CLI rejects `--tier sampled` for this experiment; a direct
-        // library caller gets the cycle-accurate path.
-        Tier::Cycle | Tier::Sampled => {
-            let mut config = scale.base_config();
-            config.estimators = EstimatorSet::none();
-            config.epochs_enabled = false;
-            let cycles = scale.cycles / 2;
-            let runner = crate::collect::make_runner(config);
-            crate::collect::run_parallel_with(&runner, &pairs, cycles, scale.jobs)
-                .iter()
-                .map(|r| r.whole_run_slowdowns[0])
-                .collect()
-        }
-        Tier::Analytic => {
-            let config = scale.base_config();
-            crate::analytic::solve_mixes(&config, &pairs, scale.jobs)
-                .iter()
-                .map(|s| s.slowdowns[0])
-                .collect()
-        }
-    };
+    let mut config = scale.base_config();
+    config.estimators = EstimatorSet::none();
+    config.epochs_enabled = false;
+    let runs = plan::cross(&[config], &ordered_pairs(), scale.cycles / 2);
+    let (slowdowns, cell) = tier_slowdowns(&runs, &scale);
 
     let mut table = Table::new(
         std::iter::once("victim \\ aggressor".to_owned())
@@ -77,7 +61,7 @@ pub fn run(scale: Scale) {
     for (vi, victim) in APPS.iter().enumerate() {
         let mut row = vec![victim.trim_end_matches("_like").to_owned()];
         for ai in 0..APPS.len() {
-            row.push(format!("{:.2}", slowdowns[vi * APPS.len() + ai]));
+            row.push(cell(&slowdowns[vi * APPS.len() + ai][0], 2));
         }
         table.row(row);
     }

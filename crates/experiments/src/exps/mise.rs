@@ -6,7 +6,7 @@ use asm_core::EstimatorSet;
 use asm_metrics::Table;
 use asm_workloads::mix;
 
-use crate::collect::{collect_accuracy, pct};
+use crate::collect::{accuracy_sweep, pct};
 use crate::scale::Scale;
 
 /// Runs the §6.4 comparison.
@@ -21,7 +21,7 @@ pub fn run(scale: Scale) {
     config.ats_sampled_sets = Some(64);
 
     let workloads = mix::random_mixes(scale.workloads, 4, scale.seed);
-    let stats = collect_accuracy(&config, &workloads, scale.cycles, scale.warmup_quanta, scale.jobs);
+    let stats = accuracy_sweep(&[config], &workloads, scale.cycles, &scale).remove(0);
 
     let mut table = Table::new(vec!["model".into(), "mean error".into()]);
     table.row(vec![

@@ -21,67 +21,67 @@ pub mod table3;
 pub mod workloads;
 pub mod xval;
 
-use crate::scale::Scale;
+use crate::scale::{Scale, Tier, CYCLE, CYCLE_ANALYTIC, CYCLE_SAMPLED};
 
-/// All experiment names, in paper order.
-pub const ALL: &[&str] = &[
-    "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "db", "mise", "fig7", "fig8", "table3", "fig9",
-    "fig10", "combined", "fig11",
+/// One row of the experiment table.
+#[derive(Debug, Clone, Copy)]
+pub struct Experiment {
+    /// CLI name.
+    pub name: &'static str,
+    /// One-line description, as the usage text prints it.
+    pub about: &'static str,
+    /// Entry point.
+    pub run: fn(Scale),
+    /// Tiers the experiment accepts (`--tier`).
+    pub tiers: &'static [Tier],
+    /// Whether `all` runs it.
+    pub in_all: bool,
+}
+
+/// Every experiment: dispatch, the tier-capability errors, `all` and the
+/// usage text all derive from this table. The `all` members come first,
+/// in paper order.
+#[rustfmt::skip]
+pub const TABLE: &[Experiment] = &[
+    Experiment { name: "fig1", about: "CAR vs performance correlation (with a hog)", run: fig1::run, tiers: CYCLE, in_all: true },
+    Experiment { name: "fig2", about: "per-benchmark error, unsampled ATS", run: |s| fig2::run(s, false), tiers: CYCLE, in_all: true },
+    Experiment { name: "fig3", about: "per-benchmark error, sampled ATS (64 sets)", run: |s| fig2::run(s, true), tiers: CYCLE, in_all: true },
+    Experiment { name: "fig4", about: "error distribution", run: fig4::run, tiers: CYCLE, in_all: true },
+    Experiment { name: "fig5", about: "error with a stride prefetcher", run: fig5::run, tiers: CYCLE, in_all: true },
+    Experiment { name: "fig6", about: "alone miss-latency distributions (6a and 6b)", run: fig6::run, tiers: CYCLE, in_all: true },
+    Experiment { name: "db", about: "database (TPC-C/YCSB-like) workload accuracy", run: db::run, tiers: CYCLE, in_all: true },
+    Experiment { name: "mise", about: "MISE vs ASM (section 6.4)", run: mise::run, tiers: CYCLE, in_all: true },
+    Experiment { name: "fig7", about: "error vs core count", run: fig7::run, tiers: CYCLE, in_all: true },
+    Experiment { name: "fig8", about: "error vs cache capacity", run: fig8::run, tiers: CYCLE, in_all: true },
+    Experiment { name: "table3", about: "error vs quantum/epoch lengths", run: table3::run, tiers: CYCLE, in_all: true },
+    Experiment { name: "fig9", about: "ASM-Cache vs NoPart/UCP/MCFQ", run: fig9::run, tiers: CYCLE_SAMPLED, in_all: true },
+    Experiment { name: "fig10", about: "ASM-Mem vs FRFCFS/PARBS/TCM", run: fig10::run, tiers: CYCLE_SAMPLED, in_all: true },
+    Experiment { name: "combined", about: "ASM-Cache-Mem vs PARBS+UCP", run: combined::run, tiers: CYCLE_SAMPLED, in_all: true },
+    Experiment { name: "fig11", about: "ASM-QoS slowdown guarantees", run: fig11::run, tiers: CYCLE_SAMPLED, in_all: true },
+    Experiment { name: "all", about: "everything above, in order", run: run_all, tiers: CYCLE, in_all: false },
+    Experiment { name: "channels", about: "ASM error and ASM-Mem fairness vs channel count", run: channels::run, tiers: CYCLE, in_all: false },
+    Experiment { name: "ablation", about: "what each ingredient of the ASM model buys", run: ablation::run, tiers: CYCLE, in_all: false },
+    Experiment { name: "matrix", about: "pairwise interference matrix (victim x aggressor)", run: matrix::run, tiers: CYCLE_ANALYTIC, in_all: false },
+    Experiment { name: "workloads", about: "the synthetic benchmark suite's parameters", run: workloads::run, tiers: CYCLE, in_all: false },
+    Experiment { name: "xval", about: "cross-validate the analytic tier against cycle-accurate", run: xval::run, tiers: CYCLE_ANALYTIC, in_all: false },
+    Experiment { name: "accuracy", about: "ledger ground truth vs ASM and the analytic/sampled tiers", run: accuracy::run, tiers: CYCLE, in_all: false },
 ];
 
-/// Experiments that accept `--tier analytic`. Everything else models
-/// per-quantum estimator behaviour the analytic tier deliberately does
-/// not have, so the CLI rejects the combination up front (exit 2).
-pub const ANALYTIC_CAPABLE: &[&str] = &["matrix", "xval"];
-
-/// Whether `name` can run on the analytic tier.
-#[must_use]
-pub fn supports_analytic(name: &str) -> bool {
-    ANALYTIC_CAPABLE.contains(&name)
-}
-
-/// Experiments that accept `--tier sampled`. These are the sweep-shaped
-/// figures whose runs share prefix configurations, so one fingerprint
-/// pass amortises over many policy variants (DESIGN.md §12). Everything
-/// else is rejected up front (exit 2).
-pub const SAMPLED_CAPABLE: &[&str] = &["fig9", "fig10", "fig11", "combined"];
-
-/// Whether `name` can run on the sampled tier.
-#[must_use]
-pub fn supports_sampled(name: &str) -> bool {
-    SAMPLED_CAPABLE.contains(&name)
-}
-
-/// Dispatches one experiment by name. Returns `false` for unknown names.
-pub fn run(name: &str, scale: Scale) -> bool {
-    match name {
-        "fig1" => fig1::run(scale),
-        "fig2" => fig2::run(scale, false),
-        "fig3" => fig2::run(scale, true),
-        "fig4" => fig4::run(scale),
-        "fig5" => fig5::run(scale),
-        "fig6" => fig6::run(scale),
-        "db" => db::run(scale),
-        "mise" => mise::run(scale),
-        "fig7" => fig7::run(scale),
-        "fig8" => fig8::run(scale),
-        "table3" => table3::run(scale),
-        "fig9" => fig9::run(scale),
-        "fig10" => fig10::run(scale),
-        "combined" => combined::run(scale),
-        "fig11" => fig11::run(scale),
-        "channels" => channels::run(scale),
-        "ablation" => ablation::run(scale),
-        "matrix" => matrix::run(scale),
-        "workloads" => workloads::run(scale),
-        "xval" => xval::run(scale),
-        "accuracy" => accuracy::run(scale),
-        "all" => {
-            for n in ALL {
-                run(n, scale);
-            }
-        }
-        _ => return false,
+fn run_all(scale: Scale) {
+    for e in TABLE.iter().filter(|e| e.in_all) {
+        (e.run)(scale);
     }
-    true
+}
+
+/// The table row called `name`.
+#[must_use]
+pub fn find(name: &str) -> Option<&'static Experiment> {
+    TABLE.iter().find(|e| e.name == name)
+}
+
+/// Names of the experiments that accept `tier`, comma-separated.
+#[must_use]
+pub fn supporting(tier: Tier) -> String {
+    let names: Vec<&str> = TABLE.iter().filter(|e| e.tiers.contains(&tier)).map(|e| e.name).collect();
+    names.join(", ")
 }

@@ -10,6 +10,7 @@ use asm_simcore::Cycle;
 use asm_workloads::mix;
 
 use crate::collect::{collect_accuracy, pct};
+use crate::plan::{self, PlannedRun};
 use crate::scale::Scale;
 
 /// Epoch lengths swept (paper values).
@@ -39,19 +40,28 @@ pub fn run(scale: Scale) {
             .chain(EPOCHS.iter().map(ToString::to_string))
             .collect(),
     );
-    for q in quanta_for(scale) {
-        let mut row = vec![q.to_string()];
-        for &e in EPOCHS {
+    // One campaign over every (Q, E) cell, row-major.
+    let quanta = quanta_for(scale);
+    let runs: Vec<PlannedRun> = quanta
+        .iter()
+        .flat_map(|&q| EPOCHS.iter().map(move |&e| (q, e)))
+        .flat_map(|(q, e)| {
             let mut config = scale.base_config();
             config.quantum = q;
             config.epoch = e;
             config.estimators = EstimatorSet::asm_only();
             config.ats_sampled_sets = Some(64);
             // Cover warmup + 4 measured quanta for every Q.
-            let cycles = q * (scale.warmup_quanta as Cycle + 4);
-            let stats = collect_accuracy(&config, &workloads, cycles, scale.warmup_quanta, scale.jobs);
-            row.push(pct(stats.mean_error("ASM")));
-        }
+            plan::cross(&[config], &workloads, q * (scale.warmup_quanta as Cycle + 4))
+        })
+        .collect();
+    let results = plan::run_campaign(&runs, scale.jobs);
+    let mut cells = results
+        .chunks(workloads.len())
+        .map(|cell| pct(collect_accuracy(cell, scale.warmup_quanta).mean_error("ASM")));
+    for q in quanta {
+        let mut row = vec![q.to_string()];
+        row.extend(cells.by_ref().take(EPOCHS.len()));
         table.row(row);
     }
     crate::output::emit("table3", &table);

@@ -90,33 +90,11 @@ pub fn envelope(scale: Scale, mixes: &[Vec<AppProfile>]) -> Envelope {
     let mut config = scale.base_config();
     config.estimators = EstimatorSet::none();
     config.epochs_enabled = false;
-    let cycles = scale.cycles / 2;
-    let results = crate::collect::run_parallel(&config, mixes, cycles, scale.jobs);
+    let runs = crate::plan::cross(&[config.clone()], mixes, scale.cycles / 2);
+    let results = crate::plan::run_campaign(&runs, scale.jobs);
     let solutions = crate::analytic::solve_mixes(&config, mixes, scale.jobs);
-    let debug = std::env::var_os("ASM_XVAL_DEBUG").is_some();
     let mut env = Envelope::default();
-    for (k, (r, s)) in results.iter().zip(&solutions).enumerate() {
-        if debug {
-            eprintln!("[xval] mix {k}: {}", s.app_names.join(" + "));
-            for i in 0..s.slowdowns.len() {
-                let car_cycle = r.quanta.iter().map(|q| q.car_shared[i]).sum::<f64>()
-                    / r.quanta.len().max(1) as f64;
-                eprintln!(
-                    "[xval]   {:<16} {:<15} cyc {:>6.3} ana {:>6.3} | miss a/s {:.3}/{:.3} \
-                     cpi a/s {:.2}/{:.2} car cyc/ana {:.4}/{:.4}",
-                    s.app_names[i],
-                    s.classes[i].name(),
-                    r.whole_run_slowdowns[i],
-                    s.slowdowns[i],
-                    s.miss_alone[i],
-                    s.miss_shared[i],
-                    s.cpi_alone[i],
-                    s.cpi_shared[i],
-                    car_cycle,
-                    s.car_shared[i],
-                );
-            }
-        }
+    for (r, s) in results.iter().zip(&solutions) {
         for i in 0..s.slowdowns.len() {
             let c = r.whole_run_slowdowns[i];
             let a = s.slowdowns[i];
@@ -140,41 +118,9 @@ fn pct(v: Option<f64>) -> String {
     }
 }
 
-/// `ASM_XVAL_DEBUG` diagnostic: runs each matrix app *alone* on both
-/// tiers and prints measured vs modelled CAR and the implied CPI — the
-/// first thing to check when recalibrating `asm_analytic::Tuning`.
-fn debug_singletons(scale: Scale) {
-    let mut config = scale.base_config();
-    config.estimators = EstimatorSet::none();
-    config.epochs_enabled = false;
-    let singles: Vec<Vec<AppProfile>> = super::matrix::APPS
-        .iter()
-        .map(|n| vec![asm_workloads::suite::by_name(n).expect("profile")])
-        .collect();
-    let results = crate::collect::run_parallel(&config, &singles, scale.cycles / 2, scale.jobs);
-    let solutions = crate::analytic::solve_mixes(&config, &singles, scale.jobs);
-    for (r, s) in results.iter().zip(&solutions) {
-        let car_cycle = r.quanta.iter().map(|q| q.car_shared[0]).sum::<f64>()
-            / r.quanta.len().max(1) as f64;
-        let api = s.car_alone[0] * s.cpi_alone[0];
-        eprintln!(
-            "[xval] alone {:<16} car cyc/ana {:.4}/{:.4} cpi cyc/ana {:.2}/{:.2} miss ana {:.3}",
-            s.app_names[0],
-            car_cycle,
-            s.car_alone[0],
-            api / car_cycle,
-            s.cpi_alone[0],
-            s.miss_alone[0],
-        );
-    }
-}
-
 /// Runs the cross-validation experiment.
 pub fn run(scale: Scale) {
     println!("\n=== Cross-validation: analytic tier vs cycle-accurate (per-app slowdown) ===");
-    if std::env::var_os("ASM_XVAL_DEBUG").is_some() {
-        debug_singletons(scale);
-    }
     let sweep = sweep_mixes(scale);
     let apps: usize = sweep.iter().map(Vec::len).sum();
     println!("sweep: {} mixes ({apps} app slots)", sweep.len());

@@ -9,16 +9,16 @@
 //!                 [--cycles N] [--seed N] [--jobs N]
 //! ```
 //!
-//! where `<experiment>` is one of `fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8
-//! table3 mise db fig9 fig10 fig11 combined all`.
+//! where `<experiment>` is a row of [`exps::TABLE`] (`asm-experiments`
+//! with no arguments lists them).
 //!
-//! Sweeps fan out across `--jobs` worker threads (default: one per core)
-//! via [`pool::run_ordered`]; results merge in submission order, so every
-//! table and CSV is byte-identical for any `--jobs` value. Policy sweeps
-//! additionally route through [`plan::run_campaign`], which simulates
-//! every stretch of trajectory its members share once — until their
-//! boundary policies decide differently — (`--checkpoint-dir` /
-//! `--resume` persist the work across invocations; DESIGN.md §11).
+//! Every Runner-driven experiment is a campaign: it builds a flat list of
+//! [`plan::PlannedRun`]s and [`plan::run_campaign`] evaluates them on
+//! `--jobs` worker threads (the ordered [`pool`]), simulating every
+//! stretch of trajectory its members share once and returning results in
+//! submission order — so every table and CSV is byte-identical for any
+//! `--jobs` value, and `--checkpoint-dir` / `--resume` persist the work
+//! of any experiment across invocations (DESIGN.md §11).
 
 pub mod analytic;
 pub mod collect;

@@ -2,33 +2,23 @@
 
 use asm_experiments::{exps, Scale, Tier};
 
-const USAGE: &str = "\
+/// The usage text. Its EXPERIMENTS block and both "supported by" lists
+/// are rows and columns of [`exps::TABLE`].
+fn usage() -> String {
+    let experiments: String = exps::TABLE
+        .iter()
+        .map(|e| format!("    {:<9} {}\n", e.name, e.about))
+        .collect();
+    let (analytic, sampled) = (exps::supporting(Tier::Analytic), exps::supporting(Tier::Sampled));
+    format!(
+        "\
 asm-experiments — regenerate the ASM paper's evaluation
 
 USAGE:
     asm-experiments <experiment> [options]
 
 EXPERIMENTS:
-    fig1      CAR vs performance correlation (with a hog)
-    fig2      per-benchmark error, unsampled ATS
-    fig3      per-benchmark error, sampled ATS (64 sets)
-    fig4      error distribution
-    fig5      error with a stride prefetcher
-    fig6      alone miss-latency distributions (6a and 6b)
-    db        database (TPC-C/YCSB-like) workload accuracy
-    mise      MISE vs ASM (section 6.4)
-    fig7      error vs core count
-    fig8      error vs cache capacity
-    table3    error vs quantum/epoch lengths
-    fig9      ASM-Cache vs NoPart/UCP/MCFQ
-    fig10     ASM-Mem vs FRFCFS/PARBS/TCM
-    combined  ASM-Cache-Mem vs PARBS+UCP
-    fig11     ASM-QoS slowdown guarantees
-    xval      cross-validate the analytic tier against cycle-accurate
-    accuracy  cross-tier accuracy dashboard: ledger ground truth vs the
-              ASM estimator and the analytic/sampled tiers
-    all       everything above, in order (excluding xval and accuracy)
-
+{experiments}
 OPTIONS:
     --full           paper scale (100 workloads, 100M cycles, Q=5M) — hours
     --tiny           smoke-test scale — seconds
@@ -44,10 +34,10 @@ OPTIONS:
                      testing, see DESIGN.md §8)
     --tier T         simulation tier: `cycle` (event-driven, default),
                      `analytic` (reuse-distance model, ~1000x faster;
-                     supported by: matrix, xval — see DESIGN.md §10), or
+                     supported by: {analytic} — see DESIGN.md §10), or
                      `sampled` (representative-interval sampling with
                      confidence intervals, 10x+ faster sweeps; supported
-                     by: fig9, fig10, fig11, combined — DESIGN.md §12)
+                     by: {sampled} — DESIGN.md §12)
     --sample-intervals K  representative intervals simulated per run on
                      the sampled tier (default 4; 2 at --tiny)
     --sample-quanta L  quanta per sampling interval on the sampled tier
@@ -85,13 +75,24 @@ of DESIGN.md §13 on every simulated run; tables stay byte-identical):
                      (workload,quantum_end,app,component,cycles)
     --blame-json F   write per-workload blame matrices and component
                      totals to F (schema \"asm-attrib v1\")
-";
+"
+    )
+}
+
+/// Every usage error: one `error:` line on stderr, exit status 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2);
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(experiment) = args.first().filter(|a| !a.starts_with("--")) else {
-        eprint!("{USAGE}");
+        eprint!("{}", usage());
         std::process::exit(2);
+    };
+    let Some(experiment) = exps::find(experiment) else {
+        usage_error(&format!("unknown experiment '{experiment}'\n{}", usage()));
     };
 
     let mut scale = Scale::reduced();
@@ -110,8 +111,7 @@ fn main() {
             "--attrib" => sink_cfg.attrib = true,
             "--stats-json" | "--trace" | "--series-csv" | "--attrib-csv" | "--blame-json" => {
                 let Some(path) = args.get(i + 1) else {
-                    eprintln!("error: {} needs a path", args[i]);
-                    std::process::exit(2);
+                    usage_error(&format!("{} needs a path", args[i]));
                 };
                 match args[i].as_str() {
                     "--stats-json" => sink_cfg.stats_json = Some(path.into()),
@@ -124,8 +124,7 @@ fn main() {
             }
             "--tier" => {
                 let Some(t) = args.get(i + 1).and_then(|v| Tier::parse(v)) else {
-                    eprintln!("error: --tier needs `cycle`, `analytic`, or `sampled`");
-                    std::process::exit(2);
+                    usage_error("--tier needs `cycle`, `analytic`, or `sampled`");
                 };
                 // Applied after the loop: `--full`/`--tiny` replace the
                 // whole Scale and must not wipe an earlier `--tier`.
@@ -134,24 +133,21 @@ fn main() {
             }
             "--alone-cache" => {
                 let Some(path) = args.get(i + 1) else {
-                    eprintln!("error: --alone-cache needs a file path");
-                    std::process::exit(2);
+                    usage_error("--alone-cache needs a file path");
                 };
                 asm_experiments::collect::set_alone_cache_path(path.into());
                 i += 1;
             }
             "--profile-cache" => {
                 let Some(path) = args.get(i + 1) else {
-                    eprintln!("error: --profile-cache needs a file path");
-                    std::process::exit(2);
+                    usage_error("--profile-cache needs a file path");
                 };
                 asm_experiments::analytic::set_profile_cache_path(path.into());
                 i += 1;
             }
             "--checkpoint-dir" => {
                 let Some(dir) = args.get(i + 1) else {
-                    eprintln!("error: --checkpoint-dir needs a directory");
-                    std::process::exit(2);
+                    usage_error("--checkpoint-dir needs a directory");
                 };
                 checkpoint_dir = Some(dir.into());
                 i += 1;
@@ -159,8 +155,7 @@ fn main() {
             "--resume" => resume = true,
             "--csv" => {
                 let Some(dir) = args.get(i + 1) else {
-                    eprintln!("error: --csv needs a directory");
-                    std::process::exit(2);
+                    usage_error("--csv needs a directory");
                 };
                 asm_experiments::output::set_csv_dir(dir.into());
                 i += 1;
@@ -168,8 +163,7 @@ fn main() {
             "--workloads" | "--cycles" | "--seed" | "--jobs" | "--sample-intervals"
             | "--sample-quanta" => {
                 let Some(value) = args.get(i + 1).and_then(|v| v.parse::<u64>().ok()) else {
-                    eprintln!("error: {} needs a numeric value", args[i]);
-                    std::process::exit(2);
+                    usage_error(&format!("{} needs a numeric value", args[i]));
                 };
                 match args[i].as_str() {
                     "--workloads" => scale.workloads = value as usize,
@@ -182,8 +176,7 @@ fn main() {
                 i += 1;
             }
             other => {
-                eprintln!("error: unknown option {other}\n{USAGE}");
-                std::process::exit(2);
+                usage_error(&format!("unknown option {other}\n{}", usage()));
             }
         }
         i += 1;
@@ -194,40 +187,41 @@ fn main() {
     if let Some(tier) = tier {
         scale.tier = tier;
     }
-    if scale.tier == Tier::Analytic && !exps::supports_analytic(experiment) {
-        eprintln!(
-            "error: experiment '{experiment}' does not support --tier analytic \
-             (supported: {})",
-            exps::ANALYTIC_CAPABLE.join(", ")
-        );
-        std::process::exit(2);
+    if !experiment.tiers.contains(&scale.tier) {
+        usage_error(&format!(
+            "experiment '{}' does not support --tier {} (supported: {})",
+            experiment.name,
+            scale.tier.name(),
+            exps::supporting(scale.tier)
+        ));
+    }
+    // Degenerate scales would print header-only tables and exit 0.
+    if scale.workloads == 0 {
+        usage_error("--workloads must be at least 1");
+    }
+    let shortest = scale.quantum * (scale.warmup_quanta as u64 + 1);
+    if scale.cycles < shortest {
+        usage_error(&format!(
+            "--cycles {} leaves no measured quantum: need at least \
+             Q x (warmup quanta + 1) = {} x {} = {shortest}",
+            scale.cycles,
+            scale.quantum,
+            scale.warmup_quanta + 1
+        ));
     }
     if scale.tier == Tier::Sampled {
-        if !exps::supports_sampled(experiment) {
-            eprintln!(
-                "error: experiment '{experiment}' does not support --tier sampled \
-                 (supported: {})",
-                exps::SAMPLED_CAPABLE.join(", ")
-            );
-            std::process::exit(2);
-        }
         let interval = scale.quantum * scale.sample_quanta;
         if interval == 0 || !scale.cycles.is_multiple_of(interval) {
-            eprintln!(
-                "error: --tier sampled needs cycles ({}) to be a multiple of \
-                 quantum*L ({} * {})",
+            usage_error(&format!(
+                "--tier sampled needs cycles ({}) to be a multiple of quantum*L ({} * {})",
                 scale.cycles, scale.quantum, scale.sample_quanta
-            );
-            std::process::exit(2);
+            ));
         }
     }
     asm_experiments::sink::configure(sink_cfg);
     match checkpoint_dir {
         Some(dir) => asm_experiments::plan::set_checkpoint_dir(dir, resume),
-        None if resume => {
-            eprintln!("error: --resume requires --checkpoint-dir");
-            std::process::exit(2);
-        }
+        None if resume => usage_error("--resume requires --checkpoint-dir"),
         None => {}
     }
 
@@ -251,10 +245,7 @@ fn main() {
         scale.jobs,
         if scale.skip { "" } else { ", fast-forward off" }
     );
-    if !exps::run(experiment, scale) {
-        eprintln!("error: unknown experiment '{experiment}'\n{USAGE}");
-        std::process::exit(2);
-    }
+    (experiment.run)(scale);
     asm_experiments::sink::finalize();
     asm_experiments::collect::save_alone_cache();
     asm_experiments::analytic::save_profile_cache();

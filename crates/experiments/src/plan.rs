@@ -3,9 +3,12 @@
 //! A *campaign* is a flat list of [`PlannedRun`]s — full configurations,
 //! workload mixes and cycle counts — evaluated by [`run_campaign`] with
 //! results returned **in submission order**, so any sequential fold over
-//! them is byte-identical for every `--jobs` value, exactly like
-//! [`crate::collect::run_parallel`]. On top of that contract the planner
-//! layers two optimisations, both invisible in the output:
+//! them is byte-identical for every `--jobs` value. Every Runner-driven
+//! experiment goes through here — nothing else in the harness turns
+//! `(SystemConfig, mix, cycles)` into a [`RunResult`]; a run that shares
+//! nothing with its neighbours is a group of one, a plain cold run. On
+//! top of that contract the planner layers two optimisations, both
+//! invisible in the output:
 //!
 //! * **Shared trajectories.** Runs whose configurations agree on the
 //!   prefix-relevant subset ([`asm_core::checkpoint::prefix_config`]) and
@@ -103,6 +106,26 @@ impl PlannedRun {
     }
 }
 
+/// Every configuration on every workload, configuration-major: the order
+/// the figures print their variants in, hence the order of the sink's
+/// `wNNN` labels. `chunks(workloads.len())` slices a campaign's results
+/// back into one block per configuration.
+#[must_use]
+pub fn cross(
+    configs: &[SystemConfig],
+    workloads: &[Vec<AppProfile>],
+    cycles: Cycle,
+) -> Vec<PlannedRun> {
+    configs
+        .iter()
+        .flat_map(|c| {
+            workloads
+                .iter()
+                .map(move |w| PlannedRun::new(c.clone(), w.clone(), cycles))
+        })
+        .collect()
+}
+
 /// The key a finished run's manifest is stored under: the *full*
 /// configuration hash (boundary policies included — unlike the warmup
 /// key), the mix, and the cycle count. Everything a [`RunResult`] is a
@@ -111,7 +134,7 @@ fn manifest_key(run: &PlannedRun) -> u64 {
     use std::hash::Hasher as _;
     let mut h = DetHasher::default();
     h.write_u64(config_hash(&run.config));
-    h.write(checkpoint::mix_signature(&run.apps).as_bytes());
+    h.write_u64(checkpoint::mix_fingerprint(&run.apps));
     h.write_u64(run.cycles);
     h.finish()
 }
@@ -178,8 +201,8 @@ impl std::fmt::Display for CampaignStats {
 /// Runs are instrumented as the CLI's artefact flags ask
 /// ([`crate::sink::options`]); their telemetry snapshots are recorded
 /// into [`crate::sink`] here, sequentially and in submission order, so
-/// sink artefacts stay jobs-independent — callers must not record them
-/// again. The campaign's [`CampaignStats`] go to stderr as one line.
+/// sink artefacts stay jobs-independent. The campaign's
+/// [`CampaignStats`] go to stderr as one line.
 #[must_use]
 pub fn run_campaign(runs: &[PlannedRun], jobs: usize) -> Vec<RunResult> {
     let (results, stats) = run_campaign_counted(runs, jobs, crate::sink::options());
@@ -733,6 +756,11 @@ mod tests {
         let mut longer = policy_sweep(150_000);
         keys.extend(longer.iter().map(manifest_key));
         longer[0].apps.reverse();
+        keys.push(manifest_key(&longer[0]));
+        // Same names, another working set: another simulation.
+        longer[0].apps[0] = AppProfile::builder(longer[0].apps[0].name())
+            .working_set_lines(1 << 10)
+            .build();
         keys.push(manifest_key(&longer[0]));
         let unique: std::collections::BTreeSet<u64> = keys.iter().copied().collect();
         assert_eq!(unique.len(), keys.len(), "manifest key collision");

@@ -71,35 +71,6 @@ pub struct SampledResult {
     pub slowdowns: Vec<Estimate>,
 }
 
-/// Averaged fairness/performance outcome across a scheme's workloads —
-/// the CI-carrying analogue of [`crate::collect::MechOutcome`].
-#[derive(Debug, Clone, Copy)]
-pub struct SampledOutcome {
-    /// Mean of per-workload maximum slowdown (lower is better).
-    pub unfairness: Estimate,
-    /// Mean harmonic speedup (higher is better).
-    pub harmonic_speedup: Estimate,
-}
-
-/// Folds per-workload sampled results into the averaged outcome, the way
-/// [`crate::collect::mech_outcome`] folds [`asm_core::RunResult`]s.
-#[must_use]
-pub fn sampled_outcome(results: &[SampledResult]) -> SampledOutcome {
-    let nan = Estimate::exact(f64::NAN);
-    let maxes: Vec<Estimate> = results
-        .iter()
-        .filter_map(|r| Estimate::max_of(&r.slowdowns))
-        .collect();
-    let hspeeds: Vec<Estimate> = results
-        .iter()
-        .filter_map(|r| Estimate::harmonic_speedup_of(&r.slowdowns))
-        .collect();
-    SampledOutcome {
-        unfairness: Estimate::mean_of(&maxes).unwrap_or(nan),
-        harmonic_speedup: Estimate::mean_of(&hspeeds).unwrap_or(nan),
-    }
-}
-
 /// The key a run's sampled manifest is stored under: everything the
 /// estimates are a pure function of — the *full* configuration, the mix,
 /// the horizon, and the sampling spec.
@@ -107,7 +78,7 @@ fn manifest_key(run: &PlannedRun, spec: SampleSpec) -> u64 {
     use std::hash::Hasher as _;
     let mut h = DetHasher::default();
     h.write_u64(config_hash(&run.config));
-    h.write(checkpoint::mix_signature(&run.apps).as_bytes());
+    h.write_u64(checkpoint::mix_fingerprint(&run.apps));
     h.write_u64(run.cycles);
     h.write_u64(spec.intervals as u64);
     h.write_u64(spec.quanta);
@@ -250,22 +221,22 @@ pub fn run_campaign(runs: &[PlannedRun], scale: &Scale) -> Vec<SampledResult> {
 
     // Group runs by (prefix configuration, mix, horizon): members share
     // bitwise-identical fingerprint passes and boundary snapshots.
-    let mut group_of: Vec<(u64, String, u64)> = Vec::with_capacity(runs.len());
-    let mut groups: BTreeMap<(u64, String, u64), Vec<usize>> = BTreeMap::new();
+    let mut group_of: Vec<(u64, u64, u64)> = Vec::with_capacity(runs.len());
+    let mut groups: BTreeMap<(u64, u64, u64), Vec<usize>> = BTreeMap::new();
     for (i, run) in runs.iter().enumerate() {
         let prefix = checkpoint::prefix_config(&run.config);
         let key = (
             config_hash(&prefix),
-            checkpoint::mix_signature(&run.apps),
+            checkpoint::mix_fingerprint(&run.apps),
             run.cycles,
         );
-        group_of.push(key.clone());
+        group_of.push(key);
         groups.entry(key).or_default().push(i);
     }
 
     // A group samples only when the fingerprint amortises (≥ 2 members)
     // and sampling is actually cheaper than running (K < N intervals).
-    let samples: BTreeMap<&(u64, String, u64), bool> = groups
+    let samples: BTreeMap<&(u64, u64, u64), bool> = groups
         .iter()
         .map(|(key, members)| {
             let rep = &runs[members[0]];
@@ -299,14 +270,14 @@ pub fn run_campaign(runs: &[PlannedRun], scale: &Scale) -> Vec<SampledResult> {
     // in parallel. The pass runs under the group's *neutral prefix*
     // configuration, so its features, clustering and snapshots are a
     // pure function of the group key — identical for every member.
-    let want: Vec<&(u64, String, u64)> = groups
+    let want: Vec<&(u64, u64, u64)> = groups
         .iter()
         .filter(|(key, members)| {
             samples[*key] && members.iter().any(|&i| preloaded[i].is_none())
         })
         .map(|(key, _)| key)
         .collect();
-    let mut plans: BTreeMap<&(u64, String, u64), GroupPlan> =
+    let mut plans: BTreeMap<&(u64, u64, u64), GroupPlan> =
         pool::run_ordered(scale.jobs, &want, |_, key| {
             let rep = &runs[groups[*key][0]];
             let prefix = checkpoint::prefix_config(&rep.config);
@@ -345,7 +316,7 @@ pub fn run_campaign(runs: &[PlannedRun], scale: &Scale) -> Vec<SampledResult> {
         pure: usize,
         demand: usize,
     }
-    let want_class: Vec<(&(u64, String, u64), TrajectoryClass, usize)> = plans
+    let want_class: Vec<(&(u64, u64, u64), TrajectoryClass, usize)> = plans
         .iter()
         .flat_map(|(key, group)| {
             let mut reps: BTreeMap<TrajectoryClass, RepTally> = BTreeMap::new();
@@ -390,7 +361,7 @@ pub fn run_campaign(runs: &[PlannedRun], scale: &Scale) -> Vec<SampledResult> {
                 .collect::<Vec<_>>()
         })
         .collect();
-    let class_plans: Vec<(&(u64, String, u64), TrajectoryClass, IntervalPlan)> =
+    let class_plans: Vec<(&(u64, u64, u64), TrajectoryClass, IntervalPlan)> =
         pool::run_ordered(scale.jobs, &want_class, |_, (key, class, rep_idx)| {
             let rep = &runs[*rep_idx];
             let group = &plans[*key];
@@ -435,11 +406,7 @@ pub fn run_campaign(runs: &[PlannedRun], scale: &Scale) -> Vec<SampledResult> {
                 // medoid intervals under the member's own policies.
                 let estimate_with = |plan: &IntervalPlan| -> Result<Vec<Estimate>, PersistError> {
                     if config_hash(&run.config) == plan.prefix_hash {
-                        return Ok(plan
-                            .proxy_slowdowns()
-                            .iter()
-                            .map(|&s| Estimate::exact(s))
-                            .collect());
+                        return Ok(collect::exact(&plan.proxy_slowdowns()));
                     }
                     let member_alone: Vec<Vec<f64>> = plan
                         .clustering
@@ -502,12 +469,8 @@ fn full_run(run: &PlannedRun, cache: &Arc<asm_core::AloneCache>) -> SampledResul
     let runner = Runner::with_cache(run.config.clone(), Arc::clone(cache));
     let r = runner.run_with(&run.apps, run.cycles, RunOptions::default());
     SampledResult {
+        slowdowns: collect::exact(&r.whole_run_slowdowns),
         app_names: r.app_names,
-        slowdowns: r
-            .whole_run_slowdowns
-            .iter()
-            .map(|&s| Estimate::exact(s))
-            .collect(),
     }
 }
 
@@ -641,5 +604,16 @@ mod tests {
             assert_eq!(x.ci.to_bits(), y.ci.to_bits());
         }
         assert!(load_manifest(&bytes, 78).is_err(), "key mismatch rejected");
+    }
+
+    #[test]
+    fn manifest_key_tells_same_named_profiles_apart() {
+        let run = PlannedRun::new(base_config(), mix(), 400_000);
+        let mut renamed = run.clone();
+        renamed.apps[0] = asm_cpu::AppProfile::builder(run.apps[0].name())
+            .working_set_lines(1 << 10)
+            .build();
+        let spec = scale_with(1, 2).sample_spec();
+        assert_ne!(manifest_key(&run, spec), manifest_key(&renamed, spec));
     }
 }

@@ -2,7 +2,7 @@
 //! configuration; the default scale here is reduced so the whole suite
 //! finishes in minutes. `--full` restores paper scale.
 
-use asm_core::SystemConfig;
+use asm_core::{EstimatorSet, SystemConfig};
 use asm_simcore::Cycle;
 
 /// Which simulation tier an experiment runs on (`--tier`).
@@ -10,11 +10,11 @@ use asm_simcore::Cycle;
 /// The cycle tier is the event-driven `asm_core::System`; the analytic
 /// tier is the reuse-distance model in `asm-analytic`, which trades
 /// per-cycle fidelity for mix throughput measured in microseconds (see
-/// DESIGN.md §10). Only experiments listed in
-/// [`crate::exps::ANALYTIC_CAPABLE`] accept the analytic tier. The
-/// sampled tier simulates only `K` representative intervals per run and
-/// reports every metric with a confidence interval (DESIGN.md §12);
-/// only experiments in [`crate::exps::SAMPLED_CAPABLE`] accept it.
+/// DESIGN.md §10). The sampled tier simulates only `K` representative
+/// intervals per run and reports every metric with a confidence interval
+/// (DESIGN.md §12). Which experiments accept which tier is a column of
+/// [`crate::exps::TABLE`]; [`crate::collect::tier_slowdowns`] is where a
+/// tier becomes a backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Tier {
     /// Cycle-accurate event-driven simulation (the default).
@@ -48,6 +48,15 @@ impl Tier {
         }
     }
 }
+
+/// The tier sets of [`crate::exps::TABLE`]: most experiments study
+/// per-quantum estimator behaviour, which only the cycle tier has.
+pub const CYCLE: &[Tier] = &[Tier::Cycle];
+/// Policy sweeps: their runs share prefix configurations, so one
+/// fingerprint pass amortises over many variants (DESIGN.md §12).
+pub const CYCLE_SAMPLED: &[Tier] = &[Tier::Cycle, Tier::Sampled];
+/// Studies that read whole-run slowdowns only (DESIGN.md §10).
+pub const CYCLE_ANALYTIC: &[Tier] = &[Tier::Cycle, Tier::Analytic];
 
 /// How big to run each experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,10 +168,33 @@ impl Scale {
         c
     }
 
-    /// Quanta that contribute to statistics at this scale.
+    /// Workloads per `cores`-core point of a core-count sweep: total
+    /// simulation work stays roughly constant (alone runs scale linearly
+    /// with cores).
     #[must_use]
-    pub fn measured_quanta(&self) -> usize {
-        ((self.cycles / self.quantum) as usize).saturating_sub(self.warmup_quanta)
+    pub fn workloads_for(&self, cores: usize) -> usize {
+        (self.workloads * 4 / cores).max(2)
+    }
+
+    /// FST and PTCA at their best: every estimator observing a full
+    /// (unsampled) ATS, FST with a pollution filter of equal overhead
+    /// (2048 sets x 16 ways x 4 B).
+    #[must_use]
+    pub fn unsampled_config(&self) -> SystemConfig {
+        let mut c = self.base_config();
+        c.estimators = EstimatorSet::all();
+        c.ats_sampled_sets = None;
+        c.pollution_filter_bits = 1 << 20;
+        c
+    }
+
+    /// ASM as deployed: every estimator observing the 64-set sampled ATS.
+    #[must_use]
+    pub fn deployed_config(&self) -> SystemConfig {
+        let mut c = self.base_config();
+        c.estimators = EstimatorSet::all();
+        c.ats_sampled_sets = Some(64);
+        c
     }
 }
 
@@ -190,11 +222,5 @@ mod tests {
         let c = s.base_config();
         assert_eq!(c.quantum, s.quantum);
         assert_eq!(c.epoch, s.epoch);
-    }
-
-    #[test]
-    fn measured_quanta_excludes_warmup() {
-        let s = Scale::reduced();
-        assert_eq!(s.measured_quanta(), 6);
     }
 }

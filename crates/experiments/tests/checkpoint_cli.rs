@@ -8,6 +8,8 @@
 //! 3. Damaged checkpoint artefacts are warned about on stderr and
 //!    rebuilt; results stay identical.
 //! 4. `--resume` without `--checkpoint-dir` is a usage error (exit 2).
+//! 5. Every Runner-driven experiment is a campaign: a resumed `all`
+//!    replays every member of every campaign and simulates none.
 //!
 //! The kill-mid-campaign leg of this story lives in `scripts/ci.sh`
 //! (leg 5), where a real SIGKILL interrupts the process.
@@ -89,20 +91,56 @@ fn resume_replays_manifests_byte_identically() {
 }
 
 #[test]
+fn resumed_all_replays_every_member_of_every_campaign() {
+    let dir = tmp_dir("all");
+    let ckpt = dir.join("ckpt");
+    let ckpt = ckpt.to_str().expect("utf8 tmp path");
+
+    let cold = run(&["all", "--tiny"]);
+    assert_ok(&cold, "cold all");
+    let first = run(&["all", "--tiny", "--checkpoint-dir", ckpt]);
+    assert_ok(&first, "checkpointed all");
+    assert_same_stdout(&cold, &first, "checkpointed all differs from cold");
+    let resumed = run(&["all", "--tiny", "--checkpoint-dir", ckpt, "--resume"]);
+    assert_ok(&resumed, "resumed all");
+    assert_same_stdout(&cold, &resumed, "resumed all differs from cold");
+
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    let campaigns: Vec<&str> = stderr.lines().filter(|l| l.starts_with("campaign:")).collect();
+    assert!(campaigns.len() >= 14, "one campaign at least per Runner-driven figure:\n{stderr}");
+    for line in campaigns {
+        let field = |name: &str| {
+            let value = line.split(' ').find_map(|f| f.strip_prefix(name));
+            value.unwrap_or_else(|| panic!("no {name} in {line}")).to_owned()
+        };
+        assert_eq!(field("replayed="), field("members="), "simulated members: {line}");
+        assert_eq!(field("quantum_runs="), "0", "{line}");
+    }
+}
+
+#[test]
 fn damaged_artefacts_warn_and_rebuild() {
-    let dir = tmp_dir("damage");
+    // One experiment that has always been a campaign, one that became one.
+    for exp in ["fig11", "fig4"] {
+        damaged_artefacts_warn_and_rebuild_on(exp);
+    }
+}
+
+fn damaged_artefacts_warn_and_rebuild_on(exp: &str) {
+    let dir = tmp_dir(&format!("damage_{exp}"));
     let ckpt_path = dir.join("ckpt");
     let ckpt = ckpt_path.to_str().expect("utf8 tmp path");
-    let args = ["fig11", "--tiny", "--checkpoint-dir", ckpt, "--resume"];
+    let args = [exp, "--tiny", "--checkpoint-dir", ckpt, "--resume"];
 
-    let cold = run(&["fig11", "--tiny"]);
-    assert_ok(&cold, "cold fig11");
+    let cold = run(&[exp, "--tiny"]);
+    assert_ok(&cold, "cold run");
     let first = run(&args);
     assert_ok(&first, "first checkpointed pass");
 
-    // Truncate every artefact on disk: warmup snapshots and manifests.
+    // Truncate every artefact on disk: manifests, and the warmup snapshots
+    // of campaigns whose members shared one (fig4's share none).
     for sub in ["warmups", "runs"] {
-        for entry in std::fs::read_dir(ckpt_path.join(sub)).expect("artefact dir") {
+        for entry in std::fs::read_dir(ckpt_path.join(sub)).into_iter().flatten() {
             let p = entry.expect("dir entry").path();
             std::fs::write(&p, b"asm").expect("truncate artefact");
         }

@@ -5,7 +5,8 @@
 //! schedule-only state (see DESIGN.md §8).
 
 use asm_core::EstimatorSet;
-use asm_experiments::collect::{collect_accuracy, eval_mechanism, pct};
+use asm_experiments::collect::{collect_accuracy, exact, mech_outcome, pct};
+use asm_experiments::plan::{cross, run_campaign};
 use asm_experiments::Scale;
 use asm_metrics::Table;
 use asm_workloads::{mix, suite};
@@ -16,7 +17,8 @@ fn accuracy_table(scale: &Scale, jobs: usize) -> (String, String) {
     let mut config = scale.base_config();
     config.estimators = EstimatorSet::all();
     let workloads = mix::random_mixes(scale.workloads, 4, scale.seed);
-    let stats = collect_accuracy(&config, &workloads, scale.cycles, scale.warmup_quanta, jobs);
+    let results = run_campaign(&cross(&[config], &workloads, scale.cycles), jobs);
+    let stats = collect_accuracy(&results, scale.warmup_quanta);
 
     let mut table = Table::new(vec![
         "benchmark".into(),
@@ -67,15 +69,19 @@ fn mechanism_eval_is_bitwise_identical_across_job_counts() {
     let scale = small_scale();
     let config = scale.base_config();
     let workloads = mix::random_mixes(scale.workloads, 2, scale.seed + 1);
-    let seq = eval_mechanism(&config, &workloads, scale.cycles, 1);
-    let par = eval_mechanism(&config, &workloads, scale.cycles, 4);
+    let eval = |jobs| {
+        let runs = cross(std::slice::from_ref(&config), &workloads, scale.cycles);
+        let results = run_campaign(&runs, jobs);
+        let slowdowns: Vec<_> = results.iter().map(|r| exact(&r.whole_run_slowdowns)).collect();
+        mech_outcome(&slowdowns)
+    };
+    let (seq, par) = (eval(1), eval(4));
     // Bitwise f64 equality: the sequential fold must see the exact same
     // values in the exact same order regardless of worker scheduling.
-    assert_eq!(seq.unfairness.to_bits(), par.unfairness.to_bits());
-    assert_eq!(seq.unfairness_std.to_bits(), par.unfairness_std.to_bits());
+    assert_eq!(seq.unfairness.value.to_bits(), par.unfairness.value.to_bits());
     assert_eq!(
-        seq.harmonic_speedup.to_bits(),
-        par.harmonic_speedup.to_bits()
+        seq.harmonic_speedup.value.to_bits(),
+        par.harmonic_speedup.value.to_bits()
     );
-    assert!(seq.unfairness.is_finite() && seq.unfairness >= 1.0);
+    assert!(seq.unfairness.value.is_finite() && seq.unfairness.value >= 1.0);
 }

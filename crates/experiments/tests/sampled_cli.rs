@@ -4,8 +4,8 @@
 //!    byte-identical for any `--jobs` value.
 //! 2. `--checkpoint-dir` + `--resume` replays sampled manifests with,
 //!    again, byte-identical stdout.
-//! 3. Experiments outside `SAMPLED_CAPABLE` are rejected up front
-//!    (exit 2), as are horizons that do not divide into intervals.
+//! 3. Experiments whose `exps::TABLE` row lacks the tier are rejected up
+//!    front (exit 2), as are horizons that do not divide into intervals.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};

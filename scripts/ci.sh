@@ -21,7 +21,12 @@
 #                                             it, and byte-compare against
 #                                             a cold run; then replay the
 #                                             finished campaign from its
-#                                             manifests and compare again)
+#                                             manifests and compare again;
+#                                             then the same on `all --tiny`
+#                                             — every Runner-driven
+#                                             experiment is a campaign —
+#                                             whose replay must simulate
+#                                             no member of any campaign)
 #   6. cycle-attribution leg                 (the conservation proptest
 #                                             runs in step 2; here: the
 #                                             ledger is observation-only —
@@ -72,7 +77,7 @@ while [[ $# -gt 0 ]]; do
             shift 2
             ;;
         -h|--help)
-            sed -n '2,55p' "$0" | sed 's/^# \{0,1\}//'
+            sed -n '2,60p' "$0" | sed 's/^# \{0,1\}//'
             exit 0
             ;;
         *)
@@ -133,11 +138,35 @@ cmp "$SMOKE/cold.txt" "$SMOKE/replayed.txt" || {
     echo "ci: FAIL — manifest-replayed campaign stdout differs from the cold run" >&2
     exit 1
 }
+# The same on the whole suite: wherever in `all` the kill lands, in any of
+# its 22 campaigns, the resumed run must match the cold one (which leg 6
+# reuses).
+"$EXP" all --tiny > "$SMOKE/all_off.txt" 2>/dev/null
+timeout -s KILL 4 "$EXP" all --tiny --checkpoint-dir "$SMOKE/all_ckpt" >/dev/null 2>&1 || true
+"$EXP" all --tiny --checkpoint-dir "$SMOKE/all_ckpt" --resume > "$SMOKE/all_resumed.txt" 2>/dev/null
+cmp "$SMOKE/all_off.txt" "$SMOKE/all_resumed.txt" || {
+    echo "ci: FAIL — resumed \`all\` stdout differs from the cold run" >&2
+    exit 1
+}
+# Second resume: nothing is left to simulate but fig1 (raw co-runs, no
+# Runner) — every campaign line must read replayed == members.
+"$EXP" all --tiny --checkpoint-dir "$SMOKE/all_ckpt" --resume \
+    > "$SMOKE/all_replayed.txt" 2> "$SMOKE/all_replayed.err"
+cmp "$SMOKE/all_off.txt" "$SMOKE/all_replayed.txt" || {
+    echo "ci: FAIL — manifest-replayed \`all\` stdout differs from the cold run" >&2
+    exit 1
+}
+awk '/^campaign:/ { n++; sub("members=", "replayed=", $3); if ($3 != $4 || $5 != "quantum_runs=0") bad++ }
+     END { exit !(n > 0 && bad == 0) }' "$SMOKE/all_replayed.err" || {
+    echo "ci: FAIL — a replayed \`all\` campaign still simulated members:" >&2
+    grep '^campaign:' "$SMOKE/all_replayed.err" >&2
+    exit 1
+}
 
 echo "ci: [6/7] cycle-attribution leg (on-vs-off, --jobs differential)" >&2
 # The ledger is observation-only: collecting attribution artefacts must
-# not change a single stdout byte, on any experiment.
-"$EXP" all --tiny > "$SMOKE/all_off.txt" 2>/dev/null
+# not change a single stdout byte, on any experiment (cold reference:
+# leg 5's all_off.txt).
 "$EXP" all --tiny --attrib-csv "$SMOKE/all_attrib.csv" --blame-json "$SMOKE/all_blame.json" \
     > "$SMOKE/all_on.txt" 2>/dev/null
 cmp "$SMOKE/all_off.txt" "$SMOKE/all_on.txt" || {
