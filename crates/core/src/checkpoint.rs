@@ -32,7 +32,7 @@
 //! [`Runner::warmup_key`]: crate::runner::Runner::warmup_key
 
 use asm_cpu::AppProfile;
-use asm_simcore::persist::{ensure, Persist, PersistError, StateReader, StateWriter};
+use asm_simcore::persist::{self, ensure, Persist, PersistError, StateWriter};
 use asm_simcore::Cycle;
 
 use crate::config::{CachePolicy, MemPolicy, SystemConfig, ThrottlePolicy};
@@ -124,31 +124,11 @@ pub fn capture(sys: &System, key: u64, warm_cycles: Cycle) -> Vec<u8> {
 /// does not match (a snapshot of a different configuration, mix, or
 /// telemetry switch) or the state does not fit `sys`'s structure.
 pub fn resume(bytes: &[u8], key: u64, sys: &mut System) -> Result<Cycle, PersistError> {
-    let mut r = StateReader::new(bytes, SNAPSHOT_FORMAT, SNAPSHOT_VERSION)?;
-    let found = r.u64()?;
-    if found != key {
-        return Err(PersistError::Corrupt(format!(
-            "snapshot key {found:016x} does not match expected {key:016x}"
-        )));
-    }
+    let mut r = persist::open(bytes, SNAPSHOT_FORMAT, SNAPSHOT_VERSION, key)?;
     let warm_cycles = r.u64()?;
     sys.restore(&mut r)?;
     r.finish()?;
     Ok(warm_cycles)
-}
-
-/// Reads the key a snapshot was captured under without restoring it.
-/// The header, version and whole-payload checksum are still validated,
-/// so a `Ok` return means the artefact is intact and current — the sweep
-/// planner uses this to decide whether an on-disk warmup file can serve
-/// a campaign's group before handing it to every member.
-///
-/// # Errors
-///
-/// The same header/version/damage errors as [`resume`].
-pub fn peek_key(bytes: &[u8]) -> Result<u64, PersistError> {
-    let mut r = StateReader::new(bytes, SNAPSHOT_FORMAT, SNAPSHOT_VERSION)?;
-    r.u64()
 }
 
 impl RunResult {
@@ -185,24 +165,15 @@ asm_simcore::persist_fields!(RunResult {
 ///
 /// # Errors
 ///
-/// [`PersistError::Corrupt`] when the result carries telemetry —
-/// manifests cover plain runs only (the telemetry artefacts are written
-/// by the sink, per run, and are not replayable from a manifest).
+/// [`PersistError::Corrupt`] when the result carries telemetry or
+/// attribution — manifests cover plain runs only (those artefacts are
+/// written by the sink, per run, and are not replayable from a manifest).
 pub fn save_manifest(result: &RunResult, key: u64) -> Result<Vec<u8>, PersistError> {
-    if result.telemetry.is_some() {
-        return Err(PersistError::Corrupt(
-            "telemetry runs are not manifest-eligible".to_owned(),
-        ));
-    }
-    if result.attribution.is_some() {
-        return Err(PersistError::Corrupt(
-            "attribution runs are not manifest-eligible".to_owned(),
-        ));
-    }
-    let mut w = StateWriter::new(MANIFEST_FORMAT, MANIFEST_VERSION);
-    w.u64(key);
-    result.save(&mut w);
-    Ok(w.finish())
+    ensure(
+        result.telemetry.is_none() && result.attribution.is_none(),
+        "instrumented runs are not manifest-eligible",
+    )?;
+    Ok(persist::seal(MANIFEST_FORMAT, MANIFEST_VERSION, key, result))
 }
 
 /// Reloads a manifest written by [`save_manifest`], validating `key`.
@@ -212,17 +183,7 @@ pub fn save_manifest(result: &RunResult, key: u64) -> Result<Vec<u8>, PersistErr
 /// Header/version/checksum errors from the reader; `Corrupt` on a key
 /// mismatch or any structural inconsistency.
 pub fn load_manifest(bytes: &[u8], key: u64) -> Result<RunResult, PersistError> {
-    let mut r = StateReader::new(bytes, MANIFEST_FORMAT, MANIFEST_VERSION)?;
-    let found = r.u64()?;
-    if found != key {
-        return Err(PersistError::Corrupt(format!(
-            "manifest key {found:016x} does not match expected {key:016x}"
-        )));
-    }
-    let mut result = RunResult::default();
-    result.restore(&mut r)?;
-    r.finish()?;
-    Ok(result)
+    persist::unseal(bytes, MANIFEST_FORMAT, MANIFEST_VERSION, key)
 }
 
 #[cfg(test)]
@@ -484,7 +445,10 @@ mod tests {
             resume(&old_snapshot, 0, &mut sys),
             Err(PersistError::StaleVersion { found: 4, expected: SNAPSHOT_VERSION, .. })
         ));
-        assert!(matches!(peek_key(&old_snapshot), Err(PersistError::StaleVersion { .. })));
+        assert!(matches!(
+            persist::open(&old_snapshot, SNAPSHOT_FORMAT, SNAPSHOT_VERSION, 0),
+            Err(PersistError::StaleVersion { .. })
+        ));
         let old_manifest = StateWriter::new(MANIFEST_FORMAT, 1).finish();
         assert!(matches!(
             load_manifest(&old_manifest, 0),

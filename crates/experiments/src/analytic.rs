@@ -1,74 +1,28 @@
 //! Harness plumbing for the analytical tier (`--tier analytic`).
 //!
-//! Mirrors [`crate::collect`]'s alone-run cache: one process-wide
-//! [`ProfileStore`] holds every reuse profile extracted this run, an
-//! optional `--profile-cache` file persists it across invocations, and a
-//! corrupt or stale file is ignored with a warning (results may never
-//! depend on cache state).
-//!
-//! The store is populated *sequentially* before any fan-out: the solve
-//! loop then shares an immutable snapshot across worker threads, so the
-//! analytic tier needs no locks on its hot path and — because
-//! [`crate::pool::run_ordered`] returns results in submission order —
-//! its output is byte-identical for every `--jobs` value.
+//! The [`Session`] holds every reuse profile extracted (or loaded from
+//! `--profile-cache`) so far. The store is populated *sequentially*
+//! before any fan-out: the solve loop then shares an immutable snapshot
+//! across worker threads, so the analytic tier needs no locks on its hot
+//! path and — because [`crate::pool::run_ordered`] returns results in
+//! submission order — its output is byte-identical for every `--jobs`
+//! value.
 
-use std::path::PathBuf;
-use std::sync::{Mutex, OnceLock};
-
-use asm_analytic::{AnalyticConfig, MixSolution, MixSolver, ProfileParams, ProfileStore};
+use asm_analytic::{AnalyticConfig, MixSolution, MixSolver, ProfileParams};
 use asm_core::SystemConfig;
 use asm_cpu::AppProfile;
 
 use crate::pool;
+use crate::session::Session;
 
-/// Where to persist reuse profiles (`--profile-cache <path>`), if anywhere.
-static PROFILE_CACHE_PATH: OnceLock<PathBuf> = OnceLock::new();
-
-/// Every reuse profile extracted (or loaded) so far this process.
-static STORE: OnceLock<Mutex<ProfileStore>> = OnceLock::new();
-
-fn store() -> &'static Mutex<ProfileStore> {
-    STORE.get_or_init(|| Mutex::new(ProfileStore::new()))
-}
-
-/// Loads (or initializes) the persistent reuse-profile cache at `path`.
-/// A missing file starts empty; a corrupt file is ignored with a warning
-/// and overwritten on [`save_profile_cache`]. Stale *entries* (parameter
-/// or algorithm fingerprint mismatch) are re-extracted individually by
-/// `ProfileStore::ensure`. Chatter goes to stderr: stdout must stay
-/// byte-identical with and without a cache.
-pub fn set_profile_cache_path(path: PathBuf) {
-    let (loaded, warning) = ProfileStore::load_or_warn(&path);
-    if let Some(w) = warning {
-        eprintln!("warning: profile-cache: {w}");
-    } else if !loaded.is_empty() {
-        eprintln!(
-            "profile-cache: loaded {} profile(s) from {}",
-            loaded.len(),
-            path.display()
-        );
-    }
-    *store().lock().expect("profile store poisoned") = loaded;
-    let _ = PROFILE_CACHE_PATH.set(path);
-}
-
-/// Writes the reuse-profile cache back to its file, if one was
-/// configured. Called once at the end of the CLI run.
-pub fn save_profile_cache() {
-    if let Some(path) = PROFILE_CACHE_PATH.get() {
-        let s = store().lock().expect("profile store poisoned");
-        match s.save_to(path) {
-            Ok(()) => eprintln!(
-                "profile-cache: saved {} profile(s) to {}",
-                s.len(),
-                path.display()
-            ),
-            Err(e) => eprintln!(
-                "warning: profile-cache: could not save {}: {e}",
-                path.display()
-            ),
-        }
-    }
+/// [`solve_mixes_in`] the [`Session::global`] session.
+#[must_use]
+pub fn solve_mixes(
+    config: &SystemConfig,
+    workloads: &[Vec<AppProfile>],
+    jobs: usize,
+) -> Vec<MixSolution> {
+    solve_mixes_in(Session::global(), config, workloads, jobs)
 }
 
 /// Solves every mix analytically, fanning solves across `jobs` worker
@@ -79,14 +33,15 @@ pub fn save_profile_cache() {
 /// up front; the fan-out then reads an immutable snapshot, so the result
 /// is bitwise identical for every `jobs` value (pinned by tests).
 #[must_use]
-pub fn solve_mixes(
+pub fn solve_mixes_in(
+    session: &Session,
     config: &SystemConfig,
     workloads: &[Vec<AppProfile>],
     jobs: usize,
 ) -> Vec<MixSolution> {
     let params = ProfileParams::from_system(config);
     let snapshot = {
-        let mut s = store().lock().expect("profile store poisoned");
+        let mut s = session.profiles.lock().expect("profile store poisoned");
         for w in workloads {
             for app in w {
                 s.ensure(app, &params);

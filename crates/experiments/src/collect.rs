@@ -1,12 +1,10 @@
-//! What the experiments share on either side of a campaign: the
-//! process-wide alone-run cache, the tier switch, and the folds that turn
-//! per-run results into table cells — estimation-error statistics
-//! (Figures 2-8, Table 3, §6.4, the database study) and the averaged
-//! fairness/performance outcome (Figures 9-11).
+//! What the experiments share on either side of a campaign: the tier
+//! switch, and the folds that turn per-run results into table cells —
+//! estimation-error statistics (Figures 2-8, Table 3, §6.4, the database
+//! study) and the averaged fairness/performance outcome (Figures 9-11).
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use asm_core::{AloneCache, RunResult, SystemConfig};
 use asm_cpu::AppProfile;
@@ -16,56 +14,11 @@ use asm_simcore::Cycle;
 
 use crate::plan::{self, PlannedRun};
 use crate::scale::{Scale, Tier};
+use crate::session::Session;
 
-/// The process-wide alone-run cache, shared by every campaign once set:
-/// `--alone-cache <path>` installs a file-backed one,
-/// [`install_alone_cache`] an in-memory one.
-static ALONE_CACHE: OnceLock<(Option<PathBuf>, Arc<AloneCache>)> = OnceLock::new();
-
-/// Loads (or initializes) the persistent alone-run cache at `path` and
-/// routes all subsequent campaigns through it. A missing file starts
-/// empty; a corrupt or stale file is ignored with a warning (the run
-/// then recomputes and overwrites it on [`save_alone_cache`]).
-/// Progress chatter goes to stderr: stdout must stay byte-identical with
-/// and without a cache.
-pub fn set_alone_cache_path(path: PathBuf) {
-    let (cache, warning) = AloneCache::load_or_warn(&path);
-    if let Some(w) = warning {
-        eprintln!("warning: alone-cache: {w}");
-    } else if !cache.is_empty() {
-        eprintln!(
-            "alone-cache: loaded {} run(s) from {}",
-            cache.len(),
-            path.display()
-        );
-    }
-    let _ = ALONE_CACHE.set((Some(path), Arc::new(cache)));
-}
-
-/// Routes all subsequent campaigns through an in-memory cache with no
-/// backing file ([`save_alone_cache`] becomes a no-op).
-/// Harnesses that compare tiers (the sampled-accuracy gate, the
-/// `sampled_sweep` bench) pre-warm one cache and install it so both
-/// tiers amortize the same alone runs — exactly what `--alone-cache`
-/// gives the CLI across invocations. First installation wins, like the
-/// CLI flag.
+/// [`Session::install_alone_cache`] on the [`Session::global`] session.
 pub fn install_alone_cache(cache: Arc<AloneCache>) {
-    let _ = ALONE_CACHE.set((None, cache));
-}
-
-/// Writes the persistent alone-run cache back to its file, if one was
-/// configured. Called once at the end of the CLI run.
-pub fn save_alone_cache() {
-    if let Some((Some(path), cache)) = ALONE_CACHE.get() {
-        match cache.save_to(path) {
-            Ok(()) => eprintln!(
-                "alone-cache: saved {} run(s) to {}",
-                cache.len(),
-                path.display()
-            ),
-            Err(e) => eprintln!("warning: alone-cache: could not save {}: {e}", path.display()),
-        }
-    }
+    Session::global().install_alone_cache(cache);
 }
 
 /// Accumulated accuracy statistics across a set of workloads.
@@ -160,12 +113,13 @@ pub fn collect_accuracy(results: &[RunResult], warmup_quanta: usize) -> Accuracy
 /// ([`plan::cross`]) and folds one [`AccuracyStats`] per configuration.
 #[must_use]
 pub fn accuracy_sweep(
+    session: &Session,
     configs: &[SystemConfig],
     workloads: &[Vec<AppProfile>],
     cycles: Cycle,
     scale: &Scale,
 ) -> Vec<AccuracyStats> {
-    plan::run_campaign(&plan::cross(configs, workloads, cycles), scale.jobs)
+    plan::run_campaign_in(session, &plan::cross(configs, workloads, cycles), scale.jobs)
         .chunks(workloads.len())
         .map(|results| collect_accuracy(results, scale.warmup_quanta))
         .collect()
@@ -196,21 +150,25 @@ pub type CellFormat = fn(&Estimate, usize) -> String;
 /// latencies and DRAM timing from a configuration (and nothing from
 /// `cycles`), so an experiment hands every tier the same runs.
 #[must_use]
-pub fn tier_slowdowns(runs: &[PlannedRun], scale: &Scale) -> (Vec<Vec<Estimate>>, CellFormat) {
+pub fn tier_slowdowns(
+    session: &Session,
+    runs: &[PlannedRun],
+    scale: &Scale,
+) -> (Vec<Vec<Estimate>>, CellFormat) {
     let plain: CellFormat = |e, decimals| format!("{:.decimals$}", e.value);
     match scale.tier {
         Tier::Cycle => {
-            let results = plan::run_campaign(runs, scale.jobs);
+            let results = plan::run_campaign_in(session, runs, scale.jobs);
             (results.iter().map(|r| exact(&r.whole_run_slowdowns)).collect(), plain)
         }
         Tier::Sampled => {
-            let results = crate::sampled::run_campaign(runs, scale);
+            let results = crate::sampled::run_campaign_in(session, runs, scale);
             (results.into_iter().map(|r| r.slowdowns).collect(), Estimate::cell)
         }
         Tier::Analytic => {
             let solved = runs.chunk_by(|a, b| a.config == b.config).flat_map(|same| {
                 let mixes: Vec<_> = same.iter().map(|r| r.apps.clone()).collect();
-                crate::analytic::solve_mixes(&same[0].config, &mixes, scale.jobs)
+                crate::analytic::solve_mixes_in(session, &same[0].config, &mixes, scale.jobs)
             });
             (solved.map(|s| exact(&s.slowdowns)).collect(), plain)
         }
@@ -261,6 +219,7 @@ pub fn scheme_table() -> Table {
 /// Runs every scheme on every workload as one campaign, on the tier
 /// `scale` selects, and appends one row per scheme to a [`scheme_table`].
 pub fn push_scheme_rows(
+    session: &Session,
     table: &mut Table,
     cores: usize,
     schemes: &[(&str, SystemConfig)],
@@ -268,7 +227,8 @@ pub fn push_scheme_rows(
     scale: &Scale,
 ) {
     let configs: Vec<SystemConfig> = schemes.iter().map(|(_, c)| c.clone()).collect();
-    let (slowdowns, cell) = tier_slowdowns(&plan::cross(&configs, workloads, scale.cycles), scale);
+    let runs = plan::cross(&configs, workloads, scale.cycles);
+    let (slowdowns, cell) = tier_slowdowns(session, &runs, scale);
     for ((name, _), per_workload) in schemes.iter().zip(slowdowns.chunks(workloads.len())) {
         let out = mech_outcome(per_workload);
         table.row(vec![
@@ -277,18 +237,6 @@ pub fn push_scheme_rows(
             cell(&out.unfairness, 2),
             cell(&out.harmonic_speedup, 3),
         ]);
-    }
-}
-
-/// The alone-run cache a campaign's runners share: the persistent global
-/// cache when `--alone-cache` is configured, else one fresh cache per
-/// campaign — either way, every runner of the campaign dedupes alone
-/// simulations against the same table.
-#[must_use]
-pub fn campaign_cache() -> Arc<AloneCache> {
-    match ALONE_CACHE.get() {
-        Some((_, cache)) => Arc::clone(cache),
-        None => Arc::new(AloneCache::new()),
     }
 }
 
@@ -304,7 +252,8 @@ mod tests {
         let mut config = scale.base_config();
         config.estimators = EstimatorSet::all();
         let workloads = mix::random_mixes(1, 2, 7);
-        let stats = accuracy_sweep(&[config], &workloads, scale.cycles, &scale).remove(0);
+        let stats = accuracy_sweep(&Session::default(), &[config], &workloads, scale.cycles, &scale)
+            .remove(0);
         for name in ["ASM", "FST", "PTCA", "MISE"] {
             assert!(stats.mean_error(name).is_some(), "missing stats for {name}");
         }

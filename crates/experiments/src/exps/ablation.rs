@@ -9,10 +9,10 @@ use asm_metrics::Table;
 use asm_workloads::mix;
 
 use crate::collect::{accuracy_sweep, pct};
-use crate::scale::Scale;
+use crate::{Scale, Session};
 
 /// Runs the ablation table.
-pub fn run(scale: Scale) {
+pub fn run(session: &Session, scale: Scale) {
     println!("\n=== Ablations: what each modelling ingredient buys ===");
     let mut base = scale.base_config();
     base.estimators = EstimatorSet::asm_only();
@@ -32,13 +32,13 @@ pub fn run(scale: Scale) {
 
     let workloads = mix::random_mixes((scale.workloads / 2).max(3), 4, scale.seed ^ 0xAB);
     let configs: Vec<SystemConfig> = variants.iter().map(|(_, c)| c.clone()).collect();
-    let stats = accuracy_sweep(&configs, &workloads, scale.cycles, &scale);
+    let stats = accuracy_sweep(session, &configs, &workloads, scale.cycles, &scale);
     let mut table = Table::new(vec!["configuration".into(), "ASM mean error".into()]);
     for ((label, _), stats) in variants.iter().zip(&stats) {
         table.row(vec![(*label).into(), pct(stats.mean_error("ASM"))]);
     }
 
-    crate::output::emit("ablation", &table);
+    session.emit("ablation", &table);
     println!("Expected shape: sampling level barely matters (the paper's robustness");
     println!("claim); round-robin epochs are comparable (§4.2); removing the queueing");
     println!("correction costs accuracy (§4.3).");

@@ -39,7 +39,7 @@ use asm_metrics::Table;
 
 use crate::collect;
 use crate::plan::{self, PlannedRun};
-use crate::scale::Scale;
+use crate::{Scale, Session};
 
 /// The starvation-cliff cell of DESIGN.md §10: cg (row-conflict victim,
 /// slot 0) under libquantum (streaming aggressor, slot 1).
@@ -125,12 +125,12 @@ fn mean(v: &[f64]) -> Option<f64> {
 }
 
 /// Runs the cross-tier accuracy dashboard.
-pub fn run(scale: Scale) {
+pub fn run(session: &Session, scale: Scale) {
     println!("\n=== Cross-tier accuracy: ledger ground truth vs ASM / analytic / sampled ===");
     // Every tier below amortizes the same alone runs (the documented
     // idiom for tier-comparing harnesses); a CLI-installed
     // `--alone-cache` wins because first installation sticks.
-    collect::install_alone_cache(Arc::new(AloneCache::new()));
+    session.install_alone_cache(Arc::new(AloneCache::new()));
 
     let mixes = sweep_mixes(scale);
     println!("sweep: {} victim\u{2190}aggressor pairs", mixes.len());
@@ -141,17 +141,15 @@ pub fn run(scale: Scale) {
     // Ground truth: the cycle-accurate tier with the attribution ledger
     // forced on (independent of the CLI's --attrib flags; the sink still
     // observes every run so those flags keep working here).
-    let mut opts = crate::sink::options();
+    let mut opts = session.run_options();
     opts.attrib = true;
     let runs = plan::cross(&[config.clone()], &mixes, scale.cycles);
-    let (truth, stats) = plan::run_campaign_counted(&runs, scale.jobs, opts);
+    let (truth, stats) = plan::run_campaign_counted(session, &runs, scale.jobs, opts);
     eprintln!("{stats}");
-    for r in &truth {
-        crate::sink::record(r);
-    }
+    session.record(&truth);
 
     // Analytic tier on the same configuration.
-    let solutions = crate::analytic::solve_mixes(&config, &mixes, scale.jobs);
+    let solutions = crate::analytic::solve_mixes_in(session, &config, &mixes, scale.jobs);
 
     // Sampled tier: per pair, a two-member partitioned-class group. UCP
     // becomes the class representative (its estimate is exact by
@@ -171,10 +169,11 @@ pub fn run(scale: Scale) {
             ]
         })
         .collect();
-    let sampled = crate::sampled::run_campaign(&planned, &scale);
+    let sampled = crate::sampled::run_campaign_in(session, &planned, &scale);
     // Uninstrumented and unrecorded: a reference, not a subject.
     let runs = plan::cross(&[asmc], &mixes, scale.cycles);
-    let (asmc_truth, stats) = plan::run_campaign_counted(&runs, scale.jobs, RunOptions::default());
+    let (asmc_truth, stats) =
+        plan::run_campaign_counted(session, &runs, scale.jobs, RunOptions::default());
     eprintln!("{stats}");
 
     let mut table = Table::new(
@@ -225,7 +224,7 @@ pub fn run(scale: Scale) {
             ledger_cell,
         ]);
     }
-    crate::output::emit("accuracy", &table);
+    session.emit("accuracy", &table);
     println!(
         "* sampled errors score the ASM-Cache variant of each pair against its own \
          full cycle run: the sampled tier is exact on a fingerprint's own \

@@ -12,7 +12,7 @@ use asm_workloads::mix;
 
 use crate::collect::{collect_accuracy, exact, mech_outcome, pct};
 use crate::plan;
-use crate::scale::Scale;
+use crate::{Scale, Session};
 
 /// Channel counts evaluated.
 pub const CHANNELS: &[usize] = &[1, 2, 4];
@@ -24,7 +24,7 @@ fn config_with_channels(scale: Scale, channels: usize) -> SystemConfig {
 }
 
 /// Runs the channel-count sweep.
-pub fn run(scale: Scale) {
+pub fn run(session: &Session, scale: Scale) {
     println!("\n=== Channel count sensitivity (1 / 2 / 4 channels, 8-core) ===");
     let workloads = mix::binned_mixes((scale.workloads / 2).max(2), 8, scale.seed ^ 0xC4A7);
 
@@ -52,7 +52,7 @@ pub fn run(scale: Scale) {
             [accuracy_cfg, frfcfs_cfg, asm_mem_cfg]
         })
         .collect();
-    let results = plan::run_campaign(&plan::cross(&configs, &workloads, scale.cycles), scale.jobs);
+    let results = plan::run_campaign_in(session, &plan::cross(&configs, &workloads, scale.cycles), scale.jobs);
     let outcome = |leg: &[RunResult]| {
         mech_outcome(&leg.iter().map(|r| exact(&r.whole_run_slowdowns)).collect::<Vec<_>>())
     };
@@ -68,7 +68,7 @@ pub fn run(scale: Scale) {
             format!("{:.3}", asm_mem.harmonic_speedup.value),
         ]);
     }
-    crate::output::emit("channels", &table);
+    session.emit("channels", &table);
     println!("Expected shape: contention (and so both unfairness and estimation error)");
     println!("shrinks as channels are added; ASM-Mem stays at or below FRFCFS unfairness.");
 }

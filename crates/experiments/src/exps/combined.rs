@@ -6,7 +6,7 @@ use asm_dram::SchedulerKind;
 use asm_workloads::mix;
 
 use crate::collect::{push_scheme_rows, scheme_table};
-use crate::scale::Scale;
+use crate::{Scale, Session};
 
 fn asm_cache_mem(scale: Scale) -> SystemConfig {
     let mut c = scale.base_config();
@@ -34,7 +34,7 @@ fn baseline(scale: Scale) -> SystemConfig {
 }
 
 /// Runs the combined-scheme comparison (16-core, plus 8-core for context).
-pub fn run(scale: Scale) {
+pub fn run(session: &Session, scale: Scale) {
     println!("\n=== ASM-Cache-Mem vs PARBS+UCP (combined cache + memory management) ===");
     let schemes = [
         ("FRFCFS+NoPart", baseline(scale)),
@@ -48,9 +48,9 @@ pub fn run(scale: Scale) {
             cores,
             scale.seed ^ 0xC0DE ^ cores as u64,
         );
-        push_scheme_rows(&mut table, cores, &schemes, &workloads, &scale);
+        push_scheme_rows(session, &mut table, cores, &schemes, &workloads, &scale);
     }
-    crate::output::emit("combined", &table);
+    session.emit("combined", &table);
     println!("Paper: ASM-Cache-Mem improves fairness by 14.6% over PARBS+UCP on 16-core");
     println!("1-channel, with performance within 1%.");
 }

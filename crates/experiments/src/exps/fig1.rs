@@ -11,7 +11,7 @@ use asm_metrics::Table;
 use asm_simcore::AppId;
 use asm_workloads::{hog_profile, suite};
 
-use crate::scale::Scale;
+use crate::{Scale, Session};
 
 /// Hog aggressiveness levels swept.
 const HOG_LEVELS: usize = 6;
@@ -57,7 +57,7 @@ fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
 }
 
 /// Runs the Figure 1 experiment.
-pub fn run(scale: Scale) {
+pub fn run(session: &Session, scale: Scale) {
     println!("\n=== Figure 1: cache access rate vs performance (co-run with hog) ===");
     let config = quiet_config(scale);
     let apps = ["h264ref_like", "bzip2_like", "mcf_like"];
@@ -109,7 +109,7 @@ pub fn run(scale: Scale) {
         }
         correlations.push((*name, pearson(cars, perfs)));
     }
-    crate::output::emit("fig1", &table);
+    session.emit("fig1", &table);
     println!("Pearson correlation (norm CAR vs norm perf), paper expectation ~1:");
     for (name, r) in correlations {
         println!("  {name}: r = {r:.3}");

@@ -6,7 +6,7 @@ use asm_dram::SchedulerKind;
 use asm_workloads::mix;
 
 use crate::collect::{push_scheme_rows, scheme_table};
-use crate::scale::Scale;
+use crate::{Scale, Session};
 
 /// Core counts evaluated.
 pub const CORE_COUNTS: &[usize] = &[4, 8, 16];
@@ -95,7 +95,7 @@ pub fn scheme_config(scale: Scale, scheme: MemScheme) -> SystemConfig {
 }
 
 /// Runs the Figure 10 comparison.
-pub fn run(scale: Scale) {
+pub fn run(session: &Session, scale: Scale) {
     println!("\n=== Figure 10: ASM-Mem vs FRFCFS / PARBS / TCM ===");
     let schemes: Vec<(&str, SystemConfig)> = SCHEMES
         .iter()
@@ -112,9 +112,9 @@ pub fn run(scale: Scale) {
         // the trajectory from cycle 0, so their warmup keys differ and
         // nothing is fork-shared — the campaign still buys `--resume`
         // across every run of an interrupted sweep.
-        push_scheme_rows(&mut table, cores, &schemes, &workloads, &scale);
+        push_scheme_rows(session, &mut table, cores, &schemes, &workloads, &scale);
     }
-    crate::output::emit("fig10", &table);
+    session.emit("fig10", &table);
     println!("Expected shape: ASM-Mem achieves the lowest unfairness with comparable");
     println!("performance; its advantage grows with core count.");
 }

@@ -11,13 +11,13 @@ use asm_workloads::suite;
 use crate::collect::tier_slowdowns;
 use crate::exps::fig9::policy_config;
 use crate::plan::PlannedRun;
-use crate::scale::Scale;
+use crate::{Scale, Session};
 
 /// The slowdown bounds swept for ASM-QoS (the paper's "X" values).
 pub const BOUNDS: &[f64] = &[2.5, 3.0, 3.5, 4.0];
 
 /// Runs the Figure 11 experiment.
-pub fn run(scale: Scale) {
+pub fn run(session: &Session, scale: Scale) {
     println!("\n=== Figure 11: ASM-QoS soft slowdown guarantees (target: h264ref_like) ===");
     let apps = vec![
         suite::by_name("h264ref_like").expect("profile"),
@@ -53,7 +53,7 @@ pub fn run(scale: Scale) {
         .iter()
         .map(|&(_, policy)| PlannedRun::new(policy_config(scale, policy), apps.clone(), scale.cycles))
         .collect();
-    let (slowdowns, cell) = tier_slowdowns(&runs, &scale);
+    let (slowdowns, cell) = tier_slowdowns(session, &runs, &scale);
     for ((name, _), s) in schemes.into_iter().zip(&slowdowns) {
         let hs = Estimate::harmonic_speedup_of(s).unwrap_or(Estimate::exact(f64::NAN));
         let mut row = vec![name];
@@ -61,7 +61,7 @@ pub fn run(scale: Scale) {
         row.push(cell(&hs, 3));
         table.row(row);
     }
-    crate::output::emit("fig11", &table);
+    session.emit("fig11", &table);
     println!("Expected shape: Naive-QoS minimises the target's slowdown but punishes the");
     println!("other applications; ASM-QoS-X keeps the target near its bound X while the");
     println!("others' slowdowns shrink as X loosens.");

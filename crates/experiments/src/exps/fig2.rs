@@ -8,7 +8,7 @@ use asm_metrics::Table;
 use asm_workloads::{mix, suite};
 
 use crate::collect::{accuracy_sweep, pct};
-use crate::scale::Scale;
+use crate::{Scale, Session};
 
 /// The sampled-ATS configuration of Figures 3, 4 and 6b: ASM as deployed,
 /// FST with a pollution filter the size of the sampled ATS (64 sets x 16
@@ -21,7 +21,7 @@ pub fn small_filter_config(scale: Scale) -> SystemConfig {
 }
 
 /// Runs Figure 2 (`sampled = false`) or Figure 3 (`sampled = true`).
-pub fn run(scale: Scale, sampled: bool) {
+pub fn run(session: &Session, scale: Scale, sampled: bool) {
     let (fig, title) = if sampled {
         ("Figure 3", "sampled ATS (64 sets), small pollution filter")
     } else {
@@ -31,7 +31,7 @@ pub fn run(scale: Scale, sampled: bool) {
 
     let config = if sampled { small_filter_config(scale) } else { scale.unsampled_config() };
     let workloads = mix::random_mixes(scale.workloads, 4, scale.seed);
-    let stats = accuracy_sweep(&[config], &workloads, scale.cycles, &scale).remove(0);
+    let stats = accuracy_sweep(session, &[config], &workloads, scale.cycles, &scale).remove(0);
 
     let mut table = Table::new(vec![
         "benchmark".into(),
@@ -57,7 +57,7 @@ pub fn run(scale: Scale, sampled: bool) {
         pct(stats.mean_error("PTCA")),
         pct(stats.mean_error("ASM")),
     ]);
-    crate::output::emit(if sampled { "fig3" } else { "fig2" }, &table);
+    session.emit(if sampled { "fig3" } else { "fig2" }, &table);
     let mut chart = asm_metrics::BarChart::new("average slowdown-estimation error (%)");
     for name in ["FST", "PTCA", "ASM"] {
         chart.bar(name, stats.mean_error(name).unwrap_or(f64::NAN));

@@ -5,16 +5,16 @@ use asm_metrics::Table;
 use asm_workloads::mix;
 
 use crate::collect::accuracy_sweep;
-use crate::scale::Scale;
+use crate::{Scale, Session};
 
 /// Runs the Figure 4 experiment.
-pub fn run(scale: Scale) {
+pub fn run(session: &Session, scale: Scale) {
     println!("\n=== Figure 4: error distribution (FST/PTCA unsampled, ASM sampled) ===");
     let workloads = mix::random_mixes(scale.workloads, 4, scale.seed);
 
     // Unsampled for FST and PTCA, sampled for ASM: Figures 2 and 3's runs.
     let configs = [scale.unsampled_config(), super::fig2::small_filter_config(scale)];
-    let stats = accuracy_sweep(&configs, &workloads, scale.cycles, &scale);
+    let stats = accuracy_sweep(session, &configs, &workloads, scale.cycles, &scale);
     let fst = stats[0].dist.get("FST");
     let ptca = stats[0].dist.get("PTCA");
     let asm = stats[1].dist.get("ASM");
@@ -44,7 +44,7 @@ pub fn run(scale: Scale) {
             fraction(asm, lo, hi),
         ]);
     }
-    crate::output::emit("fig4", &table);
+    session.emit("fig4", &table);
 
     let within20 = |d: Option<&asm_metrics::ErrorDistribution>| -> String {
         d.map_or("-".into(), |d| {

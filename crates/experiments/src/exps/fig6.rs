@@ -12,7 +12,7 @@ use asm_simcore::Histogram;
 use asm_workloads::{mix, suite};
 
 use crate::plan;
-use crate::scale::Scale;
+use crate::{Scale, Session};
 
 /// Histogram geometry: 40-cycle (~7.5 ns at 5.3 GHz) buckets up to 1,200
 /// cycles.
@@ -35,7 +35,7 @@ fn merged(hists: Vec<Histogram>) -> Option<Histogram> {
     })
 }
 
-fn run_one(scale: Scale, sampled: bool) {
+fn run_one(session: &Session, scale: Scale, sampled: bool) {
     let label = if sampled {
         "6b (sampled ATS)"
     } else {
@@ -56,7 +56,7 @@ fn run_one(scale: Scale, sampled: bool) {
     let mut per_estimator: Vec<(String, Vec<Histogram>)> = Vec::new();
     // Simulate in parallel, merge histograms sequentially in workload order.
     let runs = plan::cross(&[config], &workloads, scale.cycles);
-    for r in plan::run_campaign(&runs, scale.jobs) {
+    for r in plan::run_campaign_in(session, &runs, scale.jobs) {
         if let Some(h) = r.alone_latency_hist {
             actual.push(h);
         }
@@ -107,7 +107,7 @@ fn run_one(scale: Scale, sampled: bool) {
             frac(&ptca, i),
         ]);
     }
-    crate::output::emit(if sampled { "fig6b" } else { "fig6a" }, &table);
+    session.emit(if sampled { "fig6b" } else { "fig6a" }, &table);
     println!(
         "Expected shape: ASM's column tracks 'measured'; FST/PTCA deviate{}.",
         if sampled { ", PTCA most" } else { "" }
@@ -115,10 +115,10 @@ fn run_one(scale: Scale, sampled: bool) {
 }
 
 /// Runs the Figure 6 experiment (both panels).
-pub fn run(scale: Scale) {
+pub fn run(session: &Session, scale: Scale) {
     println!("\n=== Figure 6: alone miss-service-time distributions ===");
-    run_one(scale, false);
-    run_one(scale, true);
+    run_one(session, scale, false);
+    run_one(session, scale, true);
 }
 
 #[cfg(test)]

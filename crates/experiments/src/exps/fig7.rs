@@ -5,13 +5,13 @@ use asm_metrics::Table;
 use asm_workloads::mix;
 
 use crate::collect::{accuracy_sweep, pct};
-use crate::scale::Scale;
+use crate::{Scale, Session};
 
 /// Core counts evaluated.
 pub const CORE_COUNTS: &[usize] = &[4, 8, 16];
 
 /// Runs the Figure 7 sweep.
-pub fn run(scale: Scale) {
+pub fn run(session: &Session, scale: Scale) {
     println!("\n=== Figure 7: error vs core count (FST/PTCA unsampled, ASM sampled) ===");
     let mut table = Table::new(vec![
         "cores".into(),
@@ -29,7 +29,7 @@ pub fn run(scale: Scale) {
             cores,
             scale.seed ^ cores as u64,
         );
-        let stats = accuracy_sweep(&configs, &workloads, scale.cycles, &scale);
+        let stats = accuracy_sweep(session, &configs, &workloads, scale.cycles, &scale);
         let (u, s) = (&stats[0], &stats[1]);
         table.row(vec![
             cores.to_string(),
@@ -41,7 +41,7 @@ pub fn run(scale: Scale) {
             pct(s.workload_std_dev("ASM")),
         ]);
     }
-    crate::output::emit("fig7", &table);
+    session.emit("fig7", &table);
     println!("Expected shape: ASM lowest everywhere; all errors grow with core count;");
     println!("ASM's advantage widens as interference increases.");
 }

@@ -6,13 +6,13 @@ use asm_metrics::Table;
 use asm_workloads::mix;
 
 use crate::collect::{accuracy_sweep, pct};
-use crate::scale::Scale;
+use crate::{Scale, Session};
 
 /// Cache capacities evaluated (bytes).
 pub const CAPACITIES: &[u64] = &[1 << 20, 2 << 20, 4 << 20];
 
 /// Runs the Figure 8 sweep.
-pub fn run(scale: Scale) {
+pub fn run(session: &Session, scale: Scale) {
     println!("\n=== Figure 8: error vs shared cache capacity (4-core) ===");
     let workloads = mix::random_mixes(scale.workloads, 4, scale.seed);
     let mut table = Table::new(vec![
@@ -29,7 +29,7 @@ pub fn run(scale: Scale) {
             c
         }))
         .collect();
-    let stats = accuracy_sweep(&configs, &workloads, scale.cycles, &scale);
+    let stats = accuracy_sweep(session, &configs, &workloads, scale.cycles, &scale);
     for (&cap, point) in CAPACITIES.iter().zip(stats.chunks(2)) {
         table.row(vec![
             format!("{} MB", cap >> 20),
@@ -38,6 +38,6 @@ pub fn run(scale: Scale) {
             pct(point[1].mean_error("ASM")),
         ]);
     }
-    crate::output::emit("fig8", &table);
+    session.emit("fig8", &table);
     println!("Expected shape: ASM most accurate at every capacity.");
 }

@@ -6,7 +6,7 @@ use asm_core::{CachePolicy, EstimatorSet, SystemConfig};
 use asm_workloads::mix;
 
 use crate::collect::{push_scheme_rows, scheme_table};
-use crate::scale::Scale;
+use crate::{Scale, Session};
 
 /// Core counts evaluated (the paper uses 4/8/16).
 pub const CORE_COUNTS: &[usize] = &[4, 8, 16];
@@ -31,7 +31,7 @@ pub fn policy_config(scale: Scale, policy: CachePolicy) -> SystemConfig {
 }
 
 /// Runs the Figure 9 comparison.
-pub fn run(scale: Scale) {
+pub fn run(session: &Session, scale: Scale) {
     println!("\n=== Figure 9: ASM-Cache vs NoPart / UCP / MCFQ ===");
     let schemes = [
         ("NoPart", CachePolicy::None),
@@ -50,9 +50,9 @@ pub fn run(scale: Scale) {
         // All four policies agree on the prefix-relevant configuration,
         // so the campaign warms each workload once and forks it into
         // every policy — the planner's showcase (DESIGN.md §11).
-        push_scheme_rows(&mut table, cores, &schemes, &workloads, &scale);
+        push_scheme_rows(session, &mut table, cores, &schemes, &workloads, &scale);
     }
-    crate::output::emit("fig9", &table);
+    session.emit("fig9", &table);
     println!("Expected shape: ASM-Cache has the lowest unfairness at every core count");
     println!("with comparable-or-better harmonic speedup; gains grow with core count.");
 }

@@ -13,7 +13,7 @@ use asm_workloads::suite;
 
 use crate::collect::tier_slowdowns;
 use crate::plan;
-use crate::scale::Scale;
+use crate::{Scale, Session};
 
 /// Representative applications spanning the behaviour space.
 pub const APPS: &[&str] = &[
@@ -45,13 +45,13 @@ pub fn ordered_pairs() -> Vec<Vec<asm_cpu::AppProfile>> {
 }
 
 /// Runs the pairwise interference matrix.
-pub fn run(scale: Scale) {
+pub fn run(session: &Session, scale: Scale) {
     println!("\n=== Pairwise interference matrix (victim slowdown under one aggressor) ===");
     let mut config = scale.base_config();
     config.estimators = EstimatorSet::none();
     config.epochs_enabled = false;
     let runs = plan::cross(&[config], &ordered_pairs(), scale.cycles / 2);
-    let (slowdowns, cell) = tier_slowdowns(&runs, &scale);
+    let (slowdowns, cell) = tier_slowdowns(session, &runs, &scale);
 
     let mut table = Table::new(
         std::iter::once("victim \\ aggressor".to_owned())
@@ -65,7 +65,7 @@ pub fn run(scale: Scale) {
         }
         table.row(row);
     }
-    crate::output::emit("matrix", &table);
+    session.emit("matrix", &table);
     println!("Expected shape: streaming/irregular aggressors (libquantum, mcf, cg) hurt");
     println!("everyone; cache-sensitive victims (bzip2, ft) suffer most; compute-bound");
     println!("pairings stay near 1.0.");

@@ -7,10 +7,10 @@ use asm_metrics::Table;
 use asm_workloads::mix;
 
 use crate::collect::{accuracy_sweep, pct};
-use crate::scale::Scale;
+use crate::{Scale, Session};
 
 /// Runs the §6.4 comparison.
-pub fn run(scale: Scale) {
+pub fn run(session: &Session, scale: Scale) {
     println!("\n=== Section 6.4: MISE vs ASM (value of modelling cache interference) ===");
     let mut config = scale.base_config();
     config.estimators = EstimatorSet {
@@ -21,7 +21,7 @@ pub fn run(scale: Scale) {
     config.ats_sampled_sets = Some(64);
 
     let workloads = mix::random_mixes(scale.workloads, 4, scale.seed);
-    let stats = accuracy_sweep(&[config], &workloads, scale.cycles, &scale).remove(0);
+    let stats = accuracy_sweep(session, &[config], &workloads, scale.cycles, &scale).remove(0);
 
     let mut table = Table::new(vec!["model".into(), "mean error".into()]);
     table.row(vec![
@@ -32,6 +32,6 @@ pub fn run(scale: Scale) {
         "ASM (memory + cache)".into(),
         pct(stats.mean_error("ASM")),
     ]);
-    crate::output::emit("mise", &table);
+    session.emit("mise", &table);
     println!("Paper: MISE 22% vs ASM 9.9% — ASM should be lower.");
 }

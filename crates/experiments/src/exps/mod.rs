@@ -22,6 +22,7 @@ pub mod workloads;
 pub mod xval;
 
 use crate::scale::{Scale, Tier, CYCLE, CYCLE_ANALYTIC, CYCLE_SAMPLED};
+use crate::session::Session;
 
 /// One row of the experiment table.
 #[derive(Debug, Clone, Copy)]
@@ -31,7 +32,7 @@ pub struct Experiment {
     /// One-line description, as the usage text prints it.
     pub about: &'static str,
     /// Entry point.
-    pub run: fn(Scale),
+    pub run: fn(&Session, Scale),
     /// Tiers the experiment accepts (`--tier`).
     pub tiers: &'static [Tier],
     /// Whether `all` runs it.
@@ -44,8 +45,8 @@ pub struct Experiment {
 #[rustfmt::skip]
 pub const TABLE: &[Experiment] = &[
     Experiment { name: "fig1", about: "CAR vs performance correlation (with a hog)", run: fig1::run, tiers: CYCLE, in_all: true },
-    Experiment { name: "fig2", about: "per-benchmark error, unsampled ATS", run: |s| fig2::run(s, false), tiers: CYCLE, in_all: true },
-    Experiment { name: "fig3", about: "per-benchmark error, sampled ATS (64 sets)", run: |s| fig2::run(s, true), tiers: CYCLE, in_all: true },
+    Experiment { name: "fig2", about: "per-benchmark error, unsampled ATS", run: |h, s| fig2::run(h, s, false), tiers: CYCLE, in_all: true },
+    Experiment { name: "fig3", about: "per-benchmark error, sampled ATS (64 sets)", run: |h, s| fig2::run(h, s, true), tiers: CYCLE, in_all: true },
     Experiment { name: "fig4", about: "error distribution", run: fig4::run, tiers: CYCLE, in_all: true },
     Experiment { name: "fig5", about: "error with a stride prefetcher", run: fig5::run, tiers: CYCLE, in_all: true },
     Experiment { name: "fig6", about: "alone miss-latency distributions (6a and 6b)", run: fig6::run, tiers: CYCLE, in_all: true },
@@ -67,9 +68,9 @@ pub const TABLE: &[Experiment] = &[
     Experiment { name: "accuracy", about: "ledger ground truth vs ASM and the analytic/sampled tiers", run: accuracy::run, tiers: CYCLE, in_all: false },
 ];
 
-fn run_all(scale: Scale) {
+fn run_all(session: &Session, scale: Scale) {
     for e in TABLE.iter().filter(|e| e.in_all) {
-        (e.run)(scale);
+        (e.run)(session, scale);
     }
 }
 

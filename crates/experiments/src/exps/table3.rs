@@ -11,7 +11,7 @@ use asm_workloads::mix;
 
 use crate::collect::{collect_accuracy, pct};
 use crate::plan::{self, PlannedRun};
-use crate::scale::Scale;
+use crate::{Scale, Session};
 
 /// Epoch lengths swept (paper values).
 pub const EPOCHS: &[Cycle] = &[1_000, 10_000, 50_000, 100_000];
@@ -32,7 +32,7 @@ pub fn quanta_for(scale: Scale) -> Vec<Cycle> {
 }
 
 /// Runs the Table 3 sweep.
-pub fn run(scale: Scale) {
+pub fn run(session: &Session, scale: Scale) {
     println!("\n=== Table 3: ASM error vs quantum and epoch lengths ===");
     let workloads = mix::random_mixes((scale.workloads / 2).max(2), 4, scale.seed);
     let mut table = Table::new(
@@ -55,7 +55,7 @@ pub fn run(scale: Scale) {
             plan::cross(&[config], &workloads, q * (scale.warmup_quanta as Cycle + 4))
         })
         .collect();
-    let results = plan::run_campaign(&runs, scale.jobs);
+    let results = plan::run_campaign_in(session, &runs, scale.jobs);
     let mut cells = results
         .chunks(workloads.len())
         .map(|cell| pct(collect_accuracy(cell, scale.warmup_quanta).mean_error("ASM")));
@@ -64,7 +64,7 @@ pub fn run(scale: Scale) {
         row.extend(cells.by_ref().take(EPOCHS.len()));
         table.row(row);
     }
-    crate::output::emit("table3", &table);
+    session.emit("table3", &table);
     println!("Paper (Q=5M row): 17.1% / 9.9% / 10.6% / 11.5% — error is highest at E=1k,");
     println!("lowest near E=10k, and grows slowly with larger E and smaller Q.");
 }

@@ -5,7 +5,7 @@ use asm_cpu::AppProfile;
 use asm_metrics::Table;
 use asm_workloads::suite;
 
-use crate::scale::Scale;
+use crate::{Scale, Session};
 
 fn push_rows(table: &mut Table, suite_name: &str, profiles: &[AppProfile]) {
     for p in profiles {
@@ -24,7 +24,7 @@ fn push_rows(table: &mut Table, suite_name: &str, profiles: &[AppProfile]) {
 }
 
 /// Prints the profile table.
-pub fn run(_scale: Scale) {
+pub fn run(session: &Session, _scale: Scale) {
     println!("\n=== Synthetic benchmark suite (stand-ins for SPEC/NAS/DB; DESIGN.md §1) ===");
     let mut table = Table::new(
         [
@@ -44,6 +44,6 @@ pub fn run(_scale: Scale) {
     push_rows(&mut table, "SPEC-like", &suite::spec());
     push_rows(&mut table, "NAS-like", &suite::nas());
     push_rows(&mut table, "DB-like", &suite::db());
-    crate::output::emit("workloads", &table);
+    session.emit("workloads", &table);
     println!("Reference points: L1 = 64 KB, shared LLC = 2048 KB (Table 2).");
 }

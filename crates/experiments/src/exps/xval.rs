@@ -23,7 +23,7 @@ use asm_cpu::AppProfile;
 use asm_metrics::Table;
 use asm_workloads::mix;
 
-use crate::scale::Scale;
+use crate::{Scale, Session};
 
 /// Per-app tier-disagreement samples, grouped by workload class.
 ///
@@ -86,13 +86,13 @@ pub fn sweep_mixes(scale: Scale) -> Vec<Vec<AppProfile>> {
 /// Runs both tiers over `mixes` and folds the per-app disagreement
 /// envelope. Public so the gating test can enforce it directly.
 #[must_use]
-pub fn envelope(scale: Scale, mixes: &[Vec<AppProfile>]) -> Envelope {
+pub fn envelope(session: &Session, scale: Scale, mixes: &[Vec<AppProfile>]) -> Envelope {
     let mut config = scale.base_config();
     config.estimators = EstimatorSet::none();
     config.epochs_enabled = false;
     let runs = crate::plan::cross(&[config.clone()], mixes, scale.cycles / 2);
-    let results = crate::plan::run_campaign(&runs, scale.jobs);
-    let solutions = crate::analytic::solve_mixes(&config, mixes, scale.jobs);
+    let results = crate::plan::run_campaign_in(session, &runs, scale.jobs);
+    let solutions = crate::analytic::solve_mixes_in(session, &config, mixes, scale.jobs);
     let mut env = Envelope::default();
     for (r, s) in results.iter().zip(&solutions) {
         for i in 0..s.slowdowns.len() {
@@ -119,17 +119,17 @@ fn pct(v: Option<f64>) -> String {
 }
 
 /// Runs the cross-validation experiment.
-pub fn run(scale: Scale) {
+pub fn run(session: &Session, scale: Scale) {
     println!("\n=== Cross-validation: analytic tier vs cycle-accurate (per-app slowdown) ===");
     let sweep = sweep_mixes(scale);
     let apps: usize = sweep.iter().map(Vec::len).sum();
     println!("sweep: {} mixes ({apps} app slots)", sweep.len());
-    let env = envelope(scale, &sweep);
+    let env = envelope(session, scale, &sweep);
 
     // Extra stratified (intensity-binned) random mixes beyond the gated
     // sweep, to probe mixes the calibration never saw.
     let extras = mix::binned_mixes(scale.workloads.min(8), 4, scale.seed + 0x5eed);
-    let extra_env = envelope(scale, &extras);
+    let extra_env = envelope(session, scale, &extras);
 
     let mut table = Table::new(
         ["mix set / class", "apps", "geomean err", "max err"]
@@ -161,7 +161,7 @@ pub fn run(scale: Scale) {
         pct(Envelope::geomean(&extra_all)),
         pct(Envelope::worst(&extra_all)),
     ]);
-    crate::output::emit("xval", &table);
+    session.emit("xval", &table);
 
     let gate = Envelope::geomean(&all).unwrap_or(f64::INFINITY);
     // Enforce exactly when the *gated suite* actually ran. Deriving this

@@ -1,82 +1,213 @@
 //! CLI entry point: regenerates the paper's tables and figures.
 
+use std::path::PathBuf;
+
+use asm_experiments::session::{Session, SessionConfig};
 use asm_experiments::{exps, Scale, Tier};
 
-/// The usage text. Its EXPERIMENTS block and both "supported by" lists
-/// are rows and columns of [`exps::TABLE`].
+/// What the command line asked for, before any of it is acted on.
+struct Cli {
+    base: fn() -> Scale,
+    /// Edits of `base`, applied once it is chosen: `--full` and `--tiny`
+    /// replace the whole `Scale` and must not wipe a value given before
+    /// them.
+    edits: Vec<Box<dyn Fn(&mut Scale)>>,
+    session: SessionConfig,
+}
+
+/// How an option takes its value, and where the value goes.
+enum Set {
+    Switch(fn(&mut Cli)),
+    /// A number of at least this minimum.
+    Num(u64, fn(&mut Scale, u64)),
+    Path(fn(&mut SessionConfig, PathBuf)),
+    Tier,
+}
+
+impl Set {
+    /// What `<flag> needs …` when its value is missing or unparsable.
+    fn wants(&self) -> &'static str {
+        match self {
+            Set::Switch(_) => "no value",
+            Set::Num(..) => "a numeric value",
+            Set::Path(_) => "a path",
+            Set::Tier => "`cycle`, `analytic`, or `sampled`",
+        }
+    }
+}
+
+/// One row of the options table: the usage text, value parsing and the
+/// per-value errors all derive from it.
+struct Opt {
+    flag: &'static str,
+    /// Metavariable of the value; empty for a switch.
+    arg: &'static str,
+    /// Usage text; the renderer indents continuation lines.
+    help: &'static str,
+    set: Set,
+}
+
+/// Every option, by usage-text section. `{analytic}` and `{sampled}`
+/// stand for the experiments of [`exps::TABLE`] supporting that tier.
+#[rustfmt::skip]
+const OPTIONS: &[(&str, &[Opt])] = &[
+    ("OPTIONS:", &[
+        Opt { flag: "--full", arg: "", set: Set::Switch(|c| c.base = Scale::full),
+              help: "paper scale (100 workloads, 100M cycles, Q=5M) — hours" },
+        Opt { flag: "--tiny", arg: "", set: Set::Switch(|c| c.base = Scale::tiny),
+              help: "smoke-test scale — seconds" },
+        Opt { flag: "--workloads", arg: "N", set: Set::Num(1, |s, v| s.workloads = v as usize),
+              help: "override workload count" },
+        Opt { flag: "--cycles", arg: "N", set: Set::Num(0, |s, v| s.cycles = v),
+              help: "override cycles per run (at least one measured quantum\nafter the warm-up quanta)" },
+        Opt { flag: "--seed", arg: "N", set: Set::Num(0, |s, v| s.seed = v),
+              help: "override master seed" },
+        Opt { flag: "--jobs", arg: "N", set: Set::Num(1, |s, v| s.jobs = v as usize),
+              help: "worker threads for sweeps (default: one per core;\naffects scheduling only — output is byte-identical\nfor any value)" },
+        Opt { flag: "--no-skip", arg: "", set: Set::Switch(|c| c.edits.push(Box::new(|s| s.skip = false))),
+              help: "disable the deterministic fast-forward and simulate\nevery cycle (slower; output is byte-identical —\nthis flag exists for benchmarking and differential\ntesting, see DESIGN.md §8)" },
+        Opt { flag: "--tier", arg: "T", set: Set::Tier,
+              help: "simulation tier: `cycle` (event-driven, default),\n`analytic` (reuse-distance model, ~1000x faster;\nsupported by: {analytic} — see DESIGN.md §10), or\n`sampled` (representative-interval sampling with\nconfidence intervals, 10x+ faster sweeps; supported\nby: {sampled} — DESIGN.md §12)" },
+        Opt { flag: "--sample-intervals", arg: "K", set: Set::Num(1, |s, v| s.sample_intervals = v as usize),
+              help: "representative intervals simulated per run on\nthe sampled tier (default 4; 2 at --tiny)" },
+        Opt { flag: "--sample-quanta", arg: "L", set: Set::Num(1, |s, v| s.sample_quanta = v),
+              help: "quanta per sampling interval on the sampled tier\n(default 1; cycles must divide into Q*L intervals)" },
+        Opt { flag: "--alone-cache", arg: "F", set: Set::Path(|s, p| s.alone_cache = Some(p)),
+              help: "persist alone-run profiles in F and reuse them on\nlater invocations with the same scale (a stale or\ncorrupt file is ignored with a warning)" },
+        Opt { flag: "--profile-cache", arg: "F", set: Set::Path(|s, p| s.profile_cache = Some(p)),
+              help: "persist analytic-tier reuse profiles in F (stale\nor corrupt entries are re-extracted with a warning)" },
+        Opt { flag: "--checkpoint-dir", arg: "D", set: Set::Path(|s, p| s.checkpoint_dir = Some(p)),
+              help: "persist campaign warmup snapshots and finished-run\nmanifests under D (written atomically; kill-safe).\nStale or damaged artefacts are ignored with a\nwarning — output never depends on checkpoint state" },
+        Opt { flag: "--resume", arg: "", set: Set::Switch(|c| c.session.resume = true),
+              help: "replay finished runs from D's manifests instead of\nsimulating them (byte-identical); requires\n--checkpoint-dir" },
+        Opt { flag: "--csv", arg: "DIR", set: Set::Path(|s, p| s.csv_dir = Some(p)),
+              help: "additionally write every table to DIR/<name>.csv" },
+    ]),
+    ("TELEMETRY (any of these instruments every simulated run; artefacts are\n\
+      byte-identical for any --jobs value; --tier cycle only):", &[
+        Opt { flag: "--stats-json", arg: "F", set: Set::Path(|s, p| s.sink.stats_json = Some(p)),
+              help: "write a merged counter/series/latency snapshot of\nevery workload to F (schema \"asm-telemetry v1\")" },
+        Opt { flag: "--trace", arg: "F", set: Set::Path(|s, p| s.sink.trace = Some(p)),
+              help: "write a Chrome trace-event JSON of the first\nworkload to F (open in Perfetto / chrome://tracing);\nonly that run pays for request tracing" },
+        Opt { flag: "--series-csv", arg: "D", set: Set::Path(|s, p| s.sink.series_csv = Some(p)),
+              help: "write per-workload time-series CSVs\n(series,cycle,value) to D" },
+        Opt { flag: "--series-summary", arg: "", set: Set::Switch(|c| c.session.sink.series_summary = true),
+              help: "print a sparkline summary of every per-quantum\nseries after the tables" },
+    ]),
+    ("ATTRIBUTION (any of these enables the conservation-checked cycle ledger\n\
+      of DESIGN.md §13 on every simulated run; tables stay byte-identical;\n\
+      --tier cycle only):", &[
+        Opt { flag: "--attrib", arg: "", set: Set::Switch(|c| c.session.sink.attrib = true),
+              help: "print each workload's per-app stall decomposition\nand app×app blame matrix after the tables" },
+        Opt { flag: "--attrib-csv", arg: "F", set: Set::Path(|s, p| s.sink.attrib_csv = Some(p)),
+              help: "write the per-quantum ledger to F\n(workload,quantum_end,app,component,cycles)" },
+        Opt { flag: "--blame-json", arg: "F", set: Set::Path(|s, p| s.sink.blame_json = Some(p)),
+              help: "write per-workload blame matrices and component\ntotals to F (schema \"asm-attrib v1\")" },
+    ]),
+];
+
+/// The usage text: the EXPERIMENTS block and both "supported by" lists
+/// are rows and columns of [`exps::TABLE`], the rest is [`OPTIONS`].
 fn usage() -> String {
-    let experiments: String = exps::TABLE
-        .iter()
-        .map(|e| format!("    {:<9} {}\n", e.name, e.about))
-        .collect();
-    let (analytic, sampled) = (exps::supporting(Tier::Analytic), exps::supporting(Tier::Sampled));
-    format!(
-        "\
-asm-experiments — regenerate the ASM paper's evaluation
+    let mut text = String::from(
+        "asm-experiments — regenerate the ASM paper's evaluation\n\n\
+         USAGE:\n    asm-experiments <experiment> [options]\n\nEXPERIMENTS:\n",
+    );
+    for e in exps::TABLE {
+        text += &format!("    {:<9} {}\n", e.name, e.about);
+    }
+    for (section, opts) in OPTIONS {
+        text += &format!("\n{section}\n");
+        for o in *opts {
+            let help = o.help.replace('\n', &format!("\n{:21}", ""));
+            text += &format!("    {:<16} {help}\n", format!("{} {}", o.flag, o.arg).trim_end());
+        }
+    }
+    text.replace("{analytic}", &exps::supporting(Tier::Analytic))
+        .replace("{sampled}", &exps::supporting(Tier::Sampled))
+}
 
-USAGE:
-    asm-experiments <experiment> [options]
+/// Reads the options off the command line, each against its table row.
+fn parse(args: &[String]) -> Result<Cli, String> {
+    let mut cli = Cli {
+        base: Scale::reduced,
+        edits: Vec::new(),
+        session: SessionConfig::default(),
+    };
+    let mut given: Vec<&str> = Vec::new();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let Some(opt) = OPTIONS.iter().flat_map(|(_, opts)| *opts).find(|o| o.flag == arg) else {
+            return Err(format!("unknown option {arg}\n{}", usage()));
+        };
+        let needs = || format!("{} needs {}", opt.flag, opt.set.wants());
+        let mut value = || {
+            // A repeated value would silently lose one of the two.
+            if given.contains(&opt.flag) {
+                return Err(format!("{} given more than once", opt.flag));
+            }
+            given.push(opt.flag);
+            args.next().ok_or_else(needs)
+        };
+        match opt.set {
+            Set::Switch(set) => set(&mut cli),
+            Set::Num(min, set) => {
+                let n: u64 = value()?.parse().map_err(|_| needs())?;
+                if n < min {
+                    return Err(format!("{} must be at least {min}", opt.flag));
+                }
+                cli.edits.push(Box::new(move |s| set(s, n)));
+            }
+            Set::Path(set) => set(&mut cli.session, value()?.into()),
+            Set::Tier => {
+                let tier = Tier::parse(value()?).ok_or_else(needs)?;
+                cli.edits.push(Box::new(move |s| s.tier = tier));
+            }
+        }
+    }
+    Ok(cli)
+}
 
-EXPERIMENTS:
-{experiments}
-OPTIONS:
-    --full           paper scale (100 workloads, 100M cycles, Q=5M) — hours
-    --tiny           smoke-test scale — seconds
-    --workloads N    override workload count
-    --cycles N       override cycles per run
-    --seed N         override master seed
-    --jobs N         worker threads for sweeps (default: one per core;
-                     affects scheduling only — output is byte-identical
-                     for any value)
-    --no-skip        disable the deterministic fast-forward and simulate
-                     every cycle (slower; output is byte-identical —
-                     this flag exists for benchmarking and differential
-                     testing, see DESIGN.md §8)
-    --tier T         simulation tier: `cycle` (event-driven, default),
-                     `analytic` (reuse-distance model, ~1000x faster;
-                     supported by: {analytic} — see DESIGN.md §10), or
-                     `sampled` (representative-interval sampling with
-                     confidence intervals, 10x+ faster sweeps; supported
-                     by: {sampled} — DESIGN.md §12)
-    --sample-intervals K  representative intervals simulated per run on
-                     the sampled tier (default 4; 2 at --tiny)
-    --sample-quanta L  quanta per sampling interval on the sampled tier
-                     (default 1; cycles must divide into Q*L intervals)
-    --alone-cache F  persist alone-run profiles in F and reuse them on
-                     later invocations with the same scale (stale or
-                     corrupt entries are ignored with a warning)
-    --profile-cache F  persist analytic-tier reuse profiles in F (stale
-                     or corrupt entries are re-extracted with a warning)
-    --checkpoint-dir D  persist campaign warmup snapshots and finished-run
-                     manifests under D (written atomically; kill-safe).
-                     Stale or damaged artefacts are ignored with a
-                     warning — output never depends on checkpoint state
-    --resume         replay finished runs from D's manifests instead of
-                     simulating them (byte-identical); requires
-                     --checkpoint-dir
-    --csv DIR        additionally write every table to DIR/<name>.csv
-
-TELEMETRY (any of these instruments every simulated run; artefacts are
-byte-identical for any --jobs value):
-    --stats-json F   write a merged counter/series/latency snapshot of
-                     every workload to F (schema \"asm-telemetry v1\")
-    --trace F        write a Chrome trace-event JSON of the first
-                     workload to F (open in Perfetto / chrome://tracing)
-    --series-csv D   write per-workload time-series CSVs
-                     (series,cycle,value) to D
-    --series-summary print a sparkline summary of every per-quantum
-                     series after the tables
-
-ATTRIBUTION (any of these enables the conservation-checked cycle ledger
-of DESIGN.md §13 on every simulated run; tables stay byte-identical):
-    --attrib         print each workload's per-app stall decomposition
-                     and app×app blame matrix after the tables
-    --attrib-csv F   write the per-quantum ledger to F
-                     (workload,quantum_end,app,component,cycles)
-    --blame-json F   write per-workload blame matrices and component
-                     totals to F (schema \"asm-attrib v1\")
-"
-    )
+/// The scale `cli` describes, after the checks no single option can
+/// make: each would otherwise print header-only tables or artefacts and
+/// exit 0.
+fn resolve(cli: &Cli, experiment: &exps::Experiment) -> Result<Scale, String> {
+    let mut scale = (cli.base)();
+    cli.edits.iter().for_each(|edit| edit(&mut scale));
+    if !experiment.tiers.contains(&scale.tier) {
+        return Err(format!(
+            "experiment '{}' does not support --tier {} (supported: {})",
+            experiment.name,
+            scale.tier.name(),
+            exps::supporting(scale.tier)
+        ));
+    }
+    let shortest = scale.quantum * (scale.warmup_quanta as u64 + 1);
+    if scale.cycles < shortest {
+        return Err(format!(
+            "--cycles {} leaves no measured quantum: need at least \
+             Q x (warmup quanta + 1) = {} x {} = {shortest}",
+            scale.cycles,
+            scale.quantum,
+            scale.warmup_quanta + 1
+        ));
+    }
+    if scale.tier == Tier::Sampled && !scale.cycles.is_multiple_of(scale.quantum * scale.sample_quanta) {
+        return Err(format!(
+            "--tier sampled needs cycles ({}) to be a multiple of quantum*L ({} * {})",
+            scale.cycles, scale.quantum, scale.sample_quanta
+        ));
+    }
+    if scale.tier != Tier::Cycle && cli.session.sink.any() {
+        return Err(format!(
+            "telemetry and attribution artefacts need --tier cycle: the {} tier instruments no run",
+            scale.tier.name()
+        ));
+    }
+    if cli.session.resume && cli.session.checkpoint_dir.is_none() {
+        return Err("--resume requires --checkpoint-dir".to_owned());
+    }
+    Ok(scale)
 }
 
 /// Every usage error: one `error:` line on stderr, exit status 2.
@@ -87,143 +218,16 @@ fn usage_error(message: &str) -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(experiment) = args.first().filter(|a| !a.starts_with("--")) else {
+    let Some(name) = args.first().filter(|a| !a.starts_with("--")) else {
         eprint!("{}", usage());
         std::process::exit(2);
     };
-    let Some(experiment) = exps::find(experiment) else {
-        usage_error(&format!("unknown experiment '{experiment}'\n{}", usage()));
+    let Some(experiment) = exps::find(name) else {
+        usage_error(&format!("unknown experiment '{name}'\n{}", usage()));
     };
-
-    let mut scale = Scale::reduced();
-    let mut no_skip = false;
-    let mut tier = None;
-    let mut sink_cfg = asm_experiments::sink::SinkConfig::default();
-    let mut checkpoint_dir: Option<std::path::PathBuf> = None;
-    let mut resume = false;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--full" => scale = Scale::full(),
-            "--tiny" => scale = Scale::tiny(),
-            "--no-skip" => no_skip = true,
-            "--series-summary" => sink_cfg.series_summary = true,
-            "--attrib" => sink_cfg.attrib = true,
-            "--stats-json" | "--trace" | "--series-csv" | "--attrib-csv" | "--blame-json" => {
-                let Some(path) = args.get(i + 1) else {
-                    usage_error(&format!("{} needs a path", args[i]));
-                };
-                match args[i].as_str() {
-                    "--stats-json" => sink_cfg.stats_json = Some(path.into()),
-                    "--trace" => sink_cfg.trace = Some(path.into()),
-                    "--attrib-csv" => sink_cfg.attrib_csv = Some(path.into()),
-                    "--blame-json" => sink_cfg.blame_json = Some(path.into()),
-                    _ => sink_cfg.series_csv = Some(path.into()),
-                }
-                i += 1;
-            }
-            "--tier" => {
-                let Some(t) = args.get(i + 1).and_then(|v| Tier::parse(v)) else {
-                    usage_error("--tier needs `cycle`, `analytic`, or `sampled`");
-                };
-                // Applied after the loop: `--full`/`--tiny` replace the
-                // whole Scale and must not wipe an earlier `--tier`.
-                tier = Some(t);
-                i += 1;
-            }
-            "--alone-cache" => {
-                let Some(path) = args.get(i + 1) else {
-                    usage_error("--alone-cache needs a file path");
-                };
-                asm_experiments::collect::set_alone_cache_path(path.into());
-                i += 1;
-            }
-            "--profile-cache" => {
-                let Some(path) = args.get(i + 1) else {
-                    usage_error("--profile-cache needs a file path");
-                };
-                asm_experiments::analytic::set_profile_cache_path(path.into());
-                i += 1;
-            }
-            "--checkpoint-dir" => {
-                let Some(dir) = args.get(i + 1) else {
-                    usage_error("--checkpoint-dir needs a directory");
-                };
-                checkpoint_dir = Some(dir.into());
-                i += 1;
-            }
-            "--resume" => resume = true,
-            "--csv" => {
-                let Some(dir) = args.get(i + 1) else {
-                    usage_error("--csv needs a directory");
-                };
-                asm_experiments::output::set_csv_dir(dir.into());
-                i += 1;
-            }
-            "--workloads" | "--cycles" | "--seed" | "--jobs" | "--sample-intervals"
-            | "--sample-quanta" => {
-                let Some(value) = args.get(i + 1).and_then(|v| v.parse::<u64>().ok()) else {
-                    usage_error(&format!("{} needs a numeric value", args[i]));
-                };
-                match args[i].as_str() {
-                    "--workloads" => scale.workloads = value as usize,
-                    "--cycles" => scale.cycles = value,
-                    "--jobs" => scale.jobs = (value as usize).max(1),
-                    "--sample-intervals" => scale.sample_intervals = (value as usize).max(1),
-                    "--sample-quanta" => scale.sample_quanta = value.max(1),
-                    _ => scale.seed = value,
-                }
-                i += 1;
-            }
-            other => {
-                usage_error(&format!("unknown option {other}\n{}", usage()));
-            }
-        }
-        i += 1;
-    }
-    if no_skip {
-        scale.skip = false;
-    }
-    if let Some(tier) = tier {
-        scale.tier = tier;
-    }
-    if !experiment.tiers.contains(&scale.tier) {
-        usage_error(&format!(
-            "experiment '{}' does not support --tier {} (supported: {})",
-            experiment.name,
-            scale.tier.name(),
-            exps::supporting(scale.tier)
-        ));
-    }
-    // Degenerate scales would print header-only tables and exit 0.
-    if scale.workloads == 0 {
-        usage_error("--workloads must be at least 1");
-    }
-    let shortest = scale.quantum * (scale.warmup_quanta as u64 + 1);
-    if scale.cycles < shortest {
-        usage_error(&format!(
-            "--cycles {} leaves no measured quantum: need at least \
-             Q x (warmup quanta + 1) = {} x {} = {shortest}",
-            scale.cycles,
-            scale.quantum,
-            scale.warmup_quanta + 1
-        ));
-    }
-    if scale.tier == Tier::Sampled {
-        let interval = scale.quantum * scale.sample_quanta;
-        if interval == 0 || !scale.cycles.is_multiple_of(interval) {
-            usage_error(&format!(
-                "--tier sampled needs cycles ({}) to be a multiple of quantum*L ({} * {})",
-                scale.cycles, scale.quantum, scale.sample_quanta
-            ));
-        }
-    }
-    asm_experiments::sink::configure(sink_cfg);
-    match checkpoint_dir {
-        Some(dir) => asm_experiments::plan::set_checkpoint_dir(dir, resume),
-        None if resume => usage_error("--resume requires --checkpoint-dir"),
-        None => {}
-    }
+    let cli = parse(&args[1..]).unwrap_or_else(|e| usage_error(&e));
+    let scale = resolve(&cli, experiment).unwrap_or_else(|e| usage_error(&e));
+    let session = Session::new(cli.session);
 
     if scale.tier == Tier::Analytic {
         println!("tier: analytic (reuse-distance model, no cycle loop)");
@@ -245,8 +249,6 @@ fn main() {
         scale.jobs,
         if scale.skip { "" } else { ", fast-forward off" }
     );
-    (experiment.run)(scale);
-    asm_experiments::sink::finalize();
-    asm_experiments::collect::save_alone_cache();
-    asm_experiments::analytic::save_profile_cache();
+    (experiment.run)(&session, scale);
+    session.finish();
 }

@@ -5,10 +5,12 @@
 //! results returned **in submission order**, so any sequential fold over
 //! them is byte-identical for every `--jobs` value. Every Runner-driven
 //! experiment goes through here — nothing else in the harness turns
-//! `(SystemConfig, mix, cycles)` into a [`RunResult`]; a run that shares
-//! nothing with its neighbours is a group of one, a plain cold run. On
-//! top of that contract the planner layers two optimisations, both
-//! invisible in the output:
+//! `(SystemConfig, mix, cycles)` into a [`RunResult`], the sampled
+//! tier's exact members included ([`crate::sampled`] simulates intervals
+//! itself, never whole runs); a run that shares nothing with its
+//! neighbours is a group of one, a plain cold run. On top of that
+//! contract the planner layers two optimisations, both invisible in the
+//! output:
 //!
 //! * **Shared trajectories.** Runs whose configurations agree on the
 //!   prefix-relevant subset ([`asm_core::checkpoint::prefix_config`]) and
@@ -29,24 +31,25 @@
 //!   snapshot that fails to restore — stale artefact, damage — sends its
 //!   members to cold runs with a stderr warning; results may never
 //!   depend on it.
-//! * **Resumable campaigns.** With `--checkpoint-dir` each group's
-//!   first-quantum snapshot and each finished run's result manifest are
-//!   persisted (atomically — kill-safe at any instant); snapshots of
-//!   later boundaries live in memory only, one per boundary that members
-//!   left at, until the segments they start have run. With `--resume` a
-//!   later invocation replays finished runs from their manifests instead
-//!   of simulating, byte-identically: manifests store every float as its
-//!   bit pattern.
+//! * **Resumable campaigns.** Under a [`Session`] with a checkpoint
+//!   directory (`--checkpoint-dir`) each group's
+//!   first-quantum snapshot (`warmups/`) and each finished run's result
+//!   manifest (`runs/`) are persisted (atomically — kill-safe at any
+//!   instant); snapshots of later boundaries live in memory only, one
+//!   per boundary that members left at, until the segments they start
+//!   have run. With `--resume` a later invocation replays finished runs
+//!   from their manifests instead of simulating, byte-identically:
+//!   manifests store every float as its bit pattern.
 //!
 //! Telemetry-instrumented runs share trajectories like any others
 //! (counter and series state rides in the snapshot) but are never
 //! manifest-replayed — a [`asm_core::RunTelemetry`] is an introspection
 //! artefact, not a result, and serializing its tracer would dwarf the
-//! runs it describes. Traced runs (`--trace`) bypass sharing entirely.
+//! runs it describes. The one traced run of a `--trace` invocation (the
+//! tracer is deliberately outside snapshots) bypasses sharing entirely.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use asm_core::checkpoint;
 use asm_core::mech::BoundaryPolicies;
@@ -56,32 +59,23 @@ use asm_simcore::hash::DetHasher;
 use asm_simcore::persist;
 use asm_simcore::Cycle;
 
-use crate::{collect, pool};
+use crate::pool;
+use crate::session::{Kind, Session};
 
-/// `--checkpoint-dir` / `--resume` settings, set once by the CLI before
-/// any experiment runs (process-global like the sink and the caches).
-static CHECKPOINT: OnceLock<CheckpointCfg> = OnceLock::new();
+/// Finished-run manifests: `<dir>/runs/<manifest key>.bin`.
+pub(crate) const RUNS: Kind = Kind {
+    dir: "runs",
+    format: checkpoint::MANIFEST_FORMAT,
+    version: checkpoint::MANIFEST_VERSION,
+};
 
-#[derive(Debug)]
-struct CheckpointCfg {
-    dir: PathBuf,
-    resume: bool,
-}
-
-/// Persists campaign warmup snapshots (`<dir>/warmups/<key>.bin`) and
-/// finished-run manifests (`<dir>/runs/<key>.bin`) under `dir`. With
-/// `resume`, manifests found there short-circuit their simulations.
-/// Later calls are ignored (first flag wins, matching the sink).
-pub fn set_checkpoint_dir(dir: PathBuf, resume: bool) {
-    let _ = CHECKPOINT.set(CheckpointCfg { dir, resume });
-}
-
-/// The configured checkpoint directory and whether `--resume` is on.
-/// The sampled tier stores its estimate manifests under
-/// `<dir>/sampled/<key>.bin` alongside this module's artefacts.
-pub(crate) fn checkpoint_cfg() -> Option<(&'static std::path::Path, bool)> {
-    CHECKPOINT.get().map(|c| (c.dir.as_path(), c.resume))
-}
+/// First-quantum warm-up snapshots, as [`checkpoint::capture`] seals
+/// them: `<dir>/warmups/<warm-up key>.bin`.
+pub(crate) const WARMUPS: Kind = Kind {
+    dir: "warmups",
+    format: checkpoint::SNAPSHOT_FORMAT,
+    version: checkpoint::SNAPSHOT_VERSION,
+};
 
 /// One run of a sweep campaign.
 #[derive(Debug, Clone)]
@@ -139,14 +133,6 @@ fn manifest_key(run: &PlannedRun) -> u64 {
     h.finish()
 }
 
-fn warmup_path(cfg: &CheckpointCfg, key: u64) -> PathBuf {
-    cfg.dir.join("warmups").join(format!("{key:016x}.bin"))
-}
-
-fn manifest_path(cfg: &CheckpointCfg, key: u64) -> PathBuf {
-    cfg.dir.join("runs").join(format!("{key:016x}.bin"))
-}
-
 /// What a campaign did, in counts: the harness event line printed after
 /// every [`run_campaign`] and the hook for exact work-count tests.
 /// Deterministic — a function of the runs and the checkpoint directory's
@@ -198,35 +184,57 @@ impl std::fmt::Display for CampaignStats {
 /// checkpoint directory, cold or resumed — pinned by tests and the
 /// `ci.sh` resume leg.
 ///
-/// Runs are instrumented as the CLI's artefact flags ask
-/// ([`crate::sink::options`]); their telemetry snapshots are recorded
-/// into [`crate::sink`] here, sequentially and in submission order, so
-/// sink artefacts stay jobs-independent. The campaign's
-/// [`CampaignStats`] go to stderr as one line.
+/// Runs are instrumented as the session's artefact flags ask
+/// ([`Session::run_options`]); their telemetry snapshots are recorded
+/// into its sink here, sequentially and in submission order, so sink
+/// artefacts stay jobs-independent. The campaign's [`CampaignStats`] go
+/// to stderr as one line.
 #[must_use]
-pub fn run_campaign(runs: &[PlannedRun], jobs: usize) -> Vec<RunResult> {
-    let (results, stats) = run_campaign_counted(runs, jobs, crate::sink::options());
+pub fn run_campaign_in(session: &Session, runs: &[PlannedRun], jobs: usize) -> Vec<RunResult> {
+    let (results, stats) = run_campaign_counted(session, runs, jobs, session.run_options());
     eprintln!("{stats}");
-    for r in &results {
-        crate::sink::record(r);
-    }
+    session.record(&results);
     results
 }
 
-/// [`run_campaign`] without its side channels — explicit run options,
+/// [`run_campaign_in`] the [`Session::global`] session.
+#[must_use]
+pub fn run_campaign(runs: &[PlannedRun], jobs: usize) -> Vec<RunResult> {
+    run_campaign_in(Session::global(), runs, jobs)
+}
+
+/// [`run_campaign_in`] without its side channels — explicit run options,
 /// nothing recorded into the sink, no event line — returning the
 /// campaign's counts beside the results.
+///
+/// `opts.trace_sample` applies to the campaign's **first member only**:
+/// a trace is one run's timeline (`--trace` writes the first recorded
+/// run's), and a traced run can share nothing, so every other member
+/// runs `opts` without it.
 #[must_use]
 pub fn run_campaign_counted(
+    session: &Session,
+    runs: &[PlannedRun],
+    jobs: usize,
+    opts: RunOptions,
+) -> (Vec<RunResult>, CampaignStats) {
+    run_with_cache(session, session.campaign_cache(), runs, jobs, opts)
+}
+
+/// [`run_campaign_counted`] over a cache the caller already holds (the
+/// sampled tier's, so its exact members reuse its alone runs).
+pub(crate) fn run_with_cache(
+    session: &Session,
+    cache: Arc<AloneCache>,
     runs: &[PlannedRun],
     jobs: usize,
     opts: RunOptions,
 ) -> (Vec<RunResult>, CampaignStats) {
     let campaign = Campaign {
+        session,
         runs,
         opts,
-        cache: collect::campaign_cache(),
-        cfg: CHECKPOINT.get(),
+        cache,
         // Manifests only make sense for uninstrumented runs (attribution
         // artefacts, like telemetry, are not stored in them).
         manifests: opts.trace_sample.is_none() && !opts.telemetry && !opts.attrib,
@@ -240,8 +248,8 @@ pub fn run_campaign_counted(
     stats.replayed = results.iter().flatten().count();
 
     // Roots: the members still to simulate, grouped by warmup key. Runs
-    // shorter than one quantum have no shareable prefix and traced runs
-    // are ineligible (the tracer is deliberately outside snapshots):
+    // shorter than one quantum have no shareable prefix and the traced
+    // run is ineligible (the tracer is deliberately outside snapshots):
     // each is a group of its own.
     let mut pending: Vec<Segment> = Vec::new();
     let mut groups: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
@@ -249,8 +257,8 @@ pub fn run_campaign_counted(
         if results[i].is_some() {
             continue;
         }
-        if opts.trace_sample.is_none() && run.cycles >= run.config.quantum {
-            let key = campaign.runner(run).warmup_key(&run.apps, opts);
+        if campaign.opts_of(i).trace_sample.is_none() && run.cycles >= run.config.quantum {
+            let key = campaign.runner(run).warmup_key(&run.apps, campaign.opts_of(i));
             groups.entry(key).or_default().push(i);
         } else {
             stats.per_member_quantum_runs += run.cycles.div_ceil(run.config.quantum);
@@ -265,8 +273,10 @@ pub fn run_campaign_counted(
             .iter()
             .map(|&m| runs[m].cycles.div_ceil(runs[m].config.quantum) - 1)
             .sum::<u64>();
+        // The group's first-quantum snapshot from an earlier (possibly
+        // killed) invocation, if an intact one is on disk.
         pending.push(Segment {
-            start: campaign.saved_warmup(key).map(Arc::new),
+            start: session.load_sealed(&WARMUPS, key).map(Arc::new),
             members,
         });
     }
@@ -336,10 +346,10 @@ fn classes<K: PartialEq>(members: &[usize], key: impl Fn(usize) -> K) -> Vec<Vec
 
 /// The per-campaign context every segment runs against.
 struct Campaign<'a> {
+    session: &'a Session,
     runs: &'a [PlannedRun],
     opts: RunOptions,
     cache: Arc<AloneCache>,
-    cfg: Option<&'static CheckpointCfg>,
     manifests: bool,
 }
 
@@ -348,53 +358,26 @@ impl Campaign<'_> {
         Runner::with_cache(run.config.clone(), Arc::clone(&self.cache))
     }
 
+    /// Member `i`'s instrumentation: the campaign's, request tracing for
+    /// the first member alone ([`run_campaign_counted`]).
+    fn opts_of(&self, i: usize) -> RunOptions {
+        RunOptions {
+            trace_sample: self.opts.trace_sample.filter(|_| i == 0),
+            ..self.opts
+        }
+    }
+
     /// The finished result of `run` from its `--resume` manifest, if a
     /// valid one is on disk.
     fn replay(&self, run: &PlannedRun) -> Option<RunResult> {
-        let cfg = self.cfg.filter(|c| c.resume && self.manifests)?;
-        let mkey = manifest_key(run);
-        let path = manifest_path(cfg, mkey);
-        let bytes = std::fs::read(&path).ok()?;
-        match checkpoint::load_manifest(&bytes, mkey) {
-            Ok(r) => {
-                eprint!(".");
-                Some(r)
-            }
-            Err(e) => {
-                eprintln!("checkpoint: ignoring manifest {}: {e}", path.display());
-                None
-            }
-        }
-    }
-
-    /// The group's first-quantum snapshot from an earlier (possibly
-    /// killed) invocation, if an intact one is on disk.
-    fn saved_warmup(&self, key: u64) -> Option<Vec<u8>> {
-        let path = warmup_path(self.cfg?, key);
-        let bytes = std::fs::read(&path).ok()?;
-        match checkpoint::peek_key(&bytes) {
-            Ok(found) if found == key => Some(bytes),
-            Ok(_) | Err(_) => {
-                eprintln!("checkpoint: ignoring stale warmup {}", path.display());
-                None
-            }
-        }
-    }
-
-    fn save(path: &std::path::Path, bytes: &[u8]) {
-        if let Err(e) = persist::write_atomic(path, bytes) {
-            eprintln!("warning: checkpoint: could not save {}: {e}", path.display());
-        }
+        let replayed = self.manifests.then(|| self.session.replay(&RUNS, manifest_key(run)))?;
+        replayed.inspect(|_: &RunResult| eprint!("."))
     }
 
     /// Member `i` is done: persist its manifest, tick the progress line.
     fn finished(&self, i: usize, result: RunResult, out: &mut Outcome) {
-        if let Some(cfg) = self.cfg.filter(|_| self.manifests) {
-            let mkey = manifest_key(&self.runs[i]);
-            match checkpoint::save_manifest(&result, mkey) {
-                Ok(bytes) => Self::save(&manifest_path(cfg, mkey), &bytes),
-                Err(e) => eprintln!("warning: checkpoint: {e}"),
-            }
+        if self.manifests {
+            self.session.save(&RUNS, manifest_key(&self.runs[i]), &result);
         }
         eprint!(".");
         out.finished.push((i, result));
@@ -402,7 +385,7 @@ impl Campaign<'_> {
 
     fn run_cold(&self, i: usize, out: &mut Outcome) {
         let run = &self.runs[i];
-        let result = self.runner(run).run_with(&run.apps, run.cycles, self.opts);
+        let result = self.runner(run).run_with(&run.apps, run.cycles, self.opts_of(i));
         out.quantum_runs += run.cycles.div_ceil(run.config.quantum);
         self.finished(i, result, out);
     }
@@ -414,7 +397,8 @@ impl Campaign<'_> {
     fn run_segment(&self, seg: &Segment) -> Outcome {
         let mut out = Outcome::default();
         let leader = &self.runs[seg.members[0]];
-        let (apps, opts, q) = (&leader.apps[..], self.opts, leader.config.quantum);
+        let opts = self.opts_of(seg.members[0]);
+        let (apps, q) = (&leader.apps[..], leader.config.quantum);
         let runner = self.runner(leader);
 
         let mut sys = match &seg.start {
@@ -475,9 +459,7 @@ impl Campaign<'_> {
             // from the state before it.
             let snapshot = Arc::new(checkpoint::capture(&sys, key, now));
             if std::mem::take(&mut persist_capture) {
-                if let Some(cfg) = self.cfg {
-                    Self::save(&warmup_path(cfg, key), &snapshot);
-                }
+                self.session.save_sealed(&WARMUPS, key, &snapshot);
             }
             let mut fork = |classes: Vec<Vec<usize>>| {
                 out.forks.extend(classes.into_iter().map(|members| Segment {
@@ -530,6 +512,7 @@ impl Campaign<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::tests::checkpoint_dir;
     use asm_core::{CachePolicy, MemPolicy, QosConfig, ThrottlePolicy};
     use asm_simcore::AppId;
     use asm_workloads::suite;
@@ -621,11 +604,24 @@ mod tests {
             .collect()
     }
 
-    /// The campaign's counts, after checking it against cold runs.
-    fn checked(runs: &[PlannedRun], jobs: usize) -> CampaignStats {
-        let (got, stats) = run_campaign_counted(runs, jobs, RunOptions::default());
+    /// The campaign's counts under `session`, after checking it against
+    /// cold runs.
+    fn checked_in(session: &Session, runs: &[PlannedRun], jobs: usize) -> CampaignStats {
+        let (got, stats) = run_campaign_counted(session, runs, jobs, RunOptions::default());
         assert_bitwise_equal(&got, &cold(runs));
         stats
+    }
+
+    fn checked(runs: &[PlannedRun], jobs: usize) -> CampaignStats {
+        checked_in(&Session::default(), runs, jobs)
+    }
+
+    fn artefacts(dir: &std::path::Path, kind: &Kind) -> Vec<std::path::PathBuf> {
+        let mut paths: Vec<_> = std::fs::read_dir(dir.join(kind.dir))
+            .map(|entries| entries.map(|e| e.unwrap().path()).collect())
+            .unwrap_or_default();
+        paths.sort();
+        paths
     }
 
     #[test]
@@ -673,7 +669,7 @@ mod tests {
             member(50_000, |c| c.cache_policy = CachePolicy::Ucp),
             member(50_000, |c| c.cache_policy = CachePolicy::None),
         ];
-        let (got, stats) = run_campaign_counted(&runs, 1, RunOptions::default());
+        let (got, stats) = run_campaign_counted(&Session::default(), &runs, 1, RunOptions::default());
         assert_bitwise_equal(&got, &cold(&runs));
         assert!(got[0].quanta[0].partition.is_none());
         assert!(got[1].quanta[0].partition.is_some());
@@ -747,6 +743,92 @@ mod tests {
             "no quantum was shared past the first: {stats}"
         );
         assert_eq!(checked(&runs, 1), stats, "counts depend on jobs");
+    }
+
+    #[test]
+    fn interrupted_campaign_resumes_bitwise_replaying_what_finished() {
+        let runs = policy_sweep(125_000);
+        let (dir, open) = checkpoint_dir("plan_resume");
+        // The campaign dies after k members: only their manifests exist.
+        let k = 4;
+        let first = checked_in(&open(false), &runs[..k], 2);
+        assert_eq!(first.replayed, 0);
+        assert_eq!(artefacts(&dir, &RUNS).len(), k);
+        // Without --resume the manifests are written, never read.
+        assert_eq!(checked_in(&open(false), &runs[..k], 1).replayed, 0);
+        let resumed = checked_in(&open(true), &runs, 1);
+        assert_eq!((resumed.replayed, resumed.members), (k, runs.len()));
+        assert!(resumed.quantum_runs > 0, "the other members ran");
+        // That pass finished the campaign: the next one only replays.
+        let replayed = checked_in(&open(true), &runs, 3);
+        assert_eq!((replayed.replayed, replayed.quantum_runs), (runs.len(), 0));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn truncated_and_rekeyed_manifests_are_ignored_and_resimulated() {
+        let runs = policy_sweep(125_000);
+        let (dir, open) = checkpoint_dir("plan_damage");
+        let _ = checked_in(&open(false), &runs, 2);
+        let manifests = artefacts(&dir, &RUNS);
+        assert_eq!(manifests.len(), runs.len());
+        // One manifest loses its tail; another is overwritten with an
+        // intact manifest of a different run (right format, wrong key).
+        let bytes = std::fs::read(&manifests[0]).unwrap();
+        std::fs::write(&manifests[0], &bytes[..bytes.len() / 2]).unwrap();
+        std::fs::copy(&manifests[2], &manifests[1]).unwrap();
+        let healed = checked_in(&open(true), &runs, 2);
+        assert_eq!(healed.replayed, runs.len() - 2);
+        assert!(healed.quantum_runs > 0, "the two ignored members ran");
+        // Both were rewritten: now everything replays.
+        assert_eq!(checked_in(&open(true), &runs, 1).replayed, runs.len());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_warmup_that_fails_to_restore_is_a_counted_cold_fallback() {
+        let runs = policy_sweep(125_000);
+        let (dir, open) = checkpoint_dir("plan_stale_warmup");
+        let clean = checked_in(&open(false), &runs, 2);
+        assert_eq!(clean.cold_fallbacks, 0);
+        let warmups = artefacts(&dir, &WARMUPS);
+        assert_eq!(warmups.len(), mixes().len(), "one warm-up per group");
+        // An envelope sealed under the group's own key — so the store
+        // hands it out — holding something that is not a `System`.
+        let forged = &warmups[0];
+        let key = u64::from_str_radix(forged.file_stem().unwrap().to_str().unwrap(), 16).unwrap();
+        std::fs::write(forged, persist::seal(WARMUPS.format, WARMUPS.version, key, &7u64)).unwrap();
+        // And one that is not an envelope at all: ignored at load, so its
+        // group warms up again instead of falling back.
+        std::fs::write(&warmups[1], b"asm").unwrap();
+        let stats = checked_in(&open(false), &runs, 2);
+        assert_eq!(stats.cold_fallbacks, runs.len() / mixes().len());
+        assert_eq!(stats.groups, clean.groups);
+        // The fallback group re-captures nothing (cold runs never do), the
+        // re-warmed group rewrote its file: one forged warm-up remains.
+        assert_eq!(checked_in(&open(false), &runs, 1).cold_fallbacks, stats.cold_fallbacks);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn only_the_first_member_of_a_traced_campaign_traces_and_runs_alone() {
+        let runs = vec![
+            member(150_000, |c| c.cache_policy = CachePolicy::AsmCache),
+            member(150_000, |c| c.cache_policy = CachePolicy::AsmCache),
+            member(150_000, |c| c.cache_policy = CachePolicy::AsmCache),
+        ];
+        let traced = RunOptions {
+            telemetry: true,
+            trace_sample: Some(crate::sink::TRACE_SAMPLE),
+            attrib: false,
+        };
+        let (got, stats) = run_campaign_counted(&Session::default(), &runs, 2, traced);
+        assert_bitwise_equal(&got, &cold(&runs));
+        // Member 0 alone and cold (3 quanta); members 1 and 2 one trajectory.
+        assert_eq!((stats.groups, stats.quantum_runs), (2, 6));
+        let events = |r: &RunResult| r.telemetry.as_ref().expect("telemetry on").tracer.events().len();
+        assert!(events(&got[0]) > 0, "the first member traced nothing");
+        assert_eq!((events(&got[1]), events(&got[2])), (0, 0));
     }
 
     #[test]

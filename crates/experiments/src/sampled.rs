@@ -11,12 +11,16 @@
 //! simulates only the `K` medoid intervals, reconstructing its whole-run
 //! slowdowns as weighted estimates with 95% confidence intervals.
 //!
-//! Runs that cannot be sampled run in full and report exact values
-//! (`ci = 0`): groups of one (the fingerprint would cost more than it
-//! saves), horizons that do not divide into intervals, and `K ≥ N`
-//! (sampling every interval is not cheaper than the run, and summing
-//! member intervals warmed from *neutral-prefix* snapshots is not
-//! bitwise the member's full run — the §12 blind spot).
+//! Runs that cannot be sampled are *exact members*: groups of one (the
+//! fingerprint would cost more than it saves), horizons that do not
+//! divide into intervals, `K ≥ N` (sampling every interval is not
+//! cheaper than the run, and summing member intervals warmed from
+//! *neutral-prefix* snapshots is not bitwise the member's full run — the
+//! §12 blind spot), classes no fingerprint amortises for, and members
+//! whose interval snapshot fails to restore. They are collected and run
+//! as one [`crate::plan`] campaign — trajectories shared, manifests and
+//! `campaign:` line as for any cycle-tier campaign — and report exact
+//! values (`ci = 0`).
 //!
 //! ## Trajectory classes
 //!
@@ -37,9 +41,9 @@
 //! bind rule and its margin are documented in DESIGN.md §12.
 //!
 //! With `--checkpoint-dir` each run's estimates are persisted as a
-//! manifest (`<dir>/sampled/<key>.bin`, values and CIs as bit patterns);
-//! `--resume` replays them byte-identically and skips the fingerprints
-//! of fully-replayed groups.
+//! manifest (`<dir>/sampled/<key>.bin`, values and CIs as bit
+//! patterns); `--resume` replays them byte-identically and skips the
+//! fingerprints of fully-replayed groups.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -50,16 +54,21 @@ use asm_cpu::ProgressLog;
 use asm_sampling::{estimate_slowdowns, fingerprint, measure_interval, Estimate, IntervalPlan};
 use asm_sampling::SampleSpec;
 use asm_simcore::hash::DetHasher;
-use asm_simcore::persist::{self, Persist, PersistError, StateReader, StateWriter};
+use asm_simcore::persist::{self, PersistError};
 
-use crate::plan::PlannedRun;
+use crate::plan::{self, PlannedRun};
 use crate::scale::Scale;
+use crate::session::{Kind, Session};
 use crate::{collect, pool};
 
-const MANIFEST_FORMAT: &str = "asm-sampled-manifest";
-/// v2: written from [`SampledResult`]'s `persist_fields!` list (names,
-/// then estimates, where v1 interleaved them).
-const MANIFEST_VERSION: u32 = 2;
+/// Sampled-estimate manifests. v2: written from [`SampledResult`]'s
+/// `persist_fields!` list (names, then estimates, where v1 interleaved
+/// them).
+pub(crate) const SAMPLED: Kind = Kind {
+    dir: "sampled",
+    format: "asm-sampled-manifest",
+    version: 2,
+};
 
 /// One run's sampled outcome: per-app whole-run slowdown estimates.
 /// Exact (fully-simulated) runs carry `ci = 0`.
@@ -85,37 +94,12 @@ fn manifest_key(run: &PlannedRun, spec: SampleSpec) -> u64 {
     h.finish()
 }
 
-fn manifest_path(dir: &std::path::Path, key: u64) -> std::path::PathBuf {
-    dir.join("sampled").join(format!("{key:016x}.bin"))
-}
-
 asm_simcore::persist_fields!(SampledResult { app_names, slowdowns } => |s: &SampledResult| {
     persist::ensure(
         s.slowdowns.len() == s.app_names.len(),
         "estimate count does not match app count",
     )
 });
-
-fn save_manifest(result: &SampledResult, key: u64) -> Vec<u8> {
-    let mut w = StateWriter::new(MANIFEST_FORMAT, MANIFEST_VERSION);
-    w.u64(key);
-    result.save(&mut w);
-    w.finish()
-}
-
-fn load_manifest(bytes: &[u8], key: u64) -> Result<SampledResult, PersistError> {
-    let mut r = StateReader::new(bytes, MANIFEST_FORMAT, MANIFEST_VERSION)?;
-    let found = r.u64()?;
-    if found != key {
-        return Err(PersistError::Corrupt(format!(
-            "manifest key {found:016x}, expected {key:016x}"
-        )));
-    }
-    let mut result = SampledResult::default();
-    result.restore(&mut r)?;
-    r.finish()?;
-    Ok(result)
-}
 
 /// A targeted-QoS member forks from the starved fingerprint when its
 /// bound sits at least this far (relatively) below the neutral proxy's
@@ -210,70 +194,54 @@ struct GroupPlan {
     alone: Vec<Arc<ProgressLog>>,
 }
 
+/// [`run_campaign_in`] the [`Session::global`] session.
+#[must_use]
+pub fn run_campaign(runs: &[PlannedRun], scale: &Scale) -> Vec<SampledResult> {
+    run_campaign_in(Session::global(), runs, scale)
+}
+
 /// Evaluates every planned run on the sampled tier and returns the
 /// results in submission order (byte-identical for every `--jobs` value
 /// and across `--resume`, pinned by tests).
 #[must_use]
-pub fn run_campaign(runs: &[PlannedRun], scale: &Scale) -> Vec<SampledResult> {
+pub fn run_campaign_in(
+    session: &Session,
+    runs: &[PlannedRun],
+    scale: &Scale,
+) -> Vec<SampledResult> {
     let spec = scale.sample_spec();
-    let cache = collect::campaign_cache();
-    let cfg = crate::plan::checkpoint_cfg();
+    let cache = session.campaign_cache();
 
     // Group runs by (prefix configuration, mix, horizon): members share
     // bitwise-identical fingerprint passes and boundary snapshots.
-    let mut group_of: Vec<(u64, u64, u64)> = Vec::with_capacity(runs.len());
+    let group_of = |run: &PlannedRun| {
+        let prefix = checkpoint::prefix_config(&run.config);
+        (config_hash(&prefix), checkpoint::mix_fingerprint(&run.apps), run.cycles)
+    };
     let mut groups: BTreeMap<(u64, u64, u64), Vec<usize>> = BTreeMap::new();
     for (i, run) in runs.iter().enumerate() {
-        let prefix = checkpoint::prefix_config(&run.config);
-        let key = (
-            config_hash(&prefix),
-            checkpoint::mix_fingerprint(&run.apps),
-            run.cycles,
-        );
-        group_of.push(key);
-        groups.entry(key).or_default().push(i);
+        groups.entry(group_of(run)).or_default().push(i);
     }
-
-    // A group samples only when the fingerprint amortises (≥ 2 members)
-    // and sampling is actually cheaper than running (K < N intervals).
-    let samples: BTreeMap<&(u64, u64, u64), bool> = groups
-        .iter()
-        .map(|(key, members)| {
-            let rep = &runs[members[0]];
-            let n = spec.interval_count(rep.config.quantum, rep.cycles);
-            (key, members.len() >= 2 && n > 0 && spec.intervals < n)
-        })
-        .collect();
 
     // Resume: replay finished runs from their manifests before paying
     // for any fingerprint.
     let preloaded: Vec<Option<SampledResult>> = runs
         .iter()
-        .map(|run| {
-            let (dir, resume) = cfg?;
-            if !resume {
-                return None;
-            }
-            let key = manifest_key(run, spec);
-            let bytes = std::fs::read(manifest_path(dir, key)).ok()?;
-            match load_manifest(&bytes, key) {
-                Ok(r) => Some(r),
-                Err(e) => {
-                    eprintln!("checkpoint: ignoring sampled manifest ({e})");
-                    None
-                }
-            }
-        })
+        .map(|run| session.replay(&SAMPLED, manifest_key(run, spec)))
         .collect();
 
     // Phase A: fingerprint each sampled group with unfinished members,
     // in parallel. The pass runs under the group's *neutral prefix*
     // configuration, so its features, clustering and snapshots are a
     // pure function of the group key — identical for every member.
+    // A group samples only when the fingerprint amortises (≥ 2 members)
+    // and sampling is actually cheaper than running (K < N intervals).
     let want: Vec<&(u64, u64, u64)> = groups
         .iter()
-        .filter(|(key, members)| {
-            samples[*key] && members.iter().any(|&i| preloaded[i].is_none())
+        .filter(|(_, members)| {
+            let rep = &runs[members[0]];
+            let n = spec.interval_count(rep.config.quantum, rep.cycles);
+            members.len() >= 2 && spec.intervals < n && members.iter().any(|&i| preloaded[i].is_none())
         })
         .map(|(key, _)| key)
         .collect();
@@ -390,88 +358,87 @@ pub fn run_campaign(runs: &[PlannedRun], scale: &Scale) -> Vec<SampledResult> {
 
     // Phase B: every run, in parallel. Sampled members measure the K
     // medoid intervals under their own policies; everything else (and
-    // any member whose snapshot fails to restore) runs in full.
-    let results = pool::run_ordered(scale.jobs, runs, |i, run| {
+    // any member whose snapshot fails to restore) is an exact member,
+    // `None` here.
+    let save = |run: &PlannedRun, result: &SampledResult| {
+        session.save(&SAMPLED, manifest_key(run, spec), result);
+        eprint!(".");
+    };
+    let mut results: Vec<Option<SampledResult>> = pool::run_ordered(scale.jobs, runs, |i, run| {
         if let Some(r) = &preloaded[i] {
             eprint!(".");
-            return r.clone();
+            return Some(r.clone());
         }
-        let app_names: Vec<String> = run.apps.iter().map(|a| a.name().to_owned()).collect();
-        let result = match plans.get(&group_of[i]) {
-            Some(group) if samples[&group_of[i]] => {
-                // Estimate the member from one plan: exact when the
-                // member *is* the fingerprint configuration (the pass
-                // already simulated its whole run — the telescoped
-                // per-interval alone sum), otherwise measure the K
-                // medoid intervals under the member's own policies.
-                let estimate_with = |plan: &IntervalPlan| -> Result<Vec<Estimate>, PersistError> {
-                    if config_hash(&run.config) == plan.prefix_hash {
-                        return Ok(collect::exact(&plan.proxy_slowdowns()));
-                    }
-                    let member_alone: Vec<Vec<f64>> = plan
-                        .clustering
-                        .medoids
-                        .iter()
-                        .map(|&m| measure_interval(&run.apps, &run.config, plan, m, &group.alone))
-                        .collect::<Result<_, _>>()?;
-                    Ok(estimate_slowdowns(plan, &member_alone))
-                };
-                let class = trajectory_class(&run.config, &group.neutral_slowdowns);
-                let estimated: Option<Result<Vec<Estimate>, PersistError>> = match class {
-                    TrajectoryClass::Neutral => Some(estimate_with(&group.plan)),
-                    TrajectoryClass::Borderline => {
-                        let starved = group.class_plans.get(&TrajectoryClass::Starved);
-                        let parted = group.class_plans.get(&TrajectoryClass::Partitioned);
-                        match (starved, parted) {
-                            (Some(s), Some(p)) => Some(estimate_with(s).and_then(|a| {
-                                let b = estimate_with(p)?;
-                                Ok(a.into_iter().zip(b).map(|(x, y)| blend(x, y)).collect())
-                            })),
-                            (Some(only), None) | (None, Some(only)) => Some(estimate_with(only)),
-                            (None, None) => None,
-                        }
-                    }
-                    class => group.class_plans.get(&class).map(&estimate_with),
-                };
-                match estimated {
-                    // A class with no plan (no fingerprint amortises):
-                    // a neutral fork would cross trajectory classes, so
-                    // run it in full instead.
-                    None => full_run(run, &cache),
-                    Some(Ok(slowdowns)) => SampledResult {
-                        app_names,
-                        slowdowns,
-                    },
-                    Some(Err(e)) => {
-                        eprintln!("warning: sampled: interval restore failed ({e}); running full");
-                        full_run(run, &cache)
-                    }
+        let group = plans.get(&group_of(run))?;
+        // Estimate the member from one plan: exact when the member *is*
+        // the fingerprint configuration (the pass already simulated its
+        // whole run — the telescoped per-interval alone sum), otherwise
+        // measure the K medoid intervals under the member's own policies.
+        let estimate_with = |plan: &IntervalPlan| -> Result<Vec<Estimate>, PersistError> {
+            if config_hash(&run.config) == plan.prefix_hash {
+                return Ok(collect::exact(&plan.proxy_slowdowns()));
+            }
+            let member_alone: Vec<Vec<f64>> = plan
+                .clustering
+                .medoids
+                .iter()
+                .map(|&m| measure_interval(&run.apps, &run.config, plan, m, &group.alone))
+                .collect::<Result<_, _>>()?;
+            Ok(estimate_slowdowns(plan, &member_alone))
+        };
+        // A class with no plan (no fingerprint amortises) is an exact
+        // member: a neutral fork would cross trajectory classes.
+        let estimated = match trajectory_class(&run.config, &group.neutral_slowdowns) {
+            TrajectoryClass::Neutral => estimate_with(&group.plan),
+            TrajectoryClass::Borderline => {
+                let starved = group.class_plans.get(&TrajectoryClass::Starved);
+                let parted = group.class_plans.get(&TrajectoryClass::Partitioned);
+                match (starved, parted) {
+                    (Some(s), Some(p)) => estimate_with(s).and_then(|a| {
+                        let b = estimate_with(p)?;
+                        Ok(a.into_iter().zip(b).map(|(x, y)| blend(x, y)).collect())
+                    }),
+                    (Some(only), None) | (None, Some(only)) => estimate_with(only),
+                    (None, None) => return None,
                 }
             }
-            _ => full_run(run, &cache),
+            class => estimate_with(group.class_plans.get(&class)?),
         };
-        if let Some((dir, _)) = cfg {
-            let key = manifest_key(run, spec);
-            let path = manifest_path(dir, key);
-            if let Err(e) = persist::write_atomic(&path, &save_manifest(&result, key)) {
-                eprintln!("warning: checkpoint: could not save {}: {e}", path.display());
+        match estimated {
+            Ok(slowdowns) => {
+                let result = SampledResult {
+                    app_names: run.apps.iter().map(|a| a.name().to_owned()).collect(),
+                    slowdowns,
+                };
+                save(run, &result);
+                Some(result)
+            }
+            Err(e) => {
+                eprintln!("warning: sampled: interval restore failed ({e}); running full");
+                None
             }
         }
-        eprint!(".");
-        result
     });
     eprintln!();
-    results
-}
 
-/// Simulates one run in full and wraps its slowdowns as exact estimates.
-fn full_run(run: &PlannedRun, cache: &Arc<asm_core::AloneCache>) -> SampledResult {
-    let runner = Runner::with_cache(run.config.clone(), Arc::clone(cache));
-    let r = runner.run_with(&run.apps, run.cycles, RunOptions::default());
-    SampledResult {
-        slowdowns: collect::exact(&r.whole_run_slowdowns),
-        app_names: r.app_names,
+    // The exact members, as one planner campaign over the same alone
+    // cache: uninstrumented, whatever the sink asks of cycle-tier runs.
+    let exact: Vec<usize> = (0..runs.len()).filter(|&i| results[i].is_none()).collect();
+    if !exact.is_empty() {
+        let members: Vec<PlannedRun> = exact.iter().map(|&i| runs[i].clone()).collect();
+        let (full, stats) =
+            plan::run_with_cache(session, cache, &members, scale.jobs, RunOptions::default());
+        eprintln!("{stats}");
+        for (i, r) in exact.into_iter().zip(full) {
+            let result = SampledResult {
+                slowdowns: collect::exact(&r.whole_run_slowdowns),
+                app_names: r.app_names,
+            };
+            save(&runs[i], &result);
+            results[i] = Some(result);
+        }
     }
+    results.into_iter().map(|r| r.expect("sampled or exact")).collect()
 }
 
 #[cfg(test)]
@@ -553,7 +520,13 @@ mod tests {
         let results = run_campaign(&runs, &scale_with(1, 3));
         let reference: Vec<SampledResult> = runs
             .iter()
-            .map(|r| full_run(r, &Arc::new(asm_core::AloneCache::new())))
+            .map(|run| {
+                let r = Runner::new(run.config.clone()).run(&run.apps, run.cycles);
+                SampledResult {
+                    slowdowns: collect::exact(&r.whole_run_slowdowns),
+                    app_names: r.app_names,
+                }
+            })
             .collect();
         assert_bitwise_equal(&results, &reference);
         for r in &results {
@@ -596,14 +569,35 @@ mod tests {
                 },
             ],
         };
-        let bytes = save_manifest(&r, 77);
-        let back = load_manifest(&bytes, 77).unwrap();
+        let load = |bytes: &[u8], key| {
+            persist::unseal::<SampledResult>(bytes, SAMPLED.format, SAMPLED.version, key)
+        };
+        let bytes = persist::seal(SAMPLED.format, SAMPLED.version, 77, &r);
+        let back = load(&bytes, 77).unwrap();
         assert_eq!(back.app_names, r.app_names);
         for (x, y) in back.slowdowns.iter().zip(&r.slowdowns) {
             assert_eq!(x.value.to_bits(), y.value.to_bits());
             assert_eq!(x.ci.to_bits(), y.ci.to_bits());
         }
-        assert!(load_manifest(&bytes, 78).is_err(), "key mismatch rejected");
+        assert!(load(&bytes, 78).is_err(), "key mismatch rejected");
+    }
+
+    #[test]
+    fn exact_members_ride_the_planner_and_replay_from_sampled_manifests() {
+        let (dir, open) = crate::session::tests::checkpoint_dir("sampled_exact");
+        let count = |kind: &Kind| std::fs::read_dir(dir.join(kind.dir)).map_or(0, Iterator::count);
+        // K >= N: every member is exact, and one planner campaign runs
+        // them — one shared warm-up, a run manifest each.
+        let runs = sweep(150_000);
+        let first = run_campaign_in(&open(false), &runs, &scale_with(2, 3));
+        assert_eq!((count(&plan::WARMUPS), count(&plan::RUNS), count(&SAMPLED)), (1, 3, 3));
+        // Resumed, the sampled manifests answer before the planner is
+        // asked: dropping its artefacts changes nothing.
+        std::fs::remove_dir_all(dir.join(plan::RUNS.dir)).unwrap();
+        std::fs::remove_dir_all(dir.join(plan::WARMUPS.dir)).unwrap();
+        assert_bitwise_equal(&run_campaign_in(&open(true), &runs, &scale_with(1, 3)), &first);
+        assert_eq!((count(&plan::WARMUPS), count(&plan::RUNS)), (0, 0));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

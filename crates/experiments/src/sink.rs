@@ -11,16 +11,15 @@
 //! artefact this module writes is byte-identical for any `--jobs` value
 //! — the same invariant the tables already satisfy.
 //!
-//! Like the alone-cache and CSV plumbing, this module is process-global
-//! state behind `OnceLock`/`Mutex`; that is fine here because the
-//! experiments crate is *not* a simulation crate (asm-lint R6 bans shared
-//! mutable state only inside the deterministic simulation core).
+//! The record list belongs to the [`Session`]; nothing here is
+//! process-global.
 
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, OnceLock};
 
 use asm_core::{Component, RunAttribution, RunOptions, RunResult, RunTelemetry, COMPONENTS};
 use asm_telemetry::JsonValue;
+
+use crate::session::Session;
 
 /// 1-in-N request sampling for `--trace` memory-lifecycle events.
 /// Scheduler events (epochs, quanta, repartitions) are never sampled out.
@@ -70,121 +69,117 @@ impl SinkConfig {
     }
 }
 
-/// One recorded attribution artefact, in submission order.
+/// One recorded run, in submission order, with whichever artefacts it
+/// carried.
 #[derive(Debug)]
-struct AttribRecord {
+pub(crate) struct Record {
     label: String,
     apps: Vec<String>,
-    attrib: RunAttribution,
+    telemetry: Option<RunTelemetry>,
+    attribution: Option<RunAttribution>,
 }
 
-static CONFIG: OnceLock<SinkConfig> = OnceLock::new();
-static RECORDS: Mutex<Vec<(String, RunTelemetry)>> = Mutex::new(Vec::new());
-static ATTRIBS: Mutex<Vec<AttribRecord>> = Mutex::new(Vec::new());
-
-/// Activates the sink (once per process; later calls are ignored). A
-/// config requesting nothing leaves the sink inactive and every run
-/// uninstrumented.
-pub fn configure(cfg: SinkConfig) {
-    if cfg.any() {
-        let _ = CONFIG.set(cfg);
-    }
+fn with_telemetry(records: &[Record]) -> impl Iterator<Item = (&Record, &RunTelemetry)> {
+    records.iter().filter_map(|r| Some((r, r.telemetry.as_ref()?)))
 }
 
-/// Whether any telemetry or attribution artefact was requested.
-#[must_use]
-pub fn active() -> bool {
-    CONFIG.get().is_some()
+fn with_attribution(records: &[Record]) -> impl Iterator<Item = (&Record, &RunAttribution)> {
+    records.iter().filter_map(|r| Some((r, r.attribution.as_ref()?)))
 }
 
-/// The run options every experiment should simulate under: telemetry on
-/// exactly when a telemetry artefact was requested, request tracing only
-/// under `--trace`, attribution exactly when an attribution artefact was
-/// requested.
-#[must_use]
-pub fn options() -> RunOptions {
-    match CONFIG.get() {
-        Some(cfg) => RunOptions {
+impl Session {
+    /// The run options the next campaign should simulate under: telemetry
+    /// and attribution on exactly when such an artefact was requested (a
+    /// config requesting nothing leaves every run uninstrumented).
+    /// `--trace` writes one run's trace — the first recorded — so request
+    /// tracing is asked for only while nothing has been recorded, and
+    /// [`crate::plan::run_campaign_counted`] applies it to the campaign's
+    /// first member alone.
+    #[must_use]
+    pub fn run_options(&self) -> RunOptions {
+        let cfg = &self.cfg.sink;
+        let unclaimed = cfg.trace.is_some() && self.records.lock().expect("sink poisoned").is_empty();
+        RunOptions {
             telemetry: cfg.telemetry(),
-            trace_sample: cfg.trace.is_some().then_some(TRACE_SAMPLE),
+            trace_sample: unclaimed.then_some(TRACE_SAMPLE),
             attrib: cfg.attribution(),
-        },
-        None => RunOptions::default(),
-    }
-}
-
-/// Collects one run's telemetry and/or attribution. Call in
-/// workload-submission order (the label embeds the arrival index); a run
-/// carrying neither artefact is a no-op.
-pub fn record(result: &RunResult) {
-    if let Some(t) = &result.telemetry {
-        let mut records = RECORDS.lock().expect("telemetry sink poisoned");
-        let label = format!("w{:03} {}", records.len(), result.app_names.join("+"));
-        records.push((label, t.clone()));
-    }
-    if let Some(a) = &result.attribution {
-        let mut records = ATTRIBS.lock().expect("attribution sink poisoned");
-        let label = format!("w{:03} {}", records.len(), result.app_names.join("+"));
-        records.push(AttribRecord {
-            label,
-            apps: result.app_names.clone(),
-            attrib: a.clone(),
-        });
-    }
-}
-
-/// Writes every requested artefact. Called once at the end of the CLI
-/// run; I/O failures are reported to stderr but never abort (matching
-/// the CSV exporter).
-pub fn finalize() {
-    let Some(cfg) = CONFIG.get() else {
-        return;
-    };
-    let records = std::mem::take(&mut *RECORDS.lock().expect("telemetry sink poisoned"));
-    let attribs = std::mem::take(&mut *ATTRIBS.lock().expect("attribution sink poisoned"));
-    if cfg.telemetry() && records.is_empty() || cfg.attribution() && attribs.is_empty() {
-        // Some experiments (fig1, workloads) never route a run through
-        // the Runner; the artefacts are still written, just empty.
-        eprintln!("[telemetry] no instrumented runs recorded");
-    }
-    if cfg.series_summary {
-        for (label, t) in &records {
-            print_series_summary(label, t);
         }
     }
-    if let Some(path) = &cfg.stats_json {
-        report(path, std::fs::write(path, stats_json(&records).to_json_pretty()));
-    }
-    if let Some(path) = &cfg.trace {
-        // One workload's trace is viewable; all of them concatenated are
-        // not (perfetto expects a single timeline). First in, first out.
-        let json = records.first().map_or_else(
-            || asm_telemetry::Tracer::off().to_json(),
-            |(_, t)| t.tracer.to_json(),
-        );
-        report(path, std::fs::write(path, json));
-    }
-    if let Some(dir) = &cfg.series_csv {
-        let write_all = || -> std::io::Result<()> {
-            std::fs::create_dir_all(dir)?;
-            for (label, t) in &records {
-                let path = dir.join(format!("{}.csv", sanitize(label)));
-                std::fs::write(&path, series_csv(t))?;
+
+    /// Collects each run's telemetry and/or attribution. Call in
+    /// workload-submission order (the label embeds the arrival index); a
+    /// run carrying neither artefact is skipped.
+    pub fn record(&self, results: &[RunResult]) {
+        let mut records = self.records.lock().expect("sink poisoned");
+        for result in results {
+            if result.telemetry.is_some() || result.attribution.is_some() {
+                let label = format!("w{:03} {}", records.len(), result.app_names.join("+"));
+                records.push(Record {
+                    label,
+                    apps: result.app_names.clone(),
+                    telemetry: result.telemetry.clone(),
+                    attribution: result.attribution.clone(),
+                });
             }
-            Ok(())
-        };
-        report(dir, write_all());
-    }
-    if cfg.attrib {
-        for r in &attribs {
-            print_attrib_summary(r);
         }
     }
-    if let Some(path) = &cfg.attrib_csv {
-        report(path, std::fs::write(path, attrib_csv(&attribs)));
-    }
-    if let Some(path) = &cfg.blame_json {
-        report(path, std::fs::write(path, blame_json(&attribs).to_json_pretty()));
+
+    /// Writes every requested artefact. Called once at the end of the CLI
+    /// run; I/O failures are reported to stderr but never abort (matching
+    /// the CSV exporter).
+    pub(crate) fn write_artefacts(&self) {
+        let cfg = &self.cfg.sink;
+        if !cfg.any() {
+            return;
+        }
+        let records = std::mem::take(&mut *self.records.lock().expect("sink poisoned"));
+        if cfg.telemetry() && with_telemetry(&records).next().is_none()
+            || cfg.attribution() && with_attribution(&records).next().is_none()
+        {
+            // Some experiments (fig1, workloads) never route a run through
+            // the Runner; the artefacts are still written, just empty.
+            eprintln!("[telemetry] no instrumented runs recorded");
+        }
+        if cfg.series_summary {
+            for (r, t) in with_telemetry(&records) {
+                print_series_summary(&r.label, t);
+            }
+        }
+        if let Some(path) = &cfg.stats_json {
+            report(path, std::fs::write(path, stats_json(&records).to_json_pretty()));
+        }
+        if let Some(path) = &cfg.trace {
+            // One workload's trace is viewable; all of them concatenated
+            // are not (perfetto expects a single timeline). The first
+            // recorded run is the one that traced ([`Session::run_options`]).
+            let json = with_telemetry(&records).next().map_or_else(
+                || asm_telemetry::Tracer::off().to_json(),
+                |(_, t)| t.tracer.to_json(),
+            );
+            report(path, std::fs::write(path, json));
+        }
+        if let Some(dir) = &cfg.series_csv {
+            let write_all = || -> std::io::Result<()> {
+                std::fs::create_dir_all(dir)?;
+                for (r, t) in with_telemetry(&records) {
+                    let path = dir.join(format!("{}.csv", sanitize(&r.label)));
+                    std::fs::write(&path, series_csv(t))?;
+                }
+                Ok(())
+            };
+            report(dir, write_all());
+        }
+        if cfg.attrib {
+            for (r, a) in with_attribution(&records) {
+                print_attrib_summary(r, a);
+            }
+        }
+        if let Some(path) = &cfg.attrib_csv {
+            report(path, std::fs::write(path, attrib_csv(&records)));
+        }
+        if let Some(path) = &cfg.blame_json {
+            report(path, std::fs::write(path, blame_json(&records).to_json_pretty()));
+        }
     }
 }
 
@@ -206,11 +201,10 @@ fn sanitize(label: &str) -> String {
 /// The `--stats-json` document: schema tag plus one object per workload
 /// with sorted counters, the DRAM read-latency quantiles and a summary of
 /// every recorded series.
-fn stats_json(records: &[(String, RunTelemetry)]) -> JsonValue {
+fn stats_json(records: &[Record]) -> JsonValue {
     let opt = |v: Option<f64>| v.map_or(JsonValue::Null, JsonValue::Num);
-    let workloads = records
-        .iter()
-        .map(|(label, t)| {
+    let workloads = with_telemetry(records)
+        .map(|(r, t)| {
             let mut counters: Vec<(String, JsonValue)> = t
                 .counters
                 .iter()
@@ -249,7 +243,7 @@ fn stats_json(records: &[(String, RunTelemetry)]) -> JsonValue {
                 .collect();
 
             JsonValue::Obj(vec![
-                ("label".into(), JsonValue::str(label)),
+                ("label".into(), JsonValue::str(&r.label)),
                 ("counters".into(), JsonValue::Obj(counters)),
                 ("dram_read_latency".into(), latency),
                 ("series".into(), JsonValue::Obj(series)),
@@ -303,26 +297,26 @@ fn print_series_summary(label: &str, t: &RunTelemetry) {
 /// One stdout block per workload under `--attrib`: each app's whole-run
 /// component decomposition (percent of run cycles) and its blame row.
 /// Deterministic for any `--jobs` (records arrive in submission order).
-fn print_attrib_summary(r: &AttribRecord) {
+fn print_attrib_summary(r: &Record, attrib: &RunAttribution) {
     let n = r.apps.len();
     println!("\ncycle attribution ({}):", r.label);
-    let run_cycles: u64 = r.attrib.quanta.iter().map(|q| q.end - q.start).sum();
+    let run_cycles: u64 = attrib.quanta.iter().map(|q| q.end - q.start).sum();
     if run_cycles == 0 {
         println!("  (no finalized quanta)");
         return;
     }
     let pct = |c: u64| 100.0 * c as f64 / run_cycles as f64;
     for (v, app) in r.apps.iter().enumerate() {
-        println!("  app{v} {app} ({} quanta, {run_cycles} cycles):", r.attrib.quanta.len());
+        println!("  app{v} {app} ({} quanta, {run_cycles} cycles):", attrib.quanta.len());
         for (k, comp) in Component::ALL.iter().enumerate() {
-            let c = r.attrib.totals[v * COMPONENTS + k];
+            let c = attrib.totals[v * COMPONENTS + k];
             if c > 0 {
                 let tag = if comp.is_interference() { " [interference]" } else { "" };
                 println!("    {:<18} {c:>12}  {:6.2}%{tag}", comp.name(), pct(c));
             }
         }
         let row: Vec<String> = (0..n)
-            .map(|o| format!("app{o}={}", r.attrib.blame[v * n + o]))
+            .map(|o| format!("app{o}={}", attrib.blame[v * n + o]))
             .collect();
         println!("    blame row: {}", row.join(" "));
     }
@@ -332,12 +326,12 @@ fn print_attrib_summary(r: &AttribRecord) {
 /// (workload, quantum, app, component) with non-zero cycles, followed by
 /// `blame.appN` pseudo-components carrying the off-diagonal blame matrix.
 /// Quanta are identified by their end cycle.
-fn attrib_csv(records: &[AttribRecord]) -> String {
+fn attrib_csv(records: &[Record]) -> String {
     use std::fmt::Write as _;
     let mut out = String::from("workload,quantum_end,app,component,cycles\n");
-    for r in records {
+    for (r, attrib) in with_attribution(records) {
         let n = r.apps.len();
-        for q in &r.attrib.quanta {
+        for q in &attrib.quanta {
             for v in 0..n {
                 for comp in Component::ALL {
                     let c = q.component(v, comp);
@@ -360,44 +354,20 @@ fn attrib_csv(records: &[AttribRecord]) -> String {
 /// The `--blame-json` document: schema tag plus one object per workload
 /// with the app list, whole-run component totals, the whole-run blame
 /// matrix, and every quantum's blame matrix (victim-major rows).
-fn blame_json(records: &[AttribRecord]) -> JsonValue {
-    let matrix = |blame: &[u64], n: usize| {
-        JsonValue::Arr(
-            (0..n)
-                .map(|v| {
-                    JsonValue::Arr(
-                        blame[v * n..(v + 1) * n]
-                            .iter()
-                            .map(|&c| JsonValue::num_u64(c))
-                            .collect(),
-                    )
-                })
-                .collect(),
-        )
-    };
-    let workloads = records
-        .iter()
-        .map(|r| {
+fn blame_json(records: &[Record]) -> JsonValue {
+    let nums = |row: &[u64]| JsonValue::Arr(row.iter().map(|&c| JsonValue::num_u64(c)).collect());
+    let matrix = |blame: &[u64], n: usize| JsonValue::Arr(blame.chunks(n).map(nums).collect());
+    let workloads = with_attribution(records)
+        .map(|(r, attrib)| {
             let n = r.apps.len();
             let apps = JsonValue::Arr(r.apps.iter().map(|a| JsonValue::str(a)).collect());
-            let totals = JsonValue::Arr(
-                (0..n)
-                    .map(|v| {
-                        JsonValue::Obj(
-                            Component::ALL
-                                .iter()
-                                .enumerate()
-                                .map(|(k, comp)| {
-                                    let c = r.attrib.totals[v * COMPONENTS + k];
-                                    (comp.name().to_owned(), JsonValue::num_u64(c))
-                                })
-                                .collect(),
-                        )
-                    })
-                    .collect(),
-            );
+            let by_component = |totals: &[u64]| {
+                let named = Component::ALL.iter().zip(totals);
+                JsonValue::Obj(named.map(|(c, &t)| (c.name().to_owned(), JsonValue::num_u64(t))).collect())
+            };
+            let totals = JsonValue::Arr(attrib.totals.chunks(COMPONENTS).map(by_component).collect());
             let quanta = JsonValue::Arr(
-                r.attrib
+                attrib
                     .quanta
                     .iter()
                     .map(|q| {
@@ -413,7 +383,7 @@ fn blame_json(records: &[AttribRecord]) -> JsonValue {
                 ("label".into(), JsonValue::str(&r.label)),
                 ("apps".into(), apps),
                 ("component_totals".into(), totals),
-                ("blame_totals".into(), matrix(&r.attrib.blame, n)),
+                ("blame_totals".into(), matrix(&attrib.blame, n)),
                 ("quanta".into(), quanta),
             ])
         })
@@ -433,17 +403,43 @@ mod tests {
         assert_eq!(sanitize("w003 mcf_like+lbm_like"), "w003_mcf_like_lbm_like");
     }
 
+    /// The records of a session that observed `result`.
+    fn recorded(result: &RunResult) -> Vec<Record> {
+        let session = Session::default();
+        session.record(std::slice::from_ref(result));
+        session.records.into_inner().unwrap()
+    }
+
     #[test]
     fn inactive_sink_yields_default_options() {
-        // CONFIG is process-global, so this test only checks the inactive
-        // path (the active path is covered by the integration tests that
-        // spawn the binary with flags).
-        if CONFIG.get().is_none() {
-            let o = options();
-            assert!(!o.telemetry);
-            assert!(o.trace_sample.is_none());
-            assert!(!o.attrib);
-        }
+        let o = Session::default().run_options();
+        assert!(!o.telemetry);
+        assert!(o.trace_sample.is_none());
+        assert!(!o.attrib);
+    }
+
+    #[test]
+    fn trace_is_asked_of_the_first_recorded_run_only() {
+        let mut session = Session::default();
+        session.cfg.sink.trace = Some("t.json".into());
+        session.cfg.sink.blame_json = Some("b.json".into());
+        let first = session.run_options();
+        assert_eq!((first.telemetry, first.trace_sample, first.attrib), (true, Some(TRACE_SAMPLE), true));
+        // A run with nothing to record claims nothing.
+        session.record(&[RunResult::default()]);
+        assert_eq!(session.run_options().trace_sample, Some(TRACE_SAMPLE));
+        let mut run = RunResult::default();
+        run.app_names = vec!["a".into(), "b".into()];
+        run.attribution = Some(RunAttribution {
+            quanta: Vec::new(),
+            totals: Vec::new(),
+            blame: Vec::new(),
+        });
+        session.record(&[run.clone(), run]);
+        let later = session.run_options();
+        assert_eq!((later.telemetry, later.trace_sample, later.attrib), (true, None, true));
+        let labels: Vec<String> = session.records.into_inner().unwrap().into_iter().map(|r| r.label).collect();
+        assert_eq!(labels, ["w000 a+b", "w001 a+b"]);
     }
 
     #[test]
@@ -463,9 +459,8 @@ mod tests {
             trace_sample: Some(TRACE_SAMPLE),
             attrib: false,
         };
-        let r = runner.run_with(&apps, 100_000, opts);
-        let t = r.telemetry.clone().expect("telemetry");
-        let records = vec![("w000 mcf_like+h264ref_like".to_owned(), t)];
+        let records = recorded(&runner.run_with(&apps, 100_000, opts));
+        assert_eq!(records[0].label, "w000 mcf_like+h264ref_like");
 
         let text = stats_json(&records).to_json_pretty();
         let parsed = asm_telemetry::json::parse(&text).expect("valid JSON");
@@ -485,7 +480,7 @@ mod tests {
             .and_then(|l| l.get("p95"))
             .is_some());
 
-        let csv = series_csv(&records[0].1);
+        let csv = series_csv(records[0].telemetry.as_ref().expect("telemetry"));
         assert!(csv.starts_with("series,cycle,value\n"));
         assert!(csv.contains("app0.est_slowdown,50000,"));
     }
@@ -507,13 +502,8 @@ mod tests {
             trace_sample: None,
             attrib: true,
         };
-        let r = runner.run_with(&apps, 100_000, opts);
-        let a = r.attribution.clone().expect("attribution");
-        let records = vec![AttribRecord {
-            label: "w000 mcf_like+h264ref_like".to_owned(),
-            apps: r.app_names.clone(),
-            attrib: a,
-        }];
+        let records = recorded(&runner.run_with(&apps, 100_000, opts));
+        let attrib = records[0].attribution.as_ref().expect("attribution");
 
         let csv = attrib_csv(&records);
         assert!(csv.starts_with("workload,quantum_end,app,component,cycles\n"));
@@ -536,14 +526,9 @@ mod tests {
             .expect("blame matrix");
         assert_eq!(blame.len(), 2);
         // Each whole-run blame row sums to the run's attributed cycles.
-        let run_cycles: u64 = records[0]
-            .attrib
-            .quanta
-            .iter()
-            .map(|q| q.end - q.start)
-            .sum();
+        let run_cycles: u64 = attrib.quanta.iter().map(|q| q.end - q.start).sum();
         for v in 0..2 {
-            let row: u64 = (0..2).map(|o| records[0].attrib.blame[v * 2 + o]).sum();
+            let row: u64 = (0..2).map(|o| attrib.blame[v * 2 + o]).sum();
             assert_eq!(row, run_cycles, "blame row {v} does not conserve");
         }
     }

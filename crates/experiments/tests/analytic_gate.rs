@@ -15,7 +15,7 @@
 //! that makes `--tier analytic` results trustworthy.
 
 use asm_experiments::exps::xval::{sweep_mixes, envelope, Envelope};
-use asm_experiments::Scale;
+use asm_experiments::{Scale, Session};
 
 /// Per-class upper bounds on the geomean error, with headroom over the
 /// measured envelope (EXPERIMENTS.md "Cross-validation" table: 8.1%,
@@ -33,7 +33,7 @@ fn analytic_tier_matches_cycle_tier_within_envelope() {
     let scale = Scale::reduced();
     let mixes = sweep_mixes(scale);
     assert_eq!(mixes.len(), 38, "the gated sweep is 38 configurations");
-    let env = envelope(scale, &mixes);
+    let env = envelope(&Session::default(), scale, &mixes);
 
     let all = env.all_samples();
     let geo = Envelope::geomean(&all).expect("sweep produced samples");

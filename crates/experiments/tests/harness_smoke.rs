@@ -2,7 +2,7 @@
 //! micro scale. Guards `asm-experiments all` against bit-rot in any
 //! single experiment.
 
-use asm_experiments::{exps, Scale, Tier};
+use asm_experiments::{exps, Scale, Session, Tier};
 
 /// A scale even smaller than `Scale::tiny()`, so the whole sweep stays
 /// test-suite friendly.
@@ -24,8 +24,9 @@ fn micro() -> Scale {
 
 #[test]
 fn every_experiment_runs_at_micro_scale() {
+    let session = Session::default();
     for e in exps::TABLE.iter().filter(|e| e.in_all) {
-        (e.run)(micro());
+        (e.run)(&session, micro());
     }
 }
 

@@ -1,7 +1,8 @@
 //! The experiment table (`exps::TABLE`) is the only list of experiments:
 //! the usage text, `all`, and the tier-capability errors are read off it.
 //! Pinned at the CLI boundary, next to the other up-front usage errors —
-//! degenerate scales exit 2 instead of printing an empty table.
+//! degenerate scales exit 2 instead of printing an empty table — and
+//! the per-option errors the options table in `main.rs` derives.
 
 use std::process::{Command, Output};
 
@@ -81,4 +82,51 @@ fn degenerate_scales_are_usage_errors() {
     }
     let shortest = run(&["fig2", "--tiny", "--workloads", "1", "--cycles", "400000"]);
     assert!(shortest.status.success(), "the shortest measurable run is accepted");
+}
+
+#[test]
+fn values_that_used_to_be_silently_mishandled_are_usage_errors() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("registry_rejects");
+    std::fs::create_dir_all(&dir).expect("create tmp dir");
+    let artefact = dir.join("artefact");
+    let artefact = artefact.to_str().expect("utf8 tmp path");
+    let cases: &[(&[&str], &str)] = &[
+        // Neither tier instruments a run: both wrote header-only artefacts.
+        (&["fig11", "--tier", "sampled", "--stats-json", artefact], "--tier cycle"),
+        (&["matrix", "--tier", "analytic", "--attrib-csv", artefact], "--tier cycle"),
+        (&["matrix", "--tier", "analytic", "--series-summary"], "--tier cycle"),
+        // Clamped to 1 while `--workloads 0` was rejected.
+        (&["fig2", "--jobs", "0"], "--jobs"),
+        (&["fig11", "--tier", "sampled", "--sample-intervals", "0"], "--sample-intervals"),
+        (&["fig11", "--tier", "sampled", "--sample-quanta", "0"], "--sample-quanta"),
+        // The last value won, whatever the first was for.
+        (&["fig2", "--checkpoint-dir", "a", "--checkpoint-dir", "b"], "--checkpoint-dir"),
+        (&["fig2", "--workloads", "1", "--workloads", "2"], "--workloads"),
+        (&["fig2", "--tier", "cycle", "--tier", "cycle"], "--tier"),
+        // And what was rejected all along still reads the same way.
+        (&["fig2", "--seed"], "--seed"),
+        (&["fig2", "--seed", "seven"], "--seed"),
+        (&["fig2", "--csv"], "--csv"),
+        (&["fig2", "--tier", "quantum"], "--tier"),
+    ];
+    for (args, needle) in cases {
+        let out = run(&[&args[..1], &["--tiny"], &args[1..]].concat());
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a table");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.starts_with("error: ") && stderr.contains(needle), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "one-line message: {stderr}");
+    }
+    assert!(!std::path::Path::new(artefact).exists(), "a rejected invocation wrote its artefact");
+    assert!(!std::path::Path::new("a").exists() && !std::path::Path::new("b").exists());
+}
+
+#[test]
+fn a_value_survives_a_scale_preset_given_after_it() {
+    // `--tiny` replaces the whole scale; it used to wipe what preceded it.
+    let after = run(&[&["fig2"], MICRO].concat());
+    let before = run(&["fig2", "--workloads", "1", "--cycles", "400000", "--tiny"]);
+    assert!(after.status.success() && before.status.success());
+    assert!(after.stdout == before.stdout, "{}", String::from_utf8_lossy(&before.stdout));
+    assert!(String::from_utf8_lossy(&before.stdout).starts_with("scale: 1 workloads x 400000 cycles"));
 }

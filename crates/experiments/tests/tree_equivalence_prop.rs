@@ -19,6 +19,7 @@ use asm_core::{
 };
 use asm_cpu::AppProfile;
 use asm_experiments::plan::{self, PlannedRun};
+use asm_experiments::Session;
 use asm_simcore::AppId;
 use asm_workloads::suite;
 use proptest::prelude::*;
@@ -128,7 +129,7 @@ proptest! {
             attrib: attrib == 1,
         };
 
-        let (got, stats) = plan::run_campaign_counted(&runs, [1, 3][jobs_ix], opts);
+        let (got, stats) = plan::run_campaign_counted(&Session::default(), &runs, [1, 3][jobs_ix], opts);
         let cache = Arc::new(AloneCache::new());
         for (i, run) in runs.iter().enumerate() {
             let cold = Runner::with_cache(run.config.clone(), Arc::clone(&cache))
@@ -211,7 +212,7 @@ fn sweep_simulates_one_quantum_per_distinct_decision_history() {
 
     let members = runs.len() as u64;
     for jobs in [1, 3] {
-        let (_, stats) = plan::run_campaign_counted(&runs, jobs, RunOptions::default());
+        let (_, stats) = plan::run_campaign_counted(&Session::default(), &runs, jobs, RunOptions::default());
         assert_eq!(stats.quantum_runs, expected, "jobs {jobs}: {stats}");
         assert_eq!(stats.per_member_quantum_runs, 1 + members * (QUANTA - 1));
         assert!(

@@ -42,7 +42,7 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 println!(
                     "usage: asm-lint [ROOT] [--json] [--pedantic] [--list-rules]\n\
-                     lints the simulation crates for determinism rules R1-R12"
+                     lints the simulation crates for determinism rules R1-R13"
                 );
                 return ExitCode::SUCCESS;
             }

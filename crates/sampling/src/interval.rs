@@ -28,7 +28,7 @@ use asm_core::checkpoint;
 use asm_core::{config_hash, System, SystemConfig};
 use asm_cpu::{AppProfile, ProgressLog};
 use asm_simcore::hash::DetHasher;
-use asm_simcore::persist::PersistError;
+use asm_simcore::persist::{self, PersistError};
 use asm_simcore::{AppId, Cycle};
 
 use crate::cluster::{cluster, Clustering};
@@ -44,26 +44,18 @@ const FEATURE_SERIES: &[&str] = &[
     "interference_cycles",
 ];
 
-/// Intervals replayed under the member's own policies before each
-/// measured one, on top of any gap to the nearest snapshot-grid
-/// boundary. A restored snapshot carries the *fingerprint* run's
-/// microarchitectural state, so the first measured interval after a fork
-/// includes a transient; measured head-to-head, that transient is
-/// negligible at interval granularity (forked per-interval alone cycles
-/// track the member's own full run to well under the within-cluster
-/// sampling noise) while each warm interval costs as much as a measured
-/// one — so the default is 0. The replay machinery stays: any gap
-/// between the grid boundary and the measured interval is run
-/// unmeasured under the member's own policies.
-pub const WARM_INTERVALS: usize = 0;
-
 /// Snapshot-grid stride for an `n`-interval fingerprint pass: boundary
 /// snapshots are captured only at interval indices that are multiples
 /// of the stride, capping a pass at ~20 live snapshots. Serializing
 /// full system state at *every* boundary dominates the fingerprint
 /// pass's overhead over a plain run (and holds `n` snapshots in memory
-/// at peak); medoids are snapped onto the grid instead, so probes still
-/// restore exactly at the interval they measure.
+/// at peak); medoids are snapped onto the grid instead, so a probe
+/// restores exactly at the interval it measures and replays nothing. (A
+/// restored snapshot carries the *fingerprint* run's microarchitectural
+/// state, so the measured interval opens with a transient; measured
+/// head-to-head it is negligible at interval granularity — well under
+/// the within-cluster sampling noise — while each warm-up interval
+/// replayed ahead of it would cost as much as a measured one.)
 #[must_use]
 pub fn snapshot_stride(n: usize) -> usize {
     n.div_ceil(20).max(1)
@@ -150,12 +142,9 @@ pub struct IntervalPlan {
     /// estimator.
     pub proxy_alone: Vec<Vec<f64>>,
     /// Boundary snapshots for the medoid intervals that need one
-    /// (interval 0 starts cold and has no entry).
+    /// (interval 0 starts cold and has no entry); medoids sit on the
+    /// [`snapshot_stride`] grid the pass captured on.
     pub snapshots: BTreeMap<usize, Vec<u8>>,
-    /// The snapshot-grid stride the pass captured under
-    /// ([`snapshot_stride`] of `n_intervals`): restores happen at the
-    /// grid boundary at or below the requested start.
-    pub snapshot_stride: usize,
     /// Names of telemetry series whose ring wrapped during the pass.
     /// A wrapped ring silently truncates the oldest samples, corrupting
     /// early-interval features — callers surface this as a warning.
@@ -302,8 +291,7 @@ pub fn fingerprint(
     let mut clustering = cluster(&features, spec.intervals, seed);
 
     // Snap each medoid onto the snapshot grid so a probe restores the
-    // boundary of exactly the interval it measures (no warm-gap replay
-    // at the default [`WARM_INTERVALS`] of 0). Take the grid interval
+    // boundary of exactly the interval it measures. Take the grid interval
     // *nearest in time* to the medoid, preferring the medoid's own
     // cluster — program phases are temporally contiguous, so the
     // index-nearest grid interval shares the medoid's phase where a
@@ -327,15 +315,8 @@ pub fn fingerprint(
         }
     }
 
-    // Keep only the snapshots the members will restore: each medoid is
-    // entered [`WARM_INTERVALS`] early (clamped at the cold start),
-    // from the grid boundary at or below that point.
-    let wanted: Vec<usize> = clustering
-        .medoids
-        .iter()
-        .map(|&m| m.saturating_sub(WARM_INTERVALS) / stride * stride)
-        .collect();
-    snapshots.retain(|k, _| wanted.contains(k));
+    // Keep only the snapshots the members will restore: the medoids'.
+    snapshots.retain(|k, _| clustering.medoids.contains(k));
 
     IntervalPlan {
         interval_cycles,
@@ -345,7 +326,6 @@ pub fn fingerprint(
         clustering,
         proxy_alone,
         snapshots,
-        snapshot_stride: stride,
         wrapped,
     }
 }
@@ -354,22 +334,20 @@ pub fn fingerprint(
 /// and returns each app's *alone-run cycles* for the work it retired in
 /// the interval — the quantity the estimator aggregates.
 ///
-/// The member restores the fingerprint snapshot of the grid boundary at
-/// or below `interval − WARM_INTERVALS` (clamped at the cold start),
-/// replays any gap under its *own* policies unmeasured, and only then
-/// measures. With the default warm of 0 and grid-snapped medoids the
-/// gap is empty: the restore lands exactly on the measured interval.
+/// The member restores the fingerprint snapshot captured at the start of
+/// `interval` (interval 0 starts cold) and measures from there under its
+/// *own* policies.
 ///
 /// # Errors
 ///
 /// Any [`PersistError`] from the snapshot (stale, damaged, or keyed for
-/// a different prefix/mix/interval). The caller falls back to treating
-/// the member proxy-only (or running cold).
+/// a different prefix/mix/interval), and `Corrupt` when `plan` holds no
+/// snapshot at `interval` — it keeps its medoids', which sit on the
+/// snapshot grid. The caller falls back to running the member in full.
 ///
 /// # Panics
 ///
-/// Panics if the warm-start boundary has no snapshot in `plan`, or
-/// `alone` does not have one entry per app.
+/// Panics if `alone` does not have one entry per app.
 pub fn measure_interval(
     apps: &[AppProfile],
     member_config: &SystemConfig,
@@ -384,23 +362,19 @@ pub fn measure_interval(
     // telemetry state; the member must match to restore (telemetry is
     // pinned to never change simulated behaviour).
     sys.enable_telemetry(None);
-    let stride = plan.snapshot_stride.max(1);
-    let start = interval.saturating_sub(WARM_INTERVALS) / stride * stride;
-    if start > 0 {
-        let snapshot = plan
-            .snapshots
-            .get(&start)
-            .ok_or_else(|| PersistError::Corrupt(format!("no snapshot for interval {start}")))?;
-        let key = interval_key(plan.prefix_hash, &plan.mix, start, plan.interval_cycles);
+    if interval > 0 {
+        let snapshot = plan.snapshots.get(&interval).ok_or_else(|| {
+            PersistError::Corrupt(format!(
+                "no snapshot at interval {interval}: not a medoid on the snapshot grid"
+            ))
+        })?;
+        let key = interval_key(plan.prefix_hash, &plan.mix, interval, plan.interval_cycles);
         let warm = checkpoint::resume(snapshot, key, &mut sys)?;
-        if warm != start as u64 * plan.interval_cycles {
-            return Err(PersistError::Corrupt(format!(
-                "snapshot covers {warm} cycles, expected interval {start} start"
-            )));
-        }
+        persist::ensure(
+            warm == interval as u64 * plan.interval_cycles,
+            "snapshot does not cover the interval's start",
+        )?;
     }
-    // Replay the warm gap under the member's own policies, unmeasured.
-    sys.run_for((interval - start) as u64 * plan.interval_cycles);
     let before: Vec<u64> = (0..n_apps).map(|i| sys.retired(AppId::new(i))).collect();
     sys.run_for(plan.interval_cycles);
     Ok((0..n_apps)
@@ -526,7 +500,6 @@ mod tests {
             clustering,
             proxy_alone: proxy,
             snapshots: BTreeMap::new(),
-            snapshot_stride: 1,
             wrapped: Vec::new(),
         }
     }

@@ -16,6 +16,9 @@
 //! * **Checksummed payloads.** Artefacts end with a [`DetHasher`]
 //!   digest of the payload; truncation and bit rot surface as
 //!   [`PersistError::Corrupt`], not as garbage state.
+//! * **Keyed envelopes.** An artefact filed under a key opens with it
+//!   ([`seal`] / [`open`]): one written for another configuration, mix
+//!   or horizon is refused before a byte of its value is read.
 //! * **Warn-and-rebuild.** A missing artefact is simply absent; an
 //!   unreadable, stale, or corrupt one is discarded with a warning
 //!   *string* (sim crates cannot print — lint rule R7 — so surfacing
@@ -920,12 +923,66 @@ macro_rules! persist_fields {
     };
 }
 
+/// A *keyed envelope*: an artefact of `format`/`version` whose payload
+/// opens with the `key` it was stored under — everything the value is a
+/// pure function of, hashed — followed by `value`. The one codec of
+/// every keyed artefact (snapshots, run manifests, sampled manifests).
+#[must_use]
+pub fn seal<T: Persist + ?Sized>(format: &str, version: u32, key: u64, value: &T) -> Vec<u8> {
+    let mut w = StateWriter::new(format, version);
+    w.u64(key);
+    value.save(&mut w);
+    w.finish()
+}
+
+/// Opens a [`seal`]ed envelope and returns the reader positioned at the
+/// value, for a caller that restores it in place.
+///
+/// # Errors
+///
+/// The reader's header, version and checksum errors;
+/// [`PersistError::Corrupt`] when the envelope was sealed under another
+/// key — an artefact of another configuration, mix or horizon.
+pub fn open<'a>(
+    bytes: &'a [u8],
+    format: &str,
+    version: u32,
+    key: u64,
+) -> Result<StateReader<'a>, PersistError> {
+    let mut r = StateReader::new(bytes, format, version)?;
+    let found = r.u64()?;
+    if found != key {
+        return Err(PersistError::Corrupt(format!(
+            "{format} key {found:016x}, expected {key:016x}"
+        )));
+    }
+    Ok(r)
+}
+
+/// [`open`]s an envelope and reads the whole value out of it.
+///
+/// # Errors
+///
+/// Those of [`open`] and of `T`'s [`Persist::restore`]; trailing bytes.
+pub fn unseal<T: Persist + Default>(
+    bytes: &[u8],
+    format: &str,
+    version: u32,
+    key: u64,
+) -> Result<T, PersistError> {
+    let mut r = open(bytes, format, version, key)?;
+    let mut value = T::default();
+    value.restore(&mut r)?;
+    r.finish()?;
+    Ok(value)
+}
+
 /// The workspace-wide warn-and-rebuild load policy, in one place.
 ///
-/// * File missing → `(None, None)`: start empty, silently.
+/// * File missing → `(None, None)`: rebuild, silently.
 /// * File parses → `(Some(artefact), None)`.
-/// * File unreadable/stale/corrupt → `(None, Some(warning))`: start
-///   empty; the caller owns printing the warning (sim crates cannot
+/// * File unreadable/stale/corrupt → `(None, Some(warning))`: rebuild;
+///   the caller owns printing the warning (sim crates cannot
 ///   print — lint rule R7 — so the harness surfaces it on stderr).
 pub fn load_or_rebuild<T>(
     path: &Path,
@@ -938,7 +995,7 @@ pub fn load_or_rebuild<T>(
             return (
                 None,
                 Some(format!(
-                    "could not read {}: {e}; starting empty",
+                    "could not read {}: {e}; rebuilding",
                     path.display()
                 )),
             )
@@ -949,7 +1006,7 @@ pub fn load_or_rebuild<T>(
         Err(e) => (
             None,
             Some(format!(
-                "ignoring {}: {e}; starting empty",
+                "ignoring {}: {e}; rebuilding",
                 path.display()
             )),
         ),
@@ -1112,6 +1169,27 @@ mod tests {
             r.u64_vec(),
             Err(PersistError::Truncated { .. })
         ));
+    }
+
+    #[test]
+    fn keyed_envelope_round_trips_and_refuses_other_keys_formats_and_versions() {
+        let value = vec![(1u64, "one".to_owned()), (2, "two".to_owned())];
+        let bytes = seal("kv", 3, 0xFEED, &value);
+        assert_eq!(unseal::<Vec<(u64, String)>>(&bytes, "kv", 3, 0xFEED), Ok(value));
+        // In place: the reader `open` returns stands at the value.
+        let mut first = 0u64;
+        let mut r = open(&bytes, "kv", 3, 0xFEED).unwrap();
+        r.usize().unwrap();
+        first.restore(&mut r).unwrap();
+        assert_eq!(first, 1);
+
+        let other_key = unseal::<Vec<(u64, String)>>(&bytes, "kv", 3, 0xFEEE);
+        assert!(matches!(other_key, Err(PersistError::Corrupt(why)) if why.contains("000000000000feed")));
+        assert!(matches!(open(&bytes, "vk", 3, 0xFEED), Err(PersistError::BadHeader(_))));
+        assert!(matches!(open(&bytes, "kv", 4, 0xFEED), Err(PersistError::StaleVersion { .. })));
+        assert!(open(&bytes[..bytes.len() - 1], "kv", 3, 0xFEED).is_err());
+        // A value shorter than the envelope's is trailing bytes, not a prefix read.
+        assert!(matches!(unseal::<u64>(&bytes, "kv", 3, 0xFEED), Err(PersistError::Corrupt(_))));
     }
 
     #[test]

@@ -43,11 +43,15 @@
 #                                             selftest, then one short
 #                                             `compute` run whose checks —
 #                                             skip≡no-skip digests among
-#                                             them — must all pass, and one
+#                                             them — must all pass, one
 #                                             short `policy_sweep` run: the
 #                                             only leg that holds campaign
 #                                             members {0,17,37} against cold
-#                                             runs through that binary)
+#                                             runs through that binary, and
+#                                             one each of `sampled_sweep`
+#                                             and `analytic_mixes`: the
+#                                             other two session-less entry
+#                                             points it links)
 #
 # Usage:
 #   scripts/ci.sh                 # tier-1 only (~minutes)
@@ -191,12 +195,12 @@ for f in fig11_attrib_j#.txt attrib_j#.csv blame_j#.json; do
     }
 done
 
-echo "ci: [7/7] benchmark leg (asm_perf selftest + short compute and policy_sweep runs, failed must be 0)" >&2
+echo "ci: [7/7] benchmark leg (asm_perf selftest + short compute, policy_sweep, sampled_sweep and analytic_mixes runs, failed must be 0)" >&2
 benchmark/run.sh --selftest
 # The last stdout line of a workload is its JSON summary; run.sh already
 # exits non-zero on a failed check, the grep also catches a summary that
 # went missing.
-for w in compute policy_sweep; do
+for w in compute policy_sweep sampled_sweep analytic_mixes; do
     benchmark/run.sh --workload "$w" --seconds 2 | tail -n1 | grep -q '"failed": 0[,}]' || {
         echo "ci: FAIL — benchmark $w run reported failed checks" >&2
         exit 1
