@@ -42,8 +42,10 @@ pub fn asm_qos_partition(
     let max_target_ways = ways - (n - 1);
     let target_car = car_alone.and_then(|c| c.get(t)).copied();
     let curve = slowdown_curve(&ats[t], &qstats[t], target_car, quantum, llc_latency, ways);
+    // With nobody to hand the remainder to, the target keeps every way: a
+    // partition must cover the whole cache.
     let target_ways = (1..=max_target_ways)
-        .find(|&w| curve[w] <= qos.bound)
+        .find(|&w| n > 1 && curve[w] <= qos.bound)
         .unwrap_or(max_target_ways);
 
     // Partition the rest with slowdown-utility look-ahead.
@@ -165,6 +167,19 @@ mod tests {
             assert!(p.ways_for(AppId::new(i)) >= 1);
         }
         assert_eq!(p.ways_for(AppId::new(0)), 13); // 16 - 3 others
+    }
+
+    #[test]
+    fn a_lone_target_keeps_every_way() {
+        // One application and a bound a single way already meets: the
+        // partition must still cover the whole cache.
+        let (ats, qs) = curvy_inputs();
+        let qos = QosConfig {
+            target: AppId::new(0),
+            bound: 10.0,
+        };
+        let p = asm_qos_partition(qos, &ats[..1], &qs[..1], None, 1_000_000, 20, 16);
+        assert_eq!(p.as_slice(), &[16]);
     }
 
     #[test]

@@ -60,7 +60,7 @@ use asm_simcore::persist::{ensure, PersistError};
 use asm_simcore::{AppId, Cycle, Histogram, SimRng};
 use asm_telemetry::names;
 
-use crate::config::SystemConfig;
+use crate::config::{CachePolicy, SystemConfig};
 use crate::estimator::{
     AsmEstimator, FstEstimator, MiseEstimator, PtcaEstimator, SlowdownEstimator, StfmEstimator,
     UnionTime,
@@ -312,8 +312,9 @@ impl System {
     ///
     /// # Panics
     ///
-    /// Panics if `profiles` is empty or the configuration is inconsistent
-    /// (see [`SystemConfig::validate`]).
+    /// Panics if `profiles` is empty, the configuration is inconsistent
+    /// (see [`SystemConfig::validate`]), or a way-partitioning cache
+    /// policy is given more applications than the LLC has ways.
     #[must_use]
     pub fn new(profiles: &[AppProfile], config: SystemConfig) -> Self {
         Self::build(profiles, config, None)
@@ -384,6 +385,15 @@ impl System {
     ) -> Self {
         config.validate();
         let n = cores.len();
+        // The look-ahead partitioners reserve one way per application;
+        // reject the geometry here rather than panic at the first boundary.
+        let ways = config.llc_geometry.ways();
+        assert!(
+            n <= ways || matches!(config.cache_policy, CachePolicy::None | CachePolicy::NaiveQos(_)),
+            "cache policy {:?} gives every application at least one LLC way: \
+             {n} applications do not fit in {ways} ways",
+            config.cache_policy
+        );
 
         let sampling_factor = config
             .ats_sampled_sets

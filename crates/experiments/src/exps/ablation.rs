@@ -1,5 +1,6 @@
 //! Ablations of the design choices DESIGN.md §5 calls out, as a printable
-//! table (the `ablation` Criterion bench times the same configurations).
+//! table (§5's other two choices are experiments of their own: `fig2`/
+//! `fig3` for the aggregation granularity, `fig5` for the prefetcher).
 //!
 //! Each row reports ASM's mean estimation error under one modification of
 //! the default model, quantifying how much each ingredient contributes.

@@ -48,7 +48,8 @@ fn base_config() -> SystemConfig {
     c
 }
 
-/// The same 38-member sweep as `crates/bench/benches/sampled_sweep.rs`.
+/// The 38-member sweep whose wall-clock `asm_perf`'s `sampled_sweep`
+/// workload (`benchmark/`) times, there at half this horizon.
 fn sweep_configs() -> Vec<SystemConfig> {
     let target = AppId::new(0);
     let mut cache_policies = vec![

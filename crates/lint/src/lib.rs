@@ -1,8 +1,8 @@
 //! `asm-lint`: a workspace determinism & simulation-safety linter.
 //!
 //! A repo-specific static-analysis pass over the simulation crates
-//! ([`SIM_CRATES`]: `simcore` through `attrib`) plus the harness crates
-//! (`experiments`, `bench`). It enforces thirteen rules that
+//! ([`SIM_CRATES`]: `simcore` through `attrib`) plus the harness crate
+//! (`experiments`). It enforces thirteen rules that
 //! `rustc`/`clippy` cannot express for us.
 //!
 //! Per-file rules (token-stream analysis):
@@ -218,14 +218,14 @@ pub const SIM_CRATES: &[&str] = &[
 
 /// The harness crates, linted only for lock discipline (R11): they are
 /// allowed to thread, lock, and print — that is their job.
-pub const HARNESS_CRATES: &[&str] = &["experiments", "bench"];
+pub const HARNESS_CRATES: &[&str] = &["experiments"];
 
 /// How a file participates in the analysis, decided from its path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileRole {
     /// Simulation code: R1–R10 apply.
     Sim,
-    /// Harness code (`experiments`/`bench`): only R11 applies.
+    /// Harness code (`experiments`): only R11 applies.
     Harness,
 }
 
@@ -384,10 +384,10 @@ pub fn analyze_sources(files: &[(String, String)], opts: &Options) -> Analysis {
     }
 }
 
-/// Walks `<root>/crates/<crate>/{src,benches}` for the simulation and
-/// harness crates and runs the full analysis. Paths in diagnostics are
-/// relative to `root`. Returns `Err` only for I/O failures (unreadable
-/// tree), never for violations.
+/// Walks `<root>/crates/<crate>/src` for the simulation and harness
+/// crates and runs the full analysis. Paths in diagnostics are relative
+/// to `root`. Returns `Err` only for I/O failures (unreadable tree, or a
+/// listed crate that is not there), never for violations.
 pub fn run_workspace(root: &Path) -> std::io::Result<Analysis> {
     run_workspace_with(root, &Options::default())
 }
@@ -404,32 +404,23 @@ pub fn run_workspace_with(root: &Path, opts: &Options) -> std::io::Result<Analys
 }
 
 /// Reads every lintable `(display_path, content)` pair under
-/// `<root>/crates/<crate>/{src,benches}` in sorted path order — the
-/// I/O half of [`run_workspace`], exposed so the `lint_workspace`
-/// bench can separate walk cost from analysis cost.
-pub fn read_workspace_sources(root: &Path) -> std::io::Result<Vec<(String, String)>> {
+/// `<root>/crates/<crate>/src` in sorted path order — the I/O half of
+/// [`run_workspace`].
+fn read_workspace_sources(root: &Path) -> std::io::Result<Vec<(String, String)>> {
     let mut files = Vec::new();
     for krate in SIM_CRATES.iter().chain(HARNESS_CRATES) {
-        let crate_dir = root.join("crates").join(krate);
-        for sub in ["src", "benches"] {
-            let dir = crate_dir.join(sub);
-            if dir.is_dir() {
-                collect_rs_files(&dir, &mut files)?;
-            }
-        }
+        let dir = root.join("crates").join(krate).join("src");
+        // A listed crate that is gone (or a typo'd root, where all are)
+        // must not read as "clean": skipping it would silently un-lint
+        // whatever replaced it.
+        collect_rs_files(&dir, &mut files).map_err(|e| {
+            std::io::Error::new(
+                e.kind(),
+                format!("listed crate `{krate}`: cannot read {}: {e}", dir.display()),
+            )
+        })?;
     }
     files.sort();
-    if files.is_empty() {
-        // A typo'd root must not read as "clean": linting nothing is a
-        // configuration error, not a pass.
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::NotFound,
-            format!(
-                "no simulation sources found under {} — is this the workspace root?",
-                root.display()
-            ),
-        ));
-    }
     let mut sources = Vec::with_capacity(files.len());
     for file in files {
         let content = std::fs::read_to_string(&file)?;
@@ -475,7 +466,6 @@ mod tests {
     #[test]
     fn harness_paths_get_the_harness_role() {
         assert_eq!(role_of("crates/experiments/src/pool.rs"), FileRole::Harness);
-        assert_eq!(role_of("crates/bench/benches/figures.rs"), FileRole::Harness);
         assert_eq!(role_of("crates/core/src/system/mod.rs"), FileRole::Sim);
     }
 

@@ -80,12 +80,13 @@ fn main() -> ExitCode {
 
     if analysis.diagnostics.is_empty() {
         println!(
-            "asm-lint: clean — {} files across {} simulation + {} harness crates \
+            "asm-lint: clean — {} files across {} simulation + {} harness crate{} \
              satisfy R1-R13 ({} unsafe sites justified, {} hot-path fns audited, \
              {} reasoned suppressions)",
             analysis.files,
             asm_lint::SIM_CRATES.len(),
             asm_lint::HARNESS_CRATES.len(),
+            if asm_lint::HARNESS_CRATES.len() == 1 { "" } else { "s" },
             analysis.unsafe_inventory.len(),
             analysis.hot_reachable.len(),
             analysis.suppressed.len(),

@@ -421,8 +421,8 @@ const SYNC_PRIMITIVES: &[&str] = &[
 /// The simulator must be a pure single-threaded function of its inputs:
 /// lock acquisition order and atomic read-modify-write interleavings
 /// depend on the OS scheduler. Parallelism lives exclusively in the
-/// harness crates (`experiments`/`bench`), which fan out *whole*
-/// simulations and merge results in submission order.
+/// harness crate (`experiments`), which fans out *whole* simulations
+/// and merges results in submission order.
 ///
 /// Emits at most one diagnostic per line (first trigger wins).
 fn rule_r6_thread_sync(model: &FileModel, sink: &mut Sink) {
@@ -456,8 +456,8 @@ fn r6_violation_on_line(model: &FileModel, start: usize) -> Option<(usize, Strin
             return Some((
                 i,
                 "`std::thread` in simulation code — the simulator must stay \
-                 single-threaded; parallelism lives in the harness crates \
-                 (`experiments`/`bench`)"
+                 single-threaded; parallelism lives in the harness crate \
+                 (`experiments`)"
                     .to_owned(),
             ));
         }
@@ -474,7 +474,7 @@ fn r6_violation_on_line(model: &FileModel, start: usize) -> Option<(usize, Strin
                     i,
                     "`std::sync` (beyond `Arc`) in simulation code — locks and \
                      channels make event order depend on thread scheduling; keep \
-                     synchronisation in the harness crates (`experiments`/`bench`)"
+                     synchronisation in the harness crate (`experiments`)"
                         .to_owned(),
                 ));
             }
@@ -489,7 +489,7 @@ fn r6_violation_on_line(model: &FileModel, start: usize) -> Option<(usize, Strin
                 format!(
                     "`{word}` in simulation code — lock/channel timing depends on \
                      thread scheduling and can reorder simulated events; keep \
-                     synchronisation in the harness crates (`experiments`/`bench`)"
+                     synchronisation in the harness crate (`experiments`)"
                 ),
             ));
         }
@@ -501,7 +501,7 @@ fn r6_violation_on_line(model: &FileModel, start: usize) -> Option<(usize, Strin
                 i,
                 "atomic type in simulation code — read-modify-write \
                  interleavings depend on thread scheduling; keep atomics in \
-                 the harness crates (`experiments`/`bench`)"
+                 the harness crate (`experiments`)"
                     .to_owned(),
             ));
         }

@@ -105,7 +105,7 @@ fn r6_thread_sync_fixture() {
         diags[1].to_string(),
         "crates/simcore/src/fixture.rs:6: [R6] `std::thread` in simulation \
          code — the simulator must stay single-threaded; parallelism lives \
-         in the harness crates (`experiments`/`bench`)"
+         in the harness crate (`experiments`)"
     );
 }
 
@@ -227,12 +227,35 @@ fn workspace_is_clean() {
     );
 }
 
+/// A temp checkout holding an empty `src/lib.rs` for every listed crate.
+fn temp_checkout(tag: &str) -> std::path::PathBuf {
+    let root = std::env::temp_dir().join(format!("asm_lint_{tag}_{}", std::process::id()));
+    for krate in asm_lint::SIM_CRATES.iter().chain(asm_lint::HARNESS_CRATES) {
+        let src = root.join("crates").join(krate).join("src");
+        std::fs::create_dir_all(&src).expect("temp tree");
+        std::fs::write(src.join("lib.rs"), "").expect("fixture file");
+    }
+    root
+}
+
+#[test]
+fn a_tree_missing_a_listed_crate_fails() {
+    // A checkout where a crate named in SIM_CRATES/HARNESS_CRATES is gone
+    // (deleted, renamed, moved): the walk must not quietly lint less and
+    // report "clean" — it is an I/O error naming the crate.
+    let root = temp_checkout("missing_crate");
+    std::fs::remove_dir_all(root.join("crates/attrib")).expect("temp tree");
+    let err = asm_lint::run_workspace(&root).expect_err("a listed crate is missing");
+    std::fs::remove_dir_all(&root).ok();
+    assert!(err.to_string().contains("listed crate `attrib`"), "{err}");
+}
+
 #[test]
 fn a_tree_that_lost_a_hot_path_root_fails() {
     // A checkout whose `impl System` no longer defines `run_prefix` (a
     // rename, or a file split that dropped it): R9 must not quietly
     // analyse less — linting the tree fails.
-    let root = std::env::temp_dir().join(format!("asm_lint_lost_root_{}", std::process::id()));
+    let root = temp_checkout("lost_root");
     let dir = root.join("crates/core/src/system");
     std::fs::create_dir_all(&dir).expect("temp tree");
     let src = "pub struct System;\nimpl System {\n    pub fn step(&mut self) { }\n    \

@@ -1,6 +1,6 @@
 //! Fixture: R6 — threads and synchronisation primitives in simulation
-//! code. Parallelism belongs to the harness crates (`experiments`/
-//! `bench`); the simulator itself must stay single-threaded.
+//! code. Parallelism belongs to the harness crate (`experiments`); the
+//! simulator itself must stay single-threaded.
 
 use std::sync::Mutex;
 use std::thread;

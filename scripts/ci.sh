@@ -2,7 +2,7 @@
 # The tier-1 verification chain, in one place instead of three shell
 # histories:
 #
-#   1. cargo build --release --all-targets   (every crate, bench, example:
+#   1. cargo build --release --all-targets   (every crate, test, example:
 #                                             `default-members` is the
 #                                             whole workspace)
 #   2. cargo test -q                         (unit + integration + doc, of
@@ -40,67 +40,57 @@
 #                                             benchmark/asm_perf, which is a
 #                                             workspace of its own linking
 #                                             the sim crates by path: its
-#                                             selftest, then one short
-#                                             `compute` run whose checks —
-#                                             skip≡no-skip digests among
-#                                             them — must all pass, one
-#                                             short `policy_sweep` run: the
-#                                             only leg that holds campaign
+#                                             selftest, then one short run
+#                                             of every workload BENCHMARK.json
+#                                             names, whose self-checks must
+#                                             all pass — skip≡no-skip digests
+#                                             (`mem_*`, `compute`), ledger
+#                                             conservation and observers-on ≡
+#                                             off (`hetero_full`), campaign
 #                                             members {0,17,37} against cold
-#                                             runs through that binary, and
-#                                             one each of `sampled_sweep`
-#                                             and `analytic_mixes`: the
-#                                             other two session-less entry
-#                                             points it links)
+#                                             runs (`policy_sweep`), and the
+#                                             sampled and analytic tiers'
+#                                             session-less entry points)
+#   8. examples                              (the seven `examples/` binaries
+#                                             leg 1 built are the library-
+#                                             caller surface: each must run
+#                                             to exit 0)
 #
 # Usage:
 #   scripts/ci.sh                 # tier-1 only (~minutes)
 #   CI_FULL=1 scripts/ci.sh       # also runs the enforced xval accuracy
 #                                 # gate at --reduced scale (15 workloads,
 #                                 # 8M cycles); a FAIL verdict fails CI
-#   scripts/ci.sh --bench TAG     # tier-1, then a bench snapshot named
-#                                 # BENCH_TAG.json compared against the
-#                                 # newest committed BENCH_*.json with
-#                                 # scripts/bench_compare.py (hot-path
-#                                 # regression + telemetry + lint-budget
-#                                 # gates)
 #
-# The bench leg is opt-in because a meaningful snapshot needs ~10 quiet
-# minutes of machine time; the lint <1s budget is still enforced on
-# every bench run via bench_snapshot.sh itself.
+# Host-speed numbers are not part of this chain: `benchmark/run.sh` and
+# its paired protocol (benchmark/README.md) are the one way to take them.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-BENCH_TAG=""
-while [[ $# -gt 0 ]]; do
-    case "$1" in
-        --bench)
-            [[ $# -ge 2 ]] || { echo "ci: --bench needs a tag" >&2; exit 2; }
-            BENCH_TAG="$2"
-            shift 2
-            ;;
+for arg in "$@"; do
+    case "$arg" in
         -h|--help)
-            sed -n '2,60p' "$0" | sed 's/^# \{0,1\}//'
+            awk 'NR > 1 { if (!/^#/) exit; sub(/^# ?/, ""); print }' "$0"
             exit 0
             ;;
         *)
-            echo "ci: unknown argument '$1' (try --help)" >&2
+            echo "ci: unknown argument '$arg' (try --help)" >&2
             exit 2
             ;;
     esac
 done
 
-echo "ci: [1/7] cargo build --release --all-targets" >&2
+echo "ci: [1/8] cargo build --release --all-targets" >&2
 cargo build --release --all-targets
 
-echo "ci: [2/7] cargo test -q" >&2
+echo "ci: [2/8] cargo test -q" >&2
 cargo test -q
 
-echo "ci: [3/7] cargo run -p asm-lint --release" >&2
+echo "ci: [3/8] cargo run -p asm-lint --release" >&2
 cargo run -p asm-lint --release
 
-echo "ci: [4/7] asm-experiments xval --tiny (analytic-tier smoke)" >&2
+echo "ci: [4/8] asm-experiments xval --tiny (analytic-tier smoke)" >&2
 cargo run -q -p asm-experiments --release -- xval --tiny
 
 # CI_FULL=1 promotes the xval smoke to an enforced accuracy gate at a
@@ -109,7 +99,7 @@ cargo run -q -p asm-experiments --release -- xval --tiny
 # Opt-in because the cycle-accurate side of the sweep needs several
 # quiet minutes.
 if [[ "${CI_FULL:-0}" == "1" ]]; then
-    echo "ci: [4/7] CI_FULL=1 — enforced xval gate (--reduced)" >&2
+    echo "ci: [4/8] CI_FULL=1 — enforced xval gate (--reduced)" >&2
     XVAL_OUT="$(cargo run -q -p asm-experiments --release -- xval --reduced)"
     printf '%s\n' "$XVAL_OUT"
     if ! grep -q "PASS$" <<<"$XVAL_OUT"; then
@@ -118,7 +108,7 @@ if [[ "${CI_FULL:-0}" == "1" ]]; then
     fi
 fi
 
-echo "ci: [5/7] checkpoint resume smoke (kill mid-campaign, resume, byte-compare)" >&2
+echo "ci: [5/8] checkpoint resume smoke (kill mid-campaign, resume, byte-compare)" >&2
 EXP=target/release/asm-experiments
 SMOKE="$(mktemp -d)"
 trap 'rm -rf "$SMOKE"' EXIT
@@ -167,7 +157,7 @@ awk '/^campaign:/ { n++; sub("members=", "replayed=", $3); if ($3 != $4 || $5 !=
     exit 1
 }
 
-echo "ci: [6/7] cycle-attribution leg (on-vs-off, --jobs differential)" >&2
+echo "ci: [6/8] cycle-attribution leg (on-vs-off, --jobs differential)" >&2
 # The ledger is observation-only: collecting attribution artefacts must
 # not change a single stdout byte, on any experiment (cold reference:
 # leg 5's all_off.txt).
@@ -195,28 +185,25 @@ for f in fig11_attrib_j#.txt attrib_j#.csv blame_j#.json; do
     }
 done
 
-echo "ci: [7/7] benchmark leg (asm_perf selftest + short compute, policy_sweep, sampled_sweep and analytic_mixes runs, failed must be 0)" >&2
+echo "ci: [7/8] benchmark leg (asm_perf selftest + one short run of every BENCHMARK.json workload, failed must be 0)" >&2
 benchmark/run.sh --selftest
 # The last stdout line of a workload is its JSON summary; run.sh already
 # exits non-zero on a failed check, the grep also catches a summary that
 # went missing.
-for w in compute policy_sweep sampled_sweep analytic_mixes; do
+for w in $(python3 -c 'import json; print(*[w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]])'); do
     benchmark/run.sh --workload "$w" --seconds 2 | tail -n1 | grep -q '"failed": 0[,}]' || {
         echo "ci: FAIL — benchmark $w run reported failed checks" >&2
         exit 1
     }
 done
 
-if [[ -n "$BENCH_TAG" ]]; then
-    baseline="$(ls -1 BENCH_*.json 2>/dev/null | sort | tail -n1 || true)"
-    echo "ci: [bench] snapshot -> BENCH_${BENCH_TAG}.json" >&2
-    scripts/bench_snapshot.sh "$BENCH_TAG"
-    if [[ -n "$baseline" && "$baseline" != "BENCH_${BENCH_TAG}.json" ]]; then
-        echo "ci: [bench] compare $baseline -> BENCH_${BENCH_TAG}.json" >&2
-        scripts/bench_compare.py "$baseline" "BENCH_${BENCH_TAG}.json"
-    else
-        echo "ci: [bench] no prior snapshot to compare against" >&2
-    fi
-fi
+echo "ci: [8/8] examples (every examples/ binary runs to exit 0)" >&2
+for src in examples/*.rs; do
+    ex="$(basename "$src" .rs)"
+    "target/release/examples/$ex" >/dev/null || {
+        echo "ci: FAIL — example $ex exited non-zero" >&2
+        exit 1
+    }
+done
 
 echo "ci: all gates green" >&2

@@ -272,3 +272,130 @@ fn bank_partitioning_eliminates_bank_interference() {
     }
     assert_ne!(free, partitioned, "partitioning should change behaviour");
 }
+
+/// One row of the degenerate-geometry matrix: an application count, a
+/// configuration at some edge of the legal space, and whether `System`
+/// construction must refuse it.
+struct Cell {
+    name: String,
+    apps: usize,
+    config: SystemConfig,
+    rejected: bool,
+}
+
+fn degenerate_cells() -> Vec<Cell> {
+    use asm_repro::cache::CacheGeometry;
+    use asm_repro::core::{CachePolicy, QosConfig};
+    use asm_repro::dram::SchedulerKind;
+
+    let target = AppId::new(0);
+    let policies = [
+        CachePolicy::None,
+        CachePolicy::Ucp,
+        CachePolicy::Mcfq,
+        CachePolicy::AsmCache,
+        CachePolicy::AsmQos(QosConfig { target, bound: 2.0 }),
+        CachePolicy::NaiveQos(target),
+    ];
+    let mut cells = Vec::new();
+    let mut cell = |name: &str, apps: usize, edit: &dyn Fn(&mut SystemConfig), rejected: bool| {
+        let mut config = SystemConfig::default();
+        config.quantum = 20_000;
+        config.epoch = 1_000;
+        config.estimators = EstimatorSet::all();
+        edit(&mut config);
+        cells.push(Cell { name: name.to_owned(), apps, config, rejected });
+    };
+
+    cell("1 app", 1, &|_| {}, false);
+    cell("1 bank", 4, &|c| c.dram.banks = 1, false);
+    cell("1-way LLC", 4, &|c| c.llc_geometry = CacheGeometry::new(2048, 1), false);
+    cell("1-way L1", 4, &|c| c.l1_geometry = CacheGeometry::new(c.l1_geometry.sets(), 1), false);
+    cell(
+        "1-set LLC",
+        4,
+        &|c| {
+            c.llc_geometry = CacheGeometry::new(1, 16);
+            c.ats_sampled_sets = Some(1);
+        },
+        false,
+    );
+    cell("quantum == epoch", 4, &|c| c.epoch = c.quantum, false);
+    for kind in [
+        SchedulerKind::FrFcfs,
+        SchedulerKind::Parbs,
+        SchedulerKind::Tcm,
+        SchedulerKind::Atlas,
+        SchedulerKind::Bliss,
+    ] {
+        cell(&format!("16 apps, {kind:?}"), 16, &|c| c.scheduler = kind, false);
+    }
+    for policy in policies {
+        // Every policy but the two that reserve no per-app way needs at
+        // least as many ways as applications.
+        let needs_a_way_each = !matches!(policy, CachePolicy::None | CachePolicy::NaiveQos(_));
+        cell(&format!("1 app, {policy:?}"), 1, &|c| c.cache_policy = policy, false);
+        cell(&format!("16 apps x 16 ways, {policy:?}"), 16, &|c| c.cache_policy = policy, false);
+        cell(
+            &format!("4 apps x 2 ways, {policy:?}"),
+            4,
+            &|c| {
+                c.llc_geometry = CacheGeometry::new(2048, 2);
+                c.cache_policy = policy;
+            },
+            needs_a_way_each,
+        );
+    }
+    cells
+}
+
+#[test]
+fn degenerate_geometry_matrix() {
+    for Cell { name, apps, config, rejected } in degenerate_cells() {
+        let profiles: Vec<_> = suite::all().into_iter().rev().take(apps).collect();
+        let run = |skip: bool| {
+            let mut c = config.clone();
+            c.skip_mode = skip;
+            let mut sys = System::new(&profiles, c);
+            sys.enable_attribution();
+            sys.run_for(3 * config.quantum + config.quantum / 2);
+            sys
+        };
+
+        if rejected {
+            // Refused at construction, naming the policy and both counts —
+            // not after a simulated quantum, inside the partitioner.
+            let err = std::panic::catch_unwind(|| run(true).now()).expect_err(&name);
+            let msg = err.downcast_ref::<String>().expect("assert! message");
+            let named = [
+                format!("{:?}", config.cache_policy),
+                format!("{apps} applications"),
+                format!("{} ways", config.llc_geometry.ways()),
+            ];
+            assert!(named.iter().all(|part| msg.contains(part)), "{name}: {msg}");
+            continue;
+        }
+
+        let (skip, cycle) = (run(true), run(false));
+        for sys in [&skip, &cycle] {
+            assert!(sys.records().len() >= 3, "{name}: fewer than three quanta");
+            for i in 0..apps {
+                assert!(sys.retired(AppId::new(i)) > 0, "{name}: core {i} made no progress");
+            }
+            let ledger = sys.attrib_quanta().expect("attribution on");
+            assert!(ledger.len() >= 3, "{name}: ledger closed fewer than three quanta");
+            for (q, row) in ledger.iter().enumerate() {
+                assert!(row.conserved(), "{name}: quantum {q} does not sum to its length");
+            }
+        }
+        for i in 0..apps {
+            let app = AppId::new(i);
+            assert_eq!(skip.retired(app), cycle.retired(app), "{name}: app {i} retired");
+        }
+        assert_eq!(
+            format!("{:?}", skip.records()),
+            format!("{:?}", cycle.records()),
+            "{name}: quantum records differ between skip and no-skip"
+        );
+    }
+}
