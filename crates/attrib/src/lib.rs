@@ -200,8 +200,10 @@ pub fn split_stall(n: Cycle, ep: &MemEpisode) -> [Cycle; COMPONENTS] {
 /// in `u128`, so the result is deterministic and overflow-free for any
 /// realistic cycle counts. A zero weight vector puts everything on index 0
 /// (callers substitute a fallback weight vector before that matters).
-// asm-lint: allow(R9): quantum-boundary apportionment — runs once per
-// quantum close (never per cycle); the remainder vector is short-lived
+///
+/// Runs once per quantum close (its only caller is the `allow(R9)`
+/// boundary `end_quantum`), never per cycle, so the short-lived
+/// remainder vector is off the hot path.
 pub fn apportion(total: Cycle, weights: &[u64], out: &mut [Cycle]) {
     debug_assert_eq!(weights.len(), out.len());
     if total == 0 || out.is_empty() {

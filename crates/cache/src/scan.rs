@@ -96,8 +96,7 @@ pub(crate) fn first_byte_match<const W: usize>(ranks: &[u8], needle: u8) -> usiz
             let bytes: [u8; 16] = ranks
                 .try_into()
                 .expect("W = 16 callers pass a 16-way rank row");
-            // asm-lint: allow(R12): SWAR byte scan over an in-memory rank
-            // row, not serialization — nothing here reaches disk
+            // SWAR byte scan over an in-memory rank row.
             let x = u128::from_le_bytes(bytes) ^ (u128::from(needle) * (u128::MAX / 0xFF));
             return match first_zero_byte(x as u64) {
                 Some(w) => w,
@@ -109,8 +108,7 @@ pub(crate) fn first_byte_match<const W: usize>(ranks: &[u8], needle: u8) -> usiz
         let bytes: [u8; 8] = ranks
             .try_into()
             .expect("W = 8 callers pass an 8-way rank row");
-        // asm-lint: allow(R12): SWAR byte scan over an in-memory rank
-        // row, not serialization — nothing here reaches disk
+        // SWAR byte scan over an in-memory rank row.
         let x = u64::from_le_bytes(bytes) ^ (u64::from(needle) * (u64::MAX / 0xFF));
         return first_zero_byte(x).expect("no way has the rank");
     }

@@ -179,9 +179,9 @@ impl RefLruCache {
         out
     }
 
-    // asm-lint: allow(R9): reference model — kept for differential tests
-    // against the flat arena tag store, never instantiated in measured
-    // runs; clarity is worth the occupancy scratch vector here
+    // Reference model — kept for differential tests against the flat
+    // arena tag store, never instantiated in measured runs; clarity is
+    // worth the occupancy scratch vector here.
     fn pick_victim(set: &[Way], app: AppId, partition: Option<&WayPartition>) -> usize {
         let Some(partition) = partition else {
             return set.len() - 1;

@@ -6,6 +6,10 @@
 //! bill for *alone-equivalent* time instead: a job that ran three hours at
 //! an estimated 3x slowdown is billed one hour.
 
+// Billing/accounting arithmetic: every `as` cast is justified or replaced
+// by a lossless conversion (DESIGN.md §8, policy R5).
+#![deny(clippy::as_conversions)]
+
 use std::time::Duration;
 
 /// A tenant's usage over a billing period.
@@ -57,9 +61,12 @@ pub fn mean_slowdown(estimates: &[f64]) -> Option<f64> {
     if estimates.is_empty() || estimates.iter().any(|s| !s.is_finite()) {
         return None;
     }
-    // asm-lint: allow(R5): a billing period holds far fewer than 2^53
-    // quanta, so the usize→f64 conversion of the count is exact
-    Some(estimates.iter().sum::<f64>() / estimates.len() as f64)
+    #[expect(
+        clippy::as_conversions,
+        reason = "a billing period holds far fewer than 2^53 quanta, so the usize→f64 conversion of the count is exact"
+    )]
+    let quanta = estimates.len() as f64;
+    Some(estimates.iter().sum::<f64>() / quanta)
 }
 
 #[cfg(test)]

@@ -15,9 +15,6 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-// asm-lint: allow(R6): the alone-run cache is the one sanctioned lock in
-// simulation code; see `AloneCache` for why it cannot leak nondeterminism
-use std::sync::Mutex;
 
 use asm_attrib::QuantumLedger;
 use asm_cpu::{AppProfile, ProgressLog};
@@ -176,9 +173,11 @@ pub fn config_hash(config: &SystemConfig) -> u64 {
 /// one alone simulation; they can never observe different results.
 #[derive(Debug, Default)]
 pub struct AloneCache {
-    // asm-lint: allow(R6): guards a deterministic memo table (see the type
-    // docs); lock order can change timing but never simulated results
-    inner: Mutex<BTreeMap<AloneKey, AloneRecord>>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the one sanctioned lock in simulation code: it guards a deterministic memo table (see the type docs), so lock order can change timing but never simulated results"
+    )]
+    inner: std::sync::Mutex<BTreeMap<AloneKey, AloneRecord>>,
 }
 
 impl AloneCache {
@@ -206,8 +205,6 @@ impl AloneCache {
         self.len() == 0
     }
 
-    // asm-lint: allow(R6): hands out the guard of the sanctioned cache
-    // lock above; all uses stay inside this impl
     fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<AloneKey, AloneRecord>> {
         self.inner
             .lock()

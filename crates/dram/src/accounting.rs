@@ -28,6 +28,10 @@
 //!
 //! [`advance`]: ChannelAccounting::advance
 //! [`interference_snapshot`]: ChannelAccounting::interference_snapshot
+
+// Billing/accounting arithmetic: every `as` cast is justified or replaced
+// by a lossless conversion (DESIGN.md §8, policy R5).
+#![deny(clippy::as_conversions)]
 //! [`interference_since`]: ChannelAccounting::interference_since
 
 use asm_simcore::{AppId, Cycle};
@@ -210,19 +214,24 @@ impl ChannelAccounting {
                 && self.waiting_reads[idx] > 0
                 && self.last_issued_app != Some(p)
             {
-                // asm-lint: allow(R5): request counts are bounded by the
-                // request-buffer size (tens), exactly representable in f64
+                #[expect(
+                    clippy::as_conversions,
+                    reason = "request counts are bounded by the request-buffer size (tens), exactly representable in f64"
+                )]
                 let waiting = self.waiting_reads[idx] as f64;
-                // asm-lint: allow(R5): same bound as `waiting` above
+                #[expect(clippy::as_conversions, reason = "same bound as `waiting` above")]
                 let outstanding = self.outstanding_reads[idx].max(1) as f64;
                 let stalled_fraction = (waiting / outstanding).min(1.0);
                 // Squaring biases toward "mostly stalled" situations;
                 // a single waiting request among many in flight is almost
                 // free, while a fully stalled queue costs the whole cycle.
                 let weight = stalled_fraction * stalled_fraction;
-                // asm-lint: allow(R5): span lengths are far below 2^53, so
-                // the u64→f64 conversion here is exact
-                self.queueing_cycles[idx] += weight * (now - span_start) as f64;
+                #[expect(
+                    clippy::as_conversions,
+                    reason = "span lengths are far below 2^53, so the u64→f64 conversion is exact"
+                )]
+                let span = (now - span_start) as f64;
+                self.queueing_cycles[idx] += weight * span;
             }
         }
 
@@ -362,12 +371,14 @@ impl ChannelAccounting {
 
     /// Accumulated queueing cycles for `app` (rounded down).
     #[must_use]
+    #[expect(
+        clippy::as_conversions,
+        reason = "rounding down to whole cycles is the documented contract of this accessor; values are non-negative"
+    )]
     pub fn queueing_cycles(&self, app: AppId) -> Cycle {
         self.queueing_cycles
             .get(app.index())
             .copied()
-            // asm-lint: allow(R5): rounding down to whole cycles is the
-            // documented contract of this accessor; values are non-negative
             .unwrap_or(0.0) as Cycle
     }
 

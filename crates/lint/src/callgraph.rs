@@ -24,14 +24,21 @@
 //!   the `fn` line both suppresses the fn's own leaf checks *and* stops
 //!   traversal there: it declares a justified quantum boundary (epoch
 //!   accounting, tracer flush) whose callees run off the per-cycle
-//!   path. Boundary fns still appear in the reachability set, marked.
+//!   path. Boundary fns still appear in the reachability set, marked. The
+//!   walk consumes the directive when it reaches the fn; one on a fn it
+//!   never reaches stays unconsumed and is reported as stale.
+//!
+//! The leaf check is lexical — the lists below are everything it matches.
+//! A `push` that grows, a `clone` of a `Vec` or a `Vec::new` that is
+//! later filled is invisible to it; `tests/hot_path_allocs.rs` (root
+//! package) counts real allocations between quantum boundaries for that.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::parse::FileModel;
-use crate::rules::Diagnostic;
+use crate::rules::{Diagnostic, Findings};
 use crate::tokens::{Delim, TokKind};
-use crate::{HotFn, Options, RuleId};
+use crate::{HotFn, RuleId};
 
 /// Root methods of the analysed hot paths as `(impl type, fn)` pairs: the
 /// public entries of the per-cycle loop on `impl System`, plus the analytic
@@ -48,16 +55,14 @@ const ROOTS: &[(&str, &str)] = &[
 /// The R9 pass result.
 #[derive(Debug, Default)]
 pub struct GraphResult {
-    /// Active diagnostics.
-    pub active: Vec<Diagnostic>,
-    /// Allow-suppressed diagnostics.
-    pub suppressed: Vec<Diagnostic>,
+    /// Leaf diagnostics, active and allow-suppressed.
+    pub findings: Findings,
     /// Every reachable fn, sorted by (path, line).
     pub reachable: Vec<HotFn>,
     /// One diagnostic per root whose `impl` type has fns among the linted
     /// files but whose method is defined nowhere. Kept apart from
-    /// `active`: a whole tree must resolve every such root
-    /// ([`crate::run_workspace_with`] fails on these), a fixture may
+    /// `findings`: a whole tree must resolve every such root
+    /// ([`crate::run_workspace`] fails on these), a fixture may
     /// define only the roots it exercises.
     pub unresolved_roots: Vec<Diagnostic>,
 }
@@ -74,7 +79,7 @@ struct Node {
 
 /// Runs the R9 pass over the simulation files.
 #[must_use]
-pub fn analyze(models: &[&FileModel], opts: &Options) -> GraphResult {
+pub fn analyze(models: &[FileModel]) -> GraphResult {
     let mut nodes: Vec<Node> = Vec::new();
     let mut by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
     for (file, m) in models.iter().enumerate() {
@@ -89,7 +94,7 @@ pub fn analyze(models: &[&FileModel], opts: &Options) -> GraphResult {
                 name: f.name.clone(),
                 impl_type: f.impl_type.clone(),
                 has_self: f.has_self,
-                boundary: m.is_allowed(f.sig_line, RuleId::R9),
+                boundary: m.has_allow(f.sig_line, RuleId::R9),
             });
             by_name.entry(&models[file].fns[fn_idx].name).or_default().push(id);
         }
@@ -104,7 +109,7 @@ pub fn analyze(models: &[&FileModel], opts: &Options) -> GraphResult {
                 path: models[first.file].path.clone(),
                 line: models[first.file].fns[first.fn_idx].sig_line + 1,
                 col: 1,
-                rule: RuleId::R9,
+                rule: Some(RuleId::R9),
                 message: format!(
                     "hot-path root `{ty}::{f}` resolves to no definition although `impl {ty}` \
                      is linted — R9 would silently analyse nothing from it; restore the method \
@@ -129,13 +134,14 @@ pub fn analyze(models: &[&FileModel], opts: &Options) -> GraphResult {
     }
     while let Some(id) = queue.pop_front() {
         let node = &nodes[id];
+        let m = &models[node.file];
+        let f = &m.fns[node.fn_idx];
         if node.boundary {
+            m.use_allow(f.sig_line, RuleId::R9);
             continue;
         }
-        let m = models[node.file];
-        let f = &m.fns[node.fn_idx];
         let (open, close) = f.body.unwrap_or((0, 0));
-        check_leaves(m, &f.name, open, close, opts, &mut result);
+        check_leaves(m, &f.name, open, close, &mut result.findings);
         for callee in call_targets(m, open, close, node, &nodes, &by_name) {
             if visited.insert(callee) {
                 queue.push_back(callee);
@@ -187,7 +193,7 @@ fn call_targets(
         // `name(`, `name::<T>(`.
         let mut j = i + 1;
         if m.is_punct(j, "::") && m.is_punct(j + 1, "<") {
-            j = m.skip_generics_pub(j + 1);
+            j = m.skip_generics(j + 1);
         }
         let is_call = m
             .tokens
@@ -264,36 +270,12 @@ const IO_FNS: &[&str] = &["stdin", "stdout", "stderr"];
 const IO_METHODS: &[&str] = &["read_to_string", "read_line", "read_dir"];
 
 /// Scans one reachable fn body for R9 leaf violations.
-fn check_leaves(
-    m: &FileModel,
-    fname: &str,
-    open: usize,
-    close: usize,
-    opts: &Options,
-    result: &mut GraphResult,
-) {
-    let emit = |tok: usize, message: String, result: &mut GraphResult| {
-        let t = &m.tokens[tok];
-        let allowed = m.is_allowed(t.line, RuleId::R9);
-        let d = Diagnostic {
-            path: m.path.clone(),
-            line: t.line + 1,
-            col: t.col + 1,
-            rule: RuleId::R9,
-            message,
-            allowed,
-        };
-        if allowed {
-            result.suppressed.push(d);
-        } else {
-            result.active.push(d);
-        }
-    };
+fn check_leaves(m: &FileModel, fname: &str, open: usize, close: usize, out: &mut Findings) {
+    let mut emit = |tok: usize, message: String| out.emit(m, tok, RuleId::R9, message);
     let escape = "or justify with `// asm-lint: allow(R9): reason`";
     let mut i = open + 1;
     while i < close {
-        let kind = m.tokens[i].kind;
-        if kind == TokKind::Ident && !m.is_test_token(i) {
+        if m.tokens[i].kind == TokKind::Ident && !m.is_test_token(i) {
             let word = m.text(i);
             let prev_dot = i > 0 && m.is_punct(i - 1, ".");
             let prev_path = i > 0 && m.is_punct(i - 1, "::");
@@ -306,7 +288,6 @@ fn check_leaves(
                              `System::step`) — pre-size or reuse buffers outside the \
                              per-cycle loop, {escape}"
                         ),
-                        result,
                     );
                 } else if PANIC_MACROS.contains(&word) {
                     emit(
@@ -316,7 +297,6 @@ fn check_leaves(
                              `System::step`) — return an error or make the invariant a \
                              `debug_assert!`, {escape}"
                         ),
-                        result,
                     );
                 }
             } else if (prev_dot && ALLOC_METHODS.contains(&word))
@@ -336,7 +316,6 @@ fn check_leaves(
                          `System::step`) — pre-size or reuse buffers outside the \
                          per-cycle loop, {escape}"
                     ),
-                    result,
                 );
             } else if IO_TYPES.contains(&word)
                 || (IO_FNS.contains(&word)
@@ -352,22 +331,6 @@ fn check_leaves(
                          `System::step`) — simulation code must not touch files or \
                          stdio; move it to the harness, {escape}"
                     ),
-                    result,
-                );
-            }
-        } else if opts.pedantic && kind == TokKind::Open(Delim::Bracket) && i > 0 {
-            let indexing = matches!(
-                m.tokens[i - 1].kind,
-                TokKind::Ident | TokKind::Close(Delim::Paren) | TokKind::Close(Delim::Bracket)
-            ) && !m.is_punct(i - 1, "#");
-            if indexing && !m.is_test_token(i) {
-                emit(
-                    i,
-                    format!(
-                        "indexing can panic in hot-path fn `{fname}` (reachable from \
-                         `System::step`) — use `get`/checked access, {escape}"
-                    ),
-                    result,
                 );
             }
         }
@@ -380,9 +343,8 @@ mod tests {
     use super::*;
 
     fn run(files: &[(&str, &str)]) -> GraphResult {
-        let owned: Vec<FileModel> = files.iter().map(|(p, c)| FileModel::new(p, c)).collect();
-        let refs: Vec<&FileModel> = owned.iter().collect();
-        analyze(&refs, &Options::default())
+        let models: Vec<FileModel> = files.iter().map(|(p, c)| FileModel::new(p, c)).collect();
+        analyze(&models)
     }
 
     const SYSTEM: &str = "\
@@ -402,7 +364,7 @@ fn helper(_s: &mut System) { }
         let g = run(&[("crates/core/src/system.rs", SYSTEM)]);
         let names: Vec<&str> = g.reachable.iter().map(|h| h.name.as_str()).collect();
         assert_eq!(names, vec!["step", "tick", "helper"], "{:?}", g.reachable);
-        assert!(g.active.is_empty(), "{:#?}", g.active);
+        assert!(g.findings.active.is_empty(), "{:#?}", g.findings.active);
     }
 
     #[test]
@@ -419,8 +381,8 @@ impl System {
 }
 ";
         let g = run(&[("crates/core/src/system.rs", src)]);
-        let lines: Vec<usize> = g.active.iter().map(|d| d.line).collect();
-        assert_eq!(lines, vec![5, 6], "{:#?}", g.active);
+        let lines: Vec<usize> = g.findings.active.iter().map(|d| d.line).collect();
+        assert_eq!(lines, vec![5, 6], "{:#?}", g.findings.active);
     }
 
     #[test]
@@ -433,7 +395,7 @@ impl System {
 }
 ";
         let g = run(&[("crates/core/src/system.rs", src)]);
-        assert!(g.active.is_empty(), "{:#?}", g.active);
+        assert!(g.findings.active.is_empty(), "{:#?}", g.findings.active);
         assert_eq!(g.reachable.len(), 1);
     }
 
@@ -451,13 +413,32 @@ impl System {
         let g = run(&[("crates/core/src/system.rs", src)]);
         // end_quantum is reachable but marked boundary; flush is behind
         // the boundary and must not be flagged.
-        assert!(g.active.is_empty(), "{:#?}", g.active);
+        assert!(g.findings.active.is_empty(), "{:#?}", g.findings.active);
         let names: Vec<(&str, bool)> = g
             .reachable
             .iter()
             .map(|h| (h.name.as_str(), h.boundary))
             .collect();
         assert_eq!(names, vec![("step", false), ("end_quantum", true)]);
+    }
+
+    #[test]
+    fn a_boundary_allow_is_consumed_only_when_the_walk_reaches_the_fn() {
+        let src = "\
+pub struct System;
+impl System {
+    pub fn step(&mut self) { self.end_quantum(); }
+    // asm-lint: allow(R9): quantum boundary — runs once per 5M cycles
+    fn end_quantum(&mut self) { }
+    // asm-lint: allow(R9): nothing on the hot path calls this
+    pub fn dump(&self) { let v = vec![1]; let _ = v; }
+}
+";
+        let models = [FileModel::new("crates/core/src/system.rs", src)];
+        let g = analyze(&models);
+        assert!(g.findings.active.is_empty(), "{:#?}", g.findings.active);
+        let stale: Vec<usize> = models[0].stale_allows().map(|a| a.comment_line).collect();
+        assert_eq!(stale, vec![5]);
     }
 
     #[test]
@@ -474,9 +455,9 @@ impl System {
 }
 ";
         let g = run(&[("crates/core/src/system.rs", src)]);
-        let active: Vec<usize> = g.active.iter().map(|d| d.line).collect();
-        assert_eq!(active, vec![6], "{:#?}", g.active);
-        assert_eq!(g.suppressed.len(), 1);
+        let active: Vec<usize> = g.findings.active.iter().map(|d| d.line).collect();
+        assert_eq!(active, vec![6], "{:#?}", g.findings.active);
+        assert_eq!(g.findings.suppressed.len(), 1);
     }
 
     #[test]
@@ -493,8 +474,8 @@ impl System {
 fn bad() -> bool { false }
 ";
         let g = run(&[("crates/core/src/system.rs", src)]);
-        let lines: Vec<usize> = g.active.iter().map(|d| d.line).collect();
-        assert_eq!(lines, vec![4, 5], "{:#?}", g.active);
+        let lines: Vec<usize> = g.findings.active.iter().map(|d| d.line).collect();
+        assert_eq!(lines, vec![4, 5], "{:#?}", g.findings.active);
     }
 
     #[test]
@@ -517,7 +498,7 @@ impl Cache {
             ("crates/cache/src/lib.rs", cache),
         ]);
         let lines: Vec<(String, usize)> = g
-            .active
+            .findings.active
             .iter()
             .map(|d| (d.path.clone(), d.line))
             .collect();
@@ -546,7 +527,7 @@ impl Suite {
             ("crates/core/src/system.rs", sys),
             ("crates/workloads/src/suite.rs", suite),
         ]);
-        assert!(g.active.is_empty(), "{:#?}", g.active);
+        assert!(g.findings.active.is_empty(), "{:#?}", g.findings.active);
         assert_eq!(g.reachable.len(), 1, "{:#?}", g.reachable);
     }
 
@@ -561,7 +542,7 @@ impl Suite {
             .map(|d| (d.line, d.message.split('`').nth(1).unwrap_or_default()))
             .collect();
         assert_eq!(got, vec![(3, "System::run_for"), (3, "System::run_prefix")]);
-        assert!(g.active.is_empty(), "fixtures stay legal: {:#?}", g.active);
+        assert!(g.findings.active.is_empty(), "fixtures stay legal: {:#?}", g.findings.active);
 
         // The roots may live in different files of a split module.
         let rest = "impl System {\n    pub fn run_for(&mut self) { }\n    pub fn run_prefix(&mut self) { }\n}\n";
@@ -586,7 +567,7 @@ impl System {
 }
 ";
         let g = run(&[("crates/core/src/system.rs", src)]);
-        assert!(g.active.is_empty(), "{:#?}", g.active);
+        assert!(g.findings.active.is_empty(), "{:#?}", g.findings.active);
     }
 }
 

@@ -7,20 +7,21 @@
 //!
 //! ```json
 //! {
-//!   "schema": "asm-lint/2",
-//!   "rules": ["R1", …, "R13"],
+//!   "schema": "asm-lint/3",
+//!   "rules": ["R9", "R13"],
 //!   "files": 42,
 //!   "diagnostics":     [{"rule", "path", "line", "col", "message", "allowed"}…],
 //!   "suppressed":      [same shape, allowed = true…],
-//!   "unsafe_inventory":[{"path", "line", "col", "kind", "fn", "has_safety"}…],
 //!   "hot_reachable":   [{"fn", "impl", "path", "line", "boundary"}…]
 //! }
 //! ```
 //!
+//! It covers `asm-lint`'s own pass; the clippy half reports on stderr and
+//! through the exit code. `rule` is `"allow"` for a stale allow directive.
+//!
 //! Arrays are pre-sorted by the analysis (diagnostics by
-//! `(path, line, rule, col)`, inventory and reachability by
-//! `(path, line)`), so the report is byte-identical across runs and
-//! machines.
+//! `(path, line, rule, col)`, reachability by `(path, line)`), so the
+//! report is byte-identical across runs and machines.
 
 use crate::rules::Diagnostic;
 use crate::{Analysis, RuleId};
@@ -29,7 +30,7 @@ use crate::{Analysis, RuleId};
 #[must_use]
 pub fn render(a: &Analysis) -> String {
     let mut out = String::with_capacity(4096);
-    out.push_str("{\n  \"schema\": \"asm-lint/2\",\n  \"rules\": [");
+    out.push_str("{\n  \"schema\": \"asm-lint/3\",\n  \"rules\": [");
     for (i, r) in RuleId::ALL.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
@@ -45,22 +46,6 @@ pub fn render(a: &Analysis) -> String {
 
     out.push_str("  \"suppressed\": [");
     push_diags(&mut out, &a.suppressed);
-    out.push_str("],\n");
-
-    out.push_str("  \"unsafe_inventory\": [");
-    for (i, u) in a.unsafe_inventory.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str("    {\"path\": ");
-        push_str_json(&mut out, &u.path);
-        out.push_str(&format!(", \"line\": {}, \"col\": {}, \"kind\": ", u.line, u.col));
-        push_str_json(&mut out, u.kind);
-        out.push_str(", \"fn\": ");
-        push_opt_str(&mut out, u.enclosing_fn.as_deref());
-        out.push_str(&format!(", \"has_safety\": {}}}", u.has_safety));
-    }
-    if !a.unsafe_inventory.is_empty() {
-        out.push_str("\n  ");
-    }
     out.push_str("],\n");
 
     out.push_str("  \"hot_reachable\": [");
@@ -85,7 +70,7 @@ fn push_diags(out: &mut String, diags: &[Diagnostic]) {
     for (i, d) in diags.iter().enumerate() {
         out.push_str(if i == 0 { "\n" } else { ",\n" });
         out.push_str("    {\"rule\": ");
-        push_str_json(out, d.rule.name());
+        push_str_json(out, d.label());
         out.push_str(", \"path\": ");
         push_str_json(out, &d.path);
         out.push_str(&format!(", \"line\": {}, \"col\": {}, \"message\": ", d.line, d.col));
@@ -126,7 +111,7 @@ fn push_str_json(out: &mut String, s: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{HotFn, UnsafeRecord};
+    use crate::HotFn;
 
     #[test]
     fn escaping_covers_quotes_backslashes_and_controls() {
@@ -140,8 +125,9 @@ mod tests {
         let a = Analysis::default();
         let json = render(&a);
         assert!(json.contains("\"diagnostics\": []"));
-        assert!(json.contains("\"unsafe_inventory\": []"));
-        assert!(json.contains("\"schema\": \"asm-lint/2\""));
+        assert!(json.contains("\"hot_reachable\": []"));
+        assert!(json.contains("\"schema\": \"asm-lint/3\""));
+        assert!(json.contains("\"rules\": [\"R9\", \"R13\"]"));
     }
 
     #[test]
@@ -151,19 +137,11 @@ mod tests {
                 path: "crates/core/src/x.rs".into(),
                 line: 3,
                 col: 7,
-                rule: RuleId::R8,
-                message: "uses `Fast`".into(),
+                rule: None,
+                message: "stale `allow(R9)`".into(),
                 allowed: false,
             }],
             suppressed: Vec::new(),
-            unsafe_inventory: vec![UnsafeRecord {
-                path: "crates/cache/src/scan.rs".into(),
-                line: 86,
-                col: 9,
-                kind: "block",
-                enclosing_fn: Some("scan_ways".into()),
-                has_safety: true,
-            }],
             hot_reachable: vec![HotFn {
                 path: "crates/core/src/system/mod.rs".into(),
                 line: 834,
@@ -172,11 +150,11 @@ mod tests {
                 boundary: false,
             }],
             unresolved_roots: Vec::new(),
+            expect_sites: 0,
             files: 2,
         };
         let json = render(&a);
-        assert!(json.contains("\"rule\": \"R8\""));
-        assert!(json.contains("\"has_safety\": true"));
+        assert!(json.contains("\"rule\": \"allow\""));
         assert!(json.contains("\"impl\": \"System\""));
         assert!(json.contains("\"files\": 2"));
     }

@@ -1,72 +1,26 @@
 //! The item-level parser: one [`FileModel`] per source file.
 //!
 //! This is not a full Rust parser — it is the smallest syntactic layer
-//! that the v2 passes need on top of the [`crate::tokens`] lexer:
+//! the two remaining passes need on top of the [`crate::tokens`] lexer:
 //!
 //! - **Delimiter matching** (`match_of`): every `(`/`[`/`{` knows its
 //!   partner, so item extents and fn bodies are O(1) jumps. Unmatched
 //!   delimiters match themselves; nothing panics on malformed input.
 //! - **Test masking**: tokens covered by a `#[cfg(test)]` item (or a
-//!   `#[test]` fn) are flagged so rules skip test code exactly like v1.
-//! - **Allow directives**: `// asm-lint: allow(R#, ...): reason`
-//!   comments, trailing or standalone, now covering R1–R12.
-//! - **Items**: `use` trees (with `as` renames, groups, `self`, globs),
-//!   `type` aliases (name, right-hand-side head path and ident set),
-//!   struct/enum generic-parameter defaults, `fn` definitions (name,
-//!   signature line, body token range, enclosing `impl` type), `impl`
-//!   block self-types, and every `unsafe` occurrence.
-//!
-//! The symbol-resolution ([`crate::resolve`]) and call-graph
-//! ([`crate::callgraph`]) layers are built from these models; the
-//! per-file rules ([`crate::rules`]) walk the token stream directly.
+//!   `#[test]` fn) are flagged so rules skip test code.
+//! - **Allow directives**: `// asm-lint: allow(R9|R13): reason`
+//!   comments, trailing or standalone. Each remembers whether a pass
+//!   consumed it, so a directive that suppresses nothing can be reported
+//!   ([`FileModel::stale_allows`]).
+//! - **Items**: `fn` definitions (name, signature line, body token
+//!   range, receiver, enclosing `impl` type) — what the call graph
+//!   ([`crate::callgraph`]) is built from. The metric-name rule
+//!   ([`crate::rules`]) walks the token stream directly.
 
-use std::collections::BTreeSet;
+use std::cell::Cell;
 
 use crate::tokens::{lex, Comment, Delim, TokKind, Token};
 use crate::RuleId;
-
-/// One local name introduced by a `use` declaration.
-#[derive(Debug, Clone)]
-pub struct UseBinding {
-    /// The name visible in this file (`Map` for `use x::HashMap as Map`).
-    pub name: String,
-    /// Full path segments as written (`["std", "collections", "HashMap"]`).
-    pub path: Vec<String>,
-    /// 0-based line of the binding (the segment or rename token).
-    pub line: usize,
-    /// Whether the `use` is `pub` (a re-export other files can reach).
-    pub is_pub: bool,
-    /// Whether the binding renames (`as`): renames are what the lexical
-    /// v1 rules could not see through.
-    pub renamed: bool,
-}
-
-/// A `type Name = …;` alias (free or associated).
-#[derive(Debug, Clone)]
-pub struct TypeAlias {
-    /// Alias name.
-    pub name: String,
-    /// Leading path of the right-hand side (`["std", "collections",
-    /// "HashMap"]` for `type F = std::collections::HashMap<u64, u64>`).
-    pub rhs_head: Vec<String>,
-    /// Every identifier appearing anywhere in the right-hand side
-    /// (generic arguments included) — taint propagates through any of
-    /// them.
-    pub rhs_idents: Vec<String>,
-    /// 0-based line of the `type` keyword.
-    pub line: usize,
-}
-
-/// A generic parameter default on a struct/enum (`struct S<H = Foo>`).
-#[derive(Debug, Clone)]
-pub struct GenericDefault {
-    /// The type that declares the default.
-    pub owner: String,
-    /// Identifiers of the default's path.
-    pub default_idents: Vec<String>,
-    /// 0-based line of the declaration.
-    pub line: usize,
-}
 
 /// One `fn` definition.
 #[derive(Debug, Clone)]
@@ -92,49 +46,22 @@ pub struct FnDef {
     pub is_test: bool,
 }
 
-/// What an `unsafe` keyword introduces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnsafeKind {
-    /// `unsafe { … }` block.
-    Block,
-    /// `unsafe fn` definition (or fn-pointer type).
-    Fn,
-    /// `unsafe impl`.
-    Impl,
-    /// `unsafe trait`.
-    Trait,
-}
 
-impl UnsafeKind {
-    /// Stable lower-case name for the inventory.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            UnsafeKind::Block => "block",
-            UnsafeKind::Fn => "fn",
-            UnsafeKind::Impl => "impl",
-            UnsafeKind::Trait => "trait",
-        }
-    }
-}
-
-/// One `unsafe` occurrence (rule R10's subject).
+/// One `asm-lint: allow(…)` directive, per rule it names.
 #[derive(Debug, Clone)]
-pub struct UnsafeSite {
-    /// Token index of the `unsafe` keyword.
-    pub tok: usize,
-    /// 0-based line.
-    pub line: usize,
-    /// 0-based byte column.
-    pub col: usize,
-    /// Block / fn / impl / trait.
-    pub kind: UnsafeKind,
-    /// Name of the smallest enclosing fn body, if any.
-    pub enclosing_fn: Option<String>,
-    /// Whether an adjacent `// SAFETY:` comment justifies it.
-    pub has_safety: bool,
-    /// Whether the site is inside test-masked code.
-    pub is_test: bool,
+pub struct Allow {
+    /// 0-based line of the directive comment (where a stale one is
+    /// reported).
+    pub comment_line: usize,
+    /// 0-based line the directive binds to: its own line when trailing
+    /// code, else the next line carrying code.
+    pub target: usize,
+    /// The rule it names, or the name as written when `asm-lint` owns no
+    /// such rule (`R5`: clippy's now — such a directive suppresses
+    /// nothing by construction).
+    pub rule: Result<RuleId, String>,
+    /// Set by [`FileModel::use_allow`] when a pass honoured it.
+    used: Cell<bool>,
 }
 
 /// A fully analysed source file.
@@ -145,29 +72,17 @@ pub struct FileModel {
     pub src: String,
     /// Token stream.
     pub tokens: Vec<Token>,
-    /// Comments (allow directives and `SAFETY:` text live here).
+    /// Comments (allow directives live here).
     pub comments: Vec<Comment>,
     /// For delimiter tokens: index of the matching partner (self when
     /// unmatched). For all other tokens: the token's own index.
     pub match_of: Vec<usize>,
     /// Per-token: inside a `#[cfg(test)]` item or `#[test]` fn.
     pub test_tokens: Vec<bool>,
-    /// 0-based lines covered by test-masked items.
-    pub test_lines: BTreeSet<usize>,
-    /// `(line, rule)` pairs suppressed by allow directives.
-    pub allows: BTreeSet<(usize, RuleId)>,
-    /// `use` bindings.
-    pub uses: Vec<UseBinding>,
-    /// `type` aliases.
-    pub aliases: Vec<TypeAlias>,
-    /// Struct/enum generic defaults.
-    pub generic_defaults: Vec<GenericDefault>,
+    /// Allow directives, in source order.
+    pub allows: Vec<Allow>,
     /// `fn` definitions.
     pub fns: Vec<FnDef>,
-    /// `unsafe` occurrences.
-    pub unsafes: Vec<UnsafeSite>,
-    /// Lines that carry at least one token (code lines).
-    pub line_has_token: BTreeSet<usize>,
 }
 
 impl FileModel {
@@ -182,22 +97,14 @@ impl FileModel {
             comments: lexed.comments,
             match_of: Vec::new(),
             test_tokens: Vec::new(),
-            test_lines: BTreeSet::new(),
-            allows: BTreeSet::new(),
-            uses: Vec::new(),
-            aliases: Vec::new(),
-            generic_defaults: Vec::new(),
+            allows: Vec::new(),
             fns: Vec::new(),
-            unsafes: Vec::new(),
-            line_has_token: BTreeSet::new(),
         };
         model.match_delims();
-        model.line_has_token = model.tokens.iter().map(|t| t.line).collect();
         model.mark_tests();
         model.find_allows();
-        model.scan_items();
-        model.attach_contexts();
-        model.mark_safety_comments();
+        model.scan_fns();
+        model.attach_impl_types();
         model
     }
 
@@ -222,22 +129,40 @@ impl FileModel {
         self.tokens.get(i).is_some_and(|t| t.kind == TokKind::Punct) && self.text(i) == p
     }
 
-    /// Whether 0-based `line` is inside test-masked code.
-    #[must_use]
-    pub fn is_test_line(&self, line: usize) -> bool {
-        self.test_lines.contains(&line)
-    }
-
     /// Whether token `i` is inside test-masked code.
     #[must_use]
     pub fn is_test_token(&self, i: usize) -> bool {
         self.test_tokens.get(i).copied().unwrap_or(false)
     }
 
-    /// Whether `rule` is suppressed on 0-based `line`.
+    /// Whether a directive allows `rule` on 0-based `line`, without
+    /// consuming it (the call graph asks this of every fn signature
+    /// before it knows which ones the walk reaches).
     #[must_use]
-    pub fn is_allowed(&self, line: usize, rule: RuleId) -> bool {
-        self.allows.contains(&(line, rule))
+    pub fn has_allow(&self, line: usize, rule: RuleId) -> bool {
+        self.allows
+            .iter()
+            .any(|a| a.target == line && a.rule == Ok(rule))
+    }
+
+    /// [`Self::has_allow`], and marks the matching directives as having
+    /// suppressed something.
+    pub fn use_allow(&self, line: usize, rule: RuleId) -> bool {
+        let mut hit = false;
+        for a in &self.allows {
+            if a.target == line && a.rule == Ok(rule) {
+                a.used.set(true);
+                hit = true;
+            }
+        }
+        hit
+    }
+
+    /// Directives no pass consumed: a leftover `allow(R9)` on a line with
+    /// no R9 finding, an fn-level one on a fn the hot-path walk never
+    /// visits, or one naming a rule `asm-lint` does not own.
+    pub fn stale_allows(&self) -> impl Iterator<Item = &Allow> {
+        self.allows.iter().filter(|a| !a.used.get())
     }
 
     fn match_delims(&mut self) {
@@ -261,6 +186,7 @@ impl FileModel {
             }
         }
     }
+
 
     /// Marks `#[cfg(test)]` / `#[test]` item extents.
     fn mark_tests(&mut self) {
@@ -296,10 +222,7 @@ impl FileModel {
                     let end = self.item_extent(start);
                     for j in i..=end.min(n.saturating_sub(1)) {
                         self.test_tokens[j] = true;
-                        self.test_lines.insert(self.tokens[j].line);
                     }
-                    // Attribute lines count as test lines too (v1 did).
-                    self.test_lines.insert(self.tokens[i].line);
                     i = close + 1;
                     continue;
                 }
@@ -340,6 +263,8 @@ impl FileModel {
                 continue;
             };
             // Trailing directive: a token earlier on the same line.
+            // Standalone: binds to the next line carrying code (past the
+            // end of the file: to nothing, so it reads as stale).
             let trailing = self
                 .tokens
                 .iter()
@@ -347,358 +272,41 @@ impl FileModel {
             let target = if trailing {
                 c.line
             } else {
-                // Standalone: the next line carrying code.
-                match self.line_has_token.range(c.line..).next() {
-                    Some(&l) => l,
-                    None => continue,
-                }
+                self.tokens
+                    .iter()
+                    .map(|t| t.line)
+                    .find(|&l| l >= c.line)
+                    .unwrap_or(usize::MAX)
             };
-            for r in rules {
-                self.allows.insert((target, r));
-            }
-        }
-    }
-
-    /// One linear walk collecting uses, aliases, defaults, impls, fns,
-    /// and unsafe sites.
-    fn scan_items(&mut self) {
-        let n = self.tokens.len();
-        let mut i = 0usize;
-        let mut uses = Vec::new();
-        let mut aliases = Vec::new();
-        let mut defaults = Vec::new();
-        let mut fns = Vec::new();
-        let mut unsafes = Vec::new();
-        while i < n {
-            if self.tokens[i].kind != TokKind::Ident {
-                i += 1;
-                continue;
-            }
-            match self.text(i) {
-                "use" => {
-                    let next = self.parse_use(i, &mut uses);
-                    i = next.max(i + 1);
-                }
-                "type" => {
-                    if let Some(next) = self.parse_type_alias(i, &mut aliases) {
-                        i = next.max(i + 1);
-                    } else {
-                        i += 1;
-                    }
-                }
-                "struct" | "enum" | "trait" => {
-                    self.parse_generic_defaults(i, &mut defaults);
-                    i += 1;
-                }
-                "fn" => {
-                    let next = self.parse_fn(i, &mut fns);
-                    i = next.max(i + 1);
-                }
-                "unsafe" => {
-                    let kind = if self.is_ident(i + 1, "fn") {
-                        UnsafeKind::Fn
-                    } else if self.is_ident(i + 1, "impl") {
-                        UnsafeKind::Impl
-                    } else if self.is_ident(i + 1, "trait") {
-                        UnsafeKind::Trait
-                    } else {
-                        UnsafeKind::Block
-                    };
-                    unsafes.push(UnsafeSite {
-                        tok: i,
-                        line: self.tokens[i].line,
-                        col: self.tokens[i].col,
-                        kind,
-                        enclosing_fn: None,
-                        has_safety: false,
-                        is_test: self.is_test_token(i),
-                    });
-                    i += 1;
-                }
-                _ => i += 1,
-            }
-        }
-        self.uses = uses;
-        self.aliases = aliases;
-        self.generic_defaults = defaults;
-        self.fns = fns;
-        self.unsafes = unsafes;
-    }
-
-    /// Parses one `use` declaration starting at the `use` keyword.
-    /// Returns the index just past the terminating `;`.
-    fn parse_use(&self, use_tok: usize, out: &mut Vec<UseBinding>) -> usize {
-        let is_pub = use_tok > 0
-            && (self.is_ident(use_tok - 1, "pub")
-                || (self
-                    .tokens
-                    .get(use_tok - 1)
-                    .is_some_and(|t| t.kind == TokKind::Close(Delim::Paren))
-                    && self.match_of[use_tok - 1] > 0
-                    && self.is_ident(self.match_of[use_tok - 1] - 1, "pub")));
-        let mut i = use_tok + 1;
-        self.use_tree(&mut i, &mut Vec::new(), is_pub, out, 0);
-        // Consume through the `;` if present.
-        let n = self.tokens.len();
-        while i < n && !self.is_punct(i, ";") {
-            i += 1;
-        }
-        i + 1
-    }
-
-    /// Recursive `use`-tree walker. `prefix` is the path so far.
-    fn use_tree(
-        &self,
-        i: &mut usize,
-        prefix: &mut Vec<String>,
-        is_pub: bool,
-        out: &mut Vec<UseBinding>,
-        depth: usize,
-    ) {
-        let n = self.tokens.len();
-        if depth > 32 {
-            return; // pathological nesting: bail rather than recurse forever
-        }
-        let base_len = prefix.len();
-        let mut seg_line = self.tokens.get(*i).map_or(0, |t| t.line);
-        loop {
-            let Some(t) = self.tokens.get(*i) else { return };
-            match t.kind {
-                TokKind::Ident if self.text(*i) == "as" => {
-                    // Rename: bind the new name to the accumulated path.
-                    let name_tok = *i + 1;
-                    if self
-                        .tokens
-                        .get(name_tok)
-                        .is_some_and(|t| t.kind == TokKind::Ident)
-                    {
-                        out.push(UseBinding {
-                            name: self.text(name_tok).to_owned(),
-                            path: prefix.clone(),
-                            line: self.tokens[name_tok].line,
-                            is_pub,
-                            renamed: true,
-                        });
-                        *i = name_tok + 1;
-                    } else {
-                        *i += 1;
-                    }
-                    prefix.truncate(base_len);
-                    return;
-                }
-                TokKind::Ident if self.text(*i) == "self" && !prefix.is_empty() => {
-                    // `use foo::{self}`: binds the prefix's last segment.
-                    if let Some(last) = prefix.last().cloned() {
-                        out.push(UseBinding {
-                            name: last,
-                            path: prefix.clone(),
-                            line: t.line,
-                            is_pub,
-                            renamed: false,
-                        });
-                    }
-                    *i += 1;
-                    // An `as` may still follow (`self as x`): loop handles it.
-                }
-                TokKind::Ident => {
-                    prefix.push(self.text(*i).to_owned());
-                    seg_line = t.line;
-                    *i += 1;
-                }
-                TokKind::Punct if self.text(*i) == "::" => {
-                    *i += 1;
-                    match self.tokens.get(*i).map(|t| t.kind) {
-                        Some(TokKind::Open(Delim::Brace)) => {
-                            let close = self.match_of[*i];
-                            *i += 1;
-                            while *i < n && *i < close.max(*i) {
-                                let before = *i;
-                                self.use_tree(i, &mut prefix.clone(), is_pub, out, depth + 1);
-                                if self.is_punct(*i, ",") {
-                                    *i += 1;
-                                }
-                                if *i >= close || *i <= before {
-                                    break;
-                                }
-                            }
-                            *i = close.max(*i) + 1;
-                            prefix.truncate(base_len);
-                            return;
-                        }
-                        Some(TokKind::Punct) if self.text(*i) == "*" => {
-                            // Glob: no named binding (literal names are
-                            // already caught by R1/R4 at use sites).
-                            *i += 1;
-                            prefix.truncate(base_len);
-                            return;
-                        }
-                        _ => {}
-                    }
-                }
-                TokKind::Punct if self.text(*i) == "," || self.text(*i) == ";" => {
-                    // End of this tree: bind the last segment plainly.
-                    self.bind_plain(prefix, seg_line, is_pub, out);
-                    prefix.truncate(base_len);
-                    return;
-                }
-                TokKind::Close(Delim::Brace) => {
-                    self.bind_plain(prefix, seg_line, is_pub, out);
-                    prefix.truncate(base_len);
-                    return;
-                }
-                _ => {
-                    *i += 1;
-                    prefix.truncate(base_len);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Emits the implicit binding for `use a::b::C;` (name = last seg).
-    fn bind_plain(&self, prefix: &[String], line: usize, is_pub: bool, out: &mut Vec<UseBinding>) {
-        if let Some(last) = prefix.last() {
-            if last != "*" {
-                out.push(UseBinding {
-                    name: last.clone(),
-                    path: prefix.to_vec(),
-                    line,
-                    is_pub,
-                    renamed: false,
+            for rule in rules {
+                self.allows.push(Allow {
+                    comment_line: c.line,
+                    target,
+                    rule,
+                    used: Cell::new(false),
                 });
             }
         }
     }
 
-    /// Parses `type Name<…>? = rhs;`. Returns the index past the `;`,
-    /// or `None` when this `type` is a body-less associated-type decl.
-    fn parse_type_alias(&self, type_tok: usize, out: &mut Vec<TypeAlias>) -> Option<usize> {
-        let name_tok = type_tok + 1;
-        if !self
-            .tokens
-            .get(name_tok)
-            .is_some_and(|t| t.kind == TokKind::Ident)
-        {
-            return None;
-        }
-        let name = self.text(name_tok).to_owned();
-        let mut i = name_tok + 1;
-        if self.is_punct(i, "<") {
-            i = self.skip_generics(i);
-        }
-        // Bounds (`type X: Bound = …` in traits) or straight `=`.
-        let n = self.tokens.len();
-        while i < n && !self.is_punct(i, "=") && !self.is_punct(i, ";") {
-            match self.tokens[i].kind {
-                TokKind::Open(_) => i = self.match_of[i].max(i) + 1,
-                TokKind::Close(_) => return None, // ran out of the item
-                _ => i += 1,
-            }
-        }
-        if !self.is_punct(i, "=") {
-            return None;
-        }
-        i += 1;
-        // Right-hand side up to the top-level `;`.
-        let rhs_start = i;
-        let mut rhs_idents = Vec::new();
-        while i < n && !self.is_punct(i, ";") {
-            match self.tokens[i].kind {
-                TokKind::Open(_) => {
-                    // Collect idents inside groups too.
-                    let close = self.match_of[i].max(i);
-                    for j in i..=close.min(n - 1) {
-                        if self.tokens[j].kind == TokKind::Ident {
-                            rhs_idents.push(self.text(j).to_owned());
-                        }
-                    }
-                    i = close + 1;
-                }
-                TokKind::Close(_) => break,
-                TokKind::Ident => {
-                    rhs_idents.push(self.text(i).to_owned());
-                    i += 1;
-                }
-                _ => i += 1,
-            }
-        }
-        // Head path: leading `a::b::C` chain of the rhs.
-        let mut rhs_head = Vec::new();
-        let mut j = rhs_start;
-        while j < n {
-            if self.tokens[j].kind == TokKind::Ident {
-                rhs_head.push(self.text(j).to_owned());
-                j += 1;
-                if self.is_punct(j, "::") {
-                    j += 1;
-                    continue;
-                }
-            }
-            break;
-        }
-        out.push(TypeAlias {
-            name,
-            rhs_head,
-            rhs_idents,
-            line: self.tokens[type_tok].line,
-        });
-        Some(i + 1)
-    }
-
-    /// Records `struct S<…, H = Path>` generic defaults.
-    fn parse_generic_defaults(&self, kw_tok: usize, out: &mut Vec<GenericDefault>) {
-        let name_tok = kw_tok + 1;
-        if !self
-            .tokens
-            .get(name_tok)
-            .is_some_and(|t| t.kind == TokKind::Ident)
-        {
-            return;
-        }
-        let owner = self.text(name_tok).to_owned();
-        let open = name_tok + 1;
-        if !self.is_punct(open, "<") {
-            return;
-        }
-        let close = self.skip_generics(open);
-        let mut j = open + 1;
-        while j + 1 < close {
-            if self.tokens[j].kind == TokKind::Ident && self.is_punct(j + 1, "=") {
-                // Collect the default's idents until `,` or the end.
-                let mut idents = Vec::new();
-                let mut k = j + 2;
-                while k < close && !self.is_punct(k, ",") {
-                    if self.tokens[k].kind == TokKind::Ident {
-                        idents.push(self.text(k).to_owned());
-                    }
-                    if matches!(self.tokens[k].kind, TokKind::Open(_)) {
-                        k = self.match_of[k].max(k);
-                    }
-                    k += 1;
-                }
-                if !idents.is_empty() {
-                    out.push(GenericDefault {
-                        owner: owner.clone(),
-                        default_idents: idents,
-                        line: self.tokens[j].line,
-                    });
-                }
-                j = k;
+    /// One linear walk collecting `fn` definitions.
+    fn scan_fns(&mut self) {
+        let mut fns = Vec::new();
+        let mut i = 0usize;
+        while i < self.tokens.len() {
+            if self.is_ident(i, "fn") {
+                i = self.parse_fn(i, &mut fns).max(i + 1);
             } else {
-                j += 1;
+                i += 1;
             }
         }
+        self.fns = fns;
     }
 
     /// Skips a `<…>` generic group starting at the `<`. Returns the
     /// index just past the closing `>` (best-effort on malformed input).
-    /// Public so the call-graph layer can step over turbofish.
     #[must_use]
-    pub fn skip_generics_pub(&self, open: usize) -> usize {
-        self.skip_generics(open)
-    }
-
-    fn skip_generics(&self, open: usize) -> usize {
+    pub fn skip_generics(&self, open: usize) -> usize {
         let n = self.tokens.len();
         let mut depth = 0i64;
         let mut i = open;
@@ -722,6 +330,7 @@ impl FileModel {
         }
         n
     }
+
 
     /// Parses a `fn` definition starting at the `fn` keyword. Returns
     /// the index to resume scanning from (just past the signature — the
@@ -805,9 +414,9 @@ impl FileModel {
         params_close + 1
     }
 
-    /// Post-pass: attach impl self-types to fns and enclosing fns to
-    /// unsafe sites by interval containment.
-    fn attach_contexts(&mut self) {
+
+    /// Post-pass: attach impl self-types to fns by interval containment.
+    fn attach_impl_types(&mut self) {
         // Impl ranges: (body_open, body_close, self_type).
         let mut impls: Vec<(usize, usize, String)> = Vec::new();
         let n = self.tokens.len();
@@ -833,21 +442,6 @@ impl FileModel {
                 }
             }
             f.impl_type = best.map(|(_, _, ty)| ty.clone());
-        }
-        // Enclosing fn for unsafe sites: smallest fn body containing it.
-        let bodies: Vec<(usize, usize, String)> = self
-            .fns
-            .iter()
-            .filter_map(|f| f.body.map(|(o, c)| (o, c, f.name.clone())))
-            .collect();
-        for u in &mut self.unsafes {
-            let mut best: Option<(usize, usize, &String)> = None;
-            for (o, c, name) in &bodies {
-                if *o < u.tok && u.tok < *c && best.is_none_or(|(bo, bc, _)| c - o < bc - bo) {
-                    best = Some((*o, *c, name));
-                }
-            }
-            u.enclosing_fn = best.map(|(_, _, name)| name.clone());
         }
     }
 
@@ -891,64 +485,23 @@ impl FileModel {
         }
         None
     }
-
-    /// Marks unsafe sites that carry an adjacent `// SAFETY:` comment:
-    /// trailing on the same line, or a contiguous comment block ending
-    /// on one of the lines directly above (only comment-only lines may
-    /// intervene).
-    fn mark_safety_comments(&mut self) {
-        // Comment lines (any line touched by a comment) and SAFETY lines.
-        let mut comment_lines = BTreeSet::new();
-        let mut safety_lines = BTreeSet::new();
-        for c in &self.comments {
-            let text = self.src.get(c.lo..c.hi).unwrap_or("");
-            for l in c.line..=c.end_line {
-                comment_lines.insert(l);
-            }
-            if text.contains("SAFETY:") {
-                for l in c.line..=c.end_line {
-                    safety_lines.insert(l);
-                }
-            }
-        }
-        let line_has_token = self.line_has_token.clone();
-        for u in &mut self.unsafes {
-            if safety_lines.contains(&u.line) {
-                u.has_safety = true;
-                continue;
-            }
-            // Walk upward over comment-only lines.
-            let mut l = u.line;
-            while l > 0 {
-                l -= 1;
-                let code = line_has_token.contains(&l);
-                let comment = comment_lines.contains(&l);
-                if comment && safety_lines.contains(&l) {
-                    u.has_safety = true;
-                    break;
-                }
-                if code || !comment {
-                    break; // hit a code line or a blank line
-                }
-            }
-        }
-    }
 }
 
 /// Extracts the rule list from one comment's text, if it is an
-/// `asm-lint: allow(...)` directive.
-fn parse_allow(comment: &str) -> Option<Vec<RuleId>> {
+/// `asm-lint: allow(...)` directive: `Ok` for a rule `asm-lint` owns,
+/// `Err(name)` for anything else between the parentheses.
+fn parse_allow(comment: &str) -> Option<Vec<Result<RuleId, String>>> {
     let idx = comment.find("asm-lint:")?;
     let rest = comment[idx + "asm-lint:".len()..].trim_start();
     let rest = rest.strip_prefix("allow")?.trim_start();
     let rest = rest.strip_prefix('(')?;
     let close = rest.find(')')?;
-    let rules: Vec<RuleId> = rest[..close].split(',').filter_map(RuleId::parse).collect();
-    if rules.is_empty() {
-        None
-    } else {
-        Some(rules)
-    }
+    Some(
+        rest[..close]
+            .split(',')
+            .map(|name| RuleId::parse(name).ok_or_else(|| name.trim().to_owned()))
+            .collect(),
+    )
 }
 
 #[cfg(test)]
@@ -972,12 +525,6 @@ mod tests {
 fn also_prod() { }
 ";
         let m = model(src);
-        assert!(!m.is_test_line(0));
-        assert!(m.is_test_line(2));
-        assert!(m.is_test_line(3));
-        assert!(m.is_test_line(4));
-        assert!(m.is_test_line(5));
-        assert!(!m.is_test_line(7));
         let fns: Vec<(&str, bool)> = m.fns.iter().map(|f| (f.name.as_str(), f.is_test)).collect();
         assert_eq!(fns, vec![("prod", false), ("helper", true), ("also_prod", false)]);
     }
@@ -986,66 +533,62 @@ fn also_prod() { }
     fn braceless_cfg_test_item_stops_at_semicolon() {
         let src = "#[cfg(test)]\nuse foo::bar;\nfn prod() { }\n";
         let m = model(src);
-        assert!(m.is_test_line(1));
-        assert!(!m.is_test_line(2));
+        let line_is_test = |l: usize| {
+            m.tokens
+                .iter()
+                .enumerate()
+                .any(|(i, t)| t.line == l && m.is_test_token(i))
+        };
+        assert!(line_is_test(1));
+        assert!(!line_is_test(2));
     }
 
     #[test]
     fn allow_directive_trailing_and_standalone() {
         let src = "\
-let a = frob(); // asm-lint: allow(R2): invariant stated elsewhere
-// asm-lint: allow(R1, R3): migration pending
+let a = frob(); // asm-lint: allow(R13): dotted string, not a metric
+// asm-lint: allow(R9, R13): a multi-line reason
+// wraps before the code it binds to
 let b = frob();
 let c = frob();
 // asm-lint: allow(R9): quantum-boundary path
 fn boundary() { }
 ";
         let m = model(src);
-        assert!(m.is_allowed(0, RuleId::R2));
-        assert!(!m.is_allowed(0, RuleId::R1));
-        assert!(m.is_allowed(2, RuleId::R1));
-        assert!(m.is_allowed(2, RuleId::R3));
-        assert!(!m.is_allowed(3, RuleId::R1));
-        assert!(m.is_allowed(5, RuleId::R9));
+        assert!(m.has_allow(0, RuleId::R13));
+        assert!(!m.has_allow(0, RuleId::R9));
+        assert!(m.has_allow(3, RuleId::R9));
+        assert!(m.has_allow(3, RuleId::R13));
+        assert!(!m.has_allow(4, RuleId::R9));
+        assert!(m.has_allow(6, RuleId::R9));
     }
 
     #[test]
-    fn use_trees_expand_groups_renames_and_self() {
+    fn unconsumed_and_unowned_directives_are_stale() {
         let src = "\
-use std::collections::{BTreeMap, HashMap as Map};
-pub use crate::inner::{self, Fast as Public};
-use a::b::*;
+// asm-lint: allow(R9): consumed below
+fn a() { }
+// asm-lint: allow(R9): nothing consumes this one
+fn b() { }
+fn c() { } // asm-lint: allow(R5): clippy owns casts now
+// asm-lint: allow(R13): past the last line of code
 ";
         let m = model(src);
-        let names: Vec<(&str, String, bool, bool)> = m
-            .uses
-            .iter()
-            .map(|u| (u.name.as_str(), u.path.join("::"), u.renamed, u.is_pub))
+        assert!(!m.has_allow(1, RuleId::R13));
+        assert!(m.use_allow(1, RuleId::R9));
+        assert!(!m.use_allow(1, RuleId::R13));
+        let stale: Vec<_> = m
+            .stale_allows()
+            .map(|a| (a.comment_line, a.rule.clone()))
             .collect();
-        assert!(names.contains(&("BTreeMap".into(), "std::collections::BTreeMap".into(), false, false)), "{names:?}");
-        assert!(names.contains(&("Map".into(), "std::collections::HashMap".into(), true, false)), "{names:?}");
-        assert!(names.contains(&("inner".into(), "crate::inner".into(), false, true)), "{names:?}");
-        assert!(names.contains(&("Public".into(), "crate::inner::Fast".into(), true, true)), "{names:?}");
-    }
-
-    #[test]
-    fn type_aliases_capture_head_and_generic_idents() {
-        let src = "type Fast = std::collections::HashMap<u64, MyVal>;\ntype Plain = Vec<u8>;\n";
-        let m = model(src);
-        assert_eq!(m.aliases.len(), 2);
-        assert_eq!(m.aliases[0].name, "Fast");
-        assert_eq!(m.aliases[0].rhs_head, vec!["std", "collections", "HashMap"]);
-        assert!(m.aliases[0].rhs_idents.contains(&"MyVal".to_owned()));
-        assert_eq!(m.aliases[1].rhs_head, vec!["Vec"]);
-    }
-
-    #[test]
-    fn generic_defaults_are_recorded() {
-        let src = "struct S<K, V, H = RandomState> { k: K, v: V, h: H }\n";
-        let m = model(src);
-        assert_eq!(m.generic_defaults.len(), 1);
-        assert_eq!(m.generic_defaults[0].owner, "S");
-        assert_eq!(m.generic_defaults[0].default_idents, vec!["RandomState"]);
+        assert_eq!(
+            stale,
+            vec![
+                (2, Ok(RuleId::R9)),
+                (4, Err("R5".to_owned())),
+                (5, Ok(RuleId::R13)),
+            ]
+        );
     }
 
     #[test]
@@ -1074,58 +617,18 @@ fn free() -> u64 { 3 }
     }
 
     #[test]
-    fn unsafe_sites_and_safety_adjacency() {
-        let src = "\
-fn a() {
-    // SAFETY: the slice is length-checked above.
-    let x = unsafe { load() };
-}
-fn b() {
-    let y = unsafe { load() };
-}
-fn c() {
-    let z = unsafe { load() }; // SAFETY: trailing form
-}
-";
-        let m = model(src);
-        assert_eq!(m.unsafes.len(), 3);
-        assert!(m.unsafes[0].has_safety);
-        assert!(!m.unsafes[1].has_safety);
-        assert!(m.unsafes[2].has_safety);
-        assert_eq!(m.unsafes[0].enclosing_fn.as_deref(), Some("a"));
-        assert_eq!(m.unsafes[1].enclosing_fn.as_deref(), Some("b"));
-        assert_eq!(m.unsafes[0].kind, UnsafeKind::Block);
-    }
-
-    #[test]
-    fn multiline_safety_comment_blocks_count() {
-        let src = "\
-fn a() {
-    // SAFETY: SSE2 is baseline and the load
-    // reads inside the length-checked slice;
-    // branchless beats the fallback here.
-    let m = unsafe { go() };
-}
-";
-        let m = model(src);
-        assert!(m.unsafes[0].has_safety);
-    }
-
-    #[test]
     fn malformed_input_never_panics() {
         for src in [
             "fn f( {",
             "impl {",
-            "use ::;",
-            "type = ;",
-            "unsafe",
             "fn",
             "}}}",
             "#[cfg(test)",
-            "struct S<",
+            "fn f<",
+            "// asm-lint: allow(",
         ] {
             let m = model(src);
-            let _ = (&m.fns, &m.uses, &m.aliases);
+            let _ = (&m.fns, &m.allows);
         }
     }
 }

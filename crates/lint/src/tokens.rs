@@ -1,11 +1,9 @@
-//! The token-tree lexer `asm-lint` v2 is built on.
+//! The token-tree lexer `asm-lint`'s own pass is built on.
 //!
-//! Replaces the v1 "blank comments and literal bodies" heuristic with a
-//! real token stream: every token carries its byte span and 0-based
-//! line / byte-column, so diagnostics stay byte-aligned with the source
-//! while the passes reason over tokens instead of substrings. Comments
-//! are lexed out of band (they carry allow directives and `SAFETY:`
-//! justifications, so their spans and text are kept).
+//! Every token carries its byte span and 0-based line / byte-column, so
+//! diagnostics stay byte-aligned with the source while the passes reason
+//! over tokens instead of substrings. Comments are lexed out of band
+//! (they carry allow directives, so their spans and text are kept).
 //!
 //! Design constraints, in order:
 //!
@@ -15,15 +13,14 @@
 //! 2. **Spans are exact.** `lo..hi` always lies inside the source and
 //!    always falls on UTF-8 boundaries (multi-byte characters are only
 //!    ever consumed whole), so `&src[lo..hi]` is safe everywhere.
-//! 3. **Dependency-free.** The build environment has no crates.io
-//!    access; this is `std` only.
+//! 3. **Dependency-free.** `std` only, so the gate builds in seconds.
 //!
 //! The lexer understands line comments, nested block comments, string /
 //! raw-string / byte-string / C-string literals, char literals vs
 //! lifetimes, raw identifiers (`r#type`), numeric literals (including
-//! floats, radix prefixes and exponents — the distinction feeds rule
-//! R3), and multi-character operators (`::`, `==`, `..=`, ... — maximal
-//! munch, so `=>` is never misread as `=` `>`).
+//! floats, radix prefixes and exponents), and multi-character operators
+//! (`::`, `==`, `..=`, ... — maximal munch, so `=>` is never misread as
+//! `=` `>`).
 
 /// A delimiter kind: `()`, `[]`, `{}`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,8 +42,8 @@ pub enum TokKind {
     Lifetime,
     /// An integer literal (`42`, `0xFF`, `1_000u64`).
     Int,
-    /// A float literal (`1.0`, `2e9`, `0.5f32`) — distinguishes rule
-    /// R3's operands from ranges and tuple indexing.
+    /// A float literal (`1.0`, `2e9`, `0.5f32`), as opposed to a range
+    /// (`0..1`) or a tuple index (`t.0`).
     Float,
     /// A string-ish literal: `"…"`, `r#"…"#`, `b"…"`, `c"…"`.
     Str,

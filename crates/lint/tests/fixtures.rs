@@ -1,156 +1,18 @@
-//! Fixture tests: one source file per rule under `tests/fixtures/`,
-//! linted through the public API with exact expected diagnostics, plus
-//! the allow-directive suppression fixture.
-//!
-//! These tests are the reintroduction guard the acceptance criteria ask
-//! for: each fixture deliberately contains the violation its rule bans,
-//! and the assertions pin the `file:line` the linter must report.
+//! Fixture tests for `asm-lint`'s own pass: the R13 fixture under
+//! `tests/fixtures/` (R9's is in `interprocedural.rs`), analysed through
+//! the public API with exact expected diagnostics, the allow-directive
+//! fixture with live and dead directives, and the whole-tree checks. (The
+//! clippy-owned policies have one reintroduction guard of their own:
+//! `policy.rs`.)
 
-use asm_lint::{lint_source, RuleId};
+use asm_lint::{analyze_sources, Analysis, RuleId};
 
-fn lines_of(path: &str, content: &str) -> Vec<(usize, RuleId)> {
-    lint_source(path, content)
-        .into_iter()
-        .map(|d| (d.line, d.rule))
-        .collect()
+fn analyze(path: &str, content: &str) -> Analysis {
+    analyze_sources(&[(path.to_owned(), content.to_owned())])
 }
 
-#[test]
-fn r1_hash_collections_fixture() {
-    let src = include_str!("fixtures/r1_hash_collections.rs");
-    let diags = lint_source("crates/core/src/fixture.rs", src);
-    assert_eq!(
-        diags.iter().map(|d| (d.line, d.rule)).collect::<Vec<_>>(),
-        vec![(3, RuleId::R1), (6, RuleId::R1)],
-        "{diags:#?}"
-    );
-    // Exact rendering of the first diagnostic, as the CLI prints it.
-    assert_eq!(
-        diags[0].to_string(),
-        "crates/core/src/fixture.rs:3: [R1] simulation code uses `HashMap` \
-         — iteration order is process-randomized and can reorder simulated \
-         events; use `BTreeMap`/`BTreeSet` or an explicitly sorted drain"
-    );
-}
-
-#[test]
-fn r2_unwrap_fixture() {
-    let src = include_str!("fixtures/r2_unwrap.rs");
-    let got = lines_of("crates/dram/src/fixture.rs", src);
-    // Line 4: unwrap(). Line 5: bare expect("oops"). unwrap_or and the
-    // long-message expect are clean; the test module is exempt.
-    assert_eq!(got, vec![(4, RuleId::R2), (5, RuleId::R2)]);
-}
-
-#[test]
-fn r3_float_eq_fixture() {
-    let src = include_str!("fixtures/r3_float_eq.rs");
-    let got = lines_of("crates/core/src/fixture.rs", src);
-    // Both comparisons share line 4; integer == and ranges are clean.
-    assert_eq!(got, vec![(4, RuleId::R3), (4, RuleId::R3)]);
-}
-
-#[test]
-fn r4_entropy_fixture() {
-    let src = include_str!("fixtures/r4_entropy.rs");
-    let got = lines_of("crates/simcore/src/fixture.rs", src);
-    // use Instant (3), Instant::now (6), SystemTime::now (7),
-    // rand::random (17); Duration stays legal.
-    assert_eq!(
-        got,
-        vec![
-            (3, RuleId::R4),
-            (6, RuleId::R4),
-            (7, RuleId::R4),
-            (17, RuleId::R4),
-        ]
-    );
-}
-
-#[test]
-fn r5_lossy_cast_fixture_is_path_scoped() {
-    let src = include_str!("fixtures/r5_lossy_cast.rs");
-    // Under a billing path both casts fire...
-    let got = lines_of("crates/core/src/mech/billing.rs", src);
-    assert_eq!(got, vec![(6, RuleId::R5), (10, RuleId::R5)]);
-    // ... and under the accounting path too.
-    let got = lines_of("crates/dram/src/accounting.rs", src);
-    assert_eq!(got, vec![(6, RuleId::R5), (10, RuleId::R5)]);
-    // Identical content anywhere else is clean: R5 scopes by path.
-    assert!(lines_of("crates/dram/src/bank.rs", src).is_empty());
-}
-
-#[test]
-fn r6_thread_sync_fixture() {
-    let src = include_str!("fixtures/r6_thread_sync.rs");
-    let diags = lint_source("crates/simcore/src/fixture.rs", src);
-    // use Mutex (5), use std::thread (6), thread::spawn (9), Mutex in a
-    // signature (13), AtomicUsize via std::sync::atomic (18), Ordering via
-    // std::sync::atomic (19). `Arc` stays legal and the test module is
-    // exempt.
-    assert_eq!(
-        diags.iter().map(|d| (d.line, d.rule)).collect::<Vec<_>>(),
-        vec![
-            (5, RuleId::R6),
-            (6, RuleId::R6),
-            (9, RuleId::R6),
-            (13, RuleId::R6),
-            (18, RuleId::R6),
-            (19, RuleId::R6),
-        ],
-        "{diags:#?}"
-    );
-    // Exact rendering of the thread diagnostic, as the CLI prints it.
-    assert_eq!(
-        diags[1].to_string(),
-        "crates/simcore/src/fixture.rs:6: [R6] `std::thread` in simulation \
-         code — the simulator must stay single-threaded; parallelism lives \
-         in the harness crate (`experiments`)"
-    );
-}
-
-#[test]
-fn r7_print_fixture() {
-    let src = include_str!("fixtures/r7_print.rs");
-    let diags = lint_source("crates/telemetry/src/fixture.rs", src);
-    // println (4), eprintln (5), dbg (6), print (7), eprint (8); the
-    // shadowing identifier and `format!` are clean, tests are exempt.
-    assert_eq!(
-        diags.iter().map(|d| (d.line, d.rule)).collect::<Vec<_>>(),
-        vec![
-            (4, RuleId::R7),
-            (5, RuleId::R7),
-            (6, RuleId::R7),
-            (7, RuleId::R7),
-            (8, RuleId::R7),
-        ],
-        "{diags:#?}"
-    );
-    // Exact rendering, as the CLI prints it.
-    assert_eq!(
-        diags[0].to_string(),
-        "crates/telemetry/src/fixture.rs:4: [R7] `println!` in simulation \
-         code — stdout/stderr must stay reserved for the harness (tables \
-         are byte-compared across runs); record state via `asm-telemetry` \
-         counters/series/traces or return it to the caller"
-    );
-}
-
-#[test]
-fn r12_le_bytes_fixture() {
-    let src = include_str!("fixtures/r12_le_bytes.rs");
-    // to_le_bytes (5), to_be_bytes (6), from_ne_bytes (13); the allowed
-    // hashing site and `format!` are clean, tests are exempt.
-    let got = lines_of("crates/core/src/fixture.rs", src);
-    assert_eq!(
-        got,
-        vec![(5, RuleId::R12), (6, RuleId::R12), (13, RuleId::R12)]
-    );
-    // The persist module itself is the one place allowed to frame bytes.
-    assert!(
-        lint_source("crates/simcore/src/persist.rs", src).is_empty(),
-        "persist.rs owns the framing primitives"
-    );
+fn lines_of(analysis: &Analysis) -> Vec<(usize, Option<RuleId>)> {
+    analysis.diagnostics.iter().map(|d| (d.line, d.rule)).collect()
 }
 
 #[test]
@@ -159,29 +21,58 @@ fn r13_metric_names_fixture() {
     // Inline literal (4) and format-hole literal (5); the allow-directive
     // site, registry call, path/prose/version/single-segment strings, and
     // the test module are all clean.
-    let got = lines_of("crates/cache/src/fixture.rs", src);
-    assert_eq!(got, vec![(4, RuleId::R13), (5, RuleId::R13)]);
-    // The names registry itself is the one place allowed to spell names.
-    assert!(
-        lint_source("crates/telemetry/src/names.rs", src).is_empty(),
-        "names.rs owns the metric-name spellings"
+    let analysis = analyze("crates/cache/src/fixture.rs", src);
+    assert_eq!(lines_of(&analysis), vec![(4, Some(RuleId::R13)), (5, Some(RuleId::R13))]);
+    assert_eq!(
+        analysis.diagnostics[0].to_string(),
+        "crates/cache/src/fixture.rs:4: [R13] inline metric-name literal `\"llc.app0.hits\"` — \
+         spell telemetry/attribution names once in `asm_telemetry::names` and call the registry \
+         helper here, so emit sites cannot drift from the names the sinks and dashboards join on"
     );
+    // The names registry itself is the one place allowed to spell names
+    // (so the fixture's allow there suppresses nothing and is stale).
+    let analysis = analyze("crates/telemetry/src/names.rs", src);
+    assert_eq!(lines_of(&analysis), vec![(9, None)], "{:#?}", analysis.diagnostics);
 }
 
 #[test]
 fn allow_directives_suppress_every_rule_form() {
-    let src = include_str!("fixtures/allow_suppression.rs");
-    let diags = lint_source("crates/core/src/fixture.rs", src);
+    let analysis = analyze(
+        "crates/core/src/fixture.rs",
+        include_str!("fixtures/allow_suppression.rs"),
+    );
+    // Four live directives: three suppressed leaves (one of them under
+    // both rules) ...
+    let suppressed: Vec<(usize, Option<RuleId>)> =
+        analysis.suppressed.iter().map(|d| (d.line, d.rule)).collect();
+    assert_eq!(
+        suppressed,
+        vec![
+            (12, Some(RuleId::R9)),
+            (13, Some(RuleId::R13)),
+            (15, Some(RuleId::R9)),
+            (15, Some(RuleId::R13)),
+        ],
+        "{:#?}",
+        analysis.suppressed
+    );
+    // ... and the boundary, which the walk reaches and stops at.
+    assert!(analysis.hot_reachable.iter().any(|h| h.name == "end_quantum" && h.boundary));
+    // The fifth sits on a fn the walk never visits: accepted silently
+    // before, a diagnostic now.
+    let got: Vec<String> = analysis.diagnostics.iter().map(ToString::to_string).collect();
+    assert_eq!(got.len(), 1, "{got:#?}");
     assert!(
-        diags.is_empty(),
-        "reasoned allow directives must suppress: {diags:#?}"
+        got[0].starts_with("crates/core/src/fixture.rs:25: [allow] stale `allow(R9)`"),
+        "{got:#?}"
     );
 }
 
 #[test]
 fn stripping_the_directive_resurfaces_the_violation() {
-    // The escape hatch must be load-bearing: deleting the directive from
-    // the suppression fixture brings the diagnostics back.
+    // The escape hatch must be load-bearing: deleting the directives from
+    // the suppression fixture brings the diagnostics back (the boundary's
+    // body included) and leaves nothing stale.
     let src = include_str!("fixtures/allow_suppression.rs");
     let stripped: String = src
         .lines()
@@ -193,30 +84,41 @@ fn stripping_the_directive_resurfaces_the_violation() {
             format!("{without}\n")
         })
         .collect();
-    let got = lines_of("crates/core/src/fixture.rs", &stripped);
-    let rules: Vec<RuleId> = got.iter().map(|&(_, r)| r).collect();
-    assert_eq!(rules, vec![RuleId::R1, RuleId::R2, RuleId::R3], "{got:?}");
+    let analysis = analyze("crates/core/src/fixture.rs", &stripped);
+    assert_eq!(
+        lines_of(&analysis),
+        vec![
+            (12, Some(RuleId::R9)),
+            (13, Some(RuleId::R13)),
+            (15, Some(RuleId::R9)),
+            (15, Some(RuleId::R13)),
+            (21, Some(RuleId::R9)),
+        ],
+        "{:#?}",
+        analysis.diagnostics
+    );
+}
+
+fn workspace_root() -> std::path::PathBuf {
+    // CARGO_MANIFEST_DIR is crates/lint; the workspace root is two up.
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("lint crate lives two levels below the workspace root")
+        .to_path_buf()
 }
 
 #[test]
 fn workspace_is_clean() {
-    // The sweep half of the tentpole, pinned as a test: the real
-    // simulation crates must satisfy R1-R13. CARGO_MANIFEST_DIR is
-    // crates/lint; the workspace root is two levels up.
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("lint crate lives two levels below the workspace root")
-        .to_path_buf();
-    let analysis = asm_lint::run_workspace(&root).expect("workspace tree is readable");
+    // The real simulation crates must satisfy R9 and R13 with no stale
+    // directive, and the analysis must actually have seen them: the
+    // hot-path reachability set contains `System::step`.
+    let analysis = asm_lint::run_workspace(&workspace_root()).expect("workspace tree is readable");
     assert!(
         analysis.diagnostics.is_empty(),
         "workspace has lint violations: {:#?}",
         analysis.diagnostics
     );
-    // The three-layer analysis must actually have seen the workspace: the
-    // unsafe inventory is non-empty (flat tag arenas use unchecked reads)
-    // and the hot-path reachability set contains `System::step`.
     assert!(
         analysis
             .hot_reachable
@@ -227,10 +129,36 @@ fn workspace_is_clean() {
     );
 }
 
+#[test]
+fn every_allow_directive_in_the_tree_is_one_the_linter_walks() {
+    // A directive in a directory `run_workspace` never reads (a crate's
+    // `tests/`, the harness) can be neither live nor reported as stale.
+    fn visit(dir: &std::path::Path, hits: &mut Vec<String>) {
+        for entry in std::fs::read_dir(dir).expect("workspace tree is readable") {
+            let path = entry.expect("workspace tree is readable").path();
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            if path.is_dir() {
+                if !matches!(name, "target" | ".git" | ".bench_build" | "lint") {
+                    visit(&path, hits);
+                }
+            } else if name.ends_with(".rs")
+                && std::fs::read_to_string(&path).is_ok_and(|s| s.contains("asm-lint: allow("))
+            {
+                hits.push(path.to_string_lossy().replace('\\', "/"));
+            }
+        }
+    }
+    let mut hits = Vec::new();
+    visit(&workspace_root(), &mut hits);
+    let walked = |p: &String| asm_lint::SIM_CRATES.iter().any(|c| p.contains(&format!("/crates/{c}/src/")));
+    let stray: Vec<&String> = hits.iter().filter(|p| !walked(p)).collect();
+    assert!(!hits.is_empty() && stray.is_empty(), "directives outside the linted trees: {stray:#?}");
+}
+
 /// A temp checkout holding an empty `src/lib.rs` for every listed crate.
 fn temp_checkout(tag: &str) -> std::path::PathBuf {
     let root = std::env::temp_dir().join(format!("asm_lint_{tag}_{}", std::process::id()));
-    for krate in asm_lint::SIM_CRATES.iter().chain(asm_lint::HARNESS_CRATES) {
+    for krate in asm_lint::SIM_CRATES {
         let src = root.join("crates").join(krate).join("src");
         std::fs::create_dir_all(&src).expect("temp tree");
         std::fs::write(src.join("lib.rs"), "").expect("fixture file");
@@ -240,9 +168,9 @@ fn temp_checkout(tag: &str) -> std::path::PathBuf {
 
 #[test]
 fn a_tree_missing_a_listed_crate_fails() {
-    // A checkout where a crate named in SIM_CRATES/HARNESS_CRATES is gone
-    // (deleted, renamed, moved): the walk must not quietly lint less and
-    // report "clean" — it is an I/O error naming the crate.
+    // A checkout where a crate named in SIM_CRATES is gone (deleted,
+    // renamed, moved): the walk must not quietly lint less and report
+    // "clean" — it is an I/O error naming the crate.
     let root = temp_checkout("missing_crate");
     std::fs::remove_dir_all(root.join("crates/attrib")).expect("temp tree");
     let err = asm_lint::run_workspace(&root).expect_err("a listed crate is missing");

@@ -1,15 +1,31 @@
-//! Fixture: the allow-directive escape hatch. Every violation here is
-//! suppressed with a reasoned directive, so linting must be clean.
-
-use std::collections::HashMap; // asm-lint: allow(R1): fixture demonstrates trailing form
-
-fn drain(queue: &mut Vec<u64>) -> u64 {
-    // asm-lint: allow(R2): fixture demonstrates the standalone form
-    queue.pop().unwrap()
+//! Fixture: the allow-directive escape hatch for the two rules asm-lint
+//! owns. Four directives are live (each suppresses a finding or marks a
+//! boundary the hot-path walk reaches); the one on `dump` is dead.
+pub struct System {
+    scratch: Vec<u64>,
 }
 
-fn compare(slowdown: f64) -> bool {
-    // asm-lint: allow(R3): fixture demonstrates a multi-line reason that
-    // wraps onto a second comment line before the offending code
-    slowdown == 1.0
+impl System {
+    pub fn step(&mut self) {
+        // asm-lint: allow(R9): fixture demonstrates the standalone form with
+        // a reason that wraps onto a second comment line
+        let spill = self.scratch.to_vec();
+        self.count("llc.app0.hits"); // asm-lint: allow(R13): fixture demonstrates the trailing form
+        // asm-lint: allow(R9, R13): one directive may name both rules
+        self.count(&format!("llc.app{}.misses", spill.len()));
+        self.end_quantum();
+    }
+
+    // asm-lint: allow(R9): quantum boundary — the walk from `step` reaches it
+    fn end_quantum(&mut self) {
+        let snapshot = self.scratch.to_vec();
+        let _ = snapshot;
+    }
+
+    // asm-lint: allow(R9): nothing on the hot path calls `dump`
+    pub fn dump(&self) -> String {
+        format!("{} entries", self.scratch.len())
+    }
+
+    fn count(&mut self, _name: &str) {}
 }

@@ -1,81 +1,20 @@
-//! Fixture tests for the workspace-level rules R8–R11: each exercises
-//! the positive case, the clean case, and the allow-directive escape,
+//! Fixture test for the workspace-level rule R9: the positive case, the
+//! clean case, and the fn-level allow that marks a traversal boundary,
 //! through the same `analyze_sources` entry point the CLI uses.
-//!
-//! The R8 pair is the acceptance fixture from the v2 rewrite: a hash
-//! map laundered through `type Fast = …` in another file, which the
-//! per-file v1 rules provably miss and the symbol-resolution layer must
-//! catch.
 
-use asm_lint::{analyze_sources, lint_source, Options, RuleId};
-
-fn analyze(files: &[(&str, &str)]) -> asm_lint::Analysis {
-    let owned: Vec<(String, String)> = files
-        .iter()
-        .map(|(p, c)| ((*p).to_owned(), (*c).to_owned()))
-        .collect();
-    analyze_sources(&owned, &Options::default())
-}
-
-const R8_ALIASES: &str = include_str!("fixtures/r8_aliases.rs");
-const R8_SIM_STATE: &str = include_str!("fixtures/r8_sim_state.rs");
-
-#[test]
-fn r8_alias_misses_in_v1_and_catches_in_v2() {
-    // The per-file layer (v1 surface: lexical rules only) sees nothing
-    // wrong with either file: no literal `HashMap` usage outside a
-    // `use`/`type` definition line ever appears in the usage file.
-    assert!(
-        lint_source("crates/core/src/sim_state.rs", R8_SIM_STATE).is_empty(),
-        "the per-file rules must not resolve cross-file aliases"
-    );
-
-    // The workspace layer resolves `Fast` -> std::collections::HashMap
-    // and flags the simulation-state usage.
-    let analysis = analyze(&[
-        ("crates/core/src/aliases.rs", R8_ALIASES),
-        ("crates/core/src/sim_state.rs", R8_SIM_STATE),
-    ]);
-    let got: Vec<(String, usize, RuleId)> = analysis
-        .diagnostics
-        .iter()
-        .map(|d| (d.path.clone(), d.line, d.rule))
-        .collect();
-    assert_eq!(
-        got,
-        vec![("crates/core/src/sim_state.rs".to_owned(), 6, RuleId::R8)],
-        "{:#?}",
-        analysis.diagnostics
-    );
-    assert!(
-        analysis.diagnostics[0].message.contains("std::collections::HashMap"),
-        "diagnostic names the resolved root: {}",
-        analysis.diagnostics[0].message
-    );
-    // The allow-annotated usage is suppressed but stays auditable.
-    let suppressed: Vec<usize> = analysis
-        .suppressed
-        .iter()
-        .filter(|d| d.rule == RuleId::R8)
-        .map(|d| d.line)
-        .collect();
-    assert_eq!(suppressed, vec![13], "{:#?}", analysis.suppressed);
-}
+use asm_lint::{analyze_sources, RuleId};
 
 #[test]
 fn r9_hot_path_allocation_and_boundary() {
-    let analysis = analyze(&[(
-        "crates/core/src/hot.rs",
-        include_str!("fixtures/r9_hot_alloc.rs"),
+    let analysis = analyze_sources(&[(
+        "crates/core/src/hot.rs".to_owned(),
+        include_str!("fixtures/r9_hot_alloc.rs").to_owned(),
     )]);
-    let got: Vec<(usize, RuleId)> = analysis
-        .diagnostics
-        .iter()
-        .map(|d| (d.line, d.rule))
-        .collect();
     // Only `drain`'s collect fires: `end_quantum` is a justified
     // boundary and `dump` is unreachable from `System::step`.
-    assert_eq!(got, vec![(14, RuleId::R9)], "{:#?}", analysis.diagnostics);
+    let got: Vec<(usize, Option<RuleId>)> =
+        analysis.diagnostics.iter().map(|d| (d.line, d.rule)).collect();
+    assert_eq!(got, vec![(14, Some(RuleId::R9))], "{:#?}", analysis.diagnostics);
 
     // The reachability export covers exactly the per-cycle fns, with the
     // boundary marked.
@@ -89,68 +28,5 @@ fn r9_hot_path_allocation_and_boundary() {
         vec![("step", false), ("drain", false), ("end_quantum", true)],
         "{:#?}",
         analysis.hot_reachable
-    );
-}
-
-#[test]
-fn r10_unjustified_unsafe_and_inventory() {
-    let analysis = analyze(&[(
-        "crates/cache/src/scan.rs",
-        include_str!("fixtures/r10_unsafe.rs"),
-    )]);
-    let got: Vec<(usize, RuleId)> = analysis
-        .diagnostics
-        .iter()
-        .map(|d| (d.line, d.rule))
-        .collect();
-    assert_eq!(got, vec![(10, RuleId::R10)], "{:#?}", analysis.diagnostics);
-
-    // Both non-test unsafe sites appear in the inventory; only the one
-    // with an adjacent SAFETY comment is marked justified.
-    let inv: Vec<(usize, bool)> = analysis
-        .unsafe_inventory
-        .iter()
-        .map(|u| (u.line, u.has_safety))
-        .collect();
-    assert_eq!(inv, vec![(6, true), (10, false)], "{:#?}", analysis.unsafe_inventory);
-    assert_eq!(
-        analysis.unsafe_inventory[0].enclosing_fn.as_deref(),
-        Some("justified")
-    );
-}
-
-#[test]
-fn r11_guard_across_runner_dispatch() {
-    let analysis = analyze(&[(
-        "crates/experiments/src/fixture.rs",
-        include_str!("fixtures/r11_lock_across_run.rs"),
-    )]);
-    let got: Vec<(usize, RuleId)> = analysis
-        .diagnostics
-        .iter()
-        .map(|d| (d.line, d.rule))
-        .collect();
-    // Only `bad` holds the guard across `.run(`; `good` scopes it and
-    // `dropped` releases it explicitly.
-    assert_eq!(got, vec![(6, RuleId::R11)], "{:#?}", analysis.diagnostics);
-}
-
-#[test]
-fn r11_is_harness_scoped() {
-    // The same source under a simulation-crate path is R11-clean (locks
-    // are already banned wholesale there by R6 — which fires instead).
-    let analysis = analyze(&[(
-        "crates/core/src/fixture.rs",
-        include_str!("fixtures/r11_lock_across_run.rs"),
-    )]);
-    assert!(
-        analysis.diagnostics.iter().all(|d| d.rule != RuleId::R11),
-        "{:#?}",
-        analysis.diagnostics
-    );
-    assert!(
-        analysis.diagnostics.iter().any(|d| d.rule == RuleId::R6),
-        "sim role bans the Mutex itself: {:#?}",
-        analysis.diagnostics
     );
 }

@@ -5,7 +5,7 @@
 //! The vendored proptest shim draws from a deterministic splitmix64
 //! stream, so a failing case reproduces bit-identically everywhere.
 
-use asm_lint::{lint_source, FileModel};
+use asm_lint::{analyze_sources, FileModel};
 use proptest::prelude::*;
 
 /// Fragment pool for structured "token soup": pieces of real Rust
@@ -17,8 +17,8 @@ const FRAGMENTS: &[&str] = &[
     "}",
     "pub type Fast = std::collections::HashMap<u64, u64>;",
     "use crate::aliases::Fast as F;",
-    "// asm-lint: allow(R8): reason",
-    "// SAFETY: the index is in bounds",
+    "// asm-lint: allow(R9): reason",
+    "t.incr(\"llc.app0.hits\");",
     "unsafe {",
     "#[cfg(test)]",
     "mod tests {",
@@ -58,9 +58,8 @@ fn check_model(src: &str) {
     for (i, &m) in model.match_of.iter().enumerate() {
         prop_assert!(m < model.tokens.len(), "match_of[{}] dangles", i);
     }
-    // The full per-file rule set must not panic either.
-    let _ = lint_source("crates/core/src/fuzz.rs", src);
-    let _ = lint_source("crates/experiments/src/fuzz.rs", src);
+    // Both rules and the directive check must not panic either.
+    let _ = analyze_sources(&[("crates/core/src/fuzz.rs".to_owned(), src.to_owned())]);
 }
 
 proptest! {

@@ -3,7 +3,7 @@
 //! `std::collections::HashMap`'s default `RandomState` seeds itself from OS
 //! entropy, which would make map-dependent behaviour differ between runs —
 //! unacceptable in a simulator whose outputs must be reproducible from a
-//! seed (and banned by asm-lint rule R4). The maps used on simulation hot
+//! seed (and banned by the determinism policy, DESIGN.md §8). The maps used on simulation hot
 //! paths (MSHR, per-core token tables) are keyed by `u64` and never
 //! iterated, so a fixed-seed hasher changes no observable behaviour while
 //! replacing `BTreeMap`'s pointer-chasing with O(1) probes.
@@ -26,15 +26,14 @@
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A `HashMap` with a fixed, deterministic hash function.
-// asm-lint: allow(R1): fixed-seed hasher — iteration order is identical
-// across processes, which is exactly the property R1 exists to protect
-// asm-lint: allow(R8): fixed-seed hasher — the alias is the sanctioned
-// deterministic map, so uses of it must not re-flag as hash-ordered
+#[expect(
+    clippy::disallowed_types,
+    reason = "fixed-seed hasher: iteration order is identical across processes, the property the ban protects"
+)]
 pub type DetHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<DetHasher>>;
 
 /// A `HashSet` with a fixed, deterministic hash function.
-// asm-lint: allow(R1): fixed-seed hasher — see DetHashMap above
-// asm-lint: allow(R8): fixed-seed hasher — see DetHashMap above
+#[expect(clippy::disallowed_types, reason = "fixed-seed hasher, see DetHashMap")]
 pub type DetHashSet<K> = std::collections::HashSet<K, BuildHasherDefault<DetHasher>>;
 
 /// Fixed-seed hasher: splitmix64 finaliser over a running state.
@@ -64,8 +63,7 @@ impl Hasher for DetHasher {
         for chunk in bytes.chunks(8) {
             let mut word = [0u8; 8];
             word[..chunk.len()].copy_from_slice(chunk);
-            // asm-lint: allow(R12): word assembly for hashing, not
-            // serialization — explicit LE keeps digests platform-stable
+            // Explicit LE keeps digests platform-stable.
             self.mix(u64::from_le_bytes(word));
         }
     }
@@ -82,8 +80,7 @@ impl Hasher for DetHasher {
 
     #[inline]
     fn write_usize(&mut self, n: usize) {
-        // asm-lint: allow(R5): widening usize→u64 is lossless on every
-        // supported target
+        // Widening usize→u64 is lossless on every supported target.
         self.mix(n as u64);
     }
 }

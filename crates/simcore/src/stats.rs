@@ -338,8 +338,10 @@ impl Histogram {
     ///
     /// Panics if the two histograms have different bucket width or count.
     pub fn merge(&mut self, other: &Histogram) {
+        // Same *configured* value, not numerically close: compare bits.
         assert_eq!(
-            self.bucket_width, other.bucket_width,
+            self.bucket_width.to_bits(),
+            other.bucket_width.to_bits(),
             "bucket width mismatch"
         );
         assert_eq!(

@@ -9,8 +9,16 @@
 #                                             every package — all the
 #                                             equivalence proptests and CLI
 #                                             differentials included)
-#   3. cargo run -p asm-lint --release       (workspace determinism lint;
-#                                             exit 1 on any violation)
+#   3. cargo run -p asm-lint --release       (the determinism-policy gate:
+#                                             asm-lint's own rules R9/R13,
+#                                             then `cargo clippy --offline
+#                                             --lib --bins` over the eleven
+#                                             simulation crates with the
+#                                             clippy-owned policy lints
+#                                             denied — ≈ +11 s cold, ≈ 1 s
+#                                             warm; exit 1 on any violation
+#                                             in either half, stale
+#                                             allow/#[expect] included)
 #   4. asm-experiments xval --tiny           (analytic-tier smoke: both
 #                                             tiers agree on the 7-mix
 #                                             CI sweep; full 38-config
