@@ -52,12 +52,6 @@ impl PollutionFilter {
         }
     }
 
-    /// Size of the filter in bits.
-    #[must_use]
-    pub fn capacity_bits(&self) -> usize {
-        ((self.mask + 1) as usize).max(64)
-    }
-
     /// Number of insertions since the last [`clear`](Self::clear).
     #[must_use]
     pub fn inserted(&self) -> u64 {

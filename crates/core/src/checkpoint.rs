@@ -26,8 +26,9 @@
 //!
 //! Snapshots carry a caller-provided key — [`Runner::warmup_key`] folds
 //! the prefix-relevant configuration hash, the workload mix, and the
-//! telemetry switch — and are rejected on any mismatch, so a stale file
-//! can only fail to speed things up, never change results.
+//! attribution switch (the ledger is simulator state; telemetry is a view
+//! and leaves no trace in a snapshot) — and are rejected on any mismatch,
+//! so a stale file can only fail to speed things up, never change results.
 //!
 //! [`Runner::warmup_key`]: crate::runner::Runner::warmup_key
 
@@ -56,7 +57,10 @@ pub const SNAPSHOT_FORMAT: &str = "asm-snapshot";
 /// v5: `System`'s list nests those of its owners (`LazyCores`,
 /// `Hierarchy`, `Probes`), and an in-flight miss stores its demand context
 /// once.
-pub const SNAPSHOT_VERSION: u32 = 5;
+/// v6: no telemetry state — `Probes` lists the eviction and read-latency
+/// tallies (always on), the ledger and the measured-latency histogram;
+/// the counter registry and the series rings are gone.
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Format name of a binary per-run result manifest.
 pub const MANIFEST_FORMAT: &str = "asm-run-manifest";
@@ -122,7 +126,7 @@ pub fn capture(sys: &System, key: u64, warm_cycles: Cycle) -> Vec<u8> {
 /// [`PersistError::BadHeader`] / [`PersistError::StaleVersion`] for
 /// foreign or outdated artefacts, [`PersistError::Corrupt`] when the key
 /// does not match (a snapshot of a different configuration, mix, or
-/// telemetry switch) or the state does not fit `sys`'s structure.
+/// attribution switch) or the state does not fit `sys`'s structure.
 pub fn resume(bytes: &[u8], key: u64, sys: &mut System) -> Result<Cycle, PersistError> {
     let mut r = persist::open(bytes, SNAPSHOT_FORMAT, SNAPSHOT_VERSION, key)?;
     let warm_cycles = r.u64()?;
@@ -304,6 +308,38 @@ mod tests {
     }
 
     #[test]
+    fn an_instrumented_run_forks_an_uninstrumented_warmup_bitwise() {
+        use crate::runner::RunOptions;
+        let apps = apps();
+        let mut c = config();
+        c.cache_policy = CachePolicy::AsmCache;
+        let runner = Runner::new(c);
+        // Telemetry is a view of state every run keeps: the warm-up needs
+        // no instrument for the fork to report the whole run.
+        let snap = runner.warm_snapshot(&apps, RunOptions::default());
+        let instrumented = RunOptions {
+            telemetry: true,
+            trace_sample: None,
+            attrib: false,
+        };
+        let cold = runner.run_with(&apps, 150_000, instrumented);
+        let forked = runner
+            .run_with_snapshot(&apps, 150_000, instrumented, &snap)
+            .expect("telemetry is not part of the warmup key");
+        assert_results_bitwise_equal(&cold, &forked);
+        let (cold, forked) = (cold.telemetry.expect("on"), forked.telemetry.expect("on"));
+        assert!(cold.counters.iter().any(|(name, v)| name == "llc.app0.misses" && *v > 0));
+        assert_eq!(cold.counters, forked.counters);
+        let bits = |t: &crate::RunTelemetry| -> Vec<(String, Vec<(Cycle, u64)>)> {
+            let samples = |s: &[(Cycle, f64)]| s.iter().map(|&(c, v)| (c, v.to_bits())).collect();
+            t.series.iter().map(|(name, s)| (name.to_owned(), samples(s))).collect()
+        };
+        assert_eq!(bits(&cold), bits(&forked));
+        assert!(cold.mem_latency_hist.total() > 0);
+        assert_eq!(cold.mem_latency_hist, forked.mem_latency_hist);
+    }
+
+    #[test]
     fn warmup_key_shared_across_policies_but_not_hardware_or_mix() {
         use crate::runner::RunOptions;
         let apps = apps();
@@ -333,7 +369,8 @@ mod tests {
             trace_sample: None,
             attrib: false,
         };
-        assert_ne!(Runner::new(config()).warmup_key(&apps, telem), base);
+        // Telemetry is a view: it shares the uninstrumented warm-up.
+        assert_eq!(Runner::new(config()).warmup_key(&apps, telem), base);
         let attrib = RunOptions {
             telemetry: false,
             trace_sample: None,
@@ -436,14 +473,14 @@ mod tests {
 
     #[test]
     fn artefacts_of_the_previous_format_versions_are_stale() {
-        // A v4 snapshot predates the nested field lists and a v1 manifest
-        // the lists altogether; their bytes must never be read as if they
-        // were current.
-        let old_snapshot = StateWriter::new(SNAPSHOT_FORMAT, 4).finish();
+        // A v5 snapshot carries a counter registry and series rings and a
+        // v1 manifest predates the field lists; their bytes must never be
+        // read as if they were current.
+        let old_snapshot = StateWriter::new(SNAPSHOT_FORMAT, 5).finish();
         let mut sys = System::new(&apps(), config());
         assert!(matches!(
             resume(&old_snapshot, 0, &mut sys),
-            Err(PersistError::StaleVersion { found: 4, expected: SNAPSHOT_VERSION, .. })
+            Err(PersistError::StaleVersion { found: 5, expected: SNAPSHOT_VERSION, .. })
         ));
         assert!(matches!(
             persist::open(&old_snapshot, SNAPSHOT_FORMAT, SNAPSHOT_VERSION, 0),

@@ -472,16 +472,17 @@ impl Runner {
     /// The key identifying warmup snapshots this runner can fork for
     /// `apps`: a fingerprint of the prefix-relevant configuration
     /// ([`checkpoint::prefix_config`]), the workload mix, and the
-    /// telemetry switch. Runners whose configurations differ only in the
-    /// quantum-boundary policies produce the same key — that is the
-    /// sharing the sweep planner exploits.
+    /// attribution switch (the ledger is state a snapshot carries;
+    /// telemetry is a view of state every run keeps, so an instrumented
+    /// run forks an uninstrumented warm-up). Runners whose configurations
+    /// differ only in the quantum-boundary policies produce the same key
+    /// — that is the sharing the sweep planner exploits.
     #[must_use]
     pub fn warmup_key(&self, apps: &[AppProfile], opts: RunOptions) -> u64 {
         use std::hash::Hasher as _;
         let mut h = DetHasher::default();
         h.write_u64(config_hash(&checkpoint::prefix_config(&self.config)));
         h.write_u64(checkpoint::mix_fingerprint(apps));
-        h.write_u8(u8::from(opts.telemetry));
         h.write_u8(u8::from(opts.attrib));
         h.finish()
     }
@@ -517,7 +518,7 @@ impl Runner {
     /// # Errors
     ///
     /// Any [`PersistError`] from the snapshot: foreign or stale artefact,
-    /// key mismatch (different prefix configuration, mix, or telemetry
+    /// key mismatch (different prefix configuration, mix, or attribution
     /// switch), or damage.
     ///
     /// # Panics
@@ -652,15 +653,12 @@ impl Runner {
             let mut t = sys.take_telemetry();
             // Ground truth per quantum as a series, sampled at the same
             // boundary cycles as the estimator series so the two line up.
-            let ids: Vec<_> = (0..n)
-                .map(|i| t.series.register(&names::app_actual_slowdown(i)))
-                .collect();
-            for (r, q) in sys.records().iter().zip(&quanta) {
-                for (i, &id) in ids.iter().enumerate() {
-                    if q.actual[i].is_finite() {
-                        t.series.push(id, r.end_cycle, q.actual[i]);
-                    }
-                }
+            for i in 0..n {
+                let samples = sys.records().iter().zip(&quanta);
+                let samples = samples
+                    .map(|(r, q)| (r.end_cycle, q.actual[i]))
+                    .filter(|(_, actual)| actual.is_finite());
+                t.series.push(names::app_actual_slowdown(i), samples.collect());
             }
             Some(t)
         } else {
@@ -794,8 +792,7 @@ mod tests {
 
         // Ground-truth slowdowns from the quantum records are re-exposed
         // as a series aligned with the estimator series.
-        let id = t.series.id_of("app0.actual_slowdown").expect("series");
-        let samples = t.series.samples(id);
+        let samples = t.series.get("app0.actual_slowdown").expect("series");
         assert_eq!(
             samples.len(),
             traced

@@ -142,8 +142,7 @@ impl System {
             interference_cycles: std::mem::replace(&mut hier.quantum_interference, vec![0; n]),
             estimates,
         };
-        let asm = self.asm_idx.map(|i| record.estimates[i].1.as_slice());
-        hier.probes.quantum_closed(&record, self.records.len(), asm, &hier.mem);
+        hier.probes.quantum_closed(&record, self.records.len(), &hier.mem);
         self.records.push(record);
 
         // Reset per-quantum state (folding it into lifetime totals first).

@@ -336,7 +336,6 @@ impl Hierarchy {
         } else {
             stats.misses += 1;
         }
-        self.probes.llc_access(a, llc_hit);
 
         let event = AccessEvent {
             now,

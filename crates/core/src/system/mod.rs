@@ -31,19 +31,19 @@
 //! ├─ lazy: LazyCores   cores, wake-ups, progress logs; `synced` (derived)
 //! └─ hier: Hierarchy   caches, ATS, pollution filters, prefetchers, MemorySystem, MSHR,
 //!    │                 estimators, qstats, epoch owner, request ids, stall-memo version
-//!    └─ probes: Probes telemetry, attribution ledger, measured-latency histogram
+//!    └─ probes: Probes tracer, attribution ledger, latency tallies, the telemetry view
 //! ```
 //!
 //! Each owner persists through its own `persist_fields!` list, nested the
 //! same way. A cycle borrows `lazy` and `hier` side by side: a core tick
 //! calls `hier.issue`, a completion delivery `lazy.catch_up`. `Probes`
-//! alone builds, registers and switches instruments; everything else
-//! reports events to it unconditionally. It lends the ledger
-//! (`probes.ledger()`) to `LazyCores` whenever core ticks are executed or
-//! replayed — per-tick head states are facts only `cores.rs` sees. Derived
-//! and un-persisted: `synced` and the boundary deadlines (`check_restored`
-//! rebuilds them), the counter/series handles (`Probes` re-binds them), the
-//! sibling observers and the completion buffer.
+//! alone builds and switches instruments and renders the telemetry view;
+//! everything else reports events to it unconditionally. It lends the
+//! ledger (`probes.ledger()`) to `LazyCores` whenever core ticks are
+//! executed or replayed — per-tick head states are facts only `cores.rs`
+//! sees. Derived and un-persisted: `synced` and the boundary deadlines
+//! (`check_restored` rebuilds them), the sibling observers and the
+//! completion buffer.
 
 mod boundary;
 mod cores;
@@ -58,7 +58,6 @@ use asm_cpu::{AppProfile, Core, ProgressLog};
 use asm_dram::Completion;
 use asm_simcore::persist::{ensure, PersistError};
 use asm_simcore::{AppId, Cycle, Histogram, SimRng};
-use asm_telemetry::names;
 
 use crate::config::{CachePolicy, SystemConfig};
 use crate::estimator::{
@@ -181,6 +180,14 @@ impl QuantumRecord {
             .zip(&self.retired_end)
             .map(|(s, e)| (e - s) as f64 / cycles)
             .collect()
+    }
+
+    /// The ATS miss rate ASM sampled for `app` over this quantum; `None`
+    /// without ASM or without a sampled access.
+    #[must_use]
+    pub fn ats_miss_rate(&self, app: usize) -> Option<f64> {
+        let &(hits, misses) = self.ats_samples.get(app)?;
+        (hits + misses > 0).then(|| misses as f64 / (hits + misses) as f64)
     }
 
     /// Whether every per-application vector covers exactly `apps`
@@ -456,11 +463,13 @@ impl System {
         }
     }
 
-    /// Turns telemetry collection on (post-construction, like
+    /// Turns telemetry on (post-construction, like
     /// [`asm_dram::MemorySystem::enable_audit`], so configuration hashes
-    /// and the alone-run cache are unaffected). `trace_sample`
-    /// additionally enables the sim-time tracer, keeping 1-in-`n` request
-    /// lifecycles.
+    /// and the alone-run cache are unaffected): the next
+    /// [`take_telemetry`](Self::take_telemetry) renders the whole run so
+    /// far, whenever this was called. `trace_sample` additionally starts
+    /// the sim-time tracer, keeping 1-in-`n` request lifecycles — the one
+    /// instrument that only sees what happens after it is switched on.
     pub fn enable_telemetry(&mut self, trace_sample: Option<u64>) {
         self.hier.probes.enable_telemetry(trace_sample);
     }
@@ -468,9 +477,8 @@ impl System {
     /// Turns on ground-truth cycle attribution: every core cycle is
     /// classified into the [`asm_attrib::Component`] ledger and
     /// interference cycles are blamed on their offender, per quantum
-    /// (DESIGN.md §13). With telemetry on as well — enabled before or
-    /// after, the order does not matter — each closed quantum is also
-    /// published as `attrib.*` counters and blame series.
+    /// (DESIGN.md §13). With telemetry on as well, the ledger is also
+    /// rendered as `attrib.*` counters and blame series.
     pub fn enable_attribution(&mut self) {
         self.hier.mem.enable_attribution();
         self.hier.probes.enable_attribution();
@@ -503,30 +511,27 @@ impl System {
         self.hier.probes.attribution().map(|a| a.blame_totals())
     }
 
-    /// Detaches everything telemetry collected, pulling end-of-run gauges
-    /// (per-core retire/stall counts, per-bank DRAM row outcomes) into the
-    /// counter snapshot first, and leaves telemetry off. Returns empty
-    /// artefacts when telemetry was never enabled.
+    /// Renders the run so far as telemetry — counters and series derived
+    /// from the quantum records, lifetime cache totals, component gauges
+    /// (per-core retire/stall counts, per-bank DRAM row outcomes) and,
+    /// with attribution on, the ledger — detaches the trace, and leaves
+    /// telemetry off. Returns empty artefacts when telemetry is not on.
     pub fn take_telemetry(&mut self) -> RunTelemetry {
-        self.hier.probes.take_telemetry(|| {
-            let mut gauges = vec![
-                (names::SYS_EXECUTED_CYCLES.to_owned(), self.executed_cycles),
-                (names::SYS_DROPPED_WRITEBACKS.to_owned(), self.hier.dropped_writebacks),
-            ];
-            for (i, core) in self.lazy.cores.iter().enumerate() {
-                gauges.push((names::core_rob_stalls(i), core.stall_episodes()));
-                gauges.push((names::core_retired(i), core.retired()));
-                gauges.push((names::core_mem_ops(i), core.mem_ops_issued()));
-            }
-            let banks = self.config.dram.banks;
-            let outcomes = self.hier.mem.bank_row_outcomes();
-            for (flat, (hits, misses)) in outcomes.into_iter().enumerate() {
-                let (ch, b) = (flat / banks, flat % banks);
-                gauges.push((names::dram_bank_row_hits(ch, b), hits));
-                gauges.push((names::dram_bank_row_misses(ch, b), misses));
-            }
-            gauges
-        })
+        let llc = (0..self.app_count()).map(|i| {
+            let s = self.app_summary(AppId::new(i));
+            (s.llc_hits, s.llc_misses)
+        });
+        let sim = probes::Recorded {
+            records: &self.records,
+            asm_idx: self.asm_idx,
+            llc: llc.collect(),
+            cores: &self.lazy.cores,
+            mem: &self.hier.mem,
+            banks_per_channel: self.config.dram.banks,
+            executed_cycles: self.executed_cycles,
+            dropped_writebacks: self.hier.dropped_writebacks,
+        };
+        self.hier.probes.take_telemetry(&sim)
     }
 
     /// Number of applications in the workload.
@@ -879,12 +884,11 @@ impl System {
 }
 
 // The complete dynamic simulation state, nested as it is owned.
-// Everything derivable from the configuration (geometries, policies,
-// counter registrations) is structural: the restore target is constructed
-// from the same configuration and workload, and continuing it is
-// bitwise-identical to continuing the system that was saved. The boundary
-// deadlines and the sibling observers are derived or transient and stay
-// out.
+// Everything derivable from the configuration (geometries, policies) is
+// structural: the restore target is constructed from the same
+// configuration and workload, and continuing it is bitwise-identical to
+// continuing the system that was saved. The boundary deadlines and the
+// sibling observers are derived or transient and stay out.
 asm_simcore::persist_fields!(System {
     (= active_only), lazy, hier, records, [lifetime], [epoch_weights], epoch_counter,
     throttle, rng, now, executed_cycles, [stall_memo],

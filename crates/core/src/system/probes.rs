@@ -1,110 +1,47 @@
-//! The instruments riding one system: telemetry (counter registry,
-//! per-quantum series, sim-time tracer, measured memory-latency buckets),
-//! the ground-truth attribution ledger, and the measured miss-latency
-//! histogram of Figure 6.
+//! The instruments riding one system, and the telemetry view.
 //!
-//! [`Probes`] alone constructs an instrument, registers its handles or
-//! asks whether it is on. The memory path and the boundary report events
-//! unconditionally; an event whose consumers are off costs an indexed add
-//! into the disabled registry's scratch slot, a push that resolves to no
-//! ring, or one predictable `None` branch — so switching an instrument on
-//! cannot change simulated behaviour (pinned by the differential tests).
+//! Two instruments record something the simulator would not otherwise
+//! keep: the sim-time tracer (switched by `enable_telemetry`) and the
+//! ground-truth attribution ledger (`enable_attribution`). Everything
+//! else telemetry reports is a *view*, rendered once by
+//! [`Probes::take_telemetry`] from state that exists for every run: the
+//! quantum records, the lifetime shared-cache totals, the component
+//! gauges, the ledger's quanta, and the two always-on tallies kept here
+//! (cross-application evictions caused, demand-read latency buckets).
+//!
+//! The memory path and the boundary report events unconditionally; an
+//! event whose instrument is off costs one predictable `None` branch — so
+//! switching an instrument on cannot change simulated behaviour (pinned
+//! by the differential tests).
 
 use asm_attrib::{Component, MemEpisode, RunAttrib, COMPONENTS};
+use asm_cpu::Core;
 use asm_dram::{Completion, MemorySystem};
 use asm_simcore::{AppId, Cycle, Histogram};
-use asm_telemetry::{names, CounterId, JsonValue, Registry, SeriesId, SeriesSet, Tracer};
+use asm_telemetry::{names, JsonValue, SeriesSet, Tracer};
 
 use super::QuantumRecord;
 
-/// Telemetry instruments: the counter registry, per-quantum series rings,
-/// the sim-time tracer and the measured memory-latency buckets.
-///
-/// A disabled instance is constructed for every system; event sites
-/// execute the same indexed adds either way (the disabled registry
-/// aliases them onto a scratch slot).
-#[derive(Debug)]
-struct SysTelemetry {
-    registry: Registry,
-    series: SeriesSet,
-    tracer: Tracer,
-    /// Measured demand-miss memory latency buckets (for the stats-JSON
-    /// p50/p95/p99 dump); only filled while enabled. Kept as raw integer
-    /// bucket counts on the hot path — one read completion costs a
-    /// divide-by-constant and an increment, no float conversion — and
-    /// assembled into a [`Histogram`] at [`Probes::take_telemetry`] time.
-    mem_lat_counts: Vec<u64>,
-    mem_lat_overflow: u64,
-}
-
-/// Bucket geometry of [`SysTelemetry::mem_lat_counts`]: 50-cycle
-/// buckets to 51 200 cycles. Queueing under heavy bank contention pushes
-/// tail read latencies well past 4 000 cycles, and a p99 that lands in
-/// the overflow bucket reports as unknown — so the range is sized for
-/// the tail, not the median. Integer bucketing `latency / 50` matches
+/// Bucket geometry of [`Probes::mem_lat_counts`]: 50-cycle buckets to
+/// 51 200 cycles. Queueing under heavy bank contention pushes tail read
+/// latencies well past 4 000 cycles, and a p99 that lands in the overflow
+/// bucket reports as unknown — so the range is sized for the tail, not
+/// the median. Integer bucketing `latency / 50` matches
 /// `(latency as f64 / 50.0) as usize` exactly: a cycle count below 2^53
 /// converts exactly, and a quotient that is not a whole number is at
 /// least 1/50 away from one — far outside f64 rounding error.
 const MEM_HIST_BUCKET: u64 = 50;
 const MEM_HIST_BUCKETS: usize = 1024;
 
-impl SysTelemetry {
-    /// `trace_sample` is only ever given with `enabled`.
-    fn new(enabled: bool, trace_sample: Option<u64>) -> Self {
-        let (registry, series) = if enabled {
-            let capacity = asm_telemetry::DEFAULT_SERIES_CAPACITY;
-            (Registry::enabled(), SeriesSet::enabled(capacity))
-        } else {
-            (Registry::disabled(), SeriesSet::disabled())
-        };
-        SysTelemetry {
-            registry,
-            series,
-            tracer: trace_sample.map_or_else(Tracer::off, Tracer::new),
-            mem_lat_counts: vec![0; MEM_HIST_BUCKETS],
-            mem_lat_overflow: 0,
-        }
-    }
-}
-
-// Counters, series rings and the memory-latency buckets. The tracer is
-// deliberately left out: snapshots are only taken from runs with tracing
-// off (checkpoint eligibility), so there is never trace state to carry.
-asm_simcore::persist_fields!(SysTelemetry {
-    registry,
-    series,
-    [mem_lat_counts],
-    mem_lat_overflow,
-});
-
-/// What the event sites index the registry and the series set with.
-#[derive(Debug, Default)]
-struct Handles {
-    llc_hits: Vec<CounterId>,
-    llc_misses: Vec<CounterId>,
-    llc_evictions_caused: Vec<CounterId>,
-    s_est: Vec<SeriesId>,
-    s_car_shared: Vec<SeriesId>,
-    s_car_alone: Vec<SeriesId>,
-    s_ats_miss_rate: Vec<SeriesId>,
-    s_interference: Vec<SeriesId>,
-    /// The ledger's cumulative per-component counters, app-major
-    /// (`app_count × COMPONENTS`), registered as `attrib.app{i}.{name}`.
-    c_components: Vec<CounterId>,
-    /// The ledger's per-quantum blame series, victim-major
-    /// (`app_count²`), registered as `attrib.app{v}.blame.app{o}`.
-    s_blame: Vec<SeriesId>,
-}
-
-/// Everything telemetry collected over one run, detached from the system
-/// so the harness can serialise it after the simulation is dropped (see
+/// A whole run as telemetry reports it, detached from the system so the
+/// harness can serialise it after the simulation is dropped (see
 /// [`System::take_telemetry`](super::System::take_telemetry)).
 #[derive(Debug, Clone)]
 pub struct RunTelemetry {
     /// Final counter/gauge snapshot, sorted by hierarchical name.
     pub counters: Vec<(String, u64)>,
     /// Per-quantum time series (estimated vs. actual slowdown, CARs,
-    /// ATS miss rates, interference cycles).
+    /// ATS miss rates, interference cycles, the ledger's blame matrix).
     pub series: SeriesSet,
     /// The sim-time event trace (empty unless tracing was enabled).
     pub tracer: Tracer,
@@ -112,105 +49,156 @@ pub struct RunTelemetry {
     pub mem_latency_hist: Histogram,
 }
 
+/// What the view reads of the system around [`Probes`]: state kept for
+/// every run, telemetry or not.
+pub(super) struct Recorded<'a> {
+    pub(super) records: &'a [QuantumRecord],
+    /// ASM's slot in each record's estimate list, when instantiated.
+    pub(super) asm_idx: Option<usize>,
+    /// Whole-run shared-cache `(hits, misses)` per application.
+    pub(super) llc: Vec<(u64, u64)>,
+    pub(super) cores: &'a [Core],
+    pub(super) mem: &'a MemorySystem,
+    pub(super) banks_per_channel: usize,
+    pub(super) executed_cycles: u64,
+    pub(super) dropped_writebacks: u64,
+}
+
 /// The instrument set of one system (see the module docs).
 #[derive(Debug)]
 pub(super) struct Probes {
     apps: usize,
-    telemetry: SysTelemetry,
+    /// Whether [`take_telemetry`](Self::take_telemetry) has anything to
+    /// hand out: set by `enable_telemetry`, cleared by the take.
+    telemetry_on: bool,
+    tracer: Tracer,
+    /// Cross-application shared-cache evictions each application caused.
+    evictions_caused: Vec<u64>,
+    /// Measured demand-miss memory latency buckets (the stats-JSON
+    /// p50/p95/p99). Raw integer counts — one read completion costs a
+    /// divide-by-constant and an increment, no float conversion —
+    /// assembled into a [`Histogram`] by the view.
+    mem_lat_counts: Vec<u64>,
+    mem_lat_overflow: u64,
     /// Ground-truth cycle attribution; while off, no ledger memory exists.
     attrib: Option<Box<RunAttrib>>,
     /// Measured miss latencies, when `latency_hist` is configured.
     alone_miss_hist: Option<Histogram>,
-    handles: Handles,
 }
 
-asm_simcore::persist_fields!(Probes { telemetry, [attrib], [alone_miss_hist] });
+// Simulator state only: whether anyone will take the view, and the tracer
+// (snapshots are only taken from runs with tracing off), stay out.
+asm_simcore::persist_fields!(Probes {
+    [evictions_caused],
+    [mem_lat_counts],
+    mem_lat_overflow,
+    [attrib],
+    [alone_miss_hist],
+});
 
 impl Probes {
     /// Everything off, except the measured-latency histogram when the
     /// configuration asks for one.
     pub(super) fn new(apps: usize, latency_hist: Option<(f64, usize)>) -> Self {
-        let mut probes = Probes {
+        Probes {
             apps,
-            telemetry: SysTelemetry::new(false, None),
+            telemetry_on: false,
+            tracer: Tracer::off(),
+            evictions_caused: vec![0; apps],
+            mem_lat_counts: vec![0; MEM_HIST_BUCKETS],
+            mem_lat_overflow: 0,
             attrib: None,
             alone_miss_hist: latency_hist.map(|(w, b)| Histogram::new(w, b)),
-            handles: Handles::default(),
-        };
-        probes.bind_handles();
-        probes
+        }
     }
 
-    /// Starts telemetry collection afresh; `trace_sample` additionally
-    /// enables the sim-time tracer, keeping 1-in-`n` request lifecycles.
+    /// Makes the next [`take_telemetry`](Self::take_telemetry) render the
+    /// view; `trace_sample` additionally starts the sim-time tracer,
+    /// keeping 1-in-`n` request lifecycles.
     pub(super) fn enable_telemetry(&mut self, trace_sample: Option<u64>) {
-        self.telemetry = SysTelemetry::new(true, trace_sample);
-        self.bind_handles();
+        self.telemetry_on = true;
+        self.tracer = trace_sample.map_or_else(Tracer::off, Tracer::new);
     }
 
     /// Starts a fresh attribution ledger.
     pub(super) fn enable_attribution(&mut self) {
         self.attrib = Some(Box::new(RunAttrib::new(self.apps)));
-        self.bind_handles();
     }
 
-    /// (Re-)registers every counter and series against the registry and
-    /// series set now in place. Every path that replaces an instrument
-    /// ends here, so the handles index the live registry whichever
-    /// instrument was switched on first. Series are reported in
-    /// registration order: the per-app telemetry series first, then the
-    /// ledger's blame series (a name registered again keeps its handle).
-    fn bind_handles(&mut self) {
+    /// Renders the run so far as telemetry and detaches the trace, leaving
+    /// telemetry off; empty when it was not on. This is the one place a
+    /// counter or series name is rendered (the runner appends
+    /// `app{i}.actual_slowdown`, which needs the alone runs). Series come
+    /// out family by family — the five per-application ones, then the
+    /// ledger's blame matrix — and a family without samples is still
+    /// listed.
+    pub(super) fn take_telemetry(&mut self, sim: &Recorded<'_>) -> RunTelemetry {
+        if !std::mem::take(&mut self.telemetry_on) {
+            return RunTelemetry {
+                counters: Vec::new(),
+                series: SeriesSet::default(),
+                tracer: Tracer::off(),
+                mem_latency_hist: Histogram::new(MEM_HIST_BUCKET as f64, MEM_HIST_BUCKETS),
+            };
+        }
         let n = self.apps;
-        // The `attrib.*` families exist only while a ledger is kept.
-        let ledger_apps = if self.attrib.is_some() { n } else { 0 };
-        let SysTelemetry { registry, series, .. } = &mut self.telemetry;
-        let mut counters =
-            |name: fn(usize) -> String| (0..n).map(|i| registry.register(&name(i))).collect();
-        let mut per_app =
-            |name: fn(usize) -> String| (0..n).map(|i| series.register(&name(i))).collect();
-        self.handles = Handles {
-            llc_hits: counters(names::llc_app_hits),
-            llc_misses: counters(names::llc_app_misses),
-            llc_evictions_caused: counters(names::llc_app_evictions_caused),
-            s_est: per_app(names::app_est_slowdown),
-            s_car_shared: per_app(names::app_car_shared),
-            s_car_alone: per_app(names::app_car_alone),
-            s_ats_miss_rate: per_app(names::app_ats_miss_rate),
-            s_interference: per_app(names::app_interference_cycles),
-            c_components: (0..ledger_apps)
-                .flat_map(|i| Component::ALL.map(|c| names::attrib_component(i, c.name())))
-                .map(|name| registry.register(&name))
-                .collect(),
-            s_blame: (0..ledger_apps * n)
-                .map(|k| series.register(&names::attrib_blame(k / n, k % n)))
-                .collect(),
-        };
-    }
+        let ledger = self.attrib.as_deref();
 
-    /// Detaches everything telemetry collected, leaving telemetry off.
-    /// `gauges` is asked for the end-of-run gauges only when there is a
-    /// live registry to put them in.
-    pub(super) fn take_telemetry(
-        &mut self,
-        gauges: impl FnOnce() -> Vec<(String, u64)>,
-    ) -> RunTelemetry {
-        let reg = &mut self.telemetry.registry;
-        if reg.is_enabled() {
-            for (name, value) in gauges() {
-                reg.set_named(&name, value);
+        let mut counters = vec![
+            (names::SYS_EXECUTED_CYCLES.to_owned(), sim.executed_cycles),
+            (names::SYS_DROPPED_WRITEBACKS.to_owned(), sim.dropped_writebacks),
+        ];
+        for (i, core) in sim.cores.iter().enumerate() {
+            let (hits, misses) = sim.llc[i];
+            counters.push((names::llc_app_hits(i), hits));
+            counters.push((names::llc_app_misses(i), misses));
+            counters.push((names::llc_app_evictions_caused(i), self.evictions_caused[i]));
+            counters.push((names::core_rob_stalls(i), core.stall_episodes()));
+            counters.push((names::core_retired(i), core.retired()));
+            counters.push((names::core_mem_ops(i), core.mem_ops_issued()));
+        }
+        let banks = sim.banks_per_channel;
+        for (flat, (hits, misses)) in sim.mem.bank_row_outcomes().into_iter().enumerate() {
+            let (ch, b) = (flat / banks, flat % banks);
+            counters.push((names::dram_bank_row_hits(ch, b), hits));
+            counters.push((names::dram_bank_row_misses(ch, b), misses));
+        }
+        if let Some(ledger) = ledger {
+            for (k, total) in ledger.totals().into_iter().enumerate() {
+                let component = Component::ALL[k % COMPONENTS].name();
+                counters.push((names::attrib_component(k / COMPONENTS, component), total));
             }
         }
-        let tele = std::mem::replace(&mut self.telemetry, SysTelemetry::new(false, None));
-        self.bind_handles();
+        counters.sort_by(|a, b| a.0.cmp(&b.0));
+
+        let mut series = SeriesSet::default();
+        let mut family =
+            |name: fn(usize) -> String, value: &dyn Fn(&QuantumRecord, usize) -> Option<f64>| {
+                for i in 0..n {
+                    let samples = sim.records.iter().filter_map(|r| Some((r.end_cycle, value(r, i)?)));
+                    series.push(name(i), samples.collect());
+                }
+            };
+        family(names::app_est_slowdown, &|r, i| Some(r.estimates[sim.asm_idx?].1[i]));
+        family(names::app_car_shared, &|r, i| Some(r.car_shared[i]));
+        family(names::app_car_alone, &|r, i| Some(r.car_alone.as_ref()?[i]));
+        family(names::app_ats_miss_rate, &QuantumRecord::ats_miss_rate);
+        family(names::app_interference_cycles, &|r, i| Some(r.interference_cycles[i] as f64));
+        if let Some(ledger) = ledger {
+            for (v, o) in (0..n * n).map(|k| (k / n, k % n)) {
+                let samples = ledger.quanta().iter().map(|q| (q.end, q.blamed(v, o) as f64));
+                series.push(names::attrib_blame(v, o), samples.collect());
+            }
+        }
+
         RunTelemetry {
-            counters: tele.registry.snapshot(),
-            series: tele.series,
-            tracer: tele.tracer,
+            counters,
+            series,
+            tracer: std::mem::replace(&mut self.tracer, Tracer::off()),
             mem_latency_hist: Histogram::from_parts(
                 MEM_HIST_BUCKET as f64,
-                tele.mem_lat_counts,
-                tele.mem_lat_overflow,
+                self.mem_lat_counts.clone(),
+                self.mem_lat_overflow,
             ),
         }
     }
@@ -232,19 +220,10 @@ impl Probes {
         self.alone_miss_hist.as_ref()
     }
 
-    /// A demand access of `app` hit or missed in the shared cache.
-    #[inline]
-    pub(super) fn llc_access(&mut self, app: usize, hit: bool) {
-        let h = &self.handles;
-        let id = if hit { h.llc_hits[app] } else { h.llc_misses[app] };
-        self.telemetry.registry.add(id, 1);
-    }
-
     /// An insertion by `inserter` evicted a line owned by `victim`.
     #[inline]
     pub(super) fn cross_eviction(&mut self, victim: usize, inserter: usize) {
-        let caused = self.handles.llc_evictions_caused[inserter];
-        self.telemetry.registry.add(caused, 1);
+        self.evictions_caused[inserter] += 1;
         if let Some(ledger) = self.attrib.as_deref_mut() {
             ledger.on_eviction(victim, inserter);
         }
@@ -286,13 +265,9 @@ impl Probes {
         if let Some(h) = &mut self.alone_miss_hist {
             h.add(latency as f64);
         }
-        let t = &mut self.telemetry;
-        if t.registry.is_enabled() {
-            let idx = (latency / MEM_HIST_BUCKET) as usize;
-            match t.mem_lat_counts.get_mut(idx) {
-                Some(count) => *count += 1,
-                None => t.mem_lat_overflow += 1,
-            }
+        match self.mem_lat_counts.get_mut((latency / MEM_HIST_BUCKET) as usize) {
+            Some(count) => *count += 1,
+            None => self.mem_lat_overflow += 1,
         }
         self.request_span("mem_read", "mem", c, arrival, latency, interference);
     }
@@ -310,7 +285,7 @@ impl Probes {
         dur: Cycle,
         interference: u64,
     ) {
-        let tracer = &mut self.telemetry.tracer;
+        let tracer = &mut self.tracer;
         if tracer.sample_request(c.id) {
             tracer.complete(
                 name,
@@ -328,7 +303,7 @@ impl Probes {
 
     /// An epoch began at `now` with `owner` prioritised.
     pub(super) fn epoch_started(&mut self, now: Cycle, owner: Option<AppId>) {
-        let tracer = &mut self.telemetry.tracer;
+        let tracer = &mut self.tracer;
         if tracer.is_enabled() {
             let (tid, arg) = match owner {
                 Some(a) => (a.index() as u64, JsonValue::num_u64(a.index() as u64)),
@@ -338,10 +313,8 @@ impl Probes {
         }
     }
 
-    /// The quantum recorded as `rec` (the `index`-th of the run) closed;
-    /// `asm` holds ASM's estimates when that estimator is instantiated.
-    /// Publishes the per-app series and trace events, then closes the
-    /// ledger quantum and republishes it as counters and blame series.
+    /// The quantum recorded as `rec` (the `index`-th of the run) closed:
+    /// traces it and closes the ledger quantum.
     ///
     /// The DRAM blame counters are read from `mem` *without* advancing
     /// the lazy channel accounting — advancing here would split the §4.3
@@ -350,57 +323,23 @@ impl Probes {
     /// attrib-on-vs-off byte-identity of estimator output. The
     /// deterministic staleness only smears blame *weights* into the next
     /// quantum; ledger totals are exact.
-    pub(super) fn quantum_closed(
-        &mut self,
-        rec: &QuantumRecord,
-        index: usize,
-        asm: Option<&[f64]>,
-        mem: &MemorySystem,
-    ) {
-        let n = self.apps;
+    pub(super) fn quantum_closed(&mut self, rec: &QuantumRecord, index: usize, mem: &MemorySystem) {
         let (start, now) = (rec.start_cycle, rec.end_cycle);
-        let Probes {
-            telemetry: t,
-            handles: h,
-            ..
-        } = self;
-        for i in 0..n {
-            if let Some(asm) = asm {
-                t.series.push(h.s_est[i], now, asm[i]);
-            }
-            t.series.push(h.s_car_shared[i], now, rec.car_shared[i]);
-            if let Some(ca) = &rec.car_alone {
-                t.series.push(h.s_car_alone[i], now, ca[i]);
-            }
-            if let Some(&(hits, misses)) = rec.ats_samples.get(i) {
-                if hits + misses > 0 {
-                    let rate = misses as f64 / (hits + misses) as f64;
-                    t.series.push(h.s_ats_miss_rate[i], now, rate);
-                }
-            }
-            t.series.push(h.s_interference[i], now, rec.interference_cycles[i] as f64);
-        }
-        if t.tracer.is_enabled() {
+        let tracer = &mut self.tracer;
+        if tracer.is_enabled() {
             let args = vec![("index".to_owned(), JsonValue::num_u64(index as u64))];
-            t.tracer.complete("quantum", "quantum", start, now - start, 0, args);
+            tracer.complete("quantum", "quantum", start, now - start, 0, args);
             if let Some(p) = &rec.partition {
                 let ways = p.iter().map(|&w| JsonValue::num_u64(w as u64)).collect();
                 let args = vec![("ways".to_owned(), JsonValue::Arr(ways))];
-                t.tracer.instant("repartition", "sched", now, 0, args);
+                tracer.instant("repartition", "sched", now, 0, args);
             }
         }
         if let Some(ledger) = self.attrib.as_deref_mut() {
+            let n = self.apps;
             let mut cum = vec![0; n * n * 3];
             mem.attrib_blame_into(n, &mut cum);
-            let ql = ledger.end_quantum(now, &cum);
-            for v in 0..n {
-                for (k, comp) in Component::ALL.iter().enumerate() {
-                    t.registry.add(h.c_components[v * COMPONENTS + k], ql.component(v, *comp));
-                }
-                for o in 0..n {
-                    t.series.push(h.s_blame[v * n + o], now, ql.blamed(v, o) as f64);
-                }
-            }
+            ledger.end_quantum(now, &cum);
         }
     }
 }

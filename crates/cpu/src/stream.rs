@@ -91,12 +91,6 @@ impl AddressStream {
         let is_write = self.rng.gen_bool(self.write_frac);
         MemOp { line, is_write }
     }
-
-    /// The first line of this application's private region.
-    #[must_use]
-    pub fn region_base(&self) -> LineAddr {
-        LineAddr::new(self.base)
-    }
 }
 
 // The stream's dynamic position; the profile-derived parameters are

@@ -210,7 +210,11 @@ impl Channel {
             accounting: ChannelAccounting::new(app_count),
             next_try: IDLE,
             next_refresh_at: config.refresh.map_or(IDLE, |r| r.trefi),
-            bank_members: vec![Vec::new(); config.banks],
+            // Every list can hold the whole read queue: `push_read` never
+            // grows one.
+            bank_members: (0..config.banks)
+                .map(|_| Vec::with_capacity(config.read_queue_capacity))
+                .collect(),
             bank_row_hits: vec![0; config.banks],
             cand_scratch: Vec::with_capacity(config.read_queue_capacity),
             prio_scratch: Vec::with_capacity(config.read_queue_capacity),
@@ -479,13 +483,6 @@ impl MemorySystem {
     pub fn can_accept_read(&self, line: LineAddr) -> bool {
         let ch = self.mapping.decode(line).channel;
         self.channels[ch].read_queue.len() < self.config.read_queue_capacity
-    }
-
-    /// Whether the write buffer for `line`'s channel can accept a request.
-    #[must_use]
-    pub fn can_accept_write(&self, line: LineAddr) -> bool {
-        let ch = self.mapping.decode(line).channel;
-        self.channels[ch].write_queue.len() < self.config.write_queue_capacity
     }
 
     /// Submits a request.
@@ -1788,6 +1785,52 @@ mod refresh_tests {
         }
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].interference_cycles, 0);
+    }
+    /// Refresh costs a saturated bank `tRFC / tREFI` of its bandwidth
+    /// (850 / 41 000 at [`RefreshConfig::ddr3_2gb`]).
+    #[test]
+    fn refresh_costs_trfc_over_trefi_of_a_saturated_banks_reads() {
+        let refresh = RefreshConfig::ddr3_2gb();
+        let timing = DramConfig::default().timing;
+        // 20 refreshes fire, the last with its blackout well inside.
+        let refreshes = 20;
+        let window = refreshes * refresh.trefi + refresh.trefi / 2;
+        // A closed loop keeping the read queue full of row 0 of bank 0.
+        let reads = |refresh: Option<RefreshConfig>| {
+            let mut config = DramConfig::default();
+            config.refresh = refresh;
+            let mut mem = MemorySystem::new(config, SchedulerKind::FrFcfs, 1);
+            let (mut out, mut id) = (Vec::new(), 0);
+            for now in 0..window {
+                let line = LineAddr::new(id % DramConfig::default().row_lines);
+                if mem.can_accept_read(line) {
+                    id += 1;
+                    mem.enqueue(MemRequest::read(id, line, AppId::new(0), now))
+                        .expect("capacity was checked");
+                }
+                mem.tick(now, &mut out);
+            }
+            out.len() as u64
+        };
+        let (off, on) = (reads(None), reads(Some(refresh)));
+
+        // Without refresh the bank is the bottleneck: one activate, then a
+        // row-hit read every CL + burst.
+        let per_read = timing.cl + timing.burst;
+        assert!(off.abs_diff((window - timing.trcd) / per_read) <= 1, "{off} reads");
+
+        // With it, every tREFI takes tRFC of that away. Integer slack, in
+        // reads: the window's half tREFI may or may not have paid for its
+        // share of a blackout (one refresh's worth, tRFC / per_read), and
+        // each refresh also closes the row (the reopen costs tRCD more)
+        // while the read in flight when it strikes finishes inside the
+        // blackout (up to per_read less) — under one read either way.
+        assert!(timing.trcd <= per_read);
+        let slack = refresh.trfc.div_ceil(per_read) + refreshes;
+        let expected = off - off * refresh.trfc / refresh.trefi;
+        assert!(on.abs_diff(expected) <= slack, "{on} reads, expected {expected} ± {slack}");
+        // The bound resolves the effect it pins.
+        assert!(off - expected > 5 * slack);
     }
 }
 

@@ -345,15 +345,6 @@ pub fn run_campaign_in(
             .insert(class, plan);
     }
 
-    for group in plans.values() {
-        let fingerprints = std::iter::once(&group.plan).chain(group.class_plans.values());
-        for name in fingerprints.flat_map(|p| &p.wrapped) {
-            eprintln!(
-                "warning: sampled: telemetry series '{name}' wrapped its ring during \
-                 fingerprinting; early-interval features may be degraded"
-            );
-        }
-    }
     let plans = plans;
 
     // Phase B: every run, in parallel. Sampled members measure the K

@@ -223,22 +223,20 @@ fn stats_json(records: &[Record]) -> JsonValue {
 
             let series = t
                 .series
-                .names()
                 .iter()
-                .map(|name| {
-                    let id = t.series.id_of(name).expect("name from names()");
-                    let samples = t.series.samples(id);
+                .map(|(name, samples)| {
                     let values: Vec<f64> = samples.iter().map(|&(_, v)| v).collect();
                     let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
                     let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
                     let summary = JsonValue::Obj(vec![
                         ("count".into(), JsonValue::num_u64(samples.len() as u64)),
-                        ("dropped".into(), JsonValue::num_u64(t.series.dropped(id))),
+                        // Series are derived whole; kept for `asm-telemetry v1`.
+                        ("dropped".into(), JsonValue::num_u64(0)),
                         ("min".into(), opt(lo.is_finite().then_some(lo))),
                         ("max".into(), opt(hi.is_finite().then_some(hi))),
                         ("last".into(), opt(values.last().copied())),
                     ]);
-                    ((*name).to_owned(), summary)
+                    (name.to_owned(), summary)
                 })
                 .collect();
 
@@ -257,12 +255,11 @@ fn stats_json(records: &[Record]) -> JsonValue {
 }
 
 /// Long-format CSV (`series,cycle,value`) of every sample of every
-/// series, in registration then chronological order.
+/// series, in the view's then chronological order.
 fn series_csv(t: &RunTelemetry) -> String {
     let mut out = String::from("series,cycle,value\n");
-    for name in t.series.names() {
-        let id = t.series.id_of(name).expect("name from names()");
-        for (cycle, value) in t.series.samples(id) {
+    for (name, samples) in t.series.iter() {
+        for (cycle, value) in samples {
             use std::fmt::Write as _;
             let _ = writeln!(out, "{name},{cycle},{value}");
         }
@@ -274,11 +271,9 @@ fn series_csv(t: &RunTelemetry) -> String {
 /// Deterministic for any `--jobs` (records arrive in submission order).
 fn print_series_summary(label: &str, t: &RunTelemetry) {
     println!("\ntelemetry series ({label}):");
-    let names = t.series.names();
-    let width = names.iter().map(|n| n.len()).max().unwrap_or(0);
-    for name in names {
-        let id = t.series.id_of(name).expect("name from names()");
-        let values = t.series.values(id);
+    let width = t.series.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
+    for (name, samples) in t.series.iter() {
+        let values: Vec<f64> = samples.iter().map(|&(_, v)| v).collect();
         if values.is_empty() {
             println!("  {name:<width$}  (no samples)");
             continue;

@@ -8,7 +8,7 @@
 //! ```json
 //! {
 //!   "schema": "asm-lint/3",
-//!   "rules": ["R9", "R13"],
+//!   "rules": ["R9"],
 //!   "files": 42,
 //!   "diagnostics":     [{"rule", "path", "line", "col", "message", "allowed"}…],
 //!   "suppressed":      [same shape, allowed = true…],
@@ -127,7 +127,7 @@ mod tests {
         assert!(json.contains("\"diagnostics\": []"));
         assert!(json.contains("\"hot_reachable\": []"));
         assert!(json.contains("\"schema\": \"asm-lint/3\""));
-        assert!(json.contains("\"rules\": [\"R9\", \"R13\"]"));
+        assert!(json.contains("\"rules\": [\"R9\"]"));
     }
 
     #[test]

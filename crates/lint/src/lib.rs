@@ -10,7 +10,7 @@
 //!   printing, R10 `unsafe` without `// SAFETY:`). [`policy`] names the
 //!   lints and builds the `cargo clippy` run; `clippy.toml` lists the
 //!   banned types and methods.
-//! - **this crate** keeps the two only it can express, over the
+//! - **this crate** keeps the one only it can express, over the
 //!   simulation crates ([`SIM_CRATES`]: `simcore` through `attrib`):
 //!   - **R9** — hot-path hygiene: no heap allocation, I/O, or panicking
 //!     macros in any function reachable from `System::step` /
@@ -18,13 +18,9 @@
 //!     fn-level `// asm-lint: allow(R9): reason` both suppresses and marks
 //!     the fn as a justified quantum boundary (traversal stops there). A
 //!     root that a linted tree no longer defines is itself a violation.
-//!   - **R13** — telemetry and attribution metric names come from the
-//!     central registry (`crates/telemetry/src/names.rs`): no inline
-//!     dotted metric-name string literals (`"llc.app0.hits"`,
-//!     `"attrib.app{i}.{component}"`) in non-test simulation code.
-//! - R11, R12 and `--pedantic` are deleted (DESIGN.md §8 says why).
+//! - R11, R12, R13 and `--pedantic` are deleted (DESIGN.md §8 says why).
 //!
-//! Every diagnostic carries `path:line`. Intentional R9/R13 violations are
+//! Every diagnostic carries `path:line`. Intentional R9 violations are
 //! suppressed with an allow directive stating a reason:
 //!
 //! ```text
@@ -42,7 +38,7 @@
 //! 1. token trees — [`tokens`], a span-exact lexer (comments kept out of
 //!    band), and [`parse`], the per-file model: fn signatures with
 //!    brace-matched bodies, impl types, allow directives, test masking;
-//! 2. [`callgraph`] (R9) and [`rules`] (R13, directive hygiene).
+//! 2. [`callgraph`] (R9) and [`rules`] (diagnostics, directive hygiene).
 
 pub mod callgraph;
 pub mod jsonout;
@@ -57,25 +53,22 @@ pub use rules::Diagnostic;
 use std::path::{Path, PathBuf};
 
 /// One rule's identifier, as used in allow directives. The numbering is
-/// DESIGN.md §8's; the other eleven ids are clippy's or deleted.
+/// DESIGN.md §8's; the other twelve ids are clippy's or deleted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RuleId {
     /// Allocation, I/O, or panics on the `System::step` hot path.
     R9,
-    /// Inline dotted metric-name literals outside the names registry.
-    R13,
 }
 
 impl RuleId {
     /// All rules this crate implements, in order.
-    pub const ALL: [RuleId; 2] = [RuleId::R9, RuleId::R13];
+    pub const ALL: [RuleId; 1] = [RuleId::R9];
 
     /// Canonical name (`"R9"`).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             RuleId::R9 => "R9",
-            RuleId::R13 => "R13",
         }
     }
 
@@ -84,7 +77,6 @@ impl RuleId {
     pub fn summary(self) -> &'static str {
         match self {
             RuleId::R9 => "no heap allocation, I/O, or panic macros reachable from System::step",
-            RuleId::R13 => "metric names come from asm_telemetry::names (no inline dotted-name string literals)",
         }
     }
 
@@ -152,7 +144,7 @@ pub struct Analysis {
     pub files: usize,
 }
 
-/// Runs R9, R13 and the allow-directive hygiene check over in-memory
+/// Runs R9 and the allow-directive hygiene check over in-memory
 /// `(path, content)` pairs — the workspace walk without the filesystem,
 /// used by fixture tests and by [`run_workspace`].
 #[must_use]
@@ -164,10 +156,7 @@ pub fn analyze_sources(files: &[(String, String)]) -> Analysis {
 
     let graph = callgraph::analyze(&models);
     let mut findings = graph.findings;
-    for model in &models {
-        rules::check_metric_names(model, &mut findings);
-    }
-    // Last: every pass above has consumed the directives it honoured.
+    // Last: the pass above has consumed the directives it honoured.
     findings
         .active
         .extend(models.iter().flat_map(rules::stale_allows));
@@ -251,13 +240,11 @@ mod tests {
     }
 
     #[test]
-    fn rule_parse_covers_the_two_owned_rules_only() {
-        for r in RuleId::ALL {
-            assert_eq!(RuleId::parse(r.name()), Some(r));
-        }
-        assert_eq!(RuleId::parse(" r13 "), Some(RuleId::R13));
-        // Clippy's now (R1) or deleted (R12): not ours to allow.
+    fn rule_parse_covers_the_owned_rule_only() {
+        assert_eq!(RuleId::parse(" r9 "), Some(RuleId::R9));
+        // Clippy's now (R1) or deleted (R12, R13): not ours to allow.
         assert_eq!(RuleId::parse("R1"), None);
         assert_eq!(RuleId::parse("R12"), None);
+        assert_eq!(RuleId::parse("R13"), None);
     }
 }

@@ -1,5 +1,5 @@
-//! CLI for `asm-lint`, the one policy gate. Runs `asm-lint`'s own rules
-//! (R9, R13) over the simulation crates, then `cargo clippy` with the
+//! CLI for `asm-lint`, the one policy gate. Runs `asm-lint`'s own rule
+//! (R9) over the simulation crates, then `cargo clippy` with the
 //! clippy-owned policy lints denied over the same crates, and exits
 //! non-zero when either half finds a violation.
 //!
@@ -51,7 +51,7 @@ fn main() -> ExitCode {
                 println!(
                     "usage: asm-lint [ROOT] [--json] [--list-rules]\n\
                      checks the simulation crates against the determinism policy \
-                     (DESIGN.md §8): own rules R9 and R13, then cargo clippy for the rest"
+                     (DESIGN.md §8): own rule R9, then cargo clippy for the rest"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -99,7 +99,7 @@ fn main() -> ExitCode {
         // The report is all of stdout; clippy spoke on stderr.
         (true, _) => {}
         (false, true) => println!(
-            "asm-lint: clean — own rules R9, R13: {} files, {} hot-path fns audited, \
+            "asm-lint: clean — own rule R9: {} files, {} hot-path fns audited, \
              {} boundary + {} line allows; clippy policy: {} crates checked, \
              {} #[expect] sites",
             analysis.files,
@@ -112,8 +112,8 @@ fn main() -> ExitCode {
         (false, false) => {
             let n = analysis.diagnostics.len();
             println!(
-                "asm-lint: {n} violation{} of R9/R13 (suppress intentional ones with \
-                 `// asm-lint: allow(R#): reason`); clippy policy: {}",
+                "asm-lint: {n} violation{} of R9 (suppress intentional ones with \
+                 `// asm-lint: allow(R9): reason`); clippy policy: {}",
                 if n == 1 { "" } else { "s" },
                 if clippy_clean {
                     "clean"

@@ -1,21 +1,20 @@
 //! The item-level parser: one [`FileModel`] per source file.
 //!
 //! This is not a full Rust parser — it is the smallest syntactic layer
-//! the two remaining passes need on top of the [`crate::tokens`] lexer:
+//! the remaining pass needs on top of the [`crate::tokens`] lexer:
 //!
 //! - **Delimiter matching** (`match_of`): every `(`/`[`/`{` knows its
 //!   partner, so item extents and fn bodies are O(1) jumps. Unmatched
 //!   delimiters match themselves; nothing panics on malformed input.
 //! - **Test masking**: tokens covered by a `#[cfg(test)]` item (or a
 //!   `#[test]` fn) are flagged so rules skip test code.
-//! - **Allow directives**: `// asm-lint: allow(R9|R13): reason`
+//! - **Allow directives**: `// asm-lint: allow(R9): reason`
 //!   comments, trailing or standalone. Each remembers whether a pass
 //!   consumed it, so a directive that suppresses nothing can be reported
 //!   ([`FileModel::stale_allows`]).
 //! - **Items**: `fn` definitions (name, signature line, body token
 //!   range, receiver, enclosing `impl` type) — what the call graph
-//!   ([`crate::callgraph`]) is built from. The metric-name rule
-//!   ([`crate::rules`]) walks the token stream directly.
+//!   ([`crate::callgraph`]) is built from.
 
 use std::cell::Cell;
 
@@ -546,8 +545,8 @@ fn also_prod() { }
     #[test]
     fn allow_directive_trailing_and_standalone() {
         let src = "\
-let a = frob(); // asm-lint: allow(R13): dotted string, not a metric
-// asm-lint: allow(R9, R13): a multi-line reason
+let a = frob(); // asm-lint: allow(R9): the trailing form
+// asm-lint: allow(R5, R9): a multi-line reason
 // wraps before the code it binds to
 let b = frob();
 let c = frob();
@@ -555,10 +554,9 @@ let c = frob();
 fn boundary() { }
 ";
         let m = model(src);
-        assert!(m.has_allow(0, RuleId::R13));
-        assert!(!m.has_allow(0, RuleId::R9));
+        assert!(m.has_allow(0, RuleId::R9));
+        assert!(!m.has_allow(1, RuleId::R9));
         assert!(m.has_allow(3, RuleId::R9));
-        assert!(m.has_allow(3, RuleId::R13));
         assert!(!m.has_allow(4, RuleId::R9));
         assert!(m.has_allow(6, RuleId::R9));
     }
@@ -571,12 +569,11 @@ fn a() { }
 // asm-lint: allow(R9): nothing consumes this one
 fn b() { }
 fn c() { } // asm-lint: allow(R5): clippy owns casts now
-// asm-lint: allow(R13): past the last line of code
+// asm-lint: allow(R9): past the last line of code
 ";
         let m = model(src);
-        assert!(!m.has_allow(1, RuleId::R13));
+        assert!(!m.has_allow(4, RuleId::R9));
         assert!(m.use_allow(1, RuleId::R9));
-        assert!(!m.use_allow(1, RuleId::R13));
         let stale: Vec<_> = m
             .stale_allows()
             .map(|a| (a.comment_line, a.rule.clone()))
@@ -586,7 +583,7 @@ fn c() { } // asm-lint: allow(R5): clippy owns casts now
             vec![
                 (2, Ok(RuleId::R9)),
                 (4, Err("R5".to_owned())),
-                (5, Ok(RuleId::R13)),
+                (5, Ok(RuleId::R9)),
             ]
         );
     }

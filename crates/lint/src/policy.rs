@@ -2,7 +2,7 @@
 //!
 //! Eight of the thirteen rules DESIGN.md §8 lists are properties clippy
 //! already decides with real name resolution and types, so `asm-lint` does
-//! not re-implement them: after its own pass (R9, R13) the binary runs the
+//! not re-implement them: after its own pass (R9) the binary runs the
 //! `cargo clippy` built by [`clippy_command`] over exactly the crates in
 //! [`crate::SIM_CRATES`], with every lint [`CRATE_POLICIES`] names at deny
 //! level. The banned types and methods themselves are listed in the

@@ -1,7 +1,6 @@
-//! Fixture tests for `asm-lint`'s own pass: the R13 fixture under
-//! `tests/fixtures/` (R9's is in `interprocedural.rs`), analysed through
-//! the public API with exact expected diagnostics, the allow-directive
-//! fixture with live and dead directives, and the whole-tree checks. (The
+//! Fixture tests for `asm-lint`'s own pass, through the public API: the
+//! allow-directive fixture with live and dead directives (R9's own
+//! fixture is in `interprocedural.rs`) and the whole-tree checks. (The
 //! clippy-owned policies have one reintroduction guard of their own:
 //! `policy.rs`.)
 
@@ -16,54 +15,28 @@ fn lines_of(analysis: &Analysis) -> Vec<(usize, Option<RuleId>)> {
 }
 
 #[test]
-fn r13_metric_names_fixture() {
-    let src = include_str!("fixtures/r13_metric_names.rs");
-    // Inline literal (4) and format-hole literal (5); the allow-directive
-    // site, registry call, path/prose/version/single-segment strings, and
-    // the test module are all clean.
-    let analysis = analyze("crates/cache/src/fixture.rs", src);
-    assert_eq!(lines_of(&analysis), vec![(4, Some(RuleId::R13)), (5, Some(RuleId::R13))]);
-    assert_eq!(
-        analysis.diagnostics[0].to_string(),
-        "crates/cache/src/fixture.rs:4: [R13] inline metric-name literal `\"llc.app0.hits\"` — \
-         spell telemetry/attribution names once in `asm_telemetry::names` and call the registry \
-         helper here, so emit sites cannot drift from the names the sinks and dashboards join on"
-    );
-    // The names registry itself is the one place allowed to spell names
-    // (so the fixture's allow there suppresses nothing and is stale).
-    let analysis = analyze("crates/telemetry/src/names.rs", src);
-    assert_eq!(lines_of(&analysis), vec![(9, None)], "{:#?}", analysis.diagnostics);
-}
-
-#[test]
 fn allow_directives_suppress_every_rule_form() {
     let analysis = analyze(
         "crates/core/src/fixture.rs",
         include_str!("fixtures/allow_suppression.rs"),
     );
-    // Four live directives: three suppressed leaves (one of them under
-    // both rules) ...
+    // Three live directives: two suppressed leaves (standalone and
+    // trailing) ...
     let suppressed: Vec<(usize, Option<RuleId>)> =
         analysis.suppressed.iter().map(|d| (d.line, d.rule)).collect();
     assert_eq!(
         suppressed,
-        vec![
-            (12, Some(RuleId::R9)),
-            (13, Some(RuleId::R13)),
-            (15, Some(RuleId::R9)),
-            (15, Some(RuleId::R13)),
-        ],
+        vec![(12, Some(RuleId::R9)), (13, Some(RuleId::R9))],
         "{:#?}",
         analysis.suppressed
     );
     // ... and the boundary, which the walk reaches and stops at.
     assert!(analysis.hot_reachable.iter().any(|h| h.name == "end_quantum" && h.boundary));
-    // The fifth sits on a fn the walk never visits: accepted silently
-    // before, a diagnostic now.
+    // The fourth sits on a fn the walk never visits: a diagnostic.
     let got: Vec<String> = analysis.diagnostics.iter().map(ToString::to_string).collect();
     assert_eq!(got.len(), 1, "{got:#?}");
     assert!(
-        got[0].starts_with("crates/core/src/fixture.rs:25: [allow] stale `allow(R9)`"),
+        got[0].starts_with("crates/core/src/fixture.rs:23: [allow] stale `allow(R9)`"),
         "{got:#?}"
     );
 }
@@ -87,13 +60,7 @@ fn stripping_the_directive_resurfaces_the_violation() {
     let analysis = analyze("crates/core/src/fixture.rs", &stripped);
     assert_eq!(
         lines_of(&analysis),
-        vec![
-            (12, Some(RuleId::R9)),
-            (13, Some(RuleId::R13)),
-            (15, Some(RuleId::R9)),
-            (15, Some(RuleId::R13)),
-            (21, Some(RuleId::R9)),
-        ],
+        vec![(12, Some(RuleId::R9)), (13, Some(RuleId::R9)), (19, Some(RuleId::R9))],
         "{:#?}",
         analysis.diagnostics
     );
@@ -110,7 +77,7 @@ fn workspace_root() -> std::path::PathBuf {
 
 #[test]
 fn workspace_is_clean() {
-    // The real simulation crates must satisfy R9 and R13 with no stale
+    // The real simulation crates must satisfy R9 with no stale
     // directive, and the analysis must actually have seen them: the
     // hot-path reachability set contains `System::step`.
     let analysis = asm_lint::run_workspace(&workspace_root()).expect("workspace tree is readable");

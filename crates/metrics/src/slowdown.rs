@@ -77,12 +77,6 @@ impl ErrorAggregate {
         self.stats.mean()
     }
 
-    /// Population standard deviation of the error.
-    #[must_use]
-    pub fn std_dev_pct(&self) -> Option<f64> {
-        self.stats.population_std_dev()
-    }
-
     /// Largest observed error.
     #[must_use]
     pub fn max_pct(&self) -> Option<f64> {

@@ -4,9 +4,9 @@
 //! fixed intervals of `L` quanta each, runs one cheap *fingerprint* pass
 //! per sweep group under the prefix-neutral configuration
 //! ([`asm_core::checkpoint::prefix_config`]), and extracts a per-interval
-//! feature vector from the telemetry series machinery (estimated
-//! slowdowns, CARs, ATS miss rates, interference cycles) plus the
-//! interval's work and alone-run cost. Deterministic k-means over those
+//! feature vector from the pass's quantum records (estimated slowdowns,
+//! CARs, ATS miss rates, interference cycles) plus the interval's work
+//! and alone-run cost. Deterministic k-means over those
 //! features ([`crate::cluster`]) picks `K` representative intervals with
 //! weights; each sweep member then simulates only those `K` intervals
 //! cycle-accurately, warmed from snapshots captured at the interval
@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use asm_core::checkpoint;
-use asm_core::{config_hash, System, SystemConfig};
+use asm_core::{config_hash, QuantumRecord, System, SystemConfig};
 use asm_cpu::{AppProfile, ProgressLog};
 use asm_simcore::hash::DetHasher;
 use asm_simcore::persist::{self, PersistError};
@@ -34,14 +34,15 @@ use asm_simcore::{AppId, Cycle};
 use crate::cluster::{cluster, Clustering};
 use crate::estimate::{Estimate, Z95};
 
-/// The per-app telemetry series a fingerprint samples, one mean per
-/// interval each (missing samples contribute 0).
-const FEATURE_SERIES: &[&str] = &[
-    "est_slowdown",
-    "car_shared",
-    "car_alone",
-    "ats_miss_rate",
-    "interference_cycles",
+/// What a fingerprint reads of each quantum record, per application: one
+/// mean per interval each, over the quanta where the value exists and is
+/// finite (an interval without any contributes 0).
+const FEATURES: [fn(&QuantumRecord, usize) -> Option<f64>; 5] = [
+    |r, i| Some(r.estimates_of("ASM")?[i]),
+    |r, i| Some(r.car_shared[i]),
+    |r, i| Some(r.car_alone.as_ref()?[i]),
+    QuantumRecord::ats_miss_rate,
+    |r, i| Some(r.interference_cycles[i] as f64),
 ];
 
 /// Snapshot-grid stride for an `n`-interval fingerprint pass: boundary
@@ -145,10 +146,6 @@ pub struct IntervalPlan {
     /// (interval 0 starts cold and has no entry); medoids sit on the
     /// [`snapshot_stride`] grid the pass captured on.
     pub snapshots: BTreeMap<usize, Vec<u8>>,
-    /// Names of telemetry series whose ring wrapped during the pass.
-    /// A wrapped ring silently truncates the oldest samples, corrupting
-    /// early-interval features — callers surface this as a warning.
-    pub wrapped: Vec<String>,
 }
 
 impl IntervalPlan {
@@ -215,7 +212,6 @@ pub fn fingerprint(
     // `Runner::warm_snapshot`.
     let stride = snapshot_stride(n);
     let mut sys = System::new(apps, config.clone());
-    sys.enable_telemetry(None);
     let mut retired_at: Vec<Vec<u64>> = vec![(0..n_apps).map(|_| 0).collect()];
     let mut snapshots: BTreeMap<usize, Vec<u8>> = BTreeMap::new();
     for k in 1..=n {
@@ -226,9 +222,8 @@ pub fn fingerprint(
             snapshots.insert(k, checkpoint::capture(&sys, key, k as u64 * interval_cycles));
         }
     }
-    // Finalise the last quantum so its telemetry sample exists.
+    // Finalise the last quantum so its record exists.
     sys.run_for(0);
-    let telemetry = sys.take_telemetry();
 
     // Proxy alone-cycles per interval per app.
     let proxy_alone: Vec<Vec<f64>> = (0..n)
@@ -246,23 +241,21 @@ pub fn fingerprint(
         })
         .collect();
 
-    // Feature matrix: per app, the interval means of each telemetry
-    // series plus the interval's work rate and proxy alone-cost rate.
+    // Feature matrix: per app, the interval means of each record
+    // feature plus the interval's work rate and proxy alone-cost rate.
     let mut features = vec![Vec::new(); n];
     for i in 0..n_apps {
-        for series in FEATURE_SERIES {
+        for feature in FEATURES {
             let mut sums = vec![0.0f64; n];
             let mut counts = vec![0u64; n];
-            if let Some(id) = telemetry.series.id_of(&asm_telemetry::names::app_series(i, series)) {
-                for (cycle, value) in telemetry.series.samples(id) {
-                    // A quantum-boundary sample at cycle c belongs to the
-                    // interval containing cycle c (boundaries land on
-                    // interval ends, hence the -1).
-                    let k = ((cycle.saturating_sub(1)) / interval_cycles) as usize;
-                    if k < n && value.is_finite() {
-                        sums[k] += value;
-                        counts[k] += 1;
-                    }
+            for rec in sys.records() {
+                // A quantum closing at cycle c belongs to the interval
+                // containing cycle c - 1 (boundaries land on interval
+                // ends).
+                let k = ((rec.end_cycle.saturating_sub(1)) / interval_cycles) as usize;
+                if let Some(value) = feature(rec, i).filter(|v| k < n && v.is_finite()) {
+                    sums[k] += value;
+                    counts[k] += 1;
                 }
             }
             for k in 0..n {
@@ -279,13 +272,6 @@ pub fn fingerprint(
             row.push(proxy_alone[k][i] / interval_cycles as f64);
         }
     }
-
-    let wrapped: Vec<String> = telemetry
-        .series
-        .wrapped_names()
-        .into_iter()
-        .map(str::to_owned)
-        .collect();
 
     let seed = selection_seed(prefix_hash, &mix, cycles, spec);
     let mut clustering = cluster(&features, spec.intervals, seed);
@@ -326,7 +312,6 @@ pub fn fingerprint(
         clustering,
         proxy_alone,
         snapshots,
-        wrapped,
     }
 }
 
@@ -358,10 +343,6 @@ pub fn measure_interval(
     let n_apps = apps.len();
     assert_eq!(alone.len(), n_apps, "one alone progress log per app");
     let mut sys = System::new(apps, member_config.clone());
-    // The fingerprint pass records telemetry, so its snapshots carry
-    // telemetry state; the member must match to restore (telemetry is
-    // pinned to never change simulated behaviour).
-    sys.enable_telemetry(None);
     if interval > 0 {
         let snapshot = plan.snapshots.get(&interval).ok_or_else(|| {
             PersistError::Corrupt(format!(
@@ -500,7 +481,6 @@ mod tests {
             clustering,
             proxy_alone: proxy,
             snapshots: BTreeMap::new(),
-            wrapped: Vec::new(),
         }
     }
 

@@ -6,7 +6,7 @@
 //! A sweep group (runs sharing a prefix configuration and workload mix)
 //! pays for **one** fingerprint pass: the run is sliced into fixed
 //! quantum-aligned intervals, each summarised by a feature vector drawn
-//! from the telemetry series rings (estimated slowdowns, CARs, ATS miss
+//! from the pass's quantum records (estimated slowdowns, CARs, ATS miss
 //! rates, interference cycles) plus its work and alone-run cost
 //! ([`interval::fingerprint`]). A deterministic, dependency-free k-means
 //! ([`cluster::cluster`]) — seeded purely from the experiment

@@ -111,7 +111,6 @@ proptest! {
             },
             proxy_alone: proxy,
             snapshots: BTreeMap::new(),
-            wrapped: Vec::new(),
         };
         let rows: Vec<Vec<f64>> = member.iter().map(|&m| vec![m]).collect();
         let est = estimate_slowdowns(&plan, &rows);

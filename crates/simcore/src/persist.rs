@@ -1028,7 +1028,6 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     }
     // Unique per process so concurrent writers of the same artefact
     // (identical content, by determinism) cannot tear each other's temp.
-    // asm-lint: allow(R13): temp-file suffix, not a metric name
     let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
     {
         use std::io::Write as _;

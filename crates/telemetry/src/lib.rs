@@ -1,25 +1,23 @@
 #![warn(missing_docs)]
 //! Deterministic observability for the ASM reproduction.
 //!
-//! Three layers, all keyed on *simulation* cycles only (no wall clock —
-//! asm-lint R4 applies to this crate like any other simulation crate):
+//! Telemetry is a *view*, not a store: the simulator keeps a record per
+//! quantum, lifetime cache totals, component gauges and (with attribution
+//! on) a cycle ledger whether or not anyone is watching, and renders them
+//! under the names in [`names`] when `asm_core::System::take_telemetry` is
+//! called. This crate holds what that view is made of, all keyed on
+//! *simulation* cycles only (no wall clock):
 //!
-//! - [`Registry`]: a counter/gauge registry with hierarchical dotted names
-//!   (`core3.rob_stalls`, `dram.ch0.bank5.row_hits`,
-//!   `llc.app2.evictions_caused`) backed by a flat `u64` arena. Handles
-//!   ([`CounterId`]) are registered up front; an increment is one indexed
-//!   add. A *disabled* registry maps every registration onto a single
-//!   scratch slot, so the probe sites stay branch-free — the same indexed
-//!   add executes whether telemetry is on or off, and the off state is
-//!   observationally a no-op (empty snapshot; pinned byte-identical by the
-//!   experiment differential tests).
-//! - [`SeriesSet`]: per-quantum time series sampled into fixed-capacity
-//!   ring buffers (cycle, value) — estimated vs. actual slowdown,
-//!   `CAR_alone`/`CAR_shared`, ATS-sampled miss rates, per-app bank-level
-//!   interference cycles.
+//! - [`names`]: the one list of counter, gauge and series names.
+//! - [`SeriesSet`]: a plain ordered `name → samples` container for the
+//!   rendered per-quantum series — estimated vs. actual slowdown,
+//!   `CAR_alone`/`CAR_shared`, ATS-sampled miss rates, per-app
+//!   bank-level interference cycles, the ledger's blame matrix.
 //! - [`Tracer`]: a sim-time event tracer that renders to Chrome
 //!   trace-event JSON (viewable in Perfetto / `chrome://tracing`), with
-//!   simulation cycles reported as microseconds.
+//!   simulation cycles reported as microseconds — the one instrument that
+//!   records something the simulator does not keep anyway, and so the one
+//!   thing `enable_telemetry` switches.
 //!
 //! The [`json`] module is a dependency-free JSON value model with a
 //! writer and a strict recursive-descent parser; everything this crate
@@ -27,19 +25,12 @@
 
 pub mod json;
 pub mod names;
-pub mod registry;
 pub mod series;
 pub mod trace;
 
 pub use json::JsonValue;
-pub use registry::{CounterId, Registry};
-pub use series::{SeriesId, SeriesSet};
+pub use series::SeriesSet;
 pub use trace::{TraceEvent, Tracer};
-
-/// Default ring capacity for per-quantum series: large enough that every
-/// realistic run (even `--full` with millions of cycles per quantum) keeps
-/// all samples, small enough to bound memory when someone runs billions.
-pub const DEFAULT_SERIES_CAPACITY: usize = 4096;
 
 /// Default cap on buffered trace events; beyond it events are counted as
 /// dropped rather than stored (the cap keeps full-scale traced runs

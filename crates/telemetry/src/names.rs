@@ -1,15 +1,11 @@
-//! Central registry of probe names.
+//! The names of the telemetry view.
 //!
-//! Every telemetry counter/series/span family in the workspace is named
-//! here, in one module, instead of as string literals scattered through
-//! the simulation crates. Probe names are stringly-typed by design (the
-//! registry and series set key on them, and external consumers join on
-//! them in `stats.json`/CSV outputs), which makes a typo'd name fail
-//! *silently* — the probe registers, increments, and is simply never read
-//! by anything. Centralizing the constructors turns that failure mode
-//! into a compile error: `asm-lint` rule R13 bans inline dotted-name
-//! literals in simulation crates, so a new probe must be added here,
-//! where its neighbours make a misspelling conspicuous.
+//! Every counter, gauge and series family the view renders is named here,
+//! in one module, and each is rendered at exactly one site
+//! (`crates/core/src/system/probes.rs`; the runner adds
+//! `app{i}.actual_slowdown`). External consumers join on these names in
+//! `stats.json` and the series CSV, so they are a published format: a
+//! new row of the view gets its constructor here, next to its neighbours.
 //!
 //! Naming scheme (dot-separated, `{family}.{instance}.{metric}`):
 //!
@@ -80,14 +76,6 @@ pub fn app_interference_cycles(i: usize) -> String {
     format!("app{i}.interference_cycles")
 }
 
-/// An arbitrary per-application series name, `app{i}.{metric}` — for
-/// consumers (like the sampling fingerprinter) that look up a family of
-/// per-app series by metric suffix.
-#[must_use]
-pub fn app_series(i: usize, metric: &str) -> String {
-    format!("app{i}.{metric}")
-}
-
 /// Reorder-buffer stall-episode gauge for core `i`.
 #[must_use]
 pub fn core_rob_stalls(i: usize) -> String {
@@ -141,7 +129,6 @@ mod tests {
     fn names_compose_the_documented_scheme() {
         assert_eq!(llc_app_hits(3), "llc.app3.hits");
         assert_eq!(app_est_slowdown(0), "app0.est_slowdown");
-        assert_eq!(app_series(2, "est_slowdown"), app_est_slowdown(2));
         assert_eq!(dram_bank_row_hits(1, 7), "dram.ch1.bank7.row_hits");
         assert_eq!(attrib_component(1, "dram_frfcfs"), "attrib.app1.dram_frfcfs");
         assert_eq!(attrib_blame(0, 2), "attrib.app0.blame.app2");

@@ -10,8 +10,8 @@
 #                                             equivalence proptests and CLI
 #                                             differentials included)
 #   3. cargo run -p asm-lint --release       (the determinism-policy gate:
-#                                             asm-lint's own rules R9/R13,
-#                                             then `cargo clippy --offline
+#                                             asm-lint's own rule R9, then
+#                                             `cargo clippy --offline
 #                                             --lib --bins` over the eleven
 #                                             simulation crates with the
 #                                             clippy-owned policy lints
@@ -43,7 +43,13 @@
 #                                             stdout byte-identical; and
 #                                             the --attrib report + both
 #                                             artefacts are byte-identical
-#                                             across --jobs 1 and 4)
+#                                             across --jobs 1 and 4; and
+#                                             telemetry is a view — an
+#                                             instrumented campaign forks
+#                                             the warm-ups a plain one left
+#                                             and still matches a cold
+#                                             instrumented run byte for
+#                                             byte)
 #   7. benchmark leg                         (tier-1 never compiles
 #                                             benchmark/asm_perf, which is a
 #                                             workspace of its own linking
@@ -192,6 +198,30 @@ for f in fig11_attrib_j#.txt attrib_j#.csv blame_j#.json; do
         exit 1
     }
 done
+
+# Telemetry is a view of state every run keeps, so it is not part of the
+# warm-up key: an instrumented campaign forks the warm-up snapshot a plain
+# one saved (one file, one quantum-run fewer) and its stdout, stats JSON
+# and series CSVs equal a cold instrumented run's.
+"$EXP" fig11 --tiny --checkpoint-dir "$SMOKE/view_ckpt" >/dev/null 2>&1
+"$EXP" fig11 --tiny --checkpoint-dir "$SMOKE/view_ckpt" \
+    --stats-json "$SMOKE/view_fork.json" --series-csv "$SMOKE/view_fork_series" \
+    > "$SMOKE/view_fork.txt" 2> "$SMOKE/view_fork.err"
+"$EXP" fig11 --tiny \
+    --stats-json "$SMOKE/view_cold.json" --series-csv "$SMOKE/view_cold_series" \
+    > "$SMOKE/view_cold.txt" 2> "$SMOKE/view_cold.err"
+cmp "$SMOKE/view_fork.txt" "$SMOKE/view_cold.txt" \
+    && cmp "$SMOKE/view_fork.json" "$SMOKE/view_cold.json" \
+    && diff -r "$SMOKE/view_fork_series" "$SMOKE/view_cold_series" >/dev/null || {
+    echo "ci: FAIL — an instrumented campaign forked from plain warm-ups differs from a cold one" >&2
+    exit 1
+}
+quantum_runs() { sed -n 's/^campaign:.* quantum_runs=\([0-9]*\) .*/\1/p' "$1"; }
+[[ "$(ls "$SMOKE/view_ckpt/warmups" | wc -l)" -eq 1 \
+    && "$(quantum_runs "$SMOKE/view_fork.err")" -lt "$(quantum_runs "$SMOKE/view_cold.err")" ]] || {
+    echo "ci: FAIL — the instrumented campaign did not fork the plain campaign's warm-up" >&2
+    exit 1
+}
 
 echo "ci: [7/8] benchmark leg (asm_perf selftest + one short run of every BENCHMARK.json workload, failed must be 0)" >&2
 benchmark/run.sh --selftest
