@@ -477,8 +477,9 @@ impl System {
     /// Turns on ground-truth cycle attribution: every core cycle is
     /// classified into the [`asm_attrib::Component`] ledger and
     /// interference cycles are blamed on their offender, per quantum
-    /// (DESIGN.md §13). With telemetry on as well, the ledger is also
-    /// rendered as `attrib.*` counters and blame series.
+    /// (DESIGN.md §13). The ledger is read through
+    /// [`attrib_quanta`](Self::attrib_quanta) and its totals; it is not
+    /// part of the telemetry view.
     pub fn enable_attribution(&mut self) {
         self.hier.mem.enable_attribution();
         self.hier.probes.enable_attribution();
@@ -513,9 +514,9 @@ impl System {
 
     /// Renders the run so far as telemetry — counters and series derived
     /// from the quantum records, lifetime cache totals, component gauges
-    /// (per-core retire/stall counts, per-bank DRAM row outcomes) and,
-    /// with attribution on, the ledger — detaches the trace, and leaves
-    /// telemetry off. Returns empty artefacts when telemetry is not on.
+    /// (per-core retire/stall counts, per-bank DRAM row outcomes) —
+    /// detaches the trace, and leaves telemetry off. Returns empty
+    /// artefacts when telemetry is not on.
     pub fn take_telemetry(&mut self) -> RunTelemetry {
         let llc = (0..self.app_count()).map(|i| {
             let s = self.app_summary(AppId::new(i));

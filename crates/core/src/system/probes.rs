@@ -6,15 +6,17 @@
 //! else telemetry reports is a *view*, rendered once by
 //! [`Probes::take_telemetry`] from state that exists for every run: the
 //! quantum records, the lifetime shared-cache totals, the component
-//! gauges, the ledger's quanta, and the two always-on tallies kept here
-//! (cross-application evictions caused, demand-read latency buckets).
+//! gauges, and the two always-on tallies kept here (cross-application
+//! evictions caused, demand-read latency buckets). The ledger is not part
+//! of the view: it reaches callers once, through
+//! [`System::attrib_quanta`](super::System::attrib_quanta) and its totals.
 //!
 //! The memory path and the boundary report events unconditionally; an
 //! event whose instrument is off costs one predictable `None` branch — so
 //! switching an instrument on cannot change simulated behaviour (pinned
 //! by the differential tests).
 
-use asm_attrib::{Component, MemEpisode, RunAttrib, COMPONENTS};
+use asm_attrib::{MemEpisode, RunAttrib};
 use asm_cpu::Core;
 use asm_dram::{Completion, MemorySystem};
 use asm_simcore::{AppId, Cycle, Histogram};
@@ -41,7 +43,7 @@ pub struct RunTelemetry {
     /// Final counter/gauge snapshot, sorted by hierarchical name.
     pub counters: Vec<(String, u64)>,
     /// Per-quantum time series (estimated vs. actual slowdown, CARs,
-    /// ATS miss rates, interference cycles, the ledger's blame matrix).
+    /// ATS miss rates, interference cycles).
     pub series: SeriesSet,
     /// The sim-time event trace (empty unless tracing was enabled).
     pub tracer: Tracer,
@@ -74,7 +76,7 @@ pub(super) struct Probes {
     tracer: Tracer,
     /// Cross-application shared-cache evictions each application caused.
     evictions_caused: Vec<u64>,
-    /// Measured demand-miss memory latency buckets (the stats-JSON
+    /// Measured demand-miss memory latency buckets (the run report's
     /// p50/p95/p99). Raw integer counts — one read completion costs a
     /// divide-by-constant and an increment, no float conversion —
     /// assembled into a [`Histogram`] by the view.
@@ -129,8 +131,7 @@ impl Probes {
     /// telemetry off; empty when it was not on. This is the one place a
     /// counter or series name is rendered (the runner appends
     /// `app{i}.actual_slowdown`, which needs the alone runs). Series come
-    /// out family by family — the five per-application ones, then the
-    /// ledger's blame matrix — and a family without samples is still
+    /// out family by family, and a family without samples is still
     /// listed.
     pub(super) fn take_telemetry(&mut self, sim: &Recorded<'_>) -> RunTelemetry {
         if !std::mem::take(&mut self.telemetry_on) {
@@ -142,8 +143,6 @@ impl Probes {
             };
         }
         let n = self.apps;
-        let ledger = self.attrib.as_deref();
-
         let mut counters = vec![
             (names::SYS_EXECUTED_CYCLES.to_owned(), sim.executed_cycles),
             (names::SYS_DROPPED_WRITEBACKS.to_owned(), sim.dropped_writebacks),
@@ -163,12 +162,6 @@ impl Probes {
             counters.push((names::dram_bank_row_hits(ch, b), hits));
             counters.push((names::dram_bank_row_misses(ch, b), misses));
         }
-        if let Some(ledger) = ledger {
-            for (k, total) in ledger.totals().into_iter().enumerate() {
-                let component = Component::ALL[k % COMPONENTS].name();
-                counters.push((names::attrib_component(k / COMPONENTS, component), total));
-            }
-        }
         counters.sort_by(|a, b| a.0.cmp(&b.0));
 
         let mut series = SeriesSet::default();
@@ -184,12 +177,6 @@ impl Probes {
         family(names::app_car_alone, &|r, i| Some(r.car_alone.as_ref()?[i]));
         family(names::app_ats_miss_rate, &QuantumRecord::ats_miss_rate);
         family(names::app_interference_cycles, &|r, i| Some(r.interference_cycles[i] as f64));
-        if let Some(ledger) = ledger {
-            for (v, o) in (0..n * n).map(|k| (k / n, k % n)) {
-                let samples = ledger.quanta().iter().map(|q| (q.end, q.blamed(v, o) as f64));
-                series.push(names::attrib_blame(v, o), samples.collect());
-            }
-        }
 
         RunTelemetry {
             counters,

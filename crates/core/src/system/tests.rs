@@ -4,7 +4,6 @@ use super::*;
 use crate::config::{CachePolicy, EstimatorSet, MemPolicy};
 use asm_attrib::{Component, COMPONENTS};
 use asm_simcore::persist::Persist as _;
-use asm_telemetry::names;
 use asm_workloads::suite;
 
 fn small_config() -> SystemConfig {
@@ -167,26 +166,11 @@ fn attribution_conserves_and_blames_offenders() {
         );
     }
 
-    // The ledger is rendered through telemetry: per-component counters
-    // match the totals and every blame series has a sample per quantum.
+    // The ledger reaches callers through the accessors above only: the
+    // telemetry view renders no counter or series from it.
     let t = sys.take_telemetry();
-    let get = |name: &str| {
-        t.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
-            .unwrap_or_else(|| panic!("missing counter {name}"))
-    };
-    for v in 0..2 {
-        for comp in Component::ALL {
-            assert_eq!(
-                get(&names::attrib_component(v, comp.name())),
-                totals[v * COMPONENTS + comp.index()],
-            );
-        }
-    }
-    let blame = t.series.get("attrib.app0.blame.app1").expect("blame series listed");
-    assert_eq!(blame.len(), 3);
+    assert!(t.counters.iter().all(|(n, _)| !n.starts_with("attrib.")));
+    assert!(t.series.iter().all(|(n, _)| !n.starts_with("attrib.")));
 }
 
 /// Which instrument was switched on first is immaterial.
@@ -213,8 +197,7 @@ fn enable_order_does_not_matter() {
         (t.counters, names, ledgers)
     };
     let (counters, series, ledgers) = run(false);
-    assert!(counters.iter().any(|(n, _)| n == &names::attrib_component(0, "compute")));
-    assert!(series.contains(&names::attrib_blame(0, 1)));
+    assert!(!counters.is_empty() && !ledgers.is_empty());
     assert_eq!((counters, series, ledgers), run(true));
 }
 

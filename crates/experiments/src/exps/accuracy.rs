@@ -139,8 +139,8 @@ pub fn run(session: &Session, scale: Scale) {
     config.estimators = EstimatorSet::asm_only();
 
     // Ground truth: the cycle-accurate tier with the attribution ledger
-    // forced on (independent of the CLI's --attrib flags; the sink still
-    // observes every run so those flags keep working here).
+    // forced on (whether or not --report asked for it; the sink still
+    // records every run, so the report covers them).
     let mut opts = session.run_options();
     opts.attrib = true;
     let runs = plan::cross(&[config.clone()], &mixes, scale.cycles);

@@ -83,26 +83,12 @@ const OPTIONS: &[(&str, &[Opt])] = &[
         Opt { flag: "--csv", arg: "DIR", set: Set::Path(|s, p| s.csv_dir = Some(p)),
               help: "additionally write every table to DIR/<name>.csv" },
     ]),
-    ("TELEMETRY (any of these instruments every simulated run; artefacts are\n\
-      byte-identical for any --jobs value; --tier cycle only):", &[
-        Opt { flag: "--stats-json", arg: "F", set: Set::Path(|s, p| s.sink.stats_json = Some(p)),
-              help: "write a merged counter/series/latency snapshot of\nevery workload to F (schema \"asm-telemetry v1\")" },
+    ("ARTEFACTS (byte-identical for any --jobs value; tables stay byte-identical;\n\
+      --tier cycle only):", &[
+        Opt { flag: "--report", arg: "F", set: Set::Path(|s, p| s.sink.report = Some(p)),
+              help: "write the run report to F (schema \"asm-report/1\"):\nper simulated run, its counters, DRAM read-latency\nquantiles, every per-quantum series and the\nconservation-checked cycle ledger of DESIGN.md §13" },
         Opt { flag: "--trace", arg: "F", set: Set::Path(|s, p| s.sink.trace = Some(p)),
               help: "write a Chrome trace-event JSON of the first\nworkload to F (open in Perfetto / chrome://tracing);\nonly that run pays for request tracing" },
-        Opt { flag: "--series-csv", arg: "D", set: Set::Path(|s, p| s.sink.series_csv = Some(p)),
-              help: "write per-workload time-series CSVs\n(series,cycle,value) to D" },
-        Opt { flag: "--series-summary", arg: "", set: Set::Switch(|c| c.session.sink.series_summary = true),
-              help: "print a sparkline summary of every per-quantum\nseries after the tables" },
-    ]),
-    ("ATTRIBUTION (any of these enables the conservation-checked cycle ledger\n\
-      of DESIGN.md §13 on every simulated run; tables stay byte-identical;\n\
-      --tier cycle only):", &[
-        Opt { flag: "--attrib", arg: "", set: Set::Switch(|c| c.session.sink.attrib = true),
-              help: "print each workload's per-app stall decomposition\nand app×app blame matrix after the tables" },
-        Opt { flag: "--attrib-csv", arg: "F", set: Set::Path(|s, p| s.sink.attrib_csv = Some(p)),
-              help: "write the per-quantum ledger to F\n(workload,quantum_end,app,component,cycles)" },
-        Opt { flag: "--blame-json", arg: "F", set: Set::Path(|s, p| s.sink.blame_json = Some(p)),
-              help: "write per-workload blame matrices and component\ntotals to F (schema \"asm-attrib v1\")" },
     ]),
 ];
 
@@ -192,15 +178,30 @@ fn resolve(cli: &Cli, experiment: &exps::Experiment) -> Result<Scale, String> {
             scale.warmup_quanta + 1
         ));
     }
-    if scale.tier == Tier::Sampled && !scale.cycles.is_multiple_of(scale.quantum * scale.sample_quanta) {
+    if scale.workloads.checked_mul(4).is_none() {
         return Err(format!(
-            "--tier sampled needs cycles ({}) to be a multiple of quantum*L ({} * {})",
-            scale.cycles, scale.quantum, scale.sample_quanta
+            "--workloads {} is too large: the core-count sweeps scale it by 4",
+            scale.workloads
         ));
     }
-    if scale.tier != Tier::Cycle && cli.session.sink.any() {
+    if scale.tier == Tier::Sampled {
+        let Some(interval) = scale.quantum.checked_mul(scale.sample_quanta) else {
+            return Err(format!(
+                "--sample-quanta {} is too large: quantum*L ({} * {0}) overflows",
+                scale.sample_quanta, scale.quantum
+            ));
+        };
+        if !scale.cycles.is_multiple_of(interval) {
+            return Err(format!(
+                "--tier sampled needs cycles ({}) to be a multiple of quantum*L ({} * {})",
+                scale.cycles, scale.quantum, scale.sample_quanta
+            ));
+        }
+    }
+    let sink = &cli.session.sink;
+    if scale.tier != Tier::Cycle && (sink.report.is_some() || sink.trace.is_some()) {
         return Err(format!(
-            "telemetry and attribution artefacts need --tier cycle: the {} tier instruments no run",
+            "--report and --trace need --tier cycle: the {} tier instruments no run",
             scale.tier.name()
         ));
     }

@@ -173,7 +173,7 @@ impl Scale {
     /// with cores).
     #[must_use]
     pub fn workloads_for(&self, cores: usize) -> usize {
-        (self.workloads * 4 / cores).max(2)
+        (self.workloads.saturating_mul(4) / cores).max(2)
     }
 
     /// FST and PTCA at their best: every estimator observing a full

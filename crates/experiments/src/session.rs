@@ -32,7 +32,7 @@ use crate::sink::{Record, SinkConfig};
 pub struct SessionConfig {
     /// `--csv DIR`.
     pub csv_dir: Option<PathBuf>,
-    /// The telemetry and attribution artefact flags.
+    /// `--report F` and `--trace F`.
     pub sink: SinkConfig,
     /// `--checkpoint-dir D`.
     pub checkpoint_dir: Option<PathBuf>,
@@ -197,7 +197,7 @@ impl Session {
         }
     }
 
-    /// Ends the invocation: writes every requested sink artefact and the
+    /// Ends the invocation: writes the requested report and trace and the
     /// file-backed caches.
     pub fn finish(&self) {
         self.write_artefacts();

@@ -1,15 +1,14 @@
-//! Telemetry and attribution sink for the experiment harness.
+//! The harness's two artefacts: the run report and the trace.
 //!
-//! When any of `--stats-json`, `--trace`, `--series-csv` or
-//! `--series-summary` is passed to `asm-experiments`, every workload run
-//! is instrumented (see [`asm_core::RunOptions`]) and its
-//! [`RunTelemetry`] snapshot is collected here. Likewise `--attrib`,
-//! `--attrib-csv` and `--blame-json` turn on the ground-truth
-//! cycle-attribution ledger (DESIGN.md §13) and collect each run's
-//! [`RunAttribution`]. Recording happens on the caller's thread
-//! **after** the parallel pool returns, in submission order, so every
-//! artefact this module writes is byte-identical for any `--jobs` value
-//! — the same invariant the tables already satisfy.
+//! `--report FILE` instruments every workload run with telemetry (see
+//! [`asm_core::RunOptions`]) and the ground-truth cycle-attribution
+//! ledger (DESIGN.md §13), collects each run's [`RunTelemetry`] and
+//! [`RunAttribution`] here, and writes them as one JSON document, schema
+//! [`REPORT_SCHEMA`]. `--trace FILE` writes the first recorded run's
+//! Chrome trace-event JSON. Recording happens on the caller's thread
+//! **after** the parallel pool returns, in submission order, so both
+//! artefacts are byte-identical for any `--jobs` value — the same
+//! invariant the tables already satisfy.
 //!
 //! The record list belongs to the [`Session`]; nothing here is
 //! process-global.
@@ -25,48 +24,16 @@ use crate::session::Session;
 /// Scheduler events (epochs, quanta, repartitions) are never sampled out.
 pub const TRACE_SAMPLE: u64 = 64;
 
-/// Which telemetry/attribution artefacts the CLI asked for.
+/// The `schema` tag of the `--report` document.
+pub const REPORT_SCHEMA: &str = "asm-report/1";
+
+/// Which artefacts the CLI asked for.
 #[derive(Debug, Clone, Default)]
 pub struct SinkConfig {
-    /// `--stats-json FILE`: merged counter/series/latency snapshot.
-    pub stats_json: Option<PathBuf>,
+    /// `--report FILE`: the run report.
+    pub report: Option<PathBuf>,
     /// `--trace FILE`: Chrome trace-event JSON for the first workload.
     pub trace: Option<PathBuf>,
-    /// `--series-csv DIR`: one long-format CSV per workload.
-    pub series_csv: Option<PathBuf>,
-    /// `--series-summary`: print per-series sparklines to stdout.
-    pub series_summary: bool,
-    /// `--attrib`: print per-workload attribution summaries to stdout.
-    pub attrib: bool,
-    /// `--attrib-csv FILE`: long-format per-quantum ledger CSV.
-    pub attrib_csv: Option<PathBuf>,
-    /// `--blame-json FILE`: per-workload blame matrices and totals.
-    pub blame_json: Option<PathBuf>,
-}
-
-impl SinkConfig {
-    /// Whether any artefact was requested.
-    #[must_use]
-    pub fn any(&self) -> bool {
-        self.telemetry() || self.attribution()
-    }
-
-    /// Whether any *telemetry* artefact was requested (instruments runs
-    /// with counters/series/traces).
-    #[must_use]
-    pub fn telemetry(&self) -> bool {
-        self.stats_json.is_some()
-            || self.trace.is_some()
-            || self.series_csv.is_some()
-            || self.series_summary
-    }
-
-    /// Whether any *attribution* artefact was requested (turns on the
-    /// conservation-checked cycle ledger).
-    #[must_use]
-    pub fn attribution(&self) -> bool {
-        self.attrib || self.attrib_csv.is_some() || self.blame_json.is_some()
-    }
 }
 
 /// One recorded run, in submission order, with whichever artefacts it
@@ -79,20 +46,12 @@ pub(crate) struct Record {
     attribution: Option<RunAttribution>,
 }
 
-fn with_telemetry(records: &[Record]) -> impl Iterator<Item = (&Record, &RunTelemetry)> {
-    records.iter().filter_map(|r| Some((r, r.telemetry.as_ref()?)))
-}
-
-fn with_attribution(records: &[Record]) -> impl Iterator<Item = (&Record, &RunAttribution)> {
-    records.iter().filter_map(|r| Some((r, r.attribution.as_ref()?)))
-}
-
 impl Session {
     /// The run options the next campaign should simulate under: telemetry
-    /// and attribution on exactly when such an artefact was requested (a
-    /// config requesting nothing leaves every run uninstrumented).
-    /// `--trace` writes one run's trace — the first recorded — so request
-    /// tracing is asked for only while nothing has been recorded, and
+    /// on for either artefact, attribution on for the report (a config
+    /// requesting nothing leaves every run uninstrumented). `--trace`
+    /// writes one run's trace — the first recorded — so request tracing
+    /// is asked for only while nothing has been recorded, and
     /// [`crate::plan::run_campaign_counted`] applies it to the campaign's
     /// first member alone.
     #[must_use]
@@ -100,9 +59,9 @@ impl Session {
         let cfg = &self.cfg.sink;
         let unclaimed = cfg.trace.is_some() && self.records.lock().expect("sink poisoned").is_empty();
         RunOptions {
-            telemetry: cfg.telemetry(),
+            telemetry: cfg.report.is_some() || cfg.trace.is_some(),
             trace_sample: unclaimed.then_some(TRACE_SAMPLE),
-            attrib: cfg.attribution(),
+            attrib: cfg.report.is_some(),
         }
     }
 
@@ -129,281 +88,108 @@ impl Session {
     /// the CSV exporter).
     pub(crate) fn write_artefacts(&self) {
         let cfg = &self.cfg.sink;
-        if !cfg.any() {
+        if cfg.report.is_none() && cfg.trace.is_none() {
             return;
         }
         let records = std::mem::take(&mut *self.records.lock().expect("sink poisoned"));
-        if cfg.telemetry() && with_telemetry(&records).next().is_none()
-            || cfg.attribution() && with_attribution(&records).next().is_none()
-        {
+        if records.is_empty() {
             // Some experiments (fig1, workloads) never route a run through
             // the Runner; the artefacts are still written, just empty.
             eprintln!("[telemetry] no instrumented runs recorded");
         }
-        if cfg.series_summary {
-            for (r, t) in with_telemetry(&records) {
-                print_series_summary(&r.label, t);
-            }
-        }
-        if let Some(path) = &cfg.stats_json {
-            report(path, std::fs::write(path, stats_json(&records).to_json_pretty()));
+        if let Some(path) = &cfg.report {
+            wrote(path, std::fs::write(path, run_report(&records).to_json_pretty()));
         }
         if let Some(path) = &cfg.trace {
             // One workload's trace is viewable; all of them concatenated
             // are not (perfetto expects a single timeline). The first
             // recorded run is the one that traced ([`Session::run_options`]).
-            let json = with_telemetry(&records).next().map_or_else(
+            let json = records.iter().find_map(|r| r.telemetry.as_ref()).map_or_else(
                 || asm_telemetry::Tracer::off().to_json(),
-                |(_, t)| t.tracer.to_json(),
+                |t| t.tracer.to_json(),
             );
-            report(path, std::fs::write(path, json));
-        }
-        if let Some(dir) = &cfg.series_csv {
-            let write_all = || -> std::io::Result<()> {
-                std::fs::create_dir_all(dir)?;
-                for (r, t) in with_telemetry(&records) {
-                    let path = dir.join(format!("{}.csv", sanitize(&r.label)));
-                    std::fs::write(&path, series_csv(t))?;
-                }
-                Ok(())
-            };
-            report(dir, write_all());
-        }
-        if cfg.attrib {
-            for (r, a) in with_attribution(&records) {
-                print_attrib_summary(r, a);
-            }
-        }
-        if let Some(path) = &cfg.attrib_csv {
-            report(path, std::fs::write(path, attrib_csv(&records)));
-        }
-        if let Some(path) = &cfg.blame_json {
-            report(path, std::fs::write(path, blame_json(&records).to_json_pretty()));
+            wrote(path, std::fs::write(path, json));
         }
     }
 }
 
-fn report<T>(path: &Path, r: std::io::Result<T>) {
+fn wrote<T>(path: &Path, r: std::io::Result<T>) {
     match r {
         Ok(_) => eprintln!("[telemetry] wrote {}", path.display()),
         Err(e) => eprintln!("[telemetry] failed to write {}: {e}", path.display()),
     }
 }
 
-/// `label` → a safe file stem (alphanumerics kept, the rest become `_`).
-fn sanitize(label: &str) -> String {
-    label
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect()
-}
-
-/// The `--stats-json` document: schema tag plus one object per workload
-/// with sorted counters, the DRAM read-latency quantiles and a summary of
-/// every recorded series.
-fn stats_json(records: &[Record]) -> JsonValue {
+/// The `--report` document: the schema tag, the ledger's component names
+/// (the column order of every `cycles` and `component_totals` row), and
+/// one entry per recorded run with its label and apps; the view's sorted
+/// counters, DRAM read-latency quantiles and every series sample as
+/// `[cycle, value]`; and its ledger — per quantum the app × component
+/// cycles and the victim × offender blame, plus whole-run totals of both.
+/// A non-finite value is written as `null`.
+fn run_report(records: &[Record]) -> JsonValue {
+    let num = JsonValue::num_u64;
     let opt = |v: Option<f64>| v.map_or(JsonValue::Null, JsonValue::Num);
-    let workloads = with_telemetry(records)
-        .map(|(r, t)| {
-            let mut counters: Vec<(String, JsonValue)> = t
-                .counters
-                .iter()
-                .map(|(n, v)| (n.clone(), JsonValue::num_u64(*v)))
-                .collect();
-            counters.sort_by(|a, b| a.0.cmp(&b.0));
-
+    let matrix = |cells: &[u64], width: usize| {
+        let row = |r: &[u64]| JsonValue::Arr(r.iter().map(|&c| num(c)).collect());
+        JsonValue::Arr(cells.chunks(width).map(row).collect())
+    };
+    let runs = records.iter().map(|r| {
+        let mut entry = vec![
+            ("label".into(), JsonValue::str(&r.label)),
+            ("apps".into(), JsonValue::Arr(r.apps.iter().map(JsonValue::str).collect())),
+        ];
+        if let Some(t) = &r.telemetry {
+            // The view renders its counters sorted by name.
+            let counters = t.counters.iter().map(|(n, v)| (n.clone(), num(*v)));
             let h = &t.mem_latency_hist;
-            let latency = JsonValue::Obj(vec![
-                ("samples".into(), JsonValue::num_u64(h.total())),
+            let latency = vec![
+                ("samples".into(), num(h.total())),
                 ("mean".into(), opt(h.mean())),
                 ("p50".into(), opt(h.p50())),
                 ("p95".into(), opt(h.p95())),
                 ("p99".into(), opt(h.p99())),
-            ]);
-
-            let series = t
-                .series
-                .iter()
-                .map(|(name, samples)| {
-                    let values: Vec<f64> = samples.iter().map(|&(_, v)| v).collect();
-                    let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
-                    let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                    let summary = JsonValue::Obj(vec![
-                        ("count".into(), JsonValue::num_u64(samples.len() as u64)),
-                        // Series are derived whole; kept for `asm-telemetry v1`.
-                        ("dropped".into(), JsonValue::num_u64(0)),
-                        ("min".into(), opt(lo.is_finite().then_some(lo))),
-                        ("max".into(), opt(hi.is_finite().then_some(hi))),
-                        ("last".into(), opt(values.last().copied())),
-                    ]);
-                    (name.to_owned(), summary)
-                })
-                .collect();
-
-            JsonValue::Obj(vec![
-                ("label".into(), JsonValue::str(&r.label)),
-                ("counters".into(), JsonValue::Obj(counters)),
-                ("dram_read_latency".into(), latency),
-                ("series".into(), JsonValue::Obj(series)),
-            ])
-        })
-        .collect();
-    JsonValue::Obj(vec![
-        ("schema".into(), JsonValue::str("asm-telemetry v1")),
-        ("workloads".into(), JsonValue::Arr(workloads)),
-    ])
-}
-
-/// Long-format CSV (`series,cycle,value`) of every sample of every
-/// series, in the view's then chronological order.
-fn series_csv(t: &RunTelemetry) -> String {
-    let mut out = String::from("series,cycle,value\n");
-    for (name, samples) in t.series.iter() {
-        for (cycle, value) in samples {
-            use std::fmt::Write as _;
-            let _ = writeln!(out, "{name},{cycle},{value}");
+            ];
+            let series = t.series.iter().map(|(name, samples)| {
+                let points = samples.iter().map(|&(c, v)| JsonValue::Arr(vec![num(c), JsonValue::Num(v)]));
+                (name.to_owned(), JsonValue::Arr(points.collect()))
+            });
+            entry.push(("counters".into(), JsonValue::Obj(counters.collect())));
+            entry.push(("dram_read_latency".into(), JsonValue::Obj(latency)));
+            entry.push(("series".into(), JsonValue::Obj(series.collect())));
         }
-    }
-    out
-}
-
-/// One stdout block per workload: a sparkline and range per series.
-/// Deterministic for any `--jobs` (records arrive in submission order).
-fn print_series_summary(label: &str, t: &RunTelemetry) {
-    println!("\ntelemetry series ({label}):");
-    let width = t.series.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
-    for (name, samples) in t.series.iter() {
-        let values: Vec<f64> = samples.iter().map(|&(_, v)| v).collect();
-        if values.is_empty() {
-            println!("  {name:<width$}  (no samples)");
-            continue;
-        }
-        let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
-        let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        println!(
-            "  {name:<width$}  {} min {lo:.3} max {hi:.3} last {:.3} ({} samples)",
-            asm_metrics::sparkline(&values),
-            values.last().copied().unwrap_or(f64::NAN),
-            values.len(),
-        );
-    }
-}
-
-/// One stdout block per workload under `--attrib`: each app's whole-run
-/// component decomposition (percent of run cycles) and its blame row.
-/// Deterministic for any `--jobs` (records arrive in submission order).
-fn print_attrib_summary(r: &Record, attrib: &RunAttribution) {
-    let n = r.apps.len();
-    println!("\ncycle attribution ({}):", r.label);
-    let run_cycles: u64 = attrib.quanta.iter().map(|q| q.end - q.start).sum();
-    if run_cycles == 0 {
-        println!("  (no finalized quanta)");
-        return;
-    }
-    let pct = |c: u64| 100.0 * c as f64 / run_cycles as f64;
-    for (v, app) in r.apps.iter().enumerate() {
-        println!("  app{v} {app} ({} quanta, {run_cycles} cycles):", attrib.quanta.len());
-        for (k, comp) in Component::ALL.iter().enumerate() {
-            let c = attrib.totals[v * COMPONENTS + k];
-            if c > 0 {
-                let tag = if comp.is_interference() { " [interference]" } else { "" };
-                println!("    {:<18} {c:>12}  {:6.2}%{tag}", comp.name(), pct(c));
-            }
-        }
-        let row: Vec<String> = (0..n)
-            .map(|o| format!("app{o}={}", attrib.blame[v * n + o]))
-            .collect();
-        println!("    blame row: {}", row.join(" "));
-    }
-}
-
-/// The `--attrib-csv` document: one long-format row per
-/// (workload, quantum, app, component) with non-zero cycles, followed by
-/// `blame.appN` pseudo-components carrying the off-diagonal blame matrix.
-/// Quanta are identified by their end cycle.
-fn attrib_csv(records: &[Record]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("workload,quantum_end,app,component,cycles\n");
-    for (r, attrib) in with_attribution(records) {
-        let n = r.apps.len();
-        for q in &attrib.quanta {
-            for v in 0..n {
-                for comp in Component::ALL {
-                    let c = q.component(v, comp);
-                    if c > 0 {
-                        let _ = writeln!(out, "{},{},app{v},{},{c}", r.label, q.end, comp.name());
-                    }
-                }
-                for o in 0..n {
-                    let c = q.blamed(v, o);
-                    if o != v && c > 0 {
-                        let _ = writeln!(out, "{},{},app{v},blame.app{o},{c}", r.label, q.end);
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-/// The `--blame-json` document: schema tag plus one object per workload
-/// with the app list, whole-run component totals, the whole-run blame
-/// matrix, and every quantum's blame matrix (victim-major rows).
-fn blame_json(records: &[Record]) -> JsonValue {
-    let nums = |row: &[u64]| JsonValue::Arr(row.iter().map(|&c| JsonValue::num_u64(c)).collect());
-    let matrix = |blame: &[u64], n: usize| JsonValue::Arr(blame.chunks(n).map(nums).collect());
-    let workloads = with_attribution(records)
-        .map(|(r, attrib)| {
+        if let Some(a) = &r.attribution {
             let n = r.apps.len();
-            let apps = JsonValue::Arr(r.apps.iter().map(|a| JsonValue::str(a)).collect());
-            let by_component = |totals: &[u64]| {
-                let named = Component::ALL.iter().zip(totals);
-                JsonValue::Obj(named.map(|(c, &t)| (c.name().to_owned(), JsonValue::num_u64(t))).collect())
-            };
-            let totals = JsonValue::Arr(attrib.totals.chunks(COMPONENTS).map(by_component).collect());
-            let quanta = JsonValue::Arr(
-                attrib
-                    .quanta
-                    .iter()
-                    .map(|q| {
-                        JsonValue::Obj(vec![
-                            ("start".into(), JsonValue::num_u64(q.start)),
-                            ("end".into(), JsonValue::num_u64(q.end)),
-                            ("blame".into(), matrix(&q.blame, n)),
-                        ])
-                    })
-                    .collect(),
-            );
-            JsonValue::Obj(vec![
-                ("label".into(), JsonValue::str(&r.label)),
-                ("apps".into(), apps),
-                ("component_totals".into(), totals),
-                ("blame_totals".into(), matrix(&attrib.blame, n)),
-                ("quanta".into(), quanta),
-            ])
-        })
-        .collect();
+            let quanta = a.quanta.iter().map(|q| {
+                JsonValue::Obj(vec![
+                    ("start".into(), num(q.start)),
+                    ("end".into(), num(q.end)),
+                    ("cycles".into(), matrix(&q.ledger, COMPONENTS)),
+                    ("blame".into(), matrix(&q.blame, n)),
+                ])
+            });
+            entry.push((
+                "attribution".into(),
+                JsonValue::Obj(vec![
+                    ("quanta".into(), JsonValue::Arr(quanta.collect())),
+                    ("component_totals".into(), matrix(&a.totals, COMPONENTS)),
+                    ("blame_totals".into(), matrix(&a.blame, n)),
+                ]),
+            ));
+        }
+        JsonValue::Obj(entry)
+    });
+    let components = Component::ALL.iter().map(|c| JsonValue::str(c.name()));
     JsonValue::Obj(vec![
-        ("schema".into(), JsonValue::str("asm-attrib v1")),
-        ("workloads".into(), JsonValue::Arr(workloads)),
+        ("schema".into(), JsonValue::str(REPORT_SCHEMA)),
+        ("components".into(), JsonValue::Arr(components.collect())),
+        ("runs".into(), JsonValue::Arr(runs.collect())),
     ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sanitize_keeps_only_alphanumerics() {
-        assert_eq!(sanitize("w003 mcf_like+lbm_like"), "w003_mcf_like_lbm_like");
-    }
-
-    /// The records of a session that observed `result`.
-    fn recorded(result: &RunResult) -> Vec<Record> {
-        let session = Session::default();
-        session.record(std::slice::from_ref(result));
-        session.records.into_inner().unwrap()
-    }
 
     #[test]
     fn inactive_sink_yields_default_options() {
@@ -417,7 +203,7 @@ mod tests {
     fn trace_is_asked_of_the_first_recorded_run_only() {
         let mut session = Session::default();
         session.cfg.sink.trace = Some("t.json".into());
-        session.cfg.sink.blame_json = Some("b.json".into());
+        session.cfg.sink.report = Some("r.json".into());
         let first = session.run_options();
         assert_eq!((first.telemetry, first.trace_sample, first.attrib), (true, Some(TRACE_SAMPLE), true));
         // A run with nothing to record claims nothing.
@@ -437,8 +223,10 @@ mod tests {
         assert_eq!(labels, ["w000 a+b", "w001 a+b"]);
     }
 
-    #[test]
-    fn stats_json_shape_round_trips() {
+    /// The parsed report of one instrumented two-app run of 100k cycles
+    /// (two 50k-cycle quanta), after checking that serialise → parse →
+    /// serialise is a fixed point.
+    fn two_app_report() -> JsonValue {
         let runner = asm_core::Runner::new({
             let mut c = asm_core::SystemConfig::default();
             c.quantum = 50_000;
@@ -446,85 +234,67 @@ mod tests {
             c
         });
         let apps = vec![
-            asm_workloads::suite::by_name("mcf_like").unwrap(),
-            asm_workloads::suite::by_name("h264ref_like").unwrap(),
+            asm_workloads::suite::by_name("mcf_like").expect("suite profile"),
+            asm_workloads::suite::by_name("h264ref_like").expect("suite profile"),
         ];
         let opts = RunOptions {
             telemetry: true,
             trace_sample: Some(TRACE_SAMPLE),
-            attrib: false,
+            attrib: true,
         };
-        let records = recorded(&runner.run_with(&apps, 100_000, opts));
-        assert_eq!(records[0].label, "w000 mcf_like+h264ref_like");
+        let session = Session::default();
+        session.record(&[runner.run_with(&apps, 100_000, opts)]);
+        let records = session.records.into_inner().expect("sink not poisoned");
 
-        let text = stats_json(&records).to_json_pretty();
-        let parsed = asm_telemetry::json::parse(&text).expect("valid JSON");
-        assert_eq!(
-            parsed.get("schema").and_then(JsonValue::as_str),
-            Some("asm-telemetry v1")
-        );
-        let w = parsed
-            .get("workloads")
-            .and_then(JsonValue::as_arr)
-            .expect("workloads array");
-        assert_eq!(w.len(), 1);
-        let counters = w[0].get("counters").expect("counters");
-        assert!(counters.get("llc.app0.hits").is_some());
-        assert!(w[0]
-            .get("dram_read_latency")
-            .and_then(|l| l.get("p95"))
-            .is_some());
+        let text = run_report(&records).to_json_pretty();
+        let doc = asm_telemetry::json::parse(&text).expect("valid JSON");
+        assert_eq!(asm_telemetry::json::parse(&doc.to_json()).expect("reparses").to_json(), doc.to_json());
+        doc
+    }
 
-        let csv = series_csv(records[0].telemetry.as_ref().expect("telemetry"));
-        assert!(csv.starts_with("series,cycle,value\n"));
-        assert!(csv.contains("app0.est_slowdown,50000,"));
+    /// The report's single run entry.
+    fn only_run(doc: &JsonValue) -> &JsonValue {
+        let runs = doc.get("runs").and_then(JsonValue::as_arr).expect("runs array");
+        assert_eq!(runs.len(), 1);
+        &runs[0]
+    }
+
+    #[test]
+    fn stats_json_shape_round_trips() {
+        let doc = two_app_report();
+        assert_eq!(doc.get("schema").and_then(JsonValue::as_str), Some(REPORT_SCHEMA));
+        let components: Vec<&str> =
+            doc.get("components").and_then(JsonValue::as_arr).expect("components").iter().filter_map(JsonValue::as_str).collect();
+        assert_eq!(components, Component::ALL.map(Component::name));
+        let run = only_run(&doc);
+        assert_eq!(run.get("label").and_then(JsonValue::as_str), Some("w000 mcf_like+h264ref_like"));
+        assert!(run.get("counters").and_then(|c| c.get("llc.app0.hits")).is_some());
+        assert!(run.get("dram_read_latency").and_then(|l| l.get("p95")).is_some());
+        let est = run.get("series").and_then(|s| s.get("app0.est_slowdown")).and_then(JsonValue::as_arr);
+        let first = est.expect("est_slowdown series")[0].as_arr().expect("[cycle, value]");
+        assert_eq!(first[0].as_num(), Some(50_000.0));
     }
 
     #[test]
     fn attrib_artefacts_round_trip() {
-        let runner = asm_core::Runner::new({
-            let mut c = asm_core::SystemConfig::default();
-            c.quantum = 50_000;
-            c.epoch = 1_000;
-            c
-        });
-        let apps = vec![
-            asm_workloads::suite::by_name("mcf_like").unwrap(),
-            asm_workloads::suite::by_name("h264ref_like").unwrap(),
-        ];
-        let opts = RunOptions {
-            telemetry: false,
-            trace_sample: None,
-            attrib: true,
+        let doc = two_app_report();
+        let run = only_run(&doc);
+        // Every ledger row of every quantum, and every whole-run blame
+        // row, sums to the cycles it covers.
+        let num = |v: &JsonValue| v.as_num().expect("number") as u64;
+        let rows = |m: &JsonValue| -> Vec<u64> {
+            let m = m.as_arr().expect("matrix");
+            m.iter().map(|row| row.as_arr().expect("row").iter().map(num).sum()).collect()
         };
-        let records = recorded(&runner.run_with(&apps, 100_000, opts));
-        let attrib = records[0].attribution.as_ref().expect("attribution");
-
-        let csv = attrib_csv(&records);
-        assert!(csv.starts_with("workload,quantum_end,app,component,cycles\n"));
-        assert!(csv.contains(",50000,app0,compute,"));
-
-        let text = blame_json(&records).to_json_pretty();
-        let parsed = asm_telemetry::json::parse(&text).expect("valid JSON");
-        assert_eq!(
-            parsed.get("schema").and_then(JsonValue::as_str),
-            Some("asm-attrib v1")
-        );
-        let w = parsed
-            .get("workloads")
-            .and_then(JsonValue::as_arr)
-            .expect("workloads array");
-        assert_eq!(w.len(), 1);
-        let blame = w[0]
-            .get("blame_totals")
-            .and_then(JsonValue::as_arr)
-            .expect("blame matrix");
-        assert_eq!(blame.len(), 2);
-        // Each whole-run blame row sums to the run's attributed cycles.
-        let run_cycles: u64 = attrib.quanta.iter().map(|q| q.end - q.start).sum();
-        for v in 0..2 {
-            let row: u64 = (0..2).map(|o| attrib.blame[v * 2 + o]).sum();
-            assert_eq!(row, run_cycles, "blame row {v} does not conserve");
+        let attribution = run.get("attribution").expect("attribution section");
+        let quanta = attribution.get("quanta").and_then(JsonValue::as_arr).expect("quanta");
+        assert_eq!(quanta.len(), 2);
+        for q in quanta {
+            let len = num(q.get("end").expect("end")) - num(q.get("start").expect("start"));
+            assert_eq!(rows(q.get("cycles").expect("cycles")), [len, len]);
+            assert_eq!(rows(q.get("blame").expect("blame")), [len, len]);
         }
+        assert_eq!(rows(attribution.get("blame_totals").expect("blame totals")), [100_000, 100_000]);
+        assert_eq!(rows(attribution.get("component_totals").expect("totals")), [100_000, 100_000]);
     }
 }

@@ -92,9 +92,8 @@ fn values_that_used_to_be_silently_mishandled_are_usage_errors() {
     let artefact = artefact.to_str().expect("utf8 tmp path");
     let cases: &[(&[&str], &str)] = &[
         // Neither tier instruments a run: both wrote header-only artefacts.
-        (&["fig11", "--tier", "sampled", "--stats-json", artefact], "--tier cycle"),
-        (&["matrix", "--tier", "analytic", "--attrib-csv", artefact], "--tier cycle"),
-        (&["matrix", "--tier", "analytic", "--series-summary"], "--tier cycle"),
+        (&["fig11", "--tier", "sampled", "--report", artefact], "--tier cycle"),
+        (&["matrix", "--tier", "analytic", "--trace", artefact], "--tier cycle"),
         // Clamped to 1 while `--workloads 0` was rejected.
         (&["fig2", "--jobs", "0"], "--jobs"),
         (&["fig11", "--tier", "sampled", "--sample-intervals", "0"], "--sample-intervals"),
@@ -103,6 +102,9 @@ fn values_that_used_to_be_silently_mishandled_are_usage_errors() {
         (&["fig2", "--checkpoint-dir", "a", "--checkpoint-dir", "b"], "--checkpoint-dir"),
         (&["fig2", "--workloads", "1", "--workloads", "2"], "--workloads"),
         (&["fig2", "--tier", "cycle", "--tier", "cycle"], "--tier"),
+        // Derived arithmetic wrapped: Q x L to Q, and workloads x 4 to 0.
+        (&["fig11", "--tier", "sampled", "--sample-quanta", "288230376151711745"], "--sample-quanta"),
+        (&["fig7", "--workloads", "4611686018427387904"], "--workloads"),
         // And what was rejected all along still reads the same way.
         (&["fig2", "--seed"], "--seed"),
         (&["fig2", "--seed", "seven"], "--seed"),

@@ -1,27 +1,22 @@
-//! End-to-end guarantees of the telemetry layer, pinned at the CLI
-//! boundary:
+//! End-to-end guarantees of the run report and the trace, pinned at the
+//! CLI boundary:
 //!
-//! 1. **Zero observable cost when off**: every experiment's stdout and
-//!    CSV exports are byte-identical whether or not telemetry artefacts
-//!    are requested (instrumentation is compiled in either way — the
-//!    flags only decide whether it is *enabled*).
-//! 2. **Jobs-independence**: `--stats-json` output is byte-identical for
-//!    `--jobs 1` and `--jobs 4` (snapshots merge in submission order).
-//! 3. **Artefact validity**: `--stats-json` round-trips through the
-//!    hand-rolled JSON parser with the expected schema, and `--trace`
-//!    is well-formed Chrome trace-event JSON.
+//! 1. **Zero observable cost when on**: every experiment's stdout and
+//!    CSV exports are byte-identical whether or not `--report` is
+//!    requested (instrumentation is compiled in either way — the flag
+//!    only decides whether it is *enabled*).
+//! 2. **The report**: it parses with schema `asm-report/1`, is
+//!    byte-identical for `--jobs 1` and `--jobs 4` (runs are recorded in
+//!    submission order), and serialise → parse → serialise is a fixed
+//!    point.
+//! 3. **The trace**: `--trace` is well-formed Chrome trace-event JSON.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+use asm_experiments::exps;
 use asm_telemetry::json::{parse, JsonValue};
-
-/// Every dispatchable experiment (kept in sync with `exps::run`).
-const EXPERIMENTS: &[&str] = &[
-    "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "db", "mise", "fig7", "fig8", "table3",
-    "fig9", "fig10", "combined", "fig11", "channels", "ablation", "matrix", "workloads",
-];
 
 fn tmp_dir(label: &str) -> PathBuf {
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("telemetry_{label}"));
@@ -53,20 +48,29 @@ fn run(exp: &str, csv_dir: &Path, extra: &[&str]) -> (Vec<u8>, BTreeMap<String, 
     (out.stdout, csvs)
 }
 
+/// Runs `exp` with `--report` and returns the report's text.
+fn report(exp: &str, label: &str, extra: &[&str]) -> String {
+    let dir = tmp_dir(label);
+    let path = dir.join("report.json");
+    let _ = run(exp, &dir.join("csv"), &[extra, &["--report", path.to_str().expect("utf-8 tmp path")]].concat());
+    std::fs::read_to_string(&path).expect("report written")
+}
+
 #[test]
 fn every_experiment_is_byte_identical_with_telemetry_on() {
-    for exp in EXPERIMENTS {
+    // `all` is the union of the `in_all` rows, each covered on its own.
+    for exp in exps::TABLE.iter().map(|e| e.name).filter(|&name| name != "all") {
         let (stdout_off, csv_off) = run(exp, &tmp_dir(&format!("{exp}_off")), &[]);
         let on_dir = tmp_dir(&format!("{exp}_on"));
-        let stats = on_dir.join("stats.json");
+        let report = on_dir.join("report.json");
         let (stdout_on, csv_on) = run(
             exp,
             &on_dir.join("csv"),
-            &["--stats-json", stats.to_str().expect("utf-8 tmp path")],
+            &["--report", report.to_str().expect("utf-8 tmp path")],
         );
         assert!(
             stdout_off == stdout_on,
-            "{exp}: stdout differs with telemetry enabled:\n\
+            "{exp}: stdout differs with the report enabled:\n\
              --- off ---\n{}\n--- on ---\n{}",
             String::from_utf8_lossy(&stdout_off),
             String::from_utf8_lossy(&stdout_on)
@@ -79,100 +83,61 @@ fn every_experiment_is_byte_identical_with_telemetry_on() {
         for (name, bytes) in &csv_off {
             assert!(
                 bytes == &csv_on[name],
-                "{exp}: {name} differs with telemetry enabled"
+                "{exp}: {name} differs with the report enabled"
             );
         }
-        assert!(stats.is_file(), "{exp}: --stats-json wrote nothing");
+        assert!(report.is_file(), "{exp}: --report wrote nothing");
     }
 }
 
 #[test]
 fn stats_json_is_jobs_independent() {
-    for jobs in ["1", "4"] {
-        let dir = tmp_dir(&format!("jobs{jobs}"));
-        let stats = dir.join("stats.json");
-        let (_, _) = run(
-            "fig4",
-            &dir.join("csv"),
-            &[
-                "--jobs",
-                jobs,
-                "--stats-json",
-                stats.to_str().expect("utf-8 tmp path"),
-            ],
-        );
-    }
-    let one = std::fs::read(tmp_dir("jobs1").join("stats.json")).expect("jobs=1 stats");
-    let four = std::fs::read(tmp_dir("jobs4").join("stats.json")).expect("jobs=4 stats");
     assert!(
-        one == four,
-        "--stats-json differs between --jobs 1 and --jobs 4"
+        report("fig4", "jobs1", &["--jobs", "1"]) == report("fig4", "jobs4", &["--jobs", "4"]),
+        "--report differs between --jobs 1 and --jobs 4"
     );
 }
 
 #[test]
 fn stats_json_round_trips_with_expected_schema() {
-    let dir = tmp_dir("schema");
-    let stats = dir.join("stats.json");
-    let series_dir = dir.join("series");
-    let _ = run(
-        "fig4",
-        &dir.join("csv"),
-        &[
-            "--stats-json",
-            stats.to_str().expect("utf-8 tmp path"),
-            "--series-csv",
-            series_dir.to_str().expect("utf-8 tmp path"),
-        ],
-    );
-
-    let text = std::fs::read_to_string(&stats).expect("stats.json written");
-    let doc = parse(&text).expect("stats.json parses");
-    assert_eq!(
-        doc.get("schema").and_then(JsonValue::as_str),
-        Some("asm-telemetry v1")
-    );
-    let workloads = doc
-        .get("workloads")
-        .and_then(JsonValue::as_arr)
-        .expect("workloads array");
-    assert!(!workloads.is_empty());
-    for w in workloads {
-        let counters = w.get("counters").expect("counters object");
+    let doc = parse(&report("fig4", "schema", &[])).expect("report parses");
+    assert_eq!(doc.get("schema").and_then(JsonValue::as_str), Some("asm-report/1"));
+    let components = doc.get("components").and_then(JsonValue::as_arr).expect("components");
+    let runs = doc.get("runs").and_then(JsonValue::as_arr).expect("runs array");
+    assert!(!runs.is_empty());
+    for (i, r) in runs.iter().enumerate() {
+        let label = r.get("label").and_then(JsonValue::as_str).expect("label");
+        assert!(label.starts_with(&format!("w{i:03} ")), "{label}");
+        let apps = r.get("apps").and_then(JsonValue::as_arr).expect("apps").len();
+        let counters = r.get("counters").expect("counters object");
         for key in ["llc.app0.hits", "core0.retired", "sys.executed_cycles"] {
-            assert!(
-                counters.get(key).and_then(JsonValue::as_num).is_some(),
-                "missing counter {key}"
-            );
+            assert!(counters.get(key).and_then(JsonValue::as_num).is_some(), "missing counter {key}");
         }
-        let lat = w.get("dram_read_latency").expect("latency object");
-        let samples = lat
-            .get("samples")
-            .and_then(JsonValue::as_num)
-            .expect("sample count");
+        let lat = r.get("dram_read_latency").expect("latency object");
+        let samples = lat.get("samples").and_then(JsonValue::as_num).expect("sample count");
         if samples > 0.0 {
             assert!(lat.get("p95").and_then(JsonValue::as_num).is_some());
         }
-        let series = w.get("series").expect("series object");
-        assert!(series.get("app0.est_slowdown").is_some());
-        assert!(series.get("app0.actual_slowdown").is_some());
+        let series = r.get("series").expect("series object");
+        for name in ["app0.est_slowdown", "app0.actual_slowdown"] {
+            let points = series.get(name).and_then(JsonValue::as_arr).expect(name);
+            assert!(!points.is_empty(), "{name} has no samples");
+            assert!(points.iter().all(|p| p.as_arr().is_some_and(|p| p.len() == 2)));
+        }
+        let attribution = r.get("attribution").expect("attribution section");
+        let totals = attribution.get("component_totals").and_then(JsonValue::as_arr).expect("totals");
+        assert_eq!(totals.len(), apps);
+        assert!(totals.iter().all(|row| row.as_arr().is_some_and(|row| row.len() == components.len())));
+        let quanta = attribution.get("quanta").and_then(JsonValue::as_arr).expect("quanta");
+        assert!(!quanta.is_empty());
+        let blame = attribution.get("blame_totals").and_then(JsonValue::as_arr).expect("blame");
+        assert_eq!(blame.len(), apps);
     }
 
-    // Serialize → parse → serialize is a fixed point (the writer emits
+    // Serialise → parse → serialise is a fixed point (the writer emits
     // exactly what the parser reads).
     let reparsed = parse(&doc.to_json()).expect("round-trip parses");
     assert_eq!(doc.to_json(), reparsed.to_json());
-
-    // The per-workload series CSVs exist and carry the long format.
-    let mut csvs: Vec<_> = std::fs::read_dir(&series_dir)
-        .expect("series dir written")
-        .map(|e| e.expect("dir entry").path())
-        .collect();
-    csvs.sort();
-    assert_eq!(csvs.len(), workloads.len());
-    let body = std::fs::read_to_string(&csvs[0]).expect("series csv");
-    assert!(body.starts_with("series,cycle,value\n"));
-    assert!(body.lines().count() > 1, "series csv has no samples");
 }
 
 #[test]

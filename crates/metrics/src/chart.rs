@@ -92,89 +92,9 @@ impl fmt::Display for BarChart {
     }
 }
 
-/// The eight-level block ramp used by [`sparkline`].
-const SPARK_LEVELS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-
-/// Renders `values` as a one-line Unicode sparkline (`▁▂▃▄▅▆▇█`).
-///
-/// Values are scaled linearly between the finite minimum and maximum;
-/// non-finite values render as a space. A flat (or single-sample) series
-/// renders at the mid level so it is visibly present but carries no
-/// fake shape. An empty slice yields an empty string.
-///
-/// # Examples
-///
-/// ```
-/// use asm_metrics::sparkline;
-/// assert_eq!(sparkline(&[0.0, 1.0, 2.0, 3.0]), "▁▃▆█");
-/// assert_eq!(sparkline(&[5.0, 5.0]), "▄▄");
-/// assert_eq!(sparkline(&[]), "");
-/// ```
-#[must_use]
-pub fn sparkline(values: &[f64]) -> String {
-    let finite = values.iter().copied().filter(|v| v.is_finite());
-    let (min, max) = finite.fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| {
-        (lo.min(v), hi.max(v))
-    });
-    let span = max - min;
-    values
-        .iter()
-        .map(|&v| {
-            if !v.is_finite() {
-                ' '
-            } else if span <= 0.0 || !span.is_finite() {
-                SPARK_LEVELS[3]
-            } else {
-                let idx = ((v - min) / span * 7.0).round() as usize;
-                SPARK_LEVELS[idx.min(7)]
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sparkline_golden() {
-        // A monotone ramp visits every level exactly once.
-        let ramp: Vec<f64> = (0..8).map(f64::from).collect();
-        assert_eq!(sparkline(&ramp), "▁▂▃▄▅▆▇█");
-        // A characteristic shape, pinned byte-for-byte.
-        assert_eq!(
-            sparkline(&[1.0, 4.0, 2.0, 8.0, 5.0, 1.0, 7.0]),
-            "▁▄▂█▅▁▇"
-        );
-    }
-
-    #[test]
-    fn sparkline_handles_degenerate_input() {
-        assert_eq!(sparkline(&[]), "");
-        assert_eq!(sparkline(&[3.0]), "▄");
-        assert_eq!(sparkline(&[2.0, 2.0, 2.0]), "▄▄▄");
-        assert_eq!(sparkline(&[1.0, f64::NAN, 3.0]), "▁ █");
-        assert_eq!(sparkline(&[f64::NAN, f64::INFINITY]), "  ");
-    }
-
-    #[test]
-    fn sparkline_constant_series_renders_mid_level_at_any_value() {
-        // Zero span: every point renders the mid glyph regardless of the
-        // constant's sign or magnitude, one glyph per input point.
-        for v in [-7.5, 0.0, 1e9] {
-            let s = sparkline(&[v; 5]);
-            assert_eq!(s.chars().count(), 5, "value {v}: {s}");
-            assert!(s.chars().all(|c| c == '▄'), "value {v}: {s}");
-        }
-        // And the empty series stays empty — no placeholder glyphs.
-        assert_eq!(sparkline(&[]), "");
-    }
-
-    #[test]
-    fn sparkline_extremes_map_to_end_levels() {
-        let s = sparkline(&[-10.0, 0.0, 10.0]);
-        assert!(s.starts_with('▁') && s.ends_with('█'));
-    }
 
     #[test]
     fn bars_scale_to_the_maximum() {

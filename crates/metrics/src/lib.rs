@@ -17,7 +17,7 @@ pub mod slowdown;
 pub mod table;
 
 pub use approx::{approx_eq, approx_eq_eps, approx_zero, EPSILON};
-pub use chart::{sparkline, BarChart};
+pub use chart::BarChart;
 pub use dist::ErrorDistribution;
 pub use fairness::{harmonic_speedup, max_slowdown};
 pub use slowdown::{estimation_error_pct, ErrorAggregate, SlowdownSample};

@@ -72,21 +72,22 @@ pub struct SampleSpec {
 }
 
 impl SampleSpec {
-    /// Interval length in cycles under `quantum`.
+    /// Interval length in cycles under `quantum`; `None` when it does not
+    /// fit in a [`Cycle`].
     #[must_use]
-    pub fn interval_cycles(&self, quantum: Cycle) -> Cycle {
-        self.quanta.max(1) * quantum
+    pub fn interval_cycles(&self, quantum: Cycle) -> Option<Cycle> {
+        self.quanta.max(1).checked_mul(quantum)
     }
 
     /// Number of intervals a run of `cycles` splits into (0 when the run
-    /// does not divide evenly — the caller falls back to a full run).
+    /// does not divide evenly, an overflowing length included — the
+    /// caller falls back to a full run).
     #[must_use]
     pub fn interval_count(&self, quantum: Cycle, cycles: Cycle) -> usize {
-        let ic = self.interval_cycles(quantum);
-        if ic == 0 || !cycles.is_multiple_of(ic) {
-            return 0;
+        match self.interval_cycles(quantum) {
+            Some(ic) if ic > 0 && cycles.is_multiple_of(ic) => (cycles / ic) as usize,
+            _ => 0,
         }
-        (cycles / ic) as usize
     }
 }
 
@@ -198,9 +199,9 @@ pub fn fingerprint(
 ) -> IntervalPlan {
     let n_apps = apps.len();
     assert_eq!(alone.len(), n_apps, "one alone progress log per app");
-    let interval_cycles = spec.interval_cycles(config.quantum);
     let n = spec.interval_count(config.quantum, cycles);
     assert!(n > 0, "cycles must be a positive multiple of the interval");
+    let interval_cycles = cycles / n as u64;
 
     let prefix_hash = config_hash(config);
     let mix = checkpoint::mix_signature(apps);
@@ -521,6 +522,18 @@ mod tests {
         };
         assert_eq!(spec.interval_count(1_000, 8_000), 4);
         assert_eq!(spec.interval_count(1_000, 9_000), 0);
+    }
+
+    #[test]
+    fn an_overflowing_interval_length_is_indivisible() {
+        // Q x L = 200 000 x (2^58 + 1) wraps to 200 000 in u64; wrapped, it
+        // would divide the run into one-quantum intervals.
+        let spec = SampleSpec {
+            intervals: 2,
+            quanta: (1 << 58) + 1,
+        };
+        assert_eq!(spec.interval_cycles(200_000), None);
+        assert_eq!(spec.interval_count(200_000, 4_000_000), 0);
     }
 
     #[test]

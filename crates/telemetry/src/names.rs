@@ -4,8 +4,10 @@
 //! in one module, and each is rendered at exactly one site
 //! (`crates/core/src/system/probes.rs`; the runner adds
 //! `app{i}.actual_slowdown`). External consumers join on these names in
-//! `stats.json` and the series CSV, so they are a published format: a
-//! new row of the view gets its constructor here, next to its neighbours.
+//! the run report's `counters` and `series` (schema `asm-report/1`), so
+//! they are a published format: a new row of the view gets its
+//! constructor here, next to its neighbours. The attribution ledger is
+//! not in the view; the report carries it in its own section.
 //!
 //! Naming scheme (dot-separated, `{family}.{instance}.{metric}`):
 //!
@@ -14,8 +16,6 @@
 //! - `core{i}.*` — per-core gauges
 //! - `dram.ch{c}.bank{b}.*` — per-bank gauges
 //! - `sys.*` — whole-system gauges
-//! - `attrib.app{i}.*` — ground-truth cycle-attribution counters
-//! - `attrib.app{v}.blame.app{o}` — per-quantum blame-matrix series
 
 /// Whole-system executed-cycle gauge.
 pub const SYS_EXECUTED_CYCLES: &str = "sys.executed_cycles";
@@ -106,21 +106,6 @@ pub fn dram_bank_row_misses(ch: usize, b: usize) -> String {
     format!("dram.ch{ch}.bank{b}.row_misses")
 }
 
-/// Ground-truth attribution counter: cumulative cycles of application
-/// `i` attributed to ledger component `component` (an `asm-attrib`
-/// component name, e.g. `dram_frfcfs`).
-#[must_use]
-pub fn attrib_component(i: usize, component: &str) -> String {
-    format!("attrib.app{i}.{component}")
-}
-
-/// Per-quantum blame-matrix series: cycles of victim `v` blamed on
-/// offender `o` in each quantum.
-#[must_use]
-pub fn attrib_blame(v: usize, o: usize) -> String {
-    format!("attrib.app{v}.blame.app{o}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,7 +115,5 @@ mod tests {
         assert_eq!(llc_app_hits(3), "llc.app3.hits");
         assert_eq!(app_est_slowdown(0), "app0.est_slowdown");
         assert_eq!(dram_bank_row_hits(1, 7), "dram.ch1.bank7.row_hits");
-        assert_eq!(attrib_component(1, "dram_frfcfs"), "attrib.app1.dram_frfcfs");
-        assert_eq!(attrib_blame(0, 2), "attrib.app0.blame.app2");
     }
 }

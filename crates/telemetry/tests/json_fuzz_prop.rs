@@ -1,5 +1,5 @@
 //! `asm_telemetry::json::parse` reads bytes this program did not write
-//! (an edited `--stats-json`, a trace from another build): whatever they
+//! (an edited `--report` file, a trace from another build): whatever they
 //! are it returns, never panics or overflows the stack, and everything
 //! the writer emits it reads back to the same document.
 

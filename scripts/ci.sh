@@ -35,20 +35,18 @@
 #                                             experiment is a campaign —
 #                                             whose replay must simulate
 #                                             no member of any campaign)
-#   6. cycle-attribution leg                 (the conservation proptest
-#                                             runs in step 2; here: the
-#                                             ledger is observation-only —
-#                                             attribution artefacts on vs
-#                                             off leaves every experiment's
-#                                             stdout byte-identical; and
-#                                             the --attrib report + both
-#                                             artefacts are byte-identical
-#                                             across --jobs 1 and 4; and
-#                                             telemetry is a view — an
-#                                             instrumented campaign forks
-#                                             the warm-ups a plain one left
-#                                             and still matches a cold
-#                                             instrumented run byte for
+#   6. run-report leg                        (the ledger's conservation
+#                                             proptest runs in step 2;
+#                                             here: --report is observation-
+#                                             only — `all` stdout with it
+#                                             equals leg 5's cold run; the
+#                                             report is byte-identical
+#                                             across --jobs 1 and 4; and a
+#                                             checkpointed report campaign
+#                                             forks the warm-up an earlier
+#                                             one saved, one quantum-run
+#                                             fewer, and still matches a
+#                                             cold report run byte for
 #                                             byte)
 #   7. benchmark leg                         (tier-1 never compiles
 #                                             benchmark/asm_perf, which is a
@@ -171,55 +169,47 @@ awk '/^campaign:/ { n++; sub("members=", "replayed=", $3); if ($3 != $4 || $5 !=
     exit 1
 }
 
-echo "ci: [6/8] cycle-attribution leg (on-vs-off, --jobs differential)" >&2
-# The ledger is observation-only: collecting attribution artefacts must
-# not change a single stdout byte, on any experiment (cold reference:
-# leg 5's all_off.txt).
-"$EXP" all --tiny --attrib-csv "$SMOKE/all_attrib.csv" --blame-json "$SMOKE/all_blame.json" \
-    > "$SMOKE/all_on.txt" 2>/dev/null
+echo "ci: [6/8] run-report leg (on-vs-off, --jobs differential, warm-up fork)" >&2
+# The report is observation-only: requesting it must not change a single
+# stdout byte, on any experiment (cold reference: leg 5's all_off.txt).
+"$EXP" all --tiny --report "$SMOKE/all_report.json" > "$SMOKE/all_on.txt" 2>/dev/null
 cmp "$SMOKE/all_off.txt" "$SMOKE/all_on.txt" || {
-    echo "ci: FAIL — attribution artefacts changed experiment stdout" >&2
+    echo "ci: FAIL — --report changed experiment stdout" >&2
     exit 1
 }
-[[ -s "$SMOKE/all_attrib.csv" && -s "$SMOKE/all_blame.json" ]] || {
-    echo "ci: FAIL — attribution artefacts were not written" >&2
+[[ -s "$SMOKE/all_report.json" ]] || {
+    echo "ci: FAIL — the run report was not written" >&2
     exit 1
 }
-# And the ledger itself is deterministic across worker counts: the
-# printed --attrib report and both artefacts byte-identical for 1 vs 4.
+# And the report is deterministic across worker counts.
 for j in 1 4; do
-    "$EXP" fig11 --tiny --jobs "$j" --attrib \
-        --attrib-csv "$SMOKE/attrib_j$j.csv" --blame-json "$SMOKE/blame_j$j.json" \
-        > "$SMOKE/fig11_attrib_j$j.txt" 2>/dev/null
+    "$EXP" fig11 --tiny --jobs "$j" --report "$SMOKE/report_j$j.json" >/dev/null 2>&1
 done
-for f in fig11_attrib_j#.txt attrib_j#.csv blame_j#.json; do
-    cmp "$SMOKE/${f/\#/1}" "$SMOKE/${f/\#/4}" || {
-        echo "ci: FAIL — ${f/\#*/} differs between --jobs 1 and --jobs 4" >&2
-        exit 1
-    }
-done
+cmp "$SMOKE/report_j1.json" "$SMOKE/report_j4.json" || {
+    echo "ci: FAIL — the run report differs between --jobs 1 and --jobs 4" >&2
+    exit 1
+}
 
-# Telemetry is a view of state every run keeps, so it is not part of the
-# warm-up key: an instrumented campaign forks the warm-up snapshot a plain
-# one saved (one file, one quantum-run fewer) and its stdout, stats JSON
-# and series CSVs equal a cold instrumented run's.
-"$EXP" fig11 --tiny --checkpoint-dir "$SMOKE/view_ckpt" >/dev/null 2>&1
-"$EXP" fig11 --tiny --checkpoint-dir "$SMOKE/view_ckpt" \
-    --stats-json "$SMOKE/view_fork.json" --series-csv "$SMOKE/view_fork_series" \
-    > "$SMOKE/view_fork.txt" 2> "$SMOKE/view_fork.err"
-"$EXP" fig11 --tiny \
-    --stats-json "$SMOKE/view_cold.json" --series-csv "$SMOKE/view_cold_series" \
-    > "$SMOKE/view_cold.txt" 2> "$SMOKE/view_cold.err"
-cmp "$SMOKE/view_fork.txt" "$SMOKE/view_cold.txt" \
-    && cmp "$SMOKE/view_fork.json" "$SMOKE/view_cold.json" \
-    && diff -r "$SMOKE/view_fork_series" "$SMOKE/view_cold_series" >/dev/null || {
-    echo "ci: FAIL — an instrumented campaign forked from plain warm-ups differs from a cold one" >&2
+# A report run keeps the ledger, which is part of the warm-up key, so a
+# report campaign forks the warm-up snapshot an earlier report campaign
+# saved (one file, one quantum-run fewer) and its stdout and report equal
+# a cold report run's. (Telemetry alone is not in the key: the library
+# test an_instrumented_run_forks_an_uninstrumented_warmup_bitwise pins
+# that an instrumented run forks a plain warm-up.)
+"$EXP" fig11 --tiny --checkpoint-dir "$SMOKE/report_ckpt" --report "$SMOKE/report_first.json" >/dev/null 2>&1
+"$EXP" fig11 --tiny --checkpoint-dir "$SMOKE/report_ckpt" --report "$SMOKE/report_fork.json" \
+    > "$SMOKE/report_fork.txt" 2> "$SMOKE/report_fork.err"
+"$EXP" fig11 --tiny --report "$SMOKE/report_cold.json" \
+    > "$SMOKE/report_cold.txt" 2> "$SMOKE/report_cold.err"
+cmp "$SMOKE/report_fork.txt" "$SMOKE/report_cold.txt" \
+    && cmp "$SMOKE/report_fork.json" "$SMOKE/report_cold.json" || {
+    echo "ci: FAIL — a report campaign forked from a saved warm-up differs from a cold one" >&2
     exit 1
 }
 quantum_runs() { sed -n 's/^campaign:.* quantum_runs=\([0-9]*\) .*/\1/p' "$1"; }
-[[ "$(ls "$SMOKE/view_ckpt/warmups" | wc -l)" -eq 1 \
-    && "$(quantum_runs "$SMOKE/view_fork.err")" -lt "$(quantum_runs "$SMOKE/view_cold.err")" ]] || {
-    echo "ci: FAIL — the instrumented campaign did not fork the plain campaign's warm-up" >&2
+[[ "$(ls "$SMOKE/report_ckpt/warmups" | wc -l)" -eq 1 \
+    && "$(quantum_runs "$SMOKE/report_fork.err")" -eq "$(( $(quantum_runs "$SMOKE/report_cold.err") - 1 ))" ]] || {
+    echo "ci: FAIL — the report campaign did not fork the saved warm-up" >&2
     exit 1
 }
 
