@@ -61,7 +61,7 @@ const GAP_SEARCH_ITERS: u32 = 24;
 /// Calibration constants of the analytic model.
 ///
 /// These are *global* knobs calibrated once against the cycle-accurate
-/// tier (see the `xval` experiment); they are deliberately not fit per
+/// tier (see the `accuracy` experiment); they are deliberately not fit per
 /// workload. Defaults are the calibrated values.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tuning {

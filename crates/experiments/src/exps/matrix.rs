@@ -28,8 +28,8 @@ pub const APPS: &[&str] = &[
 /// All ordered (victim, aggressor) pairs, row-major: independent runs
 /// flattened into one list so they fan across the pool, with an order
 /// that makes the sequential table assembly identical for any job count.
-/// The same 36 configurations anchor the cross-validation sweep
-/// ([`crate::exps::xval`]).
+/// The same 36 configurations anchor the cross-tier accuracy sweep
+/// ([`crate::exps::accuracy::sweep`]).
 #[must_use]
 pub fn ordered_pairs() -> Vec<Vec<asm_cpu::AppProfile>> {
     APPS.iter()

@@ -19,7 +19,6 @@ pub mod matrix;
 pub mod mise;
 pub mod table3;
 pub mod workloads;
-pub mod xval;
 
 use crate::scale::{Scale, Tier, CYCLE, CYCLE_ANALYTIC, CYCLE_SAMPLED};
 use crate::session::Session;
@@ -64,8 +63,7 @@ pub const TABLE: &[Experiment] = &[
     Experiment { name: "ablation", about: "what each ingredient of the ASM model buys", run: ablation::run, tiers: CYCLE, in_all: false },
     Experiment { name: "matrix", about: "pairwise interference matrix (victim x aggressor)", run: matrix::run, tiers: CYCLE_ANALYTIC, in_all: false },
     Experiment { name: "workloads", about: "the synthetic benchmark suite's parameters", run: workloads::run, tiers: CYCLE, in_all: false },
-    Experiment { name: "xval", about: "cross-validate the analytic tier against cycle-accurate", run: xval::run, tiers: CYCLE_ANALYTIC, in_all: false },
-    Experiment { name: "accuracy", about: "ledger ground truth vs ASM and the analytic/sampled tiers", run: accuracy::run, tiers: CYCLE, in_all: false },
+    Experiment { name: "accuracy", about: "ASM and the analytic/sampled tiers vs the cycle tier, one error measure", run: accuracy::run, tiers: CYCLE, in_all: false },
 ];
 
 fn run_all(session: &Session, scale: Scale) {

@@ -1,13 +1,14 @@
 //! The sampled-tier accuracy gate: representative-interval estimates
 //! must agree with the full cycle-accurate runs across the same
-//! 38-configuration policy sweep the `sampled_sweep` bench group times
-//! (19 cache policies × 2 memory policies on one 4-app mix, 160
+//! 38-configuration policy sweep `asm_perf`'s `sampled_sweep` workload
+//! times (19 cache policies × 2 memory policies on one 4-app mix, 160
 //! intervals of two 50k-cycle quanta each, K = 2 representatives).
 //!
-//! Gate: the geometric mean of the symmetric figure-metric ratio
-//! (unfairness = max slowdown, and harmonic speedup, sampled vs full,
-//! per configuration) stays below 1.05. The PR aspiration was <2%; the
-//! measured floor of this estimator on a *policy* sweep is ~4%, and
+//! Gate, through the `accuracy` fold (symmetric error `max/min − 1`):
+//! the geomean figure-metric error (unfairness = max slowdown, and
+//! harmonic speedup, sampled vs full, per configuration) stays below
+//! 5%. The original aspiration was <2%; the measured floor of this estimator
+//! on a *policy* sweep is ~4%, and
 //! DESIGN.md §12 documents why the gap is structural: the sweep members
 //! differ in allocation policy, so their per-interval member/proxy
 //! ratios drift across the run (QoS equilibria, slowdown-weighted
@@ -30,6 +31,7 @@ use asm_core::{
     AloneCache, CachePolicy, EstimatorSet, MemPolicy, QosConfig, SystemConfig,
 };
 use asm_cpu::AppProfile;
+use asm_experiments::exps::accuracy::Envelope;
 use asm_experiments::plan::PlannedRun;
 use asm_experiments::{collect, sampled};
 use asm_experiments::Scale;
@@ -118,22 +120,14 @@ fn sampled_tier_matches_full_runs_on_figure_metrics() {
             .whole_run_slowdowns
     });
 
-    let mut app_log_sum = 0.0f64;
-    let mut app_samples = 0usize;
-    let mut metric_log_sum = 0.0f64;
-    let mut metric_samples = 0usize;
+    let mut per_app = Envelope::default();
+    let mut metrics = Envelope::default();
     let mut ci_samples = 0usize;
     let mut ci_covered = 0usize;
-    for (est, truth) in estimates.iter().zip(&full) {
+    for (k, (est, truth)) in estimates.iter().zip(&full).enumerate() {
         assert_eq!(est.slowdowns.len(), truth.len());
-        for (e, &a) in est.slowdowns.iter().zip(truth) {
-            if !(e.value.is_finite() && a.is_finite() && a > 0.0) {
-                continue;
-            }
-            let ratio = (e.value / a).max(a / e.value);
-            app_log_sum += ratio.ln();
-            app_samples += 1;
-            if e.ci > 0.0 {
+        for (i, (e, &a)) in est.slowdowns.iter().zip(truth).enumerate() {
+            if per_app.add("app", format!("config {k} app {i}"), e.value, a) && e.ci > 0.0 {
                 ci_samples += 1;
                 if (e.value - a).abs() <= 3.0 * e.ci {
                     ci_covered += 1;
@@ -150,35 +144,30 @@ fn sampled_tier_matches_full_runs_on_figure_metrics() {
         let hs_e = est.slowdowns.len() as f64
             / est.slowdowns.iter().map(|x| 1.0 / x.value).sum::<f64>();
         let hs_t = truth.len() as f64 / truth.iter().map(|x| 1.0 / x).sum::<f64>();
-        for (ev, tv) in [(unf_e, unf_t), (hs_e, hs_t)] {
-            if ev.is_finite() && tv.is_finite() && tv > 0.0 {
-                let r = (ev / tv).max(tv / ev);
-                metric_log_sum += r.ln();
-                metric_samples += 1;
-            }
-        }
+        metrics.add("metric", format!("config {k} unfairness"), unf_e, unf_t);
+        metrics.add("metric", format!("config {k} harmonic speedup"), hs_e, hs_t);
     }
+    let per_app = per_app.summary(None).expect("per-app samples");
+    let metrics = metrics.summary(None).expect("figure-metric samples");
+    assert!(per_app.samples >= 38 * 4 - 4, "sweep produced too few samples");
+    assert_eq!(metrics.samples, 38 * 2, "two figure metrics per config");
     assert!(
-        app_samples >= 38 * 4 - 4,
-        "sweep produced too few samples"
+        metrics.geomean < 0.05,
+        "sampled-vs-full geomean figure-metric error {:.2}% exceeds the 5% gate (worst: {})",
+        metrics.geomean * 100.0,
+        metrics.worst_cell
     );
-    assert_eq!(metric_samples, 38 * 2, "two figure metrics per config");
-    let metric_geomean = (metric_log_sum / metric_samples as f64).exp();
     assert!(
-        metric_geomean - 1.0 < 0.05,
-        "sampled-vs-full geomean figure-metric error {:.2}% exceeds the 5% gate",
-        (metric_geomean - 1.0) * 100.0
-    );
-    let app_geomean = (app_log_sum / app_samples as f64).exp();
-    assert!(
-        app_geomean - 1.0 < 0.08,
-        "sampled-vs-full geomean per-app slowdown error {:.2}% exceeds the 8% gate",
-        (app_geomean - 1.0) * 100.0
+        per_app.geomean < 0.08,
+        "sampled-vs-full geomean per-app slowdown error {:.2}% exceeds the 8% gate (worst: {})",
+        per_app.geomean * 100.0,
+        per_app.worst_cell
     );
 
     assert!(
-        ci_samples >= app_samples / 2,
-        "sweep groups should actually sample: only {ci_samples}/{app_samples} estimates carry a CI"
+        ci_samples >= per_app.samples / 2,
+        "sweep groups should actually sample: only {ci_samples}/{} estimates carry a CI",
+        per_app.samples
     );
     assert!(
         ci_covered * 2 >= ci_samples,

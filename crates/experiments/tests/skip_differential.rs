@@ -10,15 +10,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-/// Every dispatchable experiment, paper figures plus the extra sweeps
-/// (kept in sync with `exps::run`; a typo here fails the run loudly).
-/// `xval` is deliberately absent: it runs both tiers itself, its skip
-/// invariance is covered by the experiments it composes, and its own
-/// gates live in `tests/analytic_gate.rs` and `tests/analytic_cli.rs`.
-const EXPERIMENTS: &[&str] = &[
-    "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "db", "mise", "fig7", "fig8", "table3",
-    "fig9", "fig10", "combined", "fig11", "channels", "ablation", "matrix", "workloads",
-];
+use asm_experiments::exps;
 
 /// Runs one experiment in a child process at a sub-tiny scale, returning
 /// its exact stdout bytes and the bytes of every CSV it exported.
@@ -52,7 +44,8 @@ fn tmp_dir(label: &str) -> PathBuf {
 
 #[test]
 fn every_experiment_is_byte_identical_with_and_without_skip() {
-    for exp in EXPERIMENTS {
+    // `all` is the union of the `in_all` rows, each covered on its own.
+    for exp in exps::TABLE.iter().map(|e| e.name).filter(|&name| name != "all") {
         let (stdout_skip, csv_skip) = run(exp, false, &tmp_dir(&format!("{exp}_skip")));
         let (stdout_cycle, csv_cycle) = run(exp, true, &tmp_dir(&format!("{exp}_cycle")));
         assert!(

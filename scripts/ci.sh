@@ -19,11 +19,13 @@
 #                                             warm; exit 1 on any violation
 #                                             in either half, stale
 #                                             allow/#[expect] included)
-#   4. asm-experiments xval --tiny           (analytic-tier smoke: both
-#                                             tiers agree on the 7-mix
-#                                             CI sweep; full 38-config
-#                                             gate lives in the asm-
-#                                             experiments test suite)
+#   4. asm-experiments accuracy --tiny       (cross-tier smoke: ASM and
+#                                             the analytic and sampled
+#                                             tiers against the cycle tier
+#                                             on the 7-mix smoke sweep;
+#                                             the full 38-config gate and
+#                                             the cliff localization live
+#                                             in tests/analytic_gate.rs)
 #   5. checkpoint resume smoke               (kill a checkpointed fig11
 #                                             campaign mid-flight, resume
 #                                             it, and byte-compare against
@@ -70,9 +72,9 @@
 #
 # Usage:
 #   scripts/ci.sh                 # tier-1 only (~minutes)
-#   CI_FULL=1 scripts/ci.sh       # also runs the enforced xval accuracy
-#                                 # gate at --reduced scale (15 workloads,
-#                                 # 8M cycles); a FAIL verdict fails CI
+#   CI_FULL=1 scripts/ci.sh       # also runs `accuracy` at the default
+#                                 # scale (15 workloads, 8M cycles); a FAIL
+#                                 # verdict, or a missing PASS, fails CI
 #
 # Host-speed numbers are not part of this chain: `benchmark/run.sh` and
 # its paired protocol (benchmark/README.md) are the one way to take them.
@@ -102,26 +104,36 @@ cargo test -q
 echo "ci: [3/8] cargo run -p asm-lint --release" >&2
 cargo run -p asm-lint --release
 
-echo "ci: [4/8] asm-experiments xval --tiny (analytic-tier smoke)" >&2
-cargo run -q -p asm-experiments --release -- xval --tiny
+EXP=target/release/asm-experiments
+echo "ci: [4/8] asm-experiments accuracy --tiny (cross-tier smoke)" >&2
+"$EXP" accuracy --tiny
 
-# CI_FULL=1 promotes the xval smoke to an enforced accuracy gate at a
-# suite scale (15 workloads, 8M cycles): the run prints PASS/FAIL
-# against the 10% sweep-geomean threshold, and FAIL fails the chain.
-# Opt-in because the cycle-accurate side of the sweep needs several
-# quiet minutes.
+# CI_FULL=1 promotes the smoke to the enforced cross-tier verdicts at the
+# default scale (15 workloads, 8M cycles): the analytic sweep geomean
+# (threshold 10%) and the starvation-cliff localization (threshold 80%)
+# each print one PASS/FAIL line. A FAIL, a missing PASS or a non-zero
+# exit fails the chain. Opt-in because the sweep's cycle-accurate side
+# needs a quiet minute or two.
 if [[ "${CI_FULL:-0}" == "1" ]]; then
-    echo "ci: [4/8] CI_FULL=1 — enforced xval gate (--reduced)" >&2
-    XVAL_OUT="$(cargo run -q -p asm-experiments --release -- xval --reduced)"
-    printf '%s\n' "$XVAL_OUT"
-    if ! grep -q "PASS$" <<<"$XVAL_OUT"; then
-        echo "ci: FAIL — full xval gate did not pass" >&2
+    echo "ci: [4/8] CI_FULL=1 — enforced cross-tier verdicts (accuracy, default scale)" >&2
+    ACC_OUT="$("$EXP" accuracy)" || {
+        echo "ci: FAIL — accuracy exited $?" >&2
+        exit 1
+    }
+    printf '%s\n' "$ACC_OUT"
+    if grep -q 'FAIL$' <<<"$ACC_OUT"; then
+        echo "ci: FAIL — an accuracy verdict failed" >&2
         exit 1
     fi
+    for verdict in '^gate: .* PASS$' '^localization: .* PASS$'; do
+        grep -q "$verdict" <<<"$ACC_OUT" || {
+            echo "ci: FAIL — accuracy printed no '$verdict' line" >&2
+            exit 1
+        }
+    done
 fi
 
 echo "ci: [5/8] checkpoint resume smoke (kill mid-campaign, resume, byte-compare)" >&2
-EXP=target/release/asm-experiments
 SMOKE="$(mktemp -d)"
 trap 'rm -rf "$SMOKE"' EXIT
 "$EXP" fig11 > "$SMOKE/cold.txt" 2>/dev/null
