@@ -4,8 +4,8 @@
 //! The cycle-accurate `System` in `asm-core` reproduces the paper's figures
 //! but caps campaigns at tens of mixes. This crate is the second simulation
 //! tier: it predicts per-application slowdowns, fairness and weighted
-//! speedup for a mix in *microseconds*, with no per-cycle event loop, by
-//! composing three analytical stages:
+//! speedup for a mix in a fraction of a millisecond, with no per-cycle
+//! event loop, by composing three analytical stages:
 //!
 //! 1. **Profile extraction** ([`profile`]): one deterministic pass per
 //!    workload routes the synthetic address stream through a real private-L1
@@ -62,7 +62,7 @@ pub mod profile;
 pub mod store;
 
 pub use model::{
-    classify, AnalyticConfig, MixSolution, MixSolver, Tuning, WorkloadClass,
+    classify, AloneFit, AnalyticConfig, MixSolution, MixSolver, Tuning, WorkloadClass,
 };
 pub use profile::{ProfileParams, ReuseProfile};
 pub use store::ProfileStore;

@@ -1,8 +1,10 @@
 //! The analytic mix solver: shared-cache occupancy fixed point, DRAM
 //! queueing approximation, and the ASM closed form.
 //!
-//! Given one [`ReuseProfile`] per application, [`MixSolver::solve`] runs a
-//! damped fixed point over per-application CPIs:
+//! Given one [`ReuseProfile`] per application, [`MixSolver::alone`] and
+//! [`MixSolver::solve`] run a damped fixed point over per-application
+//! CPIs, first for each application alone (once per profile) and then for
+//! the mix, seeded from the alone fits:
 //!
 //! - **Cache stage.** Per-cycle LLC access rates `a_i = api_i / cpi_i`
 //!   convert each application's reuse gaps into shared-cache occupancy: an
@@ -260,12 +262,23 @@ impl AppConsts {
     }
 }
 
+/// An application's alone fixed point: its CPI and LLC miss rate with the
+/// whole cache and memory system to itself. A pure function of the profile
+/// and the [`AnalyticConfig`], so a campaign computes it once per profile
+/// ([`MixSolver::alone`]) and reuses it in every mix.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AloneFit {
+    /// Alone CPI.
+    pub cpi: f64,
+    /// Alone LLC miss rate.
+    pub miss: f64,
+}
+
 /// The per-mix analytic solver.
 ///
-/// Construction is cheap; one instance can solve any number of mixes (the
-/// bench harness reuses one across a 1k-mix campaign). [`Self::solve`] is
-/// the allocation-free hot path (enforced by asm-lint R9);
-/// [`Self::solution`] materialises the result.
+/// Construction is cheap, and one instance can solve any number of mixes.
+/// [`Self::alone`] and [`Self::solve`] are the allocation-free hot path
+/// (enforced by asm-lint R9); [`Self::solution`] materialises the result.
 #[derive(Debug, Clone)]
 pub struct MixSolver {
     cfg: AnalyticConfig,
@@ -298,45 +311,52 @@ impl MixSolver {
         &self.cfg
     }
 
-    /// Solves one mix: alone pass per distinct application, then the
-    /// shared fixed point. Results are read back with [`Self::solution`].
+    /// The alone pass: `app`'s fixed point against the full cache, with
+    /// no other application in the mix.
+    #[must_use]
+    pub fn alone(&self, app: &ReuseProfile) -> AloneFit {
+        let mut cs = [AppConsts::ZERO; MAX_APPS];
+        cs[0] = AppConsts::of(app);
+        let mut cpi = [1.0f64; MAX_APPS];
+        let mut miss = [0.0f64; MAX_APPS];
+        for _ in 0..self.cfg.tuning.iters {
+            relax_once(&self.cfg, &[app], &cs, &[0], &mut cpi, &mut miss);
+        }
+        AloneFit {
+            cpi: cpi[0],
+            miss: miss[0],
+        }
+    }
+
+    /// Solves one mix: the shared fixed point, seeded from each
+    /// application's alone fit (`alone[i]` is [`Self::alone`] of
+    /// `apps[i]`). Results are read back with [`Self::solution`].
     ///
     /// # Panics
     ///
-    /// Panics if the mix is empty or larger than [`MAX_APPS`].
-    pub fn solve(&mut self, apps: &[&ReuseProfile]) {
+    /// Panics if the mix is empty or larger than [`MAX_APPS`], or if
+    /// `alone` does not hold one fit per application.
+    pub fn solve(&mut self, apps: &[&ReuseProfile], alone: &[AloneFit]) {
         let n = apps.len();
         assert!(n >= 1 && n <= MAX_APPS, "mix size {n} out of range");
+        assert_eq!(alone.len(), n, "one alone fit per application");
         let mut cs = [AppConsts::ZERO; MAX_APPS];
         let mut ord = [0usize; MAX_APPS];
+        let mut cpi = [1.0f64; MAX_APPS];
+        let mut miss = [0.0f64; MAX_APPS];
         for i in 0..n {
             cs[i] = AppConsts::of(apps[i]);
             ord[i] = i;
+            cpi[i] = alone[i].cpi;
+            miss[i] = alone[i].miss;
         }
         // Canonical order: all reductions below iterate in profile-key
         // order, making the solve bitwise invariant under permutation of
         // `apps` (ties are bitwise-identical apps, so their relative
         // order cannot matter).
         ord[..n].sort_unstable_by_key(|&i| cs[i].key);
-        let mut cpi = [1.0f64; MAX_APPS];
-        let mut miss = [0.0f64; MAX_APPS];
-        // Alone pass: each app against the full cache, deduplicated by
-        // fingerprint (a singleton "mix" only touches its own index).
-        for r in 0..n {
-            let i = ord[r];
-            if r > 0 && cs[ord[r - 1]].key == cs[i].key {
-                cpi[i] = cpi[ord[r - 1]];
-                miss[i] = miss[ord[r - 1]];
-                continue;
-            }
-            let single = [i];
-            for _ in 0..self.cfg.tuning.iters {
-                relax_once(&self.cfg, apps, &cs, &single, &mut cpi, &mut miss);
-            }
-        }
         self.cpi_alone = cpi;
         self.miss_alone = miss;
-        // Shared pass, seeded from the alone state.
         for _ in 0..self.cfg.tuning.iters {
             relax_once(&self.cfg, apps, &cs, &ord[..n], &mut cpi, &mut miss);
         }
@@ -384,9 +404,11 @@ impl MixSolver {
         sol
     }
 
-    /// Convenience: [`Self::solve`] then [`Self::solution`].
+    /// Convenience: each application's [`Self::alone`] fit, then
+    /// [`Self::solve`] and [`Self::solution`].
     pub fn run(&mut self, apps: &[&ReuseProfile]) -> MixSolution {
-        self.solve(apps);
+        let alone: Vec<AloneFit> = apps.iter().map(|p| self.alone(p)).collect();
+        self.solve(apps, &alone);
         self.solution(apps)
     }
 }

@@ -73,18 +73,74 @@ impl ProfileParams {
     }
 }
 
-/// The quarter-octave gap-bucket boundaries: 1, 2, 3, 4, … then ×19/16
-/// per step. Identical for every profile (the disk format stores one
-/// count per boundary, validated against this grid on load).
-#[must_use]
-pub fn bucket_bounds() -> Vec<u64> {
-    let mut bounds = Vec::with_capacity(192);
-    let mut b: u64 = 1;
-    while b < 1 << 44 {
-        bounds.push(b);
-        b = (b + 1).max(b * 19 / 16);
+/// Binary octaves the grid spans: every bound lies below `2^(OCTAVES - 1)`.
+const OCTAVES: usize = 45;
+
+/// The grid step: `×19/16`, but at least `+1`.
+const fn next_bound(b: u64) -> u64 {
+    let q = b * 19 / 16;
+    if q > b + 1 {
+        q
+    } else {
+        b + 1
     }
-    bounds
+}
+
+const fn grid_len() -> usize {
+    let (mut n, mut b) = (0, 1u64);
+    while b < 1 << (OCTAVES - 1) {
+        n += 1;
+        b = next_bound(b);
+    }
+    n
+}
+
+/// Number of gap buckets (one per bound of [`BOUNDS`]).
+const BUCKETS: usize = grid_len();
+
+/// The quarter-octave gap-bucket lower bounds: 1, 2, 3, 4, … then ×19/16
+/// per step in integer arithmetic, up to 2^44. Held as floats, which
+/// represent every bound (and every difference of two) exactly. One grid
+/// for every profile (the disk format stores one count per bound,
+/// validated against this grid on load).
+const BOUNDS: [f64; BUCKETS] = {
+    let mut out = [0.0; BUCKETS];
+    let (mut k, mut b) = (0, 1);
+    while k < BUCKETS {
+        out[k] = b as f64;
+        b = next_bound(b);
+        k += 1;
+    }
+    out
+};
+
+/// `OCTAVE_START[e]`: the last bucket whose bound is `<= 2^e`, so the
+/// bucket of any `m` in `[2^e, 2^(e+1))` is at most five steps past it.
+const OCTAVE_START: [usize; OCTAVES] = {
+    let mut out = [0; OCTAVES];
+    let (mut e, mut k) = (0, 0);
+    while e < OCTAVES {
+        while k + 1 < BUCKETS && BOUNDS[k + 1] <= (1u64 << e) as f64 {
+            k += 1;
+        }
+        out[e] = k;
+        e += 1;
+    }
+    out
+};
+
+/// The bucket `k` with `BOUNDS[k] <= m < BOUNDS[k + 1]` (the last bucket
+/// past the grid): by definition `BOUNDS.partition_point(|&b| b <= m) - 1`,
+/// found in constant time from `m`'s binary exponent. Defined for
+/// `m >= 1`; an integer gap is looked up as `gap as f64`, which is exact
+/// on the grid (a gap past 2^53 rounds, but every bound is below 2^44).
+fn bucket(m: f64) -> usize {
+    let exp = ((m.to_bits() >> 52) & 0x7ff) as usize;
+    let mut k = OCTAVE_START[exp.saturating_sub(1023).min(OCTAVES - 1)];
+    while k + 1 < BUCKETS && BOUNDS[k + 1] <= m {
+        k += 1;
+    }
+    k
 }
 
 /// A workload's reuse-gap summary: everything the analytic tier needs to
@@ -115,13 +171,11 @@ pub struct ReuseProfile {
     mlp: u32,
     /// Source-model working-set size in lines.
     working_set_lines: u64,
-    /// Gap-bucket lower bounds (always the canonical [`bucket_bounds`]).
-    bounds: Vec<u64>,
-    /// Gap counts per bucket: gaps `g` with `bounds[k] <= g < bounds[k+1]`.
+    /// Gap counts per bucket: gaps `g` with `BOUNDS[k] <= g < BOUNDS[k+1]`.
     counts: Vec<u64>,
-    /// Derived: `P(gap >= bounds[k])`, cold counted as gap ∞.
+    /// Derived: `P(gap >= BOUNDS[k])`, cold counted as gap ∞.
     tail: Vec<f64>,
-    /// Derived: `∫₀^bounds[k] P(gap > x) dx` — footprint at each bound.
+    /// Derived: `∫₀^BOUNDS[k] P(gap > x) dx` — footprint at each bound.
     fpt: Vec<f64>,
 }
 
@@ -129,12 +183,21 @@ impl ReuseProfile {
     /// Runs the profiling pass for `profile` under `params`.
     #[must_use]
     pub fn extract(profile: &AppProfile, params: &ProfileParams) -> Self {
+        Self::extract_with(profile, params, |gap| bucket(gap as f64))
+    }
+
+    /// [`Self::extract`] with the gap-bucket lookup as a parameter, so a
+    /// test can bin the same pass with a reference lookup.
+    fn extract_with(
+        profile: &AppProfile,
+        params: &ProfileParams,
+        bucket_of: impl Fn(u64) -> usize,
+    ) -> Self {
         let ws = profile.working_set_lines().max(1);
         let ops = params.sample_ops(ws);
         let mut stream = AddressStream::new(profile, 0, params.stream_seed);
         let mut l1 = SetAssocCache::new(params.l1_geometry, 1);
-        let bounds = bucket_bounds();
-        let mut counts = vec![0u64; bounds.len()];
+        let mut counts = vec![0u64; BUCKETS];
         // Last LLC-access index per line; u64::MAX = never touched. Slot 0
         // keeps raw line addresses in [0, ws).
         let mut last = vec![u64::MAX; ws as usize];
@@ -159,9 +222,7 @@ impl ReuseProfile {
                 cold += 1;
                 touched += 1;
             } else {
-                let gap = (llc - prev).max(1);
-                let k = bounds.partition_point(|&b| b <= gap) - 1;
-                counts[k] += 1;
+                counts[bucket_of((llc - prev).max(1))] += 1;
             }
             last[idx] = llc;
             llc += 1;
@@ -178,7 +239,6 @@ impl ReuseProfile {
             mem_per_kilo: profile.mem_per_kilo(),
             mlp: profile.mlp(),
             working_set_lines: ws,
-            bounds,
             counts,
             tail: Vec::new(),
             fpt: Vec::new(),
@@ -191,9 +251,8 @@ impl ReuseProfile {
     /// one count per bound of the canonical grid, and counters that are
     /// consistent with each other.
     fn check_restored(&mut self) -> Result<(), PersistError> {
-        self.bounds = bucket_bounds();
         ensure(
-            self.counts.len() == self.bounds.len(),
+            self.counts.len() == BUCKETS,
             "bucket counts off the canonical grid",
         )?;
         let accesses = self
@@ -215,11 +274,11 @@ impl ReuseProfile {
     /// counters. Always recomputed (extract and load paths alike) so the
     /// floats are a pure function of the integers.
     fn finish(&mut self) {
-        let n = self.bounds.len();
+        let n = BUCKETS;
         let total = self.llc.max(1) as f64;
         self.tail = vec![0.0; n + 1];
         self.fpt = vec![0.0; n + 1];
-        // Suffix sums: tail[k] = P(gap >= bounds[k]); beyond the last
+        // Suffix sums: tail[k] = P(gap >= BOUNDS[k]); beyond the last
         // bound only cold (gap ∞) remains.
         let mut above = self.cold;
         self.tail[n] = above as f64 / total;
@@ -227,18 +286,18 @@ impl ReuseProfile {
             above += self.counts[k];
             self.tail[k] = above as f64 / total;
         }
-        // Trapezoid integral of the tail: fpt[k] = ∫₀^bounds[k] tail.
-        // Below bounds[0] = 1 every gap qualifies (tail = 1).
+        // Trapezoid integral of the tail: fpt[k] = ∫₀^BOUNDS[k] tail.
+        // Below BOUNDS[0] = 1 every gap qualifies (tail = 1).
         self.fpt[0] = 1.0;
         for k in 0..n {
             let hi = if k + 1 < n {
-                self.bounds[k + 1]
+                BOUNDS[k + 1]
             } else {
                 // Closing segment: flat cold tail, integrated on demand in
                 // `footprint`; store the value at the last bound only.
-                self.bounds[k]
+                BOUNDS[k]
             };
-            let w = (hi - self.bounds[k]) as f64;
+            let w = hi - BOUNDS[k];
             self.fpt[k + 1] = self.fpt[k] + w * 0.5 * (self.tail[k] + self.tail[k.min(n - 1) + 1]);
         }
     }
@@ -317,15 +376,15 @@ impl ReuseProfile {
         if g <= 1.0 {
             return 1.0;
         }
-        let n = self.bounds.len();
-        let last = self.bounds[n - 1] as f64;
+        let n = BUCKETS;
+        let last = BOUNDS[n - 1];
         if g >= last {
             return self.tail[n];
         }
-        // bounds[k] <= g < bounds[k+1]: log-linear interpolation of the
+        // BOUNDS[k] <= g < BOUNDS[k+1]: log-linear interpolation of the
         // tail across the bucket (bounds are geometric).
-        let k = self.bounds.partition_point(|&b| (b as f64) <= g) - 1;
-        let (b0, b1) = (self.bounds[k] as f64, self.bounds[k + 1] as f64);
+        let k = bucket(g);
+        let (b0, b1) = (BOUNDS[k], BOUNDS[k + 1]);
         let t = (g - b0) / (b1 - b0);
         self.tail[k] + t * (self.tail[k + 1] - self.tail[k])
     }
@@ -341,14 +400,14 @@ impl ReuseProfile {
         if m <= 1.0 {
             return m.min(cap);
         }
-        let n = self.bounds.len();
-        let last = self.bounds[n - 1] as f64;
+        let n = BUCKETS;
+        let last = BOUNDS[n - 1];
         let u = if m >= last {
             // Beyond the grid only the flat cold tail keeps growing.
             self.fpt[n] + (m - last) * self.tail[n]
         } else {
-            let k = self.bounds.partition_point(|&b| (b as f64) <= m) - 1;
-            let (b0, b1) = (self.bounds[k] as f64, self.bounds[k + 1] as f64);
+            let k = bucket(m);
+            let (b0, b1) = (BOUNDS[k], BOUNDS[k + 1]);
             let t = (m - b0) / (b1 - b0);
             let tail_m = self.tail[k] + t * (self.tail[k + 1] - self.tail[k]);
             self.fpt[k] + (m - b0) * 0.5 * (self.tail[k] + tail_m)
@@ -395,7 +454,7 @@ mod tests {
 
     #[test]
     fn bounds_are_strictly_increasing_quarter_octave() {
-        let b = bucket_bounds();
+        let b: Vec<u64> = BOUNDS.iter().map(|&x| x as u64).collect();
         assert!(b.len() > 100 && b.len() < 300, "{}", b.len());
         assert_eq!(b[0], 1);
         for w in b.windows(2) {
@@ -403,6 +462,110 @@ mod tests {
             // Growth never exceeds the quarter-octave ratio (plus the +1
             // floor for small bounds).
             assert!(w[1] <= (w[0] + 1).max(w[0] * 19 / 16 + 1));
+        }
+        assert!(b[BUCKETS - 1] < 1 << (OCTAVES - 1));
+    }
+
+    /// The grid built the obvious way, as a `Vec`.
+    fn reference_bounds() -> Vec<u64> {
+        let mut bounds = Vec::new();
+        let mut b: u64 = 1;
+        while b < 1 << 44 {
+            bounds.push(b);
+            b = (b + 1).max(b * 19 / 16);
+        }
+        bounds
+    }
+
+    /// The binary-search lookup [`bucket`] must reproduce (`m >= 1`).
+    fn reference_bucket(bounds: &[u64], m: f64) -> usize {
+        bounds.partition_point(|&b| (b as f64) <= m) - 1
+    }
+
+    /// [`ReuseProfile::tail_at`] over `bounds` with the reference lookup.
+    fn reference_tail(p: &ReuseProfile, bounds: &[u64], g: f64) -> f64 {
+        if g <= 1.0 {
+            return 1.0;
+        }
+        let n = bounds.len();
+        let last = bounds[n - 1] as f64;
+        if g >= last {
+            return p.tail[n];
+        }
+        let k = reference_bucket(bounds, g);
+        let (b0, b1) = (bounds[k] as f64, bounds[k + 1] as f64);
+        let t = (g - b0) / (b1 - b0);
+        p.tail[k] + t * (p.tail[k + 1] - p.tail[k])
+    }
+
+    /// [`ReuseProfile::footprint`] over `bounds` with the reference lookup.
+    fn reference_footprint(p: &ReuseProfile, bounds: &[u64], m: f64) -> f64 {
+        let cap = p.working_set_lines as f64;
+        if m <= 0.0 {
+            return 0.0;
+        }
+        if m <= 1.0 {
+            return m.min(cap);
+        }
+        let n = bounds.len();
+        let last = bounds[n - 1] as f64;
+        let u = if m >= last {
+            p.fpt[n] + (m - last) * p.tail[n]
+        } else {
+            let k = reference_bucket(bounds, m);
+            let (b0, b1) = (bounds[k] as f64, bounds[k + 1] as f64);
+            let t = (m - b0) / (b1 - b0);
+            let tail_m = p.tail[k] + t * (p.tail[k + 1] - p.tail[k]);
+            p.fpt[k] + (m - b0) * 0.5 * (p.tail[k] + tail_m)
+        };
+        u.min(cap)
+    }
+
+    #[test]
+    fn bucket_lookup_is_bitwise_the_binary_search() {
+        let bounds = reference_bounds();
+        let exact: Vec<f64> = bounds.iter().map(|&b| b as f64).collect();
+        assert_eq!(BOUNDS[..], exact[..]);
+        // Every bound and its float neighbours, then 10k points spread
+        // log-uniformly over [1, 2^44].
+        let mut probes: Vec<f64> = bounds
+            .iter()
+            .flat_map(|&b| {
+                let b = b as f64;
+                [b.next_down(), b, b.next_up()]
+            })
+            .collect();
+        let mut rng = asm_simcore::SimRng::seed_from(0xB0C4E7);
+        probes.extend((0..10_000).map(|_| (44.0 * rng.gen_f64()).exp2()));
+        probes.push((1u64 << 44) as f64);
+        for &m in probes.iter().filter(|&&m| m >= 1.0) {
+            assert_eq!(bucket(m), reference_bucket(&bounds, m), "bucket({m})");
+        }
+        let params = ProfileParams::from_system(&asm_core::SystemConfig::default());
+        for app in asm_workloads::suite::all()
+            .iter()
+            .chain(&asm_workloads::suite::db())
+        {
+            // The histogram binned with the reference lookup is the same
+            // profile, counts and derived curves alike.
+            let p = ReuseProfile::extract(app, &params);
+            let reference = ReuseProfile::extract_with(app, &params, |gap| {
+                bounds.partition_point(|&b| b <= gap) - 1
+            });
+            assert_eq!(p, reference, "{}", app.name());
+            for &m in &probes {
+                let name = app.name();
+                assert_eq!(
+                    p.tail_at(m).to_bits(),
+                    reference_tail(&p, &bounds, m).to_bits(),
+                    "{name}: tail_at({m})"
+                );
+                assert_eq!(
+                    p.footprint(m).to_bits(),
+                    reference_footprint(&p, &bounds, m).to_bits(),
+                    "{name}: footprint({m})"
+                );
+            }
         }
     }
 

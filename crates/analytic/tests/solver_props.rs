@@ -43,7 +43,7 @@ proptest! {
         let mut fresh = MixSolver::new(cfg());
         let mut reused = MixSolver::new(cfg());
         // Dirty the reused solver with a different mix first.
-        reused.solve(&[&all[0]]);
+        reused.run(&[&all[0]]);
         let a = fresh.run(&apps);
         let b = reused.run(&apps);
         for i in 0..apps.len() {

@@ -3,9 +3,9 @@
 //! Builds a conservative intra-workspace call graph over the simulation
 //! crates and walks it from the hot-path roots — the per-cycle loop's
 //! public entries (`System::step`, `System::run_for`,
-//! `System::run_prefix`) and the analytic tier's per-mix solve
-//! (`MixSolver::solve`) — to find every function that can execute inside
-//! those loops. Reachable functions must not allocate, perform I/O, or
+//! `System::run_prefix`) and the analytic tier's alone fit and per-mix
+//! solve (`MixSolver::{alone, solve}`) — to find every function that can
+//! execute inside those loops. Reachable functions must not allocate, perform I/O, or
 //! invoke panic macros; the reachability set itself is exported (see
 //! `--json`) so the hot path is auditable. A root that resolves to no
 //! definition although its `impl` type is linted is reported too
@@ -42,13 +42,14 @@ use crate::{HotFn, RuleId};
 
 /// Root methods of the analysed hot paths as `(impl type, fn)` pairs: the
 /// public entries of the per-cycle loop on `impl System`, plus the analytic
-/// tier's per-mix solve on `impl MixSolver` — a campaign calls it millions
-/// of times, so it gets the same no-alloc/no-I/O discipline as the cycle
-/// loop.
+/// tier's per-profile alone fit and per-mix solve on `impl MixSolver` — a
+/// campaign calls them millions of times, so they get the same
+/// no-alloc/no-I/O discipline as the cycle loop.
 const ROOTS: &[(&str, &str)] = &[
     ("System", "step"),
     ("System", "run_for"),
     ("System", "run_prefix"),
+    ("MixSolver", "alone"),
     ("MixSolver", "solve"),
 ];
 
@@ -534,7 +535,7 @@ impl Suite {
     #[test]
     fn a_root_missing_from_a_linted_impl_is_reported() {
         // `SYSTEM` defines `step` only: the two other `System` roots are
-        // unresolved, `MixSolver::solve` is not (no `impl MixSolver`).
+        // unresolved, the `MixSolver` roots are not (no `impl MixSolver`).
         let g = run(&[("crates/core/src/system/mod.rs", SYSTEM)]);
         let got: Vec<(usize, &str)> = g
             .unresolved_roots

@@ -14,10 +14,11 @@
 //!   simulation crates ([`SIM_CRATES`]: `simcore` through `attrib`):
 //!   - **R9** — hot-path hygiene: no heap allocation, I/O, or panicking
 //!     macros in any function reachable from `System::step` /
-//!     `System::run_for` / `System::run_prefix` (or `MixSolver::solve`). A
-//!     fn-level `// asm-lint: allow(R9): reason` both suppresses and marks
-//!     the fn as a justified quantum boundary (traversal stops there). A
-//!     root that a linted tree no longer defines is itself a violation.
+//!     `System::run_for` / `System::run_prefix` (or
+//!     `MixSolver::{alone, solve}`). A fn-level
+//!     `// asm-lint: allow(R9): reason` both suppresses and marks the fn
+//!     as a justified quantum boundary (traversal stops there). A root
+//!     that a linted tree no longer defines is itself a violation.
 //! - R11, R12, R13 and `--pedantic` are deleted (DESIGN.md §8 says why).
 //!
 //! Every diagnostic carries `path:line`. Intentional R9 violations are
