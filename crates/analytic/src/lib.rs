@@ -61,8 +61,6 @@ pub mod model;
 pub mod profile;
 pub mod store;
 
-pub use model::{
-    classify, AloneFit, AnalyticConfig, MixSolution, MixSolver, Tuning, WorkloadClass,
-};
+pub use model::{AloneFit, AnalyticConfig, MixSolution, MixSolver, WorkloadClass};
 pub use profile::{ProfileParams, ReuseProfile};
 pub use store::ProfileStore;

@@ -305,12 +305,6 @@ impl MixSolver {
         }
     }
 
-    /// The hardware model this solver was built with.
-    #[must_use]
-    pub fn config(&self) -> &AnalyticConfig {
-        &self.cfg
-    }
-
     /// The alone pass: `app`'s fixed point against the full cache, with
     /// no other application in the mix.
     #[must_use]

@@ -364,12 +364,6 @@ impl ReuseProfile {
         self.working_set_lines
     }
 
-    /// Distinct lines touched post-L1 during the sample.
-    #[must_use]
-    pub fn lines_touched(&self) -> u64 {
-        self.lines_touched
-    }
-
     /// `P(reuse gap ≥ g)` over the LLC-visible stream, cold as gap ∞.
     #[must_use]
     pub fn tail_at(&self, g: f64) -> f64 {

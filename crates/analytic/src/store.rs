@@ -60,12 +60,6 @@ impl ProfileStore {
         self.entries.is_empty()
     }
 
-    /// Looks up a profile by workload name.
-    #[must_use]
-    pub fn get(&self, name: &str) -> Option<&ReuseProfile> {
-        self.entries.get(name)
-    }
-
     /// Inserts (or replaces) a profile under its workload name.
     pub fn put(&mut self, profile: ReuseProfile) {
         self.entries.insert(profile.name().to_owned(), profile);

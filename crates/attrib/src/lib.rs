@@ -345,11 +345,6 @@ impl RunAttrib {
         }
     }
 
-    /// Number of apps/cores tracked.
-    pub fn app_count(&self) -> usize {
-        self.app_count
-    }
-
     fn close_gap(
         tracker: &mut CoreTracker,
         ledger: &mut [Cycle],

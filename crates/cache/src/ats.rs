@@ -72,8 +72,6 @@ pub struct AuxiliaryTagStore {
     rank: Box<[u8]>,
     /// Valid lines per sampled set.
     fill: Box<[u8]>,
-    /// Number of sampled sets.
-    sampled: usize,
     /// Hits observed at each recency position since the last reset.
     position_hits: Vec<u64>,
     misses: u64,
@@ -116,7 +114,6 @@ impl AuxiliaryTagStore {
             tags: vec![0; lines].into_boxed_slice(),
             rank: vec![NO_RANK; lines].into_boxed_slice(),
             fill: vec![0; sampled].into_boxed_slice(),
-            sampled,
             position_hits: vec![0; geometry.ways()],
             misses: 0,
             sampled_accesses: 0,
@@ -129,24 +126,11 @@ impl AuxiliaryTagStore {
         self.geometry
     }
 
-    /// Returns the number of sampled sets.
-    #[must_use]
-    pub fn sampled_sets(&self) -> usize {
-        self.sampled
-    }
-
     /// Returns `total sets / sampled sets` — the factor by which sampled
     /// counts under-represent the full cache.
     #[must_use]
     pub fn sampling_factor(&self) -> f64 {
         self.stride as f64
-    }
-
-    /// Whether this ATS keeps tags for the set `line` maps to.
-    #[inline]
-    #[must_use]
-    pub fn samples_line(&self, line: LineAddr) -> bool {
-        self.geometry.set_index(line) & self.stride_mask == 0
     }
 
     /// Simulates the alone-run cache access for `line`.
@@ -300,18 +284,18 @@ mod tests {
 
     #[test]
     fn full_ats_samples_everything() {
-        let ats = AuxiliaryTagStore::new(CacheGeometry::new(8, 2), None);
+        let mut ats = AuxiliaryTagStore::new(CacheGeometry::new(8, 2), None);
         for i in 0..32 {
-            assert!(ats.samples_line(LineAddr::new(i)));
+            assert!(ats.access(LineAddr::new(i)).is_some());
         }
     }
 
     #[test]
     fn sampled_ats_covers_fraction_of_sets() {
-        let ats = AuxiliaryTagStore::new(CacheGeometry::new(64, 4), Some(16));
+        let mut ats = AuxiliaryTagStore::new(CacheGeometry::new(64, 4), Some(16));
         assert_eq!(ats.sampling_factor(), 4.0);
         let sampled = (0..64)
-            .filter(|&s| ats.samples_line(LineAddr::new(s)))
+            .filter(|&s| ats.access(LineAddr::new(s)).is_some())
             .count();
         assert_eq!(sampled, 16);
     }
@@ -321,11 +305,11 @@ mod tests {
         // The sampled sets are exactly the multiples of the stride — the
         // selection rule must survive any layout change, because the
         // estimators scale sampled counts assuming even coverage.
-        let ats = AuxiliaryTagStore::new(CacheGeometry::new(128, 4), Some(32));
-        assert_eq!(ats.sampled_sets(), 32);
+        let mut ats = AuxiliaryTagStore::new(CacheGeometry::new(128, 4), Some(32));
+        assert_eq!(ats.fill.len(), 32);
         for s in 0..128u64 {
             assert_eq!(
-                ats.samples_line(LineAddr::new(s)),
+                ats.access(LineAddr::new(s)).is_some(),
                 s.is_multiple_of(4),
                 "set {s}"
             );

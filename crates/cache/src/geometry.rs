@@ -12,7 +12,6 @@ use asm_simcore::{LineAddr, LINE_BYTES};
 /// let llc = CacheGeometry::from_capacity(2 * 1024 * 1024, 16);
 /// assert_eq!(llc.sets(), 2048);
 /// assert_eq!(llc.ways(), 16);
-/// assert_eq!(llc.capacity_bytes(), 2 * 1024 * 1024);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheGeometry {
@@ -59,12 +58,6 @@ impl CacheGeometry {
     #[must_use]
     pub fn ways(&self) -> usize {
         self.ways
-    }
-
-    /// Total capacity in bytes (64-byte lines).
-    #[must_use]
-    pub fn capacity_bytes(&self) -> u64 {
-        (self.sets * self.ways) as u64 * LINE_BYTES
     }
 
     /// Maps a line address to its set index (low-order line bits).
@@ -120,7 +113,7 @@ mod tests {
     fn capacity_round_trips() {
         for (cap, ways) in [(1u64 << 20, 16), (2 << 20, 16), (4 << 20, 16)] {
             let g = CacheGeometry::from_capacity(cap, ways);
-            assert_eq!(g.capacity_bytes(), cap);
+            assert_eq!((g.sets() * g.ways()) as u64 * LINE_BYTES, cap);
         }
     }
 }

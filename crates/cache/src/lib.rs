@@ -44,4 +44,4 @@ pub use ats::{AtsOutcome, AuxiliaryTagStore};
 pub use geometry::CacheGeometry;
 pub use partition::{lookahead_partition, BenefitCurves, WayPartition};
 pub use pollution::PollutionFilter;
-pub use set_assoc::{AccessOutcome, EvictedLine, LineRef, ResidentLine, SetAssocCache};
+pub use set_assoc::{AccessOutcome, EvictedLine, SetAssocCache};

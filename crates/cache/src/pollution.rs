@@ -52,12 +52,6 @@ impl PollutionFilter {
         }
     }
 
-    /// Number of insertions since the last [`clear`](Self::clear).
-    #[must_use]
-    pub fn inserted(&self) -> u64 {
-        self.inserted
-    }
-
     fn hash(line: LineAddr, salt: u64) -> u64 {
         // SplitMix64 finalizer over (line ^ salt).
         let mut z = line.raw() ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -160,9 +154,9 @@ mod tests {
     fn clear_resets_state() {
         let mut f = PollutionFilter::new(256);
         f.insert(LineAddr::new(1));
-        assert_eq!(f.inserted(), 1);
+        assert_eq!(f.inserted, 1);
         f.clear();
-        assert_eq!(f.inserted(), 0);
+        assert_eq!(f.inserted, 0);
         assert!(!f.probably_contains(LineAddr::new(1)));
     }
 

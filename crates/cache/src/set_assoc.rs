@@ -171,12 +171,6 @@ impl SetAssocCache {
         self.geometry
     }
 
-    /// Returns the number of applications this cache was configured for.
-    #[must_use]
-    pub fn app_count(&self) -> usize {
-        self.app_count
-    }
-
     /// Installs (or clears, with `None`) a way partition. Enforcement is
     /// lazy, as in UCP: resident lines are not flushed; instead replacement
     /// decisions steer each application toward its quota.

@@ -62,7 +62,8 @@ pub const SNAPSHOT_FORMAT: &str = "asm-snapshot";
 /// the counter registry and the series rings are gone.
 pub const SNAPSHOT_VERSION: u32 = 6;
 
-/// Format name of a binary per-run result manifest.
+/// Format name of a binary per-run result manifest: a [`RunResult`]
+/// [`persist::seal`]ed under its run's key (the harness's `--resume`).
 pub const MANIFEST_FORMAT: &str = "asm-run-manifest";
 /// Version of [`MANIFEST_FORMAT`].
 /// v2: written from [`RunResult`]'s `persist_fields!` list.
@@ -151,8 +152,9 @@ impl RunResult {
     }
 }
 
-// What a manifest holds of a result: plain runs only, so the telemetry
-// and attribution artefacts are not in the list.
+// What a manifest holds of a result: plain runs only (the harness never
+// writes a manifest for an instrumented run), so the telemetry and
+// attribution artefacts are not in the list.
 asm_simcore::persist_fields!(QuantumResult { estimates, actual, car_shared, partition });
 asm_simcore::persist_fields!(RunResult {
     app_names,
@@ -161,34 +163,6 @@ asm_simcore::persist_fields!(RunResult {
     alone_latency_hist,
     estimator_latency_hists,
 } => RunResult::check_restored);
-
-/// Serializes a completed [`RunResult`] as a manifest tagged with `key`,
-/// for `--resume`. Floats travel as bit patterns (NaN ground truth
-/// included), so a reloaded result is bitwise-identical to the simulated
-/// one.
-///
-/// # Errors
-///
-/// [`PersistError::Corrupt`] when the result carries telemetry or
-/// attribution — manifests cover plain runs only (those artefacts are
-/// written by the sink, per run, and are not replayable from a manifest).
-pub fn save_manifest(result: &RunResult, key: u64) -> Result<Vec<u8>, PersistError> {
-    ensure(
-        result.telemetry.is_none() && result.attribution.is_none(),
-        "instrumented runs are not manifest-eligible",
-    )?;
-    Ok(persist::seal(MANIFEST_FORMAT, MANIFEST_VERSION, key, result))
-}
-
-/// Reloads a manifest written by [`save_manifest`], validating `key`.
-///
-/// # Errors
-///
-/// Header/version/checksum errors from the reader; `Corrupt` on a key
-/// mismatch or any structural inconsistency.
-pub fn load_manifest(bytes: &[u8], key: u64) -> Result<RunResult, PersistError> {
-    persist::unseal(bytes, MANIFEST_FORMAT, MANIFEST_VERSION, key)
-}
 
 #[cfg(test)]
 mod tests {
@@ -415,6 +389,16 @@ mod tests {
         }
     }
 
+    /// A run manifest as `--resume` writes it.
+    fn seal_manifest(result: &RunResult, key: u64) -> Vec<u8> {
+        persist::seal(MANIFEST_FORMAT, MANIFEST_VERSION, key, result)
+    }
+
+    /// A run manifest as `--resume` reads it.
+    fn unseal_manifest(bytes: &[u8], key: u64) -> Result<RunResult, PersistError> {
+        persist::unseal(bytes, MANIFEST_FORMAT, MANIFEST_VERSION, key)
+    }
+
     #[test]
     fn manifest_round_trips_bitwise_and_validates_key() {
         let mut c = config();
@@ -423,8 +407,8 @@ mod tests {
         let runner = Runner::new(c);
         let result = runner.run(&apps(), 150_000);
 
-        let bytes = save_manifest(&result, 7).expect("plain run is eligible");
-        let back = load_manifest(&bytes, 7).expect("roundtrip");
+        let bytes = seal_manifest(&result, 7);
+        let back = unseal_manifest(&bytes, 7).expect("roundtrip");
         assert_eq!(back.app_names, result.app_names);
         assert_eq!(back.quanta.len(), result.quanta.len());
         for (a, b) in result.quanta.iter().zip(&back.quanta) {
@@ -446,10 +430,10 @@ mod tests {
         );
 
         assert!(matches!(
-            load_manifest(&bytes, 8),
+            unseal_manifest(&bytes, 8),
             Err(PersistError::Corrupt(_))
         ));
-        assert!(load_manifest(&bytes[..bytes.len() - 1], 7).is_err());
+        assert!(unseal_manifest(&bytes[..bytes.len() - 1], 7).is_err());
     }
 
     #[test]
@@ -457,15 +441,15 @@ mod tests {
         let mut c = config();
         c.cache_policy = CachePolicy::AsmCache;
         let mut result = Runner::new(c).run(&apps(), 150_000);
-        load_manifest(&save_manifest(&result, 7).expect("eligible"), 7).expect("valid as run");
+        unseal_manifest(&seal_manifest(&result, 7), 7).expect("valid as run");
         let partition = result
             .quanta
             .iter_mut()
             .find_map(|q| q.partition.as_mut())
             .expect("ASM-Cache partitions at the first boundary");
         partition.pop();
-        let short = save_manifest(&result, 7).expect("eligible");
-        match load_manifest(&short, 7) {
+        let short = seal_manifest(&result, 7);
+        match unseal_manifest(&short, 7) {
             Err(PersistError::Corrupt(why)) => assert!(why.contains("app count"), "{why}"),
             other => panic!("a one-way-short partition loaded: {other:?}"),
         }
@@ -488,23 +472,8 @@ mod tests {
         ));
         let old_manifest = StateWriter::new(MANIFEST_FORMAT, 1).finish();
         assert!(matches!(
-            load_manifest(&old_manifest, 0),
+            unseal_manifest(&old_manifest, 0),
             Err(PersistError::StaleVersion { found: 1, expected: MANIFEST_VERSION, .. })
-        ));
-    }
-
-    #[test]
-    fn telemetry_runs_are_not_manifest_eligible() {
-        let runner = Runner::new(config());
-        let opts = crate::runner::RunOptions {
-            telemetry: true,
-            trace_sample: None,
-            attrib: false,
-        };
-        let result = runner.run_with(&apps(), 100_000, opts);
-        assert!(matches!(
-            save_manifest(&result, 1),
-            Err(PersistError::Corrupt(_))
         ));
     }
 }

@@ -267,9 +267,9 @@ mod tests {
     #[test]
     fn default_matches_table2() {
         let c = SystemConfig::default();
-        assert_eq!(c.llc_geometry.capacity_bytes(), 2 * 1024 * 1024);
+        assert_eq!(c.llc_geometry.sets() * c.llc_geometry.ways() * 64, 2 * 1024 * 1024);
         assert_eq!(c.llc_geometry.ways(), 16);
-        assert_eq!(c.l1_geometry.capacity_bytes(), 64 * 1024);
+        assert_eq!(c.l1_geometry.sets() * c.l1_geometry.ways() * 64, 64 * 1024);
         assert_eq!(c.quantum, 5_000_000);
         assert_eq!(c.epoch, 10_000);
         assert_eq!(c.ats_sampled_sets, Some(64));

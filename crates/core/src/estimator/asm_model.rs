@@ -291,15 +291,12 @@ asm_simcore::persist_fields!(AsmEstimator {
 mod tests {
     use super::*;
     use asm_cache::AtsOutcome;
-    use asm_simcore::LineAddr;
 
     fn ctx(queueing: &[Cycle]) -> QuantumCtx<'_> {
         QuantumCtx {
-            now: 100_000,
             quantum: 100_000,
             epoch: 1_000,
             queueing_cycles: queueing,
-            llc_latency: 20,
         }
     }
 
@@ -313,22 +310,18 @@ mod tests {
         AccessEvent {
             now,
             app: AppId::new(app),
-            line: LineAddr::new(0),
             llc_hit: hit,
             ats: ats_hit.map(|hit| AtsOutcome {
                 hit,
                 recency: hit.then_some(0),
             }),
-            pollution_hit: false,
             epoch_owner: owner.map(AppId::new),
-            is_write: false,
         }
     }
 
     fn miss(app: usize, arrival: Cycle, finish: Cycle, owned: bool) -> MissEvent {
         MissEvent {
             app: AppId::new(app),
-            line: LineAddr::new(0),
             arrival,
             finish,
             interference_cycles: 0,

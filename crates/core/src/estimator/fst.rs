@@ -109,15 +109,13 @@ asm_simcore::persist_fields!(FstEstimator { [excess], [latency_hist] });
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asm_simcore::{AppId, LineAddr};
+    use asm_simcore::AppId;
 
     fn ctx() -> QuantumCtx<'static> {
         QuantumCtx {
-            now: 100_000,
             quantum: 100_000,
             epoch: 1_000,
             queueing_cycles: &[],
-            llc_latency: 20,
         }
     }
 
@@ -130,7 +128,6 @@ mod tests {
     ) -> MissEvent {
         MissEvent {
             app: AppId::new(app),
-            line: LineAddr::new(0),
             arrival: 1_000,
             finish: 1_000 + latency,
             interference_cycles: interference,

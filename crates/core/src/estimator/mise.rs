@@ -120,28 +120,22 @@ asm_simcore::persist_fields!(MiseEstimator { [apps] });
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asm_simcore::LineAddr;
 
     fn access(app: usize, hit: bool, owner: Option<usize>, now: Cycle) -> AccessEvent {
         AccessEvent {
             now,
             app: AppId::new(app),
-            line: LineAddr::new(0),
             llc_hit: hit,
             ats: None,
-            pollution_hit: false,
             epoch_owner: owner.map(AppId::new),
-            is_write: false,
         }
     }
 
     fn ctx(queueing: &[Cycle]) -> QuantumCtx<'_> {
         QuantumCtx {
-            now: 100_000,
             quantum: 100_000,
             epoch: 1_000,
             queueing_cycles: queueing,
-            llc_latency: 20,
         }
     }
 
@@ -159,7 +153,6 @@ mod tests {
     fn miss(arrival: Cycle, finish: Cycle) -> super::MissEvent {
         super::MissEvent {
             app: AppId::new(0),
-            line: LineAddr::new(0),
             arrival,
             finish,
             interference_cycles: 0,

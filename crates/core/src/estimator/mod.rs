@@ -28,7 +28,7 @@ pub use ptca::PtcaEstimator;
 pub use stfm::StfmEstimator;
 
 use asm_cache::AtsOutcome;
-use asm_simcore::{AppId, Cycle, Histogram, LineAddr};
+use asm_simcore::{AppId, Cycle, Histogram};
 
 /// A demand access to the shared cache, observed as it happens.
 #[derive(Debug, Clone, Copy)]
@@ -37,19 +37,12 @@ pub struct AccessEvent {
     pub now: Cycle,
     /// The accessing application.
     pub app: AppId,
-    /// The accessed line.
-    pub line: LineAddr,
     /// Whether the access hit in the shared cache.
     pub llc_hit: bool,
     /// The auxiliary-tag-store outcome, if the line's set is sampled.
     pub ats: Option<AtsOutcome>,
-    /// Whether the line hit in the application's pollution filter (FST's
-    /// contention-miss signal; only meaningful when `llc_hit` is false).
-    pub pollution_hit: bool,
     /// The application currently holding epoch priority, if any.
     pub epoch_owner: Option<AppId>,
-    /// Whether the access was a store.
-    pub is_write: bool,
 }
 
 /// A completed main-memory read for a demand miss.
@@ -57,8 +50,6 @@ pub struct AccessEvent {
 pub struct MissEvent {
     /// The owning application.
     pub app: AppId,
-    /// The missing line.
-    pub line: LineAddr,
     /// Cycle the miss entered the memory system.
     pub arrival: Cycle,
     /// Cycle the data returned.
@@ -96,16 +87,12 @@ impl MissEvent {
 /// Per-quantum context handed to estimators at the quantum boundary.
 #[derive(Debug, Clone, Copy)]
 pub struct QuantumCtx<'a> {
-    /// Cycle at which the quantum ends.
-    pub now: Cycle,
     /// Quantum length Q.
     pub quantum: Cycle,
     /// Epoch length E.
     pub epoch: Cycle,
     /// Per-application §4.3 queueing-cycle counters for this quantum.
     pub queueing_cycles: &'a [Cycle],
-    /// Shared-cache hit latency.
-    pub llc_latency: Cycle,
 }
 
 /// A slowdown estimator driven by system events.
@@ -231,7 +218,6 @@ mod tests {
     fn miss_event_latency() {
         let ev = MissEvent {
             app: AppId::new(0),
-            line: LineAddr::new(0),
             arrival: 100,
             finish: 350,
             interference_cycles: 10,

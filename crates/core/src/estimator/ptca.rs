@@ -114,22 +114,19 @@ asm_simcore::persist_fields!(PtcaEstimator { [excess], [latency_hist] });
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asm_simcore::{AppId, LineAddr};
+    use asm_simcore::AppId;
 
     fn ctx() -> QuantumCtx<'static> {
         QuantumCtx {
-            now: 100_000,
             quantum: 100_000,
             epoch: 1_000,
             queueing_cycles: &[],
-            llc_latency: 20,
         }
     }
 
     fn miss(latency: Cycle, interference: Cycle, ats: Option<bool>) -> MissEvent {
         MissEvent {
             app: AppId::new(0),
-            line: LineAddr::new(0),
             arrival: 0,
             finish: latency,
             interference_cycles: interference,

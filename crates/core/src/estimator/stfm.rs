@@ -98,22 +98,18 @@ asm_simcore::persist_fields!(StfmEstimator { [apps] });
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asm_simcore::LineAddr;
 
     fn ctx() -> QuantumCtx<'static> {
         QuantumCtx {
-            now: 100_000,
             quantum: 100_000,
             epoch: 1_000,
             queueing_cycles: &[],
-            llc_latency: 20,
         }
     }
 
     fn miss(arrival: Cycle, finish: Cycle, interference: Cycle, concurrent: u64) -> MissEvent {
         MissEvent {
             app: AppId::new(0),
-            line: LineAddr::new(0),
             arrival,
             finish,
             interference_cycles: interference,

@@ -43,13 +43,6 @@ impl UsageRecord {
         let slowdown = self.estimated_slowdown.max(1.0);
         Duration::from_secs_f64(self.wall_time.as_secs_f64() / slowdown)
     }
-
-    /// Fraction of the wall-time bill the tenant is refunded due to
-    /// interference (`1 - 1/slowdown`).
-    #[must_use]
-    pub fn interference_discount(&self) -> f64 {
-        1.0 - 1.0 / self.estimated_slowdown.max(1.0)
-    }
 }
 
 /// Aggregates per-quantum slowdown estimates into one billing-period mean,
@@ -80,7 +73,6 @@ mod tests {
             estimated_slowdown: 1.0,
         };
         assert_eq!(rec.billable_time(), Duration::from_secs(100));
-        assert_eq!(rec.interference_discount(), 0.0);
     }
 
     #[test]
@@ -98,7 +90,6 @@ mod tests {
             wall_time: Duration::from_secs(100),
             estimated_slowdown: 4.0,
         };
-        assert!((rec.interference_discount() - 0.75).abs() < 1e-12);
         assert_eq!(rec.billable_time(), Duration::from_secs(25));
     }
 

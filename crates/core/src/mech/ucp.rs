@@ -24,17 +24,8 @@ pub fn partition(ats: &[AuxiliaryTagStore], ways: usize) -> WayPartition {
     lookahead_partition(&benefit, ways, 1)
 }
 
-/// The cumulative-hits utility curve: `curve[n]` = sampled accesses that
-/// would hit with `n` ways.
-#[must_use]
-pub fn hit_curve(ats: &AuxiliaryTagStore, ways: usize) -> Vec<f64> {
-    let mut curve = vec![0.0; ways + 1];
-    fill_hit_curve(ats, &mut curve);
-    curve
-}
-
-/// Writes the cumulative-hits curve into `row` (one entry per way count,
-/// `row[0]` = zero ways).
+/// Writes the cumulative-hits utility curve into `row`: `row[n]` =
+/// sampled accesses that would hit with `n` ways.
 pub fn fill_hit_curve(ats: &AuxiliaryTagStore, row: &mut [f64]) {
     for (n, v) in row.iter_mut().enumerate() {
         *v = ats.hits_with_ways(n.min(ats.geometry().ways())) as f64;
@@ -58,7 +49,8 @@ mod tests {
     #[test]
     fn hit_curve_is_monotone() {
         let ats = ats_with_curve(16, 8, 5);
-        let c = hit_curve(&ats, 16);
+        let mut c = vec![0.0; 17];
+        fill_hit_curve(&ats, &mut c);
         for w in c.windows(2) {
             assert!(w[0] <= w[1]);
         }

@@ -18,7 +18,6 @@ use std::sync::Arc;
 
 use asm_attrib::QuantumLedger;
 use asm_cpu::{AppProfile, ProgressLog};
-use asm_metrics::SlowdownSample;
 use asm_simcore::hash::DetHasher;
 use asm_simcore::persist::{self, Persist as _, PersistError, StateReader, StateWriter};
 use asm_simcore::{AppId, Cycle, Histogram};
@@ -82,34 +81,6 @@ pub struct RunAttribution {
 }
 
 impl RunResult {
-    /// Flattens this run into `(estimated, actual)` samples for the named
-    /// estimator, one per application per quantum (skipping quanta without
-    /// valid ground truth).
-    #[must_use]
-    pub fn samples(&self, estimator: &str) -> Vec<SlowdownSample> {
-        let mut out = Vec::new();
-        for q in &self.quanta {
-            let Some(est) = q
-                .estimates
-                .iter()
-                .find(|(n, _)| n == estimator)
-                .map(|(_, v)| v)
-            else {
-                continue;
-            };
-            for (i, (&e, &a)) in est.iter().zip(&q.actual).enumerate() {
-                if a.is_finite() && a > 0.0 {
-                    out.push(SlowdownSample {
-                        app_name: self.app_names[i].clone(),
-                        estimated: e,
-                        actual: a,
-                    });
-                }
-            }
-        }
-        out
-    }
-
     /// Names of the estimators present in this run.
     #[must_use]
     pub fn estimator_names(&self) -> Vec<String> {
@@ -959,11 +930,19 @@ mod tests {
     fn samples_skip_invalid_ground_truth() {
         let runner = Runner::new(config());
         let r = runner.run(&apps(), 100_000);
-        let samples = r.samples("ASM");
+        // ASM's (estimated, actual) pairs over the quanta with valid
+        // ground truth.
+        let samples: Vec<(f64, f64)> = r
+            .quanta
+            .iter()
+            .filter_map(|q| q.estimates.iter().find(|(n, _)| n == "ASM").map(|(_, e)| (e, q)))
+            .flat_map(|(e, q)| e.iter().copied().zip(q.actual.iter().copied()))
+            .filter(|&(_, a)| a.is_finite() && a > 0.0)
+            .collect();
         assert!(!samples.is_empty());
-        for s in &samples {
-            assert!(s.actual.is_finite() && s.actual >= 1.0);
-            assert!(s.estimated >= 1.0);
+        for &(estimated, actual) in &samples {
+            assert!(actual.is_finite() && actual >= 1.0);
+            assert!(estimated >= 1.0);
         }
     }
 

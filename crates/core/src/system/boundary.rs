@@ -56,11 +56,9 @@ impl System {
             .map(|i| hier.mem.queueing_cycles(AppId::new(i)))
             .collect();
         let ctx = QuantumCtx {
-            now,
             quantum: q,
             epoch: self.config.epoch,
             queueing_cycles: &queueing,
-            llc_latency: self.config.llc_latency,
         };
         let estimates: Vec<(String, Vec<f64>)> = hier
             .estimators

@@ -232,7 +232,6 @@ impl Hierarchy {
         self.probes.demand_miss(c, arrival, interference);
         let ev = MissEvent {
             app,
-            line: c.line,
             arrival,
             finish: c.finish,
             interference_cycles: interference,
@@ -340,12 +339,9 @@ impl Hierarchy {
         let event = AccessEvent {
             now,
             app,
-            line,
             llc_hit,
             ats: ats_out,
-            pollution_hit,
             epoch_owner: self.epoch_owner,
-            is_write,
         };
         for est in self.estimators.iter_mut() {
             est.on_access(&event);

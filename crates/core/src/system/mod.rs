@@ -171,17 +171,6 @@ impl QuantumRecord {
             .map(|(_, v)| v.as_slice())
     }
 
-    /// Per-application IPC over this quantum.
-    #[must_use]
-    pub fn ipc_shared(&self) -> Vec<f64> {
-        let cycles = (self.end_cycle - self.start_cycle) as f64;
-        self.retired_start
-            .iter()
-            .zip(&self.retired_end)
-            .map(|(s, e)| (e - s) as f64 / cycles)
-            .collect()
-    }
-
     /// The ATS miss rate ASM sampled for `app` over this quantum; `None`
     /// without ASM or without a sampled access.
     #[must_use]
@@ -539,12 +528,6 @@ impl System {
     #[must_use]
     pub fn app_count(&self) -> usize {
         self.lazy.cores.len()
-    }
-
-    /// The configuration in force.
-    #[must_use]
-    pub fn config(&self) -> &SystemConfig {
-        &self.config
     }
 
     /// Profile names, indexed by application.

@@ -7,7 +7,7 @@
 //! damage test — and the checksum is no secret, so a crafted artefact with
 //! a valid trailer reaches it. Here real artefacts get random payload
 //! words overwritten (huge lengths, out-of-range indices, bool bytes above
-//! one), the trailer is recomputed, and `resume` / `load_manifest` /
+//! one), the trailer is recomputed, and `resume` / `persist::unseal` /
 //! `from_bytes` must return `Ok` or `Err`: never panic, never size an
 //! allocation from a length the payload cannot back.
 
@@ -19,11 +19,12 @@ use asm_cache::CacheGeometry;
 use asm_core::checkpoint::{self, MANIFEST_FORMAT, MANIFEST_VERSION, SNAPSHOT_FORMAT, SNAPSHOT_VERSION};
 use asm_core::runner::{ALONE_CACHE_FORMAT, ALONE_CACHE_VERSION};
 use asm_core::{
-    AloneCache, CachePolicy, EstimatorSet, RunOptions, Runner, SystemConfig, ThrottlePolicy,
+    AloneCache, CachePolicy, EstimatorSet, RunOptions, RunResult, Runner, SystemConfig,
+    ThrottlePolicy,
 };
 use asm_cpu::AppProfile;
 use asm_dram::SchedulerKind;
-use asm_simcore::persist::StateWriter;
+use asm_simcore::persist::{self, PersistError, StateWriter};
 use asm_simcore::SimRng;
 use asm_workloads::suite;
 use proptest::prelude::*;
@@ -96,6 +97,11 @@ fn mutate(payload: &mut [u8], keep: usize, rng: &mut SimRng) {
     }
 }
 
+/// The manifest reader `--resume` calls.
+fn load_manifest(bytes: &[u8], key: u64) -> Result<RunResult, PersistError> {
+    persist::unseal(bytes, MANIFEST_FORMAT, MANIFEST_VERSION, key)
+}
+
 struct Fixture {
     runner: Runner,
     opts: RunOptions,
@@ -144,7 +150,7 @@ fn fixtures() -> &'static (Vec<Fixture>, Vec<u8>) {
         })
         .collect();
         let result = Runner::new(config(SchedulerKind::FrFcfs)).run(&apps(), 60_000);
-        let manifest = checkpoint::save_manifest(&result, 7).expect("plain run is eligible");
+        let manifest = persist::seal(MANIFEST_FORMAT, MANIFEST_VERSION, 7, &result);
         (snapshots, manifest)
     })
 }
@@ -170,7 +176,7 @@ proptest! {
         let mut body = payload(&fixtures().1, MANIFEST_FORMAT).to_vec();
         mutate(&mut body, 8, &mut rng);
         let forged = signed(MANIFEST_FORMAT, MANIFEST_VERSION, &body);
-        let _ = checkpoint::load_manifest(&forged, 7);
+        let _ = load_manifest(&forged, 7);
     }
 
     #[test]
@@ -199,7 +205,7 @@ fn the_fixtures_restore_and_forgeries_reach_the_parsers() {
             .restore(&apps(), f.opts, &resigned)
             .expect("an unmutated snapshot restores");
     }
-    checkpoint::load_manifest(manifest, 7).expect("an unmutated manifest loads");
+    load_manifest(manifest, 7).expect("an unmutated manifest loads");
     let (alone, profiles) = caches();
     assert_eq!(AloneCache::from_bytes(alone).expect("an unmutated cache loads").len(), 3);
     assert_eq!(ProfileStore::from_bytes(profiles).expect("unmutated profiles load").len(), 3);

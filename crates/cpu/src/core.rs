@@ -139,7 +139,6 @@ struct MemSlot {
 /// ```
 #[derive(Debug)]
 pub struct Core {
-    app: AppId,
     source: Box<dyn AccessSource>,
     typ_rng: asm_simcore::SimRng,
     mem_prob: f64,
@@ -264,7 +263,6 @@ impl Core {
         let gap_log1mp = (1.0 - mem_prob).ln();
         let gap_left = Self::sample_gap(&mut typ_rng, mem_prob, gap_log1mp);
         Core {
-            app,
             source,
             typ_rng,
             mem_prob,
@@ -289,12 +287,6 @@ impl Core {
         }
     }
 
-    /// The application this core runs.
-    #[must_use]
-    pub fn app(&self) -> AppId {
-        self.app
-    }
-
     /// Instructions retired so far.
     #[must_use]
     pub fn retired(&self) -> u64 {
@@ -312,12 +304,6 @@ impl Core {
     #[must_use]
     pub fn stall_episodes(&self) -> u64 {
         self.stall_episodes
-    }
-
-    /// Memory accesses currently outstanding in the memory system.
-    #[must_use]
-    pub fn outstanding(&self) -> u32 {
-        self.tokens.len() as u32
     }
 
     /// The application's intrinsic MLP cap (ignoring any throttle).
@@ -771,7 +757,7 @@ mod tests {
         }
         // mlp cap 4: at most 4 outstanding, nothing retires.
         assert_eq!(core.retired(), 0);
-        assert_eq!(core.outstanding(), 4);
+        assert_eq!(core.tokens.len() as u32, 4);
     }
 
     #[test]
@@ -793,7 +779,7 @@ mod tests {
             core.tick(now, &mut |_, _| MemIssueResult::Stall);
         }
         assert!(core.retired() > before);
-        assert_eq!(core.outstanding(), 0);
+        assert_eq!(core.tokens.len() as u32, 0);
     }
 
     #[test]
@@ -839,7 +825,7 @@ mod tests {
                 token += 1;
                 MemIssueResult::Pending(token)
             });
-            max_outstanding = max_outstanding.max(core.outstanding());
+            max_outstanding = max_outstanding.max(core.tokens.len() as u32);
         }
         assert_eq!(max_outstanding, 2);
     }
@@ -848,7 +834,7 @@ mod tests {
     fn unknown_token_completion_is_ignored() {
         let mut core = Core::new(AppId::new(0), &profile(10), 1);
         core.complete(9999, 5); // must not panic or underflow
-        assert_eq!(core.outstanding(), 0);
+        assert_eq!(core.tokens.len() as u32, 0);
     }
 
     #[test]
@@ -1263,7 +1249,7 @@ mod proptests {
                     _ => MemIssueResult::Stall,
                 });
                 prop_assert!(core.occupancy() <= DEFAULT_WINDOW as u64, "ROB overflow");
-                prop_assert!(core.outstanding() <= mlp, "MLP cap violated");
+                prop_assert!(core.tokens.len() as u32 <= mlp, "MLP cap violated");
                 prop_assert!(core.retired() >= last_retired, "retirement regressed");
                 prop_assert!(
                     core.retired() <= (now + 1) * DEFAULT_WIDTH as u64,

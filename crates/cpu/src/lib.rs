@@ -42,7 +42,7 @@ pub mod progress;
 pub mod source;
 pub mod stream;
 
-pub use appmodel::{AppProfile, AppProfileBuilder};
+pub use appmodel::AppProfile;
 pub use core::{AdvanceObserver, Core, MemIssueResult};
 pub use prefetch::StridePrefetcher;
 pub use progress::ProgressLog;

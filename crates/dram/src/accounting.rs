@@ -137,12 +137,6 @@ impl ChannelAccounting {
         self.materialized = vec![0; self.app_count];
     }
 
-    /// Whether attribution counters are being maintained.
-    #[must_use]
-    pub fn attrib_enabled(&self) -> bool {
-        self.attrib
-    }
-
     fn ensure_bank_capacity(&mut self, banks: usize) {
         if self.bank_waiting.len() < banks * self.app_count {
             self.bank_waiting.resize(banks * self.app_count, 0);
@@ -361,12 +355,6 @@ impl ChannelAccounting {
     /// [`advance`](Self::advance) first.
     pub fn set_priority_app(&mut self, app: Option<AppId>) {
         self.priority_app = app;
-    }
-
-    /// The currently prioritised application.
-    #[must_use]
-    pub fn priority_app(&self) -> Option<AppId> {
-        self.priority_app
     }
 
     /// Accumulated queueing cycles for `app` (rounded down).

@@ -102,12 +102,6 @@ impl TimingAudit {
         self.events.push(event);
     }
 
-    /// Number of recorded commands.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
     /// Whether the log is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {

@@ -4,22 +4,6 @@ use asm_simcore::{AppId, Cycle};
 
 use crate::timing::DramTiming;
 
-/// Row-buffer management policy.
-///
-/// Open-page (the Table 2 baseline, required by FR-FCFS's row-hit-first
-/// rule) leaves the row open after an access; closed-page auto-precharges,
-/// trading row hits for faster conflict handling — useful in many-core
-/// systems with low locality (cf. Minimalist Open-Page \[28\]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RowPolicy {
-    /// Keep the row open after each access (row hits possible).
-    #[default]
-    Open,
-    /// Auto-precharge after each access (every access pays tRCD, none pay
-    /// tRP).
-    Closed,
-}
-
 /// The row-buffer outcome of scheduling a request at a bank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RowOutcome {
@@ -52,8 +36,7 @@ pub struct Bank {
     busy_kind: u8,
     /// Application that (re)opened the currently open row, if any. Lets
     /// the attribution layer charge a row conflict to the co-runner that
-    /// replaced the victim's row. Cleared on refresh and under the
-    /// closed-page policy.
+    /// replaced the victim's row. Cleared on refresh.
     row_opener: Option<AppId>,
 }
 
@@ -128,10 +111,10 @@ impl Bank {
     }
 
     /// Reserves the bank for a request to `row` by `app`, starting no
-    /// earlier than `start`. Returns `(outcome, data_finish)`: the cycle at
-    /// which the data burst completes. The caller must already have clamped
-    /// `start` to [`ready_at`](Self::ready_at) and to activation-window
-    /// constraints.
+    /// earlier than `start`, and leaves the row open (open-page, Table 2).
+    /// Returns `(outcome, data_finish)`: the cycle at which the data burst
+    /// completes. The caller must already have clamped `start` to
+    /// [`ready_at`](Self::ready_at) and to activation-window constraints.
     pub fn schedule(
         &mut self,
         timing: &DramTiming,
@@ -139,19 +122,6 @@ impl Bank {
         row: u64,
         app: AppId,
         is_write: bool,
-    ) -> (RowOutcome, Cycle) {
-        self.schedule_with_policy(timing, start, row, app, is_write, RowPolicy::Open)
-    }
-
-    /// Like [`schedule`](Self::schedule) with an explicit row policy.
-    pub fn schedule_with_policy(
-        &mut self,
-        timing: &DramTiming,
-        start: Cycle,
-        row: u64,
-        app: AppId,
-        is_write: bool,
-        policy: RowPolicy,
     ) -> (RowOutcome, Cycle) {
         debug_assert!(start >= self.ready_at, "caller must respect bank readiness");
         let outcome = self.classify(row);
@@ -166,19 +136,9 @@ impl Bank {
             // precharge; approximate by extending the reservation.
             finish += timing.twr;
         }
-        match policy {
-            RowPolicy::Open => {
-                self.open_row = Some(row);
-                if outcome != RowOutcome::Hit {
-                    self.row_opener = Some(app);
-                }
-            }
-            RowPolicy::Closed => {
-                // Auto-precharge: the row closes with the access; the
-                // precharge overlaps the tail of the reservation.
-                self.open_row = None;
-                self.row_opener = None;
-            }
+        self.open_row = Some(row);
+        if outcome != RowOutcome::Hit {
+            self.row_opener = Some(app);
         }
         self.ready_at = finish;
         self.owner = Some(app);
@@ -300,10 +260,6 @@ mod tests {
         assert_eq!(b.busy_kind_index(), 0);
         b.refresh_until(b.ready_at() + 10);
         assert_eq!(b.row_opener(), None);
-        // Closed-page policy never records an opener.
-        let mut c = Bank::new();
-        c.schedule_with_policy(&t, 0, 7, a1, false, RowPolicy::Closed);
-        assert_eq!(c.row_opener(), None);
     }
 
     #[test]

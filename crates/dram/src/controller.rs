@@ -20,7 +20,7 @@ use crate::timing::DramTiming;
 ///
 /// Defaults match Table 2: DDR3-1333 (10-10-10), 1 channel, 1 rank/channel,
 /// 8 banks/rank, 8 KB rows, 128-entry request buffer per controller.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct DramConfig {
     /// Device timing (in core cycles).
     pub timing: DramTiming,
@@ -42,11 +42,28 @@ pub struct DramConfig {
     /// which is application-independent and cancels out of slowdown
     /// ratios.
     pub refresh: Option<crate::timing::RefreshConfig>,
-    /// Application-aware bank partitioning; `None` (the default) lets every
-    /// application use every bank.
-    pub bank_partition: Option<crate::bank_partition::BankPartition>,
-    /// Row-buffer management policy (open-page by default, per Table 2).
-    pub row_policy: crate::bank::RowPolicy,
+}
+
+// Artefact keys (`asm_core::config_hash`) and the sampled tier's selection
+// seeds hash this rendering, so it must not change while the model does
+// not: it still ends with `bank_partition: None, row_policy: Open`, the
+// layout every existing key and sampled result was computed under.
+impl fmt::Debug for DramConfig {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DramConfig")
+            .field("timing", &self.timing)
+            .field("channels", &self.channels)
+            .field("banks", &self.banks)
+            .field("row_lines", &self.row_lines)
+            .field("read_queue_capacity", &self.read_queue_capacity)
+            .field("write_queue_capacity", &self.write_queue_capacity)
+            .field("write_drain_high", &self.write_drain_high)
+            .field("write_drain_low", &self.write_drain_low)
+            .field("refresh", &self.refresh)
+            .field("bank_partition", &None::<()>)
+            .field("row_policy", &format_args!("Open"))
+            .finish()
+    }
 }
 
 impl Default for DramConfig {
@@ -61,8 +78,6 @@ impl Default for DramConfig {
             write_drain_high: 48,
             write_drain_low: 8,
             refresh: None,
-            bank_partition: None,
-            row_policy: crate::bank::RowPolicy::Open,
         }
     }
 }
@@ -466,18 +481,6 @@ impl MemorySystem {
         self.mutations
     }
 
-    /// The configuration in force.
-    #[must_use]
-    pub fn config(&self) -> &DramConfig {
-        &self.config
-    }
-
-    /// The address mapping in force.
-    #[must_use]
-    pub fn mapping(&self) -> AddressMapping {
-        self.mapping
-    }
-
     /// Whether the read buffer for `line`'s channel can accept a request.
     #[must_use]
     pub fn can_accept_read(&self, line: LineAddr) -> bool {
@@ -492,10 +495,7 @@ impl MemorySystem {
     /// Returns [`QueueFullError`] if the target channel's buffer is full;
     /// the request is not enqueued and the caller should stall and retry.
     pub fn enqueue(&mut self, req: MemRequest) -> Result<(), QueueFullError> {
-        let mut loc = self.mapping.decode(req.line);
-        if let Some(p) = &self.config.bank_partition {
-            loc = p.remap(req.app, loc);
-        }
+        let loc = self.mapping.decode(req.line);
         let cap_r = self.config.read_queue_capacity;
         let cap_w = self.config.write_queue_capacity;
         let ch = &mut self.channels[loc.channel];
@@ -544,12 +544,6 @@ impl MemorySystem {
         }
     }
 
-    /// The application currently holding highest priority, if any.
-    #[must_use]
-    pub fn priority_app(&self) -> Option<AppId> {
-        self.priority_app
-    }
-
     /// Accumulated §4.3 queueing cycles for `app` across all channels.
     #[must_use]
     pub fn queueing_cycles(&self, app: AppId) -> Cycle {
@@ -580,14 +574,6 @@ impl MemorySystem {
         for ch in &mut self.channels {
             ch.accounting.enable_attrib();
         }
-    }
-
-    /// Whether attribution counters are being maintained.
-    #[must_use]
-    pub fn attribution_enabled(&self) -> bool {
-        self.channels
-            .first()
-            .is_some_and(|ch| ch.accounting.attrib_enabled())
     }
 
     /// Sums the cumulative victim × offender × busy-kind blame counters
@@ -658,12 +644,6 @@ impl MemorySystem {
                     .map(|(&h, &m)| (h, m))
             })
             .collect()
-    }
-
-    /// Completed-read statistics for `app`.
-    #[must_use]
-    pub fn app_stats(&self, app: AppId) -> AppServiceStats {
-        self.app_stats.get(app.index()).copied().unwrap_or_default()
     }
 
     /// Total reads currently outstanding (queued or in flight) for `app`.
@@ -805,7 +785,6 @@ impl MemorySystem {
                 ch_idx,
                 self.audit.as_mut(),
                 &timing,
-                self.config.row_policy,
                 now,
                 low,
             ) {
@@ -908,7 +887,6 @@ impl MemorySystem {
             ch_idx,
             self.audit.as_mut(),
             &timing,
-            self.config.row_policy,
             now,
             q,
             false,
@@ -945,13 +923,11 @@ impl MemorySystem {
     /// Returns whether a write was issued. `low` is the write-drain
     /// low-water mark, used to predict whether the drain survives the
     /// next attempt.
-    #[allow(clippy::too_many_arguments)]
     fn issue_write(
         ch: &mut Channel,
         ch_idx: usize,
         audit: Option<&mut crate::audit::TimingAudit>,
         timing: &DramTiming,
-        row_policy: crate::bank::RowPolicy,
         now: Cycle,
         low: usize,
     ) -> bool {
@@ -983,7 +959,7 @@ impl MemorySystem {
                 let q = ch.write_queue.remove(idx).expect("index valid");
                 let bank = q.loc.bank;
                 let mut seq = 0;
-                Self::issue_request(ch, ch_idx, audit, timing, row_policy, now, q, true, &mut seq);
+                Self::issue_request(ch, ch_idx, audit, timing, now, q, true, &mut seq);
                 // The write may have opened/closed the row under queued
                 // reads of the same bank.
                 ch.recompute_row_hits(bank);
@@ -1029,7 +1005,6 @@ impl MemorySystem {
         ch_idx: usize,
         audit: Option<&mut crate::audit::TimingAudit>,
         timing: &DramTiming,
-        row_policy: crate::bank::RowPolicy,
         now: Cycle,
         q: QueuedRequest,
         is_write: bool,
@@ -1063,8 +1038,7 @@ impl MemorySystem {
         } else {
             (0, None)
         };
-        let (outcome, bank_finish) =
-            bank.schedule_with_policy(timing, now, q.loc.row, q.req.app, is_write, row_policy);
+        let (outcome, bank_finish) = bank.schedule(timing, now, q.loc.row, q.req.app, is_write);
         // Serialise data bursts on the channel bus.
         let finish = bank_finish.max(ch.bus_free_at + timing.burst);
         if finish > bank_finish {
@@ -1200,13 +1174,23 @@ mod tests {
     }
 
     #[test]
+    fn debug_rendering_is_the_artefact_key_layout() {
+        let rendered = format!("{:?}", DramConfig::default());
+        assert!(rendered.starts_with("DramConfig { timing: DramTiming {"), "{rendered}");
+        assert!(
+            rendered.ends_with("refresh: None, bank_partition: None, row_policy: Open }"),
+            "{rendered}"
+        );
+    }
+
+    #[test]
     fn single_read_completes_with_closed_row_latency() {
         let mut mem = system(1);
         mem.enqueue(MemRequest::read(1, LineAddr::new(0), AppId::new(0), 0))
             .expect("queue has free capacity in this test");
         let done = run_until(&mut mem, 0, 1_000);
         assert_eq!(done.len(), 1);
-        let t = mem.config().timing;
+        let t = mem.config.timing;
         assert_eq!(done[0].finish, t.row_closed_latency());
         assert!(!done[0].row_hit);
     }
@@ -1226,15 +1210,15 @@ mod tests {
     #[test]
     fn bank_row_outcomes_accumulate_per_bank() {
         let mut mem = system(1);
-        let target = mem.mapping().decode(LineAddr::new(0));
+        let target = mem.mapping.decode(LineAddr::new(0));
         mem.enqueue(MemRequest::read(1, LineAddr::new(0), AppId::new(0), 0))
             .expect("queue has free capacity in this test");
         mem.enqueue(MemRequest::read(2, LineAddr::new(1), AppId::new(0), 0))
             .expect("queue has free capacity in this test");
         run_until(&mut mem, 0, 2_000);
         let outcomes = mem.bank_row_outcomes();
-        let banks = mem.config().banks;
-        assert_eq!(outcomes.len(), mem.config().channels * banks);
+        let banks = mem.config.banks;
+        assert_eq!(outcomes.len(), mem.config.channels * banks);
         let (hits, misses) = outcomes[target.channel * banks + target.bank];
         // First access activates (miss), second hits the open row.
         assert_eq!((hits, misses), (1, 1));
@@ -1247,7 +1231,7 @@ mod tests {
         // Two requests to different banks should finish much sooner than
         // two serialised conflict accesses.
         let mut mem = system(1);
-        let m = mem.mapping();
+        let m = mem.mapping;
         // Find two lines in different banks.
         let l0 = LineAddr::new(0);
         let l1 = (1..10_000)
@@ -1260,7 +1244,7 @@ mod tests {
             .expect("queue has free capacity in this test");
         let done = run_until(&mut mem, 0, 4_000);
         assert_eq!(done.len(), 2);
-        let t = mem.config().timing;
+        let t = mem.config.timing;
         let last = done.iter().map(|c| c.finish).max().expect("at least one completion was collected");
         // Banks overlap: only the bus burst serialises.
         assert!(last <= t.row_closed_latency() + t.burst);
@@ -1269,7 +1253,7 @@ mod tests {
     #[test]
     fn same_bank_different_row_serialises_with_conflict() {
         let mut mem = system(1);
-        let m = mem.mapping();
+        let m = mem.mapping;
         let l0 = LineAddr::new(0);
         let same_bank_other_row = (1..1_000_000)
             .map(LineAddr::new)
@@ -1285,7 +1269,7 @@ mod tests {
             .expect("queue has free capacity in this test");
         let done = run_until(&mut mem, 0, 4_000);
         assert_eq!(done.len(), 2);
-        let t = mem.config().timing;
+        let t = mem.config.timing;
         let last = done.iter().map(|c| c.finish).max().expect("at least one completion was collected");
         assert_eq!(
             last,
@@ -1301,7 +1285,7 @@ mod tests {
         // despite arriving last and row-hitting worse.
         let mut mem = system(1);
         mem.set_priority_app(0, Some(AppId::new(0)));
-        let m = mem.mapping();
+        let m = mem.mapping;
         let l0 = LineAddr::new(0);
         let bank0 = m.decode(l0).bank;
         let same_bank_lines: Vec<LineAddr> = (0..2_000_000u64)
@@ -1375,7 +1359,7 @@ mod tests {
     #[test]
     fn attrib_off_reports_zero_causes() {
         let mut mem = system(1);
-        let m = mem.mapping();
+        let m = mem.mapping;
         let l0 = LineAddr::new(0);
         let bank0 = m.decode(l0).bank;
         let l1 = (1..2_000_000u64)
@@ -1403,7 +1387,7 @@ mod tests {
         // original row pays a conflict induced by app1.
         let mut mem = system(1);
         mem.enable_attribution();
-        let m = mem.mapping();
+        let m = mem.mapping;
         let l0 = LineAddr::new(0);
         let bank0 = m.decode(l0).bank;
         let l1 = (1..2_000_000u64)
@@ -1422,7 +1406,7 @@ mod tests {
             .expect("queue has free capacity in this test");
         done.extend(run_until(&mut mem, 10_000, 15_000));
         assert_eq!(done.len(), 3);
-        let t = mem.config().timing;
+        let t = mem.config.timing;
         let c3 = done.iter().find(|c| c.id == 3).expect("request 3 completed");
         assert_eq!(c3.induced, t.trp + t.trcd);
         assert_eq!(c3.induced_by, Some(a1));
@@ -1470,7 +1454,7 @@ mod tests {
     #[test]
     fn interference_cycles_reported_for_blocked_app() {
         let mut mem = system(1);
-        let m = mem.mapping();
+        let m = mem.mapping;
         let l0 = LineAddr::new(0);
         let same_bank = (1..2_000_000u64)
             .map(LineAddr::new)
@@ -1497,7 +1481,7 @@ mod tests {
     #[test]
     fn queueing_cycles_accrue_for_priority_app() {
         let mut mem = system(1);
-        let m = mem.mapping();
+        let m = mem.mapping;
         let l0 = LineAddr::new(0);
         let same_bank = (1..2_000_000u64)
             .map(LineAddr::new)
@@ -1528,7 +1512,7 @@ mod tests {
     #[test]
     fn multi_channel_requests_route_independently() {
         let mut mem = system(2);
-        let m = mem.mapping();
+        let m = mem.mapping;
         let l0 = LineAddr::new(0);
         let other_channel = (1..10_000u64)
             .map(LineAddr::new)
@@ -1540,7 +1524,7 @@ mod tests {
             .expect("queue has free capacity in this test");
         let done = run_until(&mut mem, 0, 2_000);
         assert_eq!(done.len(), 2);
-        let t = mem.config().timing;
+        let t = mem.config.timing;
         // Fully parallel: both finish at the closed-row latency.
         for c in &done {
             assert_eq!(c.finish, t.row_closed_latency());
@@ -1556,7 +1540,7 @@ mod tests {
         mem.enqueue(MemRequest::read(2, LineAddr::new(1), a, 0))
             .expect("queue has free capacity in this test");
         run_until(&mut mem, 0, 2_000);
-        let stats = mem.app_stats(a);
+        let stats = mem.app_stats[a.index()];
         assert_eq!(stats.reads, 2);
         assert_eq!(stats.row_hits, 1);
         assert!(stats.total_read_latency > 0);
@@ -1831,58 +1815,5 @@ mod refresh_tests {
         assert!(on.abs_diff(expected) <= slack, "{on} reads, expected {expected} ± {slack}");
         // The bound resolves the effect it pins.
         assert!(off - expected > 5 * slack);
-    }
-}
-
-#[cfg(test)]
-mod row_policy_tests {
-    use super::*;
-    use crate::bank::RowPolicy;
-
-    fn streaming_latency(policy: RowPolicy) -> u64 {
-        let mut config = DramConfig::default();
-        config.row_policy = policy;
-        let mut mem = MemorySystem::new(config, SchedulerKind::FrFcfs, 1);
-        // Sequential lines within one row: open-page turns these into row
-        // hits, closed-page pays an activate each time.
-        for i in 0..8u64 {
-            mem.enqueue(MemRequest::read(i, LineAddr::new(i), AppId::new(0), 0))
-                .expect("queue has free capacity in this test");
-        }
-        let mut out = Vec::new();
-        for now in 0..50_000 {
-            mem.tick(now, &mut out);
-            if out.len() == 8 {
-                break;
-            }
-        }
-        out.iter().map(|c| c.finish).max().expect("at least one completion was collected")
-    }
-
-    #[test]
-    fn closed_page_is_slower_for_streaming() {
-        let open = streaming_latency(RowPolicy::Open);
-        let closed = streaming_latency(RowPolicy::Closed);
-        assert!(
-            closed > open,
-            "closed-page should lose row hits: open {open} vs closed {closed}"
-        );
-    }
-
-    #[test]
-    fn closed_page_never_reports_row_hits() {
-        let mut config = DramConfig::default();
-        config.row_policy = RowPolicy::Closed;
-        let mut mem = MemorySystem::new(config, SchedulerKind::FrFcfs, 1);
-        for i in 0..6u64 {
-            mem.enqueue(MemRequest::read(i, LineAddr::new(i), AppId::new(0), 0))
-                .expect("queue has free capacity in this test");
-        }
-        let mut out = Vec::new();
-        for now in 0..50_000 {
-            mem.tick(now, &mut out);
-        }
-        assert_eq!(out.len(), 6);
-        assert!(out.iter().all(|c| !c.row_hit));
     }
 }

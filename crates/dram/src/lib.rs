@@ -41,18 +41,13 @@
 pub mod accounting;
 pub mod audit;
 pub mod bank;
-pub mod bank_partition;
 pub mod controller;
 pub mod mapping;
 pub mod request;
 pub mod sched;
 pub mod timing;
 
-pub use audit::{AuditEvent, AuditViolation, TimingAudit};
-pub use bank::RowPolicy;
-pub use bank_partition::BankPartition;
 pub use controller::{DramConfig, MemorySystem};
-pub use mapping::{AddressMapping, Loc};
 pub use request::{Completion, MemRequest};
 pub use sched::SchedulerKind;
-pub use timing::{DramTiming, RefreshConfig, TimingSpec};
+pub use timing::TimingSpec;

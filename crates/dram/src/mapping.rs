@@ -30,7 +30,7 @@ pub struct Loc {
 /// # Examples
 ///
 /// ```
-/// use asm_dram::AddressMapping;
+/// use asm_dram::mapping::AddressMapping;
 /// use asm_simcore::LineAddr;
 ///
 /// let m = AddressMapping::new(1, 8, 128);
@@ -70,24 +70,6 @@ impl AddressMapping {
             banks,
             row_lines,
         }
-    }
-
-    /// Number of channels.
-    #[must_use]
-    pub fn channels(&self) -> usize {
-        self.channels
-    }
-
-    /// Number of banks per channel.
-    #[must_use]
-    pub fn banks(&self) -> usize {
-        self.banks
-    }
-
-    /// Cache lines per DRAM row.
-    #[must_use]
-    pub fn row_lines(&self) -> u64 {
-        self.row_lines
     }
 
     /// Decodes a line address into its DRAM location.

@@ -110,12 +110,6 @@ impl Completion {
     pub fn total_latency(&self) -> Cycle {
         self.finish - self.arrival
     }
-
-    /// Service time at the bank (excludes queueing).
-    #[must_use]
-    pub fn service_latency(&self) -> Cycle {
-        self.finish - self.service_start
-    }
 }
 
 asm_simcore::persist_fields!(MemRequest { id, line, app, is_write, is_prefetch, arrival });
@@ -161,6 +155,5 @@ mod tests {
             induced_by: None,
         };
         assert_eq!(c.total_latency(), 150);
-        assert_eq!(c.service_latency(), 100);
     }
 }

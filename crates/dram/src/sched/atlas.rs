@@ -42,9 +42,8 @@ impl Default for AtlasConfig {
 /// # Examples
 ///
 /// ```
-/// use asm_dram::sched::{Atlas, AtlasConfig, SchedulerPolicy};
+/// use asm_dram::sched::{Atlas, AtlasConfig};
 /// let p = Atlas::new(AtlasConfig::default(), 4);
-/// assert_eq!(p.name(), "ATLAS");
 /// ```
 #[derive(Debug, Clone)]
 pub struct Atlas {
@@ -72,10 +71,6 @@ impl Atlas {
 }
 
 impl SchedulerPolicy for Atlas {
-    fn name(&self) -> &'static str {
-        "ATLAS"
-    }
-
     fn maintain(&mut self, now: Cycle, _queue: &mut [QueuedRequest]) {
         if now >= self.next_quantum_at {
             for a in &mut self.attained {

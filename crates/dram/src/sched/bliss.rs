@@ -38,9 +38,8 @@ impl Default for BlissConfig {
 /// # Examples
 ///
 /// ```
-/// use asm_dram::sched::{Bliss, BlissConfig, SchedulerPolicy};
+/// use asm_dram::sched::{Bliss, BlissConfig};
 /// let p = Bliss::new(BlissConfig::default(), 4);
-/// assert_eq!(p.name(), "BLISS");
 /// ```
 #[derive(Debug, Clone)]
 pub struct Bliss {
@@ -72,10 +71,6 @@ impl Bliss {
 }
 
 impl SchedulerPolicy for Bliss {
-    fn name(&self) -> &'static str {
-        "BLISS"
-    }
-
     fn maintain(&mut self, now: Cycle, _queue: &mut [QueuedRequest]) {
         if now >= self.next_clear_at {
             self.blacklisted.fill(false);

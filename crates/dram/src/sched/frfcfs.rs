@@ -16,9 +16,8 @@ use super::{Candidate, QueuedRequest, SchedulerPolicy};
 /// # Examples
 ///
 /// ```
-/// use asm_dram::sched::{FrFcfs, SchedulerPolicy};
+/// use asm_dram::sched::FrFcfs;
 /// let p = FrFcfs::new();
-/// assert_eq!(p.name(), "FRFCFS");
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FrFcfs;
@@ -32,10 +31,6 @@ impl FrFcfs {
 }
 
 impl SchedulerPolicy for FrFcfs {
-    fn name(&self) -> &'static str {
-        "FRFCFS"
-    }
-
     fn maintain(&mut self, _now: Cycle, _queue: &mut [QueuedRequest]) {}
 
     fn pick(

@@ -75,9 +75,6 @@ pub struct Candidate {
 /// with them); it restores into a policy built with the same
 /// configuration and application count.
 pub trait SchedulerPolicy: std::fmt::Debug + Send + asm_simcore::persist::Persist {
-    /// A short human-readable policy name ("FRFCFS", "PARBS", "TCM").
-    fn name(&self) -> &'static str;
-
     /// Updates policy state (e.g. forms a new PARBS batch, re-clusters and
     /// shuffles TCM ranks). Called before each scheduling attempt.
     fn maintain(&mut self, now: Cycle, queue: &mut [QueuedRequest]);

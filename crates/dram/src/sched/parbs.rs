@@ -30,9 +30,8 @@ impl Default for ParbsConfig {
 /// # Examples
 ///
 /// ```
-/// use asm_dram::sched::{Parbs, ParbsConfig, SchedulerPolicy};
+/// use asm_dram::sched::{Parbs, ParbsConfig};
 /// let p = Parbs::new(ParbsConfig::default(), 4);
-/// assert_eq!(p.name(), "PARBS");
 /// ```
 #[derive(Debug, Clone)]
 pub struct Parbs {
@@ -94,10 +93,6 @@ impl Parbs {
 }
 
 impl SchedulerPolicy for Parbs {
-    fn name(&self) -> &'static str {
-        "PARBS"
-    }
-
     fn maintain(&mut self, _now: Cycle, queue: &mut [QueuedRequest]) {
         if !queue.is_empty() && queue.iter().all(|q| !q.marked) {
             self.form_batch(queue);

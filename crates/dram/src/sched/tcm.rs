@@ -37,9 +37,8 @@ impl Default for TcmConfig {
 /// # Examples
 ///
 /// ```
-/// use asm_dram::sched::{SchedulerPolicy, Tcm, TcmConfig};
+/// use asm_dram::sched::{Tcm, TcmConfig};
 /// let p = Tcm::new(TcmConfig::default(), 4, 42);
-/// assert_eq!(p.name(), "TCM");
 /// ```
 #[derive(Debug, Clone)]
 pub struct Tcm {
@@ -122,10 +121,6 @@ impl Tcm {
 }
 
 impl SchedulerPolicy for Tcm {
-    fn name(&self) -> &'static str {
-        "TCM"
-    }
-
     fn maintain(&mut self, now: Cycle, _queue: &mut [QueuedRequest]) {
         if now >= self.next_cluster_at {
             self.recluster();

@@ -14,7 +14,7 @@ use asm_simcore::Cycle;
 /// # Examples
 ///
 /// ```
-/// use asm_dram::DramTiming;
+/// use asm_dram::timing::DramTiming;
 /// let t = DramTiming::ddr3_1333(8);
 /// assert_eq!(t.cl, 80);
 /// assert_eq!(t.trcd, 80);

@@ -6,8 +6,7 @@
 //! `System::run_prefix`) and the analytic tier's alone fit and per-mix
 //! solve (`MixSolver::{alone, solve}`) — to find every function that can
 //! execute inside those loops. Reachable functions must not allocate, perform I/O, or
-//! invoke panic macros; the reachability set itself is exported (see
-//! `--json`) so the hot path is auditable. A root that resolves to no
+//! invoke panic macros. A root that resolves to no
 //! definition although its `impl` type is linted is reported too
 //! ([`GraphResult::unresolved_roots`]): a rename or a file split must not
 //! silently un-root the analysis.
@@ -116,7 +115,6 @@ pub fn analyze(models: &[FileModel]) -> GraphResult {
                      is linted — R9 would silently analyse nothing from it; restore the method \
                      or update `ROOTS` in crates/lint/src/callgraph.rs"
                 ),
-                allowed: false,
             });
         }
     }

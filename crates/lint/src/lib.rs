@@ -30,9 +30,9 @@
 //!
 //! placed either on the offending line (trailing) or on the line above
 //! (standalone). The reason is mandatory by convention; the directive is
-//! greppable so audits can review every suppression, and suppressed
-//! diagnostics remain visible in the `--json` report. A directive that
-//! suppresses nothing is a diagnostic itself (`[allow]`).
+//! greppable so audits can review every suppression, and the clean line
+//! counts the live ones. A directive that suppresses nothing is a
+//! diagnostic itself (`[allow]`).
 //!
 //! The own pass is two dependency-free layers:
 //!
@@ -42,7 +42,6 @@
 //! 2. [`callgraph`] (R9) and [`rules`] (diagnostics, directive hygiene).
 
 pub mod callgraph;
-pub mod jsonout;
 pub mod parse;
 pub mod policy;
 pub mod rules;
@@ -129,8 +128,8 @@ pub struct Analysis {
     /// Active violations (stale allow directives included), deduplicated
     /// and sorted by (path, line, rule, col).
     pub diagnostics: Vec<Diagnostic>,
-    /// Violations silenced by allow directives — kept visible so audits
-    /// and the `--json` report can review every suppression.
+    /// Violations silenced by allow directives (counted in the clean
+    /// line).
     pub suppressed: Vec<Diagnostic>,
     /// Functions reachable from the `System::step` family.
     pub hot_reachable: Vec<HotFn>,

@@ -6,7 +6,6 @@
 //! ```text
 //! cargo run -p asm-lint --release                 # lint the workspace
 //! cargo run -p asm-lint --release -- <root>       # lint another checkout
-//! cargo run -p asm-lint --release -- --json       # machine-readable report
 //! cargo run -p asm-lint --release -- --list-rules # policy reference
 //! ```
 //!
@@ -38,18 +37,16 @@ fn list_rules() {
 }
 
 fn main() -> ExitCode {
-    let mut json = false;
     let mut root: Option<PathBuf> = None;
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
-            "--json" => json = true,
             "--list-rules" => {
                 list_rules();
                 return ExitCode::SUCCESS;
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: asm-lint [ROOT] [--json] [--list-rules]\n\
+                    "usage: asm-lint [ROOT] [--list-rules]\n\
                      checks the simulation crates against the determinism policy \
                      (DESIGN.md §8): own rule R9, then cargo clippy for the rest"
                 );
@@ -78,12 +75,8 @@ fn main() -> ExitCode {
         }
     };
     let own_clean = analysis.diagnostics.is_empty();
-    if json {
-        print!("{}", asm_lint::jsonout::render(&analysis));
-    } else {
-        for d in &analysis.diagnostics {
-            println!("{d}");
-        }
+    for d in &analysis.diagnostics {
+        println!("{d}");
     }
 
     let clippy_clean = match policy::run_clippy(&root) {
@@ -94,11 +87,8 @@ fn main() -> ExitCode {
         }
     };
 
-    let clean = own_clean && clippy_clean;
-    match (json, clean) {
-        // The report is all of stdout; clippy spoke on stderr.
-        (true, _) => {}
-        (false, true) => println!(
+    if own_clean && clippy_clean {
+        println!(
             "asm-lint: clean — own rule R9: {} files, {} hot-path fns audited, \
              {} boundary + {} line allows; clippy policy: {} crates checked, \
              {} #[expect] sites",
@@ -108,25 +98,20 @@ fn main() -> ExitCode {
             analysis.suppressed.len(),
             asm_lint::SIM_CRATES.len(),
             analysis.expect_sites,
-        ),
-        (false, false) => {
-            let n = analysis.diagnostics.len();
-            println!(
-                "asm-lint: {n} violation{} of R9 (suppress intentional ones with \
-                 `// asm-lint: allow(R9): reason`); clippy policy: {}",
-                if n == 1 { "" } else { "s" },
-                if clippy_clean {
-                    "clean"
-                } else {
-                    "violated, see the errors above (a sanctioned exception is \
-                     `#[expect(clippy::…, reason = \"…\")]`)"
-                },
-            );
-        }
+        );
+        return ExitCode::SUCCESS;
     }
-    if clean {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    let n = analysis.diagnostics.len();
+    println!(
+        "asm-lint: {n} violation{} of R9 (suppress intentional ones with \
+         `// asm-lint: allow(R9): reason`); clippy policy: {}",
+        if n == 1 { "" } else { "s" },
+        if clippy_clean {
+            "clean"
+        } else {
+            "violated, see the errors above (a sanctioned exception is \
+             `#[expect(clippy::…, reason = \"…\")]`)"
+        },
+    );
+    ExitCode::FAILURE
 }

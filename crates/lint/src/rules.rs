@@ -24,9 +24,6 @@ pub struct Diagnostic {
     pub rule: Option<RuleId>,
     /// Human-readable explanation.
     pub message: String,
-    /// Whether an allow directive suppressed it (suppressed diagnostics
-    /// never fail the build but stay visible in `--json` output).
-    pub allowed: bool,
 }
 
 impl Diagnostic {
@@ -58,16 +55,14 @@ impl Findings {
     /// bound to that line if there is one.
     pub fn emit(&mut self, model: &FileModel, tok: usize, rule: RuleId, message: String) {
         let t = &model.tokens[tok];
-        let allowed = model.use_allow(t.line, rule);
         let d = Diagnostic {
             path: model.path.clone(),
             line: t.line + 1,
             col: t.col + 1,
             rule: Some(rule),
             message,
-            allowed,
         };
-        if allowed {
+        if model.use_allow(t.line, rule) {
             self.suppressed.push(d);
         } else {
             self.active.push(d);
@@ -124,7 +119,6 @@ pub fn stale_allows(model: &FileModel) -> Vec<Diagnostic> {
                 col: 1,
                 rule: None,
                 message,
-                allowed: false,
             }
         })
         .collect()
@@ -180,7 +174,6 @@ fn f(t: &mut T) {
         let (active, suppressed, stale) = check(src);
         assert!(active.is_empty(), "{active:#?}");
         assert_eq!(suppressed.len(), 1);
-        assert!(suppressed[0].allowed);
         assert_eq!(stale.len(), 1, "{stale:#?}");
         assert_eq!(
             stale[0].to_string(),

@@ -82,8 +82,6 @@ pub struct Comment {
     pub hi: usize,
     /// 0-based line the comment starts on.
     pub line: usize,
-    /// 0-based line the comment ends on (block comments span lines).
-    pub end_line: usize,
     /// 0-based byte column of `lo`.
     pub col: usize,
 }
@@ -225,7 +223,6 @@ impl Lexer<'_> {
             lo,
             hi: self.pos,
             line,
-            end_line: self.line,
             col,
         });
     }
@@ -251,7 +248,6 @@ impl Lexer<'_> {
             lo,
             hi: self.pos,
             line,
-            end_line: self.line,
             col,
         });
     }
@@ -489,7 +485,6 @@ mod tests {
         assert_eq!(lexed.comments.len(), 2);
         assert_eq!(lexed.comments[0].line, 0);
         assert_eq!(lexed.comments[1].line, 1);
-        assert_eq!(lexed.comments[1].end_line, 2);
         // No token text mentions HashMap.
         assert!(lexed
             .tokens

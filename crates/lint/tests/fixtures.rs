@@ -39,6 +39,18 @@ fn allow_directives_suppress_every_rule_form() {
         got[0].starts_with("crates/core/src/fixture.rs:23: [allow] stale `allow(R9)`"),
         "{got:#?}"
     );
+
+    // Both fixtures in one pass populate every part of the analysis.
+    let both = analyze_sources(&[
+        ("crates/core/src/hot.rs".to_owned(), include_str!("fixtures/r9_hot_alloc.rs").to_owned()),
+        (
+            "crates/cache/src/fixture.rs".to_owned(),
+            include_str!("fixtures/allow_suppression.rs").to_owned(),
+        ),
+    ]);
+    assert!(!both.diagnostics.is_empty());
+    assert!(!both.suppressed.is_empty());
+    assert!(!both.hot_reachable.is_empty());
 }
 
 #[test]
@@ -80,7 +92,15 @@ fn workspace_is_clean() {
     // The real simulation crates must satisfy R9 with no stale
     // directive, and the analysis must actually have seen them: the
     // hot-path reachability set contains `System::step`.
+    // The own pass is budgeted at under a second for the whole tree (the
+    // `test` profile is optimized, so the bound means something here).
+    let start = std::time::Instant::now();
     let analysis = asm_lint::run_workspace(&workspace_root()).expect("workspace tree is readable");
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed.as_millis() < 1000,
+        "asm-lint's own whole-workspace pass is budgeted <1s, took {elapsed:?}"
+    );
     assert!(
         analysis.diagnostics.is_empty(),
         "workspace has lint violations: {:#?}",

@@ -52,7 +52,7 @@ fn check_model(src: &str) {
     for c in &model.comments {
         prop_assert!(c.lo <= c.hi && c.hi <= src.len());
         prop_assert!(src.is_char_boundary(c.lo) && src.is_char_boundary(c.hi));
-        prop_assert!(c.line <= c.end_line);
+        prop_assert_eq!(c.line, src[..c.lo].matches('\n').count());
     }
     prop_assert_eq!(model.match_of.len(), model.tokens.len());
     for (i, &m) in model.match_of.iter().enumerate() {

@@ -52,18 +52,6 @@ impl BarChart {
     pub fn bar(&mut self, label: &str, value: f64) {
         self.bars.push((label.to_owned(), value));
     }
-
-    /// Number of bars.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.bars.len()
-    }
-
-    /// Whether the chart has no bars.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.bars.is_empty()
-    }
 }
 
 impl fmt::Display for BarChart {
@@ -125,7 +113,7 @@ mod tests {
     #[test]
     fn empty_chart_is_just_the_title() {
         let c = BarChart::new("only title");
-        assert!(c.is_empty());
+        assert!(c.bars.is_empty());
         assert_eq!(c.to_string().trim(), "only title");
     }
 

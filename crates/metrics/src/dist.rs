@@ -66,12 +66,6 @@ impl ErrorDistribution {
         self.max_error
     }
 
-    /// Number of samples.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.hist.total()
-    }
-
     /// Per-bucket (range, fraction) pairs, then the overflow fraction.
     #[must_use]
     pub fn buckets(&self) -> Vec<((f64, f64), f64)> {
@@ -115,14 +109,14 @@ mod tests {
         }
         assert!((d.fraction_within(10.0) - 0.4).abs() < 1e-12);
         assert!((d.fraction_within(30.0) - 0.8).abs() < 1e-12);
-        assert_eq!(d.total(), 5);
+        assert_eq!(d.hist.total(), 5);
     }
 
     #[test]
     fn nan_samples_ignored() {
         let mut d = ErrorDistribution::new(10.0, 4);
         d.add(f64::NAN);
-        assert_eq!(d.total(), 0);
+        assert_eq!(d.hist.total(), 0);
         assert_eq!(d.max_error(), None);
     }
 

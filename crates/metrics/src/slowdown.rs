@@ -2,25 +2,6 @@
 
 use asm_simcore::RunningStats;
 
-/// One quantum's slowdown estimate for one application.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SlowdownSample {
-    /// Profile name of the application.
-    pub app_name: String,
-    /// The model's estimated slowdown.
-    pub estimated: f64,
-    /// The measured slowdown (`IPC_alone / IPC_shared` over the same work).
-    pub actual: f64,
-}
-
-impl SlowdownSample {
-    /// This sample's estimation error in percent.
-    #[must_use]
-    pub fn error_pct(&self) -> f64 {
-        estimation_error_pct(self.estimated, self.actual)
-    }
-}
-
 /// The paper's error metric:
 /// `|Estimated − Actual| / Actual × 100%`.
 ///
@@ -41,9 +22,8 @@ pub fn estimation_error_pct(estimated: f64, actual: f64) -> f64 {
     ((estimated - actual) / actual).abs() * 100.0
 }
 
-/// Aggregates samples into mean error, standard deviation, and maximum —
-/// the per-benchmark bars of Figures 2/3 and the spread bars of Figures
-/// 5/7/8.
+/// Aggregates samples into a mean error — the per-benchmark bars of
+/// Figures 2/3.
 #[derive(Debug, Clone, Default)]
 pub struct ErrorAggregate {
     stats: RunningStats,
@@ -54,14 +34,6 @@ impl ErrorAggregate {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Adds one sample (ignored if its error is NaN).
-    pub fn add(&mut self, sample: &SlowdownSample) {
-        let e = sample.error_pct();
-        if e.is_finite() {
-            self.stats.add(e);
-        }
     }
 
     /// Adds a raw error percentage.
@@ -75,18 +47,6 @@ impl ErrorAggregate {
     #[must_use]
     pub fn mean_pct(&self) -> Option<f64> {
         self.stats.mean()
-    }
-
-    /// Largest observed error.
-    #[must_use]
-    pub fn max_pct(&self) -> Option<f64> {
-        self.stats.max()
-    }
-
-    /// Number of samples aggregated.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.stats.count()
     }
 }
 
@@ -117,25 +77,17 @@ mod tests {
     fn aggregate_tracks_mean_and_max() {
         let mut agg = ErrorAggregate::new();
         for (e, a) in [(1.1, 1.0), (1.3, 1.0)] {
-            agg.add(&SlowdownSample {
-                app_name: "x".into(),
-                estimated: e,
-                actual: a,
-            });
+            agg.add_error_pct(estimation_error_pct(e, a));
         }
         assert!((agg.mean_pct().unwrap() - 20.0).abs() < 1e-9);
-        assert!((agg.max_pct().unwrap() - 30.0).abs() < 1e-9);
-        assert_eq!(agg.count(), 2);
+        assert!((agg.stats.max().unwrap() - 30.0).abs() < 1e-9);
+        assert_eq!(agg.stats.count(), 2);
     }
 
     #[test]
     fn aggregate_skips_nan() {
         let mut agg = ErrorAggregate::new();
-        agg.add(&SlowdownSample {
-            app_name: "x".into(),
-            estimated: 1.0,
-            actual: 0.0,
-        });
-        assert_eq!(agg.count(), 0);
+        agg.add_error_pct(estimation_error_pct(1.0, 0.0));
+        assert_eq!(agg.stats.count(), 0);
     }
 }

@@ -38,18 +38,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table as RFC-4180-style CSV (fields containing commas,
     /// quotes or newlines are quoted; quotes are doubled).
     #[must_use]
@@ -128,7 +116,7 @@ mod tests {
     fn short_rows_are_padded() {
         let mut t = Table::new(vec!["a".into(), "b".into()]);
         t.row(vec!["only_one".into()]);
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.rows.len(), 1);
         let s = t.to_string();
         assert!(s.contains("only_one"));
     }
@@ -136,7 +124,7 @@ mod tests {
     #[test]
     fn empty_table_has_header_and_rule() {
         let t = Table::new(vec!["h".into()]);
-        assert!(t.is_empty());
+        assert!(t.rows.is_empty());
         assert_eq!(t.to_string().lines().count(), 2);
     }
 }

@@ -31,18 +31,6 @@ pub struct Clustering {
 }
 
 impl Clustering {
-    /// Number of items clustered.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.assignment.len()
-    }
-
-    /// Whether the clustering is over zero items.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.assignment.is_empty()
-    }
-
     /// Cluster weights `|c| / n`, aligned with [`Self::medoids`].
     #[must_use]
     pub fn weights(&self) -> Vec<f64> {

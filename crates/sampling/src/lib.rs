@@ -31,5 +31,5 @@ pub use cluster::{cluster, Clustering};
 pub use estimate::Estimate;
 pub use interval::{
     estimate_slowdowns, fingerprint, interval_key, measure_interval, selection_seed,
-    snapshot_stride, IntervalPlan, SampleSpec,
+    IntervalPlan, SampleSpec,
 };

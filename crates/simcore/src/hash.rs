@@ -32,10 +32,6 @@ use std::hash::{BuildHasherDefault, Hasher};
 )]
 pub type DetHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<DetHasher>>;
 
-/// A `HashSet` with a fixed, deterministic hash function.
-#[expect(clippy::disallowed_types, reason = "fixed-seed hasher, see DetHashMap")]
-pub type DetHashSet<K> = std::collections::HashSet<K, BuildHasherDefault<DetHasher>>;
-
 /// Fixed-seed hasher: splitmix64 finaliser over a running state.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DetHasher {
@@ -105,7 +101,7 @@ mod tests {
             h.write_u64(k);
             h.finish()
         };
-        let mut seen = DetHashSet::default();
+        let mut seen = std::collections::BTreeSet::new();
         for k in 0..10_000u64 {
             seen.insert(hash(k));
         }

@@ -27,10 +27,10 @@ pub mod rng;
 pub mod stats;
 
 pub use addr::{Addr, LineAddr, LINE_BYTES, LINE_SHIFT};
-pub use hash::{DetHashMap, DetHashSet};
+pub use hash::DetHashMap;
 pub use ids::AppId;
 pub use rng::SimRng;
-pub use stats::{Histogram, MeanAccumulator, RunningStats};
+pub use stats::{Histogram, RunningStats};
 
 /// A simulation timestamp or duration, measured in core clock cycles.
 ///

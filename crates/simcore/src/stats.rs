@@ -1,64 +1,8 @@
-//! Small statistics helpers used throughout the simulator: running means,
-//! running standard deviations, and fixed-bucket histograms (used for the
+//! Small statistics helpers used throughout the simulator: running means
+//! and standard deviations, and fixed-bucket histograms (used for the
 //! paper's latency-distribution and error-distribution figures).
 
 use std::fmt;
-
-/// Accumulates a running mean without storing samples.
-///
-/// # Examples
-///
-/// ```
-/// use asm_simcore::MeanAccumulator;
-/// let mut m = MeanAccumulator::new();
-/// m.add(2.0);
-/// m.add(4.0);
-/// assert_eq!(m.mean(), Some(3.0));
-/// assert_eq!(m.count(), 2);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct MeanAccumulator {
-    sum: f64,
-    count: u64,
-}
-
-impl MeanAccumulator {
-    /// Creates an empty accumulator.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one sample.
-    pub fn add(&mut self, sample: f64) {
-        self.sum += sample;
-        self.count += 1;
-    }
-
-    /// Returns the mean of the samples seen so far, or `None` if empty.
-    #[must_use]
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum / self.count as f64)
-    }
-
-    /// Returns the number of samples.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Returns the sum of all samples.
-    #[must_use]
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &MeanAccumulator) {
-        self.sum += other.sum;
-        self.count += other.count;
-    }
-}
 
 /// Welford's online algorithm for mean and standard deviation.
 ///
@@ -385,22 +329,6 @@ impl fmt::Display for Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mean_accumulator_empty_is_none() {
-        assert_eq!(MeanAccumulator::new().mean(), None);
-    }
-
-    #[test]
-    fn mean_accumulator_merge() {
-        let mut a = MeanAccumulator::new();
-        a.add(1.0);
-        let mut b = MeanAccumulator::new();
-        b.add(3.0);
-        a.merge(&b);
-        assert_eq!(a.mean(), Some(2.0));
-        assert_eq!(a.count(), 2);
-    }
 
     #[test]
     fn running_stats_min_max() {

@@ -33,7 +33,7 @@ pub mod trace;
 
 pub use json::JsonValue;
 pub use series::SeriesSet;
-pub use trace::{TraceEvent, Tracer};
+pub use trace::Tracer;
 
 /// Default cap on buffered trace events; beyond it events are counted as
 /// dropped rather than stored (the cap keeps full-scale traced runs

@@ -195,12 +195,6 @@ impl Tracer {
         &self.events
     }
 
-    /// Events discarded because the buffer hit its limit.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Renders the Chrome trace-event document:
     /// `{"traceEvents": [...], "displayTimeUnit": "ms", ...}`.
     #[must_use]
@@ -267,7 +261,7 @@ mod tests {
             t.instant("e", "sched", i, 0, vec![]);
         }
         assert_eq!(t.events().len(), 2);
-        assert_eq!(t.dropped(), 3);
+        assert_eq!(t.dropped, 3);
         let doc = json::parse(&t.to_json()).expect("parses");
         let dropped = doc
             .get("otherData")

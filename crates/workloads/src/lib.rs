@@ -33,4 +33,4 @@ pub mod mix;
 pub mod suite;
 
 pub use hog::hog_profile;
-pub use mix::{binned_mixes, random_mix, random_mixes};
+pub use mix::binned_mixes;

@@ -14,7 +14,7 @@ use crate::suite;
 /// ```
 /// use asm_simcore::SimRng;
 /// let mut rng = SimRng::seed_from(1);
-/// let mix = asm_workloads::random_mix(4, &mut rng);
+/// let mix = asm_workloads::mix::random_mix(4, &mut rng);
 /// assert_eq!(mix.len(), 4);
 /// ```
 #[must_use]

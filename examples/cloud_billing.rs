@@ -7,9 +7,24 @@
 //!
 //! Run with: `cargo run --release --example cloud_billing`
 
+use std::time::Duration;
+
+use asm_repro::core::mech::billing::{mean_slowdown, UsageRecord};
 use asm_repro::core::{EstimatorSet, Runner, SystemConfig};
 use asm_repro::metrics::Table;
 use asm_repro::workloads::suite;
+
+/// The simulated span, billed as one wall-clock hour.
+const HOUR: Duration = Duration::from_secs(3600);
+
+/// The alone-equivalent hours a tenant slowed down `slowdown`× is billed.
+fn fair_hours(slowdown: f64) -> f64 {
+    let usage = UsageRecord {
+        wall_time: HOUR,
+        estimated_slowdown: slowdown,
+    };
+    usage.billable_time().as_secs_f64() / HOUR.as_secs_f64()
+}
 
 fn main() {
     // Four tenants consolidated on one node.
@@ -32,22 +47,20 @@ fn main() {
 
     // Average ASM estimate over the run = the slowdown the provider would
     // have observed online, without ever running the tenants alone.
-    let n = apps.len();
-    let mut est = vec![0.0f64; n];
-    let mut quanta = 0u32;
-    for q in r.quanta.iter().skip(1) {
-        if let Some(e) = q.estimates.iter().find(|(nm, _)| nm == "ASM") {
-            for (i, v) in e.1.iter().enumerate() {
-                est[i] += v;
-            }
-            quanta += 1;
-        }
-    }
-    for e in &mut est {
-        *e /= f64::from(quanta.max(1));
-    }
+    let asm: Vec<&[f64]> = r
+        .quanta
+        .iter()
+        .skip(1)
+        .filter_map(|q| q.estimates.iter().find(|(nm, _)| nm == "ASM"))
+        .map(|(_, e)| e.as_slice())
+        .collect();
+    let est: Vec<f64> = (0..apps.len())
+        .map(|i| {
+            let per_quantum: Vec<f64> = asm.iter().map(|e| e[i]).collect();
+            mean_slowdown(&per_quantum).expect("ASM estimated every quantum")
+        })
+        .collect();
 
-    // Treat the simulated span as one wall-clock "hour".
     let mut table = Table::new(vec![
         "tenant".into(),
         "wall time billed".into(),
@@ -60,8 +73,8 @@ fn main() {
             name.clone(),
             "1.000 h".into(),
             format!("{:.2}x", est[i]),
-            format!("{:.3} h", 1.0 / est[i]),
-            format!("{:.3} h", 1.0 / r.whole_run_slowdowns[i]),
+            format!("{:.3} h", fair_hours(est[i])),
+            format!("{:.3} h", fair_hours(r.whole_run_slowdowns[i])),
         ]);
     }
     println!("{table}");

@@ -140,41 +140,6 @@ fn saturated_system_still_drains() {
     assert_eq!(done.len(), cap);
 }
 
-
-#[test]
-fn bank_partitioned_apps_see_no_cross_interference() {
-    use asm_repro::dram::BankPartition;
-    // Two apps hammering memory with disjoint bank partitions: neither may
-    // accrue interference cycles from the other's bank occupancy.
-    let mut config = DramConfig::default();
-    config.bank_partition = Some(BankPartition::even(2, 8));
-    let mut mem = MemorySystem::new(config, SchedulerKind::FrFcfs, 2);
-    let mut out = Vec::new();
-    let mut id = 0u64;
-    for now in 0..200_000u64 {
-        if now % 64 == 0 {
-            for app in 0..2u64 {
-                let line = LineAddr::new((now / 64) * 7 + app * 1_000_003);
-                if mem
-                    .enqueue(MemRequest::read(id, line, AppId::new(app as usize), now))
-                    .is_ok()
-                {
-                    id += 1;
-                }
-            }
-        }
-        mem.tick(now, &mut out);
-    }
-    assert!(out.len() > 1_000, "too few completions: {}", out.len());
-    for c in &out {
-        assert_eq!(
-            c.interference_cycles, 0,
-            "app {} saw bank interference despite partitioning",
-            c.app
-        );
-    }
-}
-
 #[test]
 fn all_schedulers_drain_a_heavy_mixed_load() {
     for kind in [

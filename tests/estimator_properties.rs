@@ -6,7 +6,7 @@ use asm_repro::core::estimator::{
     AccessEvent, AsmEstimator, FstEstimator, MiseEstimator, MissEvent, PtcaEstimator, QuantumCtx,
     SlowdownEstimator, StfmEstimator,
 };
-use asm_repro::simcore::{AppId, LineAddr, SimRng};
+use asm_repro::simcore::{AppId, SimRng};
 use proptest::prelude::*;
 
 const APPS: usize = 4;
@@ -45,21 +45,17 @@ fn drive(est: &mut dyn SlowdownEstimator, seed: u64, events: usize) {
         est.on_access(&AccessEvent {
             now,
             app,
-            line: LineAddr::new(rng.next_u64() >> 40),
             llc_hit: hit,
             ats: sampled.then(|| asm_repro::cache::AtsOutcome {
                 hit: rng.gen_bool(0.5),
                 recency: None,
             }),
-            pollution_hit: rng.gen_bool(0.2),
             epoch_owner: owner,
-            is_write: rng.gen_bool(0.25),
         });
         if !hit {
             let latency = rng.gen_range(800) + 50;
             est.on_miss_complete(&MissEvent {
                 app,
-                line: LineAddr::new(rng.next_u64() >> 40),
                 arrival: now,
                 finish: now + latency,
                 interference_cycles: rng.gen_range(latency),
@@ -82,11 +78,9 @@ proptest! {
             drive(est.as_mut(), seed, events);
             let queueing = vec![0u64; APPS];
             let ctx = QuantumCtx {
-                now: QUANTUM,
                 quantum: QUANTUM,
                 epoch: EPOCH,
                 queueing_cycles: &queueing,
-                llc_latency: 20,
             };
             let out = est.on_quantum_end(&ctx);
             prop_assert_eq!(out.len(), APPS, "{} wrong arity", est.name());
@@ -104,11 +98,9 @@ proptest! {
             drive(est.as_mut(), seed, 300);
             let queueing = vec![0u64; APPS];
             let ctx = QuantumCtx {
-                now: QUANTUM,
                 quantum: QUANTUM,
                 epoch: EPOCH,
                 queueing_cycles: &queueing,
-                llc_latency: 20,
             };
             let _ = est.on_quantum_end(&ctx);
             // An empty second quantum must estimate no slowdown everywhere.
@@ -135,7 +127,6 @@ proptest! {
                 now += rng.gen_range(300) + base_latency;
                 let ev = MissEvent {
                     app: AppId::new(0),
-                    line: LineAddr::new(0),
                     arrival: now,
                     finish: now + base_latency + interference,
                     interference_cycles: interference,
@@ -150,11 +141,9 @@ proptest! {
             }
             let queueing = [0u64];
             let ctx = QuantumCtx {
-                now: QUANTUM,
                 quantum: QUANTUM,
                 epoch: EPOCH,
                 queueing_cycles: &queueing,
-                llc_latency: 20,
             };
             (fst.on_quantum_end(&ctx)[0], stfm.on_quantum_end(&ctx)[0])
         };

@@ -246,33 +246,6 @@ fn default_config_runs_are_byte_identical() {
     );
 }
 
-#[test]
-fn bank_partitioning_eliminates_bank_interference() {
-    use asm_repro::dram::BankPartition;
-    let apps = vec![
-        suite::by_name("libquantum_like").unwrap(),
-        suite::by_name("cg_like").unwrap(),
-    ];
-    let run = |partition: Option<BankPartition>| {
-        let mut c = small_config();
-        c.estimators = EstimatorSet::asm_only();
-        c.dram.bank_partition = partition;
-        let mut sys = System::new(&apps, c);
-        sys.run_for(600_000);
-        (0..2)
-            .map(|i| sys.retired(AppId::new(i)))
-            .collect::<Vec<_>>()
-    };
-    let free = run(None);
-    let partitioned = run(Some(BankPartition::even(2, 8)));
-    // With each app confined to half the banks, progress changes but both
-    // apps must still run; and the partition must be deterministic.
-    for (i, &r) in partitioned.iter().enumerate() {
-        assert!(r > 1_000, "app{i} starved under bank partitioning");
-    }
-    assert_ne!(free, partitioned, "partitioning should change behaviour");
-}
-
 /// One row of the degenerate-geometry matrix: an application count, a
 /// configuration at some edge of the legal space, and whether `System`
 /// construction must refuse it.
