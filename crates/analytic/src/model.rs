@@ -574,27 +574,6 @@ pub struct MixSolution {
     pub car_shared: Vec<f64>,
 }
 
-impl MixSolution {
-    /// Unfairness: the maximum slowdown in the mix.
-    #[must_use]
-    pub fn unfairness(&self) -> f64 {
-        self.slowdowns.iter().fold(1.0f64, |m, &s| m.max(s))
-    }
-
-    /// Weighted speedup: `Σ 1/slowdown_i`.
-    #[must_use]
-    pub fn weighted_speedup(&self) -> f64 {
-        self.slowdowns.iter().map(|&s| 1.0 / s).sum()
-    }
-
-    /// Harmonic speedup: `n / Σ slowdown_i`.
-    #[must_use]
-    pub fn harmonic_speedup(&self) -> f64 {
-        let total: f64 = self.slowdowns.iter().sum();
-        self.slowdowns.len() as f64 / total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -713,16 +692,5 @@ mod tests {
         assert_eq!(classify(&cache, c.llc_lines), WorkloadClass::CacheSensitive);
         assert_eq!(classify(&stream, c.llc_lines), WorkloadClass::Streaming);
         assert_eq!(classify(&irreg, c.llc_lines), WorkloadClass::Irregular);
-    }
-
-    #[test]
-    fn aggregate_metrics_are_consistent() {
-        let a = extract("a", 60, 1 << 16, 1 << 12, 0.5, 8, 8);
-        let b = extract("b", 110, 1 << 19, 1 << 8, 0.05, 96, 12);
-        let mut s = MixSolver::new(cfg());
-        let sol = s.run(&[&a, &b]);
-        assert!(sol.unfairness() >= 1.0);
-        assert!(sol.weighted_speedup() <= 2.0 + 1e-12);
-        assert!(sol.harmonic_speedup() <= 1.0 + 1e-12);
     }
 }

@@ -1,12 +1,14 @@
-//! Disk cache of [`ReuseProfile`]s: the `AloneCache` pattern, analytic
-//! edition.
+//! The store of extracted [`ReuseProfile`]s: the `AloneCache` pattern,
+//! analytic edition.
 //!
-//! Same discipline as the cycle tier's alone-run cache: one versioned,
-//! checksummed persist envelope, a restore that rejects anything
-//! malformed, and staleness detection by fingerprint — an entry whose key
-//! does not match the current (source profile, parameters, algorithm)
-//! fingerprint is simply re-extracted, so a cache file from an older
-//! binary can never change results, only fail to speed things up.
+//! Same discipline as the cycle tier's alone-run cache: the whole store
+//! travels as one versioned, checksummed, keyed persist envelope
+//! (`--checkpoint-dir`'s profile store, sealed by the harness), a restore
+//! that rejects anything malformed, and staleness detection by
+//! fingerprint — an entry whose key does not match the current (source
+//! profile, parameters, algorithm) fingerprint is simply re-extracted, so
+//! a store from an older binary can never change results, only fail to
+//! speed things up.
 //!
 //! The payload is **integers only** (counters and bucket counts). The
 //! floating-point tail/footprint curves are derived and recomputed on
@@ -14,11 +16,9 @@
 //! one (pinned by tests).
 
 use std::collections::BTreeMap;
-use std::io;
-use std::path::Path;
 
 use asm_cpu::AppProfile;
-use asm_simcore::persist::{self, ensure, Persist as _, PersistError, StateReader, StateWriter};
+use asm_simcore::persist::ensure;
 
 use crate::profile::{profile_key, ProfileParams, ReuseProfile};
 
@@ -27,8 +27,9 @@ use crate::profile::{profile_key, ProfileParams, ReuseProfile};
 pub const PROFILE_CACHE_NAME: &str = "asm-reuse-profile";
 
 /// Version of [`PROFILE_CACHE_NAME`]. v1 was a line-oriented text file;
-/// v2 is a persist envelope written from `ReuseProfile`'s field list.
-pub const PROFILE_CACHE_VERSION: u32 = 2;
+/// v2 a persist envelope written from `ReuseProfile`'s field list; v3 is
+/// the same payload in a keyed envelope ([`asm_simcore::persist::seal`]).
+pub const PROFILE_CACHE_VERSION: u32 = 3;
 
 /// A set of extracted profiles, keyed by workload name.
 ///
@@ -60,9 +61,10 @@ impl ProfileStore {
         self.entries.is_empty()
     }
 
-    /// Inserts (or replaces) a profile under its workload name.
-    pub fn put(&mut self, profile: ReuseProfile) {
-        self.entries.insert(profile.name().to_owned(), profile);
+    /// The profile filed under workload `name`, fresh or stale.
+    #[must_use]
+    pub fn get(&self, name: &str) -> Option<&ReuseProfile> {
+        self.entries.get(name)
     }
 
     /// Returns the profile for `profile`, extracting it if the store has
@@ -70,63 +72,11 @@ impl ProfileStore {
     /// source model, the parameters or the algorithm changed).
     pub fn ensure(&mut self, profile: &AppProfile, params: &ProfileParams) -> &ReuseProfile {
         let key = profile_key(profile, params);
-        let fresh = self
-            .entries
-            .get(profile.name())
-            .is_some_and(|e| e.key() == key);
-        if !fresh {
-            self.put(ReuseProfile::extract(profile, params));
+        if self.get(profile.name()).is_none_or(|e| e.key() != key) {
+            let extracted = ReuseProfile::extract(profile, params);
+            self.entries.insert(profile.name().to_owned(), extracted);
         }
-        self.entries
-            .get(profile.name())
-            .expect("entry inserted above")
-    }
-
-    /// The store as one persist envelope.
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = StateWriter::new(PROFILE_CACHE_NAME, PROFILE_CACHE_VERSION);
-        self.save(&mut w);
-        w.finish()
-    }
-
-    /// Reads what [`to_bytes`](Self::to_bytes) wrote.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first problem found: a foreign or stale artefact (the
-    /// text format of earlier builds included), damage, counts off the
-    /// canonical bucket grid, inconsistent counters, or a profile filed
-    /// under another name.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, PersistError> {
-        let mut r = StateReader::new(bytes, PROFILE_CACHE_NAME, PROFILE_CACHE_VERSION)?;
-        let mut store = ProfileStore::new();
-        store.restore(&mut r)?;
-        r.finish()?;
-        Ok(store)
-    }
-
-    /// Writes the store to `path` atomically (temp file + rename, via
-    /// [`persist::write_atomic`]): a reader racing the write sees either
-    /// the old store or the new one, never a torn file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn save_to(&self, path: &Path) -> io::Result<()> {
-        persist::write_atomic(path, &self.to_bytes())
-    }
-
-    /// Reads a store previously written by [`Self::save_to`] under the
-    /// workspace-wide warn-and-rebuild policy
-    /// ([`persist::load_or_rebuild`]): a missing file starts empty
-    /// silently; an unreadable, stale, or corrupt file starts empty with
-    /// a warning string the caller surfaces — a bad cache file must never
-    /// change results, only fail to speed things up.
-    #[must_use]
-    pub fn load_or_warn(path: &Path) -> (Self, Option<String>) {
-        let (store, warning) = persist::load_or_rebuild(path, Self::from_bytes);
-        (store.unwrap_or_default(), warning)
+        &self.entries[profile.name()]
     }
 }
 
@@ -138,6 +88,7 @@ asm_simcore::persist_fields!(ProfileStore { entries } => |s: &ProfileStore| {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asm_simcore::persist::{self, PersistError, StateWriter};
 
     fn sample_store() -> ProfileStore {
         let params = ProfileParams::default();
@@ -155,14 +106,23 @@ mod tests {
         store
     }
 
+    /// The store as `--checkpoint-dir`'s profile store seals it, and back.
+    fn seal(store: &ProfileStore) -> Vec<u8> {
+        persist::seal(PROFILE_CACHE_NAME, PROFILE_CACHE_VERSION, 0, store)
+    }
+
+    fn unseal(bytes: &[u8]) -> Result<ProfileStore, PersistError> {
+        persist::unseal(bytes, PROFILE_CACHE_NAME, PROFILE_CACHE_VERSION, 0)
+    }
+
     #[test]
     fn round_trip_is_bitwise_identical() {
         let store = sample_store();
-        let bytes = store.to_bytes();
-        let back = ProfileStore::from_bytes(&bytes).expect("parse own output");
+        let bytes = seal(&store);
+        let back = unseal(&bytes).expect("parse own output");
         assert_eq!(store, back);
         // And the re-rendered artefact is byte-identical.
-        assert_eq!(bytes, back.to_bytes());
+        assert_eq!(bytes, seal(&back));
     }
 
     #[test]
@@ -191,18 +151,21 @@ mod tests {
         // The text format of earlier builds, an empty file, garbage.
         for foreign in ["asm-reuse-profile v1\nprofiles 0\n", "", "garbage\n"] {
             assert!(matches!(
-                ProfileStore::from_bytes(foreign.as_bytes()),
+                unseal(foreign.as_bytes()),
                 Err(PersistError::BadHeader(_) | PersistError::Truncated { .. })
             ));
         }
-        let v1 = StateWriter::new(PROFILE_CACHE_NAME, 1).finish();
-        assert!(matches!(
-            ProfileStore::from_bytes(&v1),
-            Err(PersistError::StaleVersion { found: 1, .. })
-        ));
+        // Older envelopes: v1's header, and v2's unkeyed payload.
+        for old in [1, 2] {
+            let stale = StateWriter::new(PROFILE_CACHE_NAME, old).finish();
+            assert!(matches!(
+                unseal(&stale),
+                Err(PersistError::StaleVersion { found, .. }) if found == old
+            ));
+        }
     }
 
-    /// A validly-signed artefact around `payload`.
+    /// A validly-signed artefact around `payload` (the key included).
     fn signed(payload: &[u8]) -> Vec<u8> {
         let mut w = StateWriter::new(PROFILE_CACHE_NAME, PROFILE_CACHE_VERSION);
         payload.iter().for_each(|&b| w.u8(b));
@@ -211,45 +174,52 @@ mod tests {
 
     #[test]
     fn corrupt_or_truncated_files_are_rejected() {
-        let bytes = sample_store().to_bytes();
+        let bytes = seal(&sample_store());
         let payload = &bytes[8 + 4 + PROFILE_CACHE_NAME.len() + 4..bytes.len() - 8];
         assert_eq!(signed(payload), bytes, "re-signing is faithful");
         // Damage the checksum catches.
-        assert!(ProfileStore::from_bytes(&bytes[..bytes.len() / 2]).is_err());
+        assert!(unseal(&bytes[..bytes.len() / 2]).is_err());
         // Truncated mid-profile, re-signed.
-        assert!(ProfileStore::from_bytes(&signed(&payload[..payload.len() / 2])).is_err());
+        assert!(unseal(&signed(&payload[..payload.len() / 2])).is_err());
         // Trailing garbage, re-signed.
-        assert!(ProfileStore::from_bytes(&signed(&[payload, b"junk"].concat())).is_err());
-        // A profile filed under another name: the first entry's key
-        // ("alpha", after the entry count and its length) edited.
+        assert!(unseal(&signed(&[payload, b"junk"].concat())).is_err());
+        // Filed under another key.
+        let err = persist::unseal::<ProfileStore>(&bytes, PROFILE_CACHE_NAME, PROFILE_CACHE_VERSION, 1)
+            .expect_err("another key");
+        assert!(err.to_string().contains("key"), "{err}");
+        // A profile filed under another name: the first entry's name
+        // ("alpha", after the key, the entry count and its length) edited.
         let mut renamed = payload.to_vec();
-        assert_eq!(&renamed[16..21], b"alpha");
-        renamed[16] = b'b';
-        let err = ProfileStore::from_bytes(&signed(&renamed)).expect_err("misfiled profile");
+        assert_eq!(&renamed[24..29], b"alpha");
+        renamed[24] = b'b';
+        let err = unseal(&signed(&renamed)).expect_err("misfiled profile");
         assert!(err.to_string().contains("another name"), "{err}");
         // (Off-grid counts and inconsistent counters: `profile.rs`.)
     }
 
+    /// The on-disk path the harness takes (`Session` in
+    /// `asm-experiments`, which also has a test of it): an atomic write,
+    /// and a read under the warn-and-rebuild policy.
     #[test]
     fn save_and_load_round_trip_on_disk() {
         let store = sample_store();
-        let dir = std::env::temp_dir();
-        let path = dir.join("asm_reuse_profile_store_test.bin");
-        store.save_to(&path).expect("save");
-        let (back, warning) = ProfileStore::load_or_warn(&path);
+        let path = std::env::temp_dir()
+            .join(format!("asm_reuse_profile_store_test_{}", std::process::id()))
+            .join(format!("{:016x}.bin", 0));
+        let load = || persist::load_or_rebuild(&path, unseal);
+        persist::write_atomic(&path, &seal(&store)).expect("save");
+        let (back, warning) = load();
         assert_eq!(warning, None);
-        assert_eq!(store, back);
+        assert_eq!(back, Some(store));
 
-        // Corrupt file: empty store plus a warning naming the file.
+        // Corrupt file: nothing loaded, and a warning naming the file.
         std::fs::write(&path, "garbage\n").expect("write");
-        let (empty, warning) = ProfileStore::load_or_warn(&path);
-        assert!(empty.is_empty());
+        let (empty, warning) = load();
+        assert!(empty.is_none());
         assert!(warning.expect("warning").contains("asm_reuse_profile_store_test"));
 
-        // Missing file: silent empty start.
-        std::fs::remove_file(&path).ok();
-        let (empty, warning) = ProfileStore::load_or_warn(&path);
-        assert!(empty.is_empty());
-        assert_eq!(warning, None);
+        // Missing file: a silent empty start.
+        std::fs::remove_dir_all(path.parent().expect("temp dir")).ok();
+        assert_eq!(load(), (None, None));
     }
 }

@@ -165,19 +165,6 @@ impl BenefitCurves {
     pub fn row_mut(&mut self, a: usize) -> &mut [f64] {
         &mut self.values[a * self.points..(a + 1) * self.points]
     }
-
-    /// Zeroes every entry, and reshapes to `apps` × `points` reusing the
-    /// existing allocation where possible.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `points` is zero.
-    pub fn reset(&mut self, apps: usize, points: usize) {
-        assert!(points > 0, "curves need at least one point");
-        self.points = points;
-        self.values.clear();
-        self.values.resize(apps * points, 0.0);
-    }
 }
 
 /// Allocates `total_ways` ways among applications using UCP's look-ahead
@@ -336,16 +323,6 @@ mod tests {
         let benefit = BenefitCurves::new(2, 17);
         let p = lookahead_partition(&benefit, 16, 0);
         assert_eq!(p.total_ways(), 16);
-    }
-
-    #[test]
-    fn reset_reshapes_and_zeroes() {
-        let mut curves = BenefitCurves::from_fn(3, 5, |a, n| (a * 10 + n) as f64);
-        curves.reset(2, 9);
-        assert_eq!(curves.app_count(), 2);
-        assert_eq!(curves.points(), 9);
-        assert_eq!(curves.row(0), &[0.0; 9]);
-        assert_eq!(curves.row(1), &[0.0; 9]);
     }
 
     #[test]

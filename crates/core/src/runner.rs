@@ -7,9 +7,9 @@
 //! [`asm_cpu::ProgressLog`].
 //!
 //! Alone runs are cached in an [`AloneCache`] keyed by
-//! `(profile, slot, alone config)`, so sweeping many shared workloads that
-//! reuse applications does not repeat alone simulations. The cache is
-//! thread-safe and can be shared across [`Runner`]s — the parallel
+//! `(profile, slot, alone config, horizon)`, so sweeping many shared
+//! workloads that reuse applications does not repeat alone simulations.
+//! The cache is thread-safe and can be shared across [`Runner`]s — the parallel
 //! experiment harness hands one cache to every worker so concurrent
 //! workloads never repeat an alone simulation either.
 
@@ -19,7 +19,7 @@ use std::sync::Arc;
 use asm_attrib::QuantumLedger;
 use asm_cpu::{AppProfile, ProgressLog};
 use asm_simcore::hash::DetHasher;
-use asm_simcore::persist::{self, Persist as _, PersistError, StateReader, StateWriter};
+use asm_simcore::persist::{Persist, PersistError, StateReader, StateWriter};
 use asm_simcore::{AppId, Cycle, Histogram};
 use asm_telemetry::names;
 
@@ -93,7 +93,6 @@ impl RunResult {
 
 #[derive(Clone)]
 struct AloneRecord {
-    cycles: Cycle,
     progress: Arc<ProgressLog>,
     latency_hist: Option<Histogram>,
 }
@@ -102,7 +101,6 @@ impl Default for AloneRecord {
     /// The blank a cache load fills in.
     fn default() -> Self {
         AloneRecord {
-            cycles: 0,
             progress: Arc::new(ProgressLog::new(1)),
             latency_hist: None,
         }
@@ -111,15 +109,18 @@ impl Default for AloneRecord {
 
 // The progress log and the histogram validate themselves on restore
 // (positive interval, monotonic milestones, positive bucket width).
-asm_simcore::persist_fields!(AloneRecord { cycles, progress, latency_hist });
+asm_simcore::persist_fields!(AloneRecord { progress, latency_hist });
 
-/// Cache key: `(profile name, slot, fingerprint)`. The fingerprint folds
-/// [`config_hash`] of the full alone [`SystemConfig`] with the profile's
-/// parameters ([`checkpoint::mix_fingerprint`]), so entries for different
-/// hardware, seeds, or profiles that merely share a name never collide,
-/// and a persisted cache from a different configuration is silently —
-/// and correctly — never hit.
-type AloneKey = (String, usize, u64);
+/// Cache key: `(profile name, slot, fingerprint, horizon)`. The
+/// fingerprint folds [`config_hash`] of the full alone [`SystemConfig`]
+/// with the profile's parameters ([`checkpoint::mix_fingerprint`]), so
+/// entries for different hardware, seeds, or profiles that merely share
+/// a name never collide, and a persisted cache from a different
+/// configuration is silently — and correctly — never hit. The horizon is
+/// part of the key because a record is not a prefix of a longer one: its
+/// latency histogram covers the whole run, and its progress log
+/// extrapolates past its last milestone where a longer log interpolates.
+type AloneKey = (String, usize, u64, Cycle);
 
 /// Deterministic 64-bit fingerprint of a [`SystemConfig`], derived from
 /// its complete `Debug` rendering: any field change (including added
@@ -135,13 +136,15 @@ pub fn config_hash(config: &SystemConfig) -> u64 {
 /// A thread-safe cache of alone runs, shareable across [`Runner`]s (and
 /// across the threads of the parallel experiment harness).
 ///
-/// Determinism argument: every entry is a pure function of its key plus
-/// the requested cycle horizon — an alone run has no cross-application
-/// state — and a longer record agrees with a shorter one on their common
-/// prefix (a single-application simulation extended by more cycles never
-/// rewrites its past). So the cache's contents cannot depend on lock
-/// acquisition order: threads racing on the same key at worst duplicate
-/// one alone simulation; they can never observe different results.
+/// Determinism argument: every entry is a pure function of its key — an
+/// alone run has no cross-application state, and the key names its
+/// horizon — and an entry, once in, is never replaced. So the cache's
+/// contents cannot depend on lock acquisition order: threads racing on
+/// the same key at worst duplicate one alone simulation; they can never
+/// observe different results, and only the first of them adds a record.
+///
+/// The cache travels whole as one persist envelope
+/// ([`ALONE_CACHE_FORMAT`]): `--checkpoint-dir`'s alone store.
 #[derive(Debug, Default)]
 pub struct AloneCache {
     #[expect(
@@ -158,7 +161,9 @@ impl AloneCache {
         Self::default()
     }
 
-    /// Number of cached alone runs.
+    /// Number of cached alone runs. Records are only ever added, so what
+    /// `len` grows by over a campaign is the alone runs it simulated
+    /// (`alone_runs=` on its `campaign:` line).
     ///
     /// # Panics
     ///
@@ -182,86 +187,38 @@ impl AloneCache {
             .expect("alone-cache lock is never poisoned: no user code runs under it")
     }
 
-    /// Returns the cached record for `key` if it covers at least `cycles`.
-    fn get_at_least(&self, key: &AloneKey, cycles: Cycle) -> Option<AloneRecord> {
-        self.lock().get(key).filter(|r| r.cycles >= cycles).cloned()
+    fn get(&self, key: &AloneKey) -> Option<AloneRecord> {
+        self.lock().get(key).cloned()
     }
 
-    /// Inserts `rec` unless an entry with at least as many cycles already
-    /// exists; returns the winning record either way.
-    fn insert_or_keep_longer(&self, key: AloneKey, rec: AloneRecord) -> AloneRecord {
-        let mut map = self.lock();
-        match map.get(&key) {
-            Some(existing) if existing.cycles >= rec.cycles => existing.clone(),
-            _ => {
-                map.insert(key, rec.clone());
-                rec
-            }
-        }
-    }
-
-    /// Writes the cache to `path` ([`to_bytes`](Self::to_bytes)),
-    /// atomically (temp file + rename): a reader racing the write sees
-    /// either the old cache or the new one, never a torn file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn save_to(&self, path: &std::path::Path) -> std::io::Result<()> {
-        persist::write_atomic(path, &self.to_bytes())
-    }
-
-    /// Reads a cache previously written by [`Self::save_to`] under the
-    /// workspace-wide warn-and-rebuild policy
-    /// ([`persist::load_or_rebuild`]): a missing file starts empty
-    /// silently; an unreadable, stale, or corrupt file starts empty with
-    /// a warning string the caller surfaces on stderr (sim crates cannot
-    /// print — lint rule R7).
-    ///
-    /// Entries are keyed by [`config_hash`] of the alone configuration
-    /// they were simulated under, so a file recorded with different
-    /// hardware parameters loads fine but never satisfies a lookup.
-    #[must_use]
-    pub fn load_or_warn(path: &std::path::Path) -> (AloneCache, Option<String>) {
-        let (cache, warning) = persist::load_or_rebuild(path, Self::from_bytes);
-        (cache.unwrap_or_default(), warning)
-    }
-
-    /// The cache as one persist envelope: every record with its progress
-    /// log and optional latency histogram, floats as bit patterns so the
-    /// round trip is bitwise exact.
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = StateWriter::new(ALONE_CACHE_FORMAT, ALONE_CACHE_VERSION);
-        self.lock().save(&mut w);
-        w.finish()
-    }
-
-    /// Reads what [`to_bytes`](Self::to_bytes) wrote.
-    ///
-    /// # Errors
-    ///
-    /// Any [`PersistError`]: a foreign or stale artefact (the text format
-    /// of earlier builds included), damage, or a record that fails its
-    /// own checks — nothing half-loads.
-    pub fn from_bytes(bytes: &[u8]) -> Result<AloneCache, PersistError> {
-        let mut r = StateReader::new(bytes, ALONE_CACHE_FORMAT, ALONE_CACHE_VERSION)?;
-        let cache = AloneCache::new();
-        cache.lock().restore(&mut r)?;
-        r.finish()?;
-        Ok(cache)
+    /// Inserts `rec` unless `key` already has an entry; returns the
+    /// entry either way.
+    fn insert_or_keep(&self, key: AloneKey, rec: AloneRecord) -> AloneRecord {
+        self.lock().entry(key).or_insert(rec).clone()
     }
 }
 
-/// On-disk format name for the persisted alone-run cache. Bump
+impl Persist for AloneCache {
+    fn save(&self, w: &mut StateWriter) {
+        self.lock().save(w);
+    }
+
+    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), PersistError> {
+        self.lock().restore(r)
+    }
+}
+
+/// Format name of the persisted alone-run cache. Bump
 /// [`ALONE_CACHE_VERSION`] whenever the record layout changes *or* a
 /// simulator change alters what alone runs compute without touching
 /// `SystemConfig` — an old file must never be read as if it were current.
 pub const ALONE_CACHE_FORMAT: &str = "asm-alone-cache";
 
 /// Version of [`ALONE_CACHE_FORMAT`]. v1 was a line-oriented text file;
-/// v2 is a persist envelope written from `AloneRecord`'s field list.
-pub const ALONE_CACHE_VERSION: u32 = 2;
+/// v2 a persist envelope written from `AloneRecord`'s field list; v3 is
+/// a keyed envelope ([`asm_simcore::persist::seal`]) whose records are
+/// keyed by their horizon.
+pub const ALONE_CACHE_VERSION: u32 = 3;
 
 /// Per-run observability switches for [`Runner::run_with`]. The default
 /// (all off) makes [`Runner::run`] behave exactly as before telemetry
@@ -301,7 +258,7 @@ pub struct Runner {
 
 impl std::fmt::Debug for AloneRecord {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "AloneRecord({} cycles)", self.cycles)
+        write!(f, "AloneRecord({} milestones)", self.progress.milestones())
     }
 }
 
@@ -361,8 +318,8 @@ impl Runner {
 
     fn alone_record(&self, apps: &[AppProfile], slot: usize, cycles: Cycle) -> AloneRecord {
         let profile = checkpoint::mix_fingerprint(&apps[slot..=slot]);
-        let key = (apps[slot].name().to_owned(), slot, self.alone_fingerprint ^ profile);
-        if let Some(rec) = self.alone_cache.get_at_least(&key, cycles) {
+        let key = (apps[slot].name().to_owned(), slot, self.alone_fingerprint ^ profile, cycles);
+        if let Some(rec) = self.alone_cache.get(&key) {
             return rec;
         }
         // Miss: simulate outside the lock (concurrent misses on the same
@@ -371,15 +328,14 @@ impl Runner {
         sys.enable_progress_logging();
         sys.run_for(cycles);
         let rec = AloneRecord {
-            cycles,
             progress: Arc::new(sys.progress_log(AppId::new(slot)).clone()),
             latency_hist: sys.measured_miss_latency_hist().cloned(),
         };
-        self.alone_cache.insert_or_keep_longer(key, rec)
+        self.alone_cache.insert_or_keep(key, rec)
     }
 
-    /// The (cached) alone-run progress log for `apps[slot]` covering at
-    /// least `cycles` — the milestone table `cycles_between`/`cycle_at`
+    /// The (cached) alone-run progress log for `apps[slot]` over `cycles`
+    /// cycles — the milestone table `cycles_between`/`cycle_at`
     /// read ground-truth alone costs from. Computes and caches the alone
     /// run on a miss, exactly like [`run`](Self::run) would. The sampled
     /// tier reads interval-windowed alone costs through this.
@@ -657,6 +613,7 @@ impl Runner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asm_simcore::persist;
     use asm_workloads::suite;
 
     fn config() -> SystemConfig {
@@ -704,6 +661,9 @@ mod tests {
         assert_eq!(cached, 2);
         let _ = runner.run(&apps(), 100_000);
         assert_eq!(runner.alone_cache().len(), cached);
+        // Another horizon is another record, never served from a longer one.
+        let _ = runner.run(&apps(), 50_000);
+        assert_eq!(runner.alone_cache().len(), 2 * cached);
     }
 
     #[test]
@@ -806,6 +766,15 @@ mod tests {
         assert_sync::<AloneCache>();
     }
 
+    /// The cache as `--checkpoint-dir`'s alone store seals it, and back.
+    fn seal(cache: &AloneCache) -> Vec<u8> {
+        persist::seal(ALONE_CACHE_FORMAT, ALONE_CACHE_VERSION, 0, cache)
+    }
+
+    fn unseal(bytes: &[u8]) -> Result<AloneCache, PersistError> {
+        persist::unseal(bytes, ALONE_CACHE_FORMAT, ALONE_CACHE_VERSION, 0)
+    }
+
     #[test]
     fn persisted_cache_roundtrips_bitwise() {
         let mut c = config();
@@ -815,18 +784,17 @@ mod tests {
         let cache = runner.alone_cache();
         assert_eq!(cache.len(), 2);
 
-        let bytes = cache.to_bytes();
-        let reloaded = AloneCache::from_bytes(&bytes).expect("roundtrip parse");
+        let bytes = seal(cache);
+        let reloaded = unseal(&bytes).expect("roundtrip parse");
         assert_eq!(reloaded.len(), cache.len());
         let (a, b) = (cache.lock(), reloaded.lock());
         for ((ka, ra), (kb, rb)) in a.iter().zip(b.iter()) {
             assert_eq!(ka, kb);
-            assert_eq!(ra.cycles, rb.cycles);
             assert_eq!(*ra.progress, *rb.progress);
             assert_eq!(ra.latency_hist, rb.latency_hist);
         }
         drop((a, b));
-        assert_eq!(reloaded.to_bytes(), bytes);
+        assert_eq!(seal(&reloaded), bytes);
     }
 
     #[test]
@@ -834,8 +802,7 @@ mod tests {
         let runner = Runner::new(config());
         let fresh = runner.run(&apps(), 100_000);
 
-        let bytes = runner.alone_cache().to_bytes();
-        let reloaded = Arc::new(AloneCache::from_bytes(&bytes).expect("parse"));
+        let reloaded = Arc::new(unseal(&seal(runner.alone_cache())).expect("parse"));
         let warm = Runner::with_cache(config(), reloaded.clone());
         let before = reloaded.len();
         let from_cache = warm.run(&apps(), 100_000);
@@ -856,10 +823,12 @@ mod tests {
         }
     }
 
-    /// One record, written field by field in `AloneRecord`'s wire order,
-    /// so that values the checked constructors refuse can be stored.
+    /// One record, written field by field in `AloneRecord`'s wire order
+    /// after the store's key, so that values the checked constructors
+    /// refuse can be stored.
     fn forged(interval: u64, milestones: &[u64], bucket_width: Option<f64>) -> Vec<u8> {
         let mut w = StateWriter::new(ALONE_CACHE_FORMAT, ALONE_CACHE_VERSION);
+        w.u64(0);
         w.usize(1);
         w.str("mcf_like");
         w.usize(0);
@@ -881,27 +850,20 @@ mod tests {
     #[test]
     fn corrupt_or_stale_cache_text_is_rejected() {
         // The text format of earlier builds is a foreign artefact now,
-        // whatever it holds; so is another version of this one.
+        // whatever it holds; so are older versions of this one.
         let old_text = b"asm-alone-cache v1\nentry mcf_like 0 0123 500\nprogress 100 5\nhist none\n";
-        assert!(matches!(
-            AloneCache::from_bytes(old_text),
-            Err(PersistError::BadHeader(_))
-        ));
-        let path = std::env::temp_dir().join(format!("asm_alone_cache_v1_{}", std::process::id()));
-        std::fs::write(&path, old_text).expect("write");
-        let (cache, warning) = AloneCache::load_or_warn(&path);
-        std::fs::remove_file(&path).ok();
-        assert!(cache.is_empty());
-        assert!(warning.expect("warned").contains("ignoring"));
-        let v1 = StateWriter::new(ALONE_CACHE_FORMAT, 1).finish();
-        assert!(matches!(
-            AloneCache::from_bytes(&v1),
-            Err(PersistError::StaleVersion { found: 1, .. })
-        ));
+        assert!(matches!(unseal(old_text), Err(PersistError::BadHeader(_))));
+        for old in [1, 2] {
+            let stale = StateWriter::new(ALONE_CACHE_FORMAT, old).finish();
+            assert!(matches!(
+                unseal(&stale),
+                Err(PersistError::StaleVersion { found, .. }) if found == old
+            ));
+        }
         // A well-formed record loads; cut short, it does not.
         let good = forged(100, &[5, 9], Some(50.0));
-        assert_eq!(AloneCache::from_bytes(&good).expect("well-formed").len(), 1);
-        assert!(AloneCache::from_bytes(&good[..good.len() - 12]).is_err());
+        assert_eq!(unseal(&good).expect("well-formed").len(), 1);
+        assert!(unseal(&good[..good.len() - 12]).is_err());
         // Records that fail their own checks.
         for (bad, culprit) in [
             (forged(0, &[5, 9], None), "ProgressLog"),
@@ -909,11 +871,11 @@ mod tests {
             (forged(100, &[5, 9], Some(-1.0)), "Histogram"),
             (forged(100, &[5, 9], Some(f64::INFINITY)), "Histogram"),
         ] {
-            let err = AloneCache::from_bytes(&bad).expect_err("refused");
+            let err = unseal(&bad).expect_err("refused");
             assert!(err.to_string().contains(culprit), "{err}");
         }
         // The empty cache is fine.
-        let empty = AloneCache::from_bytes(&AloneCache::new().to_bytes()).expect("empty cache");
+        let empty = unseal(&seal(&AloneCache::new())).expect("empty cache");
         assert!(empty.is_empty());
     }
 

@@ -1,15 +1,15 @@
 //! Re-signed mutation fuzz of the four parsers that read untrusted
 //! persisted bytes: snapshot restore, manifest load, and the alone-run
-//! and reuse-profile cache loaders.
+//! and reuse-profile stores.
 //!
 //! The envelope's whole-payload checksum turns every *accidental* damage
 //! into an early `Corrupt`, which also hides the restore path from every
 //! damage test — and the checksum is no secret, so a crafted artefact with
 //! a valid trailer reaches it. Here real artefacts get random payload
 //! words overwritten (huge lengths, out-of-range indices, bool bytes above
-//! one), the trailer is recomputed, and `resume` / `persist::unseal` /
-//! `from_bytes` must return `Ok` or `Err`: never panic, never size an
-//! allocation from a length the payload cannot back.
+//! one), the trailer is recomputed, and `resume` / `persist::unseal`
+//! must return `Ok` or `Err`: never panic, never size an allocation from
+//! a length the payload cannot back.
 
 use std::sync::OnceLock;
 
@@ -108,8 +108,21 @@ struct Fixture {
     snapshot: Vec<u8>,
 }
 
-/// The two cache files: the alone runs of one shared run (progress logs
-/// and latency histograms) and the reuse profiles of the same mix.
+/// The key the stores are sealed under here.
+const STORE_KEY: u64 = 5;
+
+/// The alone store's reader.
+fn load_alone(bytes: &[u8]) -> Result<AloneCache, PersistError> {
+    persist::unseal(bytes, ALONE_CACHE_FORMAT, ALONE_CACHE_VERSION, STORE_KEY)
+}
+
+/// The profile store's reader.
+fn load_profiles(bytes: &[u8]) -> Result<ProfileStore, PersistError> {
+    persist::unseal(bytes, PROFILE_CACHE_NAME, PROFILE_CACHE_VERSION, STORE_KEY)
+}
+
+/// The two stores, sealed: the alone runs of one shared run (progress
+/// logs and latency histograms) and the reuse profiles of the same mix.
 fn caches() -> &'static (Vec<u8>, Vec<u8>) {
     static CACHES: OnceLock<(Vec<u8>, Vec<u8>)> = OnceLock::new();
     CACHES.get_or_init(|| {
@@ -119,7 +132,10 @@ fn caches() -> &'static (Vec<u8>, Vec<u8>) {
         for app in apps() {
             profiles.ensure(&app, &ProfileParams::default());
         }
-        (runner.alone_cache().to_bytes(), profiles.to_bytes())
+        (
+            persist::seal(ALONE_CACHE_FORMAT, ALONE_CACHE_VERSION, STORE_KEY, &**runner.alone_cache()),
+            persist::seal(PROFILE_CACHE_NAME, PROFILE_CACHE_VERSION, STORE_KEY, &profiles),
+        )
     })
 }
 
@@ -183,12 +199,13 @@ proptest! {
     fn mutated_caches_never_panic(seed in 0u64..u64::MAX) {
         let mut rng = SimRng::seed_from(seed);
         let (alone, profiles) = caches();
+        // Past the key, as for manifests.
         let mut body = payload(alone, ALONE_CACHE_FORMAT).to_vec();
-        mutate(&mut body, 0, &mut rng);
-        let _ = AloneCache::from_bytes(&signed(ALONE_CACHE_FORMAT, ALONE_CACHE_VERSION, &body));
+        mutate(&mut body, 8, &mut rng);
+        let _ = load_alone(&signed(ALONE_CACHE_FORMAT, ALONE_CACHE_VERSION, &body));
         let mut body = payload(profiles, PROFILE_CACHE_NAME).to_vec();
-        mutate(&mut body, 0, &mut rng);
-        let _ = ProfileStore::from_bytes(&signed(PROFILE_CACHE_NAME, PROFILE_CACHE_VERSION, &body));
+        mutate(&mut body, 8, &mut rng);
+        let _ = load_profiles(&signed(PROFILE_CACHE_NAME, PROFILE_CACHE_VERSION, &body));
     }
 }
 
@@ -207,8 +224,8 @@ fn the_fixtures_restore_and_forgeries_reach_the_parsers() {
     }
     load_manifest(manifest, 7).expect("an unmutated manifest loads");
     let (alone, profiles) = caches();
-    assert_eq!(AloneCache::from_bytes(alone).expect("an unmutated cache loads").len(), 3);
-    assert_eq!(ProfileStore::from_bytes(profiles).expect("unmutated profiles load").len(), 3);
+    assert_eq!(load_alone(alone).expect("an unmutated store loads").len(), 3);
+    assert_eq!(load_profiles(profiles).expect("unmutated profiles load").len(), 3);
 
     let f = &snapshots[0];
     let mut named = 0;

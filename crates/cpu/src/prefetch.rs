@@ -89,13 +89,6 @@ impl StridePrefetcher {
     pub fn next_event(&self, _now: asm_simcore::Cycle) -> Option<asm_simcore::Cycle> {
         None
     }
-
-    /// Forgets the current stream (e.g. at a context boundary).
-    pub fn reset(&mut self) {
-        self.last_line = None;
-        self.last_stride = 0;
-        self.confidence = 0;
-    }
 }
 
 // The stride-detection state; degree and distance are structural.
@@ -153,16 +146,5 @@ mod tests {
         pf.observe(LineAddr::new(50));
         let out = pf.observe(LineAddr::new(0)); // stride -50, targets < 0
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut pf = StridePrefetcher::new(4, 24);
-        pf.observe(LineAddr::new(0));
-        pf.observe(LineAddr::new(1));
-        pf.observe(LineAddr::new(2));
-        pf.reset();
-        assert!(pf.observe(LineAddr::new(3)).is_empty());
-        assert!(pf.observe(LineAddr::new(4)).is_empty());
     }
 }

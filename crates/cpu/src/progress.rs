@@ -136,17 +136,6 @@ impl ProgressLog {
         assert!(from <= to, "inverted instruction window");
         self.cycle_at(to) - self.cycle_at(from)
     }
-
-    /// Alone-run IPC over the instruction window `from..to`; `None` if the
-    /// window is empty.
-    #[must_use]
-    pub fn ipc_between(&self, from: u64, to: u64) -> Option<f64> {
-        if to <= from {
-            return None;
-        }
-        let cycles = self.cycles_between(from, to);
-        (cycles > 0.0).then(|| (to - from) as f64 / cycles)
-    }
 }
 
 impl ProgressLog {
@@ -218,23 +207,6 @@ mod tests {
         log.record(200, 2_000);
         // Tail rate 10 cycles/instruction.
         assert!((log.cycle_at(300) - 3_000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ipc_between_computes_rate() {
-        let mut log = ProgressLog::new(100);
-        log.record(100, 50); // 2 IPC
-        log.record(200, 150); // 1 IPC in second window
-        let ipc = log.ipc_between(0, 100).unwrap();
-        assert!((ipc - 2.0).abs() < 1e-9);
-        let ipc2 = log.ipc_between(100, 200).unwrap();
-        assert!((ipc2 - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_window_is_none() {
-        let log = ProgressLog::new(10);
-        assert_eq!(log.ipc_between(5, 5), None);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Harness plumbing for the analytical tier (`--tier analytic`).
 //!
 //! The [`Session`] holds every reuse profile extracted (or loaded from
-//! `--profile-cache`) so far. A campaign first fits its distinct
-//! applications *sequentially*: each profile is fetched from the store (or
-//! extracted into it) and solved alone once. The solve loop then shares
+//! `--checkpoint-dir`'s profile store) so far. A campaign first fits its
+//! distinct applications *sequentially*: each profile is fetched from the
+//! store (or extracted into it) and solved alone once. The solve loop then shares
 //! those immutable fits across worker threads, so the analytic tier needs
 //! no locks on its hot path and — because [`crate::pool::run_ordered`]
 //! returns results in submission order — its output is byte-identical for
@@ -76,9 +76,11 @@ fn fit_campaign<'w>(
     distinct
         .into_iter()
         .map(|(name, app)| {
+            #[cfg(test)]
+            let stored = store.get(name).map(ReuseProfile::key);
             let profile = store.ensure(app, &params).clone();
             #[cfg(test)]
-            tests::ALONE_FITS.with(|n| n.set(n.get() + 1));
+            tests::fitted(stored != Some(profile.key()));
             let fit = solver.alone(&profile);
             (name, (profile, fit))
         })
@@ -96,6 +98,16 @@ mod tests {
     thread_local! {
         /// Alone fits computed on this thread by [`fit_campaign`].
         pub(super) static ALONE_FITS: Cell<usize> = const { Cell::new(0) };
+        /// Profiles [`fit_campaign`] extracted on this thread: those the
+        /// session's store had no fresh entry for.
+        pub(super) static EXTRACTIONS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// Counts one fit of [`fit_campaign`]'s, and the extraction before it
+    /// if there was one.
+    pub(super) fn fitted(extracted: bool) {
+        ALONE_FITS.with(|n| n.set(n.get() + 1));
+        EXTRACTIONS.with(|n| n.set(n.get() + usize::from(extracted)));
     }
 
     #[test]
@@ -183,5 +195,26 @@ mod tests {
             session.profiles.lock().expect("store").len(),
             distinct.len()
         );
+    }
+
+    #[test]
+    fn a_second_session_over_one_checkpoint_dir_extracts_no_profile() {
+        let (dir, open) = crate::session::tests::checkpoint_dir("analytic_store");
+        let scale = crate::Scale {
+            tier: crate::Tier::Analytic,
+            ..crate::Scale::tiny()
+        };
+        let matrix = crate::exps::find("matrix").expect("matrix experiment");
+        let mut extracted = Vec::new();
+        for _ in 0..2 {
+            let session = open(false);
+            EXTRACTIONS.with(|n| n.set(0));
+            (matrix.run)(&session, scale);
+            session.finish();
+            extracted.push(EXTRACTIONS.with(Cell::get));
+        }
+        assert!(extracted[0] > 0, "the first session extracted nothing");
+        assert_eq!(extracted[1], 0, "the second session re-extracted profiles");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -235,8 +235,8 @@ fn tier_rows(tier: &str, env: &Envelope) -> Vec<Vec<String>> {
 /// Runs the cross-tier accuracy campaign.
 pub fn run(session: &Session, scale: Scale) {
     println!("\n=== Cross-tier accuracy: ASM / analytic / sampled vs the cycle tier (per-app slowdown) ===");
-    // Every tier below amortizes the same alone runs; a CLI-installed
-    // `--alone-cache` wins because first installation sticks.
+    // Every tier below amortizes the same alone runs; the alone store of
+    // `--checkpoint-dir` wins because first installation sticks.
     session.install_alone_cache(Arc::new(AloneCache::new()));
 
     let sweep = sweep(scale);

@@ -72,12 +72,8 @@ const OPTIONS: &[(&str, &[Opt])] = &[
               help: "representative intervals simulated per run on\nthe sampled tier (default 4; 2 at --tiny)" },
         Opt { flag: "--sample-quanta", arg: "L", set: Set::Num(1, |s, v| s.sample_quanta = v),
               help: "quanta per sampling interval on the sampled tier\n(default 1; cycles must divide into Q*L intervals)" },
-        Opt { flag: "--alone-cache", arg: "F", set: Set::Path(|s, p| s.alone_cache = Some(p)),
-              help: "persist alone-run profiles in F and reuse them on\nlater invocations with the same scale (a stale or\ncorrupt file is ignored with a warning)" },
-        Opt { flag: "--profile-cache", arg: "F", set: Set::Path(|s, p| s.profile_cache = Some(p)),
-              help: "persist analytic-tier reuse profiles in F (stale\nor corrupt entries are re-extracted with a warning)" },
         Opt { flag: "--checkpoint-dir", arg: "D", set: Set::Path(|s, p| s.checkpoint_dir = Some(p)),
-              help: "persist campaign warmup snapshots and finished-run\nmanifests under D (written atomically; kill-safe).\nStale or damaged artefacts are ignored with a\nwarning — output never depends on checkpoint state" },
+              help: "persist campaign warmup snapshots and finished-run\nmanifests under D (written atomically; kill-safe),\nand the alone runs and analytic-tier reuse profiles\n(reused by every later invocation over D; saved at\nexit). Stale or damaged artefacts are ignored with\na warning — output never depends on checkpoint state" },
         Opt { flag: "--resume", arg: "", set: Set::Switch(|c| c.session.resume = true),
               help: "replay finished runs from D's manifests instead of\nsimulating them (byte-identical); requires\n--checkpoint-dir" },
         Opt { flag: "--csv", arg: "DIR", set: Set::Path(|s, p| s.csv_dir = Some(p)),
@@ -207,6 +203,9 @@ fn resolve(cli: &Cli, experiment: &exps::Experiment) -> Result<Scale, String> {
     }
     if cli.session.resume && cli.session.checkpoint_dir.is_none() {
         return Err("--resume requires --checkpoint-dir".to_owned());
+    }
+    if let Some(dir) = cli.session.checkpoint_dir.as_ref().filter(|d| d.exists() && !d.is_dir()) {
+        return Err(format!("--checkpoint-dir {} is not a directory", dir.display()));
     }
     Ok(scale)
 }

@@ -158,6 +158,10 @@ pub struct CampaignStats {
     pub segments_forked: usize,
     /// Members simulated cold because a snapshot failed to restore.
     pub cold_fallbacks: usize,
+    /// Alone runs simulated: the records the campaign added to its alone
+    /// cache. Zero when an earlier campaign, or the checkpoint
+    /// directory's alone store, already holds every one it needs.
+    pub alone_runs: usize,
 }
 
 impl std::fmt::Display for CampaignStats {
@@ -165,14 +169,15 @@ impl std::fmt::Display for CampaignStats {
         write!(
             f,
             "campaign: groups={} members={} replayed={} quantum_runs={} \
-             per_member_quantum_runs={} segments_forked={} cold_fallbacks={}",
+             per_member_quantum_runs={} segments_forked={} cold_fallbacks={} alone_runs={}",
             self.groups,
             self.members,
             self.replayed,
             self.quantum_runs,
             self.per_member_quantum_runs,
             self.segments_forked,
-            self.cold_fallbacks
+            self.cold_fallbacks,
+            self.alone_runs
         )
     }
 }
@@ -230,6 +235,7 @@ pub(crate) fn run_with_cache(
     jobs: usize,
     opts: RunOptions,
 ) -> (Vec<RunResult>, CampaignStats) {
+    let alone_before = cache.len();
     let campaign = Campaign {
         session,
         runs,
@@ -298,6 +304,7 @@ pub(crate) fn run_with_cache(
         }
     }
     eprintln!();
+    stats.alone_runs = campaign.cache.len() - alone_before;
     let results = results
         .into_iter()
         .map(|r| r.expect("every member finishes in exactly one segment"))
@@ -513,6 +520,7 @@ impl Campaign<'_> {
 mod tests {
     use super::*;
     use crate::session::tests::checkpoint_dir;
+    use crate::session::ALONE;
     use asm_core::{CachePolicy, MemPolicy, QosConfig, ThrottlePolicy};
     use asm_simcore::AppId;
     use asm_workloads::suite;
@@ -698,6 +706,8 @@ mod tests {
             // Three shared full quanta, plus the 120k member's partial one.
             assert_eq!(stats.quantum_runs, 4);
             assert_eq!(stats.per_member_quantum_runs, 1 + 2 + 1 + 2 + 2);
+            // One alone run per application and horizon.
+            assert_eq!(stats.alone_runs, 3 * runs[0].apps.len());
         }
     }
 
@@ -762,6 +772,30 @@ mod tests {
         // That pass finished the campaign: the next one only replays.
         let replayed = checked_in(&open(true), &runs, 3);
         assert_eq!((replayed.replayed, replayed.quantum_runs), (runs.len(), 0));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn alone_runs_are_counted_once_and_a_stored_alone_cache_needs_none() {
+        let runs = policy_sweep(125_000);
+        let needed: usize = mixes().iter().map(Vec::len).sum();
+        // The default session: a fresh alone cache per campaign.
+        for jobs in [1, 3] {
+            assert_eq!(checked(&runs, jobs).alone_runs, needed, "jobs {jobs}");
+        }
+        // A session over a checkpoint directory shares one cache across
+        // its campaigns and leaves it on disk for the next session.
+        let (dir, open) = checkpoint_dir("plan_alone");
+        let session = open(false);
+        assert_eq!(checked_in(&session, &runs, 2).alone_runs, needed);
+        assert_eq!(checked_in(&session, &runs, 2).alone_runs, 0);
+        session.finish();
+        assert_eq!(artefacts(&dir, &ALONE).len(), 1, "one store file");
+        let again = checked_in(&open(false), &runs, 2);
+        assert_eq!((again.alone_runs, again.replayed), (0, 0));
+        // A damaged store is ignored: the next session simulates again.
+        std::fs::write(&artefacts(&dir, &ALONE)[0], b"asm").unwrap();
+        assert_eq!(checked_in(&open(false), &runs, 1).alone_runs, needed);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -16,11 +16,22 @@
 //! atomically. A missing one is absent; an unreadable, stale, damaged or
 //! re-keyed one is ignored with a `checkpoint:` warning and rebuilt by
 //! whoever asked — results may never depend on what is on disk.
+//!
+//! Two of the kinds are stores rather than single results: the alone
+//! runs (`alone/`) and the reuse profiles (`profiles/`), each one
+//! envelope under a fixed key because every entry carries its own key.
+//! Both are pure functions of their keys, so a session over a checkpoint
+//! directory loads them whether or not it resumes, shares one alone
+//! cache across all its campaigns, and saves both in
+//! [`Session::finish`]. Finished-run manifests still wait for
+//! `--resume`.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex, OnceLock};
 
+use asm_analytic::store::{PROFILE_CACHE_NAME, PROFILE_CACHE_VERSION};
 use asm_analytic::ProfileStore;
+use asm_core::runner::{ALONE_CACHE_FORMAT, ALONE_CACHE_VERSION};
 use asm_core::AloneCache;
 use asm_metrics::Table;
 use asm_simcore::persist::{self, Persist, PersistError};
@@ -38,10 +49,6 @@ pub struct SessionConfig {
     pub checkpoint_dir: Option<PathBuf>,
     /// `--resume`.
     pub resume: bool,
-    /// `--alone-cache F`.
-    pub alone_cache: Option<PathBuf>,
-    /// `--profile-cache F`.
-    pub profile_cache: Option<PathBuf>,
 }
 
 /// One kind of checkpointed artefact: its subdirectory and the persist
@@ -53,53 +60,52 @@ pub(crate) struct Kind {
     pub version: u32,
 }
 
+/// The alone-run store: `<dir>/alone/`, one [`AloneCache`].
+pub(crate) const ALONE: Kind = Kind {
+    dir: "alone",
+    format: ALONE_CACHE_FORMAT,
+    version: ALONE_CACHE_VERSION,
+};
+
+/// The reuse-profile store: `<dir>/profiles/`, one [`ProfileStore`].
+const PROFILES: Kind = Kind {
+    dir: "profiles",
+    format: PROFILE_CACHE_NAME,
+    version: PROFILE_CACHE_VERSION,
+};
+
+/// The key each store is filed under.
+const STORE_KEY: u64 = 0;
+
 /// See the module docs.
 #[derive(Debug, Default)]
 pub struct Session {
     pub(crate) cfg: SessionConfig,
     /// What the sink has recorded, in submission order.
     pub(crate) records: Mutex<Vec<Record>>,
-    /// Set once: by `--alone-cache`, else the first `install_alone_cache`.
+    /// Set once: by `--checkpoint-dir`, else the first `install_alone_cache`.
     alone: OnceLock<Arc<AloneCache>>,
     pub(crate) profiles: Mutex<ProfileStore>,
 }
 
 static GLOBAL: OnceLock<Session> = OnceLock::new();
 
-fn report_load(what: &str, unit: &str, path: &Path, len: usize, warning: Option<String>) {
-    match warning {
-        Some(w) => eprintln!("warning: {what}: {w}"),
-        None if len > 0 => eprintln!("{what}: loaded {len} {unit}(s) from {}", path.display()),
-        None => {}
-    }
-}
-
-fn report_save(what: &str, unit: &str, path: &Path, len: usize, saved: std::io::Result<()>) {
-    match saved {
-        Ok(()) => eprintln!("{what}: saved {len} {unit}(s) to {}", path.display()),
-        Err(e) => eprintln!("warning: {what}: could not save {}: {e}", path.display()),
-    }
-}
-
 impl Session {
-    /// Opens a session: loads the file-backed caches (a missing file
-    /// starts empty; a corrupt or stale one is ignored with a warning and
-    /// overwritten by [`Session::finish`]).
+    /// Opens a session. Under `--checkpoint-dir` it loads the alone and
+    /// profile stores (module docs): a missing store starts empty, a
+    /// damaged or stale one starts empty with a `checkpoint:` warning and
+    /// is overwritten by [`Session::finish`].
     #[must_use]
     pub fn new(cfg: SessionConfig) -> Session {
-        let session = Session {
+        let mut session = Session {
             cfg,
             ..Session::default()
         };
-        if let Some(path) = &session.cfg.alone_cache {
-            let (cache, warning) = AloneCache::load_or_warn(path);
-            report_load("alone-cache", "run", path, cache.len(), warning);
-            session.install_alone_cache(Arc::new(cache));
-        }
-        if let Some(path) = &session.cfg.profile_cache {
-            let (profiles, warning) = ProfileStore::load_or_warn(path);
-            report_load("profile-cache", "profile", path, profiles.len(), warning);
-            *session.profiles.lock().expect("profile store poisoned") = profiles;
+        if session.cfg.checkpoint_dir.is_some() {
+            let alone = session.load(&ALONE, STORE_KEY).unwrap_or_default();
+            session.install_alone_cache(Arc::new(alone));
+            let profiles = session.load(&PROFILES, STORE_KEY).unwrap_or_default();
+            *session.profiles.get_mut().expect("profile store poisoned") = profiles;
         }
         session
     }
@@ -129,8 +135,9 @@ impl Session {
 
     /// Routes all subsequent campaigns through `cache`. Harnesses that
     /// compare tiers pre-warm one cache and install it so every tier
-    /// amortizes the same alone runs — what `--alone-cache` gives the CLI
-    /// across invocations. First installation wins, the flag's included.
+    /// amortizes the same alone runs — what `--checkpoint-dir`'s alone
+    /// store gives the CLI across invocations. First installation wins,
+    /// the store's included.
     pub fn install_alone_cache(&self, cache: Arc<AloneCache>) {
         let _ = self.alone.set(cache);
     }
@@ -161,13 +168,15 @@ impl Session {
         value
     }
 
-    /// Under `--resume`: the value an earlier invocation stored under
-    /// `(kind, key)`, if an intact one is on disk.
-    pub(crate) fn replay<T: Persist + Default>(&self, kind: &Kind, key: u64) -> Option<T> {
-        if !self.cfg.resume {
-            return None;
-        }
+    /// The value an earlier invocation stored under `(kind, key)`, if an
+    /// intact one is on disk.
+    fn load<T: Persist + Default>(&self, kind: &Kind, key: u64) -> Option<T> {
         self.read(kind, key, |bytes| persist::unseal(bytes, kind.format, kind.version, key))
+    }
+
+    /// [`Session::load`], under `--resume` only.
+    pub(crate) fn replay<T: Persist + Default>(&self, kind: &Kind, key: u64) -> Option<T> {
+        self.cfg.resume.then(|| self.load(kind, key))?
     }
 
     /// The envelope stored under `(kind, key)` itself — header, checksum
@@ -197,23 +206,24 @@ impl Session {
         }
     }
 
-    /// Ends the invocation: writes the requested report and trace and the
-    /// file-backed caches.
+    /// Ends the invocation: writes the requested report and trace and,
+    /// under `--checkpoint-dir`, the alone and profile stores.
     pub fn finish(&self) {
         self.write_artefacts();
-        if let (Some(path), Some(cache)) = (&self.cfg.alone_cache, self.alone.get()) {
-            report_save("alone-cache", "run", path, cache.len(), cache.save_to(path));
+        if let Some(cache) = self.alone.get() {
+            self.save(&ALONE, STORE_KEY, &**cache);
         }
-        if let Some(path) = &self.cfg.profile_cache {
-            let profiles = self.profiles.lock().expect("profile store poisoned");
-            report_save("profile-cache", "profile", path, profiles.len(), profiles.save_to(path));
-        }
+        self.save(&PROFILES, STORE_KEY, &*self.profiles.lock().expect("profile store poisoned"));
     }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use asm_analytic::ProfileParams;
+    use asm_core::{Runner, SystemConfig};
+    use asm_cpu::AppProfile;
+    use asm_workloads::suite;
 
     /// A fresh checkpoint directory under the system temp dir, and a way
     /// to open sessions over it with or without `--resume`.
@@ -229,6 +239,48 @@ pub(crate) mod tests {
             })
         };
         (dir, open)
+    }
+
+    #[test]
+    fn stores_round_trip_on_disk() {
+        let (dir, open) = checkpoint_dir("session_stores");
+        let apps: Vec<AppProfile> = ["mcf_like", "povray_like"]
+            .iter()
+            .map(|n| suite::by_name(n).expect("suite profile"))
+            .collect();
+        let stores = |session: &Session| {
+            let profiles = session.profiles.lock().expect("profile store").clone();
+            (profiles, session.campaign_cache().len())
+        };
+
+        let first = open(false);
+        for app in &apps {
+            first.profiles.lock().unwrap().ensure(app, &ProfileParams::default());
+        }
+        let runner = Runner::with_cache(SystemConfig::default(), first.campaign_cache());
+        let _ = runner.alone_progress(&apps, 0, 20_000);
+        first.finish();
+        let saved = stores(&first);
+        assert_eq!((saved.0.len(), saved.1), (2, 1));
+        // With or without --resume, the next session starts from them.
+        for resume in [false, true] {
+            assert_eq!(stores(&open(resume)), saved);
+        }
+
+        // Damaged stores: empty starts (each with a warning), rewritten
+        // whole by the next finish.
+        for kind in [&ALONE, &PROFILES] {
+            std::fs::write(dir.join(kind.dir).join(format!("{STORE_KEY:016x}.bin")), "garbage\n")
+                .unwrap();
+        }
+        let damaged = open(false);
+        assert_eq!(stores(&damaged), (ProfileStore::new(), 0));
+        first.finish();
+        assert_eq!(stores(&open(false)), saved);
+
+        // Missing stores: a silent empty start.
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(stores(&open(false)), (ProfileStore::new(), 0));
     }
 
     #[test]

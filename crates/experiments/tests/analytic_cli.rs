@@ -3,9 +3,9 @@
 //! 1. stdout is byte-identical for any `--jobs` value and across
 //!    repeated runs (the solver is bitwise deterministic and the pool
 //!    merges in submission order).
-//! 2. `--profile-cache` round-trips: a warm cache changes nothing but
-//!    wall time; a corrupt or stale cache file warns on stderr and falls
-//!    back to re-extraction, again changing nothing.
+//! 2. `--checkpoint-dir`'s profile store round-trips: a warm store
+//!    changes nothing but wall time; a corrupt or stale store warns on
+//!    stderr and falls back to re-extraction, again changing nothing.
 //! 3. Experiments that model per-quantum estimator behaviour reject the
 //!    analytic tier up front (exit 2).
 
@@ -35,8 +35,8 @@ fn assert_ok(out: &Output, what: &str) {
 
 #[test]
 fn analytic_matrix_is_byte_identical_across_jobs_and_runs() {
-    let cache = tmp_dir("jobs").join("profiles.cache");
-    let cache = cache.to_str().expect("utf8 tmp path");
+    let ckpt = tmp_dir("jobs").join("ckpt");
+    let ckpt = ckpt.to_str().expect("utf8 tmp path");
     let mut outputs = Vec::new();
     for jobs in ["1", "3", "1"] {
         let out = run(&[
@@ -46,8 +46,8 @@ fn analytic_matrix_is_byte_identical_across_jobs_and_runs() {
             "--tiny",
             "--jobs",
             jobs,
-            "--profile-cache",
-            cache,
+            "--checkpoint-dir",
+            ckpt,
         ]);
         assert_ok(&out, "matrix --tier analytic");
         outputs.push(out.stdout);
@@ -60,44 +60,49 @@ fn analytic_matrix_is_byte_identical_across_jobs_and_runs() {
     );
     assert!(
         outputs[0] == outputs[2],
-        "stdout differs across repeated runs (warm profile cache)"
+        "stdout differs across repeated runs (warm profile store)"
     );
 }
 
 #[test]
 fn corrupt_profile_cache_warns_and_falls_back() {
     let dir = tmp_dir("corrupt");
-    let cache_path = dir.join("profiles.cache");
-    let cache = cache_path.to_str().expect("utf8 tmp path");
-    let args = ["matrix", "--tier", "analytic", "--tiny", "--profile-cache", cache];
+    let ckpt_path = dir.join("ckpt");
+    let ckpt = ckpt_path.to_str().expect("utf8 tmp path");
+    let args = ["matrix", "--tier", "analytic", "--tiny", "--checkpoint-dir", ckpt];
 
-    // Cold run writes the cache.
+    // Cold run writes the store.
     let cold = run(&args);
     assert_ok(&cold, "cold run");
-    assert!(cache_path.exists(), "cache file written on exit");
+    let store = std::fs::read_dir(ckpt_path.join("profiles"))
+        .expect("profile store written on exit")
+        .next()
+        .expect("one store file")
+        .expect("dir entry")
+        .path();
 
     // Replace it with a cache in the text format of earlier builds: a
     // foreign artefact now, ignored rather than read.
-    std::fs::write(&cache_path, "asm-reuse-profile v1\nprofiles 0\n").expect("overwrite");
+    std::fs::write(&store, "asm-reuse-profile v1\nprofiles 0\n").expect("overwrite");
     let warm = run(&args);
-    assert_ok(&warm, "run with corrupt cache");
+    assert_ok(&warm, "run with corrupt store");
     let stderr = String::from_utf8_lossy(&warm.stderr);
     assert!(
-        stderr.contains("warning: profile-cache: ignoring"),
-        "expected a profile-cache warning on stderr, got:\n{stderr}"
+        stderr.contains("checkpoint: ignoring"),
+        "expected a checkpoint warning on stderr, got:\n{stderr}"
     );
     assert!(
         cold.stdout == warm.stdout,
-        "a corrupt cache file must never change results"
+        "a corrupt store must never change results"
     );
 
-    // The fallback rewrote a valid cache; a third run stays identical
+    // The fallback rewrote a valid store; a third run stays identical
     // and warning-free.
     let healed = run(&args);
-    assert_ok(&healed, "run after cache heal");
+    assert_ok(&healed, "run after store heal");
     assert!(
-        !String::from_utf8_lossy(&healed.stderr).contains("warning: profile-cache"),
-        "healed cache should load cleanly"
+        !String::from_utf8_lossy(&healed.stderr).contains("checkpoint:"),
+        "healed store should load cleanly"
     );
     assert!(cold.stdout == healed.stdout);
 }

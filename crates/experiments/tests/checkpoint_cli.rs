@@ -7,9 +7,13 @@
 //!    the shared warmup snapshot) with, again, byte-identical stdout.
 //! 3. Damaged checkpoint artefacts are warned about on stderr and
 //!    rebuilt; results stay identical.
-//! 4. `--resume` without `--checkpoint-dir` is a usage error (exit 2).
+//! 4. `--resume` without `--checkpoint-dir`, and a `--checkpoint-dir`
+//!    that is not a directory, are usage errors (exit 2).
 //! 5. Every Runner-driven experiment is a campaign: a resumed `all`
 //!    replays every member of every campaign and simulates none.
+//! 6. The alone runs are kept in D with or without `--resume`: a second
+//!    pass over D simulates no alone run, and a damaged alone store costs
+//!    one warning and a rebuild.
 //!
 //! The kill-mid-campaign leg of this story lives in `scripts/ci.sh`
 //! (leg 5), where a real SIGKILL interrupts the process.
@@ -36,6 +40,18 @@ fn assert_ok(out: &Output, what: &str) {
         "{what} failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
+}
+
+/// The `campaign:` lines of `out`'s stderr.
+fn campaign_lines(out: &Output) -> Vec<String> {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    stderr.lines().filter(|l| l.starts_with("campaign:")).map(str::to_owned).collect()
+}
+
+/// The value of `name` (`"alone_runs="`, say) on a `campaign:` line.
+fn field<'a>(line: &'a str, name: &str) -> &'a str {
+    let value = line.split(' ').find_map(|f| f.strip_prefix(name));
+    value.unwrap_or_else(|| panic!("no {name} in {line}"))
 }
 
 fn assert_same_stdout(a: &Output, b: &Output, what: &str) {
@@ -101,21 +117,58 @@ fn resumed_all_replays_every_member_of_every_campaign() {
     let first = run(&["all", "--tiny", "--checkpoint-dir", ckpt]);
     assert_ok(&first, "checkpointed all");
     assert_same_stdout(&cold, &first, "checkpointed all differs from cold");
+    // Without --resume every member runs again, on stored alone runs.
+    let second = run(&["all", "--tiny", "--checkpoint-dir", ckpt]);
+    assert_ok(&second, "second checkpointed all");
+    assert_same_stdout(&cold, &second, "second checkpointed all differs from cold");
+    for line in campaign_lines(&second) {
+        assert_eq!(field(&line, "replayed="), "0", "{line}");
+        assert_eq!(field(&line, "alone_runs="), "0", "{line}");
+    }
     let resumed = run(&["all", "--tiny", "--checkpoint-dir", ckpt, "--resume"]);
     assert_ok(&resumed, "resumed all");
     assert_same_stdout(&cold, &resumed, "resumed all differs from cold");
 
-    let stderr = String::from_utf8_lossy(&resumed.stderr);
-    let campaigns: Vec<&str> = stderr.lines().filter(|l| l.starts_with("campaign:")).collect();
-    assert!(campaigns.len() >= 14, "one campaign at least per Runner-driven figure:\n{stderr}");
+    let campaigns = campaign_lines(&resumed);
+    assert!(campaigns.len() >= 14, "one campaign at least per Runner-driven figure");
     for line in campaigns {
-        let field = |name: &str| {
-            let value = line.split(' ').find_map(|f| f.strip_prefix(name));
-            value.unwrap_or_else(|| panic!("no {name} in {line}")).to_owned()
-        };
-        assert_eq!(field("replayed="), field("members="), "simulated members: {line}");
-        assert_eq!(field("quantum_runs="), "0", "{line}");
+        assert_eq!(field(&line, "replayed="), field(&line, "members="), "simulated members: {line}");
+        assert_eq!(field(&line, "quantum_runs="), "0", "{line}");
     }
+}
+
+#[test]
+fn stored_alone_runs_are_reused_without_resume() {
+    let ckpt_path = tmp_dir("alone").join("ckpt");
+    // The first pass must start from an empty store.
+    let _ = std::fs::remove_dir_all(&ckpt_path);
+    let ckpt = ckpt_path.to_str().expect("utf8 tmp path");
+    let args = ["fig11", "--tiny", "--checkpoint-dir", ckpt];
+
+    let cold = run(&["fig11", "--tiny"]);
+    assert_ok(&cold, "cold fig11");
+    let simulated = |out: &Output| -> usize {
+        let lines = campaign_lines(out);
+        assert!(!lines.is_empty(), "no campaign line");
+        lines.iter().map(|l| field(l, "alone_runs=").parse::<usize>().unwrap()).sum()
+    };
+    let first = run(&args);
+    assert_ok(&first, "first checkpointed pass");
+    assert!(simulated(&first) > 0, "the first pass simulated no alone run");
+    let second = run(&args);
+    assert_ok(&second, "second checkpointed pass");
+    assert_same_stdout(&cold, &second, "stored alone runs changed results");
+    assert_eq!(simulated(&second), 0, "the second pass simulated alone runs");
+
+    // A truncated store: one warning, the alone runs simulated again.
+    let store = ckpt_path.join("alone").join(format!("{:016x}.bin", 0));
+    std::fs::write(&store, b"asm").expect("truncate store");
+    let healed = run(&args);
+    assert_ok(&healed, "pass over a damaged store");
+    assert_same_stdout(&cold, &healed, "a damaged store changed results");
+    let stderr = String::from_utf8_lossy(&healed.stderr);
+    assert_eq!(stderr.matches("checkpoint:").count(), 1, "one warning:\n{stderr}");
+    assert_eq!(simulated(&healed), simulated(&first));
 }
 
 #[test]
@@ -137,9 +190,10 @@ fn damaged_artefacts_warn_and_rebuild_on(exp: &str) {
     let first = run(&args);
     assert_ok(&first, "first checkpointed pass");
 
-    // Truncate every artefact on disk: manifests, and the warmup snapshots
-    // of campaigns whose members shared one (fig4's share none).
-    for sub in ["warmups", "runs"] {
+    // Truncate every artefact on disk: manifests, the alone store, and
+    // the warmup snapshots of campaigns whose members shared one (fig4's
+    // share none).
+    for sub in ["warmups", "runs", "alone"] {
         for entry in std::fs::read_dir(ckpt_path.join(sub)).into_iter().flatten() {
             let p = entry.expect("dir entry").path();
             std::fs::write(&p, b"asm").expect("truncate artefact");
@@ -174,4 +228,19 @@ fn resume_without_checkpoint_dir_is_a_usage_error() {
         stderr.contains("--checkpoint-dir"),
         "stderr should name the missing flag, got:\n{stderr}"
     );
+}
+
+#[test]
+fn checkpoint_dir_that_is_a_file_is_a_usage_error() {
+    let file = tmp_dir("not_a_dir").join("plain_file");
+    std::fs::write(&file, b"not a directory").expect("write file");
+    let out = run(&["fig9", "--tiny", "--checkpoint-dir", file.to_str().expect("utf8 tmp path")]);
+    assert_eq!(out.status.code(), Some(2), "expected exit 2");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(stderr.lines().count(), 1, "one error line, got:\n{stderr}");
+    assert!(
+        stderr.starts_with("error: --checkpoint-dir") && stderr.contains("not a directory"),
+        "stderr should name the flag, got:\n{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "nothing may run");
 }

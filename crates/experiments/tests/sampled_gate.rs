@@ -97,7 +97,8 @@ fn sampled_tier_matches_full_runs_on_figure_metrics() {
 
     // One alone cache for both tiers, pre-warmed so neither side pays
     // the 4 alone simulations inside its comparison — the same
-    // amortization `--alone-cache` gives the CLI across invocations.
+    // amortization `--checkpoint-dir`'s alone store gives the CLI across
+    // invocations.
     let cache = Arc::new(AloneCache::new());
     let warm = asm_core::Runner::with_cache(runs[0].config.clone(), Arc::clone(&cache));
     for slot in 0..apps.len() {

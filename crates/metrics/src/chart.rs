@@ -6,6 +6,9 @@
 
 use std::fmt;
 
+/// Width of the longest bar, in characters.
+const WIDTH: usize = 50;
+
 /// A horizontal bar chart with labelled bars, optionally grouped.
 ///
 /// # Examples
@@ -24,7 +27,6 @@ use std::fmt;
 pub struct BarChart {
     title: String,
     bars: Vec<(String, f64)>,
-    width: usize,
 }
 
 impl BarChart {
@@ -34,18 +36,7 @@ impl BarChart {
         BarChart {
             title: title.to_owned(),
             bars: Vec::new(),
-            width: 50,
         }
-    }
-
-    /// Sets the maximum bar width in characters (default 50).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is zero.
-    pub fn set_width(&mut self, width: usize) {
-        assert!(width > 0, "width must be positive");
-        self.width = width;
     }
 
     /// Appends one bar. Negative or non-finite values render as empty bars.
@@ -70,7 +61,7 @@ impl fmt::Display for BarChart {
                 0.0
             };
             let chars = if max > 0.0 {
-                ((v / max) * self.width as f64).round() as usize
+                ((v / max) * WIDTH as f64).round() as usize
             } else {
                 0
             };
@@ -87,9 +78,8 @@ mod tests {
     #[test]
     fn bars_scale_to_the_maximum() {
         let mut c = BarChart::new("t");
-        c.set_width(10);
-        c.bar("a", 5.0);
-        c.bar("b", 10.0);
+        c.bar("a", 25.0);
+        c.bar("b", 50.0);
         let s = c.to_string();
         let bar_len = |label: &str| {
             s.lines()
@@ -97,8 +87,8 @@ mod tests {
                 .map(|l| l.matches('█').count())
                 .unwrap()
         };
-        assert_eq!(bar_len("b"), 10);
-        assert_eq!(bar_len("a"), 5);
+        assert_eq!(bar_len("b"), WIDTH);
+        assert_eq!(bar_len("a"), WIDTH / 2);
     }
 
     #[test]
@@ -115,12 +105,5 @@ mod tests {
         let c = BarChart::new("only title");
         assert!(c.bars.is_empty());
         assert_eq!(c.to_string().trim(), "only title");
-    }
-
-    #[test]
-    #[should_panic(expected = "width must be positive")]
-    fn zero_width_rejected() {
-        let mut c = BarChart::new("t");
-        c.set_width(0);
     }
 }

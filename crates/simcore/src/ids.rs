@@ -36,17 +36,6 @@ impl AppId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
-
-    /// Iterates over the first `count` application ids, `app0..appN`.
-    ///
-    /// ```
-    /// use asm_simcore::AppId;
-    /// let ids: Vec<_> = AppId::first(3).collect();
-    /// assert_eq!(ids, vec![AppId::new(0), AppId::new(1), AppId::new(2)]);
-    /// ```
-    pub fn first(count: usize) -> impl Iterator<Item = AppId> {
-        (0..count).map(AppId::new)
-    }
 }
 
 impl fmt::Display for AppId {
@@ -81,12 +70,6 @@ mod tests {
     #[test]
     fn ordering_follows_index() {
         assert!(AppId::new(1) < AppId::new(2));
-    }
-
-    #[test]
-    fn first_yields_sequential_ids() {
-        let ids: Vec<_> = AppId::first(4).map(|a| a.index()).collect();
-        assert_eq!(ids, vec![0, 1, 2, 3]);
     }
 
     #[test]

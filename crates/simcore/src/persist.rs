@@ -688,7 +688,7 @@ macro_rules! persist_tuples {
         }
     )*};
 }
-persist_tuples!((A 0, B 1) (A 0, B 1, C 2));
+persist_tuples!((A 0, B 1) (A 0, B 1, C 2) (A 0, B 1, C 2, D 3));
 
 impl<T: Persist + ?Sized> Persist for Box<T> {
     fn save(&self, w: &mut StateWriter) {

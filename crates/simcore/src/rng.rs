@@ -49,15 +49,6 @@ impl SimRng {
         SimRng { s }
     }
 
-    /// Derives an independent child generator; useful for giving each
-    /// application its own stream while keeping the whole run a function of
-    /// one master seed.
-    #[must_use]
-    pub fn fork(&mut self, tag: u64) -> SimRng {
-        let mixed = self.next_u64() ^ tag.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        SimRng::seed_from(mixed)
-    }
-
     /// Returns the next 64 random bits.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
@@ -209,14 +200,6 @@ mod tests {
         assert_eq!(rng.pick_weighted(&[]), None);
         assert_eq!(rng.pick_weighted(&[0.0, 0.0]), None);
         assert_eq!(rng.pick_weighted(&[-1.0]), None);
-    }
-
-    #[test]
-    fn fork_produces_independent_streams() {
-        let mut parent = SimRng::seed_from(11);
-        let mut c1 = parent.fork(0);
-        let mut c2 = parent.fork(1);
-        assert_ne!(c1.next_u64(), c2.next_u64());
     }
 
     #[test]

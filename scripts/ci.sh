@@ -36,7 +36,10 @@
 #                                             — every Runner-driven
 #                                             experiment is a campaign —
 #                                             whose replay must simulate
-#                                             no member of any campaign)
+#                                             no member of any campaign,
+#                                             and whose second pass after
+#                                             that without --resume must
+#                                             simulate no alone run)
 #   6. run-report leg                        (the ledger's conservation
 #                                             proptest runs in step 2;
 #                                             here: --report is observation-
@@ -178,6 +181,25 @@ awk '/^campaign:/ { n++; sub("members=", "replayed=", $3); if ($3 != $4 || $5 !=
      END { exit !(n > 0 && bad == 0) }' "$SMOKE/all_replayed.err" || {
     echo "ci: FAIL — a replayed \`all\` campaign still simulated members:" >&2
     grep '^campaign:' "$SMOKE/all_replayed.err" >&2
+    exit 1
+}
+# Without --resume every member is simulated again, on the alone runs of
+# the directory's alone store. That store lacks the members the resumed
+# passes replayed from manifests (the killed pass, which simulated them,
+# saved no store), so the first such pass completes it and the second
+# must read alone_runs=0 on every campaign line; both must match cold.
+for _ in 1 2; do
+    "$EXP" all --tiny --checkpoint-dir "$SMOKE/all_ckpt" \
+        > "$SMOKE/all_rerun.txt" 2> "$SMOKE/all_rerun.err"
+    cmp "$SMOKE/all_off.txt" "$SMOKE/all_rerun.txt" || {
+        echo "ci: FAIL — a checkpointed \`all\` without --resume differs from the cold run" >&2
+        exit 1
+    }
+done
+awk '/^campaign:/ { n++; if ($NF != "alone_runs=0") bad++ }
+     END { exit !(n > 0 && bad == 0) }' "$SMOKE/all_rerun.err" || {
+    echo "ci: FAIL — a second checkpointed \`all\` simulated alone runs:" >&2
+    grep '^campaign:' "$SMOKE/all_rerun.err" >&2
     exit 1
 }
 
