@@ -1,10 +1,13 @@
-//! Deterministic system checkpoints: fork-shared warmups and resumable
-//! sweeps (DESIGN.md §11).
+//! Deterministic system checkpoints: fork-shared warmups, shared alone
+//! runs and resumable sweeps (DESIGN.md §11).
 //!
 //! A [`System`] is a pure function of its configuration, workload, and
 //! cycle count, so its complete dynamic state at any cycle can be written
-//! once and replayed into any number of continuations. Two campaign-level
-//! optimisations build on that:
+//! once and replayed into any number of continuations. This module owns
+//! the rule "these configurations simulate the same trajectory", as two
+//! projections of a [`SystemConfig`]: [`prefix_config`] for warm-ups and
+//! [`alone_config`] for alone runs. Three campaign-level optimisations
+//! build on that:
 //!
 //! * **Shared trajectories.** The cache/memory/throttle policies act only
 //!   inside the quantum boundary (`end_quantum`, through
@@ -19,6 +22,10 @@
 //!   every later boundary for continuations whose policies *decide* the
 //!   same there, which is how the sweep planner lets members share one
 //!   simulation until they diverge.
+//! * **Shared alone runs.** An alone run reads only the machine, not the
+//!   observers watching it or the policies that would partition it, so
+//!   every configuration with the same [`alone_config`] shares one alone
+//!   run per application, slot and horizon.
 //! * **Resumable sweeps.** Snapshots and per-run result manifests are
 //!   written atomically under a checkpoint directory, so a campaign
 //!   killed mid-flight resumes from completed work with byte-identical
@@ -36,7 +43,7 @@ use asm_cpu::AppProfile;
 use asm_simcore::persist::{self, ensure, Persist, PersistError, StateWriter};
 use asm_simcore::Cycle;
 
-use crate::config::{CachePolicy, MemPolicy, SystemConfig, ThrottlePolicy};
+use crate::config::{CachePolicy, EstimatorSet, MemPolicy, SystemConfig, ThrottlePolicy};
 use crate::runner::{QuantumResult, RunResult};
 use crate::system::System;
 
@@ -81,6 +88,39 @@ pub fn prefix_config(config: &SystemConfig) -> SystemConfig {
     c.mem_policy = MemPolicy::Uniform;
     c.throttle_policy = ThrottlePolicy::None;
     c
+}
+
+/// The alone-run machine: `config` with every field an alone run cannot
+/// read set to one canonical value. Configurations that agree on this
+/// projection simulate the same alone trajectory, so they share one alone
+/// run (pinned bitwise by `tests/alone_projection_prop.rs`). What stays
+/// shapes a lone application from cycle 0: geometries and latencies,
+/// `dram`, `scheduler`, `prefetcher`, `seed`, `skip_mode`, and the two
+/// fields the alone record itself reads (`progress_interval`,
+/// `latency_hist`).
+#[must_use]
+pub fn alone_config(config: &SystemConfig) -> SystemConfig {
+    let default = SystemConfig::default();
+    SystemConfig {
+        // Observers: they watch the run and never feed back into it.
+        estimators: EstimatorSet::none(),
+        asm_queueing_correction: default.asm_queueing_correction,
+        pollution_filter_bits: default.pollution_filter_bits,
+        // The ATS shadows the LLC without steering it; one sampled set is
+        // the smallest tag store and divides every LLC's set count.
+        ats_sampled_sets: Some(1),
+        // Boundary policies: with one application they decide nothing.
+        cache_policy: CachePolicy::None,
+        mem_policy: MemPolicy::Uniform,
+        throttle_policy: ThrottlePolicy::None,
+        // Epochs only hand priority to the one application there is.
+        epochs_enabled: false,
+        epoch_assignment: default.epoch_assignment,
+        epoch: default.epoch,
+        // Quantum boundaries close records an alone run never reads.
+        quantum: default.quantum,
+        ..config.clone()
+    }
 }
 
 /// Readable signature of a workload mix: profile names joined by `+`
@@ -167,7 +207,6 @@ asm_simcore::persist_fields!(RunResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::EstimatorSet;
     use crate::runner::Runner;
     use asm_workloads::suite;
 

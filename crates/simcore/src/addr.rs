@@ -1,66 +1,10 @@
-//! Physical addresses and cache-line addresses.
-//!
-//! The simulated machine uses 64-byte cache lines throughout (Table 2 of the
-//! paper). Cores generate byte [`Addr`]esses; the memory hierarchy operates
-//! on [`LineAddr`]esses.
+//! Cache-line addresses. The simulated machine uses 64-byte cache lines
+//! throughout (Table 2 of the paper).
 
 use std::fmt;
 
-/// Log2 of the cache-line size in bytes.
-pub const LINE_SHIFT: u32 = 6;
 /// Cache-line size in bytes (64 B, per Table 2).
-pub const LINE_BYTES: u64 = 1 << LINE_SHIFT;
-
-/// A byte-granularity physical address in the simulated machine.
-///
-/// # Examples
-///
-/// ```
-/// use asm_simcore::{Addr, LineAddr};
-/// let a = Addr::new(0x1234);
-/// assert_eq!(a.line(), LineAddr::new(0x1234 >> 6));
-/// assert_eq!(a.line_offset(), 0x34);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct Addr(u64);
-
-impl Addr {
-    /// Wraps a raw byte address.
-    #[must_use]
-    pub const fn new(raw: u64) -> Self {
-        Addr(raw)
-    }
-
-    /// Returns the raw byte address.
-    #[must_use]
-    pub const fn raw(self) -> u64 {
-        self.0
-    }
-
-    /// Returns the cache line containing this address.
-    #[must_use]
-    pub const fn line(self) -> LineAddr {
-        LineAddr(self.0 >> LINE_SHIFT)
-    }
-
-    /// Returns the offset of this address within its cache line.
-    #[must_use]
-    pub const fn line_offset(self) -> u64 {
-        self.0 & (LINE_BYTES - 1)
-    }
-}
-
-impl fmt::Display for Addr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "0x{:x}", self.0)
-    }
-}
-
-impl fmt::LowerHex for Addr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::LowerHex::fmt(&self.0, f)
-    }
-}
+pub const LINE_BYTES: u64 = 64;
 
 /// A cache-line-granularity address (byte address divided by the line size).
 ///
@@ -81,69 +25,10 @@ impl LineAddr {
     pub const fn raw(self) -> u64 {
         self.0
     }
-
-    /// Returns the first byte address of this line.
-    #[must_use]
-    pub const fn base_addr(self) -> Addr {
-        Addr(self.0 << LINE_SHIFT)
-    }
-
-    /// Returns the line `delta` lines after this one (wrapping on overflow,
-    /// which cannot occur for realistic working sets).
-    #[must_use]
-    pub const fn offset(self, delta: u64) -> LineAddr {
-        LineAddr(self.0.wrapping_add(delta))
-    }
 }
 
 impl fmt::Display for LineAddr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "line:0x{:x}", self.0)
-    }
-}
-
-impl From<Addr> for LineAddr {
-    fn from(a: Addr) -> LineAddr {
-        a.line()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn line_extraction() {
-        let a = Addr::new(0xABCD);
-        assert_eq!(a.line().raw(), 0xABCD >> 6);
-        assert_eq!(a.line_offset(), 0xABCD & 63);
-    }
-
-    #[test]
-    fn line_base_addr_round_trip() {
-        let l = LineAddr::new(42);
-        assert_eq!(l.base_addr().line(), l);
-        assert_eq!(l.base_addr().line_offset(), 0);
-    }
-
-    #[test]
-    fn addresses_in_same_line_share_line_addr() {
-        let base = Addr::new(0x1000);
-        for off in 0..64 {
-            assert_eq!(Addr::new(0x1000 + off).line(), base.line());
-        }
-        assert_ne!(Addr::new(0x1040).line(), base.line());
-    }
-
-    #[test]
-    fn offset_advances_lines() {
-        let l = LineAddr::new(10);
-        assert_eq!(l.offset(5).raw(), 15);
-    }
-
-    #[test]
-    fn from_addr_matches_line() {
-        let a = Addr::new(0x5555);
-        assert_eq!(LineAddr::from(a), a.line());
     }
 }

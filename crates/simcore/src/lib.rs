@@ -26,7 +26,7 @@ pub mod persist;
 pub mod rng;
 pub mod stats;
 
-pub use addr::{Addr, LineAddr, LINE_BYTES, LINE_SHIFT};
+pub use addr::{LineAddr, LINE_BYTES};
 pub use hash::DetHashMap;
 pub use ids::AppId;
 pub use rng::SimRng;

@@ -1,89 +1,39 @@
-//! Small statistics helpers used throughout the simulator: running means
-//! and standard deviations, and fixed-bucket histograms (used for the
-//! paper's latency-distribution and error-distribution figures).
+//! Small statistics helpers used throughout the simulator: a running mean
+//! and fixed-bucket histograms (used for the paper's latency-distribution
+//! and error-distribution figures).
 
 use std::fmt;
 
-/// Welford's online algorithm for mean and standard deviation.
+/// A running mean, updated in place (Welford's update of the mean).
 ///
 /// # Examples
 ///
 /// ```
 /// use asm_simcore::RunningStats;
-/// let mut s = RunningStats::new();
+/// let mut s = RunningStats::default();
 /// for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
 ///     s.add(x);
 /// }
 /// assert!((s.mean().unwrap() - 5.0).abs() < 1e-12);
-/// assert!((s.population_std_dev().unwrap() - 2.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RunningStats {
     count: u64,
     mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl RunningStats {
-    /// Creates an empty statistics accumulator.
-    #[must_use]
-    pub fn new() -> Self {
-        RunningStats {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
     /// Adds one sample.
     pub fn add(&mut self, sample: f64) {
         self.count += 1;
         let delta = sample - self.mean;
         self.mean += delta / self.count as f64;
-        self.m2 += delta * (sample - self.mean);
-        self.min = self.min.min(sample);
-        self.max = self.max.max(sample);
-    }
-
-    /// Returns the number of samples.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
     }
 
     /// Returns the mean, or `None` if no samples were added.
     #[must_use]
     pub fn mean(&self) -> Option<f64> {
         (self.count > 0).then_some(self.mean)
-    }
-
-    /// Returns the population standard deviation, or `None` if empty.
-    #[must_use]
-    pub fn population_std_dev(&self) -> Option<f64> {
-        (self.count > 0).then(|| (self.m2 / self.count as f64).sqrt())
-    }
-
-    /// Returns the sample standard deviation, or `None` with fewer than two
-    /// samples.
-    #[must_use]
-    pub fn sample_std_dev(&self) -> Option<f64> {
-        (self.count > 1).then(|| (self.m2 / (self.count - 1) as f64).sqrt())
-    }
-
-    /// Returns the smallest sample, or `None` if empty.
-    #[must_use]
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Returns the largest sample, or `None` if empty.
-    #[must_use]
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
     }
 }
 
@@ -331,29 +281,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn running_stats_min_max() {
-        let mut s = RunningStats::new();
+    fn running_stats_empty() {
+        let mut s = RunningStats::default();
+        assert_eq!(s.mean(), None);
         for x in [3.0, -1.0, 7.0] {
             s.add(x);
         }
-        assert_eq!(s.min(), Some(-1.0));
-        assert_eq!(s.max(), Some(7.0));
-    }
-
-    #[test]
-    fn running_stats_empty() {
-        let s = RunningStats::new();
-        assert_eq!(s.mean(), None);
-        assert_eq!(s.population_std_dev(), None);
-        assert_eq!(s.sample_std_dev(), None);
-    }
-
-    #[test]
-    fn running_stats_single_sample_population_std_is_zero() {
-        let mut s = RunningStats::new();
-        s.add(5.0);
-        assert_eq!(s.population_std_dev(), Some(0.0));
-        assert_eq!(s.sample_std_dev(), None);
+        assert_eq!(s.mean(), Some(3.0));
     }
 
     #[test]

@@ -35,8 +35,10 @@
 #                                             then the same on `all --tiny`
 #                                             — every Runner-driven
 #                                             experiment is a campaign —
-#                                             whose replay must simulate
-#                                             no member of any campaign,
+#                                             whose cold run must simulate
+#                                             exactly 589 alone runs, whose
+#                                             replay must simulate no
+#                                             member of any campaign,
 #                                             and whose second pass after
 #                                             that without --resume must
 #                                             simulate no alone run)
@@ -162,7 +164,18 @@ cmp "$SMOKE/cold.txt" "$SMOKE/replayed.txt" || {
 # The same on the whole suite: wherever in `all` the kill lands, in any of
 # its 22 campaigns, the resumed run must match the cold one (which leg 6
 # reuses).
-"$EXP" all --tiny > "$SMOKE/all_off.txt" 2>/dev/null
+"$EXP" all --tiny > "$SMOKE/all_off.txt" 2> "$SMOKE/all_off.err"
+# The cold run simulates exactly this many alone runs: one per
+# application, slot, horizon and alone machine (`checkpoint::alone_config`).
+# A key that widens again (a field the projection should drop) or a
+# projection that drops a field it must keep moves this count.
+ALONE_RUNS=589
+awk -v want="$ALONE_RUNS" '/^campaign:/ { n++; split($NF, kv, "="); sum += kv[2] }
+     END { exit !(n == 22 && sum == want) }' "$SMOKE/all_off.err" || {
+    echo "ci: FAIL — cold \`all --tiny\` did not simulate exactly $ALONE_RUNS alone runs over 22 campaigns:" >&2
+    grep '^campaign:' "$SMOKE/all_off.err" >&2
+    exit 1
+}
 timeout -s KILL 4 "$EXP" all --tiny --checkpoint-dir "$SMOKE/all_ckpt" >/dev/null 2>&1 || true
 "$EXP" all --tiny --checkpoint-dir "$SMOKE/all_ckpt" --resume > "$SMOKE/all_resumed.txt" 2>/dev/null
 cmp "$SMOKE/all_off.txt" "$SMOKE/all_resumed.txt" || {
