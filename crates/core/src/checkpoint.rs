@@ -67,7 +67,10 @@ pub const SNAPSHOT_FORMAT: &str = "asm-snapshot";
 /// v6: no telemetry state — `Probes` lists the eviction and read-latency
 /// tallies (always on), the ledger and the measured-latency histogram;
 /// the counter registry and the series rings are gone.
-pub const SNAPSHOT_VERSION: u32 = 6;
+/// v7: the hierarchy's estimators are one bank of five optional fields,
+/// each stored as a presence-checked length, instead of a name list and a
+/// list of trait objects.
+pub const SNAPSHOT_VERSION: u32 = 7;
 
 /// Format name of a binary per-run result manifest: a [`RunResult`]
 /// [`persist::seal`]ed under its run's key (the harness's `--resume`).

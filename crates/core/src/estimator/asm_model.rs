@@ -22,7 +22,7 @@
 
 use asm_simcore::{AppId, Cycle, Histogram};
 
-use super::{AccessEvent, MissEvent, QuantumCtx, SlowdownEstimator, UnionTime};
+use super::{AccessEvent, MissEvent, QuantumCtx, UnionTime};
 
 #[derive(Debug, Clone, Default)]
 struct AppState {
@@ -41,14 +41,6 @@ struct AppState {
 }
 
 /// The ASM slowdown estimator.
-///
-/// # Examples
-///
-/// ```
-/// use asm_core::estimator::{AsmEstimator, SlowdownEstimator};
-/// let est = AsmEstimator::new(2, 20, None);
-/// assert_eq!(est.name(), "ASM");
-/// ```
 #[derive(Debug)]
 pub struct AsmEstimator {
     apps: Vec<AppState>,
@@ -65,38 +57,35 @@ pub struct AsmEstimator {
 
 impl AsmEstimator {
     /// Creates the estimator for `app_count` applications; `latency_hist`
-    /// enables Figure 6-style histogram collection.
+    /// enables Figure 6-style histogram collection and
+    /// `queueing_correction` the §4.3 memory-queueing-delay correction
+    /// (the paper's model has it on; off is an ablation).
     #[must_use]
-    pub fn new(app_count: usize, llc_latency: Cycle, latency_hist: Option<(f64, usize)>) -> Self {
+    pub fn new(
+        app_count: usize,
+        llc_latency: Cycle,
+        latency_hist: Option<(f64, usize)>,
+        queueing_correction: bool,
+    ) -> Self {
         AsmEstimator {
             apps: vec![AppState::default(); app_count],
             llc_latency,
             latency_hist: latency_hist.map(|(w, n)| Histogram::new(w, n)),
             last_car_alone: vec![0.0; app_count],
             last_ats: vec![(0, 0); app_count],
-            queueing_correction: true,
+            queueing_correction,
         }
     }
 
-    /// Enables or disables the §4.3 memory-queueing-delay correction
-    /// (ablation switch; on by default).
-    pub fn set_queueing_correction(&mut self, enabled: bool) {
-        self.queueing_correction = enabled;
-    }
-}
-
-impl SlowdownEstimator for AsmEstimator {
-    fn name(&self) -> &'static str {
-        "ASM"
-    }
-
-    fn on_epoch_start(&mut self, _now: Cycle, owner: Option<AppId>) {
+    /// Notifies the estimator that a new epoch began with the given owner.
+    pub fn on_epoch_start(&mut self, owner: Option<AppId>) {
         if let Some(owner) = owner {
             self.apps[owner.index()].epoch_count += 1;
         }
     }
 
-    fn on_access(&mut self, ev: &AccessEvent) {
+    /// Observes a demand access to the shared cache.
+    pub fn on_access(&mut self, ev: &AccessEvent) {
         let st = &mut self.apps[ev.app.index()];
         st.accesses += 1;
         if ev.epoch_owner != Some(ev.app) {
@@ -117,7 +106,8 @@ impl SlowdownEstimator for AsmEstimator {
         }
     }
 
-    fn on_miss_complete(&mut self, ev: &MissEvent) {
+    /// Observes a completed demand miss.
+    pub fn on_miss_complete(&mut self, ev: &MissEvent) {
         if !ev.epoch_owned_at_issue {
             return;
         }
@@ -132,7 +122,9 @@ impl SlowdownEstimator for AsmEstimator {
         }
     }
 
-    fn on_quantum_end(&mut self, ctx: &QuantumCtx<'_>) -> Vec<f64> {
+    /// Produces per-application slowdown estimates for the finished
+    /// quantum and resets quantum state.
+    pub fn on_quantum_end(&mut self, ctx: &QuantumCtx<'_>) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.apps.len());
         for (i, st) in self.apps.iter_mut().enumerate() {
             let estimate =
@@ -158,16 +150,26 @@ impl SlowdownEstimator for AsmEstimator {
         out
     }
 
-    fn car_alone(&self) -> Option<&[f64]> {
-        Some(&self.last_car_alone)
+    /// The `CAR_alone` estimates (accesses/cycle) of the last completed
+    /// quantum (ASM-Cache reads them).
+    #[must_use]
+    pub fn car_alone(&self) -> &[f64] {
+        &self.last_car_alone
     }
 
-    fn miss_latency_histogram(&self) -> Option<&Histogram> {
+    /// Histogram of the alone miss service time estimates (Figure 6),
+    /// when histogram collection is enabled.
+    #[must_use]
+    pub fn miss_latency_histogram(&self) -> Option<&Histogram> {
         self.latency_hist.as_ref()
     }
 
-    fn ats_sample_counts(&self) -> Option<&[(u64, u64)]> {
-        Some(&self.last_ats)
+    /// Per-application `(ats_hits, ats_misses)` sampled over the *last
+    /// completed* quantum. Telemetry reads these at quantum boundaries to
+    /// expose the ATS-sampled miss rate as a time series.
+    #[must_use]
+    pub fn ats_sample_counts(&self) -> &[(u64, u64)] {
+        &self.last_ats
     }
 }
 
@@ -335,7 +337,7 @@ mod tests {
 
     #[test]
     fn idle_app_estimates_unity() {
-        let mut est = AsmEstimator::new(2, 20, None);
+        let mut est = AsmEstimator::new(2, 20, None, true);
         let q = [0, 0];
         let s = est.on_quantum_end(&ctx(&q));
         assert_eq!(s, vec![1.0, 1.0]);
@@ -346,10 +348,10 @@ mod tests {
         // App runs in every epoch, all hits, no contention: CAR_alone
         // should equal its access rate during epochs which matches the
         // whole-quantum rate.
-        let mut est = AsmEstimator::new(1, 20, None);
+        let mut est = AsmEstimator::new(1, 20, None, true);
         let mut now = 0;
         for e in 0..100 {
-            est.on_epoch_start(now, Some(AppId::new(0)));
+            est.on_epoch_start(Some(AppId::new(0)));
             for _ in 0..50 {
                 est.on_access(&access(0, true, Some(0), Some(true), now));
                 now += 20;
@@ -366,10 +368,10 @@ mod tests {
         // Same accesses, but most misses would have hit alone (ATS hits):
         // the excess-cycle subtraction should raise CAR_alone above
         // CAR_shared.
-        let mut est = AsmEstimator::new(1, 20, None);
+        let mut est = AsmEstimator::new(1, 20, None, true);
         let mut now = 0;
         for _ in 0..50 {
-            est.on_epoch_start(now, Some(AppId::new(0)));
+            est.on_epoch_start(Some(AppId::new(0)));
             for k in 0..10u64 {
                 // ATS says hit, shared cache missed: contention miss.
                 est.on_access(&access(0, false, Some(0), Some(true), now));
@@ -385,8 +387,8 @@ mod tests {
 
     #[test]
     fn epoch_metrics_only_counted_for_owner() {
-        let mut est = AsmEstimator::new(2, 20, None);
-        est.on_epoch_start(0, Some(AppId::new(1)));
+        let mut est = AsmEstimator::new(2, 20, None, true);
+        est.on_epoch_start(Some(AppId::new(1)));
         // App 0 accesses while app 1 owns the epoch: only CAR_shared moves.
         est.on_access(&access(0, true, Some(1), Some(true), 10));
         assert_eq!(est.apps[0].accesses, 1);
@@ -396,8 +398,8 @@ mod tests {
 
     #[test]
     fn quantum_end_resets_state() {
-        let mut est = AsmEstimator::new(1, 20, None);
-        est.on_epoch_start(0, Some(AppId::new(0)));
+        let mut est = AsmEstimator::new(1, 20, None, true);
+        est.on_epoch_start(Some(AppId::new(0)));
         est.on_access(&access(0, true, Some(0), Some(true), 10));
         let q = [0];
         est.on_quantum_end(&ctx(&q));
@@ -407,32 +409,32 @@ mod tests {
 
     #[test]
     fn car_alone_exposed_after_quantum() {
-        let mut est = AsmEstimator::new(1, 20, None);
-        est.on_epoch_start(0, Some(AppId::new(0)));
+        let mut est = AsmEstimator::new(1, 20, None, true);
+        est.on_epoch_start(Some(AppId::new(0)));
         for k in 0..100 {
             est.on_access(&access(0, true, Some(0), Some(true), k * 20));
         }
         let q = [0];
         est.on_quantum_end(&ctx(&q));
-        let car = est.car_alone().unwrap();
+        let car = est.car_alone();
         assert!(car[0] > 0.0);
     }
 
     #[test]
     fn ats_sample_counts_survive_the_quantum_reset() {
-        let mut est = AsmEstimator::new(1, 20, None);
-        est.on_epoch_start(0, Some(AppId::new(0)));
+        let mut est = AsmEstimator::new(1, 20, None, true);
+        est.on_epoch_start(Some(AppId::new(0)));
         est.on_access(&access(0, true, Some(0), Some(true), 10));
         est.on_access(&access(0, false, Some(0), Some(false), 30));
         let q = [0];
         est.on_quantum_end(&ctx(&q));
-        assert_eq!(est.ats_sample_counts(), Some(&[(1, 1)][..]));
+        assert_eq!(est.ats_sample_counts(), &[(1, 1)][..]);
         assert_eq!(est.apps[0].ats_hits_sampled, 0, "live counters reset");
     }
 
     #[test]
     fn histogram_collects_epoch_miss_latencies() {
-        let mut est = AsmEstimator::new(1, 20, Some((50.0, 10)));
+        let mut est = AsmEstimator::new(1, 20, Some((50.0, 10)), true);
         est.on_miss_complete(&miss(0, 0, 120, true));
         est.on_miss_complete(&miss(0, 0, 480, true));
         est.on_miss_complete(&miss(0, 0, 480, false)); // not epoch-owned
@@ -446,10 +448,10 @@ mod tests {
         // less aggressively... i.e. the correction removes queueing cycles
         // and *raises* CAR_alone, raising slowdown.
         let run = |queueing: Cycle| {
-            let mut est = AsmEstimator::new(1, 20, None);
+            let mut est = AsmEstimator::new(1, 20, None, true);
             let mut now = 0;
             for _ in 0..50 {
-                est.on_epoch_start(now, Some(AppId::new(0)));
+                est.on_epoch_start(Some(AppId::new(0)));
                 for _ in 0..5 {
                     est.on_access(&access(0, false, Some(0), Some(false), now));
                     est.on_miss_complete(&miss(0, now, now + 200, true));

@@ -13,9 +13,9 @@
 //! where α is the fraction of time the application stalls on memory
 //! (measured as the union of its outstanding-miss intervals).
 
-use asm_simcore::{AppId, Cycle};
+use asm_simcore::AppId;
 
-use super::{AccessEvent, MissEvent, QuantumCtx, SlowdownEstimator, UnionTime};
+use super::{AccessEvent, MissEvent, QuantumCtx, UnionTime};
 
 #[derive(Debug, Clone, Copy, Default)]
 struct AppState {
@@ -31,14 +31,6 @@ struct AppState {
 }
 
 /// The MISE slowdown estimator.
-///
-/// # Examples
-///
-/// ```
-/// use asm_core::estimator::{MiseEstimator, SlowdownEstimator};
-/// let est = MiseEstimator::new(4);
-/// assert_eq!(est.name(), "MISE");
-/// ```
 #[derive(Debug)]
 pub struct MiseEstimator {
     apps: Vec<AppState>,
@@ -52,20 +44,16 @@ impl MiseEstimator {
             apps: vec![AppState::default(); app_count],
         }
     }
-}
 
-impl SlowdownEstimator for MiseEstimator {
-    fn name(&self) -> &'static str {
-        "MISE"
-    }
-
-    fn on_epoch_start(&mut self, _now: Cycle, owner: Option<AppId>) {
+    /// Notifies the estimator that a new epoch began with the given owner.
+    pub fn on_epoch_start(&mut self, owner: Option<AppId>) {
         if let Some(owner) = owner {
             self.apps[owner.index()].epoch_count += 1;
         }
     }
 
-    fn on_access(&mut self, ev: &AccessEvent) {
+    /// Observes a demand access to the shared cache.
+    pub fn on_access(&mut self, ev: &AccessEvent) {
         if !ev.llc_hit {
             let st = &mut self.apps[ev.app.index()];
             st.misses += 1;
@@ -75,13 +63,16 @@ impl SlowdownEstimator for MiseEstimator {
         }
     }
 
-    fn on_miss_complete(&mut self, ev: &MissEvent) {
+    /// Observes a completed demand miss.
+    pub fn on_miss_complete(&mut self, ev: &MissEvent) {
         self.apps[ev.app.index()]
             .stall_time
             .add(ev.arrival, ev.finish);
     }
 
-    fn on_quantum_end(&mut self, ctx: &QuantumCtx<'_>) -> Vec<f64> {
+    /// Produces per-application slowdown estimates for the finished
+    /// quantum and resets quantum state.
+    pub fn on_quantum_end(&mut self, ctx: &QuantumCtx<'_>) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.apps.len());
         for (i, st) in self.apps.iter_mut().enumerate() {
             // Like ASM, MISE needs enough epoch samples before its
@@ -120,6 +111,7 @@ asm_simcore::persist_fields!(MiseEstimator { [apps] });
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asm_simcore::Cycle;
 
     fn access(app: usize, hit: bool, owner: Option<usize>, now: Cycle) -> AccessEvent {
         AccessEvent {
@@ -142,7 +134,7 @@ mod tests {
     #[test]
     fn cache_hits_are_invisible_to_mise() {
         let mut est = MiseEstimator::new(1);
-        est.on_epoch_start(0, Some(AppId::new(0)));
+        est.on_epoch_start(Some(AppId::new(0)));
         for k in 0..100 {
             est.on_access(&access(0, true, Some(0), k));
         }
@@ -172,7 +164,7 @@ mod tests {
         // full MISE model predicts 1 - 0.5 + 0.5 * 5 = 3.
         let mut est = MiseEstimator::new(1);
         for e in 0..10 {
-            est.on_epoch_start(e * 1_000, Some(AppId::new(0)));
+            est.on_epoch_start(Some(AppId::new(0)));
             for k in 0..10 {
                 est.on_access(&access(0, false, Some(0), e * 1_000 + k));
             }
@@ -190,7 +182,7 @@ mod tests {
     fn fully_memory_bound_app_uses_raw_rate_ratio() {
         let mut est = MiseEstimator::new(1);
         for e in 0..10 {
-            est.on_epoch_start(e * 1_000, Some(AppId::new(0)));
+            est.on_epoch_start(Some(AppId::new(0)));
             for k in 0..10 {
                 est.on_access(&access(0, false, Some(0), e * 1_000 + k));
             }
@@ -207,7 +199,7 @@ mod tests {
     #[test]
     fn state_resets() {
         let mut est = MiseEstimator::new(1);
-        est.on_epoch_start(0, Some(AppId::new(0)));
+        est.on_epoch_start(Some(AppId::new(0)));
         est.on_access(&access(0, false, Some(0), 1));
         let q = [0];
         est.on_quantum_end(&ctx(&q));

@@ -1,34 +1,152 @@
 //! Slowdown estimators.
 //!
 //! All estimators are passive observers of the same simulated execution:
-//! the [`crate::System`] feeds them shared-cache access events and
-//! main-memory completion events, and asks each for per-application
-//! slowdown estimates at every quantum boundary. This mirrors the paper's
-//! methodology, where ASM, FST and PTCA are evaluated on identical
-//! workloads (§5).
+//! the [`crate::System`] feeds its [`Estimators`] bank shared-cache access
+//! events and main-memory completion events, and asks it for
+//! per-application slowdown estimates at every quantum boundary. This
+//! mirrors the paper's methodology, where ASM, FST and PTCA are evaluated
+//! on identical workloads (§5).
 //!
 //! | Estimator | Granularity | Cache interference via | Paper |
 //! |---|---|---|---|
 //! | [`AsmEstimator`] | aggregate (epochs) | ATS contention-miss *count* | this paper |
-//! | [`FstEstimator`] | per request | pollution filter | \[15\] |
-//! | [`PtcaEstimator`] | per request | ATS per-request | \[14\] |
+//! | [`PerRequestEstimator::fst`] | per request | pollution filter | \[15\] |
+//! | [`PerRequestEstimator::ptca`] | per request | ATS per-request | \[14\] |
 //! | [`MiseEstimator`] | aggregate (epochs) | — (memory only) | \[66\] |
 //! | [`StfmEstimator`] | per request | — (memory only) | \[46\] |
 
 mod asm_model;
-mod fst;
 mod mise;
-mod ptca;
+mod per_request;
 mod stfm;
 
 pub use asm_model::AsmEstimator;
-pub use fst::FstEstimator;
 pub use mise::MiseEstimator;
-pub use ptca::PtcaEstimator;
+pub use per_request::PerRequestEstimator;
 pub use stfm::StfmEstimator;
 
 use asm_cache::AtsOutcome;
 use asm_simcore::{AppId, Cycle, Histogram};
+
+use crate::config::SystemConfig;
+
+/// The estimators' display names in report order: entry `i` of
+/// [`Estimators::on_quantum_end`] is the estimate of `NAMES[i]`.
+pub const NAMES: [&str; 5] = ["ASM", "FST", "PTCA", "MISE", "STFM"];
+
+/// The estimators a configuration instantiates, one field each
+/// ([`EstimatorSet`](crate::EstimatorSet) says which are present).
+///
+/// Events enter through four methods, each one direct call per present
+/// estimator; each estimator accumulates state over a quantum and resets
+/// it when asked for its estimates. The [`Persist`](asm_simcore::persist::Persist)
+/// state is that accumulated quantum state, and the presence of each
+/// estimator is structural: a snapshot restores only into a bank built
+/// from the same set.
+#[derive(Debug)]
+pub struct Estimators {
+    asm: Option<AsmEstimator>,
+    fst: Option<PerRequestEstimator>,
+    ptca: Option<PerRequestEstimator>,
+    mise: Option<MiseEstimator>,
+    stfm: Option<StfmEstimator>,
+}
+
+impl Estimators {
+    /// Builds the estimators `config.estimators` asks for, for `apps`
+    /// applications.
+    #[must_use]
+    pub fn new(config: &SystemConfig, apps: usize) -> Self {
+        let set = config.estimators;
+        let (lat, hist) = (config.llc_latency, config.latency_hist);
+        let sampling_factor = config
+            .ats_sampled_sets
+            .map_or(1.0, |s| config.llc_geometry.sets() as f64 / s as f64);
+        Estimators {
+            asm: set
+                .asm
+                .then(|| AsmEstimator::new(apps, lat, hist, config.asm_queueing_correction)),
+            fst: set.fst.then(|| PerRequestEstimator::fst(apps, lat, hist)),
+            ptca: set
+                .ptca
+                .then(|| PerRequestEstimator::ptca(apps, lat, sampling_factor, hist)),
+            mise: set.mise.then(|| MiseEstimator::new(apps)),
+            stfm: set.stfm.then(|| StfmEstimator::new(apps)),
+        }
+    }
+
+    /// Notifies the estimators that a new epoch began with the given owner.
+    pub fn on_epoch_start(&mut self, owner: Option<AppId>) {
+        if let Some(asm) = &mut self.asm {
+            asm.on_epoch_start(owner);
+        }
+        if let Some(mise) = &mut self.mise {
+            mise.on_epoch_start(owner);
+        }
+    }
+
+    /// Observes a demand access to the shared cache.
+    pub fn on_access(&mut self, ev: &AccessEvent) {
+        if let Some(asm) = &mut self.asm {
+            asm.on_access(ev);
+        }
+        if let Some(mise) = &mut self.mise {
+            mise.on_access(ev);
+        }
+    }
+
+    /// Observes a completed demand miss.
+    pub fn on_miss_complete(&mut self, ev: &MissEvent) {
+        if let Some(asm) = &mut self.asm {
+            asm.on_miss_complete(ev);
+        }
+        if let Some(fst) = &mut self.fst {
+            fst.on_miss_complete(ev);
+        }
+        if let Some(ptca) = &mut self.ptca {
+            ptca.on_miss_complete(ev);
+        }
+        if let Some(mise) = &mut self.mise {
+            mise.on_miss_complete(ev);
+        }
+        if let Some(stfm) = &mut self.stfm {
+            stfm.on_miss_complete(ev);
+        }
+    }
+
+    /// Per-application slowdown estimates for the finished quantum, indexed
+    /// like [`NAMES`] (`None` where the estimator is absent); every present
+    /// estimator resets its quantum state.
+    pub fn on_quantum_end(&mut self, ctx: &QuantumCtx<'_>) -> [Option<Vec<f64>>; 5] {
+        [
+            self.asm.as_mut().map(|e| e.on_quantum_end(ctx)),
+            self.fst.as_mut().map(|e| e.on_quantum_end(ctx)),
+            self.ptca.as_mut().map(|e| e.on_quantum_end(ctx)),
+            self.mise.as_mut().map(|e| e.on_quantum_end(ctx)),
+            self.stfm.as_mut().map(|e| e.on_quantum_end(ctx)),
+        ]
+    }
+
+    /// ASM, when present: the quantum boundary reads its `CAR_alone`
+    /// estimates and ATS samples for the mechanisms and the record.
+    #[must_use]
+    pub fn asm(&self) -> Option<&AsmEstimator> {
+        self.asm.as_ref()
+    }
+
+    /// The alone-miss-latency histograms (Figure 6) of the estimators that
+    /// collect one, named and in report order.
+    pub fn latency_hists(&self) -> impl Iterator<Item = (&'static str, &Histogram)> {
+        let hists = [
+            self.asm.as_ref().and_then(AsmEstimator::miss_latency_histogram),
+            self.fst.as_ref().and_then(PerRequestEstimator::miss_latency_histogram),
+            self.ptca.as_ref().and_then(PerRequestEstimator::miss_latency_histogram),
+        ];
+        NAMES.into_iter().zip(hists).filter_map(|(name, h)| Some((name, h?)))
+    }
+}
+
+asm_simcore::persist_fields!(Estimators { [asm], [fst], [ptca], [mise], [stfm] });
 
 /// A demand access to the shared cache, observed as it happens.
 #[derive(Debug, Clone, Copy)]
@@ -93,51 +211,6 @@ pub struct QuantumCtx<'a> {
     pub epoch: Cycle,
     /// Per-application §4.3 queueing-cycle counters for this quantum.
     pub queueing_cycles: &'a [Cycle],
-}
-
-/// A slowdown estimator driven by system events.
-///
-/// Implementations accumulate state over a quantum; `on_quantum_end`
-/// returns one slowdown estimate per application and resets for the next
-/// quantum. Its [`Persist`](asm_simcore::persist::Persist) state is that
-/// accumulated quantum state, restored into an estimator constructed with
-/// the same configuration.
-pub trait SlowdownEstimator: std::fmt::Debug + Send + asm_simcore::persist::Persist {
-    /// Short display name ("ASM", "FST", "PTCA", "MISE").
-    fn name(&self) -> &'static str;
-
-    /// Notifies the estimator that a new epoch began with the given owner.
-    fn on_epoch_start(&mut self, now: Cycle, owner: Option<AppId>);
-
-    /// Observes a demand access to the shared cache.
-    fn on_access(&mut self, ev: &AccessEvent);
-
-    /// Observes a completed demand miss.
-    fn on_miss_complete(&mut self, ev: &MissEvent);
-
-    /// Produces per-application slowdown estimates for the finished quantum
-    /// and resets quantum state.
-    fn on_quantum_end(&mut self, ctx: &QuantumCtx<'_>) -> Vec<f64>;
-
-    /// The most recent `CAR_alone` estimates (accesses/cycle), if this
-    /// estimator computes them (ASM does; used by ASM-Cache).
-    fn car_alone(&self) -> Option<&[f64]> {
-        None
-    }
-
-    /// Histogram of this estimator's *alone miss service time* estimates
-    /// (Figure 6), when histogram collection is enabled.
-    fn miss_latency_histogram(&self) -> Option<&Histogram> {
-        None
-    }
-
-    /// Per-application `(ats_hits, ats_misses)` sampled over the *last
-    /// completed* quantum, if this estimator samples an auxiliary tag
-    /// store (ASM does). Telemetry reads these at quantum boundaries to
-    /// expose the ATS-sampled miss rate as a time series.
-    fn ats_sample_counts(&self) -> Option<&[(u64, u64)]> {
-        None
-    }
 }
 
 /// Tracks the union length of possibly-overlapping service intervals —

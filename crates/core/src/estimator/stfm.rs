@@ -14,9 +14,7 @@
 //! intervals, and interference as the per-request bank-wait cycles divided
 //! by the concurrent-miss count.
 
-use asm_simcore::{AppId, Cycle};
-
-use super::{AccessEvent, MissEvent, QuantumCtx, SlowdownEstimator, UnionTime};
+use super::{MissEvent, QuantumCtx, UnionTime};
 
 #[derive(Debug, Clone, Copy, Default)]
 struct AppState {
@@ -27,14 +25,6 @@ struct AppState {
 }
 
 /// The STFM slowdown estimator.
-///
-/// # Examples
-///
-/// ```
-/// use asm_core::estimator::{SlowdownEstimator, StfmEstimator};
-/// let est = StfmEstimator::new(4);
-/// assert_eq!(est.name(), "STFM");
-/// ```
 #[derive(Debug)]
 pub struct StfmEstimator {
     apps: Vec<AppState>,
@@ -48,25 +38,18 @@ impl StfmEstimator {
             apps: vec![AppState::default(); app_count],
         }
     }
-}
 
-impl SlowdownEstimator for StfmEstimator {
-    fn name(&self) -> &'static str {
-        "STFM"
-    }
-
-    fn on_epoch_start(&mut self, _now: Cycle, _owner: Option<AppId>) {}
-
-    fn on_access(&mut self, _ev: &AccessEvent) {}
-
-    fn on_miss_complete(&mut self, ev: &MissEvent) {
+    /// Observes a completed demand miss.
+    pub fn on_miss_complete(&mut self, ev: &MissEvent) {
         let st = &mut self.apps[ev.app.index()];
         st.stall_time.add(ev.arrival, ev.finish);
         let par = ev.concurrent_misses.max(1) as f64;
         st.interference += ev.interference_cycles as f64 / par;
     }
 
-    fn on_quantum_end(&mut self, ctx: &QuantumCtx<'_>) -> Vec<f64> {
+    /// Produces per-application slowdown estimates for the finished
+    /// quantum and resets quantum state.
+    pub fn on_quantum_end(&mut self, ctx: &QuantumCtx<'_>) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.apps.len());
         for st in &mut self.apps {
             let shared_stall = st.stall_time.total as f64;
@@ -98,6 +81,7 @@ asm_simcore::persist_fields!(StfmEstimator { [apps] });
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asm_simcore::{AppId, Cycle};
 
     fn ctx() -> QuantumCtx<'static> {
         QuantumCtx {

@@ -10,12 +10,13 @@
 //!   private L1s, a shared LLC, auxiliary tag stores, pollution filters,
 //!   an optional stride prefetcher, and the DDR3 memory system — driven
 //!   one cycle at a time with quantum/epoch machinery (§4).
-//! - [`estimator`]: the slowdown estimators. [`estimator::AsmEstimator`]
-//!   implements the paper's model (Table 1 counters, the `CAR_alone`
-//!   formula of §4.2, the queueing correction of §4.3 and the ATS sampling
-//!   of §4.4); [`estimator::FstEstimator`], [`estimator::PtcaEstimator`]
-//!   and [`estimator::MiseEstimator`] implement the prior work compared in
-//!   §6.
+//! - [`estimator`]: the slowdown estimators, held as one closed bank
+//!   ([`estimator::Estimators`]). [`estimator::AsmEstimator`] implements
+//!   the paper's model (Table 1 counters, the `CAR_alone` formula of §4.2,
+//!   the queueing correction of §4.3 and the ATS sampling of §4.4);
+//!   [`estimator::PerRequestEstimator`] (FST and PTCA, one per-request
+//!   model with two contention signals), [`estimator::MiseEstimator`] and
+//!   [`estimator::StfmEstimator`] implement the prior work compared in §6.
 //! - [`mech`]: the ASM use cases of §7 — slowdown-aware cache partitioning
 //!   (ASM-Cache), slowdown-aware memory-bandwidth partitioning (ASM-Mem),
 //!   soft slowdown guarantees (ASM-QoS) — plus the UCP and MCFQ baselines.

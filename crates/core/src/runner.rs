@@ -571,12 +571,9 @@ impl Runner {
                     acc.merge(&h);
                     acc
                 });
-        let estimator_latency_hists = ["ASM", "FST", "PTCA"]
-            .iter()
-            .filter_map(|name| {
-                sys.estimator_latency_hist(name)
-                    .map(|h| ((*name).to_owned(), h.clone()))
-            })
+        let estimator_latency_hists = sys
+            .estimator_latency_hists()
+            .map(|(name, h)| (name.to_owned(), h.clone()))
             .collect();
 
         let telemetry = if opts.telemetry || opts.trace_sample.is_some() {

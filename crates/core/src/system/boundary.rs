@@ -6,7 +6,7 @@ use asm_simcore::{AppId, Cycle};
 
 use super::{AppQuantumStats, QuantumRecord, System};
 use crate::config::{EpochAssignment, ThrottlePolicy};
-use crate::estimator::QuantumCtx;
+use crate::estimator::{QuantumCtx, NAMES};
 use crate::mech::{self, BoundaryDecision, BoundaryInputs, BoundaryPolicies};
 
 impl System {
@@ -33,9 +33,7 @@ impl System {
         let hier = &mut self.hier;
         hier.epoch_owner = owner;
         hier.mem.set_priority_app(now, owner);
-        for est in &mut hier.estimators {
-            est.on_epoch_start(now, owner);
-        }
+        hier.estimators.on_epoch_start(owner);
         hier.probes.epoch_started(now, owner);
     }
 
@@ -60,25 +58,17 @@ impl System {
             epoch: self.config.epoch,
             queueing_cycles: &queueing,
         };
-        let estimates: Vec<(String, Vec<f64>)> = hier
-            .estimators
-            .iter_mut()
-            .map(|e| (e.name().to_owned(), e.on_quantum_end(&ctx)))
-            .collect();
-
-        let asm = self.asm_idx.map(|i| estimates[i].1.as_slice());
-        let asm_est = self.asm_idx.map(|i| &hier.estimators[i]);
-        let car_alone = asm_est.and_then(|e| e.car_alone().map(<[f64]>::to_vec));
-        let ats_samples: Vec<(u64, u64)> = asm_est
-            .and_then(|e| e.ats_sample_counts().map(<[(u64, u64)]>::to_vec))
-            .unwrap_or_default();
+        let [asm, fst, ptca, mise, stfm] = hier.estimators.on_quantum_end(&ctx);
+        let asm_est = hier.estimators.asm();
+        let car_alone = asm_est.map(|e| e.car_alone().to_vec());
+        let ats_samples = asm_est.map_or_else(Vec::new, |e| e.ats_sample_counts().to_vec());
 
         // The boundary policies: this system's own and, on the same
         // inputs, those of any siblings a campaign planner registered.
         let inputs = BoundaryInputs {
             ats: &hier.ats,
             qstats: &hier.qstats,
-            asm_estimates: asm,
+            asm_estimates: asm.as_deref(),
             car_alone: car_alone.as_deref(),
             quantum: q,
             llc_latency: self.config.llc_latency,
@@ -109,10 +99,10 @@ impl System {
             unfairness_threshold,
         } = throttle
         {
-            let slowdowns = self
-                .fst_idx
-                .or(self.asm_idx)
-                .map_or_else(|| vec![1.0; n], |i| estimates[i].1.clone());
+            let slowdowns = fst
+                .as_ref()
+                .or(asm.as_ref())
+                .map_or_else(|| vec![1.0; n], Clone::clone);
             self.throttle.update(&slowdowns, unfairness_threshold);
             for (i, core) in self.lazy.cores.iter_mut().enumerate() {
                 let cap = self.throttle.mlp_cap(i, core.base_mlp());
@@ -138,7 +128,12 @@ impl System {
             car_alone,
             ats_samples,
             interference_cycles: std::mem::replace(&mut hier.quantum_interference, vec![0; n]),
-            estimates,
+            // A name is built only for a present estimator.
+            estimates: NAMES
+                .into_iter()
+                .zip([asm, fst, ptca, mise, stfm])
+                .filter_map(|(name, e)| e.map(|e| (name.to_owned(), e)))
+                .collect(),
         };
         hier.probes.quantum_closed(&record, self.records.len(), &hier.mem);
         self.records.push(record);

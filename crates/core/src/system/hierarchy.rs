@@ -12,7 +12,7 @@ use asm_simcore::{AppId, Cycle, DetHashMap, LineAddr};
 use super::cores::LazyCores;
 use super::probes::Probes;
 use super::AppQuantumStats;
-use crate::estimator::{AccessEvent, MissEvent, SlowdownEstimator};
+use crate::estimator::{AccessEvent, Estimators, MissEvent};
 
 /// The completion tokens waiting on one in-flight miss. Nearly every miss
 /// has exactly one waiter (merges are rare), so the first two tokens live
@@ -92,7 +92,7 @@ pub(super) struct Hierarchy {
     prefetchers: Vec<StridePrefetcher>,
     pub(super) mem: MemorySystem,
     mshr: DetHashMap<u64, MissEntry>,
-    pub(super) estimators: Vec<Box<dyn SlowdownEstimator>>,
+    pub(super) estimators: Estimators,
     pub(super) qstats: Vec<AppQuantumStats>,
     pub(super) epoch_owner: Option<AppId>,
     next_req: u64,
@@ -108,11 +108,7 @@ pub(super) struct Hierarchy {
 }
 
 impl Hierarchy {
-    pub(super) fn new(
-        config: &crate::SystemConfig,
-        apps: usize,
-        estimators: Vec<Box<dyn SlowdownEstimator>>,
-    ) -> Self {
+    pub(super) fn new(config: &crate::SystemConfig, apps: usize) -> Self {
         Hierarchy {
             l1_latency: config.l1_latency,
             llc_latency: config.llc_latency,
@@ -139,7 +135,7 @@ impl Hierarchy {
                 config.seed ^ 0xD12A,
             ),
             mshr: DetHashMap::default(),
-            estimators,
+            estimators: Estimators::new(config, apps),
             qstats: vec![AppQuantumStats::default(); apps],
             epoch_owner: None,
             next_req: 0,
@@ -148,12 +144,6 @@ impl Hierarchy {
             quantum_interference: vec![0; apps],
             probes: Probes::new(apps, config.latency_hist),
         }
-    }
-
-    /// The estimator set, as names: a snapshot restores only into a
-    /// system instantiating the same estimators in the same order.
-    fn estimator_names(&self) -> Vec<String> {
-        self.estimators.iter().map(|e| e.name().to_owned()).collect()
     }
 
     /// What the field list cannot see: application indices against this
@@ -245,9 +235,7 @@ impl Hierarchy {
             was_ats_hit: demand.ats_hit,
             pollution_hit: demand.pollution_hit,
         };
-        for est in self.estimators.iter_mut() {
-            est.on_miss_complete(&ev);
-        }
+        self.estimators.on_miss_complete(&ev);
     }
 
     /// Side effects of an LLC insertion's eviction: pollution-filter update
@@ -343,9 +331,7 @@ impl Hierarchy {
             ats: ats_out,
             epoch_owner: self.epoch_owner,
         };
-        for est in self.estimators.iter_mut() {
-            est.on_access(&event);
-        }
+        self.estimators.on_access(&event);
 
         // The prefetcher observes the demand stream; its prefetches are
         // issued only after the demand request claims its queue slot, so
@@ -441,11 +427,10 @@ impl Hierarchy {
     }
 }
 
-// The estimator names travel as a cross-check; the three configuration
-// scalars are structural (the restore target was built from the same
-// configuration) and stay out.
+// The three configuration scalars are structural (the restore target was
+// built from the same configuration) and stay out.
 asm_simcore::persist_fields!(Hierarchy {
     [l1s], llc, [ats], [pollution], [prefetchers], mem, mshr,
-    (= estimator_names()), [estimators], [qstats], epoch_owner, next_req, version,
+    estimators, [qstats], epoch_owner, next_req, version,
     dropped_writebacks, [quantum_interference], probes,
 } => Hierarchy::check_restored);

@@ -60,10 +60,7 @@ use asm_simcore::persist::{ensure, PersistError};
 use asm_simcore::{AppId, Cycle, Histogram, SimRng};
 
 use crate::config::{CachePolicy, SystemConfig};
-use crate::estimator::{
-    AsmEstimator, FstEstimator, MiseEstimator, PtcaEstimator, SlowdownEstimator, StfmEstimator,
-    UnionTime,
-};
+use crate::estimator::UnionTime;
 use crate::mech::{self, BoundaryDecision, BoundaryPolicies};
 use cores::{LazyCores, NEVER};
 use hierarchy::Hierarchy;
@@ -288,12 +285,6 @@ pub struct System {
     next_quantum_at: Cycle,
     next_epoch_at: Cycle,
     completion_buf: Vec<Completion>,
-    /// Where ASM and FST sit in the estimator list, resolved at
-    /// construction: the boundary feeds the mechanisms from these slots,
-    /// never from a name lookup that a renamed estimator would silently
-    /// miss.
-    asm_idx: Option<usize>,
-    fst_idx: Option<usize>,
     /// Policies of other configurations riding this trajectory, and what
     /// each decided at the most recent boundary (see
     /// [`System::set_sibling_policies`]). Observation only and transient:
@@ -391,32 +382,6 @@ impl System {
             config.cache_policy
         );
 
-        let sampling_factor = config
-            .ats_sampled_sets
-            .map_or(1.0, |s| config.llc_geometry.sets() as f64 / s as f64);
-        let (lat, hist) = (config.llc_latency, config.latency_hist);
-        let mut estimators: Vec<Box<dyn SlowdownEstimator>> = Vec::new();
-        // Instantiates an estimator the configuration asks for, in the
-        // fixed report order, and says where it landed.
-        let mut add = |on: bool, make: &dyn Fn() -> Box<dyn SlowdownEstimator>| {
-            on.then(|| {
-                estimators.push(make());
-                estimators.len() - 1
-            })
-        };
-        let set = config.estimators;
-        let asm_idx = add(set.asm, &|| {
-            let mut asm = AsmEstimator::new(n, lat, hist);
-            asm.set_queueing_correction(config.asm_queueing_correction);
-            Box::new(asm)
-        });
-        let fst_idx = add(set.fst, &|| Box::new(FstEstimator::new(n, lat, hist)));
-        add(set.ptca, &|| {
-            Box::new(PtcaEstimator::new(n, lat, sampling_factor, hist))
-        });
-        add(set.mise, &|| Box::new(MiseEstimator::new(n)));
-        add(set.stfm, &|| Box::new(StfmEstimator::new(n)));
-
         System {
             app_names,
             lazy: LazyCores {
@@ -430,7 +395,7 @@ impl System {
                 record_progress: false,
                 cores,
             },
-            hier: Hierarchy::new(&config, n, estimators),
+            hier: Hierarchy::new(&config, n),
             records: Vec::new(),
             lifetime: vec![(0, 0, 0); n],
             epoch_weights: vec![1.0; n],
@@ -444,8 +409,6 @@ impl System {
             next_quantum_at: config.quantum,
             next_epoch_at: if config.epochs_enabled { 0 } else { NEVER },
             completion_buf: Vec::new(),
-            asm_idx,
-            fst_idx,
             sibling_policies: Vec::new(),
             sibling_decisions: Vec::new(),
             config,
@@ -513,7 +476,7 @@ impl System {
         });
         let sim = probes::Recorded {
             records: &self.records,
-            asm_idx: self.asm_idx,
+            asm: self.hier.estimators.asm().is_some(),
             llc: llc.collect(),
             cores: &self.lazy.cores,
             mem: &self.hier.mem,
@@ -588,14 +551,10 @@ impl System {
         self.hier.probes.measured_miss_latency_hist()
     }
 
-    /// The named estimator's alone-miss-latency histogram (Figure 6).
-    #[must_use]
-    pub fn estimator_latency_hist(&self, name: &str) -> Option<&Histogram> {
-        self.hier
-            .estimators
-            .iter()
-            .find(|e| e.name() == name)
-            .and_then(|e| e.miss_latency_histogram())
+    /// The estimators' alone-miss-latency histograms (Figure 6), named
+    /// and in report order.
+    pub fn estimator_latency_hists(&self) -> impl Iterator<Item = (&'static str, &Histogram)> {
+        self.hier.estimators.latency_hists()
     }
 
     /// The shared-cache way partition currently in force.

@@ -55,8 +55,8 @@ pub struct RunTelemetry {
 /// every run, telemetry or not.
 pub(super) struct Recorded<'a> {
     pub(super) records: &'a [QuantumRecord],
-    /// ASM's slot in each record's estimate list, when instantiated.
-    pub(super) asm_idx: Option<usize>,
+    /// Whether ASM ran: its estimates then lead each record's list.
+    pub(super) asm: bool,
     /// Whole-run shared-cache `(hits, misses)` per application.
     pub(super) llc: Vec<(u64, u64)>,
     pub(super) cores: &'a [Core],
@@ -172,7 +172,7 @@ impl Probes {
                     series.push(name(i), samples.collect());
                 }
             };
-        family(names::app_est_slowdown, &|r, i| Some(r.estimates[sim.asm_idx?].1[i]));
+        family(names::app_est_slowdown, &|r, i| sim.asm.then(|| r.estimates[0].1[i]));
         family(names::app_car_shared, &|r, i| Some(r.car_shared[i]));
         family(names::app_car_alone, &|r, i| Some(r.car_alone.as_ref()?[i]));
         family(names::app_ats_miss_rate, &QuantumRecord::ats_miss_rate);

@@ -432,12 +432,13 @@ fn mem_policy_weights_follow_estimates() {
 }
 
 #[test]
-fn estimator_handles_follow_the_estimator_set() {
-    // The mechanisms read ASM and FST through indices resolved at
-    // construction; whatever else is instantiated around them, the
-    // handles must land on those two estimators.
+fn estimates_follow_the_estimator_set_in_report_order() {
+    // Whatever subset is instantiated, every record lists exactly its
+    // estimators, in the fixed report order (ASM first when present: the
+    // telemetry view reads it there).
     for bits in 0u8..32 {
         let mut cfg = small_config();
+        cfg.quantum = 10_000;
         cfg.estimators = crate::config::EstimatorSet {
             asm: bits & 1 != 0,
             fst: bits & 2 != 0,
@@ -445,10 +446,20 @@ fn estimator_handles_follow_the_estimator_set() {
             mise: bits & 8 != 0,
             stfm: bits & 16 != 0,
         };
-        let sys = System::new(&two_apps(), cfg.clone());
-        let name_at = |idx: Option<usize>| idx.map(|i| sys.hier.estimators[i].name());
-        assert_eq!(name_at(sys.asm_idx), cfg.estimators.asm.then_some("ASM"));
-        assert_eq!(name_at(sys.fst_idx), cfg.estimators.fst.then_some("FST"));
+        let want: Vec<&str> = crate::estimator::NAMES
+            .into_iter()
+            .enumerate()
+            .filter(|&(i, _)| bits & (1 << i) != 0)
+            .map(|(_, name)| name)
+            .collect();
+        let mut sys = System::new(&two_apps(), cfg);
+        sys.run_for(20_000);
+        assert_eq!(sys.records().len(), 2);
+        for r in sys.records() {
+            let names: Vec<&str> = r.estimates.iter().map(|(name, _)| name.as_str()).collect();
+            assert_eq!(names, want, "estimator set {bits:05b}");
+            assert!(r.estimates.iter().all(|(_, e)| e.len() == 2));
+        }
     }
 }
 
@@ -613,12 +624,10 @@ fn restore_rejects_structural_mismatch() {
     other_cfg.estimators = EstimatorSet::asm_only();
     let mut other = System::new(&two_apps(), other_cfg);
     let mut r = asm_simcore::persist::StateReader::new(&snap, "test-system", 1).unwrap();
-    let err = other.restore(&mut r).expect_err("two estimators are not six");
-    assert!(
-        err.to_string().starts_with(
-            "corrupt: System.hier: Hierarchy.estimator_names: stored [\"ASM\", \"FST\""
-        ),
-        "{err}"
+    let err = other.restore(&mut r).expect_err("four estimators are not one");
+    assert_eq!(
+        err.to_string(),
+        "corrupt: System.hier: Hierarchy.estimators: Estimators.fst: stored length 1, target 0"
     );
 
     // Wrong application count: the first structural field says so.
@@ -642,6 +651,8 @@ fn latency_histograms_collect_when_enabled() {
     let mut sys = System::new(&two_apps(), cfg);
     sys.run_for(100_000);
     assert!(sys.measured_miss_latency_hist().unwrap().total() > 0);
-    assert!(sys.estimator_latency_hist("ASM").is_some());
-    assert!(sys.estimator_latency_hist("FST").unwrap().total() > 0);
+    let hists: Vec<_> = sys.estimator_latency_hists().collect();
+    let names: Vec<&str> = hists.iter().map(|&(name, _)| name).collect();
+    assert_eq!(names, ["ASM", "FST", "PTCA"]);
+    assert!(hists[1].1.total() > 0);
 }

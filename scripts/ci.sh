@@ -41,7 +41,11 @@
 #                                             member of any campaign,
 #                                             and whose second pass after
 #                                             that without --resume must
-#                                             simulate no alone run)
+#                                             simulate no alone run; the
+#                                             cold run's stdout must equal
+#                                             the checked-in
+#                                             results_tiny.txt byte for
+#                                             byte)
 #   6. run-report leg                        (the ledger's conservation
 #                                             proptest runs in step 2;
 #                                             here: --report is observation-
@@ -79,7 +83,17 @@
 #   scripts/ci.sh                 # tier-1 only (~minutes)
 #   CI_FULL=1 scripts/ci.sh       # also runs `accuracy` at the default
 #                                 # scale (15 workloads, 8M cycles); a FAIL
-#                                 # verdict, or a missing PASS, fails CI
+#                                 # verdict, or a missing PASS, fails CI;
+#                                 # and runs `all --jobs 2` at the default
+#                                 # scale (~3 min on 2 cores), whose stdout
+#                                 # must equal results_default.txt
+#
+# The two golden files are the byte-identity contract of every change
+# that does not mean to move a result:
+#   target/release/asm-experiments all --tiny > results_tiny.txt
+#   target/release/asm-experiments all --jobs 2 > results_default.txt
+# regenerate them only in a change that fixes or alters the simulated
+# model, and state the cause in that change's notes (ROADMAP item 2).
 #
 # Host-speed numbers are not part of this chain: `benchmark/run.sh` and
 # its paired protocol (benchmark/README.md) are the one way to take them.
@@ -136,6 +150,11 @@ if [[ "${CI_FULL:-0}" == "1" ]]; then
             exit 1
         }
     done
+    echo "ci: [4/8] CI_FULL=1 — \`all\` at the default scale against results_default.txt" >&2
+    "$EXP" all --jobs 2 2>/dev/null | cmp results_default.txt - || {
+        echo "ci: FAIL — default-scale \`all\` stdout differs from results_default.txt" >&2
+        exit 1
+    }
 fi
 
 echo "ci: [5/8] checkpoint resume smoke (kill mid-campaign, resume, byte-compare)" >&2
@@ -165,6 +184,10 @@ cmp "$SMOKE/cold.txt" "$SMOKE/replayed.txt" || {
 # its 22 campaigns, the resumed run must match the cold one (which leg 6
 # reuses).
 "$EXP" all --tiny > "$SMOKE/all_off.txt" 2> "$SMOKE/all_off.err"
+cmp results_tiny.txt "$SMOKE/all_off.txt" || {
+    echo "ci: FAIL — \`all --tiny\` stdout differs from results_tiny.txt" >&2
+    exit 1
+}
 # The cold run simulates exactly this many alone runs: one per
 # application, slot, horizon and alone machine (`checkpoint::alone_config`).
 # A key that widens again (a field the projection should drop) or a

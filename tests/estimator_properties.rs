@@ -3,9 +3,9 @@
 //! between quanta.
 
 use asm_repro::core::estimator::{
-    AccessEvent, AsmEstimator, FstEstimator, MiseEstimator, MissEvent, PtcaEstimator, QuantumCtx,
-    SlowdownEstimator, StfmEstimator,
+    AccessEvent, Estimators, MissEvent, PerRequestEstimator, QuantumCtx, StfmEstimator, NAMES,
 };
+use asm_repro::core::{EstimatorSet, SystemConfig};
 use asm_repro::simcore::{AppId, SimRng};
 use proptest::prelude::*;
 
@@ -13,19 +13,19 @@ const APPS: usize = 4;
 const QUANTUM: u64 = 100_000;
 const EPOCH: u64 = 1_000;
 
-fn estimators() -> Vec<Box<dyn SlowdownEstimator>> {
-    vec![
-        Box::new(AsmEstimator::new(APPS, 20, None)),
-        Box::new(FstEstimator::new(APPS, 20, None)),
-        Box::new(PtcaEstimator::new(APPS, 20, 32.0, None)),
-        Box::new(MiseEstimator::new(APPS)),
-        Box::new(StfmEstimator::new(APPS)),
-    ]
+/// Every estimator, on the Table 2 machine (a 2 MB LLC whose ATS samples
+/// 64 of 2048 sets: PTCA scales by 32).
+fn estimators() -> Estimators {
+    let config = SystemConfig {
+        estimators: EstimatorSet::everything(),
+        ..SystemConfig::default()
+    };
+    Estimators::new(&config, APPS)
 }
 
-/// Drives an estimator with a pseudo-random but internally consistent
+/// Drives the estimators with a pseudo-random but internally consistent
 /// event stream derived from `seed`.
-fn drive(est: &mut dyn SlowdownEstimator, seed: u64, events: usize) {
+fn drive(est: &mut Estimators, seed: u64, events: usize) {
     let mut rng = SimRng::seed_from(seed);
     let mut now = 0u64;
     let mut owner = None;
@@ -37,7 +37,7 @@ fn drive(est: &mut dyn SlowdownEstimator, seed: u64, events: usize) {
             } else {
                 None
             };
-            est.on_epoch_start(now, owner);
+            est.on_epoch_start(owner);
         }
         let app = AppId::new(rng.gen_range(APPS as u64) as usize);
         let hit = rng.gen_bool(0.5);
@@ -74,39 +74,41 @@ proptest! {
 
     #[test]
     fn estimates_are_finite_and_at_least_one(seed in 0u64..10_000, events in 0usize..600) {
-        for mut est in estimators() {
-            drive(est.as_mut(), seed, events);
-            let queueing = vec![0u64; APPS];
-            let ctx = QuantumCtx {
-                quantum: QUANTUM,
-                epoch: EPOCH,
-                queueing_cycles: &queueing,
-            };
-            let out = est.on_quantum_end(&ctx);
-            prop_assert_eq!(out.len(), APPS, "{} wrong arity", est.name());
+        let mut est = estimators();
+        drive(&mut est, seed, events);
+        let queueing = vec![0u64; APPS];
+        let ctx = QuantumCtx {
+            quantum: QUANTUM,
+            epoch: EPOCH,
+            queueing_cycles: &queueing,
+        };
+        for (name, out) in NAMES.into_iter().zip(est.on_quantum_end(&ctx)) {
+            let out = out.unwrap_or_else(|| panic!("{name} missing from the full set"));
+            prop_assert_eq!(out.len(), APPS, "{} wrong arity", name);
             for s in out {
-                prop_assert!(s.is_finite(), "{} produced {}", est.name(), s);
-                prop_assert!(s >= 1.0, "{} produced sub-unity {}", est.name(), s);
-                prop_assert!(s <= 50.0, "{} produced implausible {}", est.name(), s);
+                prop_assert!(s.is_finite(), "{} produced {}", name, s);
+                prop_assert!(s >= 1.0, "{} produced sub-unity {}", name, s);
+                prop_assert!(s <= 50.0, "{} produced implausible {}", name, s);
             }
         }
     }
 
     #[test]
     fn quantum_end_resets_state(seed in 0u64..10_000) {
-        for mut est in estimators() {
-            drive(est.as_mut(), seed, 300);
-            let queueing = vec![0u64; APPS];
-            let ctx = QuantumCtx {
-                quantum: QUANTUM,
-                epoch: EPOCH,
-                queueing_cycles: &queueing,
-            };
-            let _ = est.on_quantum_end(&ctx);
-            // An empty second quantum must estimate no slowdown everywhere.
-            let out = est.on_quantum_end(&ctx);
+        let mut est = estimators();
+        drive(&mut est, seed, 300);
+        let queueing = vec![0u64; APPS];
+        let ctx = QuantumCtx {
+            quantum: QUANTUM,
+            epoch: EPOCH,
+            queueing_cycles: &queueing,
+        };
+        let _ = est.on_quantum_end(&ctx);
+        // An empty second quantum must estimate no slowdown everywhere.
+        for (name, out) in NAMES.into_iter().zip(est.on_quantum_end(&ctx)) {
+            let out = out.unwrap_or_else(|| panic!("{name} missing from the full set"));
             for s in out {
-                prop_assert_eq!(s, 1.0, "{} kept state across quanta", est.name());
+                prop_assert_eq!(s, 1.0, "{} kept state across quanta", name);
             }
         }
     }
@@ -119,7 +121,7 @@ proptest! {
         // For the per-request models, scaling every request's interference
         // up must not reduce the estimate (monotonicity).
         let run = |interference: u64| -> (f64, f64) {
-            let mut fst = FstEstimator::new(1, 20, None);
+            let mut fst = PerRequestEstimator::fst(1, 20, None);
             let mut stfm = StfmEstimator::new(1);
             let mut rng = SimRng::seed_from(seed);
             let mut now = 0;
