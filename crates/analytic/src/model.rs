@@ -278,7 +278,8 @@ pub struct AloneFit {
 ///
 /// Construction is cheap, and one instance can solve any number of mixes.
 /// [`Self::alone`] and [`Self::solve`] are the allocation-free hot path
-/// (enforced by asm-lint R9); [`Self::solution`] materialises the result.
+/// (asm-lint R9; pinned by `tests/solver_allocs.rs`); [`Self::solution`]
+/// materialises the result.
 #[derive(Debug, Clone)]
 pub struct MixSolver {
     cfg: AnalyticConfig,

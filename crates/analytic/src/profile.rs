@@ -66,7 +66,10 @@ impl ProfileParams {
 
     /// Memory operations sampled for a working set of `ws` lines: enough
     /// passes over the working set to populate the deep gap buckets, within
-    /// fixed bounds so extraction stays O(milliseconds) per workload.
+    /// fixed bounds (2^19 to 2^22). Extraction then costs 12–510 ms per
+    /// profile on a 2-vCPU host — the largest working sets (`mcf_like`,
+    /// `cg_like`) sit at the cap, about 0.5 s each — and 2.0–3.6 s for the
+    /// whole suite.
     #[must_use]
     pub fn sample_ops(&self, ws: u64) -> u64 {
         (8 * ws.max(1)).clamp(1 << 19, 1 << 22)

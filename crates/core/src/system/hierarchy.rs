@@ -336,11 +336,7 @@ impl Hierarchy {
         // The prefetcher observes the demand stream; its prefetches are
         // issued only after the demand request claims its queue slot, so
         // prefetch traffic can never invalidate the capacity check above.
-        let prefetches = if self.prefetchers.is_empty() {
-            Vec::new()
-        } else {
-            self.prefetchers[a].observe(line)
-        };
+        let prefetches = self.prefetchers.get_mut(a).map(|p| p.observe(line));
 
         let demand = DemandCtx {
             arrival: now,
@@ -393,7 +389,7 @@ impl Hierarchy {
             }
         };
 
-        for pline in prefetches {
+        for pline in prefetches.into_iter().flatten() {
             self.maybe_prefetch(now, app, pline);
         }
         result

@@ -16,9 +16,9 @@ use asm_simcore::LineAddr;
 /// use asm_simcore::LineAddr;
 ///
 /// let mut pf = StridePrefetcher::new(4, 24);
-/// pf.observe(LineAddr::new(100));
-/// pf.observe(LineAddr::new(101));
-/// let prefetches = pf.observe(LineAddr::new(102)); // stride +1 confirmed
+/// let _ = pf.observe(LineAddr::new(100));
+/// let _ = pf.observe(LineAddr::new(101));
+/// let prefetches: Vec<_> = pf.observe(LineAddr::new(102)).collect(); // stride +1 confirmed
 /// assert_eq!(prefetches.len(), 4);
 /// assert_eq!(prefetches[0], LineAddr::new(102 + 24));
 /// ```
@@ -54,11 +54,12 @@ impl StridePrefetcher {
         }
     }
 
-    /// Feeds a demand access; returns the prefetch addresses to issue (empty
-    /// until a stride is confirmed).
-    pub fn observe(&mut self, line: LineAddr) -> Vec<LineAddr> {
+    /// Feeds a demand access; yields the prefetch addresses to issue (none
+    /// until a stride is confirmed). The iterator holds copies of the
+    /// stride state, so the demand path allocates nothing.
+    pub fn observe(&mut self, line: LineAddr) -> impl Iterator<Item = LineAddr> {
         let cur = line.raw();
-        let mut out = Vec::new();
+        let mut degree = 0;
         if let Some(last) = self.last_line {
             let stride = cur as i64 - last as i64;
             if stride != 0 && stride == self.last_stride {
@@ -68,16 +69,15 @@ impl StridePrefetcher {
                 self.confidence = 0;
             }
             if self.confidence >= CONFIDENCE_THRESHOLD {
-                for k in 0..self.degree {
-                    let target = cur as i64 + self.last_stride * i64::from(self.distance + k);
-                    if target >= 0 {
-                        out.push(LineAddr::new(target as u64));
-                    }
-                }
+                degree = self.degree;
             }
         }
         self.last_line = Some(cur);
-        out
+        let (stride, distance) = (self.last_stride, self.distance);
+        (0..degree).filter_map(move |k| {
+            let target = cur as i64 + stride * i64::from(distance + k);
+            (target >= 0).then(|| LineAddr::new(target as u64))
+        })
     }
 
     /// The next cycle this prefetcher could act on its own: always `None`.
@@ -101,17 +101,17 @@ mod tests {
     #[test]
     fn no_prefetch_before_confidence() {
         let mut pf = StridePrefetcher::new(4, 24);
-        assert!(pf.observe(LineAddr::new(10)).is_empty());
-        assert!(pf.observe(LineAddr::new(11)).is_empty());
-        assert!(!pf.observe(LineAddr::new(12)).is_empty());
+        assert!(pf.observe(LineAddr::new(10)).next().is_none());
+        assert!(pf.observe(LineAddr::new(11)).next().is_none());
+        assert!(pf.observe(LineAddr::new(12)).next().is_some());
     }
 
     #[test]
     fn prefetches_follow_negative_strides() {
         let mut pf = StridePrefetcher::new(2, 4);
-        pf.observe(LineAddr::new(1_000));
-        pf.observe(LineAddr::new(998));
-        let out = pf.observe(LineAddr::new(996));
+        let _ = pf.observe(LineAddr::new(1_000));
+        let _ = pf.observe(LineAddr::new(998));
+        let out: Vec<_> = pf.observe(LineAddr::new(996)).collect();
         assert_eq!(out[0], LineAddr::new(996 - 8));
         assert_eq!(out[1], LineAddr::new(996 - 10));
     }
@@ -122,7 +122,7 @@ mod tests {
         let mut rng = asm_simcore::SimRng::seed_from(8);
         let mut issued = 0;
         for _ in 0..1_000 {
-            issued += pf.observe(LineAddr::new(rng.next_u64() >> 30)).len();
+            issued += pf.observe(LineAddr::new(rng.next_u64() >> 30)).count();
         }
         // A random walk virtually never repeats a stride twice in a row.
         assert!(issued < 40, "issued {issued} prefetches on random stream");
@@ -131,20 +131,20 @@ mod tests {
     #[test]
     fn stride_change_resets_confidence() {
         let mut pf = StridePrefetcher::new(4, 24);
-        pf.observe(LineAddr::new(0));
-        pf.observe(LineAddr::new(1));
-        pf.observe(LineAddr::new(2));
-        assert!(pf.observe(LineAddr::new(10)).is_empty()); // break
-        assert!(pf.observe(LineAddr::new(11)).is_empty()); // new stride, conf 0
-        assert!(!pf.observe(LineAddr::new(12)).is_empty()); // stride repeated
+        let _ = pf.observe(LineAddr::new(0));
+        let _ = pf.observe(LineAddr::new(1));
+        let _ = pf.observe(LineAddr::new(2));
+        assert!(pf.observe(LineAddr::new(10)).next().is_none()); // break
+        assert!(pf.observe(LineAddr::new(11)).next().is_none()); // new stride, conf 0
+        assert!(pf.observe(LineAddr::new(12)).next().is_some()); // stride repeated
     }
 
     #[test]
     fn negative_targets_are_dropped() {
         let mut pf = StridePrefetcher::new(4, 24);
-        pf.observe(LineAddr::new(100));
-        pf.observe(LineAddr::new(50));
-        let out = pf.observe(LineAddr::new(0)); // stride -50, targets < 0
-        assert!(out.is_empty());
+        let _ = pf.observe(LineAddr::new(100));
+        let _ = pf.observe(LineAddr::new(50));
+        // Stride -50: every target is below line 0.
+        assert!(pf.observe(LineAddr::new(0)).next().is_none());
     }
 }

@@ -394,9 +394,11 @@ asm_simcore::persist_fields!(Channel {
 /// The main-memory system: one controller per channel, a pluggable
 /// scheduling policy, and the epoch-priority hook ASM relies on.
 ///
-/// Call [`tick`](Self::tick) exactly once per core cycle with
-/// monotonically increasing `now`; completions of reads are appended to the
-/// output vector.
+/// Call [`tick`](Self::tick) with monotonically increasing `now`; completions of
+/// reads are appended to the output vector. Cycles need not be consecutive:
+/// after a tick at `t`, every cycle before [`next_event`](Self::next_event)`(t)`
+/// may be skipped (until the next [`enqueue`](Self::enqueue)), and the run
+/// is bitwise the one that ticked each of them.
 ///
 /// # Examples
 ///

@@ -26,7 +26,7 @@
 //! [`Session::finish`]. Finished-run manifests still wait for
 //! `--resume`.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use asm_analytic::store::{PROFILE_CACHE_NAME, PROFILE_CACHE_VERSION};
@@ -161,7 +161,7 @@ impl Session {
         key: u64,
         parse: impl FnOnce(&[u8]) -> Result<T, PersistError>,
     ) -> Option<T> {
-        let (value, warning) = persist::load_or_rebuild(&self.path(kind, key)?, parse);
+        let (value, warning) = load_or_rebuild(&self.path(kind, key)?, parse);
         if let Some(w) = warning {
             eprintln!("checkpoint: {w}");
         }
@@ -201,7 +201,7 @@ impl Session {
         let Some(path) = self.path(kind, key) else {
             return;
         };
-        if let Err(e) = persist::write_atomic(&path, sealed) {
+        if let Err(e) = write_atomic(&path, sealed) {
             eprintln!("warning: checkpoint: could not save {}: {e}", path.display());
         }
     }
@@ -214,6 +214,72 @@ impl Session {
             self.save(&ALONE, STORE_KEY, &**cache);
         }
         self.save(&PROFILES, STORE_KEY, &*self.profiles.lock().expect("profile store poisoned"));
+    }
+}
+
+/// The warn-and-rebuild load policy for every checkpointed artefact.
+///
+/// * File missing → `(None, None)`: rebuild, silently.
+/// * File parses → `(Some(artefact), None)`.
+/// * File unreadable/stale/corrupt → `(None, Some(warning))`: rebuild;
+///   the caller prints the warning.
+fn load_or_rebuild<T>(
+    path: &Path,
+    parse: impl FnOnce(&[u8]) -> Result<T, PersistError>,
+) -> (Option<T>, Option<String>) {
+    let bytes = match std::fs::read(path) {
+        Ok(b) => b,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return (None, None),
+        Err(e) => {
+            return (
+                None,
+                Some(format!(
+                    "could not read {}: {e}; rebuilding",
+                    path.display()
+                )),
+            )
+        }
+    };
+    match parse(&bytes) {
+        Ok(t) => (Some(t), None),
+        Err(e) => (
+            None,
+            Some(format!(
+                "ignoring {}: {e}; rebuilding",
+                path.display()
+            )),
+        ),
+    }
+}
+
+/// Writes `bytes` to `path` atomically: a unique sibling temp file is
+/// written and fsynced, then renamed over the target. A campaign killed
+/// mid-write leaves either the old artefact or the new one, never a
+/// torn file — the invariant `--resume` relies on.
+///
+/// # Errors
+///
+/// Propagates the underlying I/O error.
+fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
+    if let Some(dir) = dir {
+        std::fs::create_dir_all(dir)?;
+    }
+    // Unique per process so concurrent writers of the same artefact
+    // (identical content, by determinism) cannot tear each other's temp.
+    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
+    {
+        use std::io::Write as _;
+        let mut f = std::fs::File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_all()?;
+    }
+    match std::fs::rename(&tmp, path) {
+        Ok(()) => Ok(()),
+        Err(e) => {
+            let _ = std::fs::remove_file(&tmp);
+            Err(e)
+        }
     }
 }
 
@@ -289,5 +355,47 @@ pub(crate) mod tests {
         let mut t = Table::new(vec!["a".into()]);
         t.row(vec!["1".into()]);
         Session::default().emit("smoke_test_no_csv", &t);
+    }
+
+    #[test]
+    fn load_or_rebuild_policy() {
+        let dir = std::env::temp_dir().join(format!("asm_persist_test_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+
+        // Missing: silent empty start.
+        let (t, warn) = load_or_rebuild(&dir.join("missing.bin"), |_| Ok(()));
+        assert_eq!((t, warn), (None, None));
+
+        // Present and parsable.
+        let good = dir.join("good.bin");
+        write_atomic(&good, b"x").unwrap();
+        let (t, warn) = load_or_rebuild(&good, |b| Ok(b.len()));
+        assert_eq!(t, Some(1));
+        assert_eq!(warn, None);
+
+        // Present but rejected: empty start plus a warning string.
+        let (t, warn) = load_or_rebuild(&good, |_| {
+            Err::<(), _>(PersistError::Corrupt("nope".to_owned()))
+        });
+        assert_eq!(t, None);
+        let warn = warn.expect("warning expected");
+        assert!(warn.contains("good.bin") && warn.contains("nope"), "{warn}");
+
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn write_atomic_replaces_and_leaves_no_temp() {
+        let dir = std::env::temp_dir().join(format!("asm_persist_atomic_{}", std::process::id()));
+        let path = dir.join("nested").join("artefact.bin");
+        write_atomic(&path, b"one").unwrap();
+        write_atomic(&path, b"two").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"two");
+        let entries: Vec<_> = std::fs::read_dir(path.parent().unwrap())
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(entries.len(), 1, "temp files must not linger: {entries:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -5,8 +5,9 @@
 //! public entries (`System::step`, `System::run_for`,
 //! `System::run_prefix`) and the analytic tier's alone fit and per-mix
 //! solve (`MixSolver::{alone, solve}`) — to find every function that can
-//! execute inside those loops. Reachable functions must not allocate, perform I/O, or
-//! invoke panic macros. A root that resolves to no
+//! execute inside those loops. Reachable functions must not allocate (R9's
+//! allocation leg; its panic and I/O legs are clippy's, crate-wide — see
+//! [`crate::policy`]). A root that resolves to no
 //! definition although its `impl` type is linted is reported too
 //! ([`GraphResult::unresolved_roots`]): a rename or a file split must not
 //! silently un-root the analysis.
@@ -43,7 +44,7 @@ use crate::{HotFn, RuleId};
 /// public entries of the per-cycle loop on `impl System`, plus the analytic
 /// tier's per-profile alone fit and per-mix solve on `impl MixSolver` — a
 /// campaign calls them millions of times, so they get the same
-/// no-alloc/no-I/O discipline as the cycle loop.
+/// no-allocation discipline as the cycle loop.
 const ROOTS: &[(&str, &str)] = &[
     ("System", "step"),
     ("System", "run_for"),
@@ -258,15 +259,6 @@ fn call_targets(
 const ALLOC_MACROS: &[&str] = &["vec", "format"];
 /// Allocating methods (`.x(…)` / `.collect::<…>()`).
 const ALLOC_METHODS: &[&str] = &["to_owned", "to_string", "to_vec", "collect"];
-/// Panicking macros. `assert!`/`debug_assert!`/`unreachable!` stay legal:
-/// they are invariant checks, not control flow.
-const PANIC_MACROS: &[&str] = &["panic", "todo", "unimplemented"];
-/// I/O type names.
-const IO_TYPES: &[&str] = &["File", "OpenOptions"];
-/// I/O constructor fns (`stdout()` …).
-const IO_FNS: &[&str] = &["stdin", "stdout", "stderr"];
-/// I/O methods (`.read_to_string(…)` …).
-const IO_METHODS: &[&str] = &["read_to_string", "read_line", "read_dir"];
 
 /// Scans one reachable fn body for R9 leaf violations.
 fn check_leaves(m: &FileModel, fname: &str, open: usize, close: usize, out: &mut Findings) {
@@ -288,15 +280,6 @@ fn check_leaves(m: &FileModel, fname: &str, open: usize, close: usize, out: &mut
                              per-cycle loop, {escape}"
                         ),
                     );
-                } else if PANIC_MACROS.contains(&word) {
-                    emit(
-                        i,
-                        format!(
-                            "`{word}!` can panic in hot-path fn `{fname}` (reachable from \
-                             `System::step`) — return an error or make the invariant a \
-                             `debug_assert!`, {escape}"
-                        ),
-                    );
                 }
             } else if (prev_dot && ALLOC_METHODS.contains(&word))
                 || (word == "with_capacity" && (prev_dot || prev_path))
@@ -314,21 +297,6 @@ fn check_leaves(m: &FileModel, fname: &str, open: usize, close: usize, out: &mut
                         "`{what}` allocates in hot-path fn `{fname}` (reachable from \
                          `System::step`) — pre-size or reuse buffers outside the \
                          per-cycle loop, {escape}"
-                    ),
-                );
-            } else if IO_TYPES.contains(&word)
-                || (IO_FNS.contains(&word)
-                    && m.tokens
-                        .get(i + 1)
-                        .is_some_and(|t| t.kind == TokKind::Open(Delim::Paren)))
-                || (prev_dot && IO_METHODS.contains(&word))
-            {
-                emit(
-                    i,
-                    format!(
-                        "`{word}` performs I/O in hot-path fn `{fname}` (reachable from \
-                         `System::step`) — simulation code must not touch files or \
-                         stdio; move it to the harness, {escape}"
                     ),
                 );
             }
@@ -457,24 +425,6 @@ impl System {
         let active: Vec<usize> = g.findings.active.iter().map(|d| d.line).collect();
         assert_eq!(active, vec![6], "{:#?}", g.findings.active);
         assert_eq!(g.findings.suppressed.len(), 1);
-    }
-
-    #[test]
-    fn panic_and_io_leaves_fire() {
-        let src = "\
-pub struct System;
-impl System {
-    pub fn step(&mut self) {
-        if bad() { panic!(\"boom\"); }
-        let f = File::open(\"x\");
-        let _ = f;
-    }
-}
-fn bad() -> bool { false }
-";
-        let g = run(&[("crates/core/src/system.rs", src)]);
-        let lines: Vec<usize> = g.findings.active.iter().map(|d| d.line).collect();
-        assert_eq!(lines, vec![4, 5], "{:#?}", g.findings.active);
     }
 
     #[test]

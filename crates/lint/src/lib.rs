@@ -7,18 +7,21 @@
 //! - **clippy** owns the eight that are questions about names and types
 //!   (R1/R8 hash-ordered collections, R2 `unwrap`, R3 float equality, R4
 //!   wall clock, R5 casts in billing arithmetic, R6 threads and locks, R7
-//!   printing, R10 `unsafe` without `// SAFETY:`). [`policy`] names the
-//!   lints and builds the `cargo clippy` run; `clippy.toml` lists the
-//!   banned types and methods.
-//! - **this crate** keeps the one only it can express, over the
-//!   simulation crates ([`SIM_CRATES`]: `simcore` through `attrib`):
-//!   - **R9** — hot-path hygiene: no heap allocation, I/O, or panicking
-//!     macros in any function reachable from `System::step` /
-//!     `System::run_for` / `System::run_prefix` (or
-//!     `MixSolver::{alone, solve}`). A fn-level
-//!     `// asm-lint: allow(R9): reason` both suppresses and marks the fn
-//!     as a justified quantum boundary (traversal stops there). A root
-//!     that a linted tree no longer defines is itself a violation.
+//!   printing, R10 `unsafe` without `// SAFETY:`), plus R9's panic and I/O
+//!   legs, denied crate-wide (no `panic!`/`todo!`/`unimplemented!`, no file
+//!   or stdio I/O anywhere in simulation code). [`policy`] names the lints
+//!   and builds the `cargo clippy` run; `clippy.toml` lists the banned
+//!   types and methods.
+//! - **this crate** keeps R9's allocation leg, over the simulation crates
+//!   ([`SIM_CRATES`]: `simcore` through `attrib`): no heap allocation in
+//!   any function reachable from `System::step` / `System::run_for` /
+//!   `System::run_prefix` (or `MixSolver::{alone, solve}`). A fn-level
+//!   `// asm-lint: allow(R9): reason` both suppresses and marks the fn as
+//!   a justified quantum boundary (traversal stops there). A root that a
+//!   linted tree no longer defines is itself a violation. The counting
+//!   allocator of `tests/hot_path_allocs.rs` (root package) and
+//!   `crates/analytic/tests/solver_allocs.rs` measures what this lexical
+//!   check approximates.
 //! - R11, R12, R13 and `--pedantic` are deleted (DESIGN.md §8 says why).
 //!
 //! Every diagnostic carries `path:line`. Intentional R9 violations are
@@ -56,7 +59,7 @@ use std::path::{Path, PathBuf};
 /// DESIGN.md §8's; the other twelve ids are clippy's or deleted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RuleId {
-    /// Allocation, I/O, or panics on the `System::step` hot path.
+    /// Allocation on the `System::step` hot path.
     R9,
 }
 
@@ -76,7 +79,7 @@ impl RuleId {
     #[must_use]
     pub fn summary(self) -> &'static str {
         match self {
-            RuleId::R9 => "no heap allocation, I/O, or panic macros reachable from System::step",
+            RuleId::R9 => "no heap allocation reachable from System::step (panic and I/O: clippy)",
         }
     }
 

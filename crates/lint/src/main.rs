@@ -1,5 +1,5 @@
 //! CLI for `asm-lint`, the one policy gate. Runs `asm-lint`'s own rule
-//! (R9) over the simulation crates, then `cargo clippy` with the
+//! (R9's allocation leg) over the simulation crates, then `cargo clippy` with the
 //! clippy-owned policy lints denied over the same crates, and exits
 //! non-zero when either half finds a violation.
 //!
@@ -48,7 +48,7 @@ fn main() -> ExitCode {
                 println!(
                     "usage: asm-lint [ROOT] [--list-rules]\n\
                      checks the simulation crates against the determinism policy \
-                     (DESIGN.md §8): own rule R9, then cargo clippy for the rest"
+                     (DESIGN.md §8): own rule R9 (allocation), then cargo clippy for the rest"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -89,7 +89,7 @@ fn main() -> ExitCode {
 
     if own_clean && clippy_clean {
         println!(
-            "asm-lint: clean — own rule R9: {} files, {} hot-path fns audited, \
+            "asm-lint: clean — own rule R9 (allocation): {} files, {} hot-path fns audited, \
              {} boundary + {} line allows; clippy policy: {} crates checked, \
              {} #[expect] sites",
             analysis.files,

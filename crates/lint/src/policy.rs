@@ -1,8 +1,9 @@
 //! The clippy-owned half of the determinism policy.
 //!
-//! Eight of the thirteen rules DESIGN.md §8 lists are properties clippy
-//! already decides with real name resolution and types, so `asm-lint` does
-//! not re-implement them: after its own pass (R9) the binary runs the
+//! Eight of the thirteen rules DESIGN.md §8 lists, and R9's panic and I/O
+//! legs, are properties clippy already decides with real name resolution
+//! and types, so `asm-lint` does not re-implement them: after its own pass
+//! (R9's allocation leg) the binary runs the
 //! `cargo clippy` built by [`clippy_command`] over exactly the crates in
 //! [`crate::SIM_CRATES`], with every lint [`CRATE_POLICIES`] names at deny
 //! level. The banned types and methods themselves are listed in the
@@ -68,6 +69,18 @@ pub const CRATE_POLICIES: &[ClippyPolicy] = &[
         ids: "R7",
         lints: &["clippy::print_stdout", "clippy::print_stderr", "clippy::dbg_macro"],
         summary: "no print macros (experiment stdout is byte-compared)",
+    },
+    ClippyPolicy {
+        ids: "R9",
+        lints: &["clippy::panic", "clippy::todo", "clippy::unimplemented"],
+        summary: "no panic!/todo!/unimplemented! (R9's panic leg, crate-wide; a broken invariant \
+                  is an expect or assert that says why)",
+    },
+    ClippyPolicy {
+        ids: "R9",
+        lints: &["clippy::disallowed_types", "clippy::disallowed_methods"],
+        summary: "no file or stdio I/O: fs::{File, OpenOptions}, the std::fs free functions, \
+                  io::{stdin, stdout, stderr} (R9's I/O leg, crate-wide; clippy.toml)",
     },
     ClippyPolicy {
         ids: "R10",

@@ -76,6 +76,37 @@ fn probes() -> Vec<Probe> {
             "pub fn builder() { drop(std::thread::Builder::new().spawn(|| ())); }",
             &[(METHODS, "`std::thread::Builder::spawn`")],
         ),
+        // R9's panic leg.
+        ("pub fn boom() { panic!(\"x\") }", &[("clippy::panic", "")]),
+        ("pub fn later() { todo!() }", &[("clippy::todo", "")]),
+        ("pub fn never() { unimplemented!() }", &[("clippy::unimplemented", "")]),
+        // R9's I/O leg: files, every `std::fs` free function, the standard streams.
+        ("pub struct Fd(pub std::fs::File);", &[(TYPES, "`std::fs::File`")]),
+        ("pub struct Opts(pub std::fs::OpenOptions);", &[(TYPES, "`std::fs::OpenOptions`")]),
+        ("pub fn fs_canonicalize() { let _ = std::fs::canonicalize(\"x\"); }", &[(METHODS, "`std::fs::canonicalize`")]),
+        ("pub fn fs_copy() { let _ = std::fs::copy(\"x\", \"y\"); }", &[(METHODS, "`std::fs::copy`")]),
+        ("pub fn fs_create_dir() { let _ = std::fs::create_dir(\"x\"); }", &[(METHODS, "`std::fs::create_dir`")]),
+        ("pub fn fs_create_dir_all() { let _ = std::fs::create_dir_all(\"x\"); }", &[(METHODS, "`std::fs::create_dir_all`")]),
+        ("pub fn fs_exists() { let _ = std::fs::exists(\"x\"); }", &[(METHODS, "`std::fs::exists`")]),
+        ("pub fn fs_hard_link() { let _ = std::fs::hard_link(\"x\", \"y\"); }", &[(METHODS, "`std::fs::hard_link`")]),
+        ("pub fn fs_metadata() { let _ = std::fs::metadata(\"x\"); }", &[(METHODS, "`std::fs::metadata`")]),
+        ("pub fn fs_read() { let _ = std::fs::read(\"x\"); }", &[(METHODS, "`std::fs::read`")]),
+        ("pub fn fs_read_dir() { let _ = std::fs::read_dir(\"x\"); }", &[(METHODS, "`std::fs::read_dir`")]),
+        ("pub fn fs_read_link() { let _ = std::fs::read_link(\"x\"); }", &[(METHODS, "`std::fs::read_link`")]),
+        ("pub fn fs_read_to_string() { let _ = std::fs::read_to_string(\"x\"); }", &[(METHODS, "`std::fs::read_to_string`")]),
+        ("pub fn fs_remove_dir() { let _ = std::fs::remove_dir(\"x\"); }", &[(METHODS, "`std::fs::remove_dir`")]),
+        ("pub fn fs_remove_dir_all() { let _ = std::fs::remove_dir_all(\"x\"); }", &[(METHODS, "`std::fs::remove_dir_all`")]),
+        ("pub fn fs_remove_file() { let _ = std::fs::remove_file(\"x\"); }", &[(METHODS, "`std::fs::remove_file`")]),
+        ("pub fn fs_rename() { let _ = std::fs::rename(\"x\", \"y\"); }", &[(METHODS, "`std::fs::rename`")]),
+        (
+            "pub fn fs_set_permissions(p: std::fs::Permissions) { let _ = std::fs::set_permissions(\"x\", p); }",
+            &[(METHODS, "`std::fs::set_permissions`")],
+        ),
+        ("pub fn fs_symlink_metadata() { let _ = std::fs::symlink_metadata(\"x\"); }", &[(METHODS, "`std::fs::symlink_metadata`")]),
+        ("pub fn fs_write() { let _ = std::fs::write(\"x\", b\"\"); }", &[(METHODS, "`std::fs::write`")]),
+        ("pub fn io_stdin() { let _ = std::io::stdin(); }", &[(METHODS, "`std::io::stdin`")]),
+        ("pub fn io_stdout() { let _ = std::io::stdout(); }", &[(METHODS, "`std::io::stdout`")]),
+        ("pub fn io_stderr() { let _ = std::io::stderr(); }", &[(METHODS, "`std::io::stderr`")]),
         // R5: the cast is reported under the money-module attribute only.
         ("pub mod money {", &[]),
         ("    MONEY_ATTR", &[]),
@@ -93,6 +124,11 @@ fn probes() -> Vec<Probe> {
             &[],
         ),
         ("pub fn stated(o: Option<u8>) -> u8 { o.expect(\"the caller checked\") }", &[]),
+        ("pub fn checked(x: u8) { assert!(x > 0, \"stated\"); unreachable!() }", &[]),
+        (
+            "pub fn generic<R: std::io::Read>(r: R) -> std::io::Result<Vec<u8>> { let mut v = Vec::new(); std::io::Read::read_to_end(&mut { r }, &mut v)?; Ok(v) }",
+            &[],
+        ),
     ]
 }
 

@@ -20,9 +20,10 @@
 //!   ([`seal`] / [`open`]): one written for another configuration, mix
 //!   or horizon is refused before a byte of its value is read.
 //! * **Warn-and-rebuild.** A missing artefact is simply absent; an
-//!   unreadable, stale, or corrupt one is discarded with a warning
-//!   *string* (sim crates cannot print — lint rule R7 — so surfacing
-//!   the warning is the harness's job, see [`load_or_rebuild`]).
+//!   unreadable, stale, or corrupt one is discarded with a warning and
+//!   rebuilt. The files are the harness's: `asm-experiments`' `Session`
+//!   reads them and writes them atomically, because simulation crates
+//!   neither touch the file system nor print (DESIGN.md §8, R9 and R7).
 //!
 //! # Component state: [`Persist`] and [`persist_fields!`](crate::persist_fields)
 //!
@@ -98,7 +99,6 @@
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::path::Path;
 use std::sync::Arc;
 
 use crate::hash::DetHasher;
@@ -977,73 +977,6 @@ pub fn unseal<T: Persist + Default>(
     Ok(value)
 }
 
-/// The workspace-wide warn-and-rebuild load policy, in one place.
-///
-/// * File missing → `(None, None)`: rebuild, silently.
-/// * File parses → `(Some(artefact), None)`.
-/// * File unreadable/stale/corrupt → `(None, Some(warning))`: rebuild;
-///   the caller owns printing the warning (sim crates cannot
-///   print — lint rule R7 — so the harness surfaces it on stderr).
-pub fn load_or_rebuild<T>(
-    path: &Path,
-    parse: impl FnOnce(&[u8]) -> Result<T, PersistError>,
-) -> (Option<T>, Option<String>) {
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return (None, None),
-        Err(e) => {
-            return (
-                None,
-                Some(format!(
-                    "could not read {}: {e}; rebuilding",
-                    path.display()
-                )),
-            )
-        }
-    };
-    match parse(&bytes) {
-        Ok(t) => (Some(t), None),
-        Err(e) => (
-            None,
-            Some(format!(
-                "ignoring {}: {e}; rebuilding",
-                path.display()
-            )),
-        ),
-    }
-}
-
-/// Writes `bytes` to `path` atomically: a unique sibling temp file is
-/// written and fsynced, then renamed over the target. A campaign killed
-/// mid-write leaves either the old artefact or the new one, never a
-/// torn file — the invariant `--resume` relies on.
-///
-/// # Errors
-///
-/// Propagates the underlying I/O error.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-    if let Some(dir) = dir {
-        std::fs::create_dir_all(dir)?;
-    }
-    // Unique per process so concurrent writers of the same artefact
-    // (identical content, by determinism) cannot tear each other's temp.
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    {
-        use std::io::Write as _;
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    match std::fs::rename(&tmp, path) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            let _ = std::fs::remove_file(&tmp);
-            Err(e)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1189,47 +1122,5 @@ mod tests {
         assert!(open(&bytes[..bytes.len() - 1], "kv", 3, 0xFEED).is_err());
         // A value shorter than the envelope's is trailing bytes, not a prefix read.
         assert!(matches!(unseal::<u64>(&bytes, "kv", 3, 0xFEED), Err(PersistError::Corrupt(_))));
-    }
-
-    #[test]
-    fn load_or_rebuild_policy() {
-        let dir = std::env::temp_dir().join(format!("asm_persist_test_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-
-        // Missing: silent empty start.
-        let (t, warn) = load_or_rebuild(&dir.join("missing.bin"), |_| Ok(()));
-        assert_eq!((t, warn), (None, None));
-
-        // Present and parsable.
-        let good = dir.join("good.bin");
-        write_atomic(&good, b"x").unwrap();
-        let (t, warn) = load_or_rebuild(&good, |b| Ok(b.len()));
-        assert_eq!(t, Some(1));
-        assert_eq!(warn, None);
-
-        // Present but rejected: empty start plus a warning string.
-        let (t, warn) = load_or_rebuild(&good, |_| {
-            Err::<(), _>(PersistError::Corrupt("nope".to_owned()))
-        });
-        assert_eq!(t, None);
-        let warn = warn.expect("warning expected");
-        assert!(warn.contains("good.bin") && warn.contains("nope"), "{warn}");
-
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn write_atomic_replaces_and_leaves_no_temp() {
-        let dir = std::env::temp_dir().join(format!("asm_persist_atomic_{}", std::process::id()));
-        let path = dir.join("nested").join("artefact.bin");
-        write_atomic(&path, b"one").unwrap();
-        write_atomic(&path, b"two").unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), b"two");
-        let entries: Vec<_> = std::fs::read_dir(path.parent().unwrap())
-            .unwrap()
-            .map(|e| e.unwrap().file_name())
-            .collect();
-        assert_eq!(entries.len(), 1, "temp files must not linger: {entries:?}");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,23 +1,31 @@
-//! Ground truth for lint rule R9 ("no heap allocation on the hot path").
+//! The allocation leg of the hot-path rule (DESIGN.md §8, R9), measured:
+//! no heap allocation between quantum boundaries. `asm-lint` checks the
+//! same leg lexically over its call graph; this test counts what it
+//! approximates.
 //!
-//! R9 is a lexical list over the functions reachable from
-//! `System::{step, run_for, run_prefix}` — `vec!`, `format!`, `to_owned`,
-//! `to_string`, `to_vec`, `collect`, `with_capacity`, `Box::new`,
-//! `String::from` — and a fn-level `allow(R9)` takes a whole quantum/epoch/
-//! batch boundary out of it. A `push` that grows a `Vec` or a `clone` of one
-//! is invisible to that list. This test measures what the rule approximates:
-//! a counting `#[global_allocator]` (this test binary only) around
-//! `System::run_for` *between* quantum boundaries, over the scheduler,
-//! cache-policy, estimator and instrument matrix, with fast-forward on and
-//! off. The counts are a pure function of config + seed, so they are pinned;
-//! a new per-cycle or per-request allocation anywhere under `System::step`
-//! fails here whether or not R9 can spell it.
+//! A counting `#[global_allocator]` (this test binary only) counts real
+//! allocator calls around `System::run_for` *between* quantum boundaries —
+//! a `push` that grows a `Vec` or a `clone` of one counts like a `vec!` —
+//! over a matrix with a case for every `SystemConfig` axis and every way a
+//! `System` is built and driven (profiles, traces, alone runs with
+//! progress logging, `run_prefix`), with fast-forward on and off. The
+//! counts are a pure function of config + seed, so they are pinned; a new
+//! per-cycle or per-request allocation anywhere under `System::step` fails
+//! here. Epoch, batch and quantum boundaries may allocate at their own
+//! cadence: each such case states its bound. `MixSolver`'s half of the
+//! rule is `crates/analytic/tests/solver_allocs.rs`.
 
 use std::alloc::{GlobalAlloc, Layout, System as OsAllocator};
 use std::cell::Cell;
 
-use asm_repro::core::{CachePolicy, EstimatorSet, MemPolicy, System, SystemConfig};
+use asm_repro::core::checkpoint::alone_config;
+use asm_repro::core::{
+    AppSpec, CachePolicy, EpochAssignment, EstimatorSet, MemPolicy, PrefetchConfig, QosConfig,
+    System, SystemConfig, ThrottlePolicy,
+};
+use asm_repro::cpu::{AddressStream, AppProfile, TraceSource};
 use asm_repro::dram::sched::{SchedulerKind, TcmConfig};
+use asm_repro::dram::timing::RefreshConfig;
 use asm_repro::simcore::{AppId, Cycle};
 use asm_repro::workloads::suite;
 
@@ -75,8 +83,11 @@ const QUANTUM: Cycle = 1_000_000;
 /// through its reset, and the measured window opens mid-quantum.
 const WARM_UP: Cycle = 2 * QUANTUM + 50_000;
 /// Ends 50k cycles before the third boundary. It still spans 90 epoch
-/// boundaries (`Hierarchy::begin_epoch`, an `allow(R9)` fn): none allocates.
+/// boundaries (`Hierarchy::begin_epoch`): none allocates unless a case
+/// says so.
 const WINDOW: Cycle = 900_000;
+/// The sampled tracer's period: one request lifecycle in this many.
+const TRACE_SAMPLE: u64 = 64;
 
 /// What a case's window may allocate.
 enum Allowed {
@@ -87,45 +98,66 @@ enum Allowed {
     AtMost(fn(misses: u64) -> u64),
 }
 
+/// How a case's `System` is built, instrumented and driven.
+#[derive(Clone, Copy)]
+enum Setup {
+    /// `System::new` over the four profiles, windows run by `run_for`.
+    Plain,
+    /// With the attribution ledger on.
+    Attribution,
+    /// With the telemetry view on, and the request tracer sampling one
+    /// lifecycle in the given period if any.
+    Telemetry(Option<u64>),
+    /// `System::from_specs`, every core replaying a recorded `TraceSource`.
+    Traces,
+    /// `System::new_alone` of slot 0 on `alone_config`, progress logging on
+    /// — what `Runner` builds for an alone run.
+    Alone,
+    /// The window is run by `run_prefix`, as a campaign's shared prefix is.
+    Prefix,
+}
+
 /// One row of the matrix.
 struct Case {
     name: &'static str,
     configure: fn(&mut SystemConfig),
-    attribution: bool,
-    telemetry: bool,
+    setup: Setup,
     allowed: Allowed,
 }
 
-/// Every `Exactly` cell is 0: the window serves ~13,000 reads without one
-/// allocator call. (`Channel::push_read` pushes onto `bank_members[bank]`,
-/// which R9 cannot see; `Channel::new` reserves each list at the read-queue
-/// capacity, so the push never grows one.)
-fn matrix() -> Vec<Case> {
-    let case = |name, configure, allowed| Case {
+fn case(name: &'static str, configure: fn(&mut SystemConfig), allowed: Allowed) -> Case {
+    Case {
         name,
         configure,
-        attribution: false,
-        telemetry: false,
+        setup: Setup::Plain,
         allowed,
-    };
+    }
+}
+
+/// Schedulers, boundary policies, estimators and instruments. Every
+/// `Exactly` cell is 0: the window serves ~13,000 reads without one
+/// allocator call. (`Channel::push_read` pushes onto `bank_members[bank]`;
+/// `Channel::new` reserves each list at the read-queue capacity, so the
+/// push never grows one.)
+fn policy_matrix() -> Vec<Case> {
     vec![
         case("FR-FCFS", |_| {}, Allowed::Exactly(0)),
-        // `Parbs::form_batch` (`allow(R9)`: batch boundary) builds four
-        // scratch vectors, plus a sort buffer past 20 queued requests: at
-        // most 5 allocations per batch. Batches are not observable from
-        // here, but each must drain every request it marked before the next
-        // forms, and under this memory-bound mix a batch marks dozens — so
-        // a tenth of the window's reads bounds 5 × batches from above
-        // (measured: 809 against 12,775 reads) and sits a factor of ten
-        // below one allocation per request.
+        // `Parbs::form_batch` (a batch boundary) builds four scratch
+        // vectors, plus a sort buffer past 20 queued requests: at most 5
+        // allocations per batch. Batches are not observable from here, but
+        // each must drain every request it marked before the next forms,
+        // and under this memory-bound mix a batch marks dozens — so a tenth
+        // of the window's reads bounds 5 × batches from above (measured:
+        // 808 against 12,775 reads) and sits a factor of ten below one
+        // allocation per request.
         case(
             "PARBS",
             |c| c.scheduler = SchedulerKind::Parbs,
             Allowed::AtMost(|misses| misses / 10),
         ),
-        // `Tcm::shuffle_ranks` and `Tcm::recluster` (both `allow(R9)`:
-        // shuffle / TCM-quantum boundary) each build one apps-sized vector:
-        // 1 allocation per boundary event (measured: 108).
+        // `Tcm::shuffle_ranks` and `Tcm::recluster` (the shuffle and
+        // TCM-quantum boundaries) each build one apps-sized vector: 1
+        // allocation per boundary event (measured: 107).
         case(
             "TCM",
             |c| c.scheduler = SchedulerKind::Tcm,
@@ -141,26 +173,120 @@ fn matrix() -> Vec<Case> {
         case("ASM-Cache", |c| c.cache_policy = CachePolicy::AsmCache, Allowed::Exactly(0)),
         case("ASM-Mem", |c| c.mem_policy = MemPolicy::SlowdownWeighted, Allowed::Exactly(0)),
         case("all estimators", |c| c.estimators = EstimatorSet::all(), Allowed::Exactly(0)),
-        Case { attribution: true, ..case("attribution", |_| {}, Allowed::Exactly(0)) },
-        Case { telemetry: true, ..case("telemetry", |_| {}, Allowed::Exactly(0)) },
+        Case { setup: Setup::Attribution, ..case("attribution", |_| {}, Allowed::Exactly(0)) },
+        Case { setup: Setup::Telemetry(None), ..case("telemetry", |_| {}, Allowed::Exactly(0)) },
     ]
 }
 
-fn system(case: &Case, skip_mode: bool) -> System {
-    let apps: Vec<_> = ["mcf_like", "libquantum_like", "soplex_like", "h264ref_like"]
+/// The remaining `SystemConfig` axes, the other ways of building and
+/// driving a `System`, and the sampled tracer.
+fn machine_matrix() -> Vec<Case> {
+    vec![
+        // Prefetches share the channel with demand reads and cover demand
+        // misses: one prefetch two lines ahead leaves the window more than
+        // 10,000 of them (the default degree 4, distance 24, leaves 8,453).
+        case(
+            "prefetcher",
+            |c| c.prefetcher = Some(PrefetchConfig { degree: 1, distance: 2 }),
+            Allowed::Exactly(0),
+        ),
+        case("refresh", |c| c.dram.refresh = Some(RefreshConfig::ddr3_2gb()), Allowed::Exactly(0)),
+        case("2 channels", |c| c.dram.channels = 2, Allowed::Exactly(0)),
+        case("full ATS", |c| c.ats_sampled_sets = None, Allowed::Exactly(0)),
+        case(
+            "ASM-QoS",
+            |c| {
+                let qos = QosConfig { target: AppId::new(0), bound: 2.5 };
+                c.cache_policy = CachePolicy::AsmQos(qos);
+            },
+            Allowed::Exactly(0),
+        ),
+        case(
+            "naive QoS",
+            |c| c.cache_policy = CachePolicy::NaiveQos(AppId::new(0)),
+            Allowed::Exactly(0),
+        ),
+        case(
+            "FST throttling",
+            |c| {
+                c.estimators = EstimatorSet::all();
+                c.throttle_policy = ThrottlePolicy::Fst { unfairness_threshold: 1.4 };
+            },
+            Allowed::Exactly(0),
+        ),
+        case(
+            "round-robin epochs",
+            |c| c.epoch_assignment = EpochAssignment::RoundRobin,
+            Allowed::Exactly(0),
+        ),
+        case("epochs off", |c| c.epochs_enabled = false, Allowed::Exactly(0)),
+        case("latency histograms", |c| c.latency_hist = Some((50.0, 64)), Allowed::Exactly(0)),
+        case("every estimator", |c| c.estimators = EstimatorSet::everything(), Allowed::Exactly(0)),
+        // `Probes::request_span` (gated on the tracer's sample) emits one
+        // span per sampled DRAM read, 4 allocations each (args vector, two
+        // arg names, event name), and each of the window's 90 epoch
+        // boundaries an `epoch_owner` instant (3): with one request id in
+        // TRACE_SAMPLE traced, that is 1,103 allocations against 12,990
+        // reads, the same with and without fast-forward.
+        Case {
+            setup: Setup::Telemetry(Some(TRACE_SAMPLE)),
+            ..case("sampled trace", |_| {}, Allowed::Exactly(1_103))
+        },
+        Case { setup: Setup::Traces, ..case("trace-driven cores", |_| {}, Allowed::Exactly(0)) },
+        Case { setup: Setup::Prefix, ..case("run_prefix", |_| {}, Allowed::Exactly(0)) },
+        // `ProgressLog::record` pushes one milestone per `progress_interval`
+        // instructions onto a `Vec` that grows by doubling: one reallocation
+        // per power of two crossed. The window is under half the warm-up,
+        // so unless the core retires twice as fast in it, the log grows by
+        // less than its length and doubles at most once (measured: 0).
+        Case {
+            setup: Setup::Alone,
+            ..case("alone run + progress log", |_| {}, Allowed::AtMost(|_| 1))
+        },
+    ]
+}
+
+fn profiles() -> Vec<AppProfile> {
+    ["mcf_like", "libquantum_like", "soplex_like", "h264ref_like"]
         .iter()
         .map(|name| suite::by_name(name).expect("suite profile exists"))
-        .collect();
+        .collect()
+}
+
+/// Each profile's address stream, recorded and replayed as a trace that
+/// loops after `OPS` operations.
+fn trace_specs(apps: &[AppProfile], seed: u64) -> Vec<AppSpec> {
+    const OPS: usize = 200_000;
+    apps.iter()
+        .enumerate()
+        .map(|(slot, p)| {
+            let mut stream = AddressStream::new(p, slot, seed);
+            AppSpec {
+                name: p.name().to_owned(),
+                source: Box::new(TraceSource::new((0..OPS).map(|_| stream.next_op()).collect())),
+                mem_probability: p.mem_probability(),
+                mlp: p.mlp(),
+            }
+        })
+        .collect()
+}
+
+fn system(case: &Case, skip_mode: bool) -> System {
+    let apps = profiles();
     let mut config = SystemConfig::default();
     config.quantum = QUANTUM;
     config.skip_mode = skip_mode;
     (case.configure)(&mut config);
-    let mut sys = System::new(&apps, config);
-    if case.attribution {
-        sys.enable_attribution();
-    }
-    if case.telemetry {
-        sys.enable_telemetry(None);
+    let mut sys = match case.setup {
+        Setup::Traces => System::from_specs(trace_specs(&apps, config.seed), config),
+        Setup::Alone => System::new_alone(&apps, alone_config(&config), AppId::new(0)),
+        _ => System::new(&apps, config),
+    };
+    match case.setup {
+        Setup::Attribution => sys.enable_attribution(),
+        Setup::Telemetry(sample) => sys.enable_telemetry(sample),
+        Setup::Alone => sys.enable_progress_logging(),
+        Setup::Plain | Setup::Traces | Setup::Prefix => {}
     }
     sys
 }
@@ -169,17 +295,20 @@ fn llc_misses(sys: &System) -> u64 {
     (0..sys.app_count()).map(|i| sys.app_summary(AppId::new(i)).llc_misses).sum()
 }
 
-#[test]
-fn allocations_between_quantum_boundaries_are_pinned() {
-    for case in matrix() {
+fn check(cases: Vec<Case>) {
+    for case in cases {
         // Fast-forward is bitwise-exact, allocations included.
         for skip_mode in [true, false] {
             let mut sys = system(&case, skip_mode);
             sys.run_for(WARM_UP);
             let misses_before = llc_misses(&sys);
-            let allocations = allocations_in(|| sys.run_for(WINDOW));
+            let allocations = allocations_in(|| match case.setup {
+                Setup::Prefix => sys.run_prefix(WINDOW),
+                _ => sys.run_for(WINDOW),
+            });
             let misses = llc_misses(&sys) - misses_before;
-            assert!(misses > 10_000, "{}: the window must be memory-bound", case.name);
+            let name = case.name;
+            assert!(misses > 10_000, "{name}: the window must be memory-bound ({misses} reads)");
             let ctx = format!("{} (skip_mode = {skip_mode}, {misses} reads)", case.name);
             match case.allowed {
                 Allowed::Exactly(n) => assert_eq!(allocations, n, "{ctx}"),
@@ -192,12 +321,22 @@ fn allocations_between_quantum_boundaries_are_pinned() {
 }
 
 #[test]
+fn allocations_between_quantum_boundaries_are_pinned() {
+    check(policy_matrix());
+}
+
+#[test]
+fn every_machine_axis_is_allocation_free_between_boundaries() {
+    check(machine_matrix());
+}
+
+#[test]
 fn only_the_window_holding_a_quantum_boundary_allocates() {
     // Ten 100k-cycle windows from 2.55M to 3.55M: the fifth holds the
-    // boundary at 3M — `System::end_quantum` (`allow(R9)`), which builds the
-    // quantum's record, estimates and per-app resets in 11 allocations.
-    // Every other window is pure hot path.
-    let mut sys = system(&matrix()[0], true);
+    // boundary at 3M — `System::end_quantum`, which builds the quantum's
+    // record, estimates and per-app resets in 11 allocations. Every other
+    // window is pure hot path.
+    let mut sys = system(&policy_matrix()[0], true);
     sys.run_for(2 * QUANTUM + 550_000);
     let per_window: Vec<u64> =
         (0..10).map(|_| allocations_in(|| sys.run_for(100_000))).collect();
