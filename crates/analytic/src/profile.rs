@@ -2,12 +2,12 @@
 //!
 //! The profiling pass replays the workload's synthetic address stream
 //! (the same [`AddressStream`] generator the cycle tier's cores use)
-//! through a real private-L1 model and summarises the *post-L1* access
-//! stream — the stream the shared LLC actually sees — as a reuse-gap
-//! histogram plus a handful of scalar counters. The pass always uses
-//! application slot 0 and a fixed canonical seed, so a workload's profile
-//! is independent of where it appears in a mix (this is what makes the
-//! analytic tier exactly permutation-invariant).
+//! through an exact LRU model of the private L1 and summarises the
+//! *post-L1* access stream — the stream the shared LLC actually sees — as
+//! a reuse-gap histogram plus a handful of scalar counters. The pass
+//! always uses application slot 0 and a fixed canonical seed, so a
+//! workload's profile is independent of where it appears in a mix (this
+//! is what makes the analytic tier exactly permutation-invariant).
 //!
 //! Gaps are bucketed on a quarter-octave grid (bucket boundaries grow by
 //! ×2^¼ ≈ 19/16, pure integer arithmetic) so the histogram stays ~170
@@ -21,11 +21,10 @@
 //!   (Denning's working-set identity), evaluated by trapezoid integration
 //!   of the tail over the bucket grid.
 
-use asm_cache::SetAssocCache;
+use asm_cache::CacheGeometry;
 use asm_cpu::{AddressStream, AppProfile};
 use asm_simcore::hash::DetHasher;
 use asm_simcore::persist::{ensure, PersistError};
-use asm_simcore::AppId;
 
 /// Version tag folded into every profile key: bump when the extraction
 /// algorithm changes so stale disk caches miss instead of lying.
@@ -39,7 +38,7 @@ pub const PROFILE_ALGORITHM: &str = "reuse-gap/1";
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProfileParams {
     /// Private-L1 geometry filtering the stream before the LLC.
-    pub l1_geometry: asm_cache::CacheGeometry,
+    pub l1_geometry: CacheGeometry,
     /// Canonical seed for the profiled address stream.
     pub stream_seed: u64,
 }
@@ -47,7 +46,7 @@ pub struct ProfileParams {
 impl Default for ProfileParams {
     fn default() -> Self {
         ProfileParams {
-            l1_geometry: asm_cache::CacheGeometry::from_capacity(64 * 1024, 4),
+            l1_geometry: CacheGeometry::from_capacity(64 * 1024, 4),
             stream_seed: 0xC0FF_EE00_5EED,
         }
     }
@@ -66,10 +65,11 @@ impl ProfileParams {
 
     /// Memory operations sampled for a working set of `ws` lines: enough
     /// passes over the working set to populate the deep gap buckets, within
-    /// fixed bounds (2^19 to 2^22). Extraction then costs 12–510 ms per
+    /// fixed bounds (2^19 to 2^22). Extraction then costs 6–166 ms per
     /// profile on a 2-vCPU host — the largest working sets (`mcf_like`,
-    /// `cg_like`) sit at the cap, about 0.5 s each — and 2.0–3.6 s for the
-    /// whole suite.
+    /// `cg_like`) sit at the cap — and 0.89 s for the 33 profiles of the
+    /// benchmark's `analytic_mixes` set-up (its traced
+    /// `analytic.profile_extract` spans, seed 42).
     #[must_use]
     pub fn sample_ops(&self, ws: u64) -> u64 {
         (8 * ws.max(1)).clamp(1 << 19, 1 << 22)
@@ -146,6 +146,80 @@ fn bucket(m: f64) -> usize {
     k
 }
 
+/// [`BOUNDS`] as integers, padded with five `u64::MAX` so [`gap_bucket`]
+/// can read five bounds past any bucket.
+const GAP_BOUNDS: [u64; BUCKETS + 5] = {
+    let mut out = [u64::MAX; BUCKETS + 5];
+    let (mut k, mut b) = (0, 1);
+    while k < BUCKETS {
+        out[k] = b;
+        b = next_bound(b);
+        k += 1;
+    }
+    out
+};
+
+/// [`bucket`]`(g as f64)` for an integer gap `1 <= g < u64::MAX` (the
+/// padding must compare above it), in integers: the bucket of `g`'s octave
+/// start plus how many of the next five bounds are `<= g`, counted without
+/// branches. Extraction's lookup only: the solve
+/// keeps [`bucket`], which a shared branchless lookup measured slower.
+#[inline]
+fn gap_bucket(g: u64) -> usize {
+    let k = OCTAVE_START[((63 - g.leading_zeros()) as usize).min(OCTAVES - 1)];
+    k + GAP_BOUNDS[k + 1..k + 6].iter().map(|&b| usize::from(b <= g)).sum::<usize>()
+}
+
+/// The private L1 as the profiling pass needs it: whether each access hits,
+/// and nothing else. Per set, the resident lines in recency order, most
+/// recent first: a hit moves its line to the front, a miss pushes the line
+/// in at the front and drops the last. That is true LRU with
+/// allocate-on-miss, so on every geometry the hit/miss sequence is exactly
+/// [`asm_cache::SetAssocCache`]'s (pinned by the tests), without its
+/// owners, dirty bits, rank bytes and eviction reports.
+///
+/// `W` is the way count when it is known at compile time, so a set's row
+/// unrolls; `W = 0` reads it from the geometry. [`ReuseProfile::extract`]
+/// picks `W` once per pass.
+struct LruFilter<const W: usize> {
+    /// Set `s`'s lines at `s * ways..(s + 1) * ways`, most recent first; a
+    /// set not yet full ends in [`Self::EMPTY`].
+    rows: Box<[u64]>,
+    ways: usize,
+    set_mask: u64,
+}
+
+impl<const W: usize> LruFilter<W> {
+    /// No line: the pass only accesses lines below the working-set size.
+    const EMPTY: u64 = u64::MAX;
+
+    fn new(geometry: CacheGeometry) -> Self {
+        debug_assert!(W == 0 || W == geometry.ways());
+        LruFilter {
+            rows: vec![Self::EMPTY; geometry.sets() * geometry.ways()].into_boxed_slice(),
+            ways: geometry.ways(),
+            set_mask: geometry.sets() as u64 - 1,
+        }
+    }
+
+    /// Accesses `line`, returning whether it hit. Lines of one set differ
+    /// exactly where their tags do, so the row holds whole lines.
+    #[inline]
+    fn access(&mut self, line: u64) -> bool {
+        let ways = if W == 0 { self.ways } else { W };
+        let base = (line & self.set_mask) as usize * ways;
+        let row = &mut self.rows[base..base + ways];
+        let hit = row.iter().position(|&l| l == line);
+        // Everything in front of the hit, or the whole row on a miss (its
+        // last line falls off), moves back one.
+        for i in (1..=hit.unwrap_or(ways - 1)).rev() {
+            row[i] = row[i - 1];
+        }
+        row[0] = line;
+        hit.is_some()
+    }
+}
+
 /// A workload's reuse-gap summary: everything the analytic tier needs to
 /// know about one application, extracted in one deterministic pass.
 /// `Default` is the blank a cache load fills in.
@@ -186,32 +260,34 @@ impl ReuseProfile {
     /// Runs the profiling pass for `profile` under `params`.
     #[must_use]
     pub fn extract(profile: &AppProfile, params: &ProfileParams) -> Self {
-        Self::extract_with(profile, params, |gap| bucket(gap as f64))
+        match params.l1_geometry.ways() {
+            4 => Self::extract_w::<4>(profile, params),
+            _ => Self::extract_w::<0>(profile, params),
+        }
     }
 
-    /// [`Self::extract`] with the gap-bucket lookup as a parameter, so a
-    /// test can bin the same pass with a reference lookup.
-    fn extract_with(
-        profile: &AppProfile,
-        params: &ProfileParams,
-        bucket_of: impl Fn(u64) -> usize,
-    ) -> Self {
+    /// [`Self::extract`] through an `LruFilter<W>`.
+    fn extract_w<const W: usize>(profile: &AppProfile, params: &ProfileParams) -> Self {
         let ws = profile.working_set_lines().max(1);
         let ops = params.sample_ops(ws);
         let mut stream = AddressStream::new(profile, 0, params.stream_seed);
-        let mut l1 = SetAssocCache::new(params.l1_geometry, 1);
+        let mut l1 = LruFilter::<W>::new(params.l1_geometry);
         let mut counts = vec![0u64; BUCKETS];
-        // Last LLC-access index per line; u64::MAX = never touched. Slot 0
-        // keeps raw line addresses in [0, ws).
-        let mut last = vec![u64::MAX; ws as usize];
-        let (mut llc, mut writes, mut seq, mut cold, mut touched) = (0, 0, 0, 0, 0u64);
+        // Last LLC-access index per line; u32::MAX = never touched. Every
+        // index is below `ops <= 2^22` (the clamp in `sample_ops`), so it
+        // fits a u32 and never equals the marker. Slot 0 keeps raw line
+        // addresses in [0, ws).
+        let ops32 = u32::try_from(ops).expect("sample_ops clamps ops to 2^22, within u32");
+        let mut last = vec![u32::MAX; ws as usize];
+        let mut llc = 0u32;
+        let (mut writes, mut seq, mut cold, mut touched) = (0, 0, 0, 0u64);
         let mut prev_line = u64::MAX;
-        for _ in 0..ops {
+        for _ in 0..ops32 {
             let op = stream.next_op();
-            if l1.access(op.line, AppId::new(0), op.is_write).hit {
+            let raw = op.line.raw();
+            if l1.access(raw) {
                 continue;
             }
-            let raw = op.line.raw();
             let idx = raw as usize;
             if op.is_write {
                 writes += 1;
@@ -221,15 +297,17 @@ impl ReuseProfile {
             }
             prev_line = raw;
             let prev = last[idx];
-            if prev == u64::MAX {
+            if prev == u32::MAX {
                 cold += 1;
                 touched += 1;
             } else {
-                counts[bucket_of((llc - prev).max(1))] += 1;
+                // `prev` is an earlier `llc`, so the gap is at least 1.
+                counts[gap_bucket(u64::from(llc - prev))] += 1;
             }
             last[idx] = llc;
             llc += 1;
         }
+        let llc = u64::from(llc);
         let mut p = ReuseProfile {
             name: profile.name().to_owned(),
             key: profile_key(profile, params),
@@ -438,6 +516,9 @@ pub fn profile_key(profile: &AppProfile, params: &ProfileParams) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asm_cache::SetAssocCache;
+    use asm_simcore::AppId;
+    use proptest::prelude::*;
 
     fn toy(ws: u64, hot: u64, hot_frac: f64, run: u32, mpk: u32) -> AppProfile {
         AppProfile::builder("toy")
@@ -524,7 +605,7 @@ mod tests {
         let exact: Vec<f64> = bounds.iter().map(|&b| b as f64).collect();
         assert_eq!(BOUNDS[..], exact[..]);
         // Every bound and its float neighbours, then 10k points spread
-        // log-uniformly over [1, 2^44].
+        // log-uniformly over [1, 2^44], on every suite profile's curves.
         let mut probes: Vec<f64> = bounds
             .iter()
             .flat_map(|&b| {
@@ -538,31 +619,188 @@ mod tests {
         for &m in probes.iter().filter(|&&m| m >= 1.0) {
             assert_eq!(bucket(m), reference_bucket(&bounds, m), "bucket({m})");
         }
-        let params = ProfileParams::from_system(&asm_core::SystemConfig::default());
-        for app in asm_workloads::suite::all()
-            .iter()
-            .chain(&asm_workloads::suite::db())
-        {
-            // The histogram binned with the reference lookup is the same
-            // profile, counts and derived curves alike.
-            let p = ReuseProfile::extract(app, &params);
-            let reference = ReuseProfile::extract_with(app, &params, |gap| {
-                bounds.partition_point(|&b| b <= gap) - 1
-            });
-            assert_eq!(p, reference, "{}", app.name());
+        for p in suite_profiles() {
             for &m in &probes {
-                let name = app.name();
+                let name = p.name();
                 assert_eq!(
                     p.tail_at(m).to_bits(),
-                    reference_tail(&p, &bounds, m).to_bits(),
+                    reference_tail(p, &bounds, m).to_bits(),
                     "{name}: tail_at({m})"
                 );
                 assert_eq!(
                     p.footprint(m).to_bits(),
-                    reference_footprint(&p, &bounds, m).to_bits(),
+                    reference_footprint(p, &bounds, m).to_bits(),
                     "{name}: footprint({m})"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn gap_bucket_is_the_float_lookup() {
+        for g in 1..1u64 << 20 {
+            assert_eq!(gap_bucket(g), bucket(g as f64), "gap {g}");
+        }
+        let past_grid = [1 << 45, 1 << 53, 1 << 63, u64::MAX - 1];
+        for b in reference_bounds().into_iter().chain(past_grid) {
+            for g in [b - 1, b, b + 1] {
+                if (1..u64::MAX).contains(&g) {
+                    assert_eq!(gap_bucket(g), bucket(g as f64), "gap {g}");
+                }
+            }
+        }
+    }
+
+    /// The profiling pass written longhand, as it was first built: a
+    /// [`SetAssocCache`] L1, a `u64` last-touch table and the binary-search
+    /// bucket lookup. [`ReuseProfile::extract`] must equal it exactly.
+    fn reference_extract(profile: &AppProfile, params: &ProfileParams) -> ReuseProfile {
+        let bounds = reference_bounds();
+        let ws = profile.working_set_lines().max(1);
+        let ops = params.sample_ops(ws);
+        let mut stream = AddressStream::new(profile, 0, params.stream_seed);
+        let mut l1 = SetAssocCache::new(params.l1_geometry, 1);
+        let mut counts = vec![0u64; BUCKETS];
+        let mut last = vec![u64::MAX; ws as usize];
+        let (mut llc, mut writes, mut seq, mut cold, mut touched) = (0, 0, 0, 0, 0u64);
+        let mut prev_line = u64::MAX;
+        for _ in 0..ops {
+            let op = stream.next_op();
+            if l1.access(op.line, AppId::new(0), op.is_write).hit {
+                continue;
+            }
+            let raw = op.line.raw();
+            if op.is_write {
+                writes += 1;
+            }
+            if prev_line != u64::MAX && raw == prev_line + 1 {
+                seq += 1;
+            }
+            prev_line = raw;
+            let prev = last[raw as usize];
+            if prev == u64::MAX {
+                cold += 1;
+                touched += 1;
+            } else {
+                let gap = (llc - prev).max(1);
+                counts[bounds.partition_point(|&b| b <= gap) - 1] += 1;
+            }
+            last[raw as usize] = llc;
+            llc += 1;
+        }
+        let mut p = ReuseProfile {
+            name: profile.name().to_owned(),
+            key: profile_key(profile, params),
+            ops,
+            llc,
+            writes,
+            seq,
+            cold,
+            lines_touched: touched,
+            mem_per_kilo: profile.mem_per_kilo(),
+            mlp: profile.mlp(),
+            working_set_lines: ws,
+            counts,
+            tail: Vec::new(),
+            fpt: Vec::new(),
+        };
+        p.finish();
+        p
+    }
+
+    /// Every suite and DB profile, extracted once for the tests that
+    /// read them.
+    fn suite_profiles() -> &'static [ReuseProfile] {
+        static PROFILES: std::sync::OnceLock<Vec<ReuseProfile>> = std::sync::OnceLock::new();
+        PROFILES.get_or_init(|| {
+            let params = ProfileParams::from_system(&asm_core::SystemConfig::default());
+            asm_workloads::suite::all()
+                .iter()
+                .chain(&asm_workloads::suite::db())
+                .map(|app| ReuseProfile::extract(app, &params))
+                .collect()
+        })
+    }
+
+    #[test]
+    fn extract_is_the_longhand_pass_on_every_suite_profile() {
+        let params = ProfileParams::from_system(&asm_core::SystemConfig::default());
+        let apps: Vec<AppProfile> = asm_workloads::suite::all()
+            .into_iter()
+            .chain(asm_workloads::suite::db())
+            .collect();
+        assert_eq!(apps.len(), 35);
+        for (app, p) in apps.iter().zip(suite_profiles()) {
+            assert_eq!(*p, reference_extract(app, &params), "{}", app.name());
+        }
+    }
+
+    /// A random hit-heavy to miss-heavy line stream over `lines` lines.
+    fn random_lines(seed: u64, lines: u64, len: usize) -> Vec<u64> {
+        let mut rng = asm_simcore::SimRng::seed_from(seed);
+        (0..len).map(|_| rng.gen_range(lines)).collect()
+    }
+
+    /// The filter's hit sequence against [`SetAssocCache`]'s on one stream.
+    fn assert_filter_matches<const W: usize>(geometry: CacheGeometry, stream: &[u64]) {
+        let mut filter = LruFilter::<W>::new(geometry);
+        let mut cache = SetAssocCache::new(geometry, 1);
+        for (i, &line) in stream.iter().enumerate() {
+            let want = cache.access(asm_simcore::LineAddr::new(line), AppId::new(0), false).hit;
+            assert_eq!(filter.access(line), want, "{geometry:?}: access {i} (line {line})");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn filter_hits_exactly_where_set_assoc_cache_does(
+            ways_pick in 0usize..6,
+            sets_log in 0u32..11,
+            span in 1u64..5,
+            seed in 0u64..1 << 32,
+        ) {
+            let ways = [1, 2, 3, 4, 8, 16][ways_pick];
+            let geometry = CacheGeometry::new(1 << sets_log, ways);
+            // Up to four times the capacity: hits and misses alike.
+            let stream = random_lines(seed, (geometry.sets() * ways) as u64 * span, 20_000);
+            if ways == 4 {
+                assert_filter_matches::<4>(geometry, &stream);
+            }
+            assert_filter_matches::<0>(geometry, &stream);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn extract_is_the_longhand_pass_on_random_profiles(
+            ways_pick in 0usize..6,
+            sets_log in 0u32..11,
+            ws_log in 6u32..17,
+            hot in 1u64..4096,
+            hot_frac in 0.0..1.0,
+            run in 1u32..65,
+            write_frac in 0.0..1.0,
+        ) {
+            let ways = [1, 2, 3, 4, 8, 16][ways_pick];
+            let profile = AppProfile::builder("toy")
+                .working_set_lines(1 << ws_log)
+                .hot_lines(hot)
+                .hot_frac(hot_frac)
+                .seq_run(run)
+                .write_frac(write_frac)
+                .build();
+            let params = ProfileParams {
+                l1_geometry: CacheGeometry::new(1 << sets_log, ways),
+                ..ProfileParams::default()
+            };
+            prop_assert_eq!(
+                ReuseProfile::extract(&profile, &params),
+                reference_extract(&profile, &params)
+            );
         }
     }
 

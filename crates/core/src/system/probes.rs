@@ -261,11 +261,11 @@ impl Probes {
 
     /// Emits one span of request `c`'s lifecycle, if the tracer samples it.
     // asm-lint: allow(R9): sampled-trace emission — gated on
-    // `sample_request`, so it allocates only for traced requests when
-    // the opt-in tracer is attached
+    // `sample_request`, so it allocates (the args vector) only for traced
+    // requests when the opt-in tracer is attached
     fn request_span(
         &mut self,
-        name: &str,
+        name: &'static str,
         cat: &'static str,
         c: &Completion,
         start: Cycle,
@@ -281,8 +281,8 @@ impl Probes {
                 dur,
                 c.app.index() as u64,
                 vec![
-                    ("interference".to_owned(), JsonValue::num_u64(interference)),
-                    ("row_hit".to_owned(), JsonValue::Bool(c.row_hit)),
+                    ("interference", JsonValue::num_u64(interference)),
+                    ("row_hit", JsonValue::Bool(c.row_hit)),
                 ],
             );
         }
@@ -296,7 +296,7 @@ impl Probes {
                 Some(a) => (a.index() as u64, JsonValue::num_u64(a.index() as u64)),
                 None => (0, JsonValue::Null),
             };
-            tracer.instant("epoch_owner", "sched", now, tid, vec![("owner".to_owned(), arg)]);
+            tracer.instant("epoch_owner", "sched", now, tid, vec![("owner", arg)]);
         }
     }
 
@@ -314,11 +314,11 @@ impl Probes {
         let (start, now) = (rec.start_cycle, rec.end_cycle);
         let tracer = &mut self.tracer;
         if tracer.is_enabled() {
-            let args = vec![("index".to_owned(), JsonValue::num_u64(index as u64))];
+            let args = vec![("index", JsonValue::num_u64(index as u64))];
             tracer.complete("quantum", "quantum", start, now - start, 0, args);
             if let Some(p) = &rec.partition {
                 let ways = p.iter().map(|&w| JsonValue::num_u64(w as u64)).collect();
-                let args = vec![("ways".to_owned(), JsonValue::Arr(ways))];
+                let args = vec![("ways", JsonValue::Arr(ways))];
                 tracer.instant("repartition", "sched", now, 0, args);
             }
         }

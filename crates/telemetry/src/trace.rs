@@ -18,7 +18,7 @@ use crate::json::JsonValue;
 #[derive(Debug, Clone)]
 pub struct TraceEvent {
     /// Event name (shown on the slice).
-    pub name: String,
+    pub name: &'static str,
     /// Category tag, e.g. `"sched"`, `"quantum"`, `"mem"`.
     pub cat: &'static str,
     /// Phase: `'i'` instant or `'X'` complete.
@@ -32,13 +32,13 @@ pub struct TraceEvent {
     /// Thread id lane; the simulator uses the app/core index.
     pub tid: u64,
     /// Extra key/value payload shown in the event details pane.
-    pub args: Vec<(String, JsonValue)>,
+    pub args: Vec<(&'static str, JsonValue)>,
 }
 
 impl TraceEvent {
     fn to_json(&self) -> JsonValue {
         let mut members = vec![
-            ("name".to_owned(), JsonValue::str(self.name.clone())),
+            ("name".to_owned(), JsonValue::str(self.name)),
             ("cat".to_owned(), JsonValue::str(self.cat)),
             ("ph".to_owned(), JsonValue::str(self.ph.to_string())),
             ("ts".to_owned(), JsonValue::num_u64(self.ts)),
@@ -49,7 +49,8 @@ impl TraceEvent {
         members.push(("pid".to_owned(), JsonValue::num_u64(self.pid)));
         members.push(("tid".to_owned(), JsonValue::num_u64(self.tid)));
         if !self.args.is_empty() {
-            members.push(("args".to_owned(), JsonValue::Obj(self.args.clone())));
+            let args = self.args.iter().map(|(k, v)| ((*k).to_owned(), v.clone())).collect();
+            members.push(("args".to_owned(), JsonValue::Obj(args)));
         }
         JsonValue::Obj(members)
     }
@@ -146,14 +147,14 @@ impl Tracer {
     /// Records an instant event.
     pub fn instant(
         &mut self,
-        name: &str,
+        name: &'static str,
         cat: &'static str,
         ts: u64,
         tid: u64,
-        args: Vec<(String, JsonValue)>,
+        args: Vec<(&'static str, JsonValue)>,
     ) {
         self.push(TraceEvent {
-            name: name.to_owned(),
+            name,
             cat,
             ph: 'i',
             ts,
@@ -166,19 +167,19 @@ impl Tracer {
 
     /// Records a complete (span) event covering `[ts, ts + dur)`.
     // asm-lint: allow(R9): opt-in trace recording — callers gate on
-    // `is_enabled`/`sample_request`, so the name copy only happens for
-    // requests actually being traced
+    // `is_enabled`/`sample_request`; the only allocation left is the
+    // event buffer growing by doubling, for requests actually traced
     pub fn complete(
         &mut self,
-        name: &str,
+        name: &'static str,
         cat: &'static str,
         ts: u64,
         dur: u64,
         tid: u64,
-        args: Vec<(String, JsonValue)>,
+        args: Vec<(&'static str, JsonValue)>,
     ) {
         self.push(TraceEvent {
-            name: name.to_owned(),
+            name,
             cat,
             ph: 'X',
             ts,
@@ -231,7 +232,7 @@ mod tests {
             "sched",
             1000,
             2,
-            vec![("owner".to_owned(), JsonValue::num_u64(2))],
+            vec![("owner", JsonValue::num_u64(2))],
         );
         t.complete("req", "mem", 500, 120, 1, vec![]);
         let doc = json::parse(&t.to_json()).expect("tracer output parses");

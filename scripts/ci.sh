@@ -28,10 +28,14 @@
 #   4. asm-experiments accuracy --tiny       (cross-tier smoke: ASM and
 #                                             the analytic and sampled
 #                                             tiers against the cycle tier
-#                                             on the 7-mix smoke sweep;
-#                                             the full 38-config gate and
-#                                             the cliff localization live
-#                                             in tests/analytic_gate.rs)
+#                                             on the 7-mix smoke sweep,
+#                                             and the cliff localization;
+#                                             its stdout must equal the
+#                                             checked-in
+#                                             results_accuracy_tiny.txt
+#                                             byte for byte; the full
+#                                             38-config gate lives in
+#                                             tests/analytic_gate.rs)
 #   5. checkpoint resume smoke               (kill a checkpointed fig11
 #                                             campaign mid-flight, resume
 #                                             it, and byte-compare against
@@ -94,12 +98,14 @@
 #                                 # scale (~3 min on 2 cores), whose stdout
 #                                 # must equal results_default.txt
 #
-# The two golden files are the byte-identity contract of every change
+# The three golden files are the byte-identity contract of every change
 # that does not mean to move a result:
 #   target/release/asm-experiments all --tiny > results_tiny.txt
 #   target/release/asm-experiments all --jobs 2 > results_default.txt
+#   target/release/asm-experiments accuracy --tiny > results_accuracy_tiny.txt
 # regenerate them only in a change that fixes or alters the simulated
-# model, and state the cause in that change's notes (ROADMAP item 2).
+# model (or, for the last, a tier's model or the accuracy report), and
+# state the cause in that change's notes (ROADMAP item 2).
 #
 # Host-speed numbers are not part of this chain: `benchmark/run.sh` and
 # its paired protocol (benchmark/README.md) are the one way to take them.
@@ -131,7 +137,10 @@ cargo run -p asm-lint --release
 
 EXP=target/release/asm-experiments
 echo "ci: [4/8] asm-experiments accuracy --tiny (cross-tier smoke)" >&2
-"$EXP" accuracy --tiny
+"$EXP" accuracy --tiny | cmp results_accuracy_tiny.txt - || {
+    echo "ci: FAIL — \`accuracy --tiny\` stdout differs from results_accuracy_tiny.txt" >&2
+    exit 1
+}
 
 # CI_FULL=1 promotes the smoke to the enforced cross-tier verdicts at the
 # default scale (15 workloads, 8M cycles): the analytic sweep geomean
