@@ -5,9 +5,10 @@
 //! channels, 1 rank per channel, 8 banks per rank, 8 KB rows, a 128-entry
 //! request buffer per controller, and FR-FCFS scheduling — plus the
 //! application-aware baseline schedulers the paper compares against (PARBS,
-//! TCM) and the *epoch priority* hook ASM/MISE rely on (§3.2 step 1: give
-//! one application's requests the highest priority at the memory controller
-//! for short periods of time).
+//! TCM; also ATLAS and BLISS), each an application rank ahead of the same
+//! FR-FCFS pick, and the *epoch priority* hook ASM/MISE rely on (§3.2 step
+//! 1: give one application's requests the highest priority at the memory
+//! controller for short periods of time).
 //!
 //! The model is request-level with full per-bank timing: each bank tracks
 //! its open row and readiness; scheduling a request pays the row-hit /

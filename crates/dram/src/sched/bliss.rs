@@ -11,39 +11,16 @@
 
 use asm_simcore::{AppId, Cycle};
 
-use super::{Candidate, QueuedRequest, SchedulerPolicy};
+/// Consecutive served requests after which an application is blacklisted
+/// (the BLISS paper uses 4).
+pub(crate) const BLISS_BLACKLIST_THRESHOLD: u32 = 4;
+/// How often (cycles) the blacklist is cleared (the BLISS paper uses
+/// 10,000).
+pub(crate) const BLISS_CLEAR_INTERVAL: Cycle = 10_000;
 
-/// BLISS tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlissConfig {
-    /// Consecutive served requests after which an application is
-    /// blacklisted (the BLISS paper uses 4).
-    pub blacklist_threshold: u32,
-    /// How often (cycles) the blacklist is cleared (the BLISS paper uses
-    /// 10,000).
-    pub clear_interval: Cycle,
-}
-
-impl Default for BlissConfig {
-    fn default() -> Self {
-        BlissConfig {
-            blacklist_threshold: 4,
-            clear_interval: 10_000,
-        }
-    }
-}
-
-/// The BLISS scheduling policy (per channel).
-///
-/// # Examples
-///
-/// ```
-/// use asm_dram::sched::{Bliss, BlissConfig};
-/// let p = Bliss::new(BlissConfig::default(), 4);
-/// ```
+/// BLISS's per-channel state: the blacklist bit leads the pick.
 #[derive(Debug, Clone)]
-pub struct Bliss {
-    config: BlissConfig,
+pub(crate) struct Bliss {
     blacklisted: Vec<bool>,
     last_served: Option<AppId>,
     streak: u32,
@@ -51,53 +28,34 @@ pub struct Bliss {
 }
 
 impl Bliss {
-    /// Creates the policy for `app_count` applications.
-    #[must_use]
-    pub fn new(config: BlissConfig, app_count: usize) -> Self {
+    /// Creates the state for `app_count` applications.
+    pub(crate) fn new(app_count: usize) -> Self {
         Bliss {
-            config,
             blacklisted: vec![false; app_count],
             last_served: None,
             streak: 0,
-            next_clear_at: config.clear_interval,
+            next_clear_at: BLISS_CLEAR_INTERVAL,
         }
     }
 
     /// Whether `app` is currently blacklisted.
-    #[must_use]
-    pub fn is_blacklisted(&self, app: AppId) -> bool {
+    pub(crate) fn is_blacklisted(&self, app: AppId) -> bool {
         self.blacklisted.get(app.index()).copied().unwrap_or(false)
     }
-}
 
-impl SchedulerPolicy for Bliss {
-    fn maintain(&mut self, now: Cycle, _queue: &mut [QueuedRequest]) {
+    /// Clears the blacklist at each clearing interval.
+    pub(crate) fn maintain(&mut self, now: Cycle) {
         if now >= self.next_clear_at {
             self.blacklisted.fill(false);
-            self.next_clear_at = now + self.config.clear_interval;
+            self.next_clear_at = now + BLISS_CLEAR_INTERVAL;
         }
     }
 
-    fn pick(
-        &mut self,
-        _now: Cycle,
-        queue: &[QueuedRequest],
-        candidates: &[Candidate],
-    ) -> Option<usize> {
-        candidates
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, c)| {
-                let q = &queue[c.queue_idx];
-                (self.is_blacklisted(q.req.app), !c.row_hit, q.req.arrival)
-            })
-            .map(|(i, _)| i)
-    }
-
-    fn on_completion(&mut self, app: AppId) {
+    /// Extends or restarts the serving streak; a long one blacklists.
+    pub(crate) fn on_completion(&mut self, app: AppId) {
         if self.last_served == Some(app) {
             self.streak += 1;
-            if self.streak >= self.config.blacklist_threshold {
+            if self.streak >= BLISS_BLACKLIST_THRESHOLD {
                 if let Some(b) = self.blacklisted.get_mut(app.index()) {
                     *b = true;
                 }
@@ -125,20 +83,27 @@ asm_simcore::persist_fields!(Bliss {
 mod tests {
     use super::*;
     use crate::sched::testutil::{all_candidates, queued};
+    use crate::sched::Scheduler;
+
+    fn serve(p: &mut Bliss, app: usize, times: u32) {
+        for _ in 0..times {
+            p.on_completion(AppId::new(app));
+        }
+    }
 
     #[test]
     fn streak_triggers_blacklist() {
-        let mut p = Bliss::new(BlissConfig::default(), 2);
-        for _ in 0..4 {
-            p.on_completion(AppId::new(0));
-        }
+        let mut p = Bliss::new(2);
+        serve(&mut p, 0, BLISS_BLACKLIST_THRESHOLD - 1);
+        assert!(!p.is_blacklisted(AppId::new(0)));
+        serve(&mut p, 0, 1);
         assert!(p.is_blacklisted(AppId::new(0)));
         assert!(!p.is_blacklisted(AppId::new(1)));
     }
 
     #[test]
     fn interleaved_service_avoids_blacklist() {
-        let mut p = Bliss::new(BlissConfig::default(), 2);
+        let mut p = Bliss::new(2);
         for _ in 0..10 {
             p.on_completion(AppId::new(0));
             p.on_completion(AppId::new(1));
@@ -149,32 +114,24 @@ mod tests {
 
     #[test]
     fn blacklisted_app_loses_to_row_misses() {
-        let mut p = Bliss::new(BlissConfig::default(), 2);
-        for _ in 0..4 {
-            p.on_completion(AppId::new(0));
-        }
+        let mut p = Bliss::new(2);
+        serve(&mut p, 0, BLISS_BLACKLIST_THRESHOLD);
         let queue = vec![
             queued(0, 0, 1, 0, 1), // blacklisted, row hit, older
             queued(1, 1, 9, 1, 1), // clean, row miss, newer
         ];
         let cands = all_candidates(&[true, false]);
-        let pick = p.pick(0, &queue, &cands).unwrap();
-        assert_eq!(cands[pick].queue_idx, 1);
+        assert_eq!(Scheduler::Bliss(p).pick(&queue, &cands, None), Some(1));
     }
 
     #[test]
     fn blacklist_clears_periodically() {
-        let mut p = Bliss::new(
-            BlissConfig {
-                blacklist_threshold: 2,
-                clear_interval: 100,
-            },
-            1,
-        );
-        p.on_completion(AppId::new(0));
-        p.on_completion(AppId::new(0));
+        let mut p = Bliss::new(1);
+        serve(&mut p, 0, BLISS_BLACKLIST_THRESHOLD);
         assert!(p.is_blacklisted(AppId::new(0)));
-        p.maintain(100, &mut []);
+        p.maintain(BLISS_CLEAR_INTERVAL - 1);
+        assert!(p.is_blacklisted(AppId::new(0)));
+        p.maintain(BLISS_CLEAR_INTERVAL);
         assert!(!p.is_blacklisted(AppId::new(0)));
     }
 }

@@ -8,41 +8,18 @@
 
 use asm_simcore::{AppId, Cycle, SimRng};
 
-use super::{Candidate, QueuedRequest, SchedulerPolicy};
+/// How often clusters are recomputed, in cycles (TCM's "quantum").
+pub(crate) const TCM_CLUSTER_INTERVAL: Cycle = 1_000_000;
+/// How often bandwidth-cluster ranks are shuffled, in cycles.
+pub(crate) const TCM_SHUFFLE_INTERVAL: Cycle = 8_000;
+/// Fraction of total observed bandwidth the latency-sensitive cluster may
+/// consume (TCM's ClusterThresh).
+pub(crate) const TCM_CLUSTER_THRESHOLD: f64 = 0.10;
 
-/// TCM tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TcmConfig {
-    /// How often clusters are recomputed, in cycles (TCM's "quantum").
-    pub cluster_interval: Cycle,
-    /// How often bandwidth-cluster ranks are shuffled, in cycles.
-    pub shuffle_interval: Cycle,
-    /// Fraction of total observed bandwidth the latency-sensitive cluster
-    /// may consume (TCM's ClusterThresh).
-    pub cluster_threshold: f64,
-}
-
-impl Default for TcmConfig {
-    fn default() -> Self {
-        TcmConfig {
-            cluster_interval: 1_000_000,
-            shuffle_interval: 8_000,
-            cluster_threshold: 0.10,
-        }
-    }
-}
-
-/// The TCM scheduling policy (per channel).
-///
-/// # Examples
-///
-/// ```
-/// use asm_dram::sched::{Tcm, TcmConfig};
-/// let p = Tcm::new(TcmConfig::default(), 4, 42);
-/// ```
+/// TCM's per-channel state: its rank `(!latency_sensitive, rank)` leads
+/// the pick.
 #[derive(Debug, Clone)]
-pub struct Tcm {
-    config: TcmConfig,
+pub(crate) struct Tcm {
     rng: SimRng,
     /// Requests completed per application in the current clustering window.
     window_served: Vec<u64>,
@@ -52,46 +29,71 @@ pub struct Tcm {
     rank: Vec<usize>,
     next_cluster_at: Cycle,
     next_shuffle_at: Cycle,
+    /// Apps-sized scratch for reclustering and shuffling, so neither
+    /// allocates; not persisted (each use overwrites it).
+    scratch: Vec<usize>,
 }
 
 impl Tcm {
-    /// Creates the policy for `app_count` applications; `seed` drives the
+    /// Creates the state for `app_count` applications; `seed` drives the
     /// shuffling.
-    #[must_use]
-    pub fn new(config: TcmConfig, app_count: usize, seed: u64) -> Self {
+    pub(crate) fn new(app_count: usize, seed: u64) -> Self {
         Tcm {
-            config,
             rng: SimRng::seed_from(seed),
             window_served: vec![0; app_count],
             // Until the first clustering everyone is bandwidth-sensitive.
             latency_sensitive: vec![false; app_count],
             rank: (0..app_count).collect(),
-            next_cluster_at: config.cluster_interval,
-            next_shuffle_at: config.shuffle_interval,
+            next_cluster_at: TCM_CLUSTER_INTERVAL,
+            next_shuffle_at: TCM_SHUFFLE_INTERVAL,
+            scratch: Vec::with_capacity(app_count),
         }
     }
 
     /// Whether `app` is currently classified latency-sensitive.
-    #[must_use]
-    pub fn is_latency_sensitive(&self, app: AppId) -> bool {
+    pub(crate) fn is_latency_sensitive(&self, app: AppId) -> bool {
         self.latency_sensitive
             .get(app.index())
             .copied()
             .unwrap_or(false)
     }
 
-    // asm-lint: allow(R9): quantum boundary — reclustering runs once per
-    // TCM quantum, not per cycle; the order scratch is apps-sized
+    pub(crate) fn rank_of(&self, app: AppId) -> usize {
+        self.rank.get(app.index()).copied().unwrap_or(usize::MAX)
+    }
+
+    /// Re-clusters at each TCM quantum and shuffles at each shuffle
+    /// interval.
+    pub(crate) fn maintain(&mut self, now: Cycle) {
+        if now >= self.next_cluster_at {
+            self.recluster();
+            self.next_cluster_at = now + TCM_CLUSTER_INTERVAL;
+        }
+        if now >= self.next_shuffle_at {
+            self.shuffle_ranks();
+            self.next_shuffle_at = now + TCM_SHUFFLE_INTERVAL;
+        }
+    }
+
+    /// Counts a completed read of `app` towards its clustering window.
+    pub(crate) fn on_completion(&mut self, app: AppId) {
+        if let Some(s) = self.window_served.get_mut(app.index()) {
+            *s += 1;
+        }
+    }
+
     fn recluster(&mut self) {
         let total: u64 = self.window_served.iter().sum();
-        let budget = (total as f64 * self.config.cluster_threshold) as u64;
+        let budget = (total as f64 * TCM_CLUSTER_THRESHOLD) as u64;
         // Take applications in increasing bandwidth order into the latency
-        // cluster while their combined demand fits the budget.
-        let mut order: Vec<usize> = (0..self.window_served.len()).collect();
-        order.sort_by_key(|&a| (self.window_served[a], a));
+        // cluster while their combined demand fits the budget. The app
+        // index makes every key unique, so the unstable sort is stable.
+        self.scratch.clear();
+        self.scratch.extend(0..self.window_served.len());
+        self.scratch.sort_unstable_by_key(|&a| (self.window_served[a], a));
         let mut used = 0u64;
         self.latency_sensitive.fill(false);
-        for &a in &order {
+        for &a in &self.scratch {
             if used + self.window_served[a] <= budget {
                 used += self.window_served[a];
                 self.latency_sensitive[a] = true;
@@ -102,60 +104,14 @@ impl Tcm {
         self.window_served.fill(0);
     }
 
-    // asm-lint: allow(R9): shuffle boundary — runs once per shuffle
-    // interval, not per cycle; the candidate list is apps-sized
     fn shuffle_ranks(&mut self) {
         // Shuffle only the bandwidth-cluster applications' relative order.
-        let mut bw_apps: Vec<usize> = (0..self.rank.len())
-            .filter(|&a| !self.latency_sensitive[a])
-            .collect();
-        self.rng.shuffle(&mut bw_apps);
-        for (r, &a) in bw_apps.iter().enumerate() {
+        self.scratch.clear();
+        self.scratch
+            .extend((0..self.rank.len()).filter(|&a| !self.latency_sensitive[a]));
+        self.rng.shuffle(&mut self.scratch);
+        for (r, &a) in self.scratch.iter().enumerate() {
             self.rank[a] = r;
-        }
-    }
-
-    fn rank_of(&self, app: AppId) -> usize {
-        self.rank.get(app.index()).copied().unwrap_or(usize::MAX)
-    }
-}
-
-impl SchedulerPolicy for Tcm {
-    fn maintain(&mut self, now: Cycle, _queue: &mut [QueuedRequest]) {
-        if now >= self.next_cluster_at {
-            self.recluster();
-            self.next_cluster_at = now + self.config.cluster_interval;
-        }
-        if now >= self.next_shuffle_at {
-            self.shuffle_ranks();
-            self.next_shuffle_at = now + self.config.shuffle_interval;
-        }
-    }
-
-    fn pick(
-        &mut self,
-        _now: Cycle,
-        queue: &[QueuedRequest],
-        candidates: &[Candidate],
-    ) -> Option<usize> {
-        candidates
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, c)| {
-                let q = &queue[c.queue_idx];
-                (
-                    !self.is_latency_sensitive(q.req.app),
-                    self.rank_of(q.req.app),
-                    !c.row_hit,
-                    q.req.arrival,
-                )
-            })
-            .map(|(i, _)| i)
-    }
-
-    fn on_completion(&mut self, app: AppId) {
-        if let Some(s) = self.window_served.get_mut(app.index()) {
-            *s += 1;
         }
     }
 }
@@ -173,18 +129,11 @@ asm_simcore::persist_fields!(Tcm {
 mod tests {
     use super::*;
     use crate::sched::testutil::{all_candidates, queued};
+    use crate::sched::Scheduler;
 
     fn clustered_tcm() -> Tcm {
-        let mut p = Tcm::new(
-            TcmConfig {
-                cluster_interval: 100,
-                shuffle_interval: 50,
-                cluster_threshold: 0.2,
-            },
-            2,
-            7,
-        );
-        // app0 light (5 requests), app1 heavy (95): 0.2 * 100 = 20 budget
+        let mut p = Tcm::new(2, 7);
+        // app0 light (5 requests), app1 heavy (95): 0.10 * 100 = 10 budget
         // admits app0 only.
         for _ in 0..5 {
             p.on_completion(AppId::new(0));
@@ -192,7 +141,7 @@ mod tests {
         for _ in 0..95 {
             p.on_completion(AppId::new(1));
         }
-        p.maintain(100, &mut []);
+        p.maintain(TCM_CLUSTER_INTERVAL);
         p
     }
 
@@ -205,31 +154,23 @@ mod tests {
 
     #[test]
     fn latency_cluster_beats_row_hits() {
-        let mut p = clustered_tcm();
+        let s = Scheduler::Tcm(clustered_tcm());
         let queue = vec![
             queued(0, 1, 1, 0, 1), // heavy app, row hit, older
             queued(1, 0, 9, 1, 1), // light app, row miss, newer
         ];
         let cands = all_candidates(&[true, false]);
-        let pick = p.pick(200, &queue, &cands).unwrap();
-        assert_eq!(cands[pick].queue_idx, 1);
+        assert_eq!(s.pick(&queue, &cands, None), Some(1));
     }
 
     #[test]
     fn shuffle_changes_bandwidth_ranks_eventually() {
-        let mut p = Tcm::new(
-            TcmConfig {
-                cluster_interval: 1_000_000,
-                shuffle_interval: 1,
-                cluster_threshold: 0.0,
-            },
-            4,
-            3,
-        );
+        let mut p = Tcm::new(4, 3);
         let initial = p.rank.clone();
         let mut changed = false;
-        for t in 0..32 {
-            p.maintain(t, &mut []);
+        // Every shuffle before the first clustering permutes all four.
+        for t in 1..32 {
+            p.maintain(t * TCM_SHUFFLE_INTERVAL);
             if p.rank != initial {
                 changed = true;
                 break;

@@ -13,14 +13,10 @@ fn drain(mem: &mut MemorySystem, start: u64, horizon: u64) -> Vec<asm_repro::dra
     out
 }
 
+/// Uniform over `SchedulerKind::ALL`.
 fn scheduler_strategy() -> impl Strategy<Value = SchedulerKind> {
-    prop_oneof![
-        Just(SchedulerKind::FrFcfs),
-        Just(SchedulerKind::Parbs),
-        Just(SchedulerKind::Tcm),
-        Just(SchedulerKind::Atlas),
-        Just(SchedulerKind::Bliss),
-    ]
+    let arms = SchedulerKind::ALL.into_iter().map(|kind| proptest::boxed(Just(kind)));
+    proptest::Union::new(arms.collect())
 }
 
 proptest! {

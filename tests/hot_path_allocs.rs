@@ -11,8 +11,8 @@
 //! progress logging, `run_prefix`), with fast-forward on and off. The
 //! counts are a pure function of config + seed, so they are pinned; a new
 //! per-cycle or per-request allocation anywhere under `System::step` fails
-//! here. Epoch, batch and quantum boundaries may allocate at their own
-//! cadence: each such case states its bound. `MixSolver`'s half of the
+//! here. Epoch and quantum boundaries may allocate at their own cadence:
+//! each such case states its bound. `MixSolver`'s half of the
 //! rule is `crates/analytic/tests/solver_allocs.rs`.
 
 use std::alloc::{GlobalAlloc, Layout, System as OsAllocator};
@@ -24,7 +24,7 @@ use asm_repro::core::{
     System, SystemConfig, ThrottlePolicy,
 };
 use asm_repro::cpu::{AddressStream, AppProfile, TraceSource};
-use asm_repro::dram::sched::{SchedulerKind, TcmConfig};
+use asm_repro::dram::sched::SchedulerKind;
 use asm_repro::dram::timing::RefreshConfig;
 use asm_repro::simcore::{AppId, Cycle};
 use asm_repro::workloads::suite;
@@ -120,6 +120,8 @@ enum Setup {
 /// One row of the matrix.
 struct Case {
     name: &'static str,
+    /// The memory scheduler, FR-FCFS unless the row is about schedulers.
+    scheduler: SchedulerKind,
     configure: fn(&mut SystemConfig),
     setup: Setup,
     allowed: Allowed,
@@ -128,46 +130,24 @@ struct Case {
 fn case(name: &'static str, configure: fn(&mut SystemConfig), allowed: Allowed) -> Case {
     Case {
         name,
+        scheduler: SchedulerKind::FrFcfs,
         configure,
         setup: Setup::Plain,
         allowed,
     }
 }
 
-/// Schedulers, boundary policies, estimators and instruments. Every
-/// `Exactly` cell is 0: the window serves ~13,000 reads without one
-/// allocator call. (`Channel::push_read` pushes onto `bank_members[bank]`;
-/// `Channel::new` reserves each list at the read-queue capacity, so the
-/// push never grows one.)
+/// Schedulers (each of `SchedulerKind::ALL`), boundary policies,
+/// estimators and instruments. Every cell is 0: the window serves ~13,000
+/// reads without one allocator call. (`Channel::push_read` pushes onto
+/// `bank_members[bank]`; `Channel::new` reserves each list at the
+/// read-queue capacity, so the push never grows one. PARBS's batches and
+/// TCM's shuffles and clusters reuse scratch sized when the scheduler is
+/// built.)
 fn policy_matrix() -> Vec<Case> {
-    vec![
-        case("FR-FCFS", |_| {}, Allowed::Exactly(0)),
-        // `Parbs::form_batch` (a batch boundary) builds four scratch
-        // vectors, plus a sort buffer past 20 queued requests: at most 5
-        // allocations per batch. Batches are not observable from here, but
-        // each must drain every request it marked before the next forms,
-        // and under this memory-bound mix a batch marks dozens — so a tenth
-        // of the window's reads bounds 5 × batches from above (measured:
-        // 808 against 12,775 reads) and sits a factor of ten below one
-        // allocation per request.
-        case(
-            "PARBS",
-            |c| c.scheduler = SchedulerKind::Parbs,
-            Allowed::AtMost(|misses| misses / 10),
-        ),
-        // `Tcm::shuffle_ranks` and `Tcm::recluster` (the shuffle and
-        // TCM-quantum boundaries) each build one apps-sized vector: 1
-        // allocation per boundary event (measured: 107).
-        case(
-            "TCM",
-            |c| c.scheduler = SchedulerKind::Tcm,
-            Allowed::AtMost(|_| {
-                let tcm = TcmConfig::default();
-                WINDOW / tcm.shuffle_interval + WINDOW / tcm.cluster_interval + 2
-            }),
-        ),
-        case("ATLAS", |c| c.scheduler = SchedulerKind::Atlas, Allowed::Exactly(0)),
-        case("BLISS", |c| c.scheduler = SchedulerKind::Bliss, Allowed::Exactly(0)),
+    let schedulers = SchedulerKind::ALL
+        .map(|scheduler| Case { scheduler, ..case("scheduler", |_| {}, Allowed::Exactly(0)) });
+    let others = [
         case("UCP", |c| c.cache_policy = CachePolicy::Ucp, Allowed::Exactly(0)),
         case("MCFQ", |c| c.cache_policy = CachePolicy::Mcfq, Allowed::Exactly(0)),
         case("ASM-Cache", |c| c.cache_policy = CachePolicy::AsmCache, Allowed::Exactly(0)),
@@ -175,7 +155,8 @@ fn policy_matrix() -> Vec<Case> {
         case("all estimators", |c| c.estimators = EstimatorSet::all(), Allowed::Exactly(0)),
         Case { setup: Setup::Attribution, ..case("attribution", |_| {}, Allowed::Exactly(0)) },
         Case { setup: Setup::Telemetry(None), ..case("telemetry", |_| {}, Allowed::Exactly(0)) },
-    ]
+    ];
+    schedulers.into_iter().chain(others).collect()
 }
 
 /// The remaining `SystemConfig` axes, the other ways of building and
@@ -277,6 +258,7 @@ fn system(case: &Case, skip_mode: bool) -> System {
     let mut config = SystemConfig::default();
     config.quantum = QUANTUM;
     config.skip_mode = skip_mode;
+    config.scheduler = case.scheduler;
     (case.configure)(&mut config);
     let mut sys = match case.setup {
         Setup::Traces => System::from_specs(trace_specs(&apps, config.seed), config),
@@ -308,9 +290,11 @@ fn check(cases: Vec<Case>) {
                 _ => sys.run_for(WINDOW),
             });
             let misses = llc_misses(&sys) - misses_before;
-            let name = case.name;
-            assert!(misses > 10_000, "{name}: the window must be memory-bound ({misses} reads)");
-            let ctx = format!("{} (skip_mode = {skip_mode}, {misses} reads)", case.name);
+            let ctx = format!(
+                "{} under {} (skip_mode = {skip_mode}, {misses} reads)",
+                case.name, case.scheduler
+            );
+            assert!(misses > 10_000, "{ctx}: the window must be memory-bound");
             match case.allowed {
                 Allowed::Exactly(n) => assert_eq!(allocations, n, "{ctx}"),
                 Allowed::AtMost(bound) => {
