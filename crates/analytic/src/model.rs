@@ -278,7 +278,7 @@ pub struct AloneFit {
 ///
 /// Construction is cheap, and one instance can solve any number of mixes.
 /// [`Self::alone`] and [`Self::solve`] are the allocation-free hot path
-/// (asm-lint R9; pinned by `tests/solver_allocs.rs`); [`Self::solution`]
+/// (DESIGN.md §8, R9; pinned by `tests/solver_allocs.rs`); [`Self::solution`]
 /// materialises the result.
 #[derive(Debug, Clone)]
 pub struct MixSolver {

@@ -201,8 +201,8 @@ pub fn split_stall(n: Cycle, ep: &MemEpisode) -> [Cycle; COMPONENTS] {
 /// realistic cycle counts. A zero weight vector puts everything on index 0
 /// (callers substitute a fallback weight vector before that matters).
 ///
-/// Runs once per quantum close (its only caller is the `allow(R9)`
-/// boundary `end_quantum`), never per cycle, so the short-lived
+/// Runs once per quantum close (its only caller is the quantum-boundary
+/// fn `end_quantum`), never per cycle, so the short-lived
 /// remainder vector is off the hot path.
 pub fn apportion(total: Cycle, weights: &[u64], out: &mut [Cycle]) {
     debug_assert_eq!(weights.len(), out.len());
@@ -451,7 +451,7 @@ impl RunAttrib {
     /// blame counters (`app × app × 3`, victim-major); this function
     /// differences them against the previous quantum close to weight the
     /// queueing components. Returns the finalized ledger.
-    // asm-lint: allow(R9): quantum-boundary finalization — allocates the
+    // Allocation cadence (R9): quantum-boundary finalization — allocates the
     // outgoing ledger/blame rows once per quantum close, never per cycle
     pub fn end_quantum(&mut self, now: Cycle, dram_blame_cum: &[Cycle]) -> &QuantumLedger {
         let n = self.app_count;

@@ -197,7 +197,7 @@ fn estimate_slowdown(
     queueing_correction: bool,
 ) -> Estimate {
     let car_shared = st.accesses as f64 / ctx.quantum as f64;
-    // Keep the degenerate-quantum test in integer cycles (asm-lint R3):
+    // Keep the degenerate-quantum test in integer cycles (DESIGN.md §8, R3):
     // comparing the f64 image of this product against 0.0 is exact today
     // but fragile under refactoring.
     let epoch_cycles_int = st.epoch_count * ctx.epoch;

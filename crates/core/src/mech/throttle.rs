@@ -49,7 +49,7 @@ impl ThrottleState {
     /// application, if any.
     ///
     /// Applications with non-finite slowdown estimates are ignored.
-    // asm-lint: allow(R9): quantum boundary — the throttling decision is
+    // Allocation cadence (R9): quantum boundary — the throttling decision is
     // made once per quantum from `end_quantum`, not per cycle
     pub fn update(&mut self, slowdowns: &[f64], threshold: f64) -> Option<usize> {
         let valid: Vec<(usize, f64)> = slowdowns

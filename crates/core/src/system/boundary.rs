@@ -12,7 +12,7 @@ use crate::mech::{self, BoundaryDecision, BoundaryInputs, BoundaryPolicies};
 impl System {
     /// Picks the epoch owner (§4.2: probabilistic assignment; §7.2:
     /// slowdown-proportional under ASM-Mem) and applies memory priority.
-    // asm-lint: allow(R9): epoch boundary — runs once per epoch_cycles
+    // Allocation cadence (R9): epoch boundary — runs once per epoch_cycles
     // (default 100k), not per cycle; trace args may allocate
     pub(super) fn begin_epoch(&mut self, now: Cycle) {
         let owner = if let Some(active) = self.active_only {
@@ -39,7 +39,7 @@ impl System {
 
     /// Finalises the quantum ending at `now`: estimates, mechanisms,
     /// record, reset.
-    // asm-lint: allow(R9): quantum boundary — runs once per quantum
+    // Allocation cadence (R9): quantum boundary — runs once per quantum
     // (default 5M cycles); estimator/mechanism bookkeeping may allocate
     pub(super) fn end_quantum(&mut self, now: Cycle) {
         // The boundary reads retired counts, may move MLP caps and closes

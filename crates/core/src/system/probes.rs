@@ -260,7 +260,7 @@ impl Probes {
     }
 
     /// Emits one span of request `c`'s lifecycle, if the tracer samples it.
-    // asm-lint: allow(R9): sampled-trace emission — gated on
+    // Allocation cadence (R9): sampled-trace emission — gated on
     // `sample_request`, so it allocates (the args vector) only for traced
     // requests when the opt-in tracer is attached
     fn request_span(

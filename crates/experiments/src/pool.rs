@@ -8,8 +8,9 @@
 //! in what wall-clock order, never what any item computes.
 //!
 //! The pool is dependency-free (`std::thread::scope` only — the workspace
-//! builds offline) and lives here, in the harness crate, because `asm-lint`
-//! rule R6 bans threads from the seven simulation crates.
+//! builds offline) and lives here, in the harness crate, because R6
+//! (DESIGN.md §8, owned by clippy's `disallowed_methods`) bans threads from
+//! the eleven simulation crates.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

@@ -2,8 +2,7 @@
 //!
 //! Eight of the thirteen rules DESIGN.md §8 lists, and R9's panic and I/O
 //! legs, are properties clippy already decides with real name resolution
-//! and types, so `asm-lint` does not re-implement them: after its own pass
-//! (R9's allocation leg) the binary runs the
+//! and types, so `asm-lint` does not re-implement them: the binary runs the
 //! `cargo clippy` built by [`clippy_command`] over exactly the crates in
 //! [`crate::SIM_CRATES`], with every lint [`CRATE_POLICIES`] names at deny
 //! level. The banned types and methods themselves are listed in the
@@ -19,8 +18,6 @@
 use std::ffi::OsString;
 use std::path::Path;
 use std::process::Command;
-
-use crate::parse::FileModel;
 
 /// One clippy-owned policy: the former rule ids it replaces, the lints
 /// that enforce it and the `--list-rules` summary.
@@ -154,21 +151,6 @@ pub fn run_clippy(root: &Path) -> std::io::Result<bool> {
     Ok(status.success())
 }
 
-/// Number of non-test `#[expect(…)]` / `#![expect(…)]` attributes in one
-/// file: the clippy-owned counterpart of the allow-directive count.
-#[must_use]
-pub fn expect_sites(m: &FileModel) -> usize {
-    (0..m.tokens.len())
-        .filter(|&i| {
-            let bracket = if m.is_punct(i + 1, "!") { i + 2 } else { i + 1 };
-            m.is_punct(i, "#")
-                && m.text(bracket) == "["
-                && m.is_ident(bracket + 1, "expect")
-                && !m.is_test_token(i)
-        })
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,21 +174,5 @@ mod tests {
         // R5 is file-scoped: denying it per crate would flag every cast.
         assert!(!args.iter().any(|a| a == MONEY_POLICY.lints[0]));
         assert!(args.ends_with(&["-D".to_owned(), "unfulfilled_lint_expectations".to_owned()]));
-    }
-
-    #[test]
-    fn expect_sites_counts_outer_and_inner_attributes_outside_tests() {
-        let src = "\
-#![expect(clippy::float_cmp, reason = \"whole file\")]
-#[expect(clippy::disallowed_types, reason = \"sanctioned\")]
-type M = std::collections::HashMap<u8, u8>;
-fn expect(x: Option<u8>) -> u8 { x.expect(\"stated invariant\") }
-#[cfg(test)]
-mod tests {
-    #[expect(clippy::unwrap_used, reason = \"test code is outside the policy\")]
-    fn t() { }
-}
-";
-        assert_eq!(expect_sites(&FileModel::new("x.rs", src)), 2);
     }
 }

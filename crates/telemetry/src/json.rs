@@ -2,7 +2,7 @@
 //!
 //! Objects are ordered `Vec<(String, JsonValue)>`, not hash maps — key
 //! order is exactly insertion order, so serialisation is deterministic
-//! (asm-lint R1) and round-trips byte-for-byte. The parser is a strict
+//! (DESIGN.md §8, R1) and round-trips byte-for-byte. The parser is a strict
 //! recursive-descent over the RFC 8259 grammar; it exists so the trace and
 //! stats files this crate emits can be schema-checked in tests without an
 //! external JSON dependency.

@@ -3,7 +3,7 @@
 //! Events are timestamped in simulation cycles, reported to the viewer as
 //! microseconds (`ts`/`dur` fields) — one cycle renders as one µs in
 //! Perfetto or `chrome://tracing`, so relative durations read correctly
-//! and determinism is preserved (no wall clock anywhere; asm-lint R4).
+//! and determinism is preserved (no wall clock anywhere; DESIGN.md §8, R4).
 //!
 //! Two event shapes cover everything the simulator emits:
 //!
@@ -166,7 +166,7 @@ impl Tracer {
     }
 
     /// Records a complete (span) event covering `[ts, ts + dur)`.
-    // asm-lint: allow(R9): opt-in trace recording — callers gate on
+    // Allocation cadence (R9): opt-in trace recording — callers gate on
     // `is_enabled`/`sample_request`; the only allocation left is the
     // event buffer growing by doubling, for requests actually traced
     pub fn complete(

@@ -10,21 +10,20 @@
 #                                             equivalence proptests and CLI
 #                                             differentials included)
 #   3. cargo run -p asm-lint --release       (the determinism-policy gate:
-#                                             asm-lint's own rule, R9's
-#                                             allocation leg, then `cargo
+#                                             every listed simulation
+#                                             crate must exist (exit 2
+#                                             otherwise), then `cargo
 #                                             clippy --offline --lib
 #                                             --bins` over the eleven
-#                                             simulation crates with the
-#                                             clippy-owned policy lints
-#                                             denied — R9's panic and I/O
-#                                             legs among them; ≈ +11 s
-#                                             cold, ≈ 1 s warm; exit 1 on
-#                                             any violation in either
-#                                             half, stale allow/#[expect]
-#                                             included. The measured half
-#                                             of R9's allocation leg is
-#                                             leg 2's hot_path_allocs and
-#                                             solver_allocs counts)
+#                                             with the clippy-owned policy
+#                                             lints denied — R9's panic
+#                                             and I/O legs among them;
+#                                             ≈ +11 s cold, ≈ 1 s warm;
+#                                             exit 1 on any violation, a
+#                                             stale #[expect] included.
+#                                             R9's allocation leg is not
+#                                             here: leg 2's hot_path_allocs
+#                                             and solver_allocs own it)
 #   4. asm-experiments accuracy --tiny       (cross-tier smoke: ASM and
 #                                             the analytic and sampled
 #                                             tiers against the cycle tier

@@ -1,14 +1,13 @@
 //! The allocation leg of the hot-path rule (DESIGN.md §8, R9), measured:
-//! no heap allocation between quantum boundaries. `asm-lint` checks the
-//! same leg lexically over its call graph; this test counts what it
-//! approximates.
+//! no heap allocation between quantum boundaries. This matrix and
+//! `crates/analytic/tests/solver_allocs.rs` are the leg's one owner.
 //!
 //! A counting `#[global_allocator]` (this test binary only) counts real
 //! allocator calls around `System::run_for` *between* quantum boundaries —
 //! a `push` that grows a `Vec` or a `clone` of one counts like a `vec!` —
 //! over a matrix with a case for every `SystemConfig` axis and every way a
 //! `System` is built and driven (profiles, traces, alone runs with
-//! progress logging, `run_prefix`), with fast-forward on and off. The
+//! progress logging, `run_prefix`, `step`), with fast-forward on and off. The
 //! counts are a pure function of config + seed, so they are pinned; a new
 //! per-cycle or per-request allocation anywhere under `System::step` fails
 //! here. Epoch and quantum boundaries may allocate at their own cadence:
@@ -115,6 +114,8 @@ enum Setup {
     Alone,
     /// The window is run by `run_prefix`, as a campaign's shared prefix is.
     Prefix,
+    /// The window is `WINDOW` calls of `System::step`, one cycle each.
+    Step,
 }
 
 /// One row of the matrix.
@@ -172,6 +173,10 @@ fn machine_matrix() -> Vec<Case> {
             Allowed::Exactly(0),
         ),
         case("refresh", |c| c.dram.refresh = Some(RefreshConfig::ddr3_2gb()), Allowed::Exactly(0)),
+        // A read queue of 8 fills: the one row whose window reaches
+        // `MemIssueResult::Stall` and the hierarchy's stall memo.
+        case("backpressure", |c| c.dram.read_queue_capacity = 8, Allowed::Exactly(0)),
+        case("queueing correction off", |c| c.asm_queueing_correction = false, Allowed::Exactly(0)),
         case("2 channels", |c| c.dram.channels = 2, Allowed::Exactly(0)),
         case("full ATS", |c| c.ats_sampled_sets = None, Allowed::Exactly(0)),
         case(
@@ -216,6 +221,7 @@ fn machine_matrix() -> Vec<Case> {
         },
         Case { setup: Setup::Traces, ..case("trace-driven cores", |_| {}, Allowed::Exactly(0)) },
         Case { setup: Setup::Prefix, ..case("run_prefix", |_| {}, Allowed::Exactly(0)) },
+        Case { setup: Setup::Step, ..case("step", |_| {}, Allowed::Exactly(0)) },
         // `ProgressLog::record` pushes one milestone per `progress_interval`
         // instructions onto a `Vec` that grows by doubling: one reallocation
         // per power of two crossed. The window is under half the warm-up,
@@ -269,7 +275,7 @@ fn system(case: &Case, skip_mode: bool) -> System {
         Setup::Attribution => sys.enable_attribution(),
         Setup::Telemetry(sample) => sys.enable_telemetry(sample),
         Setup::Alone => sys.enable_progress_logging(),
-        Setup::Plain | Setup::Traces | Setup::Prefix => {}
+        Setup::Plain | Setup::Traces | Setup::Prefix | Setup::Step => {}
     }
     sys
 }
@@ -287,6 +293,7 @@ fn check(cases: Vec<Case>) {
             let misses_before = llc_misses(&sys);
             let allocations = allocations_in(|| match case.setup {
                 Setup::Prefix => sys.run_prefix(WINDOW),
+                Setup::Step => (0..WINDOW).for_each(|_| sys.step()),
                 _ => sys.run_for(WINDOW),
             });
             let misses = llc_misses(&sys) - misses_before;
@@ -320,10 +327,21 @@ fn only_the_window_holding_a_quantum_boundary_allocates() {
     // Ten 100k-cycle windows from 2.55M to 3.55M: the fifth holds the
     // boundary at 3M — `System::end_quantum`, which builds the quantum's
     // record, estimates and per-app resets in 11 allocations. Every other
-    // window is pure hot path.
-    let mut sys = system(&policy_matrix()[0], true);
-    sys.run_for(2 * QUANTUM + 550_000);
-    let per_window: Vec<u64> =
-        (0..10).map(|_| allocations_in(|| sys.run_for(100_000))).collect();
-    assert_eq!(per_window, [0, 0, 0, 0, 11, 0, 0, 0, 0, 0]);
+    // window is pure hot path. Under every scheduler: TCM re-clusters every
+    // 1M cycles, on the quantum boundary when Q = 1M, so only this window
+    // reaches `Tcm::recluster`.
+    for scheduler in SchedulerKind::ALL {
+        let row = Case { scheduler, ..case("scheduler", |_| {}, Allowed::Exactly(0)) };
+        for skip_mode in [true, false] {
+            let mut sys = system(&row, skip_mode);
+            sys.run_for(2 * QUANTUM + 550_000);
+            let per_window: Vec<u64> =
+                (0..10).map(|_| allocations_in(|| sys.run_for(100_000))).collect();
+            assert_eq!(
+                per_window,
+                [0, 0, 0, 0, 11, 0, 0, 0, 0, 0],
+                "{scheduler} (skip_mode = {skip_mode})"
+            );
+        }
+    }
 }

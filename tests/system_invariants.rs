@@ -214,7 +214,7 @@ fn render_results(sys: &asm_repro::core::System, apps: usize) -> String {
 
 #[test]
 fn default_config_runs_are_byte_identical() {
-    // The determinism smoke test backing asm-lint rules R1/R4: after the
+    // The determinism smoke test backing DESIGN.md §8's R1/R4: after the
     // BTreeMap migration of the MSHR and alone-cache there is no hash
     // iteration order left in the simulation, so two back-to-back runs
     // from identical seeds must agree bit-for-bit — checked by writing
@@ -242,7 +242,7 @@ fn default_config_runs_are_byte_identical() {
     assert_eq!(
         first, second,
         "back-to-back default-config runs diverged — nondeterminism \
-         reintroduced (check HashMap/entropy use; see asm-lint R1/R4)"
+         reintroduced (check HashMap/entropy use; see DESIGN.md §8, R1/R4)"
     );
 }
 
