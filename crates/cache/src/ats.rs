@@ -75,7 +75,6 @@ pub struct AuxiliaryTagStore {
     /// Hits observed at each recency position since the last reset.
     position_hits: Vec<u64>,
     misses: u64,
-    sampled_accesses: u64,
 }
 
 impl AuxiliaryTagStore {
@@ -116,7 +115,6 @@ impl AuxiliaryTagStore {
             fill: vec![0; sampled].into_boxed_slice(),
             position_hits: vec![0; geometry.ways()],
             misses: 0,
-            sampled_accesses: 0,
         }
     }
 
@@ -165,7 +163,6 @@ impl AuxiliaryTagStore {
         let ways = ways_of::<W>(self.geometry);
         let sampled_idx = set_idx >> self.stride_shift;
         let base = sampled_idx * ways;
-        self.sampled_accesses += u64::from(count);
 
         let found = find_way::<W>(
             &self.tags[base..base + ways],
@@ -229,10 +226,11 @@ impl AuxiliaryTagStore {
         self.misses
     }
 
-    /// Sampled accesses since the last reset.
+    /// Sampled accesses since the last reset: every counted access is a
+    /// hit or a miss.
     #[must_use]
     pub fn accesses(&self) -> u64 {
-        self.sampled_accesses
+        self.hits() + self.misses
     }
 
     /// Hits observed at each recency position since the last reset.
@@ -263,7 +261,6 @@ impl AuxiliaryTagStore {
     pub fn reset_counters(&mut self) {
         self.position_hits.fill(0);
         self.misses = 0;
-        self.sampled_accesses = 0;
     }
 }
 
@@ -275,7 +272,6 @@ asm_simcore::persist_fields!(AuxiliaryTagStore {
     fill,
     [position_hits],
     misses,
-    sampled_accesses,
 });
 
 #[cfg(test)]
@@ -398,5 +394,6 @@ mod tests {
             ats.access(LineAddr::new(rng.gen_range(128)));
         }
         assert_eq!(ats.hits() + ats.misses(), ats.accesses());
+        assert_eq!(ats.accesses(), 1000, "an unsampled ATS counts every access");
     }
 }

@@ -70,7 +70,12 @@ pub const SNAPSHOT_FORMAT: &str = "asm-snapshot";
 /// v7: the hierarchy's estimators are one bank of five optional fields,
 /// each stored as a presence-checked length, instead of a name list and a
 /// list of trait objects.
-pub const SNAPSHOT_VERSION: u32 = 7;
+/// v8: the DRAM channel stores each fact once — in-flight commands in
+/// issue order without a sequence number or a second finish, no
+/// per-application service stats, no per-channel copy of the epoch owner
+/// or of the last activation, no ATS access counter beside its hits and
+/// misses.
+pub const SNAPSHOT_VERSION: u32 = 8;
 
 /// Format name of a binary per-run result manifest: a [`RunResult`]
 /// [`persist::seal`]ed under its run's key (the harness's `--resume`).
@@ -499,19 +504,23 @@ mod tests {
 
     #[test]
     fn artefacts_of_the_previous_format_versions_are_stale() {
-        // A v5 snapshot carries a counter registry and series rings and a
-        // v1 manifest predates the field lists; their bytes must never be
-        // read as if they were current.
-        let old_snapshot = StateWriter::new(SNAPSHOT_FORMAT, 5).finish();
-        let mut sys = System::new(&apps(), config());
-        assert!(matches!(
-            resume(&old_snapshot, 0, &mut sys),
-            Err(PersistError::StaleVersion { found: 5, expected: SNAPSHOT_VERSION, .. })
-        ));
-        assert!(matches!(
-            persist::open(&old_snapshot, SNAPSHOT_FORMAT, SNAPSHOT_VERSION, 0),
-            Err(PersistError::StaleVersion { .. })
-        ));
+        // A v5 snapshot carries a counter registry and series rings, a v7
+        // one a heap-ordered in-flight queue and the DRAM controller's
+        // duplicated state, and a v1 manifest predates the field lists;
+        // their bytes must never be read as if they were current.
+        for version in [5, 7] {
+            let old_snapshot = StateWriter::new(SNAPSHOT_FORMAT, version).finish();
+            let mut sys = System::new(&apps(), config());
+            assert!(matches!(
+                resume(&old_snapshot, 0, &mut sys),
+                Err(PersistError::StaleVersion { found, expected: SNAPSHOT_VERSION, .. })
+                    if found == version
+            ));
+            assert!(matches!(
+                persist::open(&old_snapshot, SNAPSHOT_FORMAT, SNAPSHOT_VERSION, 0),
+                Err(PersistError::StaleVersion { .. })
+            ));
+        }
         let old_manifest = StateWriter::new(MANIFEST_FORMAT, 1).finish();
         assert!(matches!(
             unseal_manifest(&old_manifest, 0),

@@ -62,8 +62,7 @@ pub struct ChannelAccounting {
     last_event: Cycle,
     app_count: usize,
     /// Cumulative cycles each bank spent busy on an owned request,
-    /// indexed by bank. Sized lazily on the first [`advance`](Self::advance)
-    /// (the channel's bank count is not known at construction).
+    /// indexed by bank.
     bank_charge: Vec<Cycle>,
     /// The per-application share of `bank_charge`, flattened as
     /// `bank * app_count + app`.
@@ -79,7 +78,6 @@ pub struct ChannelAccounting {
     /// waiting cycle during which some of the application's own requests
     /// are still in service is only partially lost).
     queueing_cycles: Vec<f64>,
-    priority_app: Option<AppId>,
     last_issued_app: Option<AppId>,
     /// Whether ground-truth attribution counters are maintained. Off by
     /// default; when off, none of the fields below are touched and the
@@ -106,18 +104,18 @@ pub struct ChannelAccounting {
 }
 
 impl ChannelAccounting {
-    /// Creates accounting state for `app_count` applications.
+    /// Creates accounting state for `app_count` applications on a channel
+    /// of `banks` banks.
     #[must_use]
-    pub fn new(app_count: usize) -> Self {
+    pub fn new(app_count: usize, banks: usize) -> Self {
         ChannelAccounting {
             last_event: 0,
             app_count,
-            bank_charge: Vec::new(),
-            bank_charge_by_app: Vec::new(),
+            bank_charge: vec![0; banks],
+            bank_charge_by_app: vec![0; banks * app_count],
             outstanding_reads: vec![0; app_count],
             waiting_reads: vec![0; app_count],
             queueing_cycles: vec![0.0; app_count],
-            priority_app: None,
             last_issued_app: None,
             attrib: false,
             cause_total: Vec::new(),
@@ -129,28 +127,24 @@ impl ChannelAccounting {
     }
 
     /// Turns on ground-truth attribution counters. Call once, before any
-    /// simulation; the per-bank vectors grow lazily alongside
-    /// `bank_charge`.
+    /// simulation.
     pub fn enable_attrib(&mut self) {
+        let (banks, apps) = (self.bank_charge.len(), self.app_count);
         self.attrib = true;
-        self.blame = vec![0; self.app_count * self.app_count * 3];
-        self.materialized = vec![0; self.app_count];
-    }
-
-    fn ensure_bank_capacity(&mut self, banks: usize) {
-        if self.bank_waiting.len() < banks * self.app_count {
-            self.bank_waiting.resize(banks * self.app_count, 0);
-            self.cause_total.resize(banks * 3, 0);
-            self.cause_own.resize(banks * self.app_count * 3, 0);
-        }
+        self.cause_total = vec![0; banks * 3];
+        self.cause_own = vec![0; banks * apps * 3];
+        self.bank_waiting = vec![0; banks * apps];
+        self.blame = vec![0; apps * apps * 3];
+        self.materialized = vec![0; apps];
     }
 
     /// Advances accounting to `now`, accruing per-bank interference
-    /// charges and queueing cycles for the priority application.
+    /// charges and queueing cycles for `priority`, the epoch owner over
+    /// the interval.
     ///
     /// Must be called *before* any state mutation at an event so the
     /// interval is charged under the pre-event state.
-    pub fn advance(&mut self, now: Cycle, banks: &[Bank]) {
+    pub fn advance(&mut self, now: Cycle, banks: &[Bank], priority: Option<AppId>) {
         if now <= self.last_event {
             return;
         }
@@ -161,13 +155,6 @@ impl ChannelAccounting {
         // within this interval each bank has at most one owner — every
         // resident request of another application accrues the same charge,
         // so it is recorded once per bank, not once per request.
-        if self.bank_charge.len() < banks.len() {
-            self.bank_charge.resize(banks.len(), 0);
-            self.bank_charge_by_app.resize(banks.len() * self.app_count, 0);
-        }
-        if self.attrib {
-            self.ensure_bank_capacity(banks.len());
-        }
         for (b, bank) in banks.iter().enumerate() {
             if let Some(owner) = bank.busy_owner(span_start) {
                 let busy_until = bank.ready_at().min(now);
@@ -202,7 +189,7 @@ impl ChannelAccounting {
         // requests are still in service is only partially lost (its
         // memory-level parallelism keeps making progress), so the cycle is
         // weighted by the stalled fraction of its outstanding requests.
-        if let Some(p) = self.priority_app {
+        if let Some(p) = priority {
             let idx = p.index();
             if idx < self.waiting_reads.len()
                 && self.waiting_reads[idx] > 0
@@ -234,28 +221,19 @@ impl ChannelAccounting {
 
     /// Snapshots the interference counters for a request of `app` entering
     /// `bank`. Call after [`advance`](Self::advance) so the counters are
-    /// current. The counters are sized lazily, so an unseen bank reads 0 —
-    /// correct, since nothing has been charged to it yet.
+    /// current.
     #[must_use]
     pub fn interference_snapshot(&self, bank: usize, app: AppId) -> InterferenceSnapshot {
         let mut snap = InterferenceSnapshot {
-            total: self.bank_charge.get(bank).copied().unwrap_or(0),
-            own: self
-                .bank_charge_by_app
-                .get(bank * self.app_count + app.index())
-                .copied()
-                .unwrap_or(0),
+            total: self.bank_charge[bank],
+            own: self.bank_charge_by_app[bank * self.app_count + app.index()],
             cause_total: [0; 3],
             cause_own: [0; 3],
         };
         if self.attrib {
             for k in 0..3 {
-                snap.cause_total[k] = self.cause_total.get(bank * 3 + k).copied().unwrap_or(0);
-                snap.cause_own[k] = self
-                    .cause_own
-                    .get((bank * self.app_count + app.index()) * 3 + k)
-                    .copied()
-                    .unwrap_or(0);
+                snap.cause_total[k] = self.cause_total[bank * 3 + k];
+                snap.cause_own[k] = self.cause_own[(bank * self.app_count + app.index()) * 3 + k];
             }
         }
         snap
@@ -267,13 +245,8 @@ impl ChannelAccounting {
     /// own application. Call after [`advance`](Self::advance).
     #[must_use]
     pub fn interference_since(&self, snap: InterferenceSnapshot, bank: usize, app: AppId) -> Cycle {
-        let total = self.bank_charge.get(bank).copied().unwrap_or(0) - snap.total;
-        let own = self
-            .bank_charge_by_app
-            .get(bank * self.app_count + app.index())
-            .copied()
-            .unwrap_or(0)
-            - snap.own;
+        let total = self.bank_charge[bank] - snap.total;
+        let own = self.bank_charge_by_app[bank * self.app_count + app.index()] - snap.own;
         total - own
     }
 
@@ -295,13 +268,8 @@ impl ChannelAccounting {
         }
         let mut out = [0; 3];
         for (k, slot) in out.iter_mut().enumerate() {
-            let total = self.cause_total.get(bank * 3 + k).copied().unwrap_or(0)
-                - snap.cause_total[k];
-            let own = self
-                .cause_own
-                .get((bank * self.app_count + app.index()) * 3 + k)
-                .copied()
-                .unwrap_or(0)
+            let total = self.cause_total[bank * 3 + k] - snap.cause_total[k];
+            let own = self.cause_own[(bank * self.app_count + app.index()) * 3 + k]
                 - snap.cause_own[k];
             *slot = total - own;
         }
@@ -321,7 +289,6 @@ impl ChannelAccounting {
         self.outstanding_reads[app.index()] += 1;
         self.waiting_reads[app.index()] += 1;
         if self.attrib {
-            self.ensure_bank_capacity(bank + 1);
             self.bank_waiting[bank * self.app_count + app.index()] += 1;
         }
     }
@@ -336,7 +303,6 @@ impl ChannelAccounting {
             debug_assert!(*w > 0, "read issue without waiting read");
             *w = w.saturating_sub(1);
             if self.attrib {
-                self.ensure_bank_capacity(bank + 1);
                 let bw = &mut self.bank_waiting[bank * self.app_count + app.index()];
                 debug_assert!(*bw > 0, "bank issue without waiting read");
                 *bw = bw.saturating_sub(1);
@@ -349,12 +315,6 @@ impl ChannelAccounting {
         let c = &mut self.outstanding_reads[app.index()];
         debug_assert!(*c > 0, "completion without outstanding read");
         *c = c.saturating_sub(1);
-    }
-
-    /// Changes the highest-priority application. Call
-    /// [`advance`](Self::advance) first.
-    pub fn set_priority_app(&mut self, app: Option<AppId>) {
-        self.priority_app = app;
     }
 
     /// Accumulated queueing cycles for `app` (rounded down).
@@ -406,47 +366,31 @@ impl ChannelAccounting {
         self.app_count
     }
 
-    /// What the field list cannot see: the lazily-sized per-bank vectors
-    /// keep whatever length they have grown to, but their shapes must
-    /// agree with one another and with the application count.
+    /// What the field list cannot see: the last issuer's index.
     fn check_restored(&self) -> Result<(), asm_simcore::persist::PersistError> {
-        use asm_simcore::persist::ensure;
-        let apps = self.app_count;
-        ensure(
-            self.bank_charge_by_app.len() == self.bank_charge.len() * apps,
-            "bank-charge vector shape mismatch",
-        )?;
-        let named = [self.priority_app, self.last_issued_app];
-        ensure(
-            named.iter().flatten().all(|a| a.index() < apps),
+        asm_simcore::persist::ensure(
+            self.last_issued_app.is_none_or(|a| a.index() < self.app_count),
             "application index out of range",
-        )?;
-        ensure(
-            self.cause_total.len().is_multiple_of(3)
-                && self.cause_own.len() == self.cause_total.len() * apps
-                && self.bank_waiting.len() * 3 == self.cause_total.len() * apps
-                && (self.blame.len() == apps * apps * 3 || self.blame.is_empty())
-                && (self.materialized.len() == apps || self.materialized.is_empty()),
-            "attribution counter shape mismatch",
         )
     }
 }
 
+// Every vector's shape is fixed at construction (the attribution ones by
+// `enable_attrib`, which `attrib` pins), so all of them are structural.
 asm_simcore::persist_fields!(ChannelAccounting {
     last_event,
-    bank_charge,
-    bank_charge_by_app,
+    [bank_charge],
+    [bank_charge_by_app],
     [outstanding_reads],
     [waiting_reads],
     [queueing_cycles],
-    priority_app,
     last_issued_app,
     (= attrib),
-    cause_total,
-    cause_own,
-    bank_waiting,
-    blame,
-    materialized,
+    [cause_total],
+    [cause_own],
+    [bank_waiting],
+    [blame],
+    [materialized],
 } => ChannelAccounting::check_restored);
 
 #[cfg(test)]
@@ -460,12 +404,12 @@ mod tests {
         let mut banks = vec![Bank::new(); 2];
         // Bank 0 busy with app1 from cycle 0.
         let (_, finish) = banks[0].schedule(&timing, 0, 5, AppId::new(1), false);
-        let mut acct = ChannelAccounting::new(2);
+        let mut acct = ChannelAccounting::new(2, banks.len());
         // Snapshots taken at cycle 0, before any charge.
         let victim = acct.interference_snapshot(0, AppId::new(0));
         let owner = acct.interference_snapshot(0, AppId::new(1));
         let idle = acct.interference_snapshot(1, AppId::new(0));
-        acct.advance(10, &banks);
+        acct.advance(10, &banks, None);
         // app0 waiting behind app1: interferes.
         assert_eq!(acct.interference_since(victim, 0, AppId::new(0)), 10.min(finish));
         // app1 waiting behind itself: no interference.
@@ -479,9 +423,9 @@ mod tests {
         let timing = DramTiming::ddr3_1333(1);
         let mut banks = vec![Bank::new()];
         let (_, finish) = banks[0].schedule(&timing, 0, 5, AppId::new(1), false);
-        let mut acct = ChannelAccounting::new(2);
+        let mut acct = ChannelAccounting::new(2, banks.len());
         let snap = acct.interference_snapshot(0, AppId::new(0));
-        acct.advance(finish + 100, &banks);
+        acct.advance(finish + 100, &banks, None);
         assert_eq!(acct.interference_since(snap, 0, AppId::new(0)), finish);
     }
 
@@ -490,11 +434,11 @@ mod tests {
         let timing = DramTiming::ddr3_1333(1);
         let mut banks = vec![Bank::new()];
         let (_, finish) = banks[0].schedule(&timing, 0, 5, AppId::new(1), false);
-        let mut acct = ChannelAccounting::new(2);
+        let mut acct = ChannelAccounting::new(2, banks.len());
         // A request arriving at cycle 10 must not be charged cycles 0-10.
-        acct.advance(10, &banks);
+        acct.advance(10, &banks, None);
         let snap = acct.interference_snapshot(0, AppId::new(0));
-        acct.advance(finish + 100, &banks);
+        acct.advance(finish + 100, &banks, None);
         assert_eq!(
             acct.interference_since(snap, 0, AppId::new(0)),
             finish - 10.min(finish)
@@ -504,36 +448,33 @@ mod tests {
     #[test]
     fn queueing_cycles_require_outstanding_and_foreign_last_issue() {
         let banks = vec![Bank::new()];
-        let mut acct = ChannelAccounting::new(2);
+        let mut acct = ChannelAccounting::new(2, banks.len());
         let p = AppId::new(0);
-        acct.set_priority_app(Some(p));
 
         // No outstanding request: no queueing cycles.
-        acct.advance(10, &banks);
+        acct.advance(10, &banks, Some(p));
         assert_eq!(acct.queueing_cycles(p), 0);
 
         // Outstanding, last issue by another app: accrues.
         acct.on_read_enqueued(p, 0);
         acct.on_issue(AppId::new(1), false, 0);
-        acct.advance(30, &banks);
+        acct.advance(30, &banks, Some(p));
         assert_eq!(acct.queueing_cycles(p), 20);
 
         // Last issue by the priority app itself: stops accruing.
         acct.on_issue(p, true, 0);
-        acct.advance(50, &banks);
+        acct.advance(50, &banks, Some(p));
         assert_eq!(acct.queueing_cycles(p), 20);
     }
 
     #[test]
     fn reset_clears_queueing() {
         let banks = vec![Bank::new()];
-        let mut acct = ChannelAccounting::new(1);
+        let mut acct = ChannelAccounting::new(1, banks.len());
         let p = AppId::new(0);
-        acct.set_priority_app(Some(p));
         acct.on_read_enqueued(p, 0);
         acct.on_issue(AppId::new(0), true, 0);
-        acct.set_priority_app(Some(p));
-        acct.advance(10, &banks);
+        acct.advance(10, &banks, Some(p));
         acct.reset_queueing_cycles();
         assert_eq!(acct.queueing_cycles(p), 0);
     }
@@ -541,13 +482,13 @@ mod tests {
     #[test]
     fn advance_is_idempotent_at_same_cycle() {
         let banks = vec![Bank::new()];
-        let mut acct = ChannelAccounting::new(1);
-        acct.set_priority_app(Some(AppId::new(0)));
+        let mut acct = ChannelAccounting::new(1, banks.len());
+        let p = Some(AppId::new(0));
         acct.on_read_enqueued(AppId::new(0), 0);
         acct.on_issue(AppId::new(0), true, 0);
-        acct.advance(10, &banks);
+        acct.advance(10, &banks, p);
         let before = acct.queueing_cycles(AppId::new(0));
-        acct.advance(10, &banks);
+        acct.advance(10, &banks, p);
         assert_eq!(acct.queueing_cycles(AppId::new(0)), before);
     }
 }

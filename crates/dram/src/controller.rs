@@ -2,7 +2,6 @@
 //! enforcement, write draining, epoch prioritisation, and completion
 //! delivery.
 
-use std::collections::BinaryHeap;
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
@@ -11,9 +10,9 @@ use asm_simcore::{AppId, Cycle, LineAddr};
 
 use crate::accounting::ChannelAccounting;
 use crate::bank::Bank;
-use crate::mapping::AddressMapping;
+use crate::mapping::{AddressMapping, Loc};
 use crate::request::{Completion, MemRequest};
-use crate::sched::{Candidate, QueuedRequest, Scheduler, SchedulerKind};
+use crate::sched::{least, Candidate, QueuedRequest, Scheduler, SchedulerKind};
 use crate::timing::DramTiming;
 
 /// Configuration of the main-memory system.
@@ -130,46 +129,15 @@ impl fmt::Display for QueueFullError {
 
 impl Error for QueueFullError {}
 
-/// Per-application service statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AppServiceStats {
-    /// Reads completed.
-    pub reads: u64,
-    /// Reads that hit the open row.
-    pub row_hits: u64,
-    /// Sum of total read latencies (arrival to data).
-    pub total_read_latency: Cycle,
-}
-
+/// A command in service until `completion.finish`.
 #[derive(Debug, Default)]
 struct InFlight {
-    finish: Cycle,
-    seq: u64,
     completion: Completion,
     is_write: bool,
     is_demand: bool,
 }
 
-impl PartialEq for InFlight {
-    fn eq(&self, other: &Self) -> bool {
-        self.finish == other.finish && self.seq == other.seq
-    }
-}
-impl Eq for InFlight {}
-impl PartialOrd for InFlight {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for InFlight {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reverse order: the heap becomes a min-heap on (finish, seq).
-        (other.finish, other.seq).cmp(&(self.finish, self.seq))
-    }
-}
-
-asm_simcore::persist_fields!(InFlight { finish, seq, completion, is_write, is_demand });
-asm_simcore::persist_fields!(AppServiceStats { reads, row_hits, total_read_latency });
+asm_simcore::persist_fields!(InFlight { completion, is_write, is_demand });
 
 /// The cycle value used for "nothing to schedule until an event arrives".
 const IDLE: Cycle = Cycle::MAX;
@@ -178,14 +146,19 @@ const IDLE: Cycle = Cycle::MAX;
 struct Channel {
     banks: Vec<Bank>,
     read_queue: Vec<QueuedRequest>,
-    write_queue: VecDeque<QueuedRequest>,
+    write_queue: Vec<QueuedRequest>,
     scheduler: Scheduler,
     bus_free_at: Cycle,
-    /// Timestamps of up to the last four activations (for tFAW).
+    /// Timestamps of up to the last four activations (the last for tRRD,
+    /// the oldest for tFAW).
     activates: VecDeque<Cycle>,
-    last_activate: Option<Cycle>,
     draining_writes: bool,
-    in_flight: BinaryHeap<InFlight>,
+    /// Commands in service, in issue order — which is also finish order:
+    /// `issue_request` serialises every burst behind `bus_free_at`, so
+    /// finishes strictly increase. A bank stays reserved until its
+    /// command finishes, and completions pop before the next issue, so at
+    /// most one command per bank is in flight.
+    in_flight: VecDeque<InFlight>,
     accounting: ChannelAccounting,
     next_try: Cycle,
     next_refresh_at: Cycle,
@@ -200,8 +173,8 @@ struct Channel {
     /// exact wake-up cycle (row hits wait only for the bank, misses also
     /// for tRRD/tFAW).
     bank_row_hits: Vec<usize>,
-    /// Reused candidate buffer: scheduling is per-cycle hot, so the
-    /// controller never allocates on the tick path.
+    /// Reused candidate buffer (reads or writes): scheduling is per-cycle
+    /// hot, so the controller never allocates on the tick path.
     cand_scratch: Vec<Candidate>,
     /// Cumulative commands issued per bank that hit the open row (reads
     /// and writes). Unlike `bank_row_hits` (a transient queue-content
@@ -217,14 +190,13 @@ impl Channel {
         Channel {
             banks: vec![Bank::new(); config.banks],
             read_queue: Vec::with_capacity(config.read_queue_capacity),
-            write_queue: VecDeque::with_capacity(config.write_queue_capacity),
+            write_queue: Vec::with_capacity(config.write_queue_capacity),
             scheduler,
             bus_free_at: 0,
             activates: VecDeque::with_capacity(4),
-            last_activate: None,
             draining_writes: false,
-            in_flight: BinaryHeap::new(),
-            accounting: ChannelAccounting::new(app_count),
+            in_flight: VecDeque::with_capacity(config.banks),
+            accounting: ChannelAccounting::new(app_count, config.banks),
             next_try: IDLE,
             next_refresh_at: config.refresh.map_or(IDLE, |r| r.trefi),
             // Every list can hold the whole read queue: `push_read` never
@@ -233,7 +205,9 @@ impl Channel {
                 .map(|_| Vec::with_capacity(config.read_queue_capacity))
                 .collect(),
             bank_row_hits: vec![0; config.banks],
-            cand_scratch: Vec::with_capacity(config.read_queue_capacity),
+            cand_scratch: Vec::with_capacity(
+                config.read_queue_capacity.max(config.write_queue_capacity),
+            ),
             row_hit_total: vec![0; config.banks],
             row_miss_total: vec![0; config.banks],
         }
@@ -292,8 +266,8 @@ impl Channel {
     /// tRRD and tFAW for the channel's single rank.
     fn activation_earliest(&self, timing: &DramTiming) -> Cycle {
         let mut earliest = 0;
-        if let Some(last) = self.last_activate {
-            earliest = earliest.max(last + timing.trrd);
+        if let Some(&last) = self.activates.back() {
+            earliest = last + timing.trrd;
         }
         if self.activates.len() == 4 {
             earliest = earliest.max(self.activates[0] + timing.tfaw);
@@ -301,10 +275,23 @@ impl Channel {
         earliest
     }
 
+    /// Earliest cycle at which a request to `loc` could issue, given the
+    /// channel's activation bound `act_ch` from
+    /// [`activation_earliest`](Self::activation_earliest): a row hit waits
+    /// only for its bank; a miss also waits for tRRD/tFAW.
+    fn earliest(&self, loc: Loc, act_ch: Cycle) -> Cycle {
+        let bank = &self.banks[loc.bank];
+        if bank.open_row() == Some(loc.row) {
+            bank.ready_at()
+        } else {
+            bank.ready_at().max(act_ch)
+        }
+    }
+
     /// Earliest cycle at which queued request `q` could be scheduled.
     ///
-    /// Reference implementation: the scheduling loops compute the same
-    /// value per bank (see `attempt_issue`); tests cross-check the two.
+    /// Reference implementation of [`earliest`](Self::earliest), from the
+    /// bank's own activate test; tests cross-check the two.
     #[cfg(test)]
     fn earliest_for(&self, timing: &DramTiming, q: &QueuedRequest) -> Cycle {
         let bank = &self.banks[q.loc.bank];
@@ -320,15 +307,17 @@ impl Channel {
             self.activates.pop_front();
         }
         self.activates.push_back(now);
-        self.last_activate = Some(now);
     }
 
-    fn advance_accounting(&mut self, now: Cycle) {
-        self.accounting.advance(now, &self.banks);
+    /// Advances the lazy accounting to `now` under the epoch owner
+    /// `priority`.
+    fn advance_accounting(&mut self, now: Cycle, priority: Option<AppId>) {
+        self.accounting.advance(now, &self.banks, priority);
     }
 
     /// What the field list cannot see: every index against the channel's
-    /// structure, and the derived row-hit counts.
+    /// structure, the in-flight queue's order and bound, and the derived
+    /// row-hit counts.
     fn check_restored(&mut self) -> Result<(), asm_simcore::persist::PersistError> {
         use asm_simcore::persist::ensure;
         let banks = self.banks.len();
@@ -342,14 +331,21 @@ impl Channel {
             ensure(q.req.app.index() < apps, "queued request app out of range")?;
         }
         ensure(self.activates.len() <= 4, "too many recorded activations")?;
+        ensure(self.in_flight.len() <= banks, "in_flight holds more commands than banks")?;
         for f in &self.in_flight {
             let named = [Some(f.completion.app), f.completion.induced_by];
             ensure(
                 named.iter().flatten().all(|a| a.index() < apps),
                 "application index out of range",
             )?;
-            ensure(f.completion.finish == f.finish, "in-flight completion finish mismatch")?;
         }
+        ensure(
+            self.in_flight
+                .iter()
+                .zip(self.in_flight.iter().skip(1))
+                .all(|(a, b)| a.completion.finish < b.completion.finish),
+            "in_flight finishes do not strictly increase",
+        )?;
         let mut seen = vec![false; self.read_queue.len()];
         for (b, members) in self.bank_members.iter().enumerate() {
             for &i in members {
@@ -378,7 +374,6 @@ asm_simcore::persist_fields!(Channel {
     scheduler,
     bus_free_at,
     activates,
-    last_activate,
     draining_writes,
     in_flight,
     accounting,
@@ -420,9 +415,9 @@ pub struct MemorySystem {
     config: DramConfig,
     mapping: AddressMapping,
     channels: Vec<Channel>,
+    /// The epoch owner (§3.2), the one copy the channels' accounting
+    /// reads.
     priority_app: Option<AppId>,
-    app_stats: Vec<AppServiceStats>,
-    seq: u64,
     last_tick: Option<Cycle>,
     audit: Option<crate::audit::TimingAudit>,
     /// Monotonic count of state mutations (enqueues, command issues,
@@ -462,8 +457,6 @@ impl MemorySystem {
             mapping,
             channels,
             priority_app: None,
-            app_stats: vec![AppServiceStats::default(); app_count],
-            seq: 0,
             last_tick: None,
             audit: None,
             mutations: 0,
@@ -502,7 +495,7 @@ impl MemorySystem {
         let ch = &mut self.channels[loc.channel];
         // Advance before snapshotting so the request is not charged for
         // any interval preceding its arrival.
-        ch.advance_accounting(req.arrival);
+        ch.advance_accounting(req.arrival, self.priority_app);
         let entry = QueuedRequest {
             req,
             loc,
@@ -516,7 +509,7 @@ impl MemorySystem {
                     is_write: true,
                 });
             }
-            ch.write_queue.push_back(entry);
+            ch.write_queue.push(entry);
         } else {
             if ch.read_queue.len() >= cap_r {
                 return Err(QueueFullError {
@@ -535,14 +528,14 @@ impl MemorySystem {
     }
 
     /// Sets (or clears) the highest-priority application — the epoch-owner
-    /// hook of §3.2 step 1. Takes effect immediately.
+    /// hook of §3.2 step 1. Takes effect immediately: every channel's
+    /// accounting is first advanced to `now` under the old owner.
     pub fn set_priority_app(&mut self, now: Cycle, app: Option<AppId>) {
-        self.priority_app = app;
         for ch in &mut self.channels {
-            ch.advance_accounting(now);
-            ch.accounting.set_priority_app(app);
+            ch.advance_accounting(now, self.priority_app);
             ch.next_try = ch.next_try.min(now);
         }
+        self.priority_app = app;
     }
 
     /// Accumulated §4.3 queueing cycles for `app` across all channels.
@@ -604,10 +597,10 @@ impl MemorySystem {
     /// settled at issue or still accruing in the queue". Equal whenever
     /// attribution was enabled from cycle 0.
     pub fn attrib_reconciliation(&mut self, now: Cycle) -> Vec<(Cycle, Cycle)> {
-        let n = self.app_stats.len();
+        let n = self.channels.first().map_or(0, |ch| ch.accounting.app_count());
         let mut out = vec![(0, 0); n];
         for ch in &mut self.channels {
-            ch.advance_accounting(now);
+            ch.advance_accounting(now, self.priority_app);
             let blame = ch.accounting.blame();
             for v in 0..n {
                 let row: Cycle = (0..n).map(|o| (0..3).map(|k| blame[(v * n + o) * 3 + k]).sum::<Cycle>()).sum();
@@ -672,8 +665,8 @@ impl MemorySystem {
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
         let mut next = IDLE;
         for ch in &self.channels {
-            if let Some(entry) = ch.in_flight.peek() {
-                next = next.min(entry.finish);
+            if let Some(entry) = ch.in_flight.front() {
+                next = next.min(entry.completion.finish);
             }
             if !ch.read_queue.is_empty() || !ch.write_queue.is_empty() {
                 next = next.min(ch.next_try);
@@ -720,7 +713,7 @@ impl MemorySystem {
         if now < ch.next_refresh_at {
             return;
         }
-        ch.advance_accounting(now);
+        ch.advance_accounting(now, self.priority_app);
         let until = now + refresh.trfc;
         for bank in &mut ch.banks {
             bank.refresh_until(until);
@@ -733,26 +726,19 @@ impl MemorySystem {
 
     fn pop_completions(&mut self, ch_idx: usize, now: Cycle, out: &mut Vec<Completion>) {
         let ch = &mut self.channels[ch_idx];
-        let any_done = ch.in_flight.peek().is_some_and(|entry| entry.finish <= now);
-        if !any_done {
+        let done = |ch: &Channel| ch.in_flight.front().is_some_and(|f| f.completion.finish <= now);
+        if !done(ch) {
             return;
         }
-        ch.advance_accounting(now);
-        while let Some(entry) = ch.in_flight.peek() {
-            if entry.finish > now {
-                break;
-            }
-            let entry = ch.in_flight.pop().expect("peeked entry");
+        ch.advance_accounting(now, self.priority_app);
+        while done(ch) {
+            let entry = ch.in_flight.pop_front().expect("a finished command is in flight");
             if !entry.is_write {
                 let c = entry.completion;
                 ch.scheduler.on_completion(c.app);
                 if entry.is_demand {
                     ch.accounting.on_read_completed(c.app);
                 }
-                let stats = &mut self.app_stats[c.app.index()];
-                stats.reads += 1;
-                stats.row_hits += u64::from(c.row_hit);
-                stats.total_read_latency += c.total_latency();
                 out.push(c);
             }
             // A bank just freed: scheduling may now be possible.
@@ -767,7 +753,7 @@ impl MemorySystem {
         let low = self.config.write_drain_low;
         let ch = &mut self.channels[ch_idx];
 
-        ch.advance_accounting(now);
+        ch.advance_accounting(now, self.priority_app);
 
         // Write-drain hysteresis.
         if ch.draining_writes {
@@ -859,16 +845,7 @@ impl MemorySystem {
         }
         let q = ch.remove_read(queue_idx);
         let bank = q.loc.bank;
-        Self::issue_request(
-            ch,
-            ch_idx,
-            self.audit.as_mut(),
-            &timing,
-            now,
-            q,
-            false,
-            &mut self.seq,
-        );
+        Self::issue_request(ch, ch_idx, self.audit.as_mut(), &timing, now, q, false);
         ch.recompute_row_hits(bank);
         // Precise retry wake-up. A candidate in another bank may issue on
         // the very next cycle; with none, the earliest possible issue is
@@ -908,75 +885,49 @@ impl MemorySystem {
         now: Cycle,
         low: usize,
     ) -> bool {
-        // FR-FCFS among ready writes. The write queue is at most 64 deep,
-        // so a linear scan (with the channel-wide activation bound hoisted
-        // out of the loop) stays cheap.
+        // The reads' FR-FCFS pick with no epoch owner and no rank.
         let act_ch = ch.activation_earliest(timing);
-        let mut best: Option<(usize, bool, Cycle)> = None; // (idx, row_hit, arrival)
         let mut earliest_any = IDLE;
+        ch.cand_scratch.clear();
         for (i, q) in ch.write_queue.iter().enumerate() {
-            let bank = &ch.banks[q.loc.bank];
-            let ready = bank.ready_at();
-            let row_hit = bank.open_row() == Some(q.loc.row);
-            let earliest = if row_hit { ready } else { ready.max(act_ch) };
+            let earliest = ch.earliest(q.loc, act_ch);
             if earliest <= now {
-                let better = match best {
-                    None => true,
-                    Some((_, bh, ba)) => (!row_hit, q.req.arrival) < (!bh, ba),
-                };
-                if better {
-                    best = Some((i, row_hit, q.req.arrival));
-                }
+                let row_hit = ch.banks[q.loc.bank].open_row() == Some(q.loc.row);
+                ch.cand_scratch.push(Candidate { queue_idx: i, row_hit });
             } else {
                 earliest_any = earliest_any.min(earliest);
             }
         }
-        match best {
-            Some((idx, _, _)) => {
-                let q = ch.write_queue.remove(idx).expect("index valid");
-                let bank = q.loc.bank;
-                let mut seq = 0;
-                Self::issue_request(ch, ch_idx, audit, timing, now, q, true, &mut seq);
-                // The write may have opened/closed the row under queued
-                // reads of the same bank.
-                ch.recompute_row_hits(bank);
-                // Precise retry wake-up, mirroring the read path: while
-                // the drain continues, the next attempt can only issue at
-                // the earliest post-issue write readiness. If the drain
-                // will exit at the next attempt (queue at/under the low
-                // mark with reads waiting), reads become eligible and the
-                // blanket `now + 1` stands.
-                let drain_continues = if ch.draining_writes {
-                    ch.write_queue.len() > low
-                } else {
-                    ch.read_queue.is_empty() && !ch.write_queue.is_empty()
-                };
-                ch.next_try = if drain_continues {
-                    let act_ch = ch.activation_earliest(timing);
-                    let mut wake = IDLE;
-                    for w in &ch.write_queue {
-                        let b = &ch.banks[w.loc.bank];
-                        let ready = b.ready_at();
-                        wake = wake.min(if b.open_row() == Some(w.loc.row) {
-                            ready
-                        } else {
-                            ready.max(act_ch)
-                        });
-                    }
-                    wake.max(now + 1)
-                } else {
-                    now + 1
-                };
-                true
-            }
-            None => {
-                ch.next_try = earliest_any;
-                false
-            }
-        }
+        let Some(idx) = least(&ch.write_queue, &ch.cand_scratch, None, |_| ()) else {
+            ch.next_try = earliest_any;
+            return false;
+        };
+        let q = ch.write_queue.remove(idx);
+        let bank = q.loc.bank;
+        Self::issue_request(ch, ch_idx, audit, timing, now, q, true);
+        // The write may have opened/closed the row under queued reads of
+        // the same bank.
+        ch.recompute_row_hits(bank);
+        // Precise retry wake-up, mirroring the read path: while the drain
+        // continues, the next attempt can only issue at the earliest
+        // post-issue write readiness. If the drain will exit at the next
+        // attempt (queue at/under the low mark with reads waiting), reads
+        // become eligible and the blanket `now + 1` stands.
+        let drain_continues = if ch.draining_writes {
+            ch.write_queue.len() > low
+        } else {
+            ch.read_queue.is_empty() && !ch.write_queue.is_empty()
+        };
+        ch.next_try = if drain_continues {
+            let act_ch = ch.activation_earliest(timing);
+            let wake = ch.write_queue.iter().map(|w| ch.earliest(w.loc, act_ch));
+            wake.fold(IDLE, Cycle::min).max(now + 1)
+        } else {
+            now + 1
+        };
+        true
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn issue_request(
         ch: &mut Channel,
         ch_idx: usize,
@@ -985,7 +936,6 @@ impl MemorySystem {
         now: Cycle,
         q: QueuedRequest,
         is_write: bool,
-        seq: &mut u64,
     ) {
         // Materialise the request's interference before the bank mutates:
         // writes never accrue any (only the read queue is accounted).
@@ -1045,10 +995,12 @@ impl MemorySystem {
         if q.req.is_demand_read() {
             ch.accounting.note_materialized(q.req.app, interference_cycles);
         }
-        *seq += 1;
-        ch.in_flight.push(InFlight {
-            finish,
-            seq: *seq,
+        debug_assert!(
+            ch.in_flight.len() < ch.banks.len()
+                && ch.in_flight.back().is_none_or(|f| f.completion.finish < finish),
+            "in-flight commands finish in issue order, at most one per bank"
+        );
+        ch.in_flight.push_back(InFlight {
             is_demand: q.req.is_demand_read(),
             completion: Completion {
                 id: q.req.id,
@@ -1075,13 +1027,12 @@ impl MemorySystem {
 asm_simcore::persist_fields!(MemorySystem {
     [channels],
     priority_app,
-    [app_stats],
-    seq,
     last_tick,
     mutations,
 } => |m: &MemorySystem| {
     asm_simcore::persist::ensure(
-        m.priority_app.is_none_or(|a| a.index() < m.app_stats.len()),
+        m.priority_app
+            .is_none_or(|a| m.channels.iter().all(|ch| a.index() < ch.accounting.app_count())),
         "priority app index out of range",
     )
 });
@@ -1089,8 +1040,8 @@ asm_simcore::persist_fields!(MemorySystem {
 #[cfg(test)]
 impl MemorySystem {
     /// Asserts the incremental scheduling state (per-bank member lists,
-    /// row-hit counts) against a from-scratch recomputation, and the
-    /// per-bank earliest-cycle formula against [`Channel::earliest_for`].
+    /// row-hit counts) against a from-scratch recomputation, and
+    /// [`Channel::earliest`] against [`Channel::earliest_for`].
     fn assert_tracking_invariants(&self) {
         let timing = self.config.timing;
         for ch in &self.channels {
@@ -1116,14 +1067,8 @@ impl MemorySystem {
                 "some queued read is in no bank list"
             );
             let act_ch = ch.activation_earliest(&timing);
-            for q in &ch.read_queue {
-                let bank = &ch.banks[q.loc.bank];
-                let ready = bank.ready_at();
-                let fast = if bank.open_row() == Some(q.loc.row) {
-                    ready
-                } else {
-                    ready.max(act_ch)
-                };
+            for q in ch.read_queue.iter().chain(&ch.write_queue) {
+                let fast = ch.earliest(q.loc, act_ch);
                 assert_eq!(fast, ch.earliest_for(&timing, q), "earliest-cycle mismatch");
             }
         }
@@ -1509,21 +1454,6 @@ mod tests {
     }
 
     #[test]
-    fn app_stats_track_reads_and_row_hits() {
-        let mut mem = system(1);
-        let a = AppId::new(0);
-        mem.enqueue(MemRequest::read(1, LineAddr::new(0), a, 0))
-            .expect("queue has free capacity in this test");
-        mem.enqueue(MemRequest::read(2, LineAddr::new(1), a, 0))
-            .expect("queue has free capacity in this test");
-        run_until(&mut mem, 0, 2_000);
-        let stats = mem.app_stats[a.index()];
-        assert_eq!(stats.reads, 2);
-        assert_eq!(stats.row_hits, 1);
-        assert!(stats.total_read_latency > 0);
-    }
-
-    #[test]
     fn incremental_tracking_matches_recomputation_under_stress() {
         // Drive a mixed read/write stream (plus refresh and priority
         // switches) through the controller and continuously cross-check
@@ -1601,11 +1531,11 @@ mod tests {
     /// doc); a model change that alters the state the prefix reaches says
     /// so beside the golden files it moves too.
     const SNAPSHOT_DIGESTS: [(SchedulerKind, usize, u64); 5] = [
-        (SchedulerKind::FrFcfs, 7623, 0xf75b_b7d2_4700_ab6d),
-        (SchedulerKind::Parbs, 7763, 0x1821_c78b_8206_eb5b),
-        (SchedulerKind::Tcm, 7853, 0x838d_d3ce_0dd1_d349),
-        (SchedulerKind::Atlas, 7770, 0xeeb9_ff77_3a69_1040),
-        (SchedulerKind::Bliss, 7655, 0x60e7_ef64_da4c_85c2),
+        (SchedulerKind::FrFcfs, 7461, 0x333d_0fc8_c73e_aa84),
+        (SchedulerKind::Parbs, 7585, 0xd856_7403_dec7_7c25),
+        (SchedulerKind::Tcm, 7691, 0x5bd4_c2ca_413e_ee97),
+        (SchedulerKind::Atlas, 7608, 0xfb7f_c9db_b4ee_52a4),
+        (SchedulerKind::Bliss, 7493, 0x8dd7_7cab_9bf2_3eaf),
     ];
 
     /// Runs a 10,000-cycle stress prefix under `scheduler`, checks the saved
@@ -1681,6 +1611,42 @@ mod tests {
                 assert_checkpoint_roundtrip(scheduler);
             }
         }
+    }
+
+    /// Restores into a fresh one-channel system the state of one whose
+    /// in-flight queue was forged to hold commands finishing at `finishes`.
+    fn restore_forged_in_flight(finishes: &[Cycle]) -> Result<(), String> {
+        use asm_simcore::persist::{Persist, StateReader, StateWriter};
+        let mut forged = system(1);
+        for &finish in finishes {
+            forged.channels[0].in_flight.push_back(InFlight {
+                completion: Completion { finish, ..Completion::default() },
+                ..InFlight::default()
+            });
+        }
+        let mut w = StateWriter::new("test-dram", 1);
+        forged.save(&mut w);
+        let bytes = w.finish();
+        let mut r = StateReader::new(&bytes, "test-dram", 1).expect("header valid");
+        system(1).restore(&mut r).map_err(|e| e.to_string())
+    }
+
+    #[test]
+    fn restore_rejects_in_flight_finishes_out_of_issue_order() {
+        restore_forged_in_flight(&[10, 20]).expect("increasing finishes restore");
+        for finishes in [[20, 10], [10, 10]] {
+            let err = restore_forged_in_flight(&finishes).expect_err("out of issue order");
+            assert!(err.contains("in_flight finishes do not strictly increase"), "{err}");
+        }
+    }
+
+    #[test]
+    fn restore_rejects_more_in_flight_commands_than_banks() {
+        let banks = DramConfig::default().banks as Cycle;
+        let finishes: Vec<Cycle> = (1..=banks + 1).collect();
+        restore_forged_in_flight(&finishes[..finishes.len() - 1]).expect("one per bank restores");
+        let err = restore_forged_in_flight(&finishes).expect_err("one more than the banks");
+        assert!(err.contains("in_flight holds more commands than banks"), "{err}");
     }
 
     #[test]

@@ -159,8 +159,9 @@ impl Scheduler {
 }
 
 /// The one FR-FCFS pick under a scheduler's `rank`, with the epoch
-/// priority outermost.
-fn least<K: Ord>(
+/// priority outermost. The controller's write drain calls it too, with no
+/// owner and the unit rank.
+pub(crate) fn least<K: Ord>(
     queue: &[QueuedRequest],
     candidates: &[Candidate],
     priority: Option<AppId>,

@@ -96,7 +96,7 @@
 //! assert_eq!(err.to_string(), "corrupt: Bank.open_rows: stored length 2, target 4");
 //! ```
 
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -781,24 +781,6 @@ impl<T: Persist + Default> Persist for VecDeque<T> {
     }
 }
 
-/// Dynamic, written in `Ord` order: a heap's iteration order is
-/// arbitrary, its pop order is not, so the sorted form is canonical and
-/// the rebuilt heap pops identically.
-impl<T: Persist + Default + Ord> Persist for BinaryHeap<T> {
-    fn save(&self, w: &mut StateWriter) {
-        let mut items: Vec<&T> = self.iter().collect();
-        items.sort();
-        save_seq(w, items.len(), items);
-    }
-    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), PersistError> {
-        self.clear();
-        restore_seq(r, |v| {
-            self.push(v);
-            Ok(())
-        })
-    }
-}
-
 fn save_entries<'a, K: Persist + 'a, V: Persist + 'a>(
     w: &mut StateWriter,
     len: usize,
@@ -822,7 +804,8 @@ fn restore_entries<K: Persist + Default, V: Persist + Default>(
     })
 }
 
-/// Dynamic, written sorted by key for the same reason as a heap.
+/// Dynamic, written sorted by key: a hash map's iteration order is
+/// arbitrary, so the sorted form is canonical.
 impl<K, V> Persist for DetHashMap<K, V>
 where
     K: Persist + Default + Ord + Hash,

@@ -2,7 +2,7 @@
 //! of every impl round-trip bitwise, and no truncation of a payload
 //! restores.
 
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use asm_simcore::persist::{Persist, StateReader, StateWriter};
@@ -31,7 +31,6 @@ struct Everything {
     present: Option<f64>,
     grown: Vec<Vec<f64>>,
     deque: VecDeque<Option<AppId>>,
-    heap: BinaryHeap<u64>,
     map: DetHashMap<u64, String>,
     ordered: BTreeMap<String, Arc<Vec<u64>>>,
     stalls: Vec<HeadStall>,
@@ -59,7 +58,6 @@ persist_fields!(Everything {
     [present],
     grown,
     deque,
-    heap,
     map,
     ordered,
     stalls,
@@ -102,7 +100,6 @@ fn random(shape: usize, rng: &mut SimRng) -> Everything {
         deque: (0..len(rng))
             .map(|_| rng.gen_bool(0.7).then(|| app(rng)))
             .collect(),
-        heap: (0..len(rng)).map(|_| rng.next_u64()).collect(),
         map: (0..len(rng)).map(|_| (rng.next_u64(), text(rng))).collect(),
         ordered: (0..len(rng))
             .map(|_| (text(rng), Arc::new(vec![rng.next_u64(); len(rng)])))
